@@ -7,6 +7,8 @@ spectra, and the observability condition, with an independent
 direct-integration oracle validating the closed-form and WKB machinery.
 """
 
+__version__ = "0.1.0"  # defined before the submodule imports, which read it
+
 from .core import (
     HBAR,
     DimensionlessProblem,
@@ -72,5 +74,3 @@ from .spectrum import (
     observability,
     well_special_energies,
 )
-
-__version__ = "0.1.0"

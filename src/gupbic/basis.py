@@ -187,32 +187,36 @@ class BasisFunction:
 
 
 class ExponentialBasisFunction(BasisFunction):
-    """f(x) = exp(rate * x), rate real."""
+    """f(x) = exp(rate * (x - anchor)), rate real; f(anchor) = 1."""
 
-    def __init__(self, rate: float, index: int):
+    def __init__(self, rate: float, index: int, anchor: float = 0.0):
         self.rate = float(rate)
+        self.anchor = float(anchor)
         self.index = index
         self.method = "exact"
         self.validity = (-math.inf, math.inf)
 
     def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        e = self.rate * x
+        e = self.log_abs(x)
         if e > EXPONENT_CAP:
             raise BasisOverflowError(f"exp exponent {e:.3g} beyond cap", exponent=e)
         f = math.exp(e) if e > -745.0 else 0.0
         return np.array([f * self.rate**k for k in range(order + 1)], dtype=complex)
 
     def log_abs(self, x: float) -> float:
-        return self.rate * x
+        return self.rate * (x - self.anchor)
 
     def scaled_value(self, x: float, log_shift: float) -> complex:
-        e = self.rate * x - log_shift
+        e = self.log_abs(x) - log_shift
         if e > EXPONENT_CAP:
             raise BasisOverflowError(f"scaled exp exponent {e:.3g} beyond cap", exponent=e)
         return complex(math.exp(e)) if e > -745.0 else 0.0 + 0.0j
 
     def __repr__(self):
-        return f"ExponentialBasisFunction(rate={self.rate:.6g}, index={self.index})"
+        return (
+            f"ExponentialBasisFunction(rate={self.rate:.6g}, anchor={self.anchor:.6g}, "
+            f"index={self.index})"
+        )
 
 
 class TrigBasisFunction(BasisFunction):
@@ -245,16 +249,24 @@ class TrigBasisFunction(BasisFunction):
         return f"TrigBasisFunction(kappa={self.kappa:.6g}, {self.phase}, index={self.index})"
 
 
-def exact_constant_basis(roots: CharacteristicRoots) -> tuple[BasisFunction, ...]:
-    """{exp(mu1 x), exp(-mu1 x), cos(kappa x), sin(kappa x)} for q = e - v > 0."""
+def exact_constant_basis(
+    roots: CharacteristicRoots, walls: tuple[float, float]
+) -> tuple[BasisFunction, ...]:
+    """{exp(mu1 (x - hi)), exp(-mu1 (x - lo)), cos(kappa x), sin(kappa x)} for q = e - v > 0.
+
+    The exponentials are the boundary layers at the walls (lo, hi): each is 1
+    at its own wall and exp(-mu1 (hi - lo)) at the other, so every wall value
+    lies in [0, 1] however thin the layers are.
+    """
     if roots.kappa <= 0.0:
         raise DegenerateBasisError(
             f"kappa = {roots.kappa}: oscillatory pair degenerate (e <= v); "
             "constant-potential basis requires e - v > 0"
         )
+    lo, hi = walls
     return (
-        ExponentialBasisFunction(roots.mu1, index=1),
-        ExponentialBasisFunction(-roots.mu1, index=2),
+        ExponentialBasisFunction(roots.mu1, index=1, anchor=hi),
+        ExponentialBasisFunction(-roots.mu1, index=2, anchor=lo),
         TrigBasisFunction(roots.kappa, "cos", index=3),
         TrigBasisFunction(roots.kappa, "sin", index=4),
     )

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .core import (
     Harmonic,
     InfiniteWell,
@@ -34,8 +35,8 @@ from .errors import (
     WrongPotentialError,
 )
 from .matcher import bound_states
-from .oracle import momentum_rep_linear, wronskian
-from .output import RunManifest, TOOL_VERSION, config_digest, write_csv, write_json
+from .oracle import DEFAULT_RTOL, momentum_rep_linear, wronskian
+from .output import RunManifest, config_digest, write_csv, write_json
 from .spectrum import (
     critical_beta_exponent,
     dof_scan,
@@ -60,7 +61,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", default=None, help="key = value config file")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1, metavar="N")
-    parser.add_argument("--tol", type=float, default=1e-11, metavar="X", help="integration tolerance")
     parser.add_argument("--potential", choices=["well", "linear", "harmonic", "custom"], default=None)
     parser.add_argument("--mass", type=float, default=None, metavar="KG")
     parser.add_argument("--beta", type=float, default=None, metavar="B")
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
             "wavefunctions, continuous-spectrum degeneracy scans, and observability analysis."
         ),
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wavefunction", help="degenerate wavefunctions at one energy")
@@ -107,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery")
     _add_common(p)
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_RTOL, metavar="X",
+        help="relative tolerance of the oracle integrations, in [1e-14, 1e-6]",
+    )
 
     return parser
 

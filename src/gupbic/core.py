@@ -32,8 +32,6 @@ from .errors import ConfigError, DomainError, InvalidSetupError
 
 HBAR = 1.054571817e-34  # J*s
 
-_TURNING_WINDOW_HALF_WIDTH = 0.05  # in units of L_c; see basis module
-
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)

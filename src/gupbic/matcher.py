@@ -14,10 +14,12 @@ states bounded, and the case split two-sided-support / wall-plus-decay /
 two-sided-decay predicts the count 4-2=2 / 4-3=1 / 4-2=2 before any matrix is
 formed.
 
-Column conditioning: exponential basis values span many orders of magnitude,
-so point rows are assembled from column-rescaled values (each column shifted
-to unit max magnitude on the boundary-point set, recorded and undone on the
-returned coefficient vectors).
+Conditioning: the infinite-well exponentials are anchored at the walls
+(``exact_constant_basis``), so every wall value lies in [0, 1] at any
+epsilon.  WKB values can pass the exponent cap (the linear wall at x = 0), so
+each point row is formed with one log shift, the largest log|w_j(x)| in the
+row, and is then scaled to unit max magnitude.  No column carries a scale:
+null vectors are the true coefficient vectors.
 """
 
 from __future__ import annotations
@@ -45,12 +47,10 @@ from .basis import (
 )
 from .core import DimensionlessProblem
 from .errors import (
-    BasisOverflowError,
     ClassificationError,
     DegenerateBasisError,
     InvalidConditionsError,
     NormalizationError,
-    NumericalError,
     PreconditionError,
     WrongPotentialError,
 )
@@ -152,34 +152,19 @@ def classify(conditions: Sequence[BoundaryCondition]) -> CaseClassification:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Rows on the coefficient vector at fixed energy.
-
-    ``matrix`` is column-rescaled: true coefficients are
-    c_j = c_scaled_j * exp(-column_log_scales[j]).
-    """
+    """Rows on the coefficient vector at fixed energy, each of unit max magnitude."""
 
     energy: float
     matrix: np.ndarray
     row_kinds: tuple[str, ...]
     basis: tuple[BasisFunction, ...]
-    column_log_scales: np.ndarray
-
-    def matrix_unscaled(self) -> np.ndarray:
-        return self.matrix * np.exp(self.column_log_scales)[None, :]
 
     def row_residual(self, coefficients: np.ndarray) -> float:
-        """max |row . c| over rows for a unit coefficient vector (unscaled)."""
-        c = np.asarray(coefficients, dtype=complex)
-        c = c / np.linalg.norm(c)
-        scaled_c = np.zeros_like(c)
-        for j, (cj, sj) in enumerate(zip(c, self.column_log_scales)):
-            if cj != 0.0:
-                with np.errstate(over="ignore"):
-                    scaled_c[j] = cj * np.exp(sj)  # inf is an honest reject signal
+        """max |row . c| over rows for a unit coefficient vector."""
         if self.matrix.shape[0] == 0:
             return 0.0
-        rows = self.matrix @ scaled_c
-        return float(np.max(np.abs(rows)))
+        c = np.asarray(coefficients, dtype=complex)
+        return float(np.max(np.abs(self.matrix @ (c / np.linalg.norm(c)))))
 
 
 def assemble(
@@ -187,12 +172,15 @@ def assemble(
     conditions: Sequence[BoundaryCondition],
     energy: float,
     extra_conditions: Sequence[float | tuple[float, int]] = (),
+    far_basis: Sequence[BasisFunction] | None = None,
 ) -> ConstraintSystem:
     """Build the linear system; decay rows select Growing-class coefficients.
 
     ``extra_conditions`` injects additional point conditions for sensitivity
     studies: a bare x means phi(x) = 0, a pair (x, k) means phi^(k)(x) = 0
-    (hard walls themselves impose only phi = 0).
+    (hard walls themselves impose only phi = 0).  ``far_basis`` continues the
+    basis past the last validity boundary; its asymptotic classes decide the
+    decay rows (default: the classes of ``basis`` itself).
     """
     basis = tuple(basis)
     if len(basis) != 4:
@@ -217,16 +205,10 @@ def assemble(
         else:
             points.append((float(entry), 0))
 
-    # column scales from the boundary-point set
-    scales = np.zeros(4)
-    if points:
-        for j, f in enumerate(basis):
-            scales[j] = max(f.log_abs(x) for x, _ in points)
-
     rows: list[np.ndarray] = []
     kinds: list[str] = []
     for side in decay_sides:
-        for j, f in enumerate(basis):
+        for j, f in enumerate(basis if far_basis is None else far_basis):
             cls = f.asymptotic_class(side)
             if cls is AsymptoticClass.UNDEFINED:
                 raise ClassificationError(
@@ -240,17 +222,10 @@ def assemble(
                 kinds.append(f"decay[{side.value}] kills C{j + 1}")
     for x, order in points:
         if order == 0:
-            row = np.array(
-                [f.scaled_value(x, scales[j]) for j, f in enumerate(basis)], dtype=complex
-            )
+            shift = max(f.log_abs(x) for f in basis)
+            row = np.array([f.scaled_value(x, shift) for f in basis], dtype=complex)
         else:
-            row = np.array(
-                [
-                    f.derivatives(x, order=order)[order] * math.exp(-scales[j])
-                    for j, f in enumerate(basis)
-                ],
-                dtype=complex,
-            )
+            row = np.array([f.derivatives(x, order=order)[order] for f in basis], dtype=complex)
         m = np.max(np.abs(row))
         if m > 0:
             row = row / m
@@ -258,17 +233,11 @@ def assemble(
         kinds.append(f"phi({x:g}) = 0" if order == 0 else f"phi^({order})({x:g}) = 0")
 
     matrix = np.array(rows, dtype=complex) if rows else np.zeros((0, 4), dtype=complex)
-    return ConstraintSystem(
-        energy=energy,
-        matrix=matrix,
-        row_kinds=tuple(kinds),
-        basis=basis,
-        column_log_scales=scales,
-    )
+    return ConstraintSystem(energy=energy, matrix=matrix, row_kinds=tuple(kinds), basis=basis)
 
 
 def nullity_of(system: ConstraintSystem, rank_tol: float = RANK_TOL) -> int:
-    """4 - numerical rank of the (column-rescaled) constraint matrix."""
+    """4 - numerical rank of the constraint matrix."""
     m = system.matrix
     if not np.all(np.isfinite(m.view(float))):
         raise PreconditionError("constraint matrix has non-finite entries")
@@ -284,29 +253,15 @@ def nullity_of(system: ConstraintSystem, rank_tol: float = RANK_TOL) -> int:
 def nullspace(
     system: ConstraintSystem, rank_tol: float = RANK_TOL
 ) -> tuple[int, list[np.ndarray]]:
-    """(nullity, orthonormal coefficient vectors) of the scaled system."""
+    """(nullity, orthonormal coefficient vectors) of the constraint system."""
     nullity = nullity_of(system, rank_tol=rank_tol)
     if nullity == 4:
         return 4, [np.eye(4, dtype=complex)[:, j] for j in range(4)]
     if nullity == 0:
         return 0, []
-    m = system.matrix
-    _, svals, vh = np.linalg.svd(m)
-    rank = 4 - nullity
-    # columns of vh.conj().T beyond the rank index span the scaled nullspace
-    scaled_vecs = vh.conj().T[:, rank:]
-    # undoing the column rescale must not underflow components that still
-    # matter at the boundary points (the e^{-mu} boundary-layer pieces)
-    for j, scale in enumerate(system.column_log_scales):
-        if scale > 700.0 and np.max(np.abs(scaled_vecs[j, :])) > rank_tol:
-            raise NumericalError(
-                f"column {j + 1} rescale exp(-{scale:.0f}) underflows double precision "
-                "while its coefficient is significant; the boundary layer is too thin "
-                "to represent (epsilon too small for the fourth-order solve)"
-            )
-    true_vecs = scaled_vecs * np.exp(-system.column_log_scales)[:, None]
-    q, _ = np.linalg.qr(true_vecs)
-    return nullity, [q[:, j] for j in range(nullity)]
+    _, _, vh = np.linalg.svd(system.matrix)
+    # the conjugated rows of vh beyond the rank index are an orthonormal nullspace basis
+    return nullity, list(vh[4 - nullity :].conj())
 
 
 # --- explicit determinant-form coefficients (infinite well) ------------------------
@@ -339,41 +294,18 @@ def well_coefficients(
     third member is replaced by cos(kappa*(x - lo)) (the wall-anchored cosine
     used at the special energies), expressed on the plain cos/sin pair.
 
-    Evaluation is column-rescaled (direction invariant), so exponential wall
-    values spanning hundreds of orders of magnitude do not overflow; the
-    growing branch's coefficient then underflows to an honest zero.
+    The basis values at the walls are used as they are: the wall-anchored
+    exponentials of ``exact_constant_basis`` keep them in [0, 1].
     """
     lo, hi = walls
-    basis = tuple(basis)
 
-    def member_log_scale(idx: int) -> float:
-        if shifted_cos_kappa is not None and idx == triple[-1]:
-            return 0.0
-        return max(basis[idx - 1].log_abs(lo), basis[idx - 1].log_abs(hi))
+    def values_at(x: float) -> list[complex]:
+        vals = [basis[idx - 1].value(x) for idx in triple[:-1]]
+        if shifted_cos_kappa is None:
+            return vals + [basis[triple[-1] - 1].value(x)]
+        return vals + [complex(math.cos(shifted_cos_kappa * (x - lo)))]
 
-    scales = [member_log_scale(idx) for idx in triple]
-
-    def scaled_values_at(x: float) -> list[complex]:
-        vals = []
-        for idx, scale in zip(triple, scales):
-            if shifted_cos_kappa is not None and idx == triple[-1]:
-                vals.append(complex(math.cos(shifted_cos_kappa * (x - lo))))
-            else:
-                vals.append(basis[idx - 1].scaled_value(x, scale))
-        return vals
-
-    d_scaled = _cross_triple(scaled_values_at(lo), scaled_values_at(hi))
-    # undo the column rescale: D_k is proportional to d_scaled_k * exp(-scale_k)
-    shift = max(
-        (math.log(abs(v)) - s) for v, s in zip(d_scaled, scales) if abs(v) > 0.0
-    )
-    d = np.array(
-        [
-            v * math.exp(-s - shift) if abs(v) > 0.0 else 0.0
-            for v, s in zip(d_scaled, scales)
-        ],
-        dtype=complex,
-    )
+    d = _cross_triple(values_at(lo), values_at(hi))
     out = np.zeros(4, dtype=complex)
     for slot, idx in enumerate(triple[:-1]):
         out[idx - 1] = d[slot]
@@ -552,7 +484,7 @@ def well_basis(problem: DimensionlessProblem, energy: float):
     if problem.kind != "well":
         raise WrongPotentialError("well basis requested for a non-well problem")
     roots = characteristic_roots(problem.epsilon, energy)
-    return roots, exact_constant_basis(roots)
+    return roots, exact_constant_basis(roots, problem.domain)
 
 
 def special_kappa_index(problem: DimensionlessProblem, energy: float, tol: float = 1e-9) -> int | None:
@@ -595,7 +527,7 @@ def solve_well(
         # sin(kappa(x - lo)) expressed on (cos, sin); lo = -|lo|
         try:
             partner = well_coefficients(basis, (lo, hi), (1, 2, 3), shifted_cos_kappa=kap)
-        except (DegenerateBasisError, BasisOverflowError):
+        except DegenerateBasisError:
             partner = None
         seeds = [sine] + ([partner] if partner is not None else [])
     else:
@@ -603,7 +535,7 @@ def solve_well(
         for triple in ((1, 2, 3), (2, 3, 4)):
             try:
                 seeds.append(well_coefficients(basis, (lo, hi), triple))
-            except (DegenerateBasisError, BasisOverflowError):
+            except DegenerateBasisError:
                 continue
 
     # keep seeds that genuinely satisfy the walls; top up from the nullspace
@@ -725,34 +657,7 @@ def degrees_of_freedom(problem: DimensionlessProblem, energy: float) -> tuple[in
     else:
         asm = wkb_assembly(problem, energy)
         # decay rows come from far-field classes; point rows from the interior set
-        decay_rows: list[np.ndarray] = []
-        kinds: list[str] = []
-        for c in conditions:
-            if c.kind in ("decay_plus", "decay_minus"):
-                side = Side.PLUS_INFINITY if c.kind == "decay_plus" else Side.MINUS_INFINITY
-                for j, f in enumerate(asm.far_basis):
-                    cls = f.asymptotic_class(side)
-                    if cls is AsymptoticClass.UNDEFINED:
-                        raise ClassificationError(
-                            f"far-field class of branch {j + 1} toward {side.value} undefined"
-                        )
-                    if cls is AsymptoticClass.GROWING:
-                        row = np.zeros(4, dtype=complex)
-                        row[j] = 1.0
-                        decay_rows.append(row)
-                        kinds.append(f"decay[{side.value}] kills C{j + 1}")
-        point_conditions = [c for c in conditions if c.kind in ("point_zero", "vanish_on_ray")]
-        point_system = assemble(asm.basis, point_conditions, energy) if point_conditions else None
-        rows = decay_rows + ([] if point_system is None else list(point_system.matrix))
-        kinds += [] if point_system is None else list(point_system.row_kinds)
-        scales = np.zeros(4) if point_system is None else point_system.column_log_scales
-        system = ConstraintSystem(
-            energy=energy,
-            matrix=np.array(rows, dtype=complex) if rows else np.zeros((0, 4), dtype=complex),
-            row_kinds=tuple(kinds),
-            basis=asm.basis,
-            column_log_scales=scales,
-        )
+        system = assemble(asm.basis, conditions, energy, far_basis=asm.far_basis)
     return nullity_of(system), system
 
 

@@ -262,9 +262,10 @@ def wronskian_drift(
     xs: Sequence[float],
     anchor: float,
     initials: np.ndarray | None = None,
+    rtol: float = DEFAULT_RTOL,
 ) -> float:
     """max |W(x) - W(anchor)| / |W(anchor)| over xs (constancy check)."""
-    frame = fundamental_frame(problem, energy, anchor, initials)
+    frame = fundamental_frame(problem, energy, anchor, initials, rtol=rtol)
     w0 = complex(np.linalg.det(frame(anchor)))
     if w0 == 0:
         raise PreconditionError("anchor frame is singular")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-TOOL_VERSION = "0.1.0"
+from . import __version__
 
 
 def fmt_float(x: float) -> str:
@@ -98,7 +98,7 @@ def dump_trajectory_csv(path: str | Path, trajectory, xs: Sequence[float] | None
 class RunManifest:
     command: str
     config_digest: str
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     outputs: list[str] = field(default_factory=list)
     wall_time_s: float = 0.0
     argv: list[str] = field(default_factory=list)

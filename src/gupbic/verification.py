@@ -14,6 +14,7 @@ import numpy as np
 
 from .basis import characteristic_roots, exact_constant_basis
 from .core import (
+    HBAR,
     Harmonic,
     InfiniteWell,
     Linear,
@@ -40,15 +41,14 @@ def reference_well_setup(beta: float = REFERENCE_BETA) -> PhysicalSetup:
     return PhysicalSetup(mass=ELECTRON_MASS, beta=beta, potential=InfiniteWell(a=REFERENCE_HALF_WIDTH))
 
 
-def beta_for_epsilon(epsilon: float, length_scale: float, hbar: float = 1.054571817e-34) -> float:
+def beta_for_epsilon(epsilon: float, length_scale: float, hbar: float = HBAR) -> float:
     """Invert eps = 2 (beta/3) hbar^2 / L^2."""
     return 1.5 * epsilon * length_scale**2 / hbar**2
 
 
 def linear_setup_for(epsilon: float, mass: float = ELECTRON_MASS, energy_scale: float = 1e-18) -> PhysicalSetup:
     """Linear potential with the canonical scale tuned to the given E_c, eps."""
-    hbar = 1.054571817e-34
-    length = hbar / math.sqrt(2.0 * mass * energy_scale)
+    length = HBAR / math.sqrt(2.0 * mass * energy_scale)
     slope = energy_scale / length
     return PhysicalSetup(
         mass=mass, beta=beta_for_epsilon(epsilon, length), potential=Linear(slope=slope)
@@ -57,9 +57,8 @@ def linear_setup_for(epsilon: float, mass: float = ELECTRON_MASS, energy_scale: 
 
 def harmonic_setup_for(epsilon: float, mass: float = ELECTRON_MASS, energy_scale: float = 1e-18) -> PhysicalSetup:
     """Harmonic oscillator with E_c = hbar*omega/2 tuned to the given E_c, eps."""
-    hbar = 1.054571817e-34
-    omega = 2.0 * energy_scale / hbar
-    length = math.sqrt(hbar / (mass * omega))
+    omega = 2.0 * energy_scale / HBAR
+    length = math.sqrt(HBAR / (mass * omega))
     return PhysicalSetup(
         mass=mass, beta=beta_for_epsilon(epsilon, length), potential=Harmonic(omega=omega)
     )
@@ -131,7 +130,7 @@ def check_wronskian_constancy(
         xs = np.linspace(anchor - span, anchor + span, 9)
         if problem.kind == "linear":
             xs = xs[xs > 0.05]
-        drift = wronskian_drift(problem, e, xs, anchor=anchor)
+        drift = wronskian_drift(problem, e, xs, anchor=anchor, rtol=rtol)
         worst = max(worst, drift)
     return _result("wronskian_constancy", worst, 1e-8, cases=n_cases)
 
@@ -146,7 +145,7 @@ def check_exact_well_oracle_agreement(
     worst = 0.0
     for e in (2.918779290241783, 1.638, 16.38):
         roots = characteristic_roots(problem.epsilon, e)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, problem.domain)
         state = StateFunction(np.array([0.05, 0.4, 0.7, 0.55]), basis)
         traj = integrate(problem, e, state.derivatives(-1.0, order=3), -1.0, 1.0, rtol=rtol)
         xs = np.linspace(-1.0, 1.0, 201)
@@ -162,7 +161,7 @@ def check_residual_exact(setup: PhysicalSetup | None = None) -> CheckResult:
     problem = nondimensionalize(setup)
     e = 2.918779290241783
     roots = characteristic_roots(problem.epsilon, e)
-    basis = exact_constant_basis(roots)
+    basis = exact_constant_basis(roots, problem.domain)
     state = StateFunction(np.array([0.2, 0.3, 0.6, 0.7]), basis)
     grid = np.linspace(-0.99, 0.99, 101)
     return _result("residual_exact_basis", residual(state, problem, e, grid), 1e-10)
@@ -175,7 +174,7 @@ def check_residual_negative_control(setup: PhysicalSetup | None = None) -> Check
     problem = nondimensionalize(setup)
     e = 2.918779290241783
     roots = characteristic_roots(problem.epsilon, e)
-    basis = exact_constant_basis(roots)
+    basis = exact_constant_basis(roots, problem.domain)
     kap = roots.kappa
     state = StateFunction(np.array([0.0, 0.0, math.sin(kap), math.cos(kap)]), basis)
 

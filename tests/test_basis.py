@@ -26,6 +26,7 @@ from gupbic.errors import (
 )
 
 EPS_REFERENCE = 7.414144781404543e-2
+WALLS = (-1.0, 1.0)
 
 
 class TestCharacteristicRoots:
@@ -91,7 +92,7 @@ class TestCharacteristicRoots:
 @pytest.fixture(scope="module")
 def basis_and_roots():
     r = characteristic_roots(EPS_REFERENCE, 2.918779290241783)
-    return r, exact_constant_basis(r)
+    return r, exact_constant_basis(r, WALLS)
 
 
 class TestExactBasis:
@@ -109,8 +110,12 @@ class TestExactBasis:
         r, basis = basis_and_roots
         m = np.array([f.derivatives(0.0, order=3) for f in basis]).T
         w = np.linalg.det(m)
-        # direct determinant, cross-checked against the root-product form
-        expected = 2.0 * r.mu1 * r.kappa * (r.mu1**2 + r.kappa**2) ** 2
+        # direct determinant, cross-checked against the root-product form; the
+        # wall anchors scale the exponential pair by exp(-mu1 (hi - lo)) in all
+        lo, hi = WALLS
+        expected = (
+            2.0 * r.mu1 * r.kappa * (r.mu1**2 + r.kappa**2) ** 2 * math.exp(-r.mu1 * (hi - lo))
+        )
         assert abs(w) == pytest.approx(expected, rel=1e-12)
         assert abs(w) > 1.0
 
@@ -127,7 +132,7 @@ class TestExactBasis:
         e = 2.467401100272340  # (pi/2)^2
         for eps in (1e-5, 1e-7):
             r = characteristic_roots(eps, e)
-            basis = exact_constant_basis(r)
+            basis = exact_constant_basis(r, WALLS)
             for x in np.linspace(-1, 1, 7):
                 assert basis[2].value(x) == pytest.approx(
                     math.cos(math.sqrt(e) * x), abs=5e-4 * (eps / 1e-5) ** 0.5 + 1e-9
@@ -136,7 +141,7 @@ class TestExactBasis:
     def test_degenerate_kappa_rejected(self):
         r = characteristic_roots(0.1, 0.0)
         with pytest.raises(DegenerateBasisError):
-            exact_constant_basis(r)
+            exact_constant_basis(r, WALLS)
 
     def test_overflow_flagged(self):
         f = ExponentialBasisFunction(rate=10.0, index=1)
@@ -289,7 +294,7 @@ def test_debug_dump_csv(tmp_path, well_problem):
     from gupbic.output import dump_basis_csv
 
     roots = characteristic_roots(well_problem.epsilon, 5.0)
-    basis = exact_constant_basis(roots)
+    basis = exact_constant_basis(roots, well_problem.domain)
     path = dump_basis_csv(tmp_path / "w3.csv", basis[2], np.linspace(-1, 1, 5))
     lines = path.read_text().splitlines()
     assert lines[0] == "x,re,im,d1,d2,d3"

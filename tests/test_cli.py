@@ -55,6 +55,19 @@ class TestWavefunction:
                 worst = max(worst, abs(sign * re_phi - expected) * math.sqrt(a))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("beta", ["1e43", "1e42", "1e30"])
+    def test_special_level_below_critical_beta(self, tmp_path, beta):
+        # eps down to ~7e-19: boundary layers ~1e-9 wide at the walls
+        out = tmp_path / "wf"
+        assert run(["wavefunction", "--k", "1", "--beta", beta, "--out", out]) == 0
+        _, rows = read_csv(out / "wavefunctions.csv")
+        a = 1e-10
+        for idx in (1, 2):
+            vals = [complex(float(r[3]), float(r[4])) for r in rows if int(r[2]) == idx]
+            # phi_SI = phi / sqrt(a); the grid's first and last points are the walls
+            assert abs(vals[0]) * math.sqrt(a) <= 1e-8
+            assert abs(vals[-1]) * math.sqrt(a) <= 1e-8
+
     def test_continuum_energy_two_states(self, tmp_path):
         out = tmp_path / "wf"
         assert run(["wavefunction", "--E", "1e-18", "--out", out]) == 0
@@ -215,6 +228,28 @@ class TestExitCodes:
 
     def test_tol_bounds_checked(self, tmp_path, capsys):
         assert run(["verify", "--tol", "1e-3", "--out", tmp_path]) == 2
+
+    def test_tol_reaches_frame_integrator(self, tmp_path, monkeypatch):
+        from gupbic import oracle
+
+        class Reached(Exception):
+            pass
+
+        seen = []
+
+        def frame_spy(*args, rtol=oracle.DEFAULT_RTOL, **kwargs):
+            seen.append(rtol)
+            raise Reached
+
+        monkeypatch.setattr(oracle, "fundamental_frame", frame_spy)
+        with pytest.raises(Reached):
+            run(["verify", "--tol", "1e-9", "--out", tmp_path])
+        assert seen == [1e-9]
+
+    def test_tol_is_a_verify_flag_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["dof-scan", "--tol", "1e-9", "--out", tmp_path])
+        assert exc.value.code == 2
 
 
 class TestVerifyCommand:

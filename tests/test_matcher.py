@@ -90,14 +90,15 @@ class TestAssemble:
     def test_well_matrix_values(self, well_problem):
         e = 5.0
         roots = characteristic_roots(well_problem.epsilon, e)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(basis, conditions_for(well_problem), e)
-        m = system.matrix_unscaled()
+        m = system.matrix
         mu, kap = roots.mu1, roots.kappa
+        # walls at -1, 1: exp(mu (x - 1)) and exp(-mu (x + 1)) are 1 at their own wall
         expected = np.array(
             [
-                [math.exp(-mu), math.exp(mu), math.cos(kap), -math.sin(kap)],
-                [math.exp(mu), math.exp(-mu), math.cos(kap), math.sin(kap)],
+                [math.exp(-2.0 * mu), 1.0, math.cos(kap), -math.sin(kap)],
+                [1.0, math.exp(-2.0 * mu), math.cos(kap), math.sin(kap)],
             ]
         )
         # rows are rescaled to unit max magnitude; compare directions
@@ -135,25 +136,25 @@ class TestAssemble:
 
 class TestNullspace:
     def test_full_rank_rows(self, well_problem):
-        basis = exact_constant_basis(characteristic_roots(well_problem.epsilon, 5.0))
+        roots = characteristic_roots(well_problem.epsilon, 5.0)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = ConstraintSystem(
             energy=5.0,
             matrix=np.eye(4, dtype=complex),
             row_kinds=("a", "b", "c", "d"),
             basis=tuple(basis),
-            column_log_scales=np.zeros(4),
         )
         nullity, vecs = nullspace(system)
         assert nullity == 0 and vecs == []
 
     def test_zero_matrix_gives_canonical_basis(self, well_problem):
-        basis = exact_constant_basis(characteristic_roots(well_problem.epsilon, 5.0))
+        roots = characteristic_roots(well_problem.epsilon, 5.0)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = ConstraintSystem(
             energy=5.0,
             matrix=np.zeros((0, 4), dtype=complex),
             row_kinds=(),
             basis=tuple(basis),
-            column_log_scales=np.zeros(4),
         )
         nullity, vecs = nullspace(system)
         assert nullity == 4
@@ -162,7 +163,7 @@ class TestNullspace:
     def test_well_generic_energy_nullity_two(self, well_problem):
         for e in (1.638, 8.191, 16.38):
             roots = characteristic_roots(well_problem.epsilon, e)
-            basis = exact_constant_basis(roots)
+            basis = exact_constant_basis(roots, well_problem.domain)
             system = assemble(basis, conditions_for(well_problem), e)
             nullity, vecs = nullspace(system)
             assert nullity == 2
@@ -173,7 +174,7 @@ class TestNullspace:
     def test_special_energy_sine_vector_in_nullspace(self, well_setup, well_problem):
         for se in well_special_energies(well_setup, 3):
             roots = characteristic_roots(well_problem.epsilon, se.energy_dimensionless)
-            basis = exact_constant_basis(roots)
+            basis = exact_constant_basis(roots, well_problem.domain)
             system = assemble(basis, conditions_for(well_problem), se.energy_dimensionless)
             kap = roots.kappa
             sine_vec = np.array([0, 0, math.sin(kap), math.cos(kap)], dtype=complex)
@@ -186,7 +187,7 @@ class TestNullspace:
 class TestWellCoefficients:
     def test_special_energy_partner_annihilated(self, well_problem):
         roots = characteristic_roots(well_problem.epsilon, E1_DIMLESS)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(basis, conditions_for(well_problem), E1_DIMLESS)
         vec = well_coefficients(basis, (-1.0, 1.0), (1, 2, 3), shifted_cos_kappa=roots.kappa)
         assert system.row_residual(vec) < 1e-12
@@ -194,7 +195,7 @@ class TestWellCoefficients:
     def test_generic_energy_triples_annihilated(self, well_problem):
         e = 8.1911537730
         roots = characteristic_roots(well_problem.epsilon, e)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(basis, conditions_for(well_problem), e)
         for triple in ((1, 2, 3), (2, 3, 4)):
             vec = well_coefficients(basis, (-1.0, 1.0), triple)
@@ -203,7 +204,8 @@ class TestWellCoefficients:
     def test_scale_invariance_of_direction(self, well_problem):
         # multiplying all boundary values by a common factor only rescales
         e = 8.1911537730
-        basis = exact_constant_basis(characteristic_roots(well_problem.epsilon, e))
+        roots = characteristic_roots(well_problem.epsilon, e)
+        basis = exact_constant_basis(roots, well_problem.domain)
         from gupbic.matcher import _cross_triple
 
         row_lo = [f.value(-1.0) for f in basis[:3]]
@@ -215,7 +217,7 @@ class TestWellCoefficients:
     def test_agreement_with_nullspace_projection(self, well_problem):
         e = 8.1911537730
         roots = characteristic_roots(well_problem.epsilon, e)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(basis, conditions_for(well_problem), e)
         _, null_vecs = nullspace(system)
         basis_mat = np.array(null_vecs).T  # 4 x 2, orthonormal columns
@@ -231,7 +233,7 @@ class TestNormalize:
     def test_pure_sine_gram_entry_is_one(self, well_problem):
         # at a special energy int sin^2(kappa x) dx over the well is exactly 1
         roots = characteristic_roots(well_problem.epsilon, E1_DIMLESS)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         sol = normalize(
             [np.array([0, 0, math.sin(roots.kappa), math.cos(roots.kappa)])],
             basis,
@@ -250,7 +252,8 @@ class TestNormalize:
         assert abs(st.value(x)) / math.sqrt(a_si) == pytest.approx(abs(expected), rel=1e-10)
 
     def test_zero_vector_rejected(self, well_problem):
-        basis = exact_constant_basis(characteristic_roots(well_problem.epsilon, E1_DIMLESS))
+        roots = characteristic_roots(well_problem.epsilon, E1_DIMLESS)
+        basis = exact_constant_basis(roots, well_problem.domain)
         with pytest.raises(NormalizationError):
             normalize(
                 [np.zeros(4)], basis, regions=[(-1.0, 1.0)],
@@ -319,7 +322,7 @@ class TestSolvers:
         e = 1.6382307546
         sol = solve_well(well_problem, e)
         roots = characteristic_roots(well_problem.epsilon, e)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         det_pair = [
             well_coefficients(basis, (-1.0, 1.0), (1, 2, 3)),
             well_coefficients(basis, (-1.0, 1.0), (2, 3, 4)),
@@ -340,7 +343,7 @@ class TestSolvers:
         sol = solve_well(well_problem, 5.5)
         assert sol.degeneracy == 2
         roots = characteristic_roots(well_problem.epsilon, 5.5)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(
             basis, conditions_for(well_problem), 5.5, extra_conditions=[0.3]
         )
@@ -350,7 +353,7 @@ class TestSolvers:
     def test_curvature_condition_injection(self, well_problem):
         # opt-in phi''(+-a) = 0 rows for sensitivity studies
         roots = characteristic_roots(well_problem.epsilon, 5.5)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(
             basis,
             conditions_for(well_problem),
@@ -421,25 +424,31 @@ class TestSolvers:
         assert bound_states(well_problem, 5.5).degeneracy == 2
         assert bound_states(linear_problem, 2.0).degeneracy == 1
 
-    def test_extreme_epsilon_counts_but_fails_vectors_loudly(self):
-        # mu1 ~ 1/sqrt(eps) = 1000: the e^{-mu} boundary-layer coefficients
-        # underflow doubles; the dof count survives, the solve refuses
-        from gupbic.errors import NumericalError
+    def test_extreme_epsilon_counts_and_solves(self):
+        # mu1 ~ 1/sqrt(eps) = 1000: the wall-anchored boundary layers keep every
+        # wall value in [0, 1], so the states are built wherever the count is
         from gupbic.verification import beta_for_epsilon, reference_well_setup
 
         setup = reference_well_setup(beta=beta_for_epsilon(1e-6, 1e-10))
         problem = nondimensionalize(setup)
         assert degrees_of_freedom(problem, 5.0)[0] == 2
-        with pytest.raises(NumericalError, match="underflow"):
-            solve_well(problem, 5.0)
+        sol = solve_well(problem, 5.0)
+        assert sol.degeneracy == 2
+        grid = np.linspace(-0.999, 0.999, 401)  # the layers are 1e-3 wide
+        for st in sol.states:
+            assert abs(st.value(-1.0)) < 1e-8
+            assert abs(st.value(1.0)) < 1e-8
+            assert residual(st, problem, 5.0, grid) < 1e-10
 
     def test_well_solves_across_wide_conditioning(self):
         from gupbic.verification import beta_for_epsilon, reference_well_setup
 
-        for eps, e in [(1e-4, 30.0), (5.0, 3.0), (0.074, 2000.0)]:
-            problem = nondimensionalize(
-                reference_well_setup(beta=beta_for_epsilon(eps, 1e-10))
-            )
+        betas = [beta_for_epsilon(eps, 1e-10) for eps in (1e-4, 5.0, 0.074)]
+        cases = list(zip(betas, (30.0, 3.0, 2000.0)))
+        # beta 1e47 ... 1e30 is eps 0.074 ... 7.4e-19, below the critical exponent ~47.6
+        cases += [(beta, e) for beta in (1e47, 1e44, 1e42, 1e38, 1e34, 1e30) for e in (2.5, 30.0)]
+        for beta, e in cases:
+            problem = nondimensionalize(reference_well_setup(beta=beta))
             sol = solve_well(problem, e)
             assert sol.degeneracy == 2
             for st in sol.states:

@@ -53,7 +53,7 @@ class TestIntegrate:
     def test_convergence_under_tolerance_halving(self, well_problem):
         # error against the exact solution shrinks as rtol tightens
         roots = characteristic_roots(well_problem.epsilon, 5.0)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         state = StateFunction(np.array([0.02, 0.5, 0.7, 0.3]), basis)
         init = state.derivatives(-1.0, order=3)
         errors = []
@@ -120,7 +120,7 @@ class TestWronskian:
 class TestResidual:
     def test_exact_solution(self, well_problem):
         roots = characteristic_roots(well_problem.epsilon, E1_DIMLESS)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         state = StateFunction(np.array([0.1, 0.2, 0.5, 0.7]), basis)
         grid = np.linspace(-0.99, 0.99, 100)
         assert residual(state, well_problem, E1_DIMLESS, grid) < 1e-10
@@ -128,7 +128,7 @@ class TestResidual:
     def test_corrupted_state_flagged(self, well_problem):
         # phi + 0.01*x on the unit-normalized sine: the defect must stand out
         roots = characteristic_roots(well_problem.epsilon, E1_DIMLESS)
-        basis = exact_constant_basis(roots)
+        basis = exact_constant_basis(roots, well_problem.domain)
         kap = roots.kappa
         state = StateFunction(np.array([0, 0, math.sin(kap), math.cos(kap)]), basis)
 
