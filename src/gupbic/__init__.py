@@ -16,10 +16,8 @@ from .core import (
     InfiniteWell,
     Linear,
     PhysicalSetup,
-    TabulatedCustom,
     load_config,
     nondimensionalize,
-    potential_value,
 )
 from .basis import (
     AsymptoticClass,

@@ -308,10 +308,6 @@ class WkbParameters:
     def b(self, x: float) -> float:
         return float(self.b_chain(x)[0])
 
-    def s_at(self, x: float) -> complex:
-        """sqrt(a^2 - b(x)), principal branch."""
-        return np.sqrt(complex(self.a_coef**2 - self.b(x)))
-
 
 def _ratio_chain(u: tuple, v: tuple) -> tuple:
     """Derivatives 0..3 of u/v from derivative tuples u[0..3], v[0..3]."""
@@ -401,9 +397,12 @@ class WkbBasisFunction(BasisFunction):
     # -- validity guards
 
     def _in_window(self, x: float) -> bool:
-        if self.index not in (3, 4):
-            return False
-        return any(abs(x - z) < self._window for z in self._b_zeros)
+        # strict test on the stored edges: a region end built as z -+ window
+        # is then outside exactly, whatever the roundoff of x - z
+        for a, b in self.windows:
+            if a < x < b:
+                return True
+        return False
 
     def _check(self, x: float) -> None:
         lo, hi = self.interval

@@ -24,7 +24,6 @@ from .core import (
     Linear,
     PhysicalSetup,
     load_config,
-    load_custom_potential_csv,
     nondimensionalize,
 )
 from .errors import (
@@ -61,13 +60,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", default=None, help="key = value config file")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1, metavar="N")
-    parser.add_argument("--potential", choices=["well", "linear", "harmonic", "custom"], default=None)
+    parser.add_argument("--potential", choices=["well", "linear", "harmonic"], default=None)
     parser.add_argument("--mass", type=float, default=None, metavar="KG")
     parser.add_argument("--beta", type=float, default=None, metavar="B")
     parser.add_argument("--a", type=float, default=None, metavar="M", help="well half-width")
     parser.add_argument("--L", type=float, default=None, metavar="J_PER_M", help="linear slope")
     parser.add_argument("--omega", type=float, default=None, metavar="RAD_S")
-    parser.add_argument("--custom-file", default=None, metavar="CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,8 +126,7 @@ def _setup_from_args(args) -> tuple[PhysicalSetup, str | None]:
         for k in ("potential", "mass", "beta", "a", "L", "omega")
         if getattr(args, k, None) is not None
     }
-    custom_file = getattr(args, "custom_file", None)
-    if not overrides and custom_file is None:
+    if not overrides:
         return setup, config_path
 
     kind = overrides.get("potential")
@@ -145,15 +142,11 @@ def _setup_from_args(args) -> tuple[PhysicalSetup, str | None]:
         if slope is None:
             raise ConfigError("linear potential needs --L")
         potential = Linear(slope=slope)
-    elif kind == "harmonic":
+    else:
         omega = overrides.get("omega", setup.potential.omega if isinstance(setup.potential, Harmonic) else None)
         if omega is None:
             raise ConfigError("harmonic potential needs --omega")
         potential = Harmonic(omega=omega)
-    else:
-        if custom_file is None:
-            raise ConfigError("custom potential needs --custom-file CSV")
-        potential = load_custom_potential_csv(custom_file)
 
     setup = PhysicalSetup(
         mass=overrides.get("mass", setup.mass),

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, InvalidSetupError
 
 HBAR = 1.054571817e-34  # J*s
@@ -57,11 +55,6 @@ class InfiniteWell:
     def domain(self) -> tuple[float, float]:
         return (-self.a, self.a)
 
-    def value(self, x: float) -> float:
-        if not (-self.a < x < self.a):
-            raise DomainError(f"x={x} outside well interior (-{self.a}, {self.a})")
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Linear:
@@ -79,11 +72,6 @@ class Linear:
 
     def domain(self) -> tuple[float, float]:
         return (0.0, math.inf)
-
-    def value(self, x: float) -> float:
-        if x <= 0:
-            raise DomainError(f"x={x} outside linear-potential domain (0, inf)")
-        return self.slope * x
 
 
 @dataclass(frozen=True)
@@ -104,32 +92,7 @@ class Harmonic:
         return (-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class TabulatedCustom:
-    """Potential sampled at strictly increasing x (SI); monotone cubic interpolation."""
-
-    xs: tuple[float, ...]
-    vs: tuple[float, ...]
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        vs = np.asarray(self.vs, dtype=float)
-        if xs.size < 4 or xs.size != vs.size:
-            raise InvalidSetupError("custom potential needs >= 4 (x, V) samples")
-        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(vs)):
-            raise InvalidSetupError("custom potential samples must be finite")
-        if not np.all(np.diff(xs) > 0):
-            raise InvalidSetupError("custom potential x samples must be strictly increasing")
-
-    @property
-    def kind(self) -> str:
-        return "custom"
-
-    def domain(self) -> tuple[float, float]:
-        return (self.xs[0], self.xs[-1])
-
-
-PotentialSpec = Union[InfiniteWell, Linear, Harmonic, TabulatedCustom]
+PotentialSpec = Union[InfiniteWell, Linear, Harmonic]
 
 
 @dataclass(frozen=True)
@@ -158,7 +121,7 @@ class PhysicalSetup:
         """Scale that makes the dimensionless potential O(1).
 
         well -> a; linear -> (hbar^2 / 2mL)^(1/3) (quantum-bouncer scale);
-        harmonic -> sqrt(hbar / m omega); custom -> half the sample span.
+        harmonic -> sqrt(hbar / m omega).
         """
         p = self.potential
         if isinstance(p, InfiniteWell):
@@ -167,8 +130,6 @@ class PhysicalSetup:
             return (self.hbar**2 / (2.0 * self.mass * p.slope)) ** (1.0 / 3.0)
         if isinstance(p, Harmonic):
             return math.sqrt(self.hbar / (self.mass * p.omega))
-        if isinstance(p, TabulatedCustom):
-            return 0.5 * (p.xs[-1] - p.xs[0])
         raise InvalidSetupError(f"unknown potential {p!r}")
 
 
@@ -252,21 +213,6 @@ def nondimensionalize(setup: PhysicalSetup, length_scale: float | None = None) -
         def v_derivs(x: float, _c=curv):
             return (_c * x * x, 2.0 * _c * x, 2.0 * _c, 0.0, 0.0)
 
-    elif isinstance(p, TabulatedCustom):
-        from scipy.interpolate import PchipInterpolator
-
-        xs = np.asarray(p.xs) / length_scale
-        vs = np.asarray(p.vs) / e_scale
-        spline = PchipInterpolator(xs, vs)
-        d1 = spline.derivative(1)
-        d2 = spline.derivative(2)
-        lo, hi = xs[0], xs[-1]
-
-        def v_derivs(x: float, _s=spline, _d1=d1, _d2=d2):
-            # cubic pieces: 3rd derivative piecewise constant, 4th is zero
-            d3 = float(_s.derivative(3)(x))
-            return (float(_s(x)), float(_d1(x)), float(_d2(x)), d3, 0.0)
-
     else:
         raise InvalidSetupError(f"unknown potential {p!r}")
 
@@ -281,21 +227,15 @@ def nondimensionalize(setup: PhysicalSetup, length_scale: float | None = None) -
     )
 
 
-def potential_value(problem: DimensionlessProblem, x: float) -> float:
-    """Dimensionless potential at dimensionless x (domain-checked)."""
-    return problem.v(x)
-
-
 # --- configuration files -----------------------------------------------------
 
-_CONFIG_KEYS = {"mass", "beta", "potential", "a", "L", "omega", "custom_file", "hbar"}
+_CONFIG_KEYS = {"mass", "beta", "potential", "a", "L", "omega", "hbar"}
 _POTENTIAL_ALIASES = {
     "well": "well",
     "infinite_well": "well",
     "infinitewell": "well",
     "linear": "linear",
     "harmonic": "harmonic",
-    "custom": "custom",
 }
 
 
@@ -317,29 +257,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def load_custom_potential_csv(path: str | Path) -> TabulatedCustom:
-    """Two-column CSV `x,V` in SI; a header row is permitted."""
-    rows: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: line {lineno}: expected 'x,V', got {raw!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            if lineno == 1:
-                continue  # header
-            raise ConfigError(f"{path}: line {lineno}: non-numeric sample {raw!r}") from None
-    try:
-        return TabulatedCustom(xs=tuple(x for x, _ in rows), vs=tuple(v for _, v in rows))
-    except InvalidSetupError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def setup_from_entries(entries: dict[str, str], base_dir: str | Path = ".") -> PhysicalSetup:
+def setup_from_entries(entries: dict[str, str]) -> PhysicalSetup:
     """Build a PhysicalSetup from parsed config entries."""
 
     def need(key: str) -> str:
@@ -355,7 +273,7 @@ def setup_from_entries(entries: dict[str, str], base_dir: str | Path = ".") -> P
 
     kind_raw = need("potential").lower()
     if kind_raw not in _POTENTIAL_ALIASES:
-        raise ConfigError(f"unknown potential {kind_raw!r}")
+        raise ConfigError(f"unknown potential {kind_raw!r}; expected well, linear or harmonic")
     kind = _POTENTIAL_ALIASES[kind_raw]
 
     try:
@@ -363,10 +281,8 @@ def setup_from_entries(entries: dict[str, str], base_dir: str | Path = ".") -> P
             potential: PotentialSpec = InfiniteWell(a=as_float("a", need("a")))
         elif kind == "linear":
             potential = Linear(slope=as_float("L", need("L")))
-        elif kind == "harmonic":
-            potential = Harmonic(omega=as_float("omega", need("omega")))
         else:
-            potential = load_custom_potential_csv(Path(base_dir) / need("custom_file"))
+            potential = Harmonic(omega=as_float("omega", need("omega")))
 
         return PhysicalSetup(
             mass=as_float("mass", need("mass")),
@@ -386,4 +302,4 @@ def load_config(path: str | Path) -> PhysicalSetup:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return setup_from_entries(parse_config_text(text), base_dir=path.parent)
+    return setup_from_entries(parse_config_text(text))

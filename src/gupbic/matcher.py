@@ -344,9 +344,6 @@ class StateFunction:
     def __call__(self, x: float) -> complex:
         return self.value(x)
 
-    def rescaled(self, factor: complex) -> "StateFunction":
-        return StateFunction(self.coefficients * factor, self.basis)
-
 
 @dataclass(frozen=True)
 class BoundStateSolution:
@@ -468,16 +465,7 @@ def conditions_for(problem: DimensionlessProblem) -> list[BoundaryCondition]:
         return [point_zero(lo), decay_at(Side.PLUS_INFINITY)]
     if problem.kind == "harmonic":
         return [decay_at(Side.MINUS_INFINITY), decay_at(Side.PLUS_INFINITY)]
-    conditions: list[BoundaryCondition] = []
-    if math.isfinite(lo):
-        conditions.append(point_zero(lo))
-    else:
-        conditions.append(decay_at(Side.MINUS_INFINITY))
-    if math.isfinite(hi):
-        conditions.append(point_zero(hi))
-    else:
-        conditions.append(decay_at(Side.PLUS_INFINITY))
-    return conditions
+    raise WrongPotentialError(f"no boundary conditions for kind {problem.kind!r}")
 
 
 def well_basis(problem: DimensionlessProblem, energy: float):
@@ -550,6 +538,9 @@ def solve_well(
         if np.linalg.norm(w) > 1e-6:
             good.append(w)
 
+    # breakpoints at the inner edges of the wall layers (30 decay lengths) let
+    # the Gram quadrature see layers too thin for it to find on its own
+    layer = 30.0 / roots.mu1
     return normalize(
         good[:nullity],
         basis,
@@ -557,6 +548,7 @@ def solve_well(
         problem=problem,
         energy=energy,
         orthogonalize=orthogonalize,
+        singular_points=(lo + layer, hi - layer),
     )
 
 

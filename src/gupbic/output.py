@@ -65,35 +65,6 @@ def config_digest(config_path: str | Path | None, fallback: str = "") -> str:
     return sha256_hex(fallback.encode())
 
 
-def dump_basis_csv(path: str | Path, basis_function, xs: Sequence[float]) -> Path:
-    """Debug dump of one basis function: x, re, im, d1, d2, d3 (real parts)."""
-    rows = []
-    for x in xs:
-        d = basis_function.derivatives(float(x), order=3)
-        rows.append((float(x), d[0].real, d[0].imag, d[1].real, d[2].real, d[3].real))
-    return write_csv(path, ["x", "re", "im", "d1", "d2", "d3"], rows)
-
-
-def dump_trajectory_csv(path: str | Path, trajectory, xs: Sequence[float] | None = None) -> Path:
-    """Debug dump of an integrated trajectory: x plus re/im of all components."""
-    if xs is None:
-        xs = trajectory.grid
-    rows = []
-    for x in xs:
-        state = trajectory.state_at(float(x))
-        row = [float(x)]
-        for component in state:
-            row.extend((component.real, component.imag))
-        rows.append(tuple(row))
-    n = (len(rows[0]) - 1) // 2
-    header = ["x"]
-    names = ["phi", "d1", "d2", "d3"]
-    for k in range(n):
-        name = names[k] if k < len(names) else f"d{k}"
-        header.extend((f"re_{name}", f"im_{name}"))
-    return write_csv(path, header, rows)
-
-
 @dataclass
 class RunManifest:
     command: str

@@ -290,17 +290,6 @@ def test_concurrent_evaluation_matches_serial(linear_problem):
     assert np.allclose(serial_vals, threaded_vals, rtol=1e-12, atol=1e-300)
 
 
-def test_debug_dump_csv(tmp_path, well_problem):
-    from gupbic.output import dump_basis_csv
-
-    roots = characteristic_roots(well_problem.epsilon, 5.0)
-    basis = exact_constant_basis(roots, well_problem.domain)
-    path = dump_basis_csv(tmp_path / "w3.csv", basis[2], np.linspace(-1, 1, 5))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re,im,d1,d2,d3"
-    assert len(lines) == 6
-
-
 class TestClassification:
     def test_growing_exponential(self):
         f = ExponentialBasisFunction(rate=2.0, index=1)

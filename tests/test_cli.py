@@ -68,6 +68,16 @@ class TestWavefunction:
             assert abs(vals[0]) * math.sqrt(a) <= 1e-8
             assert abs(vals[-1]) * math.sqrt(a) <= 1e-8
 
+    @pytest.mark.parametrize("energy", ["1e-18", "5e-18", "8e-18"])
+    def test_linear_energies_solve(self, tmp_path, energy):
+        # the grid's region ends sit on the turning-point window edges
+        out = tmp_path / "wf"
+        argv = ["wavefunction", "--potential", "linear", "--L", "1.281e-8", "--E", energy, "--out", out]
+        assert run(argv) == 0
+        _, rows = read_csv(out / "wavefunctions.csv")
+        assert {int(r[2]) for r in rows} == {1}
+        assert all(math.isfinite(float(r[3])) and math.isfinite(float(r[4])) for r in rows)
+
     def test_continuum_energy_two_states(self, tmp_path):
         out = tmp_path / "wf"
         assert run(["wavefunction", "--E", "1e-18", "--out", out]) == 0
@@ -191,15 +201,24 @@ class TestManifest:
         assert err["error"]["type"] == "ConfigError"
 
     def test_corrupted_custom_csv_exit_2(self, tmp_path, capsys):
+        # no solver takes a tabulated potential: the kind, its file key and
+        # its flag value are all usage errors
         csv = tmp_path / "pot.csv"
         csv.write_text("0.0,0.0\n2e-10,1e-18\n1e-10,2e-18\n3e-10,4e-18\n")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "mass = 9.10956e-31\nbeta = 1e46\npotential = custom\ncustom_file = pot.csv\n"
-        )
-        assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "increasing" in err["error"]["message"]
+        base = "mass = 9.10956e-31\nbeta = 1e46\npotential = {}\n"
+        for text, message in (
+            (base.format("custom"), "unknown potential 'custom'; expected well, linear or harmonic"),
+            (base.format("well") + "a = 1e-10\ncustom_file = pot.csv\n", "unknown key 'custom_file'"),
+        ):
+            cfg.write_text(text)
+            assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"]["type"] == "ConfigError"
+            assert message in err["error"]["message"]
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--potential", "custom", "--out", tmp_path])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gupbic import (
     HBAR,
@@ -11,13 +9,10 @@ from gupbic import (
     InfiniteWell,
     Linear,
     PhysicalSetup,
-    TabulatedCustom,
     nondimensionalize,
-    potential_value,
 )
 from gupbic.core import (
     load_config,
-    load_custom_potential_csv,
     parse_config_text,
     setup_from_entries,
 )
@@ -112,23 +107,23 @@ class TestNondimensionalization:
 class TestPotentialValues:
     def test_well_interior_zero(self):
         problem = nondimensionalize(reference_setup())
-        assert potential_value(problem, 0.0) == 0.0
+        assert problem.v(0.0) == 0.0
 
     def test_well_outside_domain_error(self):
         problem = nondimensionalize(reference_setup())
         with pytest.raises(DomainError):
-            potential_value(problem, 1.5)
+            problem.v(1.5)
 
     def test_harmonic_canonical_is_x_squared(self):
         setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Harmonic(omega=2e16))
         problem = nondimensionalize(setup)
-        assert potential_value(problem, 2.0) == pytest.approx(4.0, rel=1e-12)
+        assert problem.v(2.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_linear_is_linear(self):
         setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Linear(slope=3e-8))
         problem = nondimensionalize(setup)
-        v1 = potential_value(problem, 1.0)
-        assert potential_value(problem, 2.5) == pytest.approx(2.5 * v1, rel=1e-12)
+        v1 = problem.v(1.0)
+        assert problem.v(2.5) == pytest.approx(2.5 * v1, rel=1e-12)
         # canonical bouncer scale makes the slope exactly one
         assert v1 == pytest.approx(1.0, rel=1e-12)
 
@@ -136,28 +131,7 @@ class TestPotentialValues:
         setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Linear(slope=3e-8))
         problem = nondimensionalize(setup)
         with pytest.raises(DomainError):
-            potential_value(problem, -0.5)
-
-    @given(s=st.floats(min_value=0.3, max_value=3.0))
-    @settings(max_examples=25, deadline=None)
-    def test_custom_interpolates_through_samples(self, s):
-        xs = np.linspace(0.0, 4e-10, 9)
-        vs = 2e-18 * np.sin(s * xs / 1e-10) + 3e-18
-        pot = TabulatedCustom(xs=tuple(xs), vs=tuple(vs))
-        setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=1e46, potential=pot)
-        problem = nondimensionalize(setup)
-        for x, v in zip(xs[1:-1], vs[1:-1]):
-            assert potential_value(problem, x / problem.length_scale) == pytest.approx(
-                v / problem.energy_scale, rel=1e-10
-            )
-
-    def test_custom_requires_strictly_increasing(self):
-        with pytest.raises(InvalidSetupError):
-            TabulatedCustom(xs=(0.0, 1.0, 1.0, 2.0), vs=(0.0, 1.0, 2.0, 3.0))
-
-    def test_custom_requires_four_points(self):
-        with pytest.raises(InvalidSetupError):
-            TabulatedCustom(xs=(0.0, 1.0, 2.0), vs=(0.0, 1.0, 2.0))
+            problem.v(-0.5)
 
 
 class TestConfig:
@@ -198,36 +172,14 @@ class TestConfig:
             )
 
     def test_unknown_potential(self):
-        with pytest.raises(ConfigError, match="unknown potential"):
-            setup_from_entries(
-                parse_config_text("mass = 1e-30\nbeta = 0\npotential = coulomb")
-            )
+        for kind in ("coulomb", "custom"):
+            with pytest.raises(ConfigError, match="unknown potential .*well, linear or harmonic"):
+                setup_from_entries(
+                    parse_config_text(f"mass = 1e-30\nbeta = 0\npotential = {kind}")
+                )
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(self.GOOD)
         setup = load_config(path)
         assert setup.mass == 9.10956e-31
-
-    def test_custom_file(self, tmp_path):
-        csv = tmp_path / "pot.csv"
-        csv.write_text("x,V\n0.0,0.0\n1e-10,1e-18\n2e-10,2e-18\n3e-10,4e-18\n")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "mass = 9.10956e-31\nbeta = 1e46\npotential = custom\ncustom_file = pot.csv\n"
-        )
-        setup = load_config(cfg)
-        assert isinstance(setup.potential, TabulatedCustom)
-        assert len(setup.potential.xs) == 4
-
-    def test_custom_file_non_monotone(self, tmp_path):
-        csv = tmp_path / "pot.csv"
-        csv.write_text("0.0,0.0\n2e-10,1e-18\n1e-10,2e-18\n3e-10,4e-18\n")
-        with pytest.raises(ConfigError, match="strictly increasing"):
-            load_custom_potential_csv(csv)
-
-    def test_custom_file_bad_row(self, tmp_path):
-        csv = tmp_path / "pot.csv"
-        csv.write_text("0.0,0.0\n1e-10\n2e-10,2e-18\n3e-10,4e-18\n")
-        with pytest.raises(ConfigError, match="expected 'x,V'"):
-            load_custom_potential_csv(csv)

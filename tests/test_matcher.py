@@ -14,7 +14,6 @@ from gupbic.basis import Side
 from gupbic.errors import (
     InvalidConditionsError,
     NormalizationError,
-    WrongPotentialError,
 )
 from gupbic.matcher import (
     Case,
@@ -35,7 +34,7 @@ from gupbic.matcher import (
     well_coefficients,
 )
 from gupbic.spectrum import well_special_energies
-from gupbic.verification import harmonic_setup_for, linear_setup_for
+from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
 
 E1_DIMLESS = 2.918779290241783
 
@@ -276,6 +275,27 @@ class TestNormalize:
         assert np.allclose(g, g.conj().T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(g) > -1e-10)
 
+    @pytest.mark.parametrize("beta", [1e44, 1e42, 1e40, 1e38, 1e34, 1e30])
+    def test_well_gram_resolves_thin_wall_layers(self, beta):
+        # layers of width 1/mu1 down to ~1e-9 of the well: the self-overlap of
+        # exp(mu1 (x - hi)) is (1 - e^{-4 mu1}) / (2 mu1)
+        problem = nondimensionalize(reference_well_setup(beta=beta))
+        sol = solve_well(problem, 2.5)
+        mu1 = characteristic_roots(problem.epsilon, 2.5).mu1
+        assert sol.gram.shape == (4, 4)
+        assert sol.gram[0, 0].real == pytest.approx(-math.expm1(-4.0 * mu1) / (2.0 * mu1), rel=1e-7)
+
+    def test_thin_layer_well_states_have_unit_norm(self):
+        problem = nondimensionalize(reference_well_setup(beta=1e38))
+        sol = solve_well(problem, 2.5)
+        layer = 30.0 / characteristic_roots(problem.epsilon, 2.5).mu1
+        for st in sol.states:
+            norm2 = quad(
+                lambda x: abs(st.value(x)) ** 2, -1.0, 1.0,
+                points=(-1.0 + layer, 1.0 - layer), epsabs=1e-13, epsrel=1e-12, limit=300,
+            )[0]
+            assert norm2 == pytest.approx(1.0, abs=1e-10)
+
 
 class TestSolvers:
     def test_well_special_pair(self, well_problem):
@@ -454,14 +474,3 @@ class TestSolvers:
             for st in sol.states:
                 assert abs(st.value(-1.0)) < 1e-8
                 assert abs(st.value(1.0)) < 1e-8
-
-    def test_custom_not_supported(self):
-        from gupbic import PhysicalSetup, TabulatedCustom
-
-        xs = tuple(np.linspace(0, 4e-10, 6))
-        vs = tuple(np.linspace(0, 4e-18, 6))
-        problem = nondimensionalize(
-            PhysicalSetup(mass=9.1e-31, beta=1e46, potential=TabulatedCustom(xs=xs, vs=vs))
-        )
-        with pytest.raises(WrongPotentialError):
-            bound_states(problem, 1.0)

@@ -84,16 +84,6 @@ class TestIntegrate:
             StateVector.from_array([math.nan, 0, 0, 0])
 
 
-def test_trajectory_dump_csv(tmp_path, well_problem):
-    from gupbic.output import dump_trajectory_csv
-
-    traj = integrate(well_problem, 5.0, [0.1, 0.2, 0.3, 0.4], -1.0, 1.0, n_grid=7)
-    path = dump_trajectory_csv(tmp_path / "traj.csv", traj)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re_phi,im_phi,re_d1,im_d1,re_d2,im_d2,re_d3,im_d3"
-    assert len(lines) == 8
-
-
 class TestWronskian:
     def test_canonical_frame_is_identity_determinant(self, well_problem):
         assert wronskian(well_problem, 5.0, 0.3, anchor=0.3) == pytest.approx(1.0)
