@@ -25,7 +25,8 @@ a^2 - b are hard validity boundaries: the correction integrand has a pole
 there, so a basis instance never spans one.  Zeros of b are excluded by a
 window of half-width 0.05 for j in {3, 4} (the 1/sqrt(lam) prefactor is
 singular), but the exponent integrals are continued across them (the
-singularity of the correction integrand is an integrable |x - xt|^(-1/2)).
+singularity of the correction integrand is an integrable |x - xt|^(-1/2),
+which x = xt +- u^2 makes smooth on the panels that end at xt).
 
 Exponents are computed before exponentiation and capped at |Re| <= 700;
 beyond the cap value access raises BasisOverflowError and callers switch to
@@ -35,29 +36,27 @@ log-space access.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
-import warnings
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  (unused; perfbench/tracer.py patches basis.quad)
 from scipy.optimize import brentq
 
 from .errors import (
     BasisOverflowError,
     ComplexQuartetError,
     DegenerateBasisError,
+    NumericalError,
     UnsupportedEpsilonError,
     ValidityError,
 )
 
 EXPONENT_CAP = 700.0
 TURNING_WINDOW_HALF_WIDTH = 0.05
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
 
 class AsymptoticClass(Enum):
@@ -167,6 +166,22 @@ class BasisFunction:
         """f(x) * exp(-log_shift), computed without forming f(x)."""
         raise NotImplementedError
 
+    # Array forms: one point at a time here; the WKB functions, whose cost is
+    # per call rather than per point, evaluate the whole array at once.
+
+    def valid(self, xs: np.ndarray) -> np.ndarray:
+        """Mask of the abscissas where the function may be evaluated."""
+        return np.ones(np.shape(xs), dtype=bool)
+
+    def value_array(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.value(float(x)) for x in xs], dtype=complex)
+
+    def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.log_abs(float(x)) for x in xs], dtype=float)
+
+    def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
+        return np.array([self.scaled_value(float(x), log_shift) for x in xs], dtype=complex)
+
     def asymptotic_class(self, side: Side, probes: Sequence[float] | None = None) -> AsymptoticClass:
         if probes is None:
             probes = self._auto_probes(side)
@@ -274,13 +289,34 @@ def exact_constant_basis(
 
 # --- WKB machinery -------------------------------------------------------------
 
+# Exponent integrals: composite Gauss-Legendre sums on fixed panels of width
+# _PANEL_WIDTH counted from x0 and split at the zeros of b.  A panel is
+# accepted when its n- and 2n-node sums agree to _QUAD_TOL (absolute and
+# relative, as epsabs = epsrel); otherwise it is bisected.
+_PANEL_WIDTH = 0.25
+_GAUSS_NODES = 12
+_QUAD_TOL = 1e-12
+_MAX_BISECTIONS = 50
+_MAX_PIECES = 64  # per segment
+_SEGMENT_CHUNK = 1024  # segments integrated together, bounding the temporaries
+_MIN_EDGE_GAP = 1e-3 * _PANEL_WIDTH
+
+
+@functools.cache
+def _gauss_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] of the n- and 2n-node Gauss-Legendre rules, side by side, and their weights."""
+    x_lo, w_lo = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    x_hi, w_hi = np.polynomial.legendre.leggauss(2 * _GAUSS_NODES)
+    return 0.5 * (1.0 + np.concatenate([x_lo, x_hi])), 0.5 * w_lo, 0.5 * w_hi
+
 
 @dataclass(frozen=True)
 class WkbParameters:
     """Scaled WKB coefficients for one (problem, energy) pair.
 
     eta = (2/eps)^(1/4); a_coef = eta^2/4; b(x) = (v(x) - e)/2 with derivative
-    chain to fourth order supplied by ``b_chain``.
+    chain to fourth order supplied by ``b_chain``.  Both take a float or a
+    numpy array of abscissas.
     """
 
     eta: float
@@ -299,14 +335,16 @@ class WkbParameters:
         a_coef = eta * eta / 4.0
         v_derivs = problem.v_derivs
 
-        def b_chain(x: float) -> tuple:
+        def b_chain(x):
             v = v_derivs(x)
-            return (0.5 * (v[0] - energy), 0.5 * v[1], 0.5 * v[2], 0.5 * v[3], 0.5 * v[4])
+            # + 0 * x broadcasts a constant potential over an array x
+            b0 = 0.5 * (v[0] - energy) + 0.0 * x
+            return (b0, 0.5 * v[1], 0.5 * v[2], 0.5 * v[3], 0.5 * v[4])
 
         return cls(eta=eta, a_coef=a_coef, x0=x0, b_chain=b_chain, energy=energy, epsilon=eps)
 
-    def b(self, x: float) -> float:
-        return float(self.b_chain(x)[0])
+    def b(self, x):
+        return self.b_chain(x)[0]
 
 
 def _ratio_chain(u: tuple, v: tuple) -> tuple:
@@ -319,18 +357,41 @@ def _ratio_chain(u: tuple, v: tuple) -> tuple:
 
 
 def _sqrt_chain(w: tuple, sign: float = 1.0) -> tuple:
-    """Derivatives 0..4 of sign*sqrt(w) from derivative tuple w[0..4].
+    """Derivatives 0..len(w)-1 (at most 4) of sign*sqrt(w) from derivative tuple w.
 
-    Recursion from 2*y*y' = w' with y = sign*sqrt(w) (principal branch).
+    Recursion from 2*y*y' = w' with y = sign*sqrt(w) (principal branch).  The
+    entries may be numpy arrays; a real array is taken as complex with a +0
+    imaginary part, the branch cmath.sqrt takes for a float.
     """
-    y0 = sign * cmath.sqrt(w[0])
-    if y0 == 0:
-        raise ZeroDivisionError("sqrt chain at a zero of its argument")
-    y1 = w[1] / (2.0 * y0)
-    y2 = (w[2] - 2.0 * y1 * y1) / (2.0 * y0)
-    y3 = (w[3] - 6.0 * y1 * y2) / (2.0 * y0)
-    y4 = (w[4] - 8.0 * y1 * y3 - 6.0 * y2 * y2) / (2.0 * y0)
-    return (y0, y1, y2, y3, y4)
+    w0 = w[0]
+    if isinstance(w0, np.ndarray):
+        root = np.sqrt(w0.astype(complex, copy=False))
+    else:
+        root = cmath.sqrt(w0)
+    y = [sign * root]
+    twice = 2.0 * y[0]
+    if len(w) > 1:
+        y.append(w[1] / twice)
+    if len(w) > 2:
+        y.append((w[2] - 2.0 * y[1] * y[1]) / twice)
+    if len(w) > 3:
+        y.append((w[3] - 6.0 * y[1] * y[2]) / twice)
+    if len(w) > 4:
+        y.append((w[4] - 8.0 * y[1] * y[3] - 6.0 * y[2] * y[2]) / twice)
+    return tuple(y)
+
+
+def _capped_exp(e, x, what: str):
+    """exp(e) for a log-space value e (float or array): raises past the cap, 0 below -745."""
+    re = np.real(e)
+    if np.any(re > EXPONENT_CAP):
+        raise BasisOverflowError(
+            f"{what} exponent Re = {np.max(re):.3g} beyond cap at x={x}", exponent=e
+        )
+    if np.ndim(e) == 0:
+        return cmath.exp(e) if re > -745.0 else 0.0 + 0.0j
+    with np.errstate(under="ignore"):
+        return np.where(re > -745.0, np.exp(e), 0.0 + 0.0j)
 
 
 _BRANCH_SIGNS = {1: (+1.0, +1.0), 2: (+1.0, -1.0), 3: (-1.0, +1.0), 4: (-1.0, -1.0)}
@@ -343,6 +404,12 @@ class WkbBasisFunction(BasisFunction):
     inside the interval are masked by windows of half-width
     TURNING_WINDOW_HALF_WIDTH (evaluation inside a window raises
     ValidityError), while the exponent integrals cross them.
+
+    The exponent integrals are sums over fixed panels counted from x0, so
+    exponent(x) depends on x alone.  The cumulative sums at the panel edges
+    met so far are kept in ``_table`` (edges, [I1, I2] sums, zero-of-b flags,
+    grid panels covered below and above x0); it is replaced whole, never
+    changed in place.
     """
 
     def __init__(
@@ -367,12 +434,15 @@ class WkbBasisFunction(BasisFunction):
         else:
             self.windows = ()
         lo, hi = self.interval
-        if not (lo < params.x0 < hi) or self._in_window(params.x0):
+        if not (lo < params.x0 < hi and self.valid(params.x0)):
             raise ValidityError(f"reference point x0={params.x0} outside validity region")
-        # integral cache: sorted abscissas with cumulative (I1, I2)
-        self._cache_xs: list[float] = [params.x0]
-        self._cache_vals: dict[float, tuple[complex, complex]] = {params.x0: (0.0 + 0j, 0.0 + 0j)}
-        self._lock = threading.Lock()
+        self._table = (
+            np.array([params.x0]),
+            np.zeros((2, 1), dtype=complex),
+            np.array([False]),
+            0,
+            0,
+        )
 
     @property
     def validity(self) -> tuple[float, float]:  # type: ignore[override]
@@ -380,113 +450,212 @@ class WkbBasisFunction(BasisFunction):
 
     # -- branch chains
 
-    def _chains(self, x: float) -> tuple[tuple, tuple]:
-        """(s chain, lam chain), derivatives 0..4, python complex tuples."""
+    def _chains(self, x, order: int = 4, b: tuple | None = None) -> tuple[tuple, tuple]:
+        """(s chain, lam chain), derivatives 0..order at a float or an array x.
+
+        ``b`` replaces b_chain(x) when the caller has the b chain already.
+        """
         p = self.params
-        b = p.b_chain(x)
-        w = (p.a_coef**2 - b[0], -b[1], -b[2], -b[3], -b[4])
+        if b is None:
+            b = p.b_chain(x)
+        w = (p.a_coef**2 - b[0], -b[1], -b[2], -b[3], -b[4])[: order + 1]
         s = _sqrt_chain(w)
         sg = self._inner_sigma
-        u = (p.a_coef + sg * s[0], sg * s[1], sg * s[2], sg * s[3], sg * s[4])
+        # a - s written as b / (a + s): no cancellation near a turning point
+        u0 = p.a_coef + s[0] if sg > 0 else b[0] / (p.a_coef + s[0])
+        u = (u0,) + tuple(sg * sk for sk in s[1:])
         lam = _sqrt_chain(u, sign=self._sign_tau)
         return s, lam
 
     def lam(self, x: float) -> complex:
-        return self._chains(x)[1][0]
+        return self._chains(x, order=0)[1][0]
 
     # -- validity guards
 
-    def _in_window(self, x: float) -> bool:
-        # strict test on the stored edges: a region end built as z -+ window
-        # is then outside exactly, whatever the roundoff of x - z
-        for a, b in self.windows:
-            if a < x < b:
-                return True
-        return False
-
-    def _check(self, x: float) -> None:
+    def valid(self, x) -> np.ndarray:
         lo, hi = self.interval
+        x = np.asarray(x, dtype=float)
+        ok = (lo <= x) & (x <= hi)
+        # strict test on the stored window edges: a region end built as
+        # z -+ window is then outside exactly, whatever the roundoff of x - z
+        for a, b in self.windows:
+            ok &= ~((a < x) & (x < b))
+        return ok
+
+    def _check(self, x: np.ndarray) -> None:
+        bad = np.flatnonzero(~self.valid(x))
+        if bad.size == 0:
+            return
+        lo, hi = self.interval
+        x = float(x[bad[0]])
         if not (lo <= x <= hi):
             raise ValidityError(f"x={x} outside validity interval [{lo}, {hi}]")
-        if self._in_window(x):
-            z = min(self._b_zeros, key=lambda t: abs(x - t))
-            raise ValidityError(f"x={x} inside turning-point window around x={z}")
+        z = min(self._b_zeros, key=lambda t: abs(x - t))
+        raise ValidityError(f"x={x} inside turning-point window around x={z}")
 
     # -- exponent integrals
 
-    def _integrand_i1(self, x: float) -> complex:
-        return self._chains(x)[1][0]
+    def _segment_integrals(self, c: np.ndarray, o: np.ndarray, subst: np.ndarray) -> np.ndarray:
+        """[I1, I2] increments from c to o, shape (2, len(c)).
 
-    def _integrand_i2(self, x: float) -> complex:
-        s, lam = self._chains(x)
-        return lam[1] / s[0]
+        Where ``subst`` is set, c is a zero of b and x = c +- u^2 turns the
+        |x - c|^(-1/2) singularity of branches 3 and 4 into a smooth integrand.
+        Each segment is bisected on its own, so its increment does not depend
+        on the other segments of the call.
+        """
+        out = np.zeros((2, c.size), dtype=complex)
+        for k in range(0, c.size, _SEGMENT_CHUNK):
+            part = slice(k, k + _SEGMENT_CHUNK)
+            out[:, part] = self._chunk_integrals(c[part], o[part], subst[part])
+        return out
 
-    def _quad_complex(self, f, lo: float, hi: float) -> complex:
-        sign = 1.0
-        if hi < lo:
-            lo, hi = hi, lo
-            sign = -1.0
-        interior = [z for z in self._b_zeros if lo < z < hi]
-        kw = dict(_QUAD_OPTS)
-        if interior:
-            kw["points"] = interior
-        with warnings.catch_warnings():
-            # near-zero components and integrable |x-xt|^(-1/2) crossings trip
-            # the roundoff detector at epsabs=1e-12; accuracy is test-verified
-            warnings.simplefilter("ignore", IntegrationWarning)
-            re = quad(lambda t: f(t).real, lo, hi, **kw)[0]
-            im = quad(lambda t: f(t).imag, lo, hi, **kw)[0]
-        return sign * complex(re, im)
+    def _chunk_integrals(self, c: np.ndarray, o: np.ndarray, subst: np.ndarray) -> np.ndarray:
+        nodes, w_lo, w_hi = _gauss_pair()
+        n = w_lo.size
+        sense = np.where(o < c, -1.0, 1.0)
+        out = np.zeros((2, c.size), dtype=complex)
+        seg = np.flatnonzero(o != c)
+        a = np.zeros(seg.size)
+        b = np.abs(o - c)[seg]
+        b = np.where(subst[seg], np.sqrt(b), b)
+        for _ in range(_MAX_BISECTIONS):
+            if seg.size == 0:
+                return out
+            width = (b - a)[:, None]
+            u = a[:, None] + width * nodes
+            sub = subst[seg, None]
+            x = c[seg, None] + sense[seg, None] * np.where(sub, u * u, u)
+            jac = np.where(sub, 2.0 * u, 1.0) * (sense[seg, None] * width)
+            b_x = self.params.b_chain(x)
+            if sub.any():
+                b_x = self._b_past_zero(c[seg, None], sense[seg, None] * u * u, sub, b_x)
+            s, lam = self._chains(x, order=1, b=b_x)
+            f = np.stack([lam[0], lam[1] / s[0]]) * jac
+            coarse = (f[..., :n] * w_lo).sum(axis=-1)
+            fine = (f[..., n:] * w_hi).sum(axis=-1)
+            if not np.all(np.isfinite(fine)):
+                raise NumericalError(
+                    f"WKB exponent integrand of branch {self.index} is not finite on a panel"
+                )
+            done = np.all(np.abs(fine - coarse) <= _QUAD_TOL * np.maximum(1.0, np.abs(fine)), axis=0)
+            if done.all():
+                np.add.at(out, (slice(None), seg), fine)
+                return out
+            np.add.at(out, (slice(None), seg[done]), fine[:, done])
+            seg, a, b = seg[~done], a[~done], b[~done]
+            if 2 * np.bincount(seg).max() > _MAX_PIECES:
+                break
+            mid = 0.5 * (a + b)
+            seg = np.repeat(seg, 2)
+            a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+        raise NumericalError(
+            f"WKB exponent integrals of branch {self.index} did not converge to "
+            f"{_QUAD_TOL:g} within {_MAX_BISECTIONS} bisections and {_MAX_PIECES} pieces per segment"
+        )
 
-    def _integrals(self, x: float) -> tuple[complex, complex]:
-        """Cumulative (I1, I2) from x0 to x, via the nearest cached anchor."""
-        with self._lock:
-            cached = self._cache_vals.get(x)
-            if cached is not None:
-                return cached
-            pos = bisect_left(self._cache_xs, x)
-            candidates = []
-            if pos > 0:
-                candidates.append(self._cache_xs[pos - 1])
-            if pos < len(self._cache_xs):
-                candidates.append(self._cache_xs[pos])
-            anchor = min(candidates, key=lambda t: abs(t - x))
-            base1, base2 = self._cache_vals[anchor]
-        i1 = base1 + self._quad_complex(self._integrand_i1, anchor, x)
-        i2 = base2 + self._quad_complex(self._integrand_i2, anchor, x)
-        with self._lock:
-            if x not in self._cache_vals:
-                insort(self._cache_xs, x)
-                self._cache_vals[x] = (i1, i2)
-        return i1, i2
+    def _b_past_zero(self, z: np.ndarray, d: np.ndarray, sub: np.ndarray, b_x: tuple) -> tuple:
+        """b and b' at z + d from Taylor's formula at a zero z of b, where ``sub`` is set.
+
+        z + d rounds d to the spacing of floats near z, and b(z + d) then
+        carries a relative error of roughly 1e-16 |z| / |d| that stops the
+        bisection next to the zero.  Taylor's formula takes d itself and
+        b(z) = 0; it is exact because v is a polynomial of degree <= 4 for
+        every potential with a WKB basis (linear, harmonic).
+        """
+        _, b1, b2, b3, b4 = self.params.b_chain(z)
+        b0_t = d * (b1 + d * (b2 / 2.0 + d * (b3 / 6.0 + d * b4 / 24.0)))
+        b1_t = b1 + d * (b2 + d * (b3 / 2.0 + d * b4 / 6.0))
+        return (np.where(sub, b0_t, b_x[0]), np.where(sub, b1_t, b_x[1])) + tuple(b_x[2:])
+
+    def _new_edges(self, k_done: int, reach: float, sense: float) -> tuple[np.ndarray, int]:
+        """Panel edges (grid edges and zeros of b) beyond grid edge k_done up to
+        the first grid edge past ``reach``, ordered outward from x0."""
+        x0 = self.params.x0
+        lo, hi = self.interval
+        k = max(k_done, int(math.floor(sense * (reach - x0) / _PANEL_WIDTH)) + 1)
+        grid = x0 + sense * np.arange(k_done + 1, k + 1) * _PANEL_WIDTH
+        near, far = x0 + sense * k_done * _PANEL_WIDTH, x0 + sense * k * _PANEL_WIDTH
+        zeros = np.array(self._b_zeros)
+        inside = zeros[(sense * (zeros - near) > 0) & (sense * (zeros - far) <= 0)]
+        # a grid edge next to a zero of b would leave a sliver panel whose
+        # substituted nodes round onto the zero itself
+        keep = (lo < grid) & (grid < hi)
+        if zeros.size:
+            keep &= np.abs(grid[:, None] - zeros).min(axis=1) > _MIN_EDGE_GAP
+        edges = np.unique(np.concatenate([grid[keep], inside]))
+        return (edges if sense > 0 else edges[::-1]), k
+
+    def _extend(self, x_min: float, x_max: float) -> tuple:
+        """Grow the panel table until it holds the panel edges nearest to x_min and x_max."""
+        pos, cum, at_zero, k_lo, k_hi = self._table
+        up, k_hi = self._new_edges(k_hi, x_max, 1.0)
+        down, k_lo = self._new_edges(k_lo, x_min, -1.0)
+        up_zero, down_zero = np.isin(up, self._b_zeros), np.isin(down, self._b_zeros)
+        # outward panels from the old end edges; a panel ending on a zero of b
+        # is integrated from that zero
+        left = np.concatenate([np.append(pos[-1:], up)[:-1], np.append(pos[:1], down)[:-1]])
+        left_zero = np.concatenate(
+            [np.append(at_zero[-1:], up_zero)[:-1], np.append(at_zero[:1], down_zero)[:-1]]
+        )
+        right = np.concatenate([up, down])
+        right_zero = np.concatenate([up_zero, down_zero])
+        steps = self._segment_integrals(
+            np.where(right_zero, right, left),
+            np.where(right_zero, left, right),
+            right_zero | left_zero,
+        ) * np.where(right_zero, -1.0, 1.0)
+        # running sums outward from x0, in a fixed order
+        cum_up = np.cumsum(np.concatenate([cum[:, -1:], steps[:, : up.size]], axis=1), axis=1)
+        cum_down = np.cumsum(np.concatenate([cum[:, :1], steps[:, up.size :]], axis=1), axis=1)
+        self._table = (
+            np.concatenate([down[::-1], pos, up]),
+            np.concatenate([cum_down[:, :0:-1], cum, cum_up[:, 1:]], axis=1),
+            np.concatenate([down_zero[::-1], at_zero, up_zero]),
+            k_lo,
+            k_hi,
+        )
+        return self._table
+
+    def _integrals(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(I1, I2) from x0 to each x: the sum at the nearest panel edge plus the rest."""
+        x0 = self.params.x0
+        pos, cum, at_zero, k_lo, k_hi = self._table
+        x_min, x_max = xs.min(), xs.max()
+        if x_max > x0 + k_hi * _PANEL_WIDTH or x_min < x0 - k_lo * _PANEL_WIDTH:
+            pos, cum, at_zero, _, _ = self._extend(x_min, x_max)
+        i = np.searchsorted(pos, xs)
+        below, above = np.maximum(i - 1, 0), np.minimum(i, pos.size - 1)
+        anchor = np.where(xs - pos[below] <= pos[above] - xs, below, above)
+        total = cum[:, anchor] + self._segment_integrals(pos[anchor], xs, at_zero[anchor])
+        return total[0], total[1]
 
     # -- evaluation
 
-    def exponent(self, x: float) -> complex:
-        """log w_j(x) including the prefactor (principal-branch logs)."""
-        self._check(x)
-        s, lam = self._chains(x)
-        i1, i2 = self._integrals(x)
-        return self.params.eta * i1 - 0.5 * i2 - 0.5 * (cmath.log(lam[0]) + cmath.log(s[0]))
+    def exponent(self, x):
+        """log w_j(x) including the prefactor (principal-branch logs); x a float or an array."""
+        xs = np.asarray(x, dtype=float)
+        flat = xs.reshape(-1)
+        if flat.size == 0:
+            return np.empty(xs.shape, dtype=complex)
+        self._check(flat)
+        i1, i2 = self._integrals(flat)
+        s, lam = self._chains(flat, order=0)
+        e = self.params.eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam[0]) + np.log(s[0]))
+        return complex(e[0]) if xs.ndim == 0 else e.reshape(xs.shape)
 
-    def log_abs(self, x: float) -> float:
-        return float(self.exponent(x).real)
+    def log_abs(self, x):
+        return np.real(self.exponent(x))
 
-    def value(self, x: float) -> complex:
-        e = self.exponent(x)
-        if e.real > EXPONENT_CAP:
-            raise BasisOverflowError(
-                f"WKB exponent Re = {e.real:.3g} beyond cap at x={x}", exponent=e
-            )
-        return cmath.exp(e) if e.real > -745.0 else 0.0 + 0.0j
+    def value(self, x):
+        return _capped_exp(self.exponent(x), x, "WKB")
 
-    def scaled_value(self, x: float, log_shift: float) -> complex:
-        e = self.exponent(x) - log_shift
-        if e.real > EXPONENT_CAP:
-            raise BasisOverflowError(
-                f"scaled WKB exponent Re = {e.real:.3g} beyond cap at x={x}", exponent=e
-            )
-        return cmath.exp(e) if e.real > -745.0 else 0.0 + 0.0j
+    def scaled_value(self, x, log_shift: float):
+        return _capped_exp(self.exponent(x) - log_shift, x, "scaled WKB")
+
+    # the evaluators above take arrays as they are
+    log_abs_array = log_abs
+    value_array = value
+    scaled_value_array = scaled_value
 
     def _theta_chain(self, x: float) -> tuple:
         """Derivatives 1..4 of log w_j at x (analytic chain rule)."""
@@ -506,7 +675,7 @@ class WkbBasisFunction(BasisFunction):
         step = 2.5 * self._window
         shifted = []
         for p in probes:
-            while self._in_window(p):
+            while any(a < p < b for a, b in self.windows):
                 p += step if side is Side.PLUS_INFINITY else -step
             shifted.append(p)
         ordered = sorted(set(shifted), reverse=side is Side.MINUS_INFINITY)
@@ -561,11 +730,26 @@ class SymmetrizedBasisFunction(BasisFunction):
             d = d * np.array([(-1.0) ** k for k in range(len(d))])
         return d
 
+    def value(self, x: float) -> complex:
+        return self.inner.value(abs(x))
+
     def log_abs(self, x: float) -> float:
         return self.inner.log_abs(abs(x))
 
     def scaled_value(self, x: float, log_shift: float) -> complex:
         return self.inner.scaled_value(abs(x), log_shift)
+
+    def valid(self, xs: np.ndarray) -> np.ndarray:
+        return self.inner.valid(np.abs(xs))
+
+    def value_array(self, xs: np.ndarray) -> np.ndarray:
+        return self.inner.value_array(np.abs(xs))
+
+    def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
+        return self.inner.log_abs_array(np.abs(xs))
+
+    def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
+        return self.inner.scaled_value_array(np.abs(xs), log_shift)
 
     def _auto_probes(self, side: Side) -> list[float]:
         inner_probes = self.inner._auto_probes(Side.PLUS_INFINITY)
@@ -577,18 +761,21 @@ class SymmetrizedBasisFunction(BasisFunction):
         return f"SymmetrizedBasisFunction({self.inner!r})"
 
 
-def find_zeros(f: Callable[[float], float], lo: float, hi: float, n: int = 2001) -> list[float]:
-    """Sign-change scan + brentq refinement on [lo, hi]."""
+def find_zeros(f: Callable, lo: float, hi: float, n: int = 2001) -> list[float]:
+    """Sign-change scan + brentq refinement on [lo, hi].
+
+    ``f`` takes the whole n-point grid as one array; brentq refines only the
+    cells whose ends change sign, calling f with floats.
+    """
     xs = np.linspace(lo, hi, n)
-    vals = np.array([f(x) for x in xs])
-    zeros: list[float] = []
-    for i in range(n - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            zeros.append(float(xs[i]))
-        elif a * b < 0.0:
-            zeros.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-13)))
-    if vals[-1] == 0.0:
+    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    exact = vals == 0.0
+    cells = np.flatnonzero(exact[:-1] | (vals[:-1] * vals[1:] < 0.0))
+    zeros = [
+        float(xs[i]) if exact[i] else float(brentq(f, xs[i], xs[i + 1], xtol=1e-13))
+        for i in cells
+    ]
+    if exact[-1]:
         zeros.append(float(xs[-1]))
     return zeros
 
@@ -618,7 +805,7 @@ class WkbRegionMap:
 
 
 def map_regions(params: WkbParameters, lo: float, hi: float) -> WkbRegionMap:
-    b = lambda x: params.b(x)
+    b = params.b
     s2 = lambda x: params.a_coef**2 - params.b(x)
     return WkbRegionMap(
         b_zeros=tuple(find_zeros(b, lo, hi)),
@@ -673,27 +860,24 @@ def classify_asymptotics(
     if side is Side.MINUS_INFINITY and not np.all(diffs < 0):
         raise ValueError("probes must decrease toward -inf")
 
-    def safe_log_abs(x: float) -> float | None:
-        try:
-            value = f.log_abs(x)
-        except ValidityError:
-            return None  # sample fell in a turning-point window
-        return value if math.isfinite(value) else None
-
-    intervals = list(zip(probes[:-1], probes[1:]))
-    env_logs = []
-    all_xs: list[float] = []
-    for a, b in intervals:
-        xs = np.linspace(a, b, samples_per_interval)
-        samples = [(x, safe_log_abs(x)) for x in xs]
-        valid = [(x, v) for x, v in samples if v is not None]
-        if len(valid) < 3:
-            return AsymptoticClass.UNDEFINED
-        all_xs.extend(x for x, _ in valid[:-1])
-        env_logs.append(max(v for _, v in valid))
-    if safe_log_abs(probes[-1]) is not None:
-        all_xs.append(probes[-1])
-    env_logs = np.array(env_logs)
+    # every sample in one call; samples in a turning window or with a
+    # non-finite log are masked
+    ends = np.asarray(probes, dtype=float)
+    xs = np.linspace(ends[:-1], ends[1:], samples_per_interval, axis=1)
+    ok = f.valid(xs)
+    logs = np.full(xs.shape, np.nan)
+    logs[ok] = f.log_abs_array(xs[ok])
+    ok &= np.isfinite(logs)
+    if np.any(ok.sum(axis=1) < 3):
+        return AsymptoticClass.UNDEFINED
+    env_logs = np.where(ok, logs, -np.inf).max(axis=1)
+    # sign samples: each interval's valid samples but its last (the next
+    # interval's first), then the last probe
+    keep = ok.copy()
+    last = samples_per_interval - 1 - np.argmax(ok[:, ::-1], axis=1)
+    keep[np.arange(len(xs)), last] = False
+    keep[-1, -1] = ok[-1, -1]
+    all_xs = xs[keep]
 
     growth = env_logs[-1] - env_logs[0]
     ln10 = math.log(10.0)
@@ -703,7 +887,7 @@ def classify_asymptotics(
         return AsymptoticClass.DECAYING
 
     shift = float(np.max(env_logs))
-    vals = np.array([f.scaled_value(x, shift) for x in all_xs])
+    vals = f.scaled_value_array(all_xs, shift)
     comps = vals.real if np.max(np.abs(vals.real)) >= np.max(np.abs(vals.imag)) else vals.imag
     sign_changes = int(np.sum(np.abs(np.diff(np.sign(comps))) > 0))
     ratios = np.exp(np.diff(env_logs))

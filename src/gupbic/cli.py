@@ -193,8 +193,8 @@ def cmd_wavefunction(args) -> int:
     for idx, state in enumerate(solution.states, start=1):
         for lo, hi in solution.regions:
             n_pts = max(int(args.grid_n * (hi - lo) / _total_span(solution.regions)), 2)
-            for x in np.linspace(lo, hi, n_pts):
-                val = state.value(float(x)) * si_norm
+            xs = np.linspace(lo, hi, n_pts)
+            for x, val in zip(xs, state.values(xs) * si_norm):
                 rows.append(
                     (problem.length_to_si(float(x)), float(x), idx, val.real, val.imag)
                 )

@@ -341,6 +341,14 @@ class StateFunction:
     def value(self, x: float) -> complex:
         return self.derivatives(x, order=0)[0]
 
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """The state at every point of ``xs``; WKB bases evaluate the array in one call."""
+        out = np.zeros(len(xs), dtype=complex)
+        for c, f in zip(self.coefficients, self.basis):
+            if c != 0:
+                out += c * f.value_array(xs)
+        return out
+
     def __call__(self, x: float) -> complex:
         return self.value(x)
 
@@ -363,6 +371,16 @@ def overlap_gram(
     """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions."""
     n = len(basis)
     f = np.zeros((n, n), dtype=complex)
+    # every pair's real and imaginary quad samples the same abscissas; each
+    # basis value is computed once per abscissa
+    seen: dict[tuple[int, float], complex] = {}
+
+    def value(k: int, x: float) -> complex:
+        v = seen.get((k, x))
+        if v is None:
+            v = seen[(k, x)] = basis[k].value(x)
+        return v
+
     with warnings.catch_warnings():
         # vanishing real/imaginary parts trip the roundoff detector; harmless
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -376,10 +394,10 @@ def overlap_gram(
                         kw["points"] = pts
 
                     def integrand_re(x, _i=i, _j=j):
-                        return (basis[_i].value(x) * np.conj(basis[_j].value(x))).real
+                        return (value(_i, x) * np.conj(value(_j, x))).real
 
                     def integrand_im(x, _i=i, _j=j):
-                        return (basis[_i].value(x) * np.conj(basis[_j].value(x))).imag
+                        return (value(_i, x) * np.conj(value(_j, x))).imag
 
                     total += complex(
                         quad(integrand_re, lo, hi, **kw)[0], quad(integrand_im, lo, hi, **kw)[0]

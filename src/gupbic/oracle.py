@@ -281,23 +281,33 @@ def _derivatives_of(evaluator, x: float, order: int) -> np.ndarray:
     return np.asarray(evaluator(x, order), dtype=complex)
 
 
+RESIDUAL_SCALE_FLOOR = 1e-3
+
+
 def residual(evaluator, problem: DimensionlessProblem, energy: float, grid: Sequence[float]) -> float:
     """max over grid of the scaled defect of eps*phi'''' - phi'' + (v - e)*phi.
 
-    The evaluator must supply four derivatives (value + d1..d4).
+    Each point's defect is divided by its own |eps phi''''| + |phi''| +
+    |(v - e) phi|, but never by less than RESIDUAL_SCALE_FLOOR times the
+    largest such sum on the grid: where the state and its derivatives all
+    vanish (a wall, a node, the centre of an odd state) the terms are
+    roundoff and the plain ratio reads O(1).  The evaluator must supply four
+    derivatives (value + d1..d4).
     """
     eps = problem.epsilon
-    worst = 0.0
+    defects, scales = [], []
     for x in grid:
         d = _derivatives_of(evaluator, x, 4)
         v = problem.v_derivs(x)[0]
         t4 = eps * d[4]
         t2 = d[2]
         t0 = (v - energy) * d[0]
-        value = abs(t4 - t2 + t0)
-        scale = abs(t4) + abs(t2) + abs(t0) + 1e-300
-        worst = max(worst, value / scale)
-    return worst
+        defects.append(abs(t4 - t2 + t0))
+        scales.append(abs(t4) + abs(t2) + abs(t0))
+    if not defects:
+        return 0.0
+    floor = RESIDUAL_SCALE_FLOOR * max(scales) + 1e-300
+    return max(d / max(s, floor) for d, s in zip(defects, scales))
 
 
 # --- decaying-subspace dimension -------------------------------------------------

@@ -204,18 +204,13 @@ class GaussianGroundState(AnalyticState):
         self.regions = ((-cutoff, cutoff),)
 
     def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        # phi^(n) = P_n(x) phi with P_0 = 1, P_{n+1} = P_n' - x P_n
+        # phi^(n) = (-1)^n He_n(x) phi with He_{n+1} = x He_n - n He_{n-1}
         base = math.pi**-0.25 * math.exp(-0.5 * x * x)
-        coeffs = np.zeros(order + 2)
-        coeffs[0] = 1.0
         out = np.empty(order + 1, dtype=complex)
+        he_prev, he = 0.0, 1.0
         for n in range(order + 1):
-            out[n] = np.polynomial.polynomial.polyval(x, coeffs) * base
-            der = np.polynomial.polynomial.polyder(coeffs)
-            nxt = np.zeros(len(coeffs) + 1)
-            nxt[: len(der)] += der
-            nxt[1 : len(coeffs) + 1] -= coeffs
-            coeffs = nxt[: len(coeffs) + 1]
+            out[n] = (-he if n % 2 else he) * base
+            he_prev, he = he, x * he - n * he_prev
         return out
 
 

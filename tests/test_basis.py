@@ -1,12 +1,14 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupbic import characteristic_roots, exact_constant_basis
+import gupbic.basis
+from gupbic import characteristic_roots, exact_constant_basis, nondimensionalize
 from gupbic.basis import (
     AsymptoticClass,
     ExponentialBasisFunction,
@@ -14,6 +16,7 @@ from gupbic.basis import (
     TrigBasisFunction,
     WkbParameters,
     classify_asymptotics,
+    find_zeros,
     map_regions,
     wkb_basis,
 )
@@ -24,6 +27,9 @@ from gupbic.errors import (
     UnsupportedEpsilonError,
     ValidityError,
 )
+from gupbic.matcher import wkb_assembly
+from gupbic.spectrum import dof_scan
+from gupbic.verification import harmonic_setup_for, linear_setup_for
 
 EPS_REFERENCE = 7.414144781404543e-2
 WALLS = (-1.0, 1.0)
@@ -271,8 +277,9 @@ def test_windowed_classification_does_not_crash(linear_problem):
 
 
 def test_concurrent_evaluation_matches_serial(linear_problem):
-    # quadrature caches are lock-guarded: threaded evaluation must reproduce
-    # the serial values exactly
+    # exponent(x) depends on x alone (fixed panels from x0; the table of panel
+    # sums is replaced whole, never edited in place): threaded, shuffled
+    # evaluation must reproduce the serial values
     from concurrent.futures import ThreadPoolExecutor
 
     e = 2.0
@@ -311,3 +318,228 @@ class TestClassification:
             classify_asymptotics(f, Side.PLUS_INFINITY, [1.0, 0.0])
         with pytest.raises(ValueError, match="two probe"):
             classify_asymptotics(f, Side.PLUS_INFINITY, [1.0])
+
+
+# --- the array-valued exponent layer against independent references ------------
+
+
+def _reference_exponent(w, x):
+    """log w_j(x) from scipy quad over the textbook WKB integrands.
+
+    lam_j = tau sqrt(a + sigma s), s = sqrt(a^2 - b); lam' = sigma s' / (2 lam)
+    with s' = -b' / (2 s).  The integrands are taken at offsets d from a zero c
+    of b (from x0 on a piece without one), with b(c + d) from Taylor's
+    formula, exact for these polynomial potentials: next to a turning point
+    the float c + d would drop the digits of d.  a - s is taken as
+    b / (a + s) for the same reason.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    p = w.params
+    sigma, tau = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}[w.index]
+    c = w._b_zeros[0] if w._b_zeros else p.x0
+    bc = p.b_chain(c)
+    b0 = 0.0 if w._b_zeros else bc[0]
+
+    def lam_and_s(d):
+        b = b0 + d * (bc[1] + d * (bc[2] / 2.0 + d * (bc[3] / 6.0 + d * bc[4] / 24.0)))
+        db = bc[1] + d * (bc[2] + d * (bc[3] / 2.0 + d * bc[4] / 6.0))
+        s = cmath.sqrt(p.a_coef**2 - b)
+        inner = p.a_coef + s if sigma > 0 else b / (p.a_coef + s)
+        lam = tau * cmath.sqrt(inner)
+        dlam = sigma * (-db / (2.0 * s)) / (2.0 * lam)
+        return lam, dlam, s
+
+    def integral(g, lo, hi):
+        sign = 1.0
+        if hi < lo:
+            lo, hi, sign = hi, lo, -1.0
+        kw = dict(epsabs=1e-14, epsrel=1e-14, limit=1000)
+        if lo < 0.0 < hi:
+            kw["points"] = [0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            re = quad(lambda d: g(d).real, lo, hi, **kw)[0]
+            im = quad(lambda d: g(d).imag, lo, hi, **kw)[0]
+        return sign * complex(re, im)
+
+    i1 = integral(lambda d: lam_and_s(d)[0], p.x0 - c, x - c)
+    i2 = integral(lambda d: lam_and_s(d)[1] / lam_and_s(d)[2], p.x0 - c, x - c)
+    lam, _, s = lam_and_s(x - c)
+    return p.eta * i1 - 0.5 * i2 - 0.5 * (cmath.log(lam) + cmath.log(s))
+
+
+def _pieces_for_accuracy():
+    """(problem, energy, x0, piece, test points) on linear and harmonic pieces."""
+    linear = nondimensionalize(linear_setup_for(0.12))
+    harmonic = nondimensionalize(harmonic_setup_for(0.12))
+    out = []
+    for problem, e in ((linear, 2.0), (harmonic, 5.0)):
+        params = WkbParameters.from_problem(problem, e, x0=0.9)
+        rmap = map_regions(params, 0.0, 12.0)
+        x_t, s_zero = rmap.b_zeros[-1], rmap.s_zeros[0]
+        hi = s_zero - 0.05
+        points = [
+            1e-9, 1e-3, 0.4, 0.9, 1.37,  # near the lower end and before the turning point
+            x_t - 0.06, x_t - 0.05, x_t + 0.05, x_t + 0.06,  # just outside the window
+            x_t + 0.5, 0.5 * (x_t + hi), hi - 1e-3, hi,  # beyond it, up to the upper end
+        ]
+        out.append((problem, e, 0.9, (0.0, hi), rmap, points))
+        far_lo = s_zero + 0.05
+        out.append((problem, e, far_lo + 0.5, (far_lo, math.inf), rmap,
+                    [far_lo, far_lo + 1e-3, far_lo + 0.5, far_lo + 2.3, far_lo + 4.4]))
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_exponent_matches_quad_reference(case):
+    problem, e, x0, piece, rmap, points = _pieces_for_accuracy()[case]
+    params = WkbParameters.from_problem(problem, e, x0=x0)
+    for j in (1, 2, 3, 4):
+        w = wkb_basis(params, j, piece, region_map=rmap)
+        xs = [x for x in points if w.valid(x)]
+        assert len(xs) >= 5
+        batch = w.exponent(np.array(xs))
+        for x, got in zip(xs, batch):
+            ref = _reference_exponent(w, x)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (j, x, got, ref)
+            # one point at a time, on a fresh function, gives the same value
+            single = wkb_basis(params, j, piece, region_map=rmap).exponent(x)
+            assert abs(single - got) <= 1e-13 * max(1.0, abs(got))
+
+
+def test_large_array_matches_small_batches():
+    # more points than one integration chunk, across a turning window and
+    # the panel grid; each segment is integrated on its own, so the values
+    # cannot depend on which other points share the array
+    problem, e, x0, piece, rmap, _ = _pieces_for_accuracy()[2]
+    params = WkbParameters.from_problem(problem, e, x0=x0)
+    for j in (1, 3):
+        w = wkb_basis(params, j, piece, region_map=rmap)
+        xs = np.linspace(*piece, 3001)
+        xs = xs[w.valid(xs)]
+        assert xs.size > 2048
+        whole = w.exponent(xs)
+        fresh = wkb_basis(params, j, piece, region_map=rmap)
+        batches = np.concatenate([fresh.exponent(xs[k : k + 7]) for k in range(0, xs.size, 7)])
+        np.testing.assert_array_equal(whole, batches)
+
+
+def _classify_point_by_point(f, side, probes, samples_per_interval=7):
+    """The classifier evaluated one sample at a time (the batched rule, unrolled)."""
+
+    def safe_log_abs(x):
+        try:
+            value = float(np.real(f.log_abs(x)))
+        except ValidityError:
+            return None
+        return value if math.isfinite(value) else None
+
+    env_logs, all_xs = [], []
+    for a, b in zip(probes[:-1], probes[1:]):
+        valid = [(x, v) for x in np.linspace(a, b, samples_per_interval)
+                 if (v := safe_log_abs(x)) is not None]
+        if len(valid) < 3:
+            return AsymptoticClass.UNDEFINED
+        all_xs.extend(x for x, _ in valid[:-1])
+        env_logs.append(max(v for _, v in valid))
+    if safe_log_abs(probes[-1]) is not None:
+        all_xs.append(probes[-1])
+    growth = env_logs[-1] - env_logs[0]
+    if growth >= math.log(10.0):
+        return AsymptoticClass.GROWING
+    if growth <= -math.log(10.0):
+        return AsymptoticClass.DECAYING
+    shift = max(env_logs)
+    vals = np.array([complex(f.scaled_value(x, shift)) for x in all_xs])
+    comps = vals.real if np.max(np.abs(vals.real)) >= np.max(np.abs(vals.imag)) else vals.imag
+    sign_changes = int(np.sum(np.abs(np.diff(np.sign(comps))) > 0))
+    ratios = np.exp(np.diff(env_logs))
+    if sign_changes >= 1 and np.all((ratios >= 0.5) & (ratios <= 2.0)):
+        return AsymptoticClass.OSCILLATORY
+    return AsymptoticClass.UNDEFINED
+
+
+@pytest.mark.parametrize("kind", ["linear", "harmonic"])
+def test_batched_classification_matches_point_by_point(kind):
+    setup_for = linear_setup_for if kind == "linear" else harmonic_setup_for
+    sides = [Side.PLUS_INFINITY] + ([Side.MINUS_INFINITY] if kind == "harmonic" else [])
+    compared = 0
+    for eps in (1e-4, 1e-2, 0.2):
+        problem = nondimensionalize(setup_for(eps))
+        for e in (1.5, 3.0, 5.0, 7.5, 10.0):
+            for f in wkb_assembly(problem, e).far_basis:
+                for side in sides:
+                    probes = f._auto_probes(side)
+                    got = classify_asymptotics(f, side, probes)
+                    assert got is _classify_point_by_point(f, side, probes), (eps, e, f, side)
+                    assert got is not AsymptoticClass.UNDEFINED
+                    compared += 1
+    assert compared == 3 * 5 * 4 * len(sides)
+
+
+def test_batched_classification_matches_point_by_point_on_interior_pieces(linear_problem):
+    # the interior pieces hold turning windows (masked samples) and
+    # oscillatory stretches, which the far-field classes above never reach
+    for problem, e in ((linear_problem, 2.0), (nondimensionalize(harmonic_setup_for(0.12)), 5.0)):
+        for f in wkb_assembly(problem, e).basis:
+            for side in (Side.PLUS_INFINITY, Side.MINUS_INFINITY):
+                probes = f._auto_probes(side)
+                assert classify_asymptotics(f, side, probes) is _classify_point_by_point(
+                    f, side, probes
+                )
+    # the only sign change falls between the last two samples, at the last probe
+    f = TrigBasisFunction(kappa=math.pi / 3.8, phase="cos", index=3)
+    probes = [0.0, 1.0, 2.0]
+    assert classify_asymptotics(f, Side.PLUS_INFINITY, probes) is AsymptoticClass.OSCILLATORY
+    assert _classify_point_by_point(f, Side.PLUS_INFINITY, probes) is AsymptoticClass.OSCILLATORY
+
+
+def _find_zeros_point_by_point(f, lo, hi, n=2001):
+    xs = np.linspace(lo, hi, n)
+    vals = [f(float(x)) for x in xs]
+    zeros = []
+    for i in range(n - 1):
+        if vals[i] == 0.0:
+            zeros.append(float(xs[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            from scipy.optimize import brentq
+
+            zeros.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-13)))
+    if vals[-1] == 0.0:
+        zeros.append(float(xs[-1]))
+    return zeros
+
+
+def test_array_find_zeros_matches_scalar_scan():
+    cases = [(np.sin, 0.0, 20.0), (lambda x: x * 1.0, -1.0, 1.0), (np.cos, -7.0, 7.0)]
+    for problem, e, hi in (
+        (nondimensionalize(linear_setup_for(0.01)), 3.0, 60.0),
+        (nondimensionalize(harmonic_setup_for(0.01)), 3.0, 20.0),
+    ):
+        params = WkbParameters.from_problem(problem, e, x0=0.0)
+        cases.append((params.b, 0.0, hi))
+        cases.append((lambda x, p=params: p.a_coef**2 - p.b(x), 0.0, hi))
+    for f, lo, hi in cases:
+        zeros = find_zeros(f, lo, hi)
+        assert zeros == _find_zeros_point_by_point(f, lo, hi)
+        assert zeros
+
+
+def test_dof_scan_makes_no_scalar_quad_calls(monkeypatch):
+    # the WKB exponent integrals are batched Gauss-Legendre sums; a scalar
+    # quad call from basis would mean the per-point path is back
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("scipy quad called from gupbic.basis")
+
+    monkeypatch.setattr(gupbic.basis, "quad", counting_quad)
+    energies = np.array([1.5, 3.0, 5.0, 7.5])
+    for setup in (linear_setup_for(0.01), harmonic_setup_for(0.01)):
+        problem = nondimensionalize(setup)
+        scan = dof_scan(setup, energies * problem.energy_scale)
+        assert scan.errors == {}
+        assert all(d in (1, 2) for d in scan.dof)
+    assert calls == []

@@ -17,7 +17,7 @@ from gupbic import (
     wronskian_drift,
 )
 from gupbic.errors import PreconditionError, WrongPotentialError
-from gupbic.matcher import StateFunction
+from gupbic.matcher import StateFunction, bound_states
 from gupbic.verification import (
     check_wronskian_constancy,
     reference_well_setup,
@@ -114,6 +114,20 @@ class TestResidual:
         state = StateFunction(np.array([0.1, 0.2, 0.5, 0.7]), basis)
         grid = np.linspace(-0.99, 0.99, 100)
         assert residual(state, well_problem, E1_DIMLESS, grid) < 1e-10
+
+    def test_vanishing_points_read_roundoff(self):
+        # the odd well state (beta 1e44, E = 2e-19 J) vanishes with its second
+        # and fourth derivatives at x = 0, and every state vanishes at the walls;
+        # a grid through those points must not read 0/0
+        setup = reference_well_setup(beta=1e44)
+        problem = nondimensionalize(setup)
+        grid = np.linspace(-1.0, 1.0, 201)
+        assert 0.0 in grid
+        for orthogonalize in (True, False):
+            sol = bound_states(problem, problem.energy_from_si(2e-19), orthogonalize=orthogonalize)
+            assert sol.degeneracy == 2
+            for st in sol.states:
+                assert residual(st, problem, sol.energy_dimensionless, grid) <= 1e-12
 
     def test_corrupted_state_flagged(self, well_problem):
         # phi + 0.01*x on the unit-normalized sine: the defect must stand out

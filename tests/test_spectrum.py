@@ -260,6 +260,18 @@ class TestReferenceStates:
         # harmonic ground solves -phi'' + x^2 phi = phi in scaled units
         assert -d[2] + x * x * d[0] == pytest.approx(d[0], rel=1e-12)
 
+    def test_gaussian_derivatives_match_hermite_polynomials(self):
+        # phi^(n) = (-1)^n He_n(x) phi, He_n from numpy's probabilists' Hermite series
+        from numpy.polynomial.hermite_e import hermeval
+
+        state = GaussianGroundState()
+        for x in np.linspace(-12.0, 12.0, 97):
+            d = state.derivatives(x, order=6)
+            phi = math.pi**-0.25 * math.exp(-0.5 * x * x)
+            for n in range(7):
+                ref = (-1) ** n * hermeval(x, [0.0] * n + [1.0]) * phi
+                assert d[n] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
     def test_airy_derivatives(self):
         state = AiryBouncerState()
         x, h = 1.3, 1e-4
