@@ -166,8 +166,8 @@ class BasisFunction:
         """f(x) * exp(-log_shift), computed without forming f(x)."""
         raise NotImplementedError
 
-    # Array forms: one point at a time here; the WKB functions, whose cost is
-    # per call rather than per point, evaluate the whole array at once.
+    # Array forms: one point at a time here; the exact and WKB functions
+    # evaluate the whole array at once.
 
     def valid(self, xs: np.ndarray) -> np.ndarray:
         """Mask of the abscissas where the function may be evaluated."""
@@ -227,6 +227,12 @@ class ExponentialBasisFunction(BasisFunction):
             raise BasisOverflowError(f"scaled exp exponent {e:.3g} beyond cap", exponent=e)
         return complex(math.exp(e)) if e > -745.0 else 0.0 + 0.0j
 
+    def value_array(self, xs: np.ndarray) -> np.ndarray:
+        # the complex exp takes the libm exp that math.exp takes, so the
+        # values equal the scalar ones bit for bit
+        e = self.rate * (np.asarray(xs, dtype=float) - self.anchor)
+        return _capped_exp(e.astype(complex), xs, "exp")
+
     def __repr__(self):
         return (
             f"ExponentialBasisFunction(rate={self.rate:.6g}, anchor={self.anchor:.6g}, "
@@ -259,6 +265,10 @@ class TrigBasisFunction(BasisFunction):
 
     def scaled_value(self, x: float, log_shift: float) -> complex:
         return self.derivatives(x, order=0)[0] * math.exp(-log_shift)
+
+    def value_array(self, xs: np.ndarray) -> np.ndarray:
+        trig = np.cos if self.phase == "cos" else np.sin
+        return trig(self.kappa * np.asarray(xs, dtype=float)).astype(complex)
 
     def __repr__(self):
         return f"TrigBasisFunction(kappa={self.kappa:.6g}, {self.phase}, index={self.index})"

@@ -25,13 +25,12 @@ null vectors are the true coefficient vectors.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  (unused; perfbench/tracer.py patches matcher.quad)
 
 from .basis import (
     AsymptoticClass,
@@ -40,6 +39,7 @@ from .basis import (
     SymmetrizedBasisFunction,
     TURNING_WINDOW_HALF_WIDTH,
     WkbParameters,
+    _gauss_pair,
     characteristic_roots,
     exact_constant_basis,
     map_regions,
@@ -51,11 +51,18 @@ from .errors import (
     DegenerateBasisError,
     InvalidConditionsError,
     NormalizationError,
+    NumericalError,
     PreconditionError,
     WrongPotentialError,
 )
 
 RANK_TOL = 1e-10
+
+# overlap quadrature: composite Gauss-Legendre panels, bisected until the n-
+# and 2n-node sums agree to _GRAM_TOL (see overlap_gram)
+_GRAM_TOL = 1e-11
+_GRAM_MAX_BISECTIONS = 40
+_GRAM_MAX_PANELS = 4096
 
 
 class Case(Enum):
@@ -368,43 +375,49 @@ def overlap_gram(
     regions: Sequence[tuple[float, float]],
     singular_points: Sequence[float] = (),
 ) -> np.ndarray:
-    """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions."""
-    n = len(basis)
-    f = np.zeros((n, n), dtype=complex)
-    # every pair's real and imaginary quad samples the same abscissas; each
-    # basis value is computed once per abscissa
-    seen: dict[tuple[int, float], complex] = {}
+    """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions.
 
-    def value(k: int, x: float) -> complex:
-        v = seen.get((k, x))
-        if v is None:
-            v = seen[(k, x)] = basis[k].value(x)
-        return v
+    Composite Gauss-Legendre panels, first edged by the region ends and the
+    ``singular_points`` inside them.  Each round evaluates every basis
+    function once on the nodes of all open panels.  A panel whose n- and
+    2n-node matrices (V w) V^H agree to _GRAM_TOL in every entry (absolute
+    and relative, as epsabs = epsrel) adds its 2n-node matrix to F; the
+    others are bisected.
+    """
+    nodes, w_lo, w_hi = _gauss_pair()
+    n = w_lo.size
+    a, b = [], []
+    for lo, hi in regions:
+        edges = [lo] + sorted(p for p in singular_points if lo < p < hi) + [hi]
+        a += edges[:-1]
+        b += edges[1:]
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    f = np.zeros((len(basis), len(basis)), dtype=complex)
+    for _ in range(_GRAM_MAX_BISECTIONS + 1):
+        width = (b - a)[:, None]
+        xs = (a[:, None] + width * nodes).ravel()
+        # values indexed (panel, function, node)
+        v = np.stack([fn.value_array(xs).reshape(a.size, -1) for fn in basis], axis=1)
 
-    with warnings.catch_warnings():
-        # vanishing real/imaginary parts trip the roundoff detector; harmless
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for i in range(n):
-            for j in range(i, n):
-                total = 0.0 + 0.0j
-                for lo, hi in regions:
-                    pts = [p for p in singular_points if lo < p < hi]
-                    kw = dict(epsabs=1e-11, epsrel=1e-11, limit=300)
-                    if pts:
-                        kw["points"] = pts
+        def rule(vals, weights):
+            return (vals * (weights * width)[:, None, :]) @ vals.conj().transpose(0, 2, 1)
 
-                    def integrand_re(x, _i=i, _j=j):
-                        return (value(_i, x) * np.conj(value(_j, x))).real
-
-                    def integrand_im(x, _i=i, _j=j):
-                        return (value(_i, x) * np.conj(value(_j, x))).imag
-
-                    total += complex(
-                        quad(integrand_re, lo, hi, **kw)[0], quad(integrand_im, lo, hi, **kw)[0]
-                    )
-                f[i, j] = total
-                f[j, i] = np.conj(total)
-    return f
+        coarse, fine = rule(v[..., :n], w_lo), rule(v[..., n:], w_hi)
+        if not np.all(np.isfinite(fine)):
+            raise NumericalError("overlap integrand is not finite on a panel")
+        done = np.all(np.abs(fine - coarse) <= _GRAM_TOL * np.maximum(1.0, np.abs(fine)), axis=(1, 2))
+        f += fine[done].sum(axis=0)
+        a, b = a[~done], b[~done]
+        if a.size == 0:
+            return f
+        if 2 * a.size > _GRAM_MAX_PANELS:
+            break
+        mid = 0.5 * (a + b)
+        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+    raise NumericalError(
+        f"overlap quadrature did not converge to {_GRAM_TOL:g} within "
+        f"{_GRAM_MAX_BISECTIONS} bisections and {_GRAM_MAX_PANELS} open panels"
+    )
 
 
 def normalize(
@@ -419,14 +432,14 @@ def normalize(
 ) -> BoundStateSolution:
     """Unit-normalize (and optionally pairwise orthogonalize) coefficient vectors.
 
-    Norms are the Gram quadratic form c^H F c with F from adaptive quadrature
-    over ``regions``; F is computed on the actively used basis subset (growing
-    branches with zero coefficient are never integrated).  The first vector's
-    direction is preserved by the modified Gram-Schmidt sweep, so a seeded
-    state (e.g. the wall-to-wall sine) survives orthogonalization unchanged up
-    to scale.  ``growing_guard`` lists 1-based coefficient slots that must
-    vanish for the state to be normalizable (growing branches on unbounded
-    domains).
+    Norms are the Gram quadratic form c^H F c with F from composite
+    Gauss-Legendre panels over ``regions`` (``overlap_gram``); F is computed
+    on the actively used basis subset (growing branches with zero coefficient
+    are never integrated).  The first vector's direction is preserved by the
+    modified Gram-Schmidt sweep, so a seeded state (e.g. the wall-to-wall
+    sine) survives orthogonalization unchanged up to scale.  ``growing_guard``
+    lists 1-based coefficient slots that must vanish for the state to be
+    normalizable (growing branches on unbounded domains).
     """
     vecs = [np.asarray(v, dtype=complex) for v in vectors]
     if not vecs:

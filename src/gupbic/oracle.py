@@ -72,6 +72,11 @@ class Trajectory:
 
 
 def companion_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
+    """Phi' = A(x) Phi for one state (shape (4,)) or a flattened frame of k states.
+
+    A frame is the (4, k) matrix whose columns are states, flattened row by
+    row; each component row is computed for all k columns at once.
+    """
     eps = problem.epsilon
     if eps <= 0.0:
         raise PreconditionError("companion system requires epsilon > 0; use standard_rhs")
@@ -79,20 +84,26 @@ def companion_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
 
     def rhs(x, y):
         v = v_derivs(x)[0]
-        return np.array(
-            [y[1], y[2], y[3], (energy - v) / eps * y[0] + y[2] / eps], dtype=y.dtype
-        )
+        m = y.reshape(4, -1)
+        out = np.empty_like(m)
+        out[:3] = m[1:]
+        out[3] = (energy - v) / eps * m[0] + m[2] / eps
+        return out.reshape(y.shape)
 
     return rhs
 
 
 def standard_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
-    """phi'' = (v - e) phi, the beta = 0 second-order companion."""
+    """phi'' = (v - e) phi, the beta = 0 second-order companion; y as in companion_rhs, 2 rows."""
     v_derivs = problem.v_derivs
 
     def rhs(x, y):
         v = v_derivs(x)[0]
-        return np.array([y[1], (v - energy) * y[0]], dtype=y.dtype)
+        m = y.reshape(2, -1)
+        out = np.empty_like(m)
+        out[0] = m[1]
+        out[1] = (v - energy) * m[0]
+        return out.reshape(y.shape)
 
     return rhs
 
@@ -194,8 +205,10 @@ def fundamental_frame(
 ):
     """Propagate a 4x4 frame (columns = solutions) from the anchor.
 
-    Returns a callable x -> 4x4 matrix.  The frame is integrated as one
-    16-dimensional system so all columns share step control.
+    Returns a callable x -> 4x4 matrix; for an array of abscissas it returns
+    the stack of their frames.  The frame is integrated as one 16-dimensional
+    system so all columns share step control, once per side of the anchor
+    out to the farthest abscissa asked for (plus headroom for later queries).
     """
     if initials is None:
         initials = np.eye(4, dtype=complex)
@@ -203,37 +216,34 @@ def fundamental_frame(
     if initials.shape != (4, 4):
         raise PreconditionError("frame initials must be a 4x4 matrix (columns = states)")
     rhs = companion_rhs(problem, energy)
-
-    def mat_rhs(x, y):
-        m = y.reshape(4, 4)
-        out = np.empty_like(m)
-        for col in range(4):
-            out[:, col] = rhs(x, m[:, col])
-        return out.reshape(-1)
-
     sols = {}
 
-    def frame_at(x: float) -> np.ndarray:
-        if x == anchor:
-            return initials.copy()
-        direction = 1 if x > anchor else -1
-        sol = sols.get(direction)
-        if sol is None or (direction > 0 and x > sol.t[-1]) or (direction < 0 and x < sol.t[-1]):
-            target = x + direction * 0.5  # headroom for later queries
-            res = solve_ivp(
-                mat_rhs,
-                (anchor, target),
-                initials.reshape(-1),
-                method="DOP853",
-                rtol=rtol,
-                atol=atol,
-                dense_output=True,
-            )
-            if not res.success:
-                raise NumericalError(f"frame integration failed: {res.message}")
-            sols[direction] = res
-            sol = res
-        return sol.sol(x).reshape(4, 4)
+    def frame_at(x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float)
+        flat = xs.reshape(-1)
+        out = np.empty((flat.size, 4, 4), dtype=complex)
+        out[flat == anchor] = initials
+        for direction in (1.0, -1.0):
+            side = direction * (flat - anchor) > 0
+            if not side.any():
+                continue
+            reach = direction * np.max(direction * flat[side])
+            sol = sols.get(direction)
+            if sol is None or direction * (reach - sol.t[-1]) > 0:
+                sol = solve_ivp(
+                    rhs,
+                    (anchor, reach + direction * 0.5),
+                    initials.reshape(-1),
+                    method="DOP853",
+                    rtol=rtol,
+                    atol=atol,
+                    dense_output=True,
+                )
+                if not sol.success:
+                    raise NumericalError(f"frame integration failed: {sol.message}")
+                sols[direction] = sol
+            out[side] = sol.sol(flat[side]).T.reshape(-1, 4, 4)
+        return out.reshape(xs.shape + (4, 4))
 
     return frame_at
 
@@ -269,7 +279,7 @@ def wronskian_drift(
     w0 = complex(np.linalg.det(frame(anchor)))
     if w0 == 0:
         raise PreconditionError("anchor frame is singular")
-    return max(abs(complex(np.linalg.det(frame(x))) - w0) / abs(w0) for x in xs)
+    return float(np.max(np.abs(np.linalg.det(frame(xs)) - w0)) / abs(w0))
 
 
 # --- residuals -----------------------------------------------------------------
@@ -395,20 +405,13 @@ def decaying_subspace_dimension(
         rhs = companion_rhs(problem, energy)
         dim = 4
 
-    def mat_rhs(x, y):
-        m = y.reshape(dim, dim)
-        out = np.empty_like(m)
-        for col in range(dim):
-            out[:, col] = rhs(x, m[:, col])
-        return out.reshape(-1)
-
     # initial QR so the accumulated R diagonals measure growth only
     q, _ = np.linalg.qr(frame)
     growth = np.zeros(dim)
     xs = np.linspace(x_far, anchor, checkpoints + 1)
     for x_a, x_b in zip(xs[:-1], xs[1:]):
         sol = solve_ivp(
-            mat_rhs,
+            rhs,
             (x_a, x_b),
             q.reshape(-1),
             method="DOP853",

@@ -149,8 +149,8 @@ def check_exact_well_oracle_agreement(
         state = StateFunction(np.array([0.05, 0.4, 0.7, 0.55]), basis)
         traj = integrate(problem, e, state.derivatives(-1.0, order=3), -1.0, 1.0, rtol=rtol)
         xs = np.linspace(-1.0, 1.0, 201)
-        scale = max(abs(state.value(x)) for x in xs)
-        err = max(abs(traj.phi_at(x) - state.value(x)) for x in xs) / scale
+        vals = state.values(xs)
+        err = np.max(np.abs(traj.state_at(xs)[0] - vals)) / np.max(np.abs(vals))
         worst = max(worst, err)
     return _result("exact_well_oracle_agreement", worst, 1e-8)
 
@@ -256,7 +256,7 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
         xs = np.linspace(-1.0, 1.0, 301)
         errs = []
         for st in sol.states:
-            vals = np.array([st.value(x) for x in xs])
+            vals = st.values(xs)
             ref = np.sin(kap * (xs + 1.0))
             sign = 1.0 if abs(np.max(vals.real + ref)) >= abs(np.max(vals.real - ref)) else -1.0
             errs.append(float(np.max(np.abs(sign * vals - ref))))

@@ -156,8 +156,8 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     w2 = wkb_basis(p2, 2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap)
     traj = integrate(problem, energy, w2.derivatives(x_hi, order=3), x_hi, x_lo, rtol=1e-12, atol=1e-14)
     xs = np.linspace(x_lo, x_hi, 61)
-    phi = np.array([traj.phi_at(x) for x in xs])
-    vals = np.array([w2.value(x) for x in xs])
+    phi = traj.state_at(xs)[0]
+    vals = w2.value_array(xs)
     out[2] = math.sqrt(float(np.sum(np.abs(phi - vals) ** 2) / np.sum(np.abs(vals) ** 2)))
 
     # slow branch: piecewise backward relaunches, piece ~ 3.2/mu1 so the
@@ -170,8 +170,8 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     for a, b in zip(edges[:-1], edges[1:]):
         traj = integrate(problem, energy, w4.derivatives(b, order=3), b, a, rtol=1e-12, atol=1e-14)
         pts = np.linspace(a, b, 13)
-        phi = np.array([traj.phi_at(x) for x in pts])
-        vals = np.array([w4.value(x) for x in pts])
+        phi = traj.state_at(pts)[0]
+        vals = w4.value_array(pts)
         num += float(np.sum(np.abs(phi - vals) ** 2))
         den += float(np.sum(np.abs(vals) ** 2))
     out[4] = math.sqrt(num / den)

@@ -29,7 +29,7 @@ from gupbic.errors import (
 )
 from gupbic.matcher import wkb_assembly
 from gupbic.spectrum import dof_scan
-from gupbic.verification import harmonic_setup_for, linear_setup_for
+from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
 
 EPS_REFERENCE = 7.414144781404543e-2
 WALLS = (-1.0, 1.0)
@@ -154,6 +154,59 @@ class TestExactBasis:
         with pytest.raises(BasisOverflowError):
             f.derivatives(100.0)
         assert f.log_abs(100.0) == pytest.approx(1000.0)
+
+    @pytest.mark.parametrize("beta", [1e47, 1e30])
+    def test_value_array_matches_point_by_point(self, beta):
+        problem = nondimensionalize(reference_well_setup(beta=beta))
+        roots = characteristic_roots(problem.epsilon, 2.5)
+        lo, hi = problem.domain
+        d = 1.0 / roots.mu1
+
+        def through_walls(left: float, right: float) -> np.ndarray:
+            # the well, and grids through each wall reaching out by the given
+            # number of decay lengths
+            return np.concatenate(
+                [
+                    np.linspace(lo - left * d, lo + 30.0 * d, 401),
+                    np.linspace(lo, hi, 801),
+                    np.linspace(hi - 30.0 * d, hi + right * d, 401),
+                ]
+            )
+
+        grow, decay, cos, sin = exact_constant_basis(roots, problem.domain)
+        # each exponential runs past the -745 underflow cut on its decaying
+        # side and stays below the exponent cap on its growing side
+        for f, xs in (
+            (grow, through_walls(900.0, 600.0)),
+            (decay, through_walls(600.0, 900.0)),
+            (cos, through_walls(600.0, 600.0)),
+            (sin, through_walls(600.0, 600.0)),
+        ):
+            arr = f.value_array(xs)
+            pts = np.array([f.value(float(x)) for x in xs])
+            assert arr.shape == pts.shape and arr.dtype == complex
+            assert np.all(np.abs(arr - pts) <= 2e-16 * np.abs(pts))
+            assert np.array_equal(arr == 0, pts == 0)
+        for f in (grow, decay):
+            # exact zeros past the underflow cut, and only there
+            xs = through_walls(900.0, 900.0)
+            xs = xs[f.rate * (xs - f.anchor) < 700.0]
+            zero = f.value_array(xs) == 0
+            assert np.array_equal(zero, f.rate * (xs - f.anchor) <= -745.0)
+            assert zero.any()
+
+    def test_value_array_overflow_flagged_where_scalar_is(self):
+        problem = nondimensionalize(reference_well_setup(beta=1e30))
+        roots = characteristic_roots(problem.epsilon, 2.5)
+        grow, decay, _, _ = exact_constant_basis(roots, problem.domain)
+        lo, hi = problem.domain
+        for f, x in ((grow, hi + 800.0 / roots.mu1), (decay, lo - 800.0 / roots.mu1)):
+            with pytest.raises(BasisOverflowError):
+                f.value(x)
+            with pytest.raises(BasisOverflowError):
+                f.value_array(np.array([0.0, x]))
+            edge = np.array([0.0, x - math.copysign(200.0 / roots.mu1, x)])
+            assert np.all(np.isfinite(f.value_array(edge)))
 
 
 class TestWkbBasis:

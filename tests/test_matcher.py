@@ -10,10 +10,11 @@ from gupbic import (
     nondimensionalize,
     residual,
 )
-from gupbic.basis import Side
+from gupbic.basis import ExponentialBasisFunction, Side
 from gupbic.errors import (
     InvalidConditionsError,
     NormalizationError,
+    NumericalError,
 )
 from gupbic.matcher import (
     Case,
@@ -26,6 +27,7 @@ from gupbic.matcher import (
     degrees_of_freedom,
     normalize,
     nullspace,
+    overlap_gram,
     point_zero,
     solve_harmonic,
     solve_linear,
@@ -295,6 +297,110 @@ class TestNormalize:
                 points=(-1.0 + layer, 1.0 - layer), epsabs=1e-13, epsrel=1e-12, limit=300,
             )[0]
             assert norm2 == pytest.approx(1.0, abs=1e-10)
+
+
+def _reference_gram(basis, regions, points=()):
+    """F_ij = int w_i w_j* entry by entry with scalar quad, real and imaginary parts.
+
+    Diagonals are resolved to 1e-13 relative; every other entry to 1e-13 of
+    its Cauchy-Schwarz scale sqrt(F_ii F_jj), so the roundoff-level imaginary
+    parts of real pairs are not chased to quad's subdivision limit.
+    """
+
+    def integral(g, epsabs):
+        total = 0.0
+        for lo, hi in regions:
+            pts = [p for p in points if lo < p < hi]
+            kw = dict(epsabs=epsabs, epsrel=1e-13, limit=500)
+            if pts:
+                kw["points"] = pts
+            total += quad(g, lo, hi, **kw)[0]
+        return total
+
+    n = len(basis)
+    f = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        f[i, i] = integral(lambda x: abs(basis[i].value(x)) ** 2, 0.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            scale = 1e-13 * math.sqrt(f[i, i].real * f[j, j].real)
+
+            def pair(x):
+                return basis[i].value(x) * np.conj(basis[j].value(x))
+
+            f[i, j] = complex(
+                integral(lambda x: pair(x).real, scale), integral(lambda x: pair(x).imag, scale)
+            )
+            f[j, i] = np.conj(f[i, j])
+    return f
+
+
+def _gram_cases():
+    for beta in (1e47, 1e40):
+        problem = nondimensionalize(reference_well_setup(beta=beta))
+        roots = characteristic_roots(problem.epsilon, 2.5)
+        layer = 30.0 / roots.mu1
+        basis = exact_constant_basis(roots, problem.domain)
+        yield f"well-{beta:g}", basis, [(-1.0, 1.0)], (-1.0 + layer, 1.0 - layer)
+    sol = solve_linear(nondimensionalize(linear_setup_for(0.12)), 2.0)
+    basis = sol.states[0].basis
+    yield "linear", (basis[1], basis[3]), list(sol.regions), ()
+    sol = solve_harmonic(nondimensionalize(harmonic_setup_for(0.02)), 5.0)
+    basis = sol.states[0].basis
+    yield "harmonic", (basis[1], basis[3]), list(sol.regions), ()
+
+
+class TestOverlapGram:
+    def test_matches_scalar_quad_reference(self):
+        for name, basis, regions, points in _gram_cases():
+            f = overlap_gram(basis, regions, singular_points=points)
+            ref = _reference_gram(basis, regions, points)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(f - ref)) <= 1e-10 * scale, name
+            assert np.max(np.abs(f - f.conj().T)) <= 1e-14 * scale, name
+
+    def test_real_harmonic_pair_is_orthonormal_under_the_reference(self):
+        # the imaginary parts of the real tail pairs are roundoff; an adaptive
+        # integration of its own on them took about 10 s in this case
+        problem = nondimensionalize(harmonic_setup_for(0.002))
+        sol = solve_harmonic(problem, 1.7)
+        basis = sol.states[0].basis
+        active = [1, 3]
+        ref = _reference_gram([basis[j] for j in active], list(sol.regions))
+        c = np.array([st.coefficients[active] for st in sol.states])
+        # <s_a, s_b> = c_a^H conj(F) c_b with F_ij = int w_i w_j*
+        ips = c.conj() @ ref.conj() @ c.T
+        assert np.max(np.abs(ips - np.eye(2))) < 1e-10
+
+    def test_bound_states_make_no_scalar_quad_calls(
+        self, monkeypatch, well_problem, linear_problem, harmonic_problem
+    ):
+        import gupbic.matcher
+
+        calls = []
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("scipy quad called from gupbic.matcher")
+
+        monkeypatch.setattr(gupbic.matcher, "quad", counting_quad)
+        for problem, e in ((well_problem, 5.5), (linear_problem, 2.0), (harmonic_problem, 2.0)):
+            assert bound_states(problem, e).degeneracy >= 1
+        assert calls == []
+
+    def test_unconverged_panels_raise(self, monkeypatch):
+        # a jump keeps the panel that holds it open until the panel is
+        # narrower than the tolerance; past the (lowered) bisection cap the
+        # quadrature must raise, not return a result
+        import gupbic.matcher
+
+        class Step(ExponentialBasisFunction):
+            def value_array(self, xs):
+                return np.where(np.asarray(xs) < 1.0 / 3.0, 0.0, 1.0).astype(complex)
+
+        monkeypatch.setattr(gupbic.matcher, "_GRAM_MAX_BISECTIONS", 12)
+        with pytest.raises(NumericalError, match="did not converge"):
+            overlap_gram([Step(0.0, index=1)], [(0.0, 1.0)])
 
 
 class TestSolvers:

@@ -84,7 +84,68 @@ class TestIntegrate:
             StateVector.from_array([math.nan, 0, 0, 0])
 
 
+class TestCompanionRhs:
+    def test_stacked_frame_matches_single_vectors(self, linear_problem):
+        # one call on a flattened (4, k) frame equals k single-vector calls,
+        # and each single-vector call is the companion row formula itself
+        from gupbic.oracle import companion_rhs
+
+        rng = np.random.default_rng(7)
+        frame = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        e, x = 2.0, 1.3
+        rhs = companion_rhs(linear_problem, e)
+        stacked = rhs(x, frame.reshape(-1)).reshape(4, 5)
+        eps, v = linear_problem.epsilon, linear_problem.v_derivs(x)[0]
+        for k in range(5):
+            y = frame[:, k]
+            single = rhs(x, y)
+            assert np.array_equal(stacked[:, k], single)
+            formula = np.array([y[1], y[2], y[3], (e - v) / eps * y[0] + y[2] / eps])
+            assert np.array_equal(single, formula)
+
+    def test_standard_rhs_stacked_frame_matches_single_vectors(self, harmonic_problem):
+        from gupbic.oracle import standard_rhs
+
+        rng = np.random.default_rng(8)
+        frame = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        e, x = 1.7, -0.6
+        rhs = standard_rhs(harmonic_problem, e)
+        stacked = rhs(x, frame.reshape(-1)).reshape(2, 3)
+        v = harmonic_problem.v_derivs(x)[0]
+        for k in range(3):
+            y = frame[:, k]
+            single = rhs(x, y)
+            assert np.array_equal(stacked[:, k], single)
+            assert np.array_equal(single, np.array([y[1], (v - e) * y[0]]))
+
+
 class TestWronskian:
+    def test_drift_integrates_once_per_side(self, well_problem, monkeypatch):
+        from gupbic import oracle
+
+        calls = []
+        real = oracle.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", counting)
+        drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0)
+        assert drift < 1e-8
+        assert len(calls) == 2
+
+    def test_frame_of_an_array_is_the_stack_of_frames(self, well_problem):
+        from gupbic.oracle import fundamental_frame
+
+        xs = np.array([-0.8, 0.0, 0.3, 0.9])
+        frames = fundamental_frame(well_problem, 5.0, 0.0)(xs)
+        assert frames.shape == (4, 4, 4)
+        single = fundamental_frame(well_problem, 5.0, 0.0)
+        for x, m in zip(xs, frames):
+            assert np.allclose(single(x), m, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(frames[1], np.eye(4))
+
     def test_canonical_frame_is_identity_determinant(self, well_problem):
         assert wronskian(well_problem, 5.0, 0.3, anchor=0.3) == pytest.approx(1.0)
 
