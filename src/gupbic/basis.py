@@ -151,8 +151,8 @@ class BasisFunction:
     method: str
     validity: tuple[float, float]
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        """(value, d1, ..., d_order) as complex numbers."""
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
+        """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
         raise NotImplementedError
 
     def value(self, x: float) -> complex:
@@ -211,11 +211,8 @@ class ExponentialBasisFunction(BasisFunction):
         self.method = "exact"
         self.validity = (-math.inf, math.inf)
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        e = self.log_abs(x)
-        if e > EXPONENT_CAP:
-            raise BasisOverflowError(f"exp exponent {e:.3g} beyond cap", exponent=e)
-        f = math.exp(e) if e > -745.0 else 0.0
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
+        f = self.value_array(x)
         return np.array([f * self.rate**k for k in range(order + 1)], dtype=complex)
 
     def log_abs(self, x: float) -> float:
@@ -252,19 +249,23 @@ class TrigBasisFunction(BasisFunction):
         self.method = "exact"
         self.validity = (-math.inf, math.inf)
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
         k = self.kappa
         # derivative cycle: cos -> -sin -> -cos -> sin; sin -> cos -> -sin -> -cos
-        c, s = math.cos(k * x), math.sin(k * x)
+        u = k * np.asarray(x, dtype=float)
+        c, s = np.cos(u), np.sin(u)
         cycle = [c, -s, -c, s] if self.phase == "cos" else [s, c, -s, -c]
         return np.array([cycle[n % 4] * k**n for n in range(order + 1)], dtype=complex)
 
+    def _scalar(self, x: float) -> float:
+        return (math.cos if self.phase == "cos" else math.sin)(self.kappa * x)
+
     def log_abs(self, x: float) -> float:
-        v = abs(self.derivatives(x, order=0)[0])
+        v = abs(self._scalar(x))
         return math.log(v) if v > 0 else -math.inf
 
     def scaled_value(self, x: float, log_shift: float) -> complex:
-        return self.derivatives(x, order=0)[0] * math.exp(-log_shift)
+        return complex(self._scalar(x) * math.exp(-log_shift))
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
         trig = np.cos if self.phase == "cos" else np.sin
@@ -299,15 +300,14 @@ def exact_constant_basis(
 
 # --- WKB machinery -------------------------------------------------------------
 
-# Exponent integrals: composite Gauss-Legendre sums on fixed panels of width
-# _PANEL_WIDTH counted from x0 and split at the zeros of b.  A panel is
-# accepted when its n- and 2n-node sums agree to _QUAD_TOL (absolute and
-# relative, as epsabs = epsrel); otherwise it is bisected.
+# Exponent integrals: composite Gauss-Legendre sums (_panel_integrals) on
+# fixed panels of width _PANEL_WIDTH counted from x0 and split at the zeros
+# of b.
 _PANEL_WIDTH = 0.25
 _GAUSS_NODES = 12
 _QUAD_TOL = 1e-12
 _MAX_BISECTIONS = 50
-_MAX_PIECES = 64  # per segment
+_MAX_PIECES = 64  # per interval
 _SEGMENT_CHUNK = 1024  # segments integrated together, bounding the temporaries
 _MIN_EDGE_GAP = 1e-3 * _PANEL_WIDTH
 
@@ -318,6 +318,49 @@ def _gauss_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x_lo, w_lo = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     x_hi, w_hi = np.polynomial.legendre.leggauss(2 * _GAUSS_NODES)
     return 0.5 * (1.0 + np.concatenate([x_lo, x_hi])), 0.5 * w_lo, 0.5 * w_hi
+
+
+def _panel_integrals(integrand: Callable, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Integrals of a vector-valued integrand over each interval [a_i, b_i], shape (..., len(a)).
+
+    Every interval starts as one panel.  ``integrand(t, width, which)`` gets
+    the nodes t, shape (panels, 2n), of all open panels, their widths, shape
+    (panels, 1), and the interval index of each panel; it returns its values
+    times the panel width, shape (..., panels, 2n).  A panel whose n- and
+    2n-node sums agree to ``tol`` in every component (absolute and relative,
+    as epsabs = epsrel) adds its 2n-node sum to its interval; the others are
+    bisected.  Each interval is bisected on its own, so its result does not
+    depend on the other intervals of the call.
+    """
+    nodes, w_lo, w_hi = _gauss_pair()
+    n = w_lo.size
+    seg = np.flatnonzero(a != b)
+    lo, hi = a[seg], b[seg]
+    out = None
+    for _ in range(_MAX_BISECTIONS):
+        width = (hi - lo)[:, None]
+        f = integrand(lo[:, None] + width * nodes, width, seg)
+        coarse = (f[..., :n] * w_lo).sum(axis=-1)
+        fine = (f[..., n:] * w_hi).sum(axis=-1)
+        if not np.all(np.isfinite(fine)):
+            raise NumericalError("Gauss-Legendre panel integrand is not finite (overflow or a pole)")
+        if out is None:
+            out = np.zeros(fine.shape[:-1] + a.shape, dtype=complex)
+        close = np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine))
+        done = np.all(close, axis=tuple(range(fine.ndim - 1)))
+        np.add.at(out, (..., seg[done]), fine[..., done])
+        if done.all():
+            return out
+        seg, lo, hi = seg[~done], lo[~done], hi[~done]
+        if 2 * np.bincount(seg).max() > _MAX_PIECES:
+            break
+        mid = 0.5 * (lo + hi)
+        seg = np.repeat(seg, 2)
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+    raise NumericalError(
+        f"Gauss-Legendre panels did not converge to {tol:g} within {_MAX_BISECTIONS} "
+        f"bisections and {_MAX_PIECES} pieces per interval"
+    )
 
 
 @dataclass(frozen=True)
@@ -510,8 +553,6 @@ class WkbBasisFunction(BasisFunction):
 
         Where ``subst`` is set, c is a zero of b and x = c +- u^2 turns the
         |x - c|^(-1/2) singularity of branches 3 and 4 into a smooth integrand.
-        Each segment is bisected on its own, so its increment does not depend
-        on the other segments of the call.
         """
         out = np.zeros((2, c.size), dtype=complex)
         for k in range(0, c.size, _SEGMENT_CHUNK):
@@ -520,48 +561,21 @@ class WkbBasisFunction(BasisFunction):
         return out
 
     def _chunk_integrals(self, c: np.ndarray, o: np.ndarray, subst: np.ndarray) -> np.ndarray:
-        nodes, w_lo, w_hi = _gauss_pair()
-        n = w_lo.size
         sense = np.where(o < c, -1.0, 1.0)
-        out = np.zeros((2, c.size), dtype=complex)
-        seg = np.flatnonzero(o != c)
-        a = np.zeros(seg.size)
-        b = np.abs(o - c)[seg]
-        b = np.where(subst[seg], np.sqrt(b), b)
-        for _ in range(_MAX_BISECTIONS):
-            if seg.size == 0:
-                return out
-            width = (b - a)[:, None]
-            u = a[:, None] + width * nodes
-            sub = subst[seg, None]
-            x = c[seg, None] + sense[seg, None] * np.where(sub, u * u, u)
-            jac = np.where(sub, 2.0 * u, 1.0) * (sense[seg, None] * width)
+        length = np.abs(o - c)
+
+        def integrand(u, width, i):
+            sub, c_i, sense_i = subst[i, None], c[i, None], sense[i, None]
+            x = c_i + sense_i * np.where(sub, u * u, u)
+            jac = np.where(sub, 2.0 * u, 1.0) * (sense_i * width)
             b_x = self.params.b_chain(x)
             if sub.any():
-                b_x = self._b_past_zero(c[seg, None], sense[seg, None] * u * u, sub, b_x)
+                b_x = self._b_past_zero(c_i, sense_i * u * u, sub, b_x)
             s, lam = self._chains(x, order=1, b=b_x)
-            f = np.stack([lam[0], lam[1] / s[0]]) * jac
-            coarse = (f[..., :n] * w_lo).sum(axis=-1)
-            fine = (f[..., n:] * w_hi).sum(axis=-1)
-            if not np.all(np.isfinite(fine)):
-                raise NumericalError(
-                    f"WKB exponent integrand of branch {self.index} is not finite on a panel"
-                )
-            done = np.all(np.abs(fine - coarse) <= _QUAD_TOL * np.maximum(1.0, np.abs(fine)), axis=0)
-            if done.all():
-                np.add.at(out, (slice(None), seg), fine)
-                return out
-            np.add.at(out, (slice(None), seg[done]), fine[:, done])
-            seg, a, b = seg[~done], a[~done], b[~done]
-            if 2 * np.bincount(seg).max() > _MAX_PIECES:
-                break
-            mid = 0.5 * (a + b)
-            seg = np.repeat(seg, 2)
-            a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
-        raise NumericalError(
-            f"WKB exponent integrals of branch {self.index} did not converge to "
-            f"{_QUAD_TOL:g} within {_MAX_BISECTIONS} bisections and {_MAX_PIECES} pieces per segment"
-        )
+            return np.stack([lam[0], lam[1] / s[0]]) * jac
+
+        end = np.where(subst, np.sqrt(length), length)
+        return _panel_integrals(integrand, np.zeros(c.size), end, _QUAD_TOL)
 
     def _b_past_zero(self, z: np.ndarray, d: np.ndarray, sub: np.ndarray, b_x: tuple) -> tuple:
         """b and b' at z + d from Taylor's formula at a zero z of b, where ``sub`` is set.
@@ -667,8 +681,8 @@ class WkbBasisFunction(BasisFunction):
     value_array = value
     scaled_value_array = scaled_value
 
-    def _theta_chain(self, x: float) -> tuple:
-        """Derivatives 1..4 of log w_j at x (analytic chain rule)."""
+    def _theta_chain(self, x) -> tuple:
+        """Derivatives 1..4 of log w_j at a float or an array x (analytic chain rule)."""
         s, lam = self._chains(x)
         eta = self.params.eta
         corr = _ratio_chain(lam[1:5], s[0:4])
@@ -691,25 +705,23 @@ class WkbBasisFunction(BasisFunction):
         ordered = sorted(set(shifted), reverse=side is Side.MINUS_INFINITY)
         return ordered if len(ordered) >= 2 else probes
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
         if order > 4:
             raise ValueError("WKB derivatives available up to order 4")
         f = self.value(x)
         if order == 0:
             return np.array([f], dtype=complex)
         t = self._theta_chain(x)
-        out = np.empty(order + 1, dtype=complex)
-        out[0] = f
-        out[1] = f * t[0]
+        out = [f, f * t[0]]
         if order >= 2:
-            out[2] = f * (t[1] + t[0] ** 2)
+            out.append(f * (t[1] + t[0] ** 2))
         if order >= 3:
-            out[3] = f * (t[2] + 3.0 * t[0] * t[1] + t[0] ** 3)
+            out.append(f * (t[2] + 3.0 * t[0] * t[1] + t[0] ** 3))
         if order >= 4:
-            out[4] = f * (
-                t[3] + 4.0 * t[0] * t[2] + 3.0 * t[1] ** 2 + 6.0 * t[0] ** 2 * t[1] + t[0] ** 4
+            out.append(
+                f * (t[3] + 4.0 * t[0] * t[2] + 3.0 * t[1] ** 2 + 6.0 * t[0] ** 2 * t[1] + t[0] ** 4)
             )
-        return out
+        return np.array(out, dtype=complex)
 
     def __repr__(self):
         return (
@@ -734,10 +746,9 @@ class SymmetrizedBasisFunction(BasisFunction):
         self.validity = (-hi, hi)
         self.mirror_pieces = ((-hi, -lo), (lo, hi))
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        d = self.inner.derivatives(abs(x), order=order)
-        if x < 0:
-            d = d * np.array([(-1.0) ** k for k in range(len(d))])
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
+        d = self.inner.derivatives(np.abs(x), order=order)
+        d[1::2] *= np.where(np.asarray(x) < 0, -1.0, 1.0)
         return d
 
     def value(self, x: float) -> complex:

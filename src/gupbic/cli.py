@@ -103,7 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--E", type=float, default=None, metavar="J")
 
-    p = sub.add_parser("verify", help="run the verification battery")
+    p = sub.add_parser(
+        "verify",
+        help="run the verification battery",
+        description=(
+            "Run the verification battery. --config and the overrides select only "
+            "standard mode (beta = 0) and the setup of the well sine-recovery check; "
+            "every other check runs a fixed reference setup, named in verify.json."
+        ),
+    )
     _add_common(p)
     p.add_argument(
         "--tol", type=float, default=DEFAULT_RTOL, metavar="X",

@@ -39,7 +39,7 @@ from .basis import (
     SymmetrizedBasisFunction,
     TURNING_WINDOW_HALF_WIDTH,
     WkbParameters,
-    _gauss_pair,
+    _panel_integrals,
     characteristic_roots,
     exact_constant_basis,
     map_regions,
@@ -51,18 +51,13 @@ from .errors import (
     DegenerateBasisError,
     InvalidConditionsError,
     NormalizationError,
-    NumericalError,
     PreconditionError,
     WrongPotentialError,
 )
 
 RANK_TOL = 1e-10
 
-# overlap quadrature: composite Gauss-Legendre panels, bisected until the n-
-# and 2n-node sums agree to _GRAM_TOL (see overlap_gram)
-_GRAM_TOL = 1e-11
-_GRAM_MAX_BISECTIONS = 40
-_GRAM_MAX_PANELS = 4096
+_GRAM_TOL = 1e-11  # tolerance of the overlap panels (see overlap_gram)
 
 
 class Case(Enum):
@@ -338,8 +333,9 @@ class StateFunction:
         if self.coefficients.shape != (len(self.basis),):
             raise PreconditionError("coefficient/basis size mismatch")
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        out = np.zeros(order + 1, dtype=complex)
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
+        """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
+        out = np.zeros((order + 1,) + np.shape(x), dtype=complex)
         for c, f in zip(self.coefficients, self.basis):
             if c != 0:
                 out += c * f.derivatives(x, order=order)
@@ -377,47 +373,22 @@ def overlap_gram(
 ) -> np.ndarray:
     """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions.
 
-    Composite Gauss-Legendre panels, first edged by the region ends and the
-    ``singular_points`` inside them.  Each round evaluates every basis
-    function once on the nodes of all open panels.  A panel whose n- and
-    2n-node matrices (V w) V^H agree to _GRAM_TOL in every entry (absolute
-    and relative, as epsabs = epsrel) adds its 2n-node matrix to F; the
-    others are bisected.
+    Gauss-Legendre panels (``_panel_integrals`` at _GRAM_TOL), first edged by
+    the region ends and the ``singular_points`` inside them; each round
+    evaluates every basis function once on the nodes of all open panels.
     """
-    nodes, w_lo, w_hi = _gauss_pair()
-    n = w_lo.size
     a, b = [], []
     for lo, hi in regions:
         edges = [lo] + sorted(p for p in singular_points if lo < p < hi) + [hi]
         a += edges[:-1]
         b += edges[1:]
+
+    def integrand(x, width, _):
+        v = np.stack([fn.value_array(x) for fn in basis])
+        return v[:, None] * (v.conj() * width)
+
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    f = np.zeros((len(basis), len(basis)), dtype=complex)
-    for _ in range(_GRAM_MAX_BISECTIONS + 1):
-        width = (b - a)[:, None]
-        xs = (a[:, None] + width * nodes).ravel()
-        # values indexed (panel, function, node)
-        v = np.stack([fn.value_array(xs).reshape(a.size, -1) for fn in basis], axis=1)
-
-        def rule(vals, weights):
-            return (vals * (weights * width)[:, None, :]) @ vals.conj().transpose(0, 2, 1)
-
-        coarse, fine = rule(v[..., :n], w_lo), rule(v[..., n:], w_hi)
-        if not np.all(np.isfinite(fine)):
-            raise NumericalError("overlap integrand is not finite on a panel")
-        done = np.all(np.abs(fine - coarse) <= _GRAM_TOL * np.maximum(1.0, np.abs(fine)), axis=(1, 2))
-        f += fine[done].sum(axis=0)
-        a, b = a[~done], b[~done]
-        if a.size == 0:
-            return f
-        if 2 * a.size > _GRAM_MAX_PANELS:
-            break
-        mid = 0.5 * (a + b)
-        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
-    raise NumericalError(
-        f"overlap quadrature did not converge to {_GRAM_TOL:g} within "
-        f"{_GRAM_MAX_BISECTIONS} bisections and {_GRAM_MAX_PANELS} open panels"
-    )
+    return _panel_integrals(integrand, a, b, _GRAM_TOL).sum(axis=-1)
 
 
 def normalize(
@@ -697,13 +668,13 @@ def solve_linear(
     # integrable tail: cut where the state has dropped ~30 decades from its peak
     s_zero = min(asm.s_zeros) if asm.s_zeros else asm.region_hi
     x_t = min(asm.b_zeros) if asm.b_zeros else energy
-    state_log = lambda x: max(w2.log_abs(x), w4.log_abs(x) + math.log(abs(ratio) + 1e-300))
-    peak = max(state_log(x) for x in np.linspace(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH, 9))
+    state_log = lambda xs: np.maximum(w2.log_abs(xs), w4.log_abs(xs) + math.log(abs(ratio) + 1e-300))
+    peak = state_log(np.linspace(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH, 9)).max()
     cut = s_zero - TURNING_WINDOW_HALF_WIDTH
-    for x in np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60):
-        if state_log(x) < peak - 70.0:
-            cut = x
-            break
+    xs = np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60)
+    below = np.flatnonzero(state_log(xs) < peak - 70.0)
+    if below.size:
+        cut = float(xs[below[0]])
     regions = [
         (lo, x_t - TURNING_WINDOW_HALF_WIDTH),
         (x_t + TURNING_WINDOW_HALF_WIDTH, cut),

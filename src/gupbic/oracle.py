@@ -285,7 +285,7 @@ def wronskian_drift(
 # --- residuals -----------------------------------------------------------------
 
 
-def _derivatives_of(evaluator, x: float, order: int) -> np.ndarray:
+def _derivatives_of(evaluator, x, order: int) -> np.ndarray:
     if hasattr(evaluator, "derivatives"):
         return np.asarray(evaluator.derivatives(x, order=order), dtype=complex)
     return np.asarray(evaluator(x, order), dtype=complex)
@@ -301,23 +301,20 @@ def residual(evaluator, problem: DimensionlessProblem, energy: float, grid: Sequ
     |(v - e) phi|, but never by less than RESIDUAL_SCALE_FLOOR times the
     largest such sum on the grid: where the state and its derivatives all
     vanish (a wall, a node, the centre of an odd state) the terms are
-    roundoff and the plain ratio reads O(1).  The evaluator must supply four
-    derivatives (value + d1..d4).
+    roundoff and the plain ratio reads O(1).  The evaluator supplies four
+    derivatives (value + d1..d4) for the whole grid in one call, shape
+    (5, len(grid)).
     """
-    eps = problem.epsilon
-    defects, scales = [], []
-    for x in grid:
-        d = _derivatives_of(evaluator, x, 4)
-        v = problem.v_derivs(x)[0]
-        t4 = eps * d[4]
-        t2 = d[2]
-        t0 = (v - energy) * d[0]
-        defects.append(abs(t4 - t2 + t0))
-        scales.append(abs(t4) + abs(t2) + abs(t0))
-    if not defects:
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
         return 0.0
-    floor = RESIDUAL_SCALE_FLOOR * max(scales) + 1e-300
-    return max(d / max(s, floor) for d, s in zip(defects, scales))
+    d = _derivatives_of(evaluator, grid, 4)
+    t4 = problem.epsilon * d[4]
+    t2 = d[2]
+    t0 = (problem.v_derivs(grid)[0] - energy) * d[0]
+    scales = np.abs(t4) + np.abs(t2) + np.abs(t0)
+    floor = RESIDUAL_SCALE_FLOOR * scales.max() + 1e-300
+    return float(np.max(np.abs(t4 - t2 + t0) / np.maximum(scales, floor)))
 
 
 # --- decaying-subspace dimension -------------------------------------------------

@@ -11,6 +11,11 @@ the equation of motion (phi'''' = [phi'' - (v - e) phi]/eps and its
 derivatives) rather than differentiated numerically; closed-form reference
 states supply direct analytic derivatives instead.
 
+All five integrands phi* [phi, -i phi', -phi'', P phi, P^2 phi] are
+integrated in one call of the package's Gauss-Legendre panel integrator
+(``basis._panel_integrals``, tolerance _MOMENT_TOL), which asks the state for
+its derivatives on every node of the open panels at once.
+
 The observability ratio r = beta [(dp)^2 + <p>^2] uses the standard momentum
 moments, so it is exactly linear in beta; the full deformed-operator moments
 are computed alongside and reported.  r at or above ~0.1 marks the regime
@@ -20,22 +25,22 @@ where the minimal-length term visibly perturbs the uncertainty relation.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  (unused; perfbench/tracer.py patches spectrum.quad)
 from scipy.special import ai_zeros, airy
 
 from .core import DimensionlessProblem, InfiniteWell, PhysicalSetup, nondimensionalize
 from .errors import GupBicError, NumericalError, PreconditionError, WrongPotentialError
 from .matcher import degrees_of_freedom
-from .basis import characteristic_roots
+from .basis import _panel_integrals, characteristic_roots
 
 OBVIOUS_RATIO_THRESHOLD = 0.1
+_MOMENT_TOL = 1e-11
 
 
 # --- special energies (infinite well) ---------------------------------------------
@@ -173,7 +178,8 @@ class AnalyticState:
 
     regions: tuple[tuple[float, float], ...]
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
+        """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
         raise NotImplementedError
 
     def value(self, x: float) -> complex:
@@ -191,9 +197,9 @@ class ShiftedSineState(AnalyticState):
         self.lo = lo
         self.regions = ((lo, hi),)
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        k, u = self.kappa, self.kappa * (x - self.lo)
-        cycle = [math.sin(u), math.cos(u), -math.sin(u), -math.cos(u)]
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
+        k, u = self.kappa, self.kappa * (np.asarray(x, dtype=float) - self.lo)
+        cycle = [np.sin(u), np.cos(u), -np.sin(u), -np.cos(u)]
         return np.array([cycle[n % 4] * k**n for n in range(order + 1)], dtype=complex)
 
 
@@ -203,10 +209,11 @@ class GaussianGroundState(AnalyticState):
     def __init__(self, cutoff: float = 12.0):
         self.regions = ((-cutoff, cutoff),)
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
         # phi^(n) = (-1)^n He_n(x) phi with He_{n+1} = x He_n - n He_{n-1}
-        base = math.pi**-0.25 * math.exp(-0.5 * x * x)
-        out = np.empty(order + 1, dtype=complex)
+        x = np.asarray(x, dtype=float)
+        base = math.pi**-0.25 * np.exp(-0.5 * x * x)
+        out = np.empty((order + 1,) + x.shape, dtype=complex)
         he_prev, he = 0.0, 1.0
         for n in range(order + 1):
             out[n] = (-he if n % 2 else he) * base
@@ -231,10 +238,10 @@ class AiryBouncerState(AnalyticState):
     def ground_energy(self) -> float:
         return self.shift
 
-    def derivatives(self, x: float, order: int = 3) -> np.ndarray:
-        u = x - self.shift
+    def derivatives(self, x, order: int = 3) -> np.ndarray:
+        u = np.asarray(x, dtype=float) - self.shift
         ai, aip, _, _ = airy(u)
-        d = [complex(ai), complex(aip)]
+        d = [ai, aip]
         for n in range(0, order - 1):
             d.append(u * d[n] + n * d[n - 1] if n >= 1 else u * d[0])
         return np.array(d[: order + 1], dtype=complex) / self.norm
@@ -273,18 +280,8 @@ class MomentumMoments:
         return self.delta_p**2 + self.mean_p**2
 
 
-def _quad_complex(f: Callable[[float], complex], lo: float, hi: float) -> complex:
-    kw = dict(epsabs=1e-12, epsrel=1e-10, limit=300)
-    with warnings.catch_warnings():
-        # a vanishing imaginary part trips the roundoff detector; harmless here
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re = quad(lambda x: f(x).real, lo, hi, **kw)[0]
-        im = quad(lambda x: f(x).imag, lo, hi, **kw)[0]
-    return complex(re, im)
-
-
 def _state_derivs_order6(
-    state, problem: DimensionlessProblem, x: float, source: str, energy: float | None
+    state, problem: DimensionlessProblem, x, source: str, energy: float | None
 ) -> np.ndarray:
     if source == "direct":
         return np.asarray(state.derivatives(x, order=6), dtype=complex)
@@ -316,7 +313,8 @@ def momentum_moments(
     ``derivative_source``: 'reduction' uses the equation of motion for the 4th
     and 6th derivatives (requires the state's dimensionless ``energy``);
     'direct' asks the state for them; 'auto' prefers 'direct' when the state
-    supports order 6, else 'reduction'.
+    supports order 6, else 'reduction'.  The state's ``derivatives`` must take
+    an array of abscissas.
     """
     setup = problem.setup
     if regions is None:
@@ -335,43 +333,32 @@ def momentum_moments(
     p_c = problem.momentum_scale
     bt_prime = setup.beta_prime * p_c**2
 
-    def moment(apply_op: Callable[[float], complex]) -> complex:
-        total = 0.0 + 0.0j
-        for lo, hi in regions:
-            total += _quad_complex(
-                lambda x: np.conj(state.derivatives(x, order=0)[0]) * apply_op(x), lo, hi
-            )
-        return total
+    def integrand(x, width, _):
+        # phi* times [phi, p phi, p^2 phi] and, when deformed, [P phi, P^2 phi]
+        if bt_prime == 0.0:
+            d = state.derivatives(x, order=2)
+            ops = [d[0], -1j * d[1], -d[2]]
+        else:
+            d = _state_derivs_order6(state, problem, x, derivative_source, energy)
+            ops = [
+                d[0],
+                -1j * d[1],
+                -d[2],
+                -1j * d[1] + 1j * bt_prime * d[3],
+                -d[2] + 2.0 * bt_prime * d[4] - bt_prime**2 * d[6],
+            ]
+        return np.conj(d[0]) * np.array(ops) * width
 
-    norm = moment(lambda x: state.derivatives(x, order=0)[0]).real
+    lo, hi = np.array(regions, dtype=float).T
+    moments = _panel_integrals(integrand, lo, hi, _MOMENT_TOL).sum(axis=-1).real.tolist()
+    norm = moments[0]
     if abs(norm - 1.0) > 1e-6:
         raise PreconditionError(f"state norm {norm} deviates from 1 by more than 1e-6")
-
-    def op_p(x: float) -> complex:
-        d = state.derivatives(x, order=1)
-        return -1j * d[1]
-
-    def op_p2(x: float) -> complex:
-        d = state.derivatives(x, order=2)
-        return -d[2]
-
-    mean_p = moment(op_p).real * p_c
-    mean_p2 = moment(op_p2).real * p_c**2
-
+    mean_p, mean_p2 = moments[1] * p_c, moments[2] * p_c**2
     if bt_prime == 0.0:
         mean_pp, mean_pp2 = mean_p, mean_p2
     else:
-
-        def op_deformed(x: float) -> complex:
-            d = state.derivatives(x, order=3)
-            return -1j * d[1] + 1j * bt_prime * d[3]
-
-        def op_deformed2(x: float) -> complex:
-            d = _state_derivs_order6(state, problem, x, derivative_source, energy)
-            return -d[2] + 2.0 * bt_prime * d[4] - bt_prime**2 * d[6]
-
-        mean_pp = moment(op_deformed).real * p_c
-        mean_pp2 = moment(op_deformed2).real * p_c**2
+        mean_pp, mean_pp2 = moments[3] * p_c, moments[4] * p_c**2
 
     var_p = mean_p2 - mean_p**2
     var_pp = mean_pp2 - mean_pp**2

@@ -84,6 +84,10 @@ class CheckResult:
         }
 
 
+def _well_label(setup: PhysicalSetup) -> str:
+    return f"well, a {setup.potential.a:g} m, beta {setup.beta:g}"
+
+
 def _result(name: str, measured: float, threshold: float, comparison: str = "<=", **detail) -> CheckResult:
     if comparison == "<=":
         ok = measured <= threshold
@@ -132,7 +136,10 @@ def check_wronskian_constancy(
             xs = xs[xs > 0.05]
         drift = wronskian_drift(problem, e, xs, anchor=anchor, rtol=rtol)
         worst = max(worst, drift)
-    return _result("wronskian_constancy", worst, 1e-8, cases=n_cases)
+    return _result(
+        "wronskian_constancy", worst, 1e-8, cases=n_cases,
+        setup=f"random well, linear and harmonic cases, eps 10^[-1.6, 0.3], seed {seed}",
+    )
 
 
 def check_exact_well_oracle_agreement(
@@ -152,7 +159,7 @@ def check_exact_well_oracle_agreement(
         vals = state.values(xs)
         err = np.max(np.abs(traj.state_at(xs)[0] - vals)) / np.max(np.abs(vals))
         worst = max(worst, err)
-    return _result("exact_well_oracle_agreement", worst, 1e-8)
+    return _result("exact_well_oracle_agreement", worst, 1e-8, setup=_well_label(setup))
 
 
 def check_residual_exact(setup: PhysicalSetup | None = None) -> CheckResult:
@@ -164,7 +171,9 @@ def check_residual_exact(setup: PhysicalSetup | None = None) -> CheckResult:
     basis = exact_constant_basis(roots, problem.domain)
     state = StateFunction(np.array([0.2, 0.3, 0.6, 0.7]), basis)
     grid = np.linspace(-0.99, 0.99, 101)
-    return _result("residual_exact_basis", residual(state, problem, e, grid), 1e-10)
+    return _result(
+        "residual_exact_basis", residual(state, problem, e, grid), 1e-10, setup=_well_label(setup)
+    )
 
 
 def check_residual_negative_control(setup: PhysicalSetup | None = None) -> CheckResult:
@@ -188,7 +197,8 @@ def check_residual_negative_control(setup: PhysicalSetup | None = None) -> Check
 
     grid = np.linspace(-0.99, 0.99, 101)
     return _result(
-        "residual_negative_control", residual(Corrupted(), problem, e, grid), 1e-2, comparison=">="
+        "residual_negative_control", residual(Corrupted(), problem, e, grid), 1e-2,
+        comparison=">=", setup=_well_label(setup),
     )
 
 
@@ -219,17 +229,21 @@ def check_momentum_representation(setup: PhysicalSetup | None = None, energy_si:
         position_dimension=4 if abs(w) > 1e-6 else 0,
         wronskian_abs=float(abs(w)),
         fd_derivative_agreement=fd_worst,
+        setup=f"linear, eps {problem.epsilon:.3g}, E {energy_si:.3g} J",
     )
+
+
+DECAY_EPS = 0.02
+DECAY_SETUP = f"linear (e 2) and harmonic (e 1.7), eps {DECAY_EPS:g}"
 
 
 def check_decaying_dimensions(standard: bool = False) -> CheckResult:
     """Bounded-subspace dimension: 2 per side (fourth order), 1 per side (standard)."""
     expected = 1 if standard else 2
-    eps = 0.02
     results = {}
-    lin = nondimensionalize(linear_setup_for(eps))
+    lin = nondimensionalize(linear_setup_for(DECAY_EPS))
     results["linear:+inf"] = decaying_subspace_dimension(lin, 2.0, "+inf", standard=standard)
-    har = nondimensionalize(harmonic_setup_for(eps))
+    har = nondimensionalize(harmonic_setup_for(DECAY_EPS))
     results["harmonic:+inf"] = decaying_subspace_dimension(har, 1.7, "+inf", standard=standard)
     results["harmonic:-inf"] = decaying_subspace_dimension(har, 1.7, "-inf", standard=standard)
     worst = max(abs(v - expected) for v in results.values())
@@ -239,6 +253,7 @@ def check_decaying_dimensions(standard: bool = False) -> CheckResult:
         0.0,
         expected=expected,
         dimensions={k: int(v) for k, v in results.items()},
+        setup=DECAY_SETUP + (", standard (beta = 0) equation" if standard else ""),
     )
 
 
@@ -261,7 +276,7 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
             sign = 1.0 if abs(np.max(vals.real + ref)) >= abs(np.max(vals.real - ref)) else -1.0
             errs.append(float(np.max(np.abs(sign * vals - ref))))
         worst = max(worst, min(errs))
-    return _result("well_sine_recovery", worst, 1e-8)
+    return _result("well_sine_recovery", worst, 1e-8, setup=_well_label(setup))
 
 
 def standard_harmonic_mismatch(problem, energy: float) -> float:
@@ -283,7 +298,12 @@ def standard_harmonic_mismatch(problem, energy: float) -> float:
 
 
 def run_verification(setup: PhysicalSetup, rtol: float = 1e-11) -> list[CheckResult]:
-    """The check battery for the CLI verify command."""
+    """The check battery for the CLI verify command.
+
+    ``setup`` selects only standard mode (beta = 0) and the setup of the well
+    sine-recovery check (run for a well with beta > 0); every other check
+    runs its fixed reference setup, which its ``detail`` names.
+    """
     checks: list[CheckResult] = []
     checks.append(check_wronskian_constancy(n_cases=9, rtol=rtol))
     checks.append(check_exact_well_oracle_agreement(rtol=rtol))
@@ -300,7 +320,7 @@ def run_verification(setup: PhysicalSetup, rtol: float = 1e-11) -> list[CheckRes
                 passed=False,
                 measured=math.nan,
                 threshold=0.0,
-                detail={"error": str(exc)},
+                detail={"error": str(exc), "setup": DECAY_SETUP},
             )
         )
     if isinstance(setup.potential, InfiniteWell) and setup.beta > 0.0:

@@ -596,3 +596,23 @@ def test_dof_scan_makes_no_scalar_quad_calls(monkeypatch):
         assert scan.errors == {}
         assert all(d in (1, 2) for d in scan.dof)
     assert calls == []
+
+
+def test_array_derivatives_match_point_by_point():
+    # derivatives(x, order) takes an array of any shape and returns
+    # (order + 1,) + shape(x), each column equal to the scalar call
+    well = nondimensionalize(reference_well_setup())
+    exact = exact_constant_basis(characteristic_roots(well.epsilon, 2.5), well.domain)
+    linear = wkb_assembly(nondimensionalize(linear_setup_for(0.02)), 2.0).basis
+    harmonic = wkb_assembly(nondimensionalize(harmonic_setup_for(0.02)), 1.7).basis
+    lo, hi = harmonic[0].inner.validity
+    cases = [(f, np.linspace(-1.0, 1.0, 12)) for f in exact]
+    cases += [(f, np.linspace(0.1, 1.5, 12)) for f in linear]
+    # both mirror pieces of the even continuation
+    cases += [(f, np.concatenate([np.linspace(-hi, -lo, 6), np.linspace(lo, hi, 6)])) for f in harmonic]
+    for f, xs in cases:
+        grid = xs.reshape(3, 4)
+        arr = f.derivatives(grid, order=4)
+        pts = np.stack([f.derivatives(float(x), order=4) for x in xs], axis=-1).reshape(5, 3, 4)
+        assert arr.shape == (5, 3, 4)
+        assert np.all(np.abs(arr - pts) <= 1e-14 * np.abs(pts).max(axis=(1, 2), keepdims=True))

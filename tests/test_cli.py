@@ -297,6 +297,10 @@ class TestVerifyCommand:
         assert "wronskian_constancy" in names
         assert "momentum_representation" in names
         assert "well_sine_recovery" in names
+        # each check names the setup it ran, which --config does not change
+        setups = {c["name"]: c["detail"]["setup"] for c in payload["checks"]}
+        assert setups["well_sine_recovery"] == "well, a 1e-10 m, beta 1e+47"
+        assert setups["momentum_representation"] == "linear, eps 0.01, E 2e-18 J"
 
     def test_beta_zero_harmonic_reports_standard_dimensions(self, tmp_path):
         cfg = tmp_path / "std.cfg"
@@ -309,3 +313,4 @@ class TestVerifyCommand:
         )
         assert check["detail"]["expected"] == 1
         assert set(check["detail"]["dimensions"].values()) == {1}
+        assert check["detail"]["setup"].endswith("standard (beta = 0) equation")

@@ -391,14 +391,15 @@ class TestOverlapGram:
     def test_unconverged_panels_raise(self, monkeypatch):
         # a jump keeps the panel that holds it open until the panel is
         # narrower than the tolerance; past the (lowered) bisection cap the
-        # quadrature must raise, not return a result
-        import gupbic.matcher
+        # quadrature must raise, not return a result; the cap is the one the
+        # shared panel integrator applies to every caller
+        import gupbic.basis
 
         class Step(ExponentialBasisFunction):
             def value_array(self, xs):
                 return np.where(np.asarray(xs) < 1.0 / 3.0, 0.0, 1.0).astype(complex)
 
-        monkeypatch.setattr(gupbic.matcher, "_GRAM_MAX_BISECTIONS", 12)
+        monkeypatch.setattr(gupbic.basis, "_MAX_BISECTIONS", 12)
         with pytest.raises(NumericalError, match="did not converge"):
             overlap_gram([Step(0.0, index=1)], [(0.0, 1.0)])
 
@@ -500,6 +501,28 @@ class TestSolvers:
             for lo, hi in sol.regions
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("eps, e", [(0.01, 2.0), (0.12, 2.0), (1e-3, 5.0), (0.2, 0.5)])
+    def test_linear_tail_cut_matches_point_by_point_search(self, eps, e):
+        # solve_linear evaluates each search grid in one log_abs call per
+        # branch; its regions must be those of a scan that stops at the first
+        # point 70 below the peak
+        from gupbic.basis import TURNING_WINDOW_HALF_WIDTH as W
+        from gupbic.matcher import _linear_assembly
+
+        problem = nondimensionalize(linear_setup_for(eps))
+        asm = _linear_assembly(problem, e)
+        w2, w4 = asm.basis[1], asm.basis[3]
+        shift = math.log(abs(w2.value(0.0) / w4.value(0.0)) + 1e-300)
+        state_log = lambda x: max(w2.log_abs(x), w4.log_abs(x) + shift)
+        x_t = min(asm.b_zeros)
+        cut = (min(asm.s_zeros) if asm.s_zeros else asm.region_hi) - W
+        peak = max(state_log(x) for x in np.linspace(1e-3, x_t - 2 * W, 9))
+        for x in np.linspace(x_t + 2 * W, cut, 60):
+            if state_log(x) < peak - 70.0:
+                cut = x
+                break
+        assert solve_linear(problem, e).regions == ((0.0, x_t - W), (x_t + W, cut))
 
     def test_linear_state_ode_residual(self):
         # The slow-branch amplitude error is the classical second-order-WKB

@@ -9,6 +9,7 @@ from gupbic import (
     InfiniteWell,
     Linear,
     PhysicalSetup,
+    nondimensionalize,
 )
 from gupbic.errors import PreconditionError, WrongPotentialError
 from gupbic.spectrum import (
@@ -156,6 +157,60 @@ class TestMomentumMoments:
             energy=se.energy_dimensionless,
         )
         assert m_reduced.delta_P**2 == pytest.approx(m_direct.delta_P**2, rel=1e-6)
+
+    @pytest.mark.parametrize("source", ["direct", "reduction"])
+    @pytest.mark.parametrize("beta", [1e47, 1e48])
+    def test_sine_deformed_second_moment_closed_form(self, beta, source):
+        # the k = 1 sine is an eigenfunction of p^2, so P^2 = p^2 (1 + bt' p^2)^2
+        # gives <P^2> = kappa^2 (1 + bt' kappa^2)^2 in p_c units
+        setup = reference_well_setup(beta=beta)
+        problem = nondimensionalize(setup)
+        lo, hi = problem.domain
+        kappa = math.pi / (hi - lo)
+        state = ShiftedSineState(kappa=kappa, lo=lo, hi=hi)
+        energy = well_special_energies(setup, 1)[0].energy_dimensionless
+        m = momentum_moments(state, problem, derivative_source=source, energy=energy)
+        p_c = problem.momentum_scale
+        bt = setup.beta_prime * p_c**2
+        expected = kappa**2 * (1.0 + bt * kappa**2) ** 2
+        assert (m.delta_P**2 + m.mean_P**2) / p_c**2 == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "setup",
+        [harmonic_setup_for(0.12), PhysicalSetup(mass=M_E, beta=1e47, potential=Harmonic(omega=1e30))],
+    )
+    def test_gaussian_deformed_second_moment_closed_form(self, setup):
+        # <p^2>, <p^4>, <p^6> of the harmonic ground state are 1/2, 3/4, 15/8 in p_c units
+        problem, state = ground_analog_state(setup)
+        m = momentum_moments(state, problem, derivative_source="direct")
+        p_c = problem.momentum_scale
+        bt = setup.beta_prime * p_c**2
+        expected = 0.5 + 2.0 * bt * 0.75 + bt**2 * 15.0 / 8.0
+        assert (m.delta_P**2 + m.mean_P**2) / p_c**2 == pytest.approx(expected, rel=1e-10)
+
+    def test_moments_do_not_call_scalar_quad(self, monkeypatch, well_setup):
+        # every moment, of a closed-form or a WKB state, comes from the
+        # Gauss-Legendre panels
+        import gupbic.spectrum
+        from gupbic.errors import NumericalError
+        from gupbic.matcher import solve_linear
+        from gupbic.verification import linear_setup_for
+
+        calls = []
+        monkeypatch.setattr(gupbic.spectrum, "quad", lambda *args, **kwargs: calls.append(args))
+        for setup in (
+            well_setup,
+            PhysicalSetup(mass=M_E, beta=1e47, potential=Linear(slope=1.281e-8)),
+            PhysicalSetup(mass=M_E, beta=1e47, potential=Harmonic(omega=1.897e16)),
+        ):
+            observability(setup)
+        problem = nondimensionalize(linear_setup_for(0.01))
+        sol = solve_linear(problem, 2.0)
+        with pytest.raises(NumericalError, match="variance"):
+            momentum_moments(
+                sol.states[0], problem, regions=sol.regions, derivative_source="reduction", energy=2.0
+            )
+        assert calls == []
 
     def test_non_normalized_rejected(self, well_problem):
         bad = ShiftedSineState(kappa=math.pi / 2, lo=-1.0, hi=1.0)
