@@ -44,13 +44,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (unused; perfbench/tracer.py patches basis.quad)
-from scipy.optimize import brentq
 
 from .errors import (
     BasisOverflowError,
     ComplexQuartetError,
     DegenerateBasisError,
     NumericalError,
+    PreconditionError,
     UnsupportedEpsilonError,
     ValidityError,
 )
@@ -221,7 +221,11 @@ class ExponentialBasisFunction(BasisFunction):
     def scaled_value(self, x: float, log_shift: float) -> complex:
         e = self.log_abs(x) - log_shift
         if e > EXPONENT_CAP:
-            raise BasisOverflowError(f"scaled exp exponent {e:.3g} beyond cap", exponent=e)
+            raise BasisOverflowError(
+                f"scaled exp exponent {e:.6g} at x={x:.6g} beyond the cap "
+                f"EXPONENT_CAP = {EXPONENT_CAP:g}",
+                exponent=e,
+            )
         return complex(math.exp(e)) if e > -745.0 else 0.0 + 0.0j
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
@@ -438,8 +442,13 @@ def _capped_exp(e, x, what: str):
     """exp(e) for a log-space value e (float or array): raises past the cap, 0 below -745."""
     re = np.real(e)
     if np.any(re > EXPONENT_CAP):
+        i = int(np.argmax(np.ravel(re) > EXPONENT_CAP))
+        x_bad = float(np.broadcast_to(np.asarray(x, dtype=float), np.shape(re)).ravel()[i])
+        e_bad = complex(np.ravel(e)[i])
         raise BasisOverflowError(
-            f"{what} exponent Re = {np.max(re):.3g} beyond cap at x={x}", exponent=e
+            f"{what} exponent Re = {e_bad.real:.6g} at x={x_bad:.6g} beyond the cap "
+            f"EXPONENT_CAP = {EXPONENT_CAP:g}",
+            exponent=e_bad,
         )
     if np.ndim(e) == 0:
         return cmath.exp(e) if re > -745.0 else 0.0 + 0.0j
@@ -462,7 +471,9 @@ class WkbBasisFunction(BasisFunction):
     exponent(x) depends on x alone.  The cumulative sums at the panel edges
     met so far are kept in ``_table`` (edges, [I1, I2] sums, zero-of-b flags,
     grid panels covered below and above x0); it is replaced whole, never
-    changed in place.
+    changed in place.  So is ``_point``, the exponent at the last float x:
+    a point row of ``assemble`` takes log_abs and then scaled_value at one x,
+    and integrates once.
     """
 
     def __init__(
@@ -496,6 +507,7 @@ class WkbBasisFunction(BasisFunction):
             0,
             0,
         )
+        self._point = (math.nan, 0j)
 
     @property
     def validity(self) -> tuple[float, float]:  # type: ignore[override]
@@ -657,6 +669,9 @@ class WkbBasisFunction(BasisFunction):
 
     def exponent(self, x):
         """log w_j(x) including the prefactor (principal-branch logs); x a float or an array."""
+        point = self._point
+        if isinstance(x, float) and x == point[0]:
+            return point[1]
         xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)
         if flat.size == 0:
@@ -665,7 +680,10 @@ class WkbBasisFunction(BasisFunction):
         i1, i2 = self._integrals(flat)
         s, lam = self._chains(flat, order=0)
         e = self.params.eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam[0]) + np.log(s[0]))
-        return complex(e[0]) if xs.ndim == 0 else e.reshape(xs.shape)
+        if xs.ndim == 0:
+            self._point = point = (float(xs), complex(e[0]))
+            return point[1]
+        return e.reshape(xs.shape)
 
     def log_abs(self, x):
         return np.real(self.exponent(x))
@@ -691,6 +709,22 @@ class WkbBasisFunction(BasisFunction):
         return tuple(
             eta * lam[k] - 0.5 * corr[k] - 0.5 * (dlog_lam[k] + dlog_s[k]) for k in range(4)
         )
+
+    def asymptotic_class(self, side: Side, probes: Sequence[float] | None = None) -> AsymptoticClass:
+        """Closed form on a piece unbounded toward ``side``, else ``classify_asymptotics``.
+
+        Past the last zero of a^2 - b, s = sqrt(a^2 - b) is purely imaginary,
+        so a +- s never touches the negative real axis and Re(lam_j) keeps
+        the sign tau_j to infinity; no branches cross there.  The class
+        toward ``side`` is then the sign of Re(eta lam_j) at x0, outward.
+        """
+        p = self.params
+        outward = 1.0 if side is Side.PLUS_INFINITY else -1.0
+        unbounded = math.isinf(self.interval[1] if outward > 0 else self.interval[0])
+        if probes is None and unbounded and p.a_coef**2 < p.b(p.x0):
+            rate = outward * (p.eta * self.lam(p.x0)).real
+            return AsymptoticClass.GROWING if rate > 0 else AsymptoticClass.DECAYING
+        return super().asymptotic_class(side, probes)
 
     def _auto_probes(self, side: Side) -> list[float]:
         probes = super()._auto_probes(side)
@@ -772,6 +806,12 @@ class SymmetrizedBasisFunction(BasisFunction):
     def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
         return self.inner.scaled_value_array(np.abs(xs), log_shift)
 
+    def asymptotic_class(self, side: Side, probes: Sequence[float] | None = None) -> AsymptoticClass:
+        """The inner branch's class toward +inf: the mirror piece toward -inf is its image."""
+        if probes is None:
+            return self.inner.asymptotic_class(Side.PLUS_INFINITY)
+        return super().asymptotic_class(side, probes)
+
     def _auto_probes(self, side: Side) -> list[float]:
         inner_probes = self.inner._auto_probes(Side.PLUS_INFINITY)
         if side is Side.PLUS_INFINITY:
@@ -780,25 +820,6 @@ class SymmetrizedBasisFunction(BasisFunction):
 
     def __repr__(self):
         return f"SymmetrizedBasisFunction({self.inner!r})"
-
-
-def find_zeros(f: Callable, lo: float, hi: float, n: int = 2001) -> list[float]:
-    """Sign-change scan + brentq refinement on [lo, hi].
-
-    ``f`` takes the whole n-point grid as one array; brentq refines only the
-    cells whose ends change sign, calling f with floats.
-    """
-    xs = np.linspace(lo, hi, n)
-    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
-    exact = vals == 0.0
-    cells = np.flatnonzero(exact[:-1] | (vals[:-1] * vals[1:] < 0.0))
-    zeros = [
-        float(xs[i]) if exact[i] else float(brentq(f, xs[i], xs[i + 1], xtol=1e-13))
-        for i in cells
-    ]
-    if exact[-1]:
-        zeros.append(float(xs[-1]))
-    return zeros
 
 
 @dataclass(frozen=True)
@@ -826,13 +847,36 @@ class WkbRegionMap:
 
 
 def map_regions(params: WkbParameters, lo: float, hi: float) -> WkbRegionMap:
-    b = params.b
-    s2 = lambda x: params.a_coef**2 - params.b(x)
-    return WkbRegionMap(
-        b_zeros=tuple(find_zeros(b, lo, hi)),
-        s_zeros=tuple(find_zeros(s2, lo, hi)),
-        working=(lo, hi),
-    )
+    """Zeros of b and of a^2 - b in [lo, hi], in closed form.
+
+    b is a polynomial of degree <= 2 for every potential with a WKB basis
+    (constant, linear, harmonic): b(x) - k = c2 x^2 + c1 x + c0 with
+    c0 = b(0) - k, c1 = b'(0) and c2 = b''(0)/2, for k = 0 and k = a^2.
+    """
+    b0, b1, b2, b3, b4 = (float(c) for c in params.b_chain(0.0))
+    if b3 != 0.0 or b4 != 0.0:
+        raise PreconditionError(
+            "closed-form region map needs a potential of degree <= 2; the third and "
+            f"fourth derivatives of b are {b3:g} and {b4:g}"
+        )
+
+    def zeros(k: float) -> tuple[float, ...]:
+        return tuple(z for z in _quadratic_roots(0.5 * b2, b1, b0 - k) if lo <= z <= hi)
+
+    return WkbRegionMap(b_zeros=zeros(0.0), s_zeros=zeros(params.a_coef**2), working=(lo, hi))
+
+
+def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
+    """Real roots of c2 x^2 + c1 x + c0, ascending, from the cancellation-free formula."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [-0.5 * c1 / c2]
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return sorted([q / c2, c0 / q])
 
 
 def wkb_basis(
@@ -843,10 +887,8 @@ def wkb_basis(
 ) -> WkbBasisFunction:
     """Build branch ``index`` on ``interval``; errors if a zero of a^2 - b lies inside."""
     lo, hi = interval
-    scan_hi = hi if math.isfinite(hi) else max(params.x0, lo) + 50.0
-    scan_lo = lo if math.isfinite(lo) else min(params.x0, hi) - 50.0
     if region_map is None:
-        region_map = map_regions(params, scan_lo, scan_hi)
+        region_map = map_regions(params, lo, hi)
     inside_s = [z for z in region_map.s_zeros if lo < z < hi]
     if inside_s:
         raise ValidityError(

@@ -561,24 +561,31 @@ class WkbAssembly:
     params: WkbParameters
     basis: tuple[BasisFunction, ...]
     far_basis: tuple[BasisFunction, ...]
-    region_lo: float
-    region_hi: float
     b_zeros: tuple[float, ...]
     s_zeros: tuple[float, ...]
+
+
+_LINEAR_X0_MIN = 1e-3  # the linear reference point keeps this far from the wall
 
 
 def _linear_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembly:
     if energy <= 0:
         raise PreconditionError("energy must be > 0")
     params0 = WkbParameters.from_problem(problem, energy, x0=0.0)
-    # locate turning structure on a window comfortably past the slow turning point
-    slope = problem.v_derivs(1.0)[1]
-    x_t_guess = energy / slope
-    scan_hi = x_t_guess + 4.0 * (params0.a_coef**2) / max(slope, 1e-12) + 10.0
-    rmap = map_regions(params0, 0.0, scan_hi)
-    s_zero = min(rmap.s_zeros) if rmap.s_zeros else scan_hi
-    x0 = min(0.45 * x_t_guess, x_t_guess - 3 * TURNING_WINDOW_HALF_WIDTH)
-    x0 = max(x0, 1e-3)
+    rmap = map_regions(params0, 0.0, math.inf)
+    (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
+    if x_t - TURNING_WINDOW_HALF_WIDTH < _LINEAR_X0_MIN:
+        # x_t = e / slope, so the limit on x_t is one on the energy
+        e_min = energy * (TURNING_WINDOW_HALF_WIDTH + _LINEAR_X0_MIN) / x_t
+        raise PreconditionError(
+            f"turning point x_t={x_t:.3g} is too close to the wall at x=0: its turning "
+            f"window (half-width {TURNING_WINDOW_HALF_WIDTH}) must leave out the reference "
+            f"point x0={_LINEAR_X0_MIN:g}, so x_t >= {TURNING_WINDOW_HALF_WIDTH + _LINEAR_X0_MIN:g}; "
+            f"the lowest energy that works is about {problem.energy_to_si(e_min):.4g} J "
+            f"(dimensionless {e_min:.4g})"
+        )
+    x0 = min(0.45 * x_t, x_t - 3 * TURNING_WINDOW_HALF_WIDTH)
+    x0 = max(x0, _LINEAR_X0_MIN)
     params = WkbParameters.from_problem(problem, energy, x0=x0)
     main_piece = (0.0, s_zero - TURNING_WINDOW_HALF_WIDTH)
     basis = tuple(wkb_basis(params, j, main_piece, region_map=rmap) for j in (1, 2, 3, 4))
@@ -591,8 +598,6 @@ def _linear_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembl
         params=params,
         basis=basis,
         far_basis=far_basis,
-        region_lo=0.0,
-        region_hi=scan_hi,
         b_zeros=rmap.b_zeros,
         s_zeros=rmap.s_zeros,
     )
@@ -602,12 +607,9 @@ def _harmonic_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssem
     if energy <= 0:
         raise PreconditionError("energy must be > 0")
     params0 = WkbParameters.from_problem(problem, energy, x0=0.0)
-    curv = problem.v_derivs(1.0)[0]
-    x_t = math.sqrt(energy / curv)
-    x_q = math.sqrt((energy + 2.0 * params0.a_coef**2) / curv)
-    scan_hi = x_q + 10.0
-    rmap = map_regions(params0, 0.0, scan_hi)
-    s_zero = min(rmap.s_zeros) if rmap.s_zeros else x_q
+    # the positive tail; the negative one is its mirror image
+    rmap = map_regions(params0, 0.0, math.inf)
+    (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
     mid_lo = x_t + TURNING_WINDOW_HALF_WIDTH
     mid_hi = s_zero - TURNING_WINDOW_HALF_WIDTH
     if mid_hi <= mid_lo:
@@ -627,8 +629,6 @@ def _harmonic_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssem
         params=params,
         basis=basis,
         far_basis=far_basis,
-        region_lo=-scan_hi,
-        region_hi=scan_hi,
         b_zeros=rmap.b_zeros,
         s_zeros=rmap.s_zeros,
     )
@@ -666,10 +666,11 @@ def solve_linear(
     coeffs = np.array([0.0, 1.0, 0.0, -ratio], dtype=complex)
 
     # integrable tail: cut where the state has dropped ~30 decades from its peak
-    s_zero = min(asm.s_zeros) if asm.s_zeros else asm.region_hi
-    x_t = min(asm.b_zeros) if asm.b_zeros else energy
+    (x_t,), (s_zero,) = asm.b_zeros, asm.s_zeros
     state_log = lambda xs: np.maximum(w2.log_abs(xs), w4.log_abs(xs) + math.log(abs(ratio) + 1e-300))
-    peak = state_log(np.linspace(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH, 9)).max()
+    # near the lowest energy x_t - 2 W falls below the grid start, which is then the only point
+    peak_hi = max(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH)
+    peak = state_log(np.linspace(lo + 1e-3, peak_hi, 9)).max()
     cut = s_zero - TURNING_WINDOW_HALF_WIDTH
     xs = np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60)
     below = np.flatnonzero(state_log(xs) < peak - 70.0)

@@ -16,7 +16,6 @@ from gupbic.basis import (
     TrigBasisFunction,
     WkbParameters,
     classify_asymptotics,
-    find_zeros,
     map_regions,
     wkb_basis,
 )
@@ -24,6 +23,7 @@ from gupbic.errors import (
     BasisOverflowError,
     ComplexQuartetError,
     DegenerateBasisError,
+    PreconditionError,
     UnsupportedEpsilonError,
     ValidityError,
 )
@@ -548,35 +548,71 @@ def test_batched_classification_matches_point_by_point_on_interior_pieces(linear
     assert _classify_point_by_point(f, Side.PLUS_INFINITY, probes) is AsymptoticClass.OSCILLATORY
 
 
-def _find_zeros_point_by_point(f, lo, hi, n=2001):
+@pytest.mark.parametrize("kind", ["linear", "harmonic"])
+def test_far_classes_closed_form_match_classification(kind, monkeypatch):
+    # past the last zero of a^2 - b the class is the sign of Re(eta lam_j)
+    # at x0: it must equal the sampled classification, which it never calls
+    setup_for = linear_setup_for if kind == "linear" else harmonic_setup_for
+    sides = [Side.PLUS_INFINITY] + ([Side.MINUS_INFINITY] if kind == "harmonic" else [])
+    calls = []
+    monkeypatch.setattr(gupbic.basis, "classify_asymptotics", lambda *a: calls.append(a))
+    compared = 0
+    for eps in (1e-4, 1e-2, 0.2):
+        problem = nondimensionalize(setup_for(eps))
+        for e in (1.5, 3.0, 5.0, 7.5, 10.0):
+            for f in wkb_assembly(problem, e).far_basis:
+                for side in sides:
+                    expected = classify_asymptotics(f, side, f._auto_probes(side))
+                    assert f.asymptotic_class(side) is expected, (eps, e, f, side)
+                    compared += 1
+    assert compared == 3 * 5 * 4 * len(sides)
+    assert calls == []
+
+
+def _zeros_by_brentq(f, lo, hi, n=2001):
+    from scipy.optimize import brentq
+
     xs = np.linspace(lo, hi, n)
-    vals = [f(float(x)) for x in xs]
-    zeros = []
-    for i in range(n - 1):
-        if vals[i] == 0.0:
-            zeros.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            from scipy.optimize import brentq
-
-            zeros.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-13)))
-    if vals[-1] == 0.0:
-        zeros.append(float(xs[-1]))
-    return zeros
+    vals = f(xs)
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    return [brentq(f, xs[i], xs[i + 1], xtol=1e-15) for i in cells]
 
 
-def test_array_find_zeros_matches_scalar_scan():
-    cases = [(np.sin, 0.0, 20.0), (lambda x: x * 1.0, -1.0, 1.0), (np.cos, -7.0, 7.0)]
-    for problem, e, hi in (
-        (nondimensionalize(linear_setup_for(0.01)), 3.0, 60.0),
-        (nondimensionalize(harmonic_setup_for(0.01)), 3.0, 20.0),
-    ):
-        params = WkbParameters.from_problem(problem, e, x0=0.0)
-        cases.append((params.b, 0.0, hi))
-        cases.append((lambda x, p=params: p.a_coef**2 - p.b(x), 0.0, hi))
-    for f, lo, hi in cases:
-        zeros = find_zeros(f, lo, hi)
-        assert zeros == _find_zeros_point_by_point(f, lo, hi)
-        assert zeros
+def test_closed_form_zeros_match_brentq():
+    windows = 0
+    for setup_for, hi in ((linear_setup_for, 3000.0), (harmonic_setup_for, 60.0)):
+        for eps in (1e-4, 1e-2, 0.2):
+            problem = nondimensionalize(setup_for(eps))
+            lo = 0.0 if problem.kind == "linear" else -hi
+            for e in (0.3, 1.5, 7.5, 12.0):
+                params = WkbParameters.from_problem(problem, e, x0=0.0)
+                x_t = e / problem.v_derivs(1.0)[1] if problem.kind == "linear" else math.sqrt(
+                    e / problem.v_derivs(1.0)[0]
+                )
+                # the whole line, then windows left of x_t (none) and between
+                # x_t and the zero of a^2 - b (b only)
+                for a, b, n_b, n_s in ((lo, hi, None, None), (0.5 * x_t, 0.9 * x_t, 0, 0),
+                                       (0.5 * x_t, 2.0 * x_t, 1, None)):
+                    rmap = map_regions(params, a, b)
+                    for got, f, n in (
+                        (rmap.b_zeros, params.b, n_b),
+                        (rmap.s_zeros, lambda x, p=params: p.a_coef**2 - p.b(x), n_s),
+                    ):
+                        want = _zeros_by_brentq(f, a, b)
+                        assert len(got) == len(want) and (n is None or len(got) == n)
+                        for z, w in zip(got, want):
+                            assert abs(z - w) <= 1e-13 * max(1.0, abs(w))
+                    windows += 1
+    assert windows == 2 * 3 * 4 * 3
+
+
+def test_region_map_rejects_cubic_potentials():
+    params = WkbParameters(
+        eta=2.0, a_coef=1.0, x0=0.0, b_chain=lambda x: (x**3 - 1.0, 3 * x**2, 6 * x, 6.0, 0.0),
+        energy=1.0, epsilon=0.5,
+    )
+    with pytest.raises(PreconditionError, match="degree <= 2"):
+        map_regions(params, -2.0, 2.0)
 
 
 def test_dof_scan_makes_no_scalar_quad_calls(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gupbic import (
 )
 from gupbic.basis import ExponentialBasisFunction, Side
 from gupbic.errors import (
+    BasisOverflowError,
     InvalidConditionsError,
     NormalizationError,
     NumericalError,
@@ -35,7 +37,7 @@ from gupbic.matcher import (
     vanish_on_ray,
     well_coefficients,
 )
-from gupbic.spectrum import well_special_energies
+from gupbic.spectrum import dof_scan, well_special_energies
 from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
 
 E1_DIMLESS = 2.918779290241783
@@ -516,13 +518,39 @@ class TestSolvers:
         shift = math.log(abs(w2.value(0.0) / w4.value(0.0)) + 1e-300)
         state_log = lambda x: max(w2.log_abs(x), w4.log_abs(x) + shift)
         x_t = min(asm.b_zeros)
-        cut = (min(asm.s_zeros) if asm.s_zeros else asm.region_hi) - W
+        cut = min(asm.s_zeros) - W
         peak = max(state_log(x) for x in np.linspace(1e-3, x_t - 2 * W, 9))
         for x in np.linspace(x_t + 2 * W, cut, 60):
             if state_log(x) < peak - 70.0:
                 cut = x
                 break
         assert solve_linear(problem, e).regions == ((0.0, x_t - W), (x_t + W, cut))
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.2])
+    def test_linear_low_energy_limit_is_named(self, eps):
+        # below x_t = 0.05 + 1e-3 the turning window would hold the reference
+        # point next to the wall: the scan records the limit, and just above
+        # the energy it names the count and the state are there
+        setup = linear_setup_for(eps)
+        scan = dof_scan(setup, [1e-21, 1e-20, 5e-20])
+        assert scan.dof == (None, None, None)
+        for message in scan.errors.values():
+            assert message.startswith("PreconditionError")
+            assert "x_t=" in message and "half-width 0.05" in message
+        e_min = float(re.search(r"lowest energy that works is about (\S+) J", message).group(1))
+        problem = nondimensionalize(setup)
+        assert dof_scan(setup, [1.001 * e_min]).dof == (1,)
+        assert bound_states(problem, problem.energy_from_si(1.001 * e_min)).degeneracy == 1
+
+    def test_overflow_message_names_the_cap(self):
+        # harmonic eps 1e-4: the Gram nodes pass exp(700); the message names
+        # the first offending abscissa and the cap, not the node array
+        problem = nondimensionalize(harmonic_setup_for(1e-4))
+        with pytest.raises(BasisOverflowError) as info:
+            bound_states(problem, 3.0)
+        message = str(info.value)
+        assert "700" in message and "x=" in message
+        assert len(message) < 120
 
     def test_linear_state_ode_residual(self):
         # The slow-branch amplitude error is the classical second-order-WKB
