@@ -43,8 +43,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  (unused; perfbench/tracer.py patches basis.quad)
 
+from ._scipy import lazy
 from .errors import (
     BasisOverflowError,
     ComplexQuartetError,
@@ -54,6 +54,9 @@ from .errors import (
     UnsupportedEpsilonError,
     ValidityError,
 )
+
+# unused here: perfbench/tracer.py patches basis.quad until ROADMAP item 1 replaces it
+quad = lazy("integrate", "quad")
 
 EXPONENT_CAP = 700.0
 TURNING_WINDOW_HALF_WIDTH = 0.05

@@ -30,8 +30,8 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  (unused; perfbench/tracer.py patches matcher.quad)
 
+from ._scipy import lazy
 from .basis import (
     AsymptoticClass,
     BasisFunction,
@@ -47,6 +47,7 @@ from .basis import (
 )
 from .core import DimensionlessProblem
 from .errors import (
+    BasisOverflowError,
     ClassificationError,
     DegenerateBasisError,
     InvalidConditionsError,
@@ -55,9 +56,13 @@ from .errors import (
     WrongPotentialError,
 )
 
+# unused here: perfbench/tracer.py patches matcher.quad until ROADMAP item 1 replaces it
+quad = lazy("integrate", "quad")
+
 RANK_TOL = 1e-10
 
 _GRAM_TOL = 1e-11  # tolerance of the overlap panels (see overlap_gram)
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # |w| limit of the Gram products
 
 
 class Case(Enum):
@@ -376,6 +381,8 @@ def overlap_gram(
     Gauss-Legendre panels (``_panel_integrals`` at _GRAM_TOL), first edged by
     the region ends and the ``singular_points`` inside them; each round
     evaluates every basis function once on the nodes of all open panels.
+    Where a product w_i w_j* would pass the float range it raises
+    ``BasisOverflowError`` (``_check_gram_range``) instead.
     """
     a, b = [], []
     for lo, hi in regions:
@@ -385,10 +392,34 @@ def overlap_gram(
 
     def integrand(x, width, _):
         v = np.stack([fn.value_array(x) for fn in basis])
+        _check_gram_range(basis, v, x, width)
         return v[:, None] * (v.conj() * width)
 
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     return _panel_integrals(integrand, a, b, _GRAM_TOL).sum(axis=-1)
+
+
+def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) -> None:
+    """Raise BasisOverflowError where a Gram product w_i w_j* * width would overflow.
+
+    The largest product on a node is the largest |w|^2 times the panel width,
+    so |w| sqrt(width) > sqrt(max float) is the overflow condition, and
+    testing it cannot itself overflow.  Per function the limit is a
+    log-magnitude of about 354.9.
+    """
+    scaled = np.abs(v) * np.sqrt(width)
+    hit = np.any(scaled > _SQRT_FLOAT_MAX, axis=0)
+    if not hit.any():
+        return
+    node = np.unravel_index(np.argmin(np.where(hit, x, np.inf)), x.shape)
+    i = int(np.argmax(scaled[(slice(None),) + node]))
+    log_abs = math.log(abs(complex(v[(i,) + node])))
+    raise BasisOverflowError(
+        f"Gram products w_i w_j* pass the float range: log|w| = {log_abs:.6g} at "
+        f"x={float(x[node]):.6g} for {basis[i]!r}, beyond the limit of about "
+        f"{math.log(_SQRT_FLOAT_MAX):.4g}, half the log of the largest float",
+        exponent=log_abs,
+    )
 
 
 def normalize(

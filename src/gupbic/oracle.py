@@ -18,11 +18,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
+from ._scipy import lazy
 from .basis import WkbParameters, map_regions, wkb_basis
 from .core import DimensionlessProblem, Linear, PhysicalSetup, nondimensionalize
 from .errors import NumericalError, PreconditionError, WrongPotentialError
+
+# lazy module attributes for perfbench/tracer.py to patch; they go with ROADMAP item 1
+quad = lazy("integrate", "quad")
+solve_ivp = lazy("integrate", "solve_ivp")
 
 BLOWUP_LIMIT = 1e300
 DEFAULT_RTOL = 1e-11

@@ -25,19 +25,20 @@ where the minimal-length term visibly perturbs the uncertainty relation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  (unused; perfbench/tracer.py patches spectrum.quad)
-from scipy.special import ai_zeros, airy
 
+from ._scipy import lazy
 from .core import DimensionlessProblem, InfiniteWell, PhysicalSetup, nondimensionalize
 from .errors import GupBicError, NumericalError, PreconditionError, WrongPotentialError
 from .matcher import degrees_of_freedom
 from .basis import _panel_integrals, characteristic_roots
+
+# unused here: perfbench/tracer.py patches spectrum.quad until ROADMAP item 1 replaces it
+quad = lazy("integrate", "quad")
 
 OBVIOUS_RATIO_THRESHOLD = 0.1
 _MOMENT_TOL = 1e-11
@@ -133,6 +134,8 @@ def dof_scan(
             return None, f"{type(exc).__name__}: {exc}"
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, e_dims))
     else:
@@ -229,6 +232,8 @@ class AiryBouncerState(AnalyticState):
     """
 
     def __init__(self, cutoff: float = 14.0):
+        from scipy.special import ai_zeros, airy
+
         zero = float(ai_zeros(1)[0][0])  # negative
         self.shift = -zero
         self.norm = abs(float(airy(zero)[1]))
@@ -239,6 +244,8 @@ class AiryBouncerState(AnalyticState):
         return self.shift
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
+        from scipy.special import airy
+
         u = np.asarray(x, dtype=float) - self.shift
         ai, aip, _, _ = airy(u)
         d = [ai, aip]

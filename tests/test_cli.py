@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +317,37 @@ class TestVerifyCommand:
         assert check["detail"]["expected"] == 1
         assert set(check["detail"]["dimensions"].values()) == {1}
         assert check["detail"]["setup"].endswith("standard (beta = 0) equation")
+
+
+class TestScipyFreeWellPath:
+    # the well commands are closed forms, panels and a 4x4 SVD; a fresh
+    # interpreter shows that they never load scipy, and that verify, whose
+    # oracle loads it on first use, still passes after them
+    CHILD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import gupbic.cli
+
+out = {out!r}
+codes = {{}}
+for argv in (["dof-scan"], ["wavefunction", "--k", "1"], ["spectrum"], ["observability"]):
+    codes[argv[0]] = gupbic.cli.main(argv + ["--out", out + "/" + argv[0]])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes["verify"] = gupbic.cli.main(["verify", "--out", out + "/verify"])
+print(json.dumps({{"codes": codes, "scipy": loaded}}))
+"""
+
+    def test_well_commands_do_not_import_scipy(self, tmp_path):
+        import gupbic
+
+        src = str(Path(gupbic.__file__).resolve().parent.parent)
+        child = self.CHILD.format(src=src, out=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["scipy"] == []
+        assert report["codes"] == {
+            "dof-scan": 0, "wavefunction": 0, "spectrum": 0, "observability": 0, "verify": 0,
+        }

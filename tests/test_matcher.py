@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -551,6 +552,21 @@ class TestSolvers:
         message = str(info.value)
         assert "700" in message and "x=" in message
         assert len(message) < 120
+
+    @pytest.mark.parametrize("e", [8.0, 15.5])
+    def test_gram_product_overflow_is_named(self, e):
+        # linear eps 1e-4: every node value is below exp(700), but the Gram's
+        # products w_i w_j* pass the float range once log|w| passes ~354.9
+        problem = nondimensionalize(linear_setup_for(1e-4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BasisOverflowError) as info:
+                bound_states(problem, e)
+        message = str(info.value)
+        assert "float range" in message and "354.9" in message
+        assert "WkbBasisFunction(j=" in message and "x=" in message
+        assert "[" not in message and len(message) < 300
+        assert 354.9 < info.value.exponent < 700.0
 
     def test_linear_state_ode_residual(self):
         # The slow-branch amplitude error is the classical second-order-WKB

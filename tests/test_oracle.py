@@ -135,6 +135,31 @@ class TestWronskian:
         assert drift < 1e-8
         assert len(calls) == 2
 
+    def test_scipy_names_are_patchable_module_attributes(self, well_problem, monkeypatch):
+        # scipy loads on first use, but quad and solve_ivp stay module
+        # attributes, and the oracle calls go through the binding
+        from scipy.integrate import quad
+
+        from gupbic import basis, matcher, oracle, spectrum
+
+        for module in (basis, matcher, spectrum, oracle):
+            assert callable(vars(module)["quad"])
+        assert callable(vars(oracle)["solve_ivp"])
+        assert oracle.quad(math.cos, 0.0, 1.0) == quad(math.cos, 0.0, 1.0)
+
+        calls = []
+        real = oracle.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", counting)
+        integrate(well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], -1.0, 1.0)
+        assert calls == [(-1.0, 1.0)]
+        wronskian(well_problem, 5.0, 0.5, anchor=0.0)
+        assert len(calls) == 2
+
     def test_frame_of_an_array_is_the_stack_of_frames(self, well_problem):
         from gupbic.oracle import fundamental_frame
 
