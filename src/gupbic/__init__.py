@@ -28,6 +28,7 @@ from .basis import (
     classify_asymptotics,
     exact_constant_basis,
     wkb_basis,
+    wkb_branches,
 )
 from .matcher import (
     BoundStateSolution,

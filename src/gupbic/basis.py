@@ -36,7 +36,6 @@ log-space access.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,11 +48,11 @@ from .errors import (
     BasisOverflowError,
     ComplexQuartetError,
     DegenerateBasisError,
-    NumericalError,
     PreconditionError,
     UnsupportedEpsilonError,
     ValidityError,
 )
+from .panels import panel_integrals
 
 # unused here: perfbench/tracer.py patches basis.quad until ROADMAP item 1 replaces it
 quad = lazy("integrate", "quad")
@@ -307,67 +306,13 @@ def exact_constant_basis(
 
 # --- WKB machinery -------------------------------------------------------------
 
-# Exponent integrals: composite Gauss-Legendre sums (_panel_integrals) on
+# Exponent integrals: composite Gauss-Legendre sums (panel_integrals) on
 # fixed panels of width _PANEL_WIDTH counted from x0 and split at the zeros
 # of b.
 _PANEL_WIDTH = 0.25
-_GAUSS_NODES = 12
 _QUAD_TOL = 1e-12
-_MAX_BISECTIONS = 50
-_MAX_PIECES = 64  # per interval
 _SEGMENT_CHUNK = 1024  # segments integrated together, bounding the temporaries
 _MIN_EDGE_GAP = 1e-3 * _PANEL_WIDTH
-
-
-@functools.cache
-def _gauss_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes on [0, 1] of the n- and 2n-node Gauss-Legendre rules, side by side, and their weights."""
-    x_lo, w_lo = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    x_hi, w_hi = np.polynomial.legendre.leggauss(2 * _GAUSS_NODES)
-    return 0.5 * (1.0 + np.concatenate([x_lo, x_hi])), 0.5 * w_lo, 0.5 * w_hi
-
-
-def _panel_integrals(integrand: Callable, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Integrals of a vector-valued integrand over each interval [a_i, b_i], shape (..., len(a)).
-
-    Every interval starts as one panel.  ``integrand(t, width, which)`` gets
-    the nodes t, shape (panels, 2n), of all open panels, their widths, shape
-    (panels, 1), and the interval index of each panel; it returns its values
-    times the panel width, shape (..., panels, 2n).  A panel whose n- and
-    2n-node sums agree to ``tol`` in every component (absolute and relative,
-    as epsabs = epsrel) adds its 2n-node sum to its interval; the others are
-    bisected.  Each interval is bisected on its own, so its result does not
-    depend on the other intervals of the call.
-    """
-    nodes, w_lo, w_hi = _gauss_pair()
-    n = w_lo.size
-    seg = np.flatnonzero(a != b)
-    lo, hi = a[seg], b[seg]
-    out = None
-    for _ in range(_MAX_BISECTIONS):
-        width = (hi - lo)[:, None]
-        f = integrand(lo[:, None] + width * nodes, width, seg)
-        coarse = (f[..., :n] * w_lo).sum(axis=-1)
-        fine = (f[..., n:] * w_hi).sum(axis=-1)
-        if not np.all(np.isfinite(fine)):
-            raise NumericalError("Gauss-Legendre panel integrand is not finite (overflow or a pole)")
-        if out is None:
-            out = np.zeros(fine.shape[:-1] + a.shape, dtype=complex)
-        close = np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine))
-        done = np.all(close, axis=tuple(range(fine.ndim - 1)))
-        np.add.at(out, (..., seg[done]), fine[..., done])
-        if done.all():
-            return out
-        seg, lo, hi = seg[~done], lo[~done], hi[~done]
-        if 2 * np.bincount(seg).max() > _MAX_PIECES:
-            break
-        mid = 0.5 * (lo + hi)
-        seg = np.repeat(seg, 2)
-        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
-    raise NumericalError(
-        f"Gauss-Legendre panels did not converge to {tol:g} within {_MAX_BISECTIONS} "
-        f"bisections and {_MAX_PIECES} pieces per interval"
-    )
 
 
 @dataclass(frozen=True)
@@ -462,39 +407,215 @@ def _capped_exp(e, x, what: str):
 _BRANCH_SIGNS = {1: (+1.0, +1.0), 2: (+1.0, -1.0), 3: (-1.0, +1.0), 4: (-1.0, -1.0)}
 
 
-class WkbBasisFunction(BasisFunction):
-    """One WKB branch on a validity piece.
+def _branch_chains(p: WkbParameters, x, sigma, tau: float, order: int = 4, b: tuple | None = None):
+    """(s chain, lam chain) of lam = tau sqrt(a + sigma s), derivatives 0..order at x.
 
-    ``interval`` must not contain a zero of a^2 - b; for j in {3, 4} zeros of b
-    inside the interval are masked by windows of half-width
-    TURNING_WINDOW_HALF_WIDTH (evaluation inside a window raises
-    ValidityError), while the exponent integrals cross them.
+    ``sigma`` is +-1.0, or an array of +-1.0 that broadcasts against x (one
+    per panel of a walk over both branch pairs).  ``b`` replaces
+    b_chain(x) when the caller has the b chain already.
+    """
+    if b is None:
+        b = p.b_chain(x)
+    w = (p.a_coef**2 - b[0], -b[1], -b[2], -b[3], -b[4])[: order + 1]
+    s = _sqrt_chain(w)
+    # a - s written as b / (a + s): no cancellation near a turning point
+    if np.ndim(sigma) == 0:
+        u0 = p.a_coef + s[0] if sigma > 0 else b[0] / (p.a_coef + s[0])
+    else:
+        u0 = np.where(sigma > 0, p.a_coef + s[0], b[0] / (p.a_coef + s[0]))
+    u = (u0,) + tuple(sigma * sk for sk in s[1:])
+    return s, _sqrt_chain(u, sign=tau)
 
-    The exponent integrals are sums over fixed panels counted from x0, so
-    exponent(x) depends on x alone.  The cumulative sums at the panel edges
-    met so far are kept in ``_table`` (edges, [I1, I2] sums, zero-of-b flags,
-    grid panels covered below and above x0); it is replaced whole, never
-    changed in place.  So is ``_point``, the exponent at the last float x:
-    a point row of ``assemble`` takes log_abs and then scaled_value at one x,
-    and integrates once.
+
+class ExponentTable:
+    """The exponent integrals of one WKB piece, shared by its four branches.
+
+    I1 = int lam and I2 = int lam'/s from x0 are sums over fixed panels
+    counted from x0 and split at the zeros of b, so they depend on x alone.
+    The table computes them for the tau = +1 branch of each pair (sigma =
+    +1, -1); the tau = -1 partner, lam -> -lam, reads them negated, which is
+    exact: every node value is negated exactly and the panel test is
+    symmetric, so the partner's own walk would give the negated sums bit for
+    bit.  Growing the table walks the new panels for both pairs in one
+    ``panel_integrals`` call, as two interval sets that each converge on
+    their own; the rest from the nearest panel edge to a query point is
+    integrated for the pair that asks.
+
+    ``_table`` holds the panel edges met so far, their [I1, I2] sums per
+    pair (shape (2, 2, edges)), the zero-of-b flags and the grid panels
+    covered below and above x0.  ``_last`` holds the last query, a copy of
+    its abscissas, with the sums of each pair that asked for it: a point
+    row or a Gram round that asks the four branches in turn integrates once
+    per pair.  Both are replaced whole, never changed in place, so
+    concurrent readers see a consistent state.
     """
 
     def __init__(
-        self,
-        params: WkbParameters,
-        index: int,
-        interval: tuple[float, float],
-        b_zeros: Sequence[float] = (),
-        window: float = TURNING_WINDOW_HALF_WIDTH,
+        self, params: WkbParameters, interval: tuple[float, float], b_zeros: Sequence[float]
+    ):
+        self.params = params
+        self.interval = interval
+        self.b_zeros = tuple(sorted(float(z) for z in b_zeros))
+        self._table = (
+            np.array([params.x0]),
+            np.zeros((2, 2, 1), dtype=complex),
+            np.array([False]),
+            0,
+            0,
+        )
+        self._last = (np.empty(0), (None, None))
+
+    def integrals(self, xs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """(I1, I2) of the tau = +1 branch of pair ``sigma`` from x0 to each x of a flat xs."""
+        k = 0 if sigma > 0 else 1
+        query, sums = self._last
+        if not (query.shape == xs.shape and np.array_equal(query, xs)):
+            query, sums = xs.copy(), (None, None)
+        if sums[k] is None:
+            pair = self._sums(xs, sigma)
+            sums = (pair, sums[1]) if k == 0 else (sums[0], pair)
+            self._last = (query, sums)
+        return sums[k][0], sums[k][1]
+
+    def _sums(self, xs: np.ndarray, sigma: float) -> np.ndarray:
+        """[I1, I2] of pair ``sigma`` at xs: the sum at the nearest panel edge plus the rest."""
+        x0 = self.params.x0
+        pos, cum, at_zero, k_lo, k_hi = self._table
+        x_min, x_max = xs.min(), xs.max()
+        if x_max > x0 + k_hi * _PANEL_WIDTH or x_min < x0 - k_lo * _PANEL_WIDTH:
+            pos, cum, at_zero, _, _ = self._extend(x_min, x_max)
+        i = np.searchsorted(pos, xs)
+        below, above = np.maximum(i - 1, 0), np.minimum(i, pos.size - 1)
+        anchor = np.where(xs - pos[below] <= pos[above] - xs, below, above)
+        rest = self._segment_integrals(pos[anchor], xs, at_zero[anchor], (sigma,))[0]
+        return cum[0 if sigma > 0 else 1][:, anchor] + rest
+
+    def _segment_integrals(
+        self, c: np.ndarray, o: np.ndarray, subst: np.ndarray, pairs: tuple[float, ...]
+    ) -> np.ndarray:
+        """[I1, I2] increments from c to o for each pair sigma in ``pairs``, shape (pairs, 2, len(c)).
+
+        Where ``subst`` is set, c is a zero of b and x = c +- u^2 turns the
+        |x - c|^(-1/2) singularity of branches 3 and 4 into a smooth integrand.
+        """
+        out = np.zeros((len(pairs), 2, c.size), dtype=complex)
+        for k in range(0, c.size, _SEGMENT_CHUNK):
+            part = slice(k, k + _SEGMENT_CHUNK)
+            out[..., part] = self._chunk_integrals(c[part], o[part], subst[part], pairs)
+        return out
+
+    def _chunk_integrals(self, c, o, subst, pairs: tuple[float, ...]) -> np.ndarray:
+        n, m = c.size, len(pairs)
+        sense = np.where(o < c, -1.0, 1.0)
+        length = np.abs(o - c)
+
+        def integrand(u, width, i):
+            # interval i is segment i % n for pair i // n
+            k = i % n
+            sub, c_i, sense_i = subst[k, None], c[k, None], sense[k, None]
+            x = c_i + sense_i * np.where(sub, u * u, u)
+            jac = np.where(sub, 2.0 * u, 1.0) * (sense_i * width)
+            b_x = self.params.b_chain(x)
+            if sub.any():
+                b_x = self._b_past_zero(c_i, sense_i * u * u, sub, b_x)
+            sigma = pairs[0] if m == 1 else np.asarray(pairs)[i // n, None]
+            s, lam = _branch_chains(self.params, x, sigma, 1.0, order=1, b=b_x)
+            return np.stack([lam[0], lam[1] / s[0]]) * jac
+
+        end = np.where(subst, np.sqrt(length), length)
+        sums = panel_integrals(integrand, np.zeros(m * n), np.tile(end, m), _QUAD_TOL)
+        return sums.reshape(2, m, n).swapaxes(0, 1)
+
+    def _b_past_zero(self, z: np.ndarray, d: np.ndarray, sub: np.ndarray, b_x: tuple) -> tuple:
+        """b and b' at z + d from Taylor's formula at a zero z of b, where ``sub`` is set.
+
+        z + d rounds d to the spacing of floats near z, and b(z + d) then
+        carries a relative error of roughly 1e-16 |z| / |d| that stops the
+        bisection next to the zero.  Taylor's formula takes d itself and
+        b(z) = 0; it is exact because v is a polynomial of degree <= 4 for
+        every potential with a WKB basis (linear, harmonic).
+        """
+        _, b1, b2, b3, b4 = self.params.b_chain(z)
+        b0_t = d * (b1 + d * (b2 / 2.0 + d * (b3 / 6.0 + d * b4 / 24.0)))
+        b1_t = b1 + d * (b2 + d * (b3 / 2.0 + d * b4 / 6.0))
+        return (np.where(sub, b0_t, b_x[0]), np.where(sub, b1_t, b_x[1])) + tuple(b_x[2:])
+
+    def _new_edges(self, k_done: int, reach: float, sense: float) -> tuple[np.ndarray, int]:
+        """Panel edges (grid edges and zeros of b) beyond grid edge k_done up to
+        the first grid edge past ``reach``, ordered outward from x0."""
+        x0 = self.params.x0
+        lo, hi = self.interval
+        k = max(k_done, int(math.floor(sense * (reach - x0) / _PANEL_WIDTH)) + 1)
+        grid = x0 + sense * np.arange(k_done + 1, k + 1) * _PANEL_WIDTH
+        near, far = x0 + sense * k_done * _PANEL_WIDTH, x0 + sense * k * _PANEL_WIDTH
+        zeros = np.array(self.b_zeros)
+        inside = zeros[(sense * (zeros - near) > 0) & (sense * (zeros - far) <= 0)]
+        # a grid edge next to a zero of b would leave a sliver panel whose
+        # substituted nodes round onto the zero itself
+        keep = (lo < grid) & (grid < hi)
+        if zeros.size:
+            keep &= np.abs(grid[:, None] - zeros).min(axis=1) > _MIN_EDGE_GAP
+        edges = np.unique(np.concatenate([grid[keep], inside]))
+        return (edges if sense > 0 else edges[::-1]), k
+
+    def _extend(self, x_min: float, x_max: float) -> tuple:
+        """Grow the panel table until it holds the panel edges nearest to x_min and x_max."""
+        pos, cum, at_zero, k_lo, k_hi = self._table
+        up, k_hi = self._new_edges(k_hi, x_max, 1.0)
+        down, k_lo = self._new_edges(k_lo, x_min, -1.0)
+        up_zero, down_zero = np.isin(up, self.b_zeros), np.isin(down, self.b_zeros)
+        # outward panels from the old end edges; a panel ending on a zero of b
+        # is integrated from that zero
+        left = np.concatenate([np.append(pos[-1:], up)[:-1], np.append(pos[:1], down)[:-1]])
+        left_zero = np.concatenate(
+            [np.append(at_zero[-1:], up_zero)[:-1], np.append(at_zero[:1], down_zero)[:-1]]
+        )
+        right = np.concatenate([up, down])
+        right_zero = np.concatenate([up_zero, down_zero])
+        steps = self._segment_integrals(
+            np.where(right_zero, right, left),
+            np.where(right_zero, left, right),
+            right_zero | left_zero,
+            (1.0, -1.0),
+        ) * np.where(right_zero, -1.0, 1.0)
+        # running sums outward from x0, in a fixed order
+        cum_up = np.cumsum(np.concatenate([cum[..., -1:], steps[..., : up.size]], axis=-1), axis=-1)
+        cum_down = np.cumsum(
+            np.concatenate([cum[..., :1], steps[..., up.size :]], axis=-1), axis=-1
+        )
+        self._table = (
+            np.concatenate([down[::-1], pos, up]),
+            np.concatenate([cum_down[..., :0:-1], cum, cum_up[..., 1:]], axis=-1),
+            np.concatenate([down_zero[::-1], at_zero, up_zero]),
+            k_lo,
+            k_hi,
+        )
+        return self._table
+
+
+class WkbBasisFunction(BasisFunction):
+    """One WKB branch on a validity piece, reading the piece's ``ExponentTable``.
+
+    The piece must not contain a zero of a^2 - b; for j in {3, 4} zeros of b
+    inside it are masked by windows of half-width TURNING_WINDOW_HALF_WIDTH
+    (evaluation inside a window raises ValidityError), while the exponent
+    integrals cross them.  ``_point`` keeps the exponent at the last float x
+    (a tuple replaced whole): a point row of ``assemble`` takes log_abs and
+    then scaled_value at one x.
+    """
+
+    def __init__(
+        self, table: ExponentTable, index: int, window: float = TURNING_WINDOW_HALF_WIDTH
     ):
         if index not in _BRANCH_SIGNS:
             raise ValueError(f"branch index must be 1..4, got {index}")
-        self.params = params
+        self.table = table
+        self.params = params = table.params
         self.index = index
         self.method = "wkb"
-        self.interval = (float(interval[0]), float(interval[1]))
+        self.interval = table.interval
         self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
-        self._b_zeros = tuple(sorted(float(z) for z in b_zeros))
+        self._b_zeros = table.b_zeros
         self._window = float(window)
         if index in (3, 4):
             self.windows = tuple((z - window, z + window) for z in self._b_zeros)
@@ -503,13 +624,6 @@ class WkbBasisFunction(BasisFunction):
         lo, hi = self.interval
         if not (lo < params.x0 < hi and self.valid(params.x0)):
             raise ValidityError(f"reference point x0={params.x0} outside validity region")
-        self._table = (
-            np.array([params.x0]),
-            np.zeros((2, 1), dtype=complex),
-            np.array([False]),
-            0,
-            0,
-        )
         self._point = (math.nan, 0j)
 
     @property
@@ -518,22 +632,9 @@ class WkbBasisFunction(BasisFunction):
 
     # -- branch chains
 
-    def _chains(self, x, order: int = 4, b: tuple | None = None) -> tuple[tuple, tuple]:
-        """(s chain, lam chain), derivatives 0..order at a float or an array x.
-
-        ``b`` replaces b_chain(x) when the caller has the b chain already.
-        """
-        p = self.params
-        if b is None:
-            b = p.b_chain(x)
-        w = (p.a_coef**2 - b[0], -b[1], -b[2], -b[3], -b[4])[: order + 1]
-        s = _sqrt_chain(w)
-        sg = self._inner_sigma
-        # a - s written as b / (a + s): no cancellation near a turning point
-        u0 = p.a_coef + s[0] if sg > 0 else b[0] / (p.a_coef + s[0])
-        u = (u0,) + tuple(sg * sk for sk in s[1:])
-        lam = _sqrt_chain(u, sign=self._sign_tau)
-        return s, lam
+    def _chains(self, x, order: int = 4) -> tuple[tuple, tuple]:
+        """(s chain, lam chain), derivatives 0..order at a float or an array x."""
+        return _branch_chains(self.params, x, self._inner_sigma, self._sign_tau, order)
 
     def lam(self, x: float) -> complex:
         return self._chains(x, order=0)[1][0]
@@ -561,113 +662,6 @@ class WkbBasisFunction(BasisFunction):
         z = min(self._b_zeros, key=lambda t: abs(x - t))
         raise ValidityError(f"x={x} inside turning-point window around x={z}")
 
-    # -- exponent integrals
-
-    def _segment_integrals(self, c: np.ndarray, o: np.ndarray, subst: np.ndarray) -> np.ndarray:
-        """[I1, I2] increments from c to o, shape (2, len(c)).
-
-        Where ``subst`` is set, c is a zero of b and x = c +- u^2 turns the
-        |x - c|^(-1/2) singularity of branches 3 and 4 into a smooth integrand.
-        """
-        out = np.zeros((2, c.size), dtype=complex)
-        for k in range(0, c.size, _SEGMENT_CHUNK):
-            part = slice(k, k + _SEGMENT_CHUNK)
-            out[:, part] = self._chunk_integrals(c[part], o[part], subst[part])
-        return out
-
-    def _chunk_integrals(self, c: np.ndarray, o: np.ndarray, subst: np.ndarray) -> np.ndarray:
-        sense = np.where(o < c, -1.0, 1.0)
-        length = np.abs(o - c)
-
-        def integrand(u, width, i):
-            sub, c_i, sense_i = subst[i, None], c[i, None], sense[i, None]
-            x = c_i + sense_i * np.where(sub, u * u, u)
-            jac = np.where(sub, 2.0 * u, 1.0) * (sense_i * width)
-            b_x = self.params.b_chain(x)
-            if sub.any():
-                b_x = self._b_past_zero(c_i, sense_i * u * u, sub, b_x)
-            s, lam = self._chains(x, order=1, b=b_x)
-            return np.stack([lam[0], lam[1] / s[0]]) * jac
-
-        end = np.where(subst, np.sqrt(length), length)
-        return _panel_integrals(integrand, np.zeros(c.size), end, _QUAD_TOL)
-
-    def _b_past_zero(self, z: np.ndarray, d: np.ndarray, sub: np.ndarray, b_x: tuple) -> tuple:
-        """b and b' at z + d from Taylor's formula at a zero z of b, where ``sub`` is set.
-
-        z + d rounds d to the spacing of floats near z, and b(z + d) then
-        carries a relative error of roughly 1e-16 |z| / |d| that stops the
-        bisection next to the zero.  Taylor's formula takes d itself and
-        b(z) = 0; it is exact because v is a polynomial of degree <= 4 for
-        every potential with a WKB basis (linear, harmonic).
-        """
-        _, b1, b2, b3, b4 = self.params.b_chain(z)
-        b0_t = d * (b1 + d * (b2 / 2.0 + d * (b3 / 6.0 + d * b4 / 24.0)))
-        b1_t = b1 + d * (b2 + d * (b3 / 2.0 + d * b4 / 6.0))
-        return (np.where(sub, b0_t, b_x[0]), np.where(sub, b1_t, b_x[1])) + tuple(b_x[2:])
-
-    def _new_edges(self, k_done: int, reach: float, sense: float) -> tuple[np.ndarray, int]:
-        """Panel edges (grid edges and zeros of b) beyond grid edge k_done up to
-        the first grid edge past ``reach``, ordered outward from x0."""
-        x0 = self.params.x0
-        lo, hi = self.interval
-        k = max(k_done, int(math.floor(sense * (reach - x0) / _PANEL_WIDTH)) + 1)
-        grid = x0 + sense * np.arange(k_done + 1, k + 1) * _PANEL_WIDTH
-        near, far = x0 + sense * k_done * _PANEL_WIDTH, x0 + sense * k * _PANEL_WIDTH
-        zeros = np.array(self._b_zeros)
-        inside = zeros[(sense * (zeros - near) > 0) & (sense * (zeros - far) <= 0)]
-        # a grid edge next to a zero of b would leave a sliver panel whose
-        # substituted nodes round onto the zero itself
-        keep = (lo < grid) & (grid < hi)
-        if zeros.size:
-            keep &= np.abs(grid[:, None] - zeros).min(axis=1) > _MIN_EDGE_GAP
-        edges = np.unique(np.concatenate([grid[keep], inside]))
-        return (edges if sense > 0 else edges[::-1]), k
-
-    def _extend(self, x_min: float, x_max: float) -> tuple:
-        """Grow the panel table until it holds the panel edges nearest to x_min and x_max."""
-        pos, cum, at_zero, k_lo, k_hi = self._table
-        up, k_hi = self._new_edges(k_hi, x_max, 1.0)
-        down, k_lo = self._new_edges(k_lo, x_min, -1.0)
-        up_zero, down_zero = np.isin(up, self._b_zeros), np.isin(down, self._b_zeros)
-        # outward panels from the old end edges; a panel ending on a zero of b
-        # is integrated from that zero
-        left = np.concatenate([np.append(pos[-1:], up)[:-1], np.append(pos[:1], down)[:-1]])
-        left_zero = np.concatenate(
-            [np.append(at_zero[-1:], up_zero)[:-1], np.append(at_zero[:1], down_zero)[:-1]]
-        )
-        right = np.concatenate([up, down])
-        right_zero = np.concatenate([up_zero, down_zero])
-        steps = self._segment_integrals(
-            np.where(right_zero, right, left),
-            np.where(right_zero, left, right),
-            right_zero | left_zero,
-        ) * np.where(right_zero, -1.0, 1.0)
-        # running sums outward from x0, in a fixed order
-        cum_up = np.cumsum(np.concatenate([cum[:, -1:], steps[:, : up.size]], axis=1), axis=1)
-        cum_down = np.cumsum(np.concatenate([cum[:, :1], steps[:, up.size :]], axis=1), axis=1)
-        self._table = (
-            np.concatenate([down[::-1], pos, up]),
-            np.concatenate([cum_down[:, :0:-1], cum, cum_up[:, 1:]], axis=1),
-            np.concatenate([down_zero[::-1], at_zero, up_zero]),
-            k_lo,
-            k_hi,
-        )
-        return self._table
-
-    def _integrals(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(I1, I2) from x0 to each x: the sum at the nearest panel edge plus the rest."""
-        x0 = self.params.x0
-        pos, cum, at_zero, k_lo, k_hi = self._table
-        x_min, x_max = xs.min(), xs.max()
-        if x_max > x0 + k_hi * _PANEL_WIDTH or x_min < x0 - k_lo * _PANEL_WIDTH:
-            pos, cum, at_zero, _, _ = self._extend(x_min, x_max)
-        i = np.searchsorted(pos, xs)
-        below, above = np.maximum(i - 1, 0), np.minimum(i, pos.size - 1)
-        anchor = np.where(xs - pos[below] <= pos[above] - xs, below, above)
-        total = cum[:, anchor] + self._segment_integrals(pos[anchor], xs, at_zero[anchor])
-        return total[0], total[1]
-
     # -- evaluation
 
     def exponent(self, x):
@@ -680,7 +674,9 @@ class WkbBasisFunction(BasisFunction):
         if flat.size == 0:
             return np.empty(xs.shape, dtype=complex)
         self._check(flat)
-        i1, i2 = self._integrals(flat)
+        i1, i2 = self.table.integrals(flat, self._inner_sigma)
+        if self._sign_tau < 0:
+            i1, i2 = -i1, -i2
         s, lam = self._chains(flat, order=0)
         e = self.params.eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam[0]) + np.log(s[0]))
         if xs.ndim == 0:
@@ -882,13 +878,10 @@ def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
     return sorted([q / c2, c0 / q])
 
 
-def wkb_basis(
-    params: WkbParameters,
-    index: int,
-    interval: tuple[float, float],
-    region_map: WkbRegionMap | None = None,
-) -> WkbBasisFunction:
-    """Build branch ``index`` on ``interval``; errors if a zero of a^2 - b lies inside."""
+def _piece_table(
+    params: WkbParameters, interval: tuple[float, float], region_map: WkbRegionMap | None
+) -> ExponentTable:
+    """The exponent table of ``interval``; errors if a zero of a^2 - b lies inside."""
     lo, hi = interval
     if region_map is None:
         region_map = map_regions(params, lo, hi)
@@ -899,7 +892,27 @@ def wkb_basis(
             f"inside requested interval ({lo}, {hi})"
         )
     b_zeros = [z for z in region_map.b_zeros if lo < z < hi]
-    return WkbBasisFunction(params, index, (lo, hi), b_zeros=b_zeros)
+    return ExponentTable(params, (float(lo), float(hi)), b_zeros)
+
+
+def wkb_branches(
+    params: WkbParameters,
+    interval: tuple[float, float],
+    region_map: WkbRegionMap | None = None,
+) -> tuple[WkbBasisFunction, ...]:
+    """Branches 1..4 on ``interval``, all reading one exponent table."""
+    table = _piece_table(params, interval, region_map)
+    return tuple(WkbBasisFunction(table, j) for j in (1, 2, 3, 4))
+
+
+def wkb_basis(
+    params: WkbParameters,
+    index: int,
+    interval: tuple[float, float],
+    region_map: WkbRegionMap | None = None,
+) -> WkbBasisFunction:
+    """Branch ``index`` on ``interval``, alone on its exponent table."""
+    return WkbBasisFunction(_piece_table(params, interval, region_map), index)
 
 
 # --- asymptotic classification -------------------------------------------------

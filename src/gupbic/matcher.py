@@ -39,11 +39,10 @@ from .basis import (
     SymmetrizedBasisFunction,
     TURNING_WINDOW_HALF_WIDTH,
     WkbParameters,
-    _panel_integrals,
     characteristic_roots,
     exact_constant_basis,
     map_regions,
-    wkb_basis,
+    wkb_branches,
 )
 from .core import DimensionlessProblem
 from .errors import (
@@ -55,6 +54,7 @@ from .errors import (
     PreconditionError,
     WrongPotentialError,
 )
+from .panels import panel_integrals
 
 # unused here: perfbench/tracer.py patches matcher.quad until ROADMAP item 1 replaces it
 quad = lazy("integrate", "quad")
@@ -378,7 +378,7 @@ def overlap_gram(
 ) -> np.ndarray:
     """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions.
 
-    Gauss-Legendre panels (``_panel_integrals`` at _GRAM_TOL), first edged by
+    Gauss-Legendre panels (``panel_integrals`` at _GRAM_TOL), first edged by
     the region ends and the ``singular_points`` inside them; each round
     evaluates every basis function once on the nodes of all open panels.
     Where a product w_i w_j* would pass the float range it raises
@@ -396,7 +396,7 @@ def overlap_gram(
         return v[:, None] * (v.conj() * width)
 
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    return _panel_integrals(integrand, a, b, _GRAM_TOL).sum(axis=-1)
+    return panel_integrals(integrand, a, b, _GRAM_TOL).sum(axis=-1)
 
 
 def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) -> None:
@@ -619,12 +619,12 @@ def _linear_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembl
     x0 = max(x0, _LINEAR_X0_MIN)
     params = WkbParameters.from_problem(problem, energy, x0=x0)
     main_piece = (0.0, s_zero - TURNING_WINDOW_HALF_WIDTH)
-    basis = tuple(wkb_basis(params, j, main_piece, region_map=rmap) for j in (1, 2, 3, 4))
+    basis = wkb_branches(params, main_piece, rmap)
 
     far_lo = s_zero + TURNING_WINDOW_HALF_WIDTH
     far_params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
     far_piece = (far_lo, math.inf)
-    far_basis = tuple(wkb_basis(far_params, j, far_piece, region_map=rmap) for j in (1, 2, 3, 4))
+    far_basis = wkb_branches(far_params, far_piece, rmap)
     return WkbAssembly(
         params=params,
         basis=basis,
@@ -644,17 +644,14 @@ def _harmonic_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssem
     mid_lo = x_t + TURNING_WINDOW_HALF_WIDTH
     mid_hi = s_zero - TURNING_WINDOW_HALF_WIDTH
     if mid_hi <= mid_lo:
-        raise PreconditionError(
-            f"forbidden band ({x_t:.3g}, {s_zero:.3g}) thinner than the turning windows; "
-            "decrease epsilon (beta) or raise the energy"
-        )
+        raise PreconditionError(_harmonic_band_message(problem, params0, x_t, s_zero))
     params = WkbParameters.from_problem(problem, energy, x0=0.5 * (mid_lo + mid_hi))
-    tail = tuple(wkb_basis(params, j, (mid_lo, mid_hi), region_map=rmap) for j in (1, 2, 3, 4))
+    tail = wkb_branches(params, (mid_lo, mid_hi), rmap)
     basis = tuple(SymmetrizedBasisFunction(f) for f in tail)
 
     far_lo = s_zero + TURNING_WINDOW_HALF_WIDTH
     far_params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
-    far = tuple(wkb_basis(far_params, j, (far_lo, math.inf), region_map=rmap) for j in (1, 2, 3, 4))
+    far = wkb_branches(far_params, (far_lo, math.inf), rmap)
     far_basis = tuple(SymmetrizedBasisFunction(f) for f in far)
     return WkbAssembly(
         params=params,
@@ -662,6 +659,38 @@ def _harmonic_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssem
         far_basis=far_basis,
         b_zeros=rmap.b_zeros,
         s_zeros=rmap.s_zeros,
+    )
+
+
+def _harmonic_band_message(
+    problem: DimensionlessProblem, params: WkbParameters, x_t: float, s_zero: float
+) -> str:
+    """Why the harmonic forbidden band is too thin, with the limit that lifts it.
+
+    For v = c x^2 the band runs from sqrt(e/c) to sqrt((e + k)/c), where
+    k = 2 a^2 = 1/(4 eps), so it narrows as e rises.  It is wider than the
+    two windows, g = 2 * half-width, while sqrt(e) < (k - g^2 c) / (2 g sqrt(c)).
+    With k <= g^2 c no energy works, and since k scales as 1/eps the limit is
+    eps < eps k / (g^2 c).
+    """
+    c = 0.5 * problem.v_derivs(0.0)[2]
+    k = 2.0 * params.a_coef**2
+    gap = 2.0 * TURNING_WINDOW_HALF_WIDTH
+    band = (
+        f"forbidden band ({x_t:.5g}, {s_zero:.5g}) thinner than the turning windows "
+        f"(half-width {TURNING_WINDOW_HALF_WIDTH}); the band narrows as the energy rises"
+    )
+    if k <= gap * gap * c:
+        eps_max = problem.epsilon * k / (gap * gap * c)
+        beta_max = problem.setup.beta * eps_max / problem.epsilon
+        return (
+            f"{band}, and at epsilon {problem.epsilon:.4g} no energy works: epsilon must be "
+            f"below about {eps_max:.4g} (beta {beta_max:.4g})"
+        )
+    e_max = ((k - gap * gap * c) / (2.0 * gap * math.sqrt(c))) ** 2
+    return (
+        f"{band}: the highest energy that works is about {problem.energy_to_si(e_max):.4g} J "
+        f"(dimensionless {e_max:.4g}); lower the energy or decrease epsilon (beta)"
     )
 
 

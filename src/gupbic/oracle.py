@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._scipy import lazy
-from .basis import WkbParameters, map_regions, wkb_basis
+from .basis import WkbParameters, map_regions, wkb_branches
 from .core import DimensionlessProblem, Linear, PhysicalSetup, nondimensionalize
 from .errors import NumericalError, PreconditionError, WrongPotentialError
 
@@ -348,8 +348,7 @@ def _wkb_frame_at(
             f"launch point x={x_far} sits on a branch degeneracy; shift the far point"
         )
     branches = []
-    for j in (1, 2, 3, 4):
-        w = wkb_basis(params, j, (lo, hi), region_map=rmap)
+    for w in wkb_branches(params, (lo, hi), rmap):
         rate = (params.eta * w.lam(x_far)).real * march_direction
         branches.append((rate, w.derivatives(x_far, order=3)))
     branches.sort(key=lambda item: -item[0])

@@ -13,7 +13,7 @@ states supply direct analytic derivatives instead.
 
 All five integrands phi* [phi, -i phi', -phi'', P phi, P^2 phi] are
 integrated in one call of the package's Gauss-Legendre panel integrator
-(``basis._panel_integrals``, tolerance _MOMENT_TOL), which asks the state for
+(``panels.panel_integrals``, tolerance _MOMENT_TOL), which asks the state for
 its derivatives on every node of the open panels at once.
 
 The observability ratio r = beta [(dp)^2 + <p>^2] uses the standard momentum
@@ -35,7 +35,8 @@ from ._scipy import lazy
 from .core import DimensionlessProblem, InfiniteWell, PhysicalSetup, nondimensionalize
 from .errors import GupBicError, NumericalError, PreconditionError, WrongPotentialError
 from .matcher import degrees_of_freedom
-from .basis import _panel_integrals, characteristic_roots
+from .basis import characteristic_roots
+from .panels import panel_integrals
 
 # unused here: perfbench/tracer.py patches spectrum.quad until ROADMAP item 1 replaces it
 quad = lazy("integrate", "quad")
@@ -357,7 +358,7 @@ def momentum_moments(
         return np.conj(d[0]) * np.array(ops) * width
 
     lo, hi = np.array(regions, dtype=float).T
-    moments = _panel_integrals(integrand, lo, hi, _MOMENT_TOL).sum(axis=-1).real.tolist()
+    moments = panel_integrals(integrand, lo, hi, _MOMENT_TOL).sum(axis=-1).real.tolist()
     norm = moments[0]
     if abs(norm - 1.0) > 1e-6:
         raise PreconditionError(f"state norm {norm} deviates from 1 by more than 1e-6")

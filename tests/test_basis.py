@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gupbic.basis
+import gupbic.panels
 from gupbic import characteristic_roots, exact_constant_basis, nondimensionalize
 from gupbic.basis import (
     AsymptoticClass,
@@ -18,6 +19,7 @@ from gupbic.basis import (
     classify_asymptotics,
     map_regions,
     wkb_basis,
+    wkb_branches,
 )
 from gupbic.errors import (
     BasisOverflowError,
@@ -350,6 +352,30 @@ def test_concurrent_evaluation_matches_serial(linear_problem):
     assert np.allclose(serial_vals, threaded_vals, rtol=1e-12, atol=1e-300)
 
 
+
+def test_concurrent_shared_table_matches_serial():
+    # the four branches of one table evaluated in a shuffled order from a
+    # pool: the table and its last query are replaced whole, never edited in
+    # place, so every value equals the serial one exactly
+    from concurrent.futures import ThreadPoolExecutor
+
+    params, piece, rmap, _ = _shared_table_cases()[0]
+    grid = np.linspace(piece[0], piece[1], 41)
+    queries = [float(x) for x in grid] + [grid[k : k + 5] for k in range(0, 41, 5)]
+    serial_branches = wkb_branches(params, piece, rmap)
+    tasks, expected = [], []
+    for j, f in enumerate(serial_branches):
+        for q in queries:
+            if np.all(f.valid(q)):
+                tasks.append((j, q))
+                expected.append(f.value(q))
+    shared = wkb_branches(params, piece, rmap)
+    order = np.random.default_rng(0).permutation(len(tasks))
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        got = list(pool.map(lambda k: shared[tasks[k][0]].value(tasks[k][1]), order))
+    for k, value in zip(order, got):
+        assert np.array_equal(value, expected[k]), tasks[k]
+
 class TestClassification:
     def test_growing_exponential(self):
         f = ExponentialBasisFunction(rate=2.0, index=1)
@@ -476,6 +502,97 @@ def test_large_array_matches_small_batches():
         fresh = wkb_basis(params, j, piece, region_map=rmap)
         batches = np.concatenate([fresh.exponent(xs[k : k + 7]) for k in range(0, xs.size, 7)])
         np.testing.assert_array_equal(whole, batches)
+
+
+def _shared_table_cases():
+    """(params, piece, region map, test points): linear main and far, harmonic tail and far.
+
+    The linear main piece holds the turning point, so its points lie on both
+    sides of the window; the harmonic (0, hi) piece does too.
+    """
+    out = []
+    for problem, e, x0, piece, rmap, points in _pieces_for_accuracy():
+        out.append((WkbParameters.from_problem(problem, e, x0=x0), piece, rmap, points))
+    harmonic = nondimensionalize(harmonic_setup_for(0.12))
+    params0 = WkbParameters.from_problem(harmonic, 5.0, x0=0.0)
+    rmap = map_regions(params0, 0.0, math.inf)
+    (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
+    tail = (x_t + 0.05, s_zero - 0.05)
+    params = WkbParameters.from_problem(harmonic, 5.0, x0=0.5 * sum(tail))
+    out.append((params, tail, rmap, list(np.linspace(*tail, 7))))
+    return out
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("order", [(1, 2, 3, 4), (2, 1, 4, 3), (4, 3, 2, 1)])
+def test_shared_branches_match_standalone(case, order):
+    # the four branches of one table (tau = -1 partners negated, both pairs
+    # in one walk, the last query kept) equal branches alone on their own
+    # tables, bit for bit, however the branches take turns
+    params, piece, rmap, points = _shared_table_cases()[case]
+    shared = wkb_branches(params, piece, rmap)
+    fresh = {j: wkb_basis(params, j, piece, region_map=rmap) for j in (1, 2, 3, 4)}
+    common = np.array([x for x in points if all(f.valid(x) for f in shared)])
+    for x in points:
+        for j in order:
+            if shared[j - 1].valid(x):
+                got = shared[j - 1].exponent(float(x))
+                alone = wkb_basis(params, j, piece, region_map=rmap)
+                assert np.array_equal(got, fresh[j].exponent(float(x))), (j, x)
+                assert np.array_equal(got, alone.exponent(float(x))), (j, x)
+    for xs in (common, np.array(points)):
+        for j in order:
+            f = shared[j - 1]
+            own = xs[f.valid(xs)]
+            alone = wkb_basis(params, j, piece, region_map=rmap)
+            assert np.array_equal(f.exponent(own), alone.exponent(own)), j
+            assert np.array_equal(f.value(own), alone.value(own)), j
+
+
+def test_shared_walk_equals_separate_walks_of_each_branch():
+    # the table walks both pairs at once (panel edges) and serves tau = -1
+    # by negation; a walk of each of the four branches on its own gives the
+    # same sums bit for bit (node values negate exactly, the panel test is
+    # symmetric, and each interval of a walk converges on its own)
+    params, (lo, _), rmap, _ = _shared_table_cases()[0]
+    x_t = rmap.b_zeros[0]
+    rng = np.random.default_rng(1)
+    c = rng.uniform(lo, x_t - 0.1, 48)
+    o = np.minimum(c + rng.uniform(0.0, 0.6, 48), x_t - 0.1)
+
+    def walk(sigma, tau):
+        def integrand(u, width, i):
+            s, lam = gupbic.basis._branch_chains(params, c[i, None] + u, sigma, tau, order=1)
+            return np.stack([lam[0], lam[1] / s[0]]) * width
+
+        tol = gupbic.basis._QUAD_TOL
+        return gupbic.panels.panel_integrals(integrand, np.zeros(c.size), o - c, tol)
+
+    table = wkb_branches(params, (lo, rmap.s_zeros[0] - 0.05), rmap)[0].table
+    shared = table._segment_integrals(c, o, np.zeros(c.size, dtype=bool), (1.0, -1.0))
+    for pair, sigma in enumerate((1.0, -1.0)):
+        assert np.array_equal(shared[pair], walk(sigma, 1.0))
+        assert np.array_equal(-shared[pair], walk(sigma, -1.0))
+
+
+def test_linear_count_walks_its_wall_row_at_most_twice(monkeypatch, linear_problem):
+    # the wall row asks the four main-piece branches for x = 0: one table,
+    # so at most one walk per branch pair (four, one per branch, before the
+    # branches shared a table); the far pieces take their classes in closed form
+    from gupbic.matcher import degrees_of_freedom
+
+    walks = []
+    extend = gupbic.basis.ExponentTable._extend
+
+    def counting_extend(self, *args):
+        walks.append(args)
+        return extend(self, *args)
+
+    monkeypatch.setattr(gupbic.basis.ExponentTable, "_extend", counting_extend)
+    for e in (0.5, 2.0, 7.5, 15.0):
+        walks.clear()
+        assert degrees_of_freedom(linear_problem, e)[0] == 1
+        assert 1 <= len(walks) <= 2, (e, len(walks))
 
 
 def _classify_point_by_point(f, side, probes, samples_per_interval=7):

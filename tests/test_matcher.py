@@ -18,6 +18,7 @@ from gupbic.errors import (
     InvalidConditionsError,
     NormalizationError,
     NumericalError,
+    PreconditionError,
 )
 from gupbic.matcher import (
     Case,
@@ -396,13 +397,13 @@ class TestOverlapGram:
         # narrower than the tolerance; past the (lowered) bisection cap the
         # quadrature must raise, not return a result; the cap is the one the
         # shared panel integrator applies to every caller
-        import gupbic.basis
+        import gupbic.panels
 
         class Step(ExponentialBasisFunction):
             def value_array(self, xs):
                 return np.where(np.asarray(xs) < 1.0 / 3.0, 0.0, 1.0).astype(complex)
 
-        monkeypatch.setattr(gupbic.basis, "_MAX_BISECTIONS", 12)
+        monkeypatch.setattr(gupbic.panels, "_MAX_BISECTIONS", 12)
         with pytest.raises(NumericalError, match="did not converge"):
             overlap_gram([Step(0.0, index=1)], [(0.0, 1.0)])
 
@@ -543,6 +544,38 @@ class TestSolvers:
         assert dof_scan(setup, [1.001 * e_min]).dof == (1,)
         assert bound_states(problem, problem.energy_from_si(1.001 * e_min)).degeneracy == 1
 
+    @pytest.mark.parametrize("eps", [1.0, 0.5, 0.316])
+    def test_harmonic_high_energy_limit_is_named(self, eps):
+        # v = c x^2 with c = 1 at the canonical length: the forbidden band
+        # (sqrt(e), sqrt(e + 1/(4 eps))) narrows as e rises and stays wider
+        # than the two windows (0.1) below e_max = ((1/(4 eps) - 0.01)/0.2)^2
+        problem = nondimensionalize(harmonic_setup_for(eps))
+        assert problem.v_derivs(0.0)[2] == pytest.approx(2.0)
+        with pytest.raises(PreconditionError) as info:
+            degrees_of_freedom(problem, 100.0)
+        limit = r"highest energy that works is about (\S+) J \(dimensionless (\S+)\)"
+        found = re.search(limit, str(info.value))
+        e_si, e_max = float(found.group(1)), float(found.group(2))
+        assert e_max == pytest.approx(((0.25 / eps - 0.01) / 0.2) ** 2, rel=1e-3)
+        assert e_si == pytest.approx(problem.energy_to_si(e_max), rel=1e-3)
+        assert degrees_of_freedom(problem, 0.99 * e_max)[0] == 2
+        with pytest.raises(PreconditionError, match="highest energy that works"):
+            degrees_of_freedom(problem, 1.01 * e_max)
+
+    def test_harmonic_epsilon_limit_is_named(self):
+        # 1/(4 eps) <= 0.01 c: the band is thinner than the windows at every
+        # energy, so the message names the epsilon limit 1/(0.04 c) = 25
+        problem = nondimensionalize(harmonic_setup_for(30.0))
+        for e in (0.01, 1.0, 10.0):
+            with pytest.raises(PreconditionError, match="no energy works") as info:
+                degrees_of_freedom(problem, e)
+            limit = re.search(r"epsilon must be below about (\S+) ", str(info.value))
+            eps_max = float(limit.group(1))
+            assert eps_max == pytest.approx(25.0, rel=1e-3)
+        below = nondimensionalize(harmonic_setup_for(0.99 * eps_max))
+        with pytest.raises(PreconditionError, match="highest energy that works"):
+            degrees_of_freedom(below, 10.0)
+
     def test_overflow_message_names_the_cap(self):
         # harmonic eps 1e-4: the Gram nodes pass exp(700); the message names
         # the first offending abscissa and the cap, not the node array
@@ -647,3 +680,73 @@ class TestSolvers:
             for st in sol.states:
                 assert abs(st.value(-1.0)) < 1e-8
                 assert abs(st.value(1.0)) < 1e-8
+
+
+# --- wavefunction shapes against a high-precision evaluation ---------------------
+
+
+def _mp_wkb_value(mp, w, x):
+    """w_j(x) of one WKB branch at 30 digits from the textbook formula.
+
+    w = lam^(-1/2) s^(-1/2) exp(eta I1 - I2/2), I1 = int lam, I2 = int lam'/s
+    from x0, lam = tau sqrt(a + sigma s), s = sqrt(a^2 - b), b = (v - e)/2,
+    lam' = sigma s' / (2 lam), s' = -b'/(2 s), with principal square roots
+    and logs.  The inputs are the double parameters of the branch, taken
+    exactly; the path to x is split at the exact turning point b = 0, where
+    branches 3 and 4 have an integrable singularity.
+    """
+    p = w.params
+    sigma, tau = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}[w.index]
+    a, eta, e, x0, x = (mp.mpf(float(t)) for t in (p.a_coef, p.eta, p.energy, p.x0, x))
+    _, b1, b2, _, _ = (mp.mpf(float(t)) for t in p.b_chain(0.0))
+    # v = 2 b1 x + b2 x^2 for the linear (b2 = 0) and harmonic (b1 = 0) potentials
+    b = lambda t: b1 * t + b2 * t * t / 2 - e / 2
+    db = lambda t: b1 + b2 * t
+
+    def lam_s(t):
+        s = mp.sqrt(a * a - b(t))
+        return tau * mp.sqrt(a + sigma * s), s
+
+    def dlam_over_s(t):
+        lam, s = lam_s(t)
+        return sigma * (-db(t) / (2 * s)) / (2 * lam) / s
+
+    x_t = e / (2 * b1) if b2 == 0 else mp.sqrt(e / b2)
+    path = [x0] + ([x_t] if min(x0, x) < x_t < max(x0, x) else []) + [x]
+    lam, s = lam_s(x)
+    exponent = eta * mp.quad(lambda t: lam_s(t)[0], path) - mp.quad(dlam_over_s, path) / 2
+    return mp.exp(exponent - (mp.log(lam) + mp.log(s)) / 2)
+
+
+@pytest.mark.parametrize("kind", ["linear", "harmonic"])
+def test_wavefunction_shape_matches_high_precision_reference(kind):
+    # the states of `wavefunction --E 2e-18` (README setups, default beta),
+    # phi / peak at 10 points per region, against the same coefficients on
+    # 30-digit branch values
+    mp = pytest.importorskip("mpmath")
+    from gupbic.basis import SymmetrizedBasisFunction
+    from gupbic.core import Harmonic, Linear, PhysicalSetup
+
+    potential = Linear(slope=1.281e-8) if kind == "linear" else Harmonic(omega=1.897e16)
+    problem = nondimensionalize(PhysicalSetup(mass=9.10956e-31, beta=1e47, potential=potential))
+    sol = bound_states(problem, problem.energy_from_si(2e-18))
+    xs = np.concatenate([np.linspace(lo, hi, 10) for lo, hi in sol.regions])
+    cache = {}
+    with mp.workdps(30):
+        for st in sol.states:
+            ref = []
+            for x in xs:
+                total = mp.mpc(0)
+                for c, f in zip(st.coefficients, st.basis):
+                    if c != 0:
+                        w = f.inner if isinstance(f, SymmetrizedBasisFunction) else f
+                        key = (id(w), abs(float(x)))
+                        if key not in cache:
+                            cache[key] = _mp_wkb_value(mp, w, abs(float(x)))
+                        total += mp.mpc(complex(c)) * cache[key]
+                ref.append(total)
+            peak_ref = max(abs(r) for r in ref)
+            shape_ref = np.array([complex(r / peak_ref) for r in ref])
+            phi = st.values(xs)
+            shape = phi / np.max(np.abs(phi))
+            assert np.max(np.abs(shape - shape_ref)) < 1e-13
