@@ -54,6 +54,7 @@ from .oracle import (
     StateVector,
     Trajectory,
     decaying_subspace_dimension,
+    growth_exponents,
     integrate,
     integrate_standard,
     momentum_rep_linear,

@@ -34,7 +34,7 @@ from .errors import (
     WrongPotentialError,
 )
 from .matcher import bound_states
-from .oracle import DEFAULT_RTOL, momentum_rep_linear, wronskian
+from .oracle import DEFAULT_RTOL, MAX_RTOL, MIN_RTOL, momentum_rep_linear, wronskian
 from .output import RunManifest, config_digest, write_csv, write_json
 from .spectrum import (
     critical_beta_exponent,
@@ -115,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--tol", type=float, default=DEFAULT_RTOL, metavar="X",
-        help="relative tolerance of the oracle integrations, in [1e-14, 1e-6]",
+        help=(
+            f"relative tolerance of the oracle integrations, in [{MIN_RTOL:g}, {MAX_RTOL:g}]; "
+            "below the lower end scipy would clamp the batched Wronskian integration"
+        ),
     )
 
     return parser
@@ -351,8 +354,11 @@ def cmd_momentum_check(args) -> int:
 
 def cmd_verify(args) -> int:
     setup, config_path = _setup_from_args(args)
-    if not (1e-14 <= args.tol <= 1e-6):
-        raise ConfigError(f"--tol must lie in [1e-14, 1e-6], got {args.tol}")
+    if not (MIN_RTOL <= args.tol <= MAX_RTOL):
+        raise ConfigError(
+            f"--tol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {args.tol:g}; below "
+            f"{MIN_RTOL:g} scipy would clamp the batched oracle integrations (DOP853 floor 2.22e-14)"
+        )
     manifest = _manifest(args, setup, config_path)
     checks = run_verification(setup, rtol=args.tol)
     all_passed = all(c.passed for c in checks)

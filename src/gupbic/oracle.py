@@ -31,6 +31,10 @@ solve_ivp = lazy("integrate", "solve_ivp")
 BLOWUP_LIMIT = 1e300
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-13
+# Accepted oracle rtol.  scipy clamps DOP853's rtol below 100 * machine eps
+# (2.22e-14) with a warning; the Wronskian batch of 8 intervals divides rtol
+# by sqrt(8) (_propagators), so 1e-13 is the first round value nothing clamps.
+MIN_RTOL, MAX_RTOL = 1e-13, 1e-6
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ def integrate(
     A blow-up (|Phi| beyond 1e300, expected for growing modes) terminates the
     trajectory and is reported via ``blown_up``/``last_valid_x``, not raised.
     """
-    if not (1e-14 <= rtol <= 1e-6):
-        raise PreconditionError(f"rtol must lie in [1e-14, 1e-6], got {rtol}")
+    if not (MIN_RTOL <= rtol <= MAX_RTOL):
+        raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
     init = initial.as_array() if isinstance(initial, StateVector) else np.asarray(initial, dtype=complex)
     if init.shape != (4,):
         raise PreconditionError("initial state must have 4 components")
@@ -199,6 +203,39 @@ def integrate_standard(
 # --- Wronskian -----------------------------------------------------------------
 
 
+def _propagators(
+    rhs: Callable, dim: int, starts: np.ndarray, ends: np.ndarray, rtol: float, atol: float
+) -> np.ndarray:
+    """Real propagators U_k of Phi' = A(x) Phi over [starts[k], ends[k]], shape (K, dim, dim).
+
+    Each interval maps to s in [0, 1], dPhi/ds = (end - start) A(start + s (end - start)) Phi,
+    so the K identity frames integrate as one real system (one ``solve_ivp``
+    call, shared step control).  scipy's error norm is an RMS over all
+    components, so rtol and atol are divided by sqrt(K): each interval's own
+    RMS error then stays within the caller's tolerance.
+    """
+    starts = np.asarray(starts, dtype=float)
+    widths = np.asarray(ends, dtype=float) - starts
+    k = starts.size
+    col_starts, col_widths = np.repeat(starts, dim), np.repeat(widths, dim)
+
+    def scaled(s, y):
+        return (rhs(col_starts + s * col_widths, y).reshape(dim, -1) * col_widths).reshape(-1)
+
+    split = math.sqrt(k)
+    sol = solve_ivp(
+        scaled,
+        (0.0, 1.0),
+        np.tile(np.eye(dim), k).reshape(-1),
+        method="DOP853",
+        rtol=rtol / split,
+        atol=atol / split,
+    )
+    if not sol.success:
+        raise NumericalError(f"propagator integration failed: {sol.message}")
+    return sol.y[:, -1].reshape(dim, k, dim).transpose(1, 0, 2)
+
+
 def fundamental_frame(
     problem: DimensionlessProblem,
     energy: float,
@@ -210,9 +247,9 @@ def fundamental_frame(
     """Propagate a 4x4 frame (columns = solutions) from the anchor.
 
     Returns a callable x -> 4x4 matrix; for an array of abscissas it returns
-    the stack of their frames.  The frame is integrated as one 16-dimensional
-    system so all columns share step control, once per side of the anchor
-    out to the farthest abscissa asked for (plus headroom for later queries).
+    the stack of their frames.  Each call integrates the propagators
+    U(anchor -> x) of all abscissas other than the anchor in one batch
+    (``_propagators``) and returns U @ initials.
     """
     if initials is None:
         initials = np.eye(4, dtype=complex)
@@ -220,33 +257,16 @@ def fundamental_frame(
     if initials.shape != (4, 4):
         raise PreconditionError("frame initials must be a 4x4 matrix (columns = states)")
     rhs = companion_rhs(problem, energy)
-    sols = {}
 
     def frame_at(x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)
         out = np.empty((flat.size, 4, 4), dtype=complex)
-        out[flat == anchor] = initials
-        for direction in (1.0, -1.0):
-            side = direction * (flat - anchor) > 0
-            if not side.any():
-                continue
-            reach = direction * np.max(direction * flat[side])
-            sol = sols.get(direction)
-            if sol is None or direction * (reach - sol.t[-1]) > 0:
-                sol = solve_ivp(
-                    rhs,
-                    (anchor, reach + direction * 0.5),
-                    initials.reshape(-1),
-                    method="DOP853",
-                    rtol=rtol,
-                    atol=atol,
-                    dense_output=True,
-                )
-                if not sol.success:
-                    raise NumericalError(f"frame integration failed: {sol.message}")
-                sols[direction] = sol
-            out[side] = sol.sol(flat[side]).T.reshape(-1, 4, 4)
+        out[:] = initials
+        away = flat != anchor
+        if away.any():
+            ends = flat[away]
+            out[away] = _propagators(rhs, 4, np.full(ends.size, anchor), ends, rtol, atol) @ initials
         return out.reshape(xs.shape + (4, 4))
 
     return frame_at
@@ -355,7 +375,10 @@ def _wkb_frame_at(
     return np.array([col for _, col in branches], dtype=complex).T
 
 
-def decaying_subspace_dimension(
+GROWTH_FLOOR = 0.5  # |growth exponent| below this is too close to zero to count
+
+
+def growth_exponents(
     problem: DimensionlessProblem,
     energy: float,
     side: str,
@@ -365,14 +388,17 @@ def decaying_subspace_dimension(
     checkpoints: int = 24,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> int:
-    """Dimension of the solution subspace bounded toward ``side``.
+) -> np.ndarray:
+    """Log-growth of each direction of a frame marched from the far field to the anchor.
 
-    Marches a renormalized frame backwards from the far field to the interior
-    anchor, re-orthonormalizing (QR) at checkpoints and accumulating the
-    log-growth of each direction; directions that grow toward the interior are
-    exactly those bounded (decaying) toward the side.  Launch data are WKB
-    branch vectors, which keeps the initial frame well conditioned.
+    The march runs backwards from the far point toward ``side`` to the
+    interior anchor over ``checkpoints`` equal segments.  The segment
+    propagators U_k come from one batched integration (``_propagators``);
+    the frame is then re-orthonormalized segment by segment, q, r =
+    qr(U_k @ q), and the log |diag r| accumulate.  Directions that grow
+    toward the interior are exactly those bounded (decaying) toward the
+    side.  Launch data are WKB branch vectors, which keeps the initial frame
+    well conditioned.  Returns dim exponents (4, or 2 in standard mode).
     """
     if side not in ("+inf", "-inf"):
         raise PreconditionError(f"side must be '+inf' or '-inf', got {side!r}")
@@ -405,31 +431,35 @@ def decaying_subspace_dimension(
         rhs = companion_rhs(problem, energy)
         dim = 4
 
+    xs = np.linspace(x_far, anchor, checkpoints + 1)
+    segments = _propagators(rhs, dim, xs[:-1], xs[1:], rtol, atol)
     # initial QR so the accumulated R diagonals measure growth only
     q, _ = np.linalg.qr(frame)
     growth = np.zeros(dim)
-    xs = np.linspace(x_far, anchor, checkpoints + 1)
-    for x_a, x_b in zip(xs[:-1], xs[1:]):
-        sol = solve_ivp(
-            rhs,
-            (x_a, x_b),
-            q.reshape(-1),
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise NumericalError(f"subspace march failed on [{x_a}, {x_b}]: {sol.message}")
-        m = sol.y[:, -1].reshape(dim, dim)
-        q, r = np.linalg.qr(m)
+    for u in segments:
+        q, r = np.linalg.qr(u @ q)
         growth += np.log(np.abs(np.diag(r)))
+    return growth
 
-    if np.any(np.abs(growth) < 0.5):
+
+def bounded_dimension(growth: np.ndarray) -> int:
+    """Number of exponents that grow toward the interior (bounded toward the side)."""
+    if np.any(np.abs(growth) < GROWTH_FLOOR):
         raise NumericalError(
             f"growth exponents {growth} too close to zero to count reliably; "
             "increase the march span"
         )
     return int(np.sum(growth > 0.0))
+
+
+def decaying_subspace_dimension(problem: DimensionlessProblem, energy: float, side: str, **march) -> int:
+    """Dimension of the solution subspace bounded toward ``side``.
+
+    Counts the positive ``growth_exponents`` (keyword arguments go to the
+    march); raises ``NumericalError`` when an exponent lies within
+    GROWTH_FLOOR of zero.
+    """
+    return bounded_dimension(growth_exponents(problem, energy, side, **march))
 
 
 def _auto_far_point(problem: DimensionlessProblem, energy: float, sgn: float) -> float:

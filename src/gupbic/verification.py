@@ -24,7 +24,9 @@ from .core import (
 from .errors import GupBicError
 from .matcher import StateFunction, solve_well
 from .oracle import (
-    decaying_subspace_dimension,
+    GROWTH_FLOOR,
+    bounded_dimension,
+    growth_exponents,
     integrate,
     momentum_rep_linear,
     residual,
@@ -238,22 +240,31 @@ DECAY_SETUP = f"linear (e 2) and harmonic (e 1.7), eps {DECAY_EPS:g}"
 
 
 def check_decaying_dimensions(standard: bool = False) -> CheckResult:
-    """Bounded-subspace dimension: 2 per side (fourth order), 1 per side (standard)."""
+    """Bounded-subspace dimension: 2 per side (fourth order), 1 per side (standard).
+
+    The detail records each side's growth exponents and the smallest
+    |exponent|, which must clear GROWTH_FLOOR for the count to be trusted.
+    """
     expected = 1 if standard else 2
-    results = {}
     lin = nondimensionalize(linear_setup_for(DECAY_EPS))
-    results["linear:+inf"] = decaying_subspace_dimension(lin, 2.0, "+inf", standard=standard)
     har = nondimensionalize(harmonic_setup_for(DECAY_EPS))
-    results["harmonic:+inf"] = decaying_subspace_dimension(har, 1.7, "+inf", standard=standard)
-    results["harmonic:-inf"] = decaying_subspace_dimension(har, 1.7, "-inf", standard=standard)
+    growth = {
+        "linear:+inf": growth_exponents(lin, 2.0, "+inf", standard=standard),
+        "harmonic:+inf": growth_exponents(har, 1.7, "+inf", standard=standard),
+        "harmonic:-inf": growth_exponents(har, 1.7, "-inf", standard=standard),
+    }
+    results = {k: bounded_dimension(g) for k, g in growth.items()}
     worst = max(abs(v - expected) for v in results.values())
     return _result(
         "decaying_subspace_dimension" + ("_standard" if standard else ""),
         float(worst),
         0.0,
         expected=expected,
-        dimensions={k: int(v) for k, v in results.items()},
+        dimensions=results,
         setup=DECAY_SETUP + (", standard (beta = 0) equation" if standard else ""),
+        growth_exponents={k: g.tolist() for k, g in growth.items()},
+        min_abs_growth={k: float(np.min(np.abs(g))) for k, g in growth.items()},
+        growth_floor=GROWTH_FLOOR,
     )
 
 

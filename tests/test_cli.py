@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,17 @@ class TestExitCodes:
 
     def test_tol_bounds_checked(self, tmp_path, capsys):
         assert run(["verify", "--tol", "1e-3", "--out", tmp_path]) == 2
+        # scipy clamps DOP853's rtol below 2.22e-14 with a warning; the batched
+        # Wronskian frames divide --tol by sqrt(8), so 1e-14 would be clamped
+        capsys.readouterr()
+        assert run(["verify", "--tol", "1e-14", "--out", tmp_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "[1e-13, 1e-06]" in err["error"]["message"]
+
+    def test_tol_floor_verifies_without_warnings(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert run(["verify", "--tol", "1e-13", "--out", tmp_path]) == 0
 
     def test_tol_reaches_frame_integrator(self, tmp_path, monkeypatch):
         from gupbic import oracle
@@ -304,6 +316,17 @@ class TestVerifyCommand:
         setups = {c["name"]: c["detail"]["setup"] for c in payload["checks"]}
         assert setups["well_sine_recovery"] == "well, a 1e-10 m, beta 1e+47"
         assert setups["momentum_representation"] == "linear, eps 0.01, E 2e-18 J"
+        # the subspace count carries its evidence: four exponents per side,
+        # the smallest |exponent| clear of the floor
+        decay = next(c for c in payload["checks"] if c["name"] == "decaying_subspace_dimension")
+        detail = decay["detail"]
+        sides = {"linear:+inf", "harmonic:+inf", "harmonic:-inf"}
+        assert set(detail["growth_exponents"]) == set(detail["min_abs_growth"]) == sides
+        for side, growth in detail["growth_exponents"].items():
+            assert len(growth) == 4
+            assert sum(g > 0 for g in growth) == detail["dimensions"][side] == 2
+            assert detail["min_abs_growth"][side] == min(abs(g) for g in growth)
+            assert detail["min_abs_growth"][side] >= detail["growth_floor"] == 0.5
 
     def test_beta_zero_harmonic_reports_standard_dimensions(self, tmp_path):
         cfg = tmp_path / "std.cfg"

@@ -9,6 +9,7 @@ from gupbic import (
     characteristic_roots,
     decaying_subspace_dimension,
     exact_constant_basis,
+    growth_exponents,
     integrate,
     momentum_rep_linear,
     nondimensionalize,
@@ -16,7 +17,7 @@ from gupbic import (
     wronskian,
     wronskian_drift,
 )
-from gupbic.errors import PreconditionError, WrongPotentialError
+from gupbic.errors import NumericalError, PreconditionError, WrongPotentialError
 from gupbic.matcher import StateFunction, bound_states
 from gupbic.verification import (
     check_wronskian_constancy,
@@ -120,7 +121,7 @@ class TestCompanionRhs:
 
 
 class TestWronskian:
-    def test_drift_integrates_once_per_side(self, well_problem, monkeypatch):
+    def test_drift_integrates_once(self, well_problem, monkeypatch):
         from gupbic import oracle
 
         calls = []
@@ -133,7 +134,8 @@ class TestWronskian:
         monkeypatch.setattr(oracle, "solve_ivp", counting)
         drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0)
         assert drift < 1e-8
-        assert len(calls) == 2
+        # both sides of the anchor in one batched propagator solve
+        assert calls == [(0.0, 1.0)]
 
     def test_scipy_names_are_patchable_module_attributes(self, well_problem, monkeypatch):
         # scipy loads on first use, but quad and solve_ivp stay module
@@ -267,6 +269,109 @@ class TestDecayingSubspace:
     def test_bounded_side_rejected(self, well_problem):
         with pytest.raises(PreconditionError):
             decaying_subspace_dimension(well_problem, 5.0, "+inf")
+
+    def test_march_integrates_once(self, monkeypatch):
+        from gupbic import oracle
+
+        calls = []
+        real = oracle.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", counting)
+        har = nondimensionalize(harmonic_setup_for(0.02))
+        assert decaying_subspace_dimension(har, 1.7, "-inf") == 2
+        assert calls == [(0.0, 1.0)]
+
+    def test_exponents_near_zero_are_not_counted(self):
+        from gupbic.oracle import bounded_dimension
+
+        assert bounded_dimension(np.array([9.0, 2.4, -4.3, -7.1])) == 2
+        with pytest.raises(NumericalError):
+            bounded_dimension(np.array([9.0, 0.3, -4.3, -7.1]))
+
+    @staticmethod
+    def _reference_growth(problem, energy, side, standard):
+        # the march one segment at a time: each solve_ivp carries the
+        # orthonormal frame q itself across its segment
+        from scipy.integrate import solve_ivp
+
+        from gupbic import oracle
+
+        sgn = 1.0 if side == "+inf" else -1.0
+        x_far = sgn * oracle._auto_far_point(problem, energy, sgn)
+        anchor = oracle._auto_anchor(problem, energy, sgn, x_far)
+        if standard:
+            r = math.sqrt(problem.v_derivs(x_far)[0] - energy)
+            frame = np.array([[1.0, 1.0], [-sgn * r, sgn * r]], dtype=complex)
+            rhs, dim = oracle.standard_rhs(problem, energy), 2
+        else:
+            frame = oracle._wkb_frame_at(problem, energy, x_far, math.copysign(1.0, anchor - x_far))
+            rhs, dim = oracle.companion_rhs(problem, energy), 4
+        q, _ = np.linalg.qr(frame)
+        growth = np.zeros(dim)
+        xs = np.linspace(x_far, anchor, 25)
+        for a, b in zip(xs[:-1], xs[1:]):
+            sol = solve_ivp(rhs, (a, b), q.reshape(-1), method="DOP853", rtol=1e-11, atol=1e-13)
+            q, r = np.linalg.qr(sol.y[:, -1].reshape(dim, dim))
+            growth += np.log(np.abs(np.diag(r)))
+        return growth
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.02, 0.2])
+    @pytest.mark.parametrize("standard", [False, True], ids=["fourth-order", "standard"])
+    def test_batched_march_matches_per_segment_march(self, eps, standard):
+        from gupbic.oracle import bounded_dimension
+
+        lin = nondimensionalize(linear_setup_for(eps))
+        har = nondimensionalize(harmonic_setup_for(eps))
+        for problem, energy, side in ((lin, 2.0, "+inf"), (har, 1.7, "+inf"), (har, 1.7, "-inf")):
+            growth = growth_exponents(problem, energy, side, standard=standard)
+            reference = self._reference_growth(problem, energy, side, standard)
+            np.testing.assert_allclose(growth, reference, rtol=1e-8, atol=0.0)
+            assert bounded_dimension(growth) == (1 if standard else 2)
+
+
+class TestPropagators:
+    def test_batched_intervals_match_single_interval_solves(self, harmonic_problem):
+        from scipy.integrate import solve_ivp
+
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators, companion_rhs
+
+        # long and short intervals, both directions, one of zero width
+        starts = np.array([0.0, 0.0, -1.5, 0.7, 1.2, 0.3, -0.4])
+        ends = np.array([1.5, -1.5, 0.0, 0.71, 1.2, 0.29, 1.1])
+        rhs = companion_rhs(harmonic_problem, 1.7)
+        batched = _propagators(rhs, 4, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
+        assert batched.shape == (starts.size, 4, 4)
+        for a, b, u in zip(starts, ends, batched):
+            if a == b:
+                assert np.array_equal(u, np.eye(4))
+                continue
+            sol = solve_ivp(
+                rhs, (a, b), np.eye(4).reshape(-1), method="DOP853",
+                rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+            )
+            single = sol.y[:, -1].reshape(4, 4)
+            assert np.linalg.norm(u - single) <= 1e-9 * np.linalg.norm(single)
+
+    def test_tolerance_is_split_over_the_intervals(self, harmonic_problem, monkeypatch):
+        # scipy's error norm is an RMS over all components; dividing by
+        # sqrt(K) keeps each interval's own RMS error within the tolerance
+        from gupbic import oracle
+
+        seen = []
+        real = oracle.solve_ivp
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["rtol"], kwargs["atol"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", spy)
+        rhs = oracle.standard_rhs(harmonic_problem, 1.7)
+        oracle._propagators(rhs, 2, np.zeros(9), np.linspace(0.1, 0.9, 9), 1e-10, 1e-12)
+        assert seen == [(pytest.approx(1e-10 / 3), pytest.approx(1e-12 / 3))]
 
 
 @pytest.fixture(scope="module")
