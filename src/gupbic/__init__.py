@@ -51,12 +51,9 @@ from .matcher import (
 )
 from .oracle import (
     MomentumSolution,
-    StateVector,
-    Trajectory,
     decaying_subspace_dimension,
     growth_exponents,
     integrate,
-    integrate_standard,
     momentum_rep_linear,
     residual,
     wronskian,

@@ -7,14 +7,15 @@ The fourth-order equation is rewritten as Phi' = A(x) Phi with
 
 trace A = 0, so the Wronskian of any fundamental system is constant (Abel);
 that analytic fact is the oracle against which integrated trajectories are
-checked.  A standard (second-order, beta = 0) mode is provided for the
-classical-limit contrast.
+checked.  A standard (second-order, beta = 0) mode serves the classical-limit
+contrast: ``integrate`` selects it from a 2-component initial state (phi, phi'),
+``growth_exponents`` from ``standard=True`` or epsilon = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,55 +29,13 @@ from .errors import NumericalError, PreconditionError, WrongPotentialError
 quad = lazy("integrate", "quad")
 solve_ivp = lazy("integrate", "solve_ivp")
 
-BLOWUP_LIMIT = 1e300
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-13
-# Accepted oracle rtol.  scipy clamps DOP853's rtol below 100 * machine eps
-# (2.22e-14) with a warning; the Wronskian batch of 8 intervals divides rtol
-# by sqrt(8) (_propagators), so 1e-13 is the first round value nothing clamps.
+# scipy clamps DOP853's rtol below 100 * machine eps (2.22e-14) with a warning
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+# Accepted oracle rtol: 1e-13 is the first round value above _RTOL_FLOOR, and
+# _propagators batches its intervals so that no split rtol falls below it.
 MIN_RTOL, MAX_RTOL = 1e-13, 1e-6
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """phi and its first three derivatives at a point."""
-
-    phi: complex
-    d1: complex
-    d2: complex
-    d3: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi, self.d1, self.d2, self.d3], dtype=complex)
-
-    @classmethod
-    def from_array(cls, arr: Sequence[complex]) -> "StateVector":
-        if len(arr) != 4:
-            raise ValueError(f"state vector needs 4 components, got {len(arr)}")
-        a = np.asarray(arr, dtype=complex)
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("state vector components must be finite")
-        return cls(*map(complex, a))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Dense-output trajectory of the companion system."""
-
-    x_from: float
-    x_to: float
-    grid: np.ndarray
-    states: np.ndarray  # shape (n, dim)
-    reported_tolerance: float
-    dense: Callable[[float], np.ndarray] = field(repr=False)
-    blown_up: bool = False
-    last_valid_x: float | None = None
-
-    def state_at(self, x: float) -> np.ndarray:
-        return self.dense(x)
-
-    def phi_at(self, x: float) -> complex:
-        return complex(self.dense(x)[0])
 
 
 def companion_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
@@ -116,91 +75,7 @@ def standard_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
     return rhs
 
 
-def _integrate_system(
-    rhs: Callable,
-    initial: np.ndarray,
-    x_from: float,
-    x_to: float,
-    rtol: float,
-    atol: float,
-    n_grid: int,
-) -> Trajectory:
-    y0 = np.asarray(initial, dtype=complex)
-
-    def blowup_event(x, y):
-        return float(np.max(np.abs(y))) - BLOWUP_LIMIT
-
-    blowup_event.terminal = True
-    blowup_event.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (x_from, x_to),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=blowup_event,
-    )
-    blown = bool(sol.t_events and len(sol.t_events[0]) > 0)
-    if not sol.success and not blown:
-        raise NumericalError(f"integration failed: {sol.message}")
-    grid = np.linspace(x_from, sol.t[-1], n_grid)
-    states = sol.sol(grid).T
-    return Trajectory(
-        x_from=x_from,
-        x_to=x_to,
-        grid=grid,
-        states=states,
-        reported_tolerance=rtol,
-        dense=lambda x: sol.sol(x),
-        blown_up=blown,
-        last_valid_x=float(sol.t[-1]) if blown else None,
-    )
-
-
-def integrate(
-    problem: DimensionlessProblem,
-    energy: float,
-    initial: StateVector | Sequence[complex],
-    x_from: float,
-    x_to: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    n_grid: int = 200,
-) -> Trajectory:
-    """Adaptive high-order integration of the fourth-order companion system.
-
-    A blow-up (|Phi| beyond 1e300, expected for growing modes) terminates the
-    trajectory and is reported via ``blown_up``/``last_valid_x``, not raised.
-    """
-    if not (MIN_RTOL <= rtol <= MAX_RTOL):
-        raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
-    init = initial.as_array() if isinstance(initial, StateVector) else np.asarray(initial, dtype=complex)
-    if init.shape != (4,):
-        raise PreconditionError("initial state must have 4 components")
-    return _integrate_system(companion_rhs(problem, energy), init, x_from, x_to, rtol, atol, n_grid)
-
-
-def integrate_standard(
-    problem: DimensionlessProblem,
-    energy: float,
-    initial: Sequence[complex],
-    x_from: float,
-    x_to: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    n_grid: int = 200,
-) -> Trajectory:
-    """Second-order (beta = 0) integration; state is (phi, phi')."""
-    init = np.asarray(initial, dtype=complex)
-    if init.shape != (2,):
-        raise PreconditionError("standard-mode initial state must have 2 components")
-    return _integrate_system(standard_rhs(problem, energy), init, x_from, x_to, rtol, atol, n_grid)
-
-
-# --- Wronskian -----------------------------------------------------------------
+# --- propagators and integration -----------------------------------------------
 
 
 def _propagators(
@@ -209,31 +84,78 @@ def _propagators(
     """Real propagators U_k of Phi' = A(x) Phi over [starts[k], ends[k]], shape (K, dim, dim).
 
     Each interval maps to s in [0, 1], dPhi/ds = (end - start) A(start + s (end - start)) Phi,
-    so the K identity frames integrate as one real system (one ``solve_ivp``
-    call, shared step control).  scipy's error norm is an RMS over all
-    components, so rtol and atol are divided by sqrt(K): each interval's own
-    RMS error then stays within the caller's tolerance.
+    so a batch of K identity frames integrates as one real system (one
+    ``solve_ivp`` call, shared step control).  scipy's error norm is an RMS
+    over all components, so rtol and atol are divided by sqrt(K): each
+    interval's own RMS error then stays within the caller's tolerance.
+    scipy clamps an rtol below _RTOL_FLOOR, so a batch holds at most
+    (rtol / _RTOL_FLOOR)^2 intervals and longer lists take several calls.
     """
     starts = np.asarray(starts, dtype=float)
     widths = np.asarray(ends, dtype=float) - starts
-    k = starts.size
-    col_starts, col_widths = np.repeat(starts, dim), np.repeat(widths, dim)
+    batch = max(1, int((rtol / _RTOL_FLOOR) ** 2))
+    out = np.empty((starts.size, dim, dim))
+    for i in range(0, starts.size, batch):
+        k = min(batch, starts.size - i)
+        col_starts = np.repeat(starts[i : i + k], dim)
+        col_widths = np.repeat(widths[i : i + k], dim)
 
-    def scaled(s, y):
-        return (rhs(col_starts + s * col_widths, y).reshape(dim, -1) * col_widths).reshape(-1)
+        def scaled(s, y):
+            return (rhs(col_starts + s * col_widths, y).reshape(dim, -1) * col_widths).reshape(-1)
 
-    split = math.sqrt(k)
-    sol = solve_ivp(
-        scaled,
-        (0.0, 1.0),
-        np.tile(np.eye(dim), k).reshape(-1),
-        method="DOP853",
-        rtol=rtol / split,
-        atol=atol / split,
-    )
-    if not sol.success:
-        raise NumericalError(f"propagator integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(dim, k, dim).transpose(1, 0, 2)
+        split = math.sqrt(k)
+        sol = solve_ivp(
+            scaled,
+            (0.0, 1.0),
+            np.tile(np.eye(dim), k).reshape(-1),
+            method="DOP853",
+            rtol=rtol / split,
+            atol=atol / split,
+        )
+        if not sol.success:
+            raise NumericalError(f"propagator integration failed: {sol.message}")
+        out[i : i + k] = sol.y[:, -1].reshape(dim, k, dim).transpose(1, 0, 2)
+    return out
+
+
+def integrate(
+    problem: DimensionlessProblem,
+    energy: float,
+    initial: Sequence[complex],
+    x_from: float,
+    xs: Sequence[float],
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> np.ndarray:
+    """State vectors at the abscissas ``xs`` of the solution launched at ``x_from``.
+
+    Returns shape (dim, len(xs)).  A 4-component ``initial`` (phi and three
+    derivatives) selects the fourth-order companion system, a 2-component
+    one (phi, phi') the standard beta = 0 system.  The march visits the
+    abscissas in order of distance from ``x_from``; the propagators U_k over
+    consecutive points come from ``_propagators``, and the state at the k-th
+    point is U_k ... U_1 @ initial.
+    """
+    if not (MIN_RTOL <= rtol <= MAX_RTOL):
+        raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
+    state = np.asarray(initial, dtype=complex)
+    if state.shape == (4,):
+        rhs = companion_rhs(problem, energy)
+    elif state.shape == (2,):
+        rhs = standard_rhs(problem, energy)
+    else:
+        raise PreconditionError("initial state must have 4 components (2 in standard mode)")
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    order = np.argsort(np.abs(xs - x_from), kind="stable")
+    grid = np.concatenate(([x_from], xs[order]))
+    out = np.empty((state.size, xs.size), dtype=complex)
+    for k, u in zip(order, _propagators(rhs, state.size, grid[:-1], grid[1:], rtol, atol)):
+        state = u @ state
+        out[:, k] = state
+    return out
+
+
+# --- Wronskian -----------------------------------------------------------------
 
 
 def fundamental_frame(
@@ -248,7 +170,7 @@ def fundamental_frame(
 
     Returns a callable x -> 4x4 matrix; for an array of abscissas it returns
     the stack of their frames.  Each call integrates the propagators
-    U(anchor -> x) of all abscissas other than the anchor in one batch
+    U(anchor -> x) of all abscissas other than the anchor together
     (``_propagators``) and returns U @ initials.
     """
     if initials is None:
@@ -278,16 +200,11 @@ def wronskian(
     x: float,
     anchor: float | None = None,
     initials: np.ndarray | None = None,
-    frame=None,
 ) -> complex:
-    """det of the stacked state vectors at x (4 independent launches)."""
-    if initials is not None and np.asarray(initials).shape[1] < 4:
-        raise PreconditionError("wronskian needs 4 trajectories")
-    if frame is None:
-        if anchor is None:
-            anchor = x
-        frame = fundamental_frame(problem, energy, anchor, initials)
-    return complex(np.linalg.det(frame(x)))
+    """det of the frame at x propagated from the anchor (default x itself)."""
+    if anchor is None:
+        anchor = x
+    return complex(np.linalg.det(fundamental_frame(problem, energy, anchor, initials)(x)))
 
 
 def wronskian_drift(

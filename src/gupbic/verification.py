@@ -156,10 +156,10 @@ def check_exact_well_oracle_agreement(
         roots = characteristic_roots(problem.epsilon, e)
         basis = exact_constant_basis(roots, problem.domain)
         state = StateFunction(np.array([0.05, 0.4, 0.7, 0.55]), basis)
-        traj = integrate(problem, e, state.derivatives(-1.0, order=3), -1.0, 1.0, rtol=rtol)
         xs = np.linspace(-1.0, 1.0, 201)
+        phi = integrate(problem, e, state.derivatives(-1.0, order=3), -1.0, xs, rtol=rtol)[0]
         vals = state.values(xs)
-        err = np.max(np.abs(traj.state_at(xs)[0] - vals)) / np.max(np.abs(vals))
+        err = np.max(np.abs(phi - vals)) / np.max(np.abs(vals))
         worst = max(worst, err)
     return _result("exact_well_oracle_agreement", worst, 1e-8, setup=_well_label(setup))
 
@@ -297,13 +297,10 @@ def standard_harmonic_mismatch(problem, energy: float) -> float:
     returns the normalized Wronskian of the two trajectories: zero exactly at
     the standard levels e = 1, 3, 5, ... (natural units), O(1) in between.
     """
-    from .oracle import integrate_standard
-
     x_far = math.sqrt(energy) + 4.0
     r = math.sqrt(x_far**2 - energy)
-    left = integrate_standard(problem, energy, [1.0, -r], x_far, 0.0)
-    right = integrate_standard(problem, energy, [1.0, +r], -x_far, 0.0)
-    lv, rv = left.state_at(0.0), right.state_at(0.0)
+    lv = integrate(problem, energy, [1.0, -r], x_far, [0.0])[:, 0]
+    rv = integrate(problem, energy, [1.0, +r], -x_far, [0.0])[:, 0]
     det = lv[0] * rv[1] - rv[0] * lv[1]
     return float((det / (np.linalg.norm(lv) * np.linalg.norm(rv))).real)
 

@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gupbic import (
     PhysicalSetup,
-    StateVector,
     characteristic_roots,
     decaying_subspace_dimension,
     exact_constant_basis,
@@ -33,23 +33,23 @@ E1_DIMLESS = 2.918779290241783
 class TestIntegrate:
     def test_sine_boundary_shot(self, well_problem):
         kap = math.pi / 2.0
-        traj = integrate(well_problem, E1_DIMLESS, [0.0, kap, 0.0, -kap**3], -1.0, 1.0)
-        assert abs(traj.phi_at(1.0)) < 1e-9
+        states = integrate(well_problem, E1_DIMLESS, [0.0, kap, 0.0, -kap**3], -1.0, [1.0])
+        assert states.shape == (4, 1)
+        assert abs(states[0, 0]) < 1e-9
 
     def test_zero_initial_stays_zero(self, well_problem):
-        traj = integrate(well_problem, E1_DIMLESS, [0, 0, 0, 0], -1.0, 1.0)
-        assert np.max(np.abs(traj.states)) == 0.0
+        states = integrate(well_problem, E1_DIMLESS, [0, 0, 0, 0], -1.0, np.linspace(-1, 1, 9))
+        assert np.max(np.abs(states)) == 0.0
 
     def test_linearity(self, well_problem):
         u = np.array([0.3, -0.1, 0.2, 0.5], dtype=complex)
         v = np.array([1.0, 0.4, -0.7, 0.1], dtype=complex)
         a, b = 1.7, -0.6
-        tu = integrate(well_problem, 5.0, u, -1.0, 1.0)
-        tv = integrate(well_problem, 5.0, v, -1.0, 1.0)
-        tc = integrate(well_problem, 5.0, a * u + b * v, -1.0, 1.0)
-        for x in (-0.5, 0.0, 0.9):
-            combo = a * tu.state_at(x) + b * tv.state_at(x)
-            assert np.allclose(tc.state_at(x), combo, rtol=1e-9, atol=1e-11)
+        xs = [-0.5, 0.0, 0.9]
+        su = integrate(well_problem, 5.0, u, -1.0, xs)
+        sv = integrate(well_problem, 5.0, v, -1.0, xs)
+        sc = integrate(well_problem, 5.0, a * u + b * v, -1.0, xs)
+        assert np.allclose(sc, a * su + b * sv, rtol=1e-9, atol=1e-11)
 
     def test_convergence_under_tolerance_halving(self, well_problem):
         # error against the exact solution shrinks as rtol tightens
@@ -57,32 +57,44 @@ class TestIntegrate:
         basis = exact_constant_basis(roots, well_problem.domain)
         state = StateFunction(np.array([0.02, 0.5, 0.7, 0.3]), basis)
         init = state.derivatives(-1.0, order=3)
+        xs = np.linspace(-1, 1, 21)
         errors = []
         for rtol in (1e-7, 1e-9, 1e-11):
-            traj = integrate(well_problem, 5.0, init, -1.0, 1.0, rtol=rtol, atol=rtol * 1e-2)
-            errors.append(
-                max(abs(traj.phi_at(x) - state.value(x)) for x in np.linspace(-1, 1, 21))
-            )
+            phi = integrate(well_problem, 5.0, init, -1.0, xs, rtol=rtol, atol=rtol * 1e-2)[0]
+            errors.append(np.max(np.abs(phi - state.values(xs))))
         assert errors[0] > errors[1] > errors[2]
-
-    def test_growing_mode_blowup_reported(self, well_problem):
-        roots = characteristic_roots(well_problem.epsilon, 5.0)
-        init = np.array([1.0, roots.mu1, roots.mu1**2, roots.mu1**3])
-        traj = integrate(well_problem, 5.0, init, 0.0, 400.0)
-        assert traj.blown_up
-        assert traj.last_valid_x is not None and 0.0 < traj.last_valid_x < 400.0
 
     def test_tolerance_precondition(self, well_problem):
         with pytest.raises(PreconditionError):
-            integrate(well_problem, 5.0, [1, 0, 0, 0], -1.0, 1.0, rtol=1e-3)
+            integrate(well_problem, 5.0, [1, 0, 0, 0], -1.0, [1.0], rtol=1e-3)
 
-    def test_state_vector_type(self):
-        sv = StateVector(1.0, 2.0, 3.0, 4.0)
-        assert np.allclose(sv.as_array(), [1, 2, 3, 4])
-        with pytest.raises(ValueError):
-            StateVector.from_array([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            StateVector.from_array([math.nan, 0, 0, 0])
+    @pytest.mark.parametrize("rtol", [1e-11, 1e-13])
+    def test_closed_form_well_state_at_201_points(self, well_problem, rtol):
+        # the exact-well check's chain; at 1e-13 the 200 intervals exceed
+        # one batch, and no integration may clamp (a UserWarning, an error here)
+        roots = characteristic_roots(well_problem.epsilon, 5.0)
+        state = StateFunction(np.array([0.05, 0.4, 0.7, 0.55]), exact_constant_basis(roots, well_problem.domain))
+        xs = np.linspace(-1.0, 1.0, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = integrate(well_problem, 5.0, state.derivatives(-1.0, order=3), -1.0, xs, rtol=rtol)
+        exact = np.asarray(state.derivatives(xs, order=3))
+        assert states.shape == (4, 201)
+        for got, ref in zip(states, exact):
+            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_two_component_initial_selects_standard_mode(self, well_problem):
+        # phi'' = (v - e) phi with v = 0 inside the well and e = -k^2: the
+        # solution launched as (1, 0) at x = -1 is cosh(k (x + 1))
+        k = 1.5
+        xs = np.linspace(-1.0, 1.0, 41)
+        states = integrate(well_problem, -(k**2), [1.0, 0.0], -1.0, xs)
+        assert states.shape == (2, 41)
+        exact = np.array([np.cosh(k * (xs + 1.0)), k * np.sinh(k * (xs + 1.0))])
+        np.testing.assert_allclose(states.real, exact, rtol=1e-9, atol=1e-12)
+        assert np.max(np.abs(states.imag)) == 0.0
+        with pytest.raises(PreconditionError):
+            integrate(well_problem, 5.0, [1.0, 0.0, 0.0], -1.0, xs)
 
 
 class TestCompanionRhs:
@@ -157,8 +169,8 @@ class TestWronskian:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "solve_ivp", counting)
-        integrate(well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], -1.0, 1.0)
-        assert calls == [(-1.0, 1.0)]
+        integrate(well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], -1.0, [1.0])
+        assert calls == [(0.0, 1.0)]
         wronskian(well_problem, 5.0, 0.5, anchor=0.0)
         assert len(calls) == 2
 
@@ -178,6 +190,14 @@ class TestWronskian:
 
     def test_constant_along_domain(self, well_problem):
         drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0)
+        assert drift < 1e-8
+
+    def test_thirty_frames_at_the_rtol_floor_do_not_clamp(self, well_problem):
+        # 30 intervals at rtol 1e-13 split to 1.8e-14 in one batch, below
+        # scipy's floor; _propagators batches them instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 31), anchor=0.0, rtol=1e-13)
         assert drift < 1e-8
 
     def test_randomized_battery(self):
@@ -372,6 +392,27 @@ class TestPropagators:
         rhs = oracle.standard_rhs(harmonic_problem, 1.7)
         oracle._propagators(rhs, 2, np.zeros(9), np.linspace(0.1, 0.9, 9), 1e-10, 1e-12)
         assert seen == [(pytest.approx(1e-10 / 3), pytest.approx(1e-12 / 3))]
+
+    def test_batches_keep_the_split_rtol_above_scipys_floor(self, harmonic_problem, monkeypatch):
+        # (1e-13 / (100 eps))^2 = 20.3, so 45 intervals go in batches of 20, 20 and 5
+        from gupbic import oracle
+
+        seen = []
+        real = oracle.solve_ivp
+
+        def spy(*args, **kwargs):
+            seen.append((args[2].size // 16, kwargs["rtol"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", spy)
+        rhs = oracle.companion_rhs(harmonic_problem, 1.7)
+        starts, ends = np.zeros(45), np.linspace(0.02, 0.9, 45)
+        batched = oracle._propagators(rhs, 4, starts, ends, 1e-13, 1e-15)
+        assert [k for k, _ in seen] == [20, 20, 5]
+        assert all(rtol >= 100 * np.finfo(float).eps for _, rtol in seen)
+        assert seen[0][1] == pytest.approx(1e-13 / math.sqrt(20))
+        whole = oracle._propagators(rhs, 4, starts, ends, 1e-11, 1e-13)
+        assert np.linalg.norm(batched - whole) <= 1e-9 * np.linalg.norm(whole)
 
 
 @pytest.fixture(scope="module")
