@@ -313,6 +313,9 @@ _PANEL_WIDTH = 0.25
 _QUAD_TOL = 1e-12
 _SEGMENT_CHUNK = 1024  # segments integrated together, bounding the temporaries
 _MIN_EDGE_GAP = 1e-3 * _PANEL_WIDTH
+# (node, weight) of the three-point Gauss-Legendre rule on [0, 1]: exact for
+# the quartic mean in the closed-form I1 of a linear b
+_CHORD_NODES = ((0.5 - 0.5 * 0.6**0.5, 5 / 18), (0.5, 8 / 18), (0.5 + 0.5 * 0.6**0.5, 5 / 18))
 
 
 @dataclass(frozen=True)
@@ -430,13 +433,27 @@ def _branch_chains(p: WkbParameters, x, sigma, tau: float, order: int = 4, b: tu
 class ExponentTable:
     """The exponent integrals of one WKB piece, shared by its four branches.
 
-    I1 = int lam and I2 = int lam'/s from x0 are sums over fixed panels
-    counted from x0 and split at the zeros of b, so they depend on x alone.
-    The table computes them for the tau = +1 branch of each pair (sigma =
-    +1, -1); the tau = -1 partner, lam -> -lam, reads them negated, which is
-    exact: every node value is negated exactly and the panel test is
-    symmetric, so the partner's own walk would give the negated sums bit for
-    bit.  Growing the table walks the new panels for both pairs in one
+    I1 = int lam and I2 = int lam'/s from x0 depend on x alone.  The table
+    computes them for the tau = +1 branch of each pair (sigma = +1, -1); the
+    tau = -1 partner, lam -> -lam, reads them negated, which is exact.
+
+    Where b is linear (b'' = b''' = b'''' = 0, read once from ``b_chain``),
+    s^2 = a^2 - b is linear in x and both are closed forms in lam:
+
+        I1 = 4 sigma (x - x0) P / ((s + s0)(lam + lam0)),
+        I2 = -(sigma/sqrt a) [atanh q(lam) - atanh q(lam0)],
+
+    with P the mean of lam^2 (lam^2 - a) over the chord from lam0 to lam,
+    and q = lam/sqrt(a) for sigma = -1, sqrt(a)/lam for sigma = +1.  This I1
+    is -(4/b')[lam^5/5 - a lam^3/3] with lam - lam0 divided out, so nothing
+    cancels near x0; P, on three Gauss-Legendre nodes (exact), forms each
+    node's lam^2 - a from sigma s0, so nothing cancels near the zero of s;
+    each q stays off its own atanh cut (README, "Method notes").
+
+    Otherwise the sums run over fixed panels counted from x0 and split at
+    the zeros of b; the partner's own walk would give the negated sums bit
+    for bit (node values negate exactly, the panel test is symmetric).
+    Growing the table walks the new panels for both pairs in one
     ``panel_integrals`` call, as two interval sets that each converge on
     their own; the rest from the nearest panel edge to a query point is
     integrated for the pair that asks.
@@ -445,7 +462,7 @@ class ExponentTable:
     pair (shape (2, 2, edges)), the zero-of-b flags and the grid panels
     covered below and above x0.  ``_last`` holds the last query, a copy of
     its abscissas, with the sums of each pair that asked for it: a point
-    row or a Gram round that asks the four branches in turn integrates once
+    row or a Gram round that asks the four branches in turn computes once
     per pair.  Both are replaced whole, never changed in place, so
     concurrent readers see a consistent state.
     """
@@ -456,6 +473,9 @@ class ExponentTable:
         self.params = params
         self.interval = interval
         self.b_zeros = tuple(sorted(float(z) for z in b_zeros))
+        # b' where b is linear (the exponents are closed forms), else None
+        _, slope, *higher = (float(c) for c in params.b_chain(0.0))
+        self._slope = None if any(higher) else slope
         self._table = (
             np.array([params.x0]),
             np.zeros((2, 2, 1), dtype=complex),
@@ -478,6 +498,23 @@ class ExponentTable:
         return sums[k][0], sums[k][1]
 
     def _sums(self, xs: np.ndarray, sigma: float) -> np.ndarray:
+        """[I1, I2] of pair ``sigma`` at xs, in closed form where b is linear."""
+        if self._slope is None:
+            return self._panel_sums(xs, sigma)
+        p, root_a = self.params, math.sqrt(self.params.a_coef)
+        s, lam = (c[0] for c in _branch_chains(p, np.append(xs, p.x0), sigma, 1.0, order=0))
+        s, s0, lam, lam0 = s[:-1], s[-1], lam[:-1], lam[-1]
+        scale = (xs - p.x0) / ((s + s0) * (lam + lam0))
+        step = -sigma * self._slope * scale  # lam - lam0
+        mean = 0.0
+        for t, w in _CHORD_NODES:
+            node = lam0 + t * step
+            mean = mean + w * node * node * (sigma * s0 + t * step * (lam0 + node))
+        q, q0 = (lam / root_a, lam0 / root_a) if sigma < 0 else (root_a / lam, root_a / lam0)
+        i2 = -(sigma / root_a) * (np.arctanh(q) - np.arctanh(q0))
+        return np.stack([4.0 * sigma * scale * mean, i2])
+
+    def _panel_sums(self, xs: np.ndarray, sigma: float) -> np.ndarray:
         """[I1, I2] of pair ``sigma`` at xs: the sum at the nearest panel edge plus the rest."""
         x0 = self.params.x0
         pos, cum, at_zero, k_lo, k_hi = self._table

@@ -575,11 +575,66 @@ def test_shared_walk_equals_separate_walks_of_each_branch():
         assert np.array_equal(-shared[pair], walk(sigma, -1.0))
 
 
-def test_linear_count_walks_its_wall_row_at_most_twice(monkeypatch, linear_problem):
-    # the wall row asks the four main-piece branches for x = 0: one table,
-    # so at most one walk per branch pair (four, one per branch, before the
-    # branches shared a table); the far pieces take their classes in closed form
-    from gupbic.matcher import degrees_of_freedom
+def _mp_closed_form(mp, table, xs, sigma):
+    """[I1, I2] of the linear closed forms at 40 digits, from the same a and b(x)."""
+    p = table.params
+    out = []
+    with mp.workdps(40):
+        a = mp.mpf(p.a_coef)
+        root_a = mp.sqrt(a)
+
+        def s_lam(x):
+            s = mp.sqrt(a * a - mp.mpf(float(p.b(x))))
+            return s, mp.sqrt(a + sigma * s)
+
+        def atanh_q(lam):
+            return mp.atanh(lam / root_a if sigma < 0 else root_a / lam)
+
+        s0, lam0 = s_lam(p.x0)
+        for x in xs:
+            s, lam = s_lam(float(x))
+            powers = sum(lam**k * lam0 ** (4 - k) for k in range(5)) / 5
+            poly = powers - a * (lam * lam + lam * lam0 + lam0 * lam0) / 3
+            i1 = 4 * sigma * (mp.mpf(float(x)) - p.x0) * poly / ((s + s0) * (lam + lam0))
+            i2 = -sigma / root_a * (atanh_q(lam) - atanh_q(lam0))
+            out.append((complex(i1), complex(i2)))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2, 0.2])
+def test_linear_closed_form_matches_panels_and_mpmath(eps):
+    # the closed-form I1, I2 of a linear b against the panel walk on the same
+    # piece and against the same closed form at 40 digits: the main piece
+    # from the wall past the turning window up to s_zero - W, and the far piece
+    mp = pytest.importorskip("mpmath")
+    window = gupbic.basis.TURNING_WINDOW_HALF_WIDTH
+    problem = nondimensionalize(linear_setup_for(eps))
+    for e in (0.15, 2.0, 20.0):
+        asm = wkb_assembly(problem, e)
+        (x_t,), (s_zero,) = asm.b_zeros, asm.s_zeros
+        hi, far_lo = s_zero - window, s_zero + window
+        main = [0.0, 1e-9, asm.params.x0 + 1e-6, 0.5 * x_t, x_t - window, x_t + window,
+                0.5 * (x_t + hi), hi - 1e-3, hi]
+        far = [far_lo, far_lo + 1e-3, far_lo + 0.4, far_lo + 2.3, far_lo + 4.4, far_lo + 20.0]
+        for branches, points in ((asm.basis, main), (asm.far_basis, far)):
+            table, eta = branches[0].table, branches[0].params.eta
+            assert table._slope is not None
+            xs = np.array(points)
+            for sigma in (1.0, -1.0):
+                got = table._sums(xs, sigma)
+                scale = np.maximum(1.0, np.abs(eta * got[0]))
+                for ref, bound in ((table._panel_sums(xs, sigma), 1e-13),
+                                   (_mp_closed_form(mp, table, xs, sigma), 1e-14)):
+                    err = np.abs(eta * (got[0] - ref[0])) / scale
+                    assert np.all(err <= bound), (e, sigma, xs[np.argmax(err)], err.max())
+                    assert np.all(np.abs(got[1] - ref[1]) <= 1e-12), (e, sigma)
+
+
+def test_linear_potential_walks_no_panels(monkeypatch, linear_problem, harmonic_problem):
+    # a linear b takes its exponents in closed form: the linear count, bound
+    # states and far-field launch frame walk no panel; the harmonic pieces do
+    from gupbic.matcher import bound_states, degrees_of_freedom
+    from gupbic.oracle import growth_exponents
 
     walks = []
     extend = gupbic.basis.ExponentTable._extend
@@ -590,9 +645,12 @@ def test_linear_count_walks_its_wall_row_at_most_twice(monkeypatch, linear_probl
 
     monkeypatch.setattr(gupbic.basis.ExponentTable, "_extend", counting_extend)
     for e in (0.5, 2.0, 7.5, 15.0):
-        walks.clear()
         assert degrees_of_freedom(linear_problem, e)[0] == 1
-        assert 1 <= len(walks) <= 2, (e, len(walks))
+        assert len(bound_states(linear_problem, e).states) == 1
+        assert growth_exponents(linear_problem, e, "+inf").shape == (4,)
+        assert walks == [], e
+    bound_states(harmonic_problem, 1.7)
+    assert len(walks) >= 1
 
 
 def _classify_point_by_point(f, side, probes, samples_per_interval=7):
