@@ -34,7 +34,7 @@ from .errors import (
     WrongPotentialError,
 )
 from .matcher import bound_states
-from .oracle import DEFAULT_RTOL, MAX_RTOL, MIN_RTOL, momentum_rep_linear, wronskian
+from .oracle import DEFAULT_RTOL, MAX_RTOL, MIN_RTOL
 from .output import RunManifest, config_digest, write_csv, write_json
 from .spectrum import (
     critical_beta_exponent,
@@ -43,7 +43,7 @@ from .spectrum import (
     observability,
     well_special_energies,
 )
-from .verification import run_verification
+from .verification import momentum_dimension_evidence, reference_well_setup, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -53,7 +53,7 @@ EXIT_NUMERICAL = 3
 
 def default_setup() -> PhysicalSetup:
     """Reference configuration: electron in a 1 Angstrom half-width well, beta = 1e47."""
-    return PhysicalSetup(mass=9.10956e-31, beta=1e47, potential=InfiniteWell(a=1e-10))
+    return reference_well_setup()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -327,10 +327,7 @@ def cmd_momentum_check(args) -> int:
     if energy_si <= 0:
         raise ConfigError(f"--E must be > 0 J, got {energy_si}")
     manifest = _manifest(args, setup, config_path)
-    sol = momentum_rep_linear(setup, energy_si)
-    pts = np.linspace(-6.0, 6.0, 100)
-    res = max(sol.ode_residual(p) for p in pts)
-    w = wronskian(problem, problem.energy_from_si(energy_si), 0.8, anchor=0.8)
+    sol, res, w = momentum_dimension_evidence(setup, energy_si)
     payload = {
         "E_SI": energy_si,
         "E_dimensionless": problem.energy_from_si(energy_si),

@@ -7,9 +7,11 @@ The fourth-order equation is rewritten as Phi' = A(x) Phi with
 
 trace A = 0, so the Wronskian of any fundamental system is constant (Abel);
 that analytic fact is the oracle against which integrated trajectories are
-checked.  A standard (second-order, beta = 0) mode serves the classical-limit
-contrast: ``integrate`` selects it from a 2-component initial state (phi, phi'),
-``growth_exponents`` from ``standard=True`` or epsilon = 0.
+checked.  ``integrate`` marches a state or a frame of states outward from its
+launch point; the Wronskian is the determinant of the marched identity frame.
+A standard (second-order, beta = 0) mode serves the classical-limit
+contrast: ``integrate`` selects it from a 2-row initial state or frame
+(phi, phi'), ``growth_exponents`` from ``standard=True`` or epsilon = 0.
 """
 
 from __future__ import annotations
@@ -121,90 +123,58 @@ def _propagators(
 def integrate(
     problem: DimensionlessProblem,
     energy: float,
-    initial: Sequence[complex],
+    initial: Sequence[complex] | np.ndarray,
     x_from: float,
     xs: Sequence[float],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
-    """State vectors at the abscissas ``xs`` of the solution launched at ``x_from``.
+    """States (or frames) at the abscissas ``xs`` of the solutions launched at ``x_from``.
 
-    Returns shape (dim, len(xs)).  A 4-component ``initial`` (phi and three
-    derivatives) selects the fourth-order companion system, a 2-component
-    one (phi, phi') the standard beta = 0 system.  The march visits the
-    abscissas in order of distance from ``x_from``; the propagators U_k over
-    consecutive points come from ``_propagators``, and the state at the k-th
-    point is U_k ... U_1 @ initial.
+    ``initial`` is one state, shape (dim,), or a frame of states as columns,
+    shape (dim, k); the result has shape ``initial.shape + (len(xs),)``.
+    dim 4 (phi and three derivatives) selects the fourth-order companion
+    system, dim 2 (phi, phi') the standard beta = 0 system.  The march runs
+    outward from ``x_from`` on each side separately, visiting that side's
+    abscissas in order of distance; the propagators U_k over consecutive
+    points of both sides come from one ``_propagators`` call, and the state
+    at the k-th point of a side is U_k ... U_1 @ initial.
     """
     if not (MIN_RTOL <= rtol <= MAX_RTOL):
         raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
     state = np.asarray(initial, dtype=complex)
-    if state.shape == (4,):
+    dim = state.shape[0] if state.ndim in (1, 2) else 0
+    if dim == 4:
         rhs = companion_rhs(problem, energy)
-    elif state.shape == (2,):
+    elif dim == 2:
         rhs = standard_rhs(problem, energy)
     else:
-        raise PreconditionError("initial state must have 4 components (2 in standard mode)")
+        raise PreconditionError(
+            "initial must be a state or a frame of states as columns, with 4 rows (2 in standard mode)"
+        )
     xs = np.asarray(xs, dtype=float).reshape(-1)
     order = np.argsort(np.abs(xs - x_from), kind="stable")
-    grid = np.concatenate(([x_from], xs[order]))
-    out = np.empty((state.size, xs.size), dtype=complex)
-    for k, u in zip(order, _propagators(rhs, state.size, grid[:-1], grid[1:], rtol, atol)):
-        state = u @ state
-        out[:, k] = state
+    sides = [order[xs[order] >= x_from], order[xs[order] < x_from]]
+    grids = [np.concatenate(([x_from], xs[side])) for side in sides]
+    steps = _propagators(
+        rhs, dim, np.concatenate([g[:-1] for g in grids]),
+        np.concatenate([g[1:] for g in grids]), rtol, atol,
+    )
+    out = np.empty(state.shape + (xs.size,), dtype=complex)
+    for side, us in zip(sides, np.split(steps, [sides[0].size])):
+        current = state
+        for k, u in zip(side, us):
+            current = u @ current
+            out[..., k] = current
     return out
 
 
 # --- Wronskian -----------------------------------------------------------------
 
 
-def fundamental_frame(
-    problem: DimensionlessProblem,
-    energy: float,
-    anchor: float,
-    initials: np.ndarray | None = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-):
-    """Propagate a 4x4 frame (columns = solutions) from the anchor.
-
-    Returns a callable x -> 4x4 matrix; for an array of abscissas it returns
-    the stack of their frames.  Each call integrates the propagators
-    U(anchor -> x) of all abscissas other than the anchor together
-    (``_propagators``) and returns U @ initials.
-    """
-    if initials is None:
-        initials = np.eye(4, dtype=complex)
-    initials = np.asarray(initials, dtype=complex)
-    if initials.shape != (4, 4):
-        raise PreconditionError("frame initials must be a 4x4 matrix (columns = states)")
-    rhs = companion_rhs(problem, energy)
-
-    def frame_at(x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        flat = xs.reshape(-1)
-        out = np.empty((flat.size, 4, 4), dtype=complex)
-        out[:] = initials
-        away = flat != anchor
-        if away.any():
-            ends = flat[away]
-            out[away] = _propagators(rhs, 4, np.full(ends.size, anchor), ends, rtol, atol) @ initials
-        return out.reshape(xs.shape + (4, 4))
-
-    return frame_at
-
-
-def wronskian(
-    problem: DimensionlessProblem,
-    energy: float,
-    x: float,
-    anchor: float | None = None,
-    initials: np.ndarray | None = None,
-) -> complex:
-    """det of the frame at x propagated from the anchor (default x itself)."""
-    if anchor is None:
-        anchor = x
-    return complex(np.linalg.det(fundamental_frame(problem, energy, anchor, initials)(x)))
+def wronskian(problem: DimensionlessProblem, energy: float, x: float, anchor: float) -> complex:
+    """det at x of the identity frame launched at the anchor (Abel: exactly 1)."""
+    return complex(np.linalg.det(integrate(problem, energy, np.eye(4), anchor, [x])[..., 0]))
 
 
 def wronskian_drift(
@@ -212,15 +182,11 @@ def wronskian_drift(
     energy: float,
     xs: Sequence[float],
     anchor: float,
-    initials: np.ndarray | None = None,
     rtol: float = DEFAULT_RTOL,
 ) -> float:
-    """max |W(x) - W(anchor)| / |W(anchor)| over xs (constancy check)."""
-    frame = fundamental_frame(problem, energy, anchor, initials, rtol=rtol)
-    w0 = complex(np.linalg.det(frame(anchor)))
-    if w0 == 0:
-        raise PreconditionError("anchor frame is singular")
-    return float(np.max(np.abs(np.linalg.det(frame(xs)) - w0)) / abs(w0))
+    """max |W(x) - 1| over xs of the identity frame launched at the anchor (constancy check)."""
+    frames = integrate(problem, energy, np.eye(4), anchor, xs, rtol=rtol)
+    return float(np.max(np.abs(np.linalg.det(np.moveaxis(frames, -1, 0)) - 1.0)))
 
 
 # --- residuals -----------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import GupBicError
 from .matcher import StateFunction, solve_well
 from .oracle import (
     GROWTH_FLOOR,
+    MomentumSolution,
     bounded_dimension,
     growth_exponents,
     integrate,
@@ -204,6 +205,22 @@ def check_residual_negative_control(setup: PhysicalSetup | None = None) -> Check
     )
 
 
+def momentum_dimension_evidence(setup: PhysicalSetup, energy_si: float) -> tuple[MomentumSolution, float, complex]:
+    """The 1 vs 4 solution-space evidence for the linear potential at one energy.
+
+    Returns the momentum-space solution, its largest ODE residual over 100
+    probes in pt = [-6, 6], and the position-space Wronskian: the identity
+    frame launched at x = 0.8 and read one decay length 1/mu1 away, far
+    enough to integrate and near enough to stay conditioned at any beta.
+    """
+    problem = nondimensionalize(setup)
+    sol = momentum_rep_linear(setup, energy_si)
+    res = max(sol.ode_residual(p) for p in np.linspace(-6.0, 6.0, 100))
+    e = problem.energy_from_si(energy_si)
+    mu1 = characteristic_roots(problem.epsilon, e).mu1
+    return sol, res, wronskian(problem, e, 0.8 + 1.0 / mu1, anchor=0.8)
+
+
 def check_momentum_representation(setup: PhysicalSetup | None = None, energy_si: float | None = None) -> CheckResult:
     """First-order momentum-space solution: residual, antiderivative, dimensions."""
     if setup is None:
@@ -211,9 +228,7 @@ def check_momentum_representation(setup: PhysicalSetup | None = None, energy_si:
     problem = nondimensionalize(setup)
     if energy_si is None:
         energy_si = problem.energy_to_si(2.0)
-    sol = momentum_rep_linear(setup, energy_si)
-    pts = np.linspace(-6.0, 6.0, 100)
-    res = max(sol.ode_residual(p) for p in pts)
+    sol, res, w = momentum_dimension_evidence(setup, energy_si)
     anti = sol.phase_quadrature_check(np.linspace(-4.0, 4.0, 9))
     # finite-difference cross-check of the analytic derivative
     h = 1e-6
@@ -221,7 +236,6 @@ def check_momentum_representation(setup: PhysicalSetup | None = None, energy_si:
     for p in np.linspace(-3.0, 3.0, 11):
         fd = (sol(p + h) - sol(p - h)) / (2.0 * h)
         fd_worst = max(fd_worst, abs(fd - sol.derivative(p)) / max(abs(sol.derivative(p)), 1e-30))
-    w = wronskian(problem, 2.0, 0.8, anchor=0.8)
     measured = max(res, anti)
     return _result(
         "momentum_representation",

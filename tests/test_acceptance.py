@@ -19,10 +19,8 @@ from gupbic import (
     PhysicalSetup,
     characteristic_roots,
     integrate,
-    momentum_rep_linear,
     nondimensionalize,
     residual,
-    wronskian,
 )
 from gupbic.basis import WkbParameters, map_regions, wkb_basis
 from gupbic.matcher import solve_linear, solve_well
@@ -37,6 +35,7 @@ from gupbic.verification import (
     reference_well_setup,
     harmonic_setup_for,
     linear_setup_for,
+    momentum_dimension_evidence,
     standard_harmonic_mismatch,
 )
 
@@ -266,17 +265,15 @@ def test_criterion_7_observability_exponents():
 def test_criterion_8_momentum_representation_mismatch():
     setup = linear_setup_for(1e-2)
     problem = nondimensionalize(setup)
-    sol = momentum_rep_linear(setup, problem.energy_to_si(2.0))
-    probes = np.linspace(-6.0, 6.0, 100)
-    res = max(sol.ode_residual(p) for p in probes)
+    sol, res, w = momentum_dimension_evidence(setup, problem.energy_to_si(2.0))
     assert res <= 1e-10
     assert sol.dimension == 1
-    w = wronskian(problem, 2.0, 0.8, anchor=0.8)
-    assert abs(w) > 0.5
+    # the identity frame integrated one decay length keeps W = 1 (Abel)
+    assert abs(w - 1.0) <= 1e-10
     report(
         8,
         f"momentum-space ODE residual {res:.2e} <= 1e-10, dimension 1; "
-        f"position-space fundamental system dimension 4 (|W| = {abs(w):.3f})",
+        f"position-space fundamental system dimension 4 (|W - 1| = {abs(w - 1.0):.1e})",
     )
 
 

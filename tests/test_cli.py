@@ -176,8 +176,17 @@ class TestMomentumCheck:
         payload = json.loads((out / "momentum_check.json").read_text())
         assert payload["momentum_space_dimension"] == 1
         assert payload["position_space_dimension"] == 4
-        assert payload["position_wronskian_abs"] == pytest.approx(1.0, abs=1e-6)
+        assert payload["position_wronskian_abs"] == pytest.approx(1.0, abs=1e-10)
         assert payload["ode_residual_max"] < 1e-10
+
+    def test_stiff_frame_keeps_the_wronskian(self, tmp_path):
+        # eps 1.2e-8: the frame is read one decay length from its launch point
+        out = tmp_path / "mom"
+        argv = ["momentum-check", "--potential", "linear", "--L", "1.281e-8", "--E", "2e-18"]
+        assert run(argv + ["--beta", "1e40", "--out", out]) == 0
+        payload = json.loads((out / "momentum_check.json").read_text())
+        assert payload["position_wronskian_abs"] == pytest.approx(1.0, abs=1e-8)
+        assert run(argv + ["--beta", "0", "--out", tmp_path / "beta0"]) == 3
 
     def test_requires_linear(self, tmp_path):
         assert run(["momentum-check", "--out", tmp_path]) == 2
@@ -252,7 +261,7 @@ class TestExitCodes:
     def test_tol_bounds_checked(self, tmp_path, capsys):
         assert run(["verify", "--tol", "1e-3", "--out", tmp_path]) == 2
         # scipy clamps DOP853's rtol below 2.22e-14 with a warning; the batched
-        # Wronskian frames divide --tol by sqrt(8), so 1e-14 would be clamped
+        # Wronskian marches divide --tol by sqrt(9), so 1e-14 would be clamped
         capsys.readouterr()
         assert run(["verify", "--tol", "1e-14", "--out", tmp_path]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -271,11 +280,11 @@ class TestExitCodes:
 
         seen = []
 
-        def frame_spy(*args, rtol=oracle.DEFAULT_RTOL, **kwargs):
+        def integrate_spy(*args, rtol=oracle.DEFAULT_RTOL, **kwargs):
             seen.append(rtol)
             raise Reached
 
-        monkeypatch.setattr(oracle, "fundamental_frame", frame_spy)
+        monkeypatch.setattr(oracle, "integrate", integrate_spy)
         with pytest.raises(Reached):
             run(["verify", "--tol", "1e-9", "--out", tmp_path])
         assert seen == [1e-9]

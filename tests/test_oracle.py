@@ -24,6 +24,7 @@ from gupbic.verification import (
     reference_well_setup,
     harmonic_setup_for,
     linear_setup_for,
+    momentum_dimension_evidence,
     standard_harmonic_mismatch,
 )
 
@@ -82,6 +83,30 @@ class TestIntegrate:
         assert states.shape == (4, 201)
         for got, ref in zip(states, exact):
             assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_two_sided_grid_is_two_one_sided_marches(self, well_problem, monkeypatch):
+        # from a middle launch point each side marches outward on its own,
+        # and both sides' intervals go into one propagator solve
+        from gupbic import oracle
+
+        init = np.array([0.3, -0.1, 0.2, 0.5])
+        xs = np.array([0.4, -0.9, 0.1, 0.0, -0.2, 0.95, -0.5])
+        left, right = xs[xs < 0.0], xs[xs >= 0.0]
+        expected = np.empty((4, xs.size), dtype=complex)
+        expected[:, xs < 0.0] = integrate(well_problem, 5.0, init, 0.0, left)
+        expected[:, xs >= 0.0] = integrate(well_problem, 5.0, init, 0.0, right)
+
+        calls = []
+        real = oracle.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", counting)
+        states = integrate(well_problem, 5.0, init, 0.0, xs)
+        assert calls == [(0.0, 1.0)]
+        assert np.linalg.norm(states - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_two_component_initial_selects_standard_mode(self, well_problem):
         # phi'' = (v - e) phi with v = 0 inside the well and e = -k^2: the
@@ -175,15 +200,15 @@ class TestWronskian:
         assert len(calls) == 2
 
     def test_frame_of_an_array_is_the_stack_of_frames(self, well_problem):
-        from gupbic.oracle import fundamental_frame
-
+        # a frame marches as its columns do, each launched on its own
         xs = np.array([-0.8, 0.0, 0.3, 0.9])
-        frames = fundamental_frame(well_problem, 5.0, 0.0)(xs)
-        assert frames.shape == (4, 4, 4)
-        single = fundamental_frame(well_problem, 5.0, 0.0)
-        for x, m in zip(xs, frames):
-            assert np.allclose(single(x), m, rtol=1e-9, atol=1e-12)
-        assert np.array_equal(frames[1], np.eye(4))
+        frame = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, -0.4], [0.5, 0.0, 1.0], [0.0, 0.3, 0.7]])
+        frames = integrate(well_problem, 5.0, frame, 0.0, xs)
+        assert frames.shape == (4, 3, 4)
+        for j in range(3):
+            column = integrate(well_problem, 5.0, frame[:, j], 0.0, xs)
+            assert np.linalg.norm(frames[:, j] - column) <= 1e-14 * np.linalg.norm(column)
+        assert np.array_equal(frames[..., 1], frame)
 
     def test_canonical_frame_is_identity_determinant(self, well_problem):
         assert wronskian(well_problem, 5.0, 0.3, anchor=0.3) == pytest.approx(1.0)
@@ -204,15 +229,31 @@ class TestWronskian:
         result = check_wronskian_constancy(n_cases=9, seed=11)
         assert result.passed, result
 
+    def test_wronskian_integrates_away_from_the_anchor(self, well_problem, monkeypatch):
+        from gupbic import oracle
+
+        calls = []
+        real = oracle.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", counting)
+        w = wronskian(well_problem, 5.0, 0.5, anchor=0.0)
+        assert calls == [(0.0, 1.0)]
+        assert abs(w - 1.0) < 1e-10
+
     def test_dependent_initials_give_zero(self, well_problem):
         initials = np.eye(4, dtype=complex)
         initials[:, 3] = 0.25 * initials[:, 0] - 2.0 * initials[:, 1]
-        w = wronskian(well_problem, 5.0, 0.5, anchor=0.0, initials=initials)
-        assert abs(w) < 1e-10
+        frame = integrate(well_problem, 5.0, initials, 0.0, [0.5])[..., 0]
+        assert abs(np.linalg.det(frame)) < 1e-10
 
     def test_arity_guard(self, well_problem):
-        with pytest.raises(PreconditionError):
-            wronskian(well_problem, 5.0, 0.5, anchor=0.0, initials=np.eye(4)[:, :3])
+        for initial in (np.eye(4)[:3], np.eye(4)[:, :, None], 1.0):
+            with pytest.raises(PreconditionError):
+                integrate(well_problem, 5.0, initial, 0.0, [0.5])
 
 
 class TestResidual:
@@ -468,10 +509,9 @@ class TestMomentumRepresentation:
 
     def test_dimension_mismatch_exhibit(self, lin):
         setup, problem = lin
-        sol = momentum_rep_linear(setup, problem.energy_to_si(2.0))
+        sol, _, w = momentum_dimension_evidence(setup, problem.energy_to_si(2.0))
         assert sol.dimension == 1
-        w = wronskian(problem, 2.0, 0.8, anchor=0.8)
-        assert abs(w) > 0.5  # four independent position-space solutions
+        assert abs(w - 1.0) < 1e-10  # four independent position-space solutions
 
     def test_wrong_potential_rejected(self):
         with pytest.raises(WrongPotentialError):
