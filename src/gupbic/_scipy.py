@@ -1,11 +1,13 @@
 """Module-level stand-ins for scipy functions that import scipy on first call.
 
 Importing ``scipy.integrate`` takes about 0.5-0.7 s on a 2-core Xeon VM,
-longer than a whole infinite-well command, and the well commands call no
-scipy function.  The modules that use (or only expose) ``quad`` and
-``solve_ivp`` bind one of these stand-ins under that name, so the name stays
-an ordinary module attribute that callers can patch and count, while scipy
-loads only when an oracle integration (``verify``) first calls it.
+longer than a whole infinite-well command, and takes the peak resident
+memory of a process that has imported the CLI from about 34 to 80 MB
+(Python 3.11.7, numpy 2.4.6, scipy 1.17.1).  No gupbic command calls ``quad`` or ``solve_ivp``: ``basis``,
+``matcher``, ``spectrum`` and ``oracle`` only expose them under those names,
+bound to these stand-ins, so each name stays an ordinary module attribute
+that the benchmark's tracer can patch, and scipy loads only if a caller
+calls one.
 """
 
 from __future__ import annotations

@@ -116,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol", type=float, default=DEFAULT_RTOL, metavar="X",
         help=(
-            f"relative tolerance of the oracle integrations, in [{MIN_RTOL:g}, {MAX_RTOL:g}]; "
-            "below the lower end scipy would clamp the batched Wronskian integration"
+            f"relative tolerance of the oracle integrations, in [{MIN_RTOL:g}, {MAX_RTOL:g}]: "
+            "the bound on each Taylor series' tail, relative to its largest term; "
+            "below the lower end the roundoff of the chained steps already exceeds the tail"
         ),
     )
 
@@ -354,7 +355,7 @@ def cmd_verify(args) -> int:
     if not (MIN_RTOL <= args.tol <= MAX_RTOL):
         raise ConfigError(
             f"--tol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {args.tol:g}; below "
-            f"{MIN_RTOL:g} scipy would clamp the batched oracle integrations (DOP853 floor 2.22e-14)"
+            f"{MIN_RTOL:g} the roundoff of the oracle's chained steps already exceeds its series tail"
         )
     manifest = _manifest(args, setup, config_path)
     checks = run_verification(setup, rtol=args.tol)

@@ -12,6 +12,11 @@ launch point; the Wronskian is the determinant of the marched identity frame.
 A standard (second-order, beta = 0) mode serves the classical-limit
 contrast: ``integrate`` selects it from a 2-row initial state or frame
 (phi, phi'), ``growth_exponents`` from ``standard=True`` or epsilon = 0.
+
+Every potential is a polynomial of degree <= 2, so the propagators are
+Taylor series whose coefficients obey an exact recurrence (``_scaled_steps``):
+numpy only, with no step control and no scipy.  The series' tail bound is
+the integrations' rtol and atol.
 """
 
 from __future__ import annotations
@@ -26,17 +31,17 @@ from ._scipy import lazy
 from .basis import WkbParameters, map_regions, wkb_branches
 from .core import DimensionlessProblem, Linear, PhysicalSetup, nondimensionalize
 from .errors import NumericalError, PreconditionError, WrongPotentialError
+from .panels import panel_integrals
 
-# lazy module attributes for perfbench/tracer.py to patch; they go with ROADMAP item 1
+# unused here: perfbench/tracer.py patches oracle.quad and oracle.solve_ivp until ROADMAP item 1 replaces it
 quad = lazy("integrate", "quad")
 solve_ivp = lazy("integrate", "solve_ivp")
 
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-13
-# scipy clamps DOP853's rtol below 100 * machine eps (2.22e-14) with a warning
-_RTOL_FLOOR = 100 * np.finfo(float).eps
-# Accepted oracle rtol: 1e-13 is the first round value above _RTOL_FLOOR, and
-# _propagators batches its intervals so that no split rtol falls below it.
+# Accepted oracle rtol.  Below 1e-13 a tighter series tail buys nothing: the
+# roundoff of the chained step products already exceeds it (verify's oracle
+# checks read the same at every rtol from 1e-11 down).
 MIN_RTOL, MAX_RTOL = 1e-13, 1e-6
 
 
@@ -44,7 +49,9 @@ def companion_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
     """Phi' = A(x) Phi for one state (shape (4,)) or a flattened frame of k states.
 
     A frame is the (4, k) matrix whose columns are states, flattened row by
-    row; each component row is computed for all k columns at once.
+    row; each component row is computed for all k columns at once.  The
+    propagators sum Taylor series instead; this is the system for a generic
+    solver, such as the DOP853 references of the tests.
     """
     eps = problem.epsilon
     if eps <= 0.0:
@@ -79,44 +86,117 @@ def standard_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
 
 # --- propagators and integration -----------------------------------------------
 
+_MAX_TERMS = 80  # series cap; with h rho <= 1 the tail rule ends it near 20 terms
+
+
+def _potential_taylor(problem: DimensionlessProblem, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """v0, v1, v2 of v(x + t) = v0 + v1 t + v2 t^2 at each x, each of the shape of x.
+
+    The recurrence is exact only for a polynomial of degree <= 2, so any
+    nonzero v''' or v'''' is refused.
+    """
+    d = problem.v_derivs(x)
+    if np.any(d[3]) or np.any(d[4]):
+        raise PreconditionError("the oracle's Taylor recurrence needs v''' = v'''' = 0 (degree <= 2)")
+    zero = np.zeros(x.shape)
+    return d[0] + zero, d[1] + zero, 0.5 * d[2] + zero
+
+
+def _max_rate(problem: DimensionlessProblem, energy: float, dim: int, x: np.ndarray) -> np.ndarray:
+    """Largest |lambda| of the frozen-coefficient system at each x.
+
+    Fourth order: eps lambda^4 - lambda^2 - (e - v) = 0, whose largest
+    |lambda^2| is |1 + sqrt(1 + 4 eps (e - v))| / (2 eps); standard mode:
+    lambda^2 = v - e.
+    """
+    w = energy - _potential_taylor(problem, x)[0]
+    if dim == 2:
+        return np.sqrt(np.abs(w))
+    eps = problem.epsilon
+    return np.sqrt(np.abs(1.0 + np.sqrt(1.0 + 4.0 * eps * w + 0j)) / (2.0 * eps))
+
+
+def _scaled_steps(
+    problem: DimensionlessProblem, energy: float, dim: int, x0: np.ndarray, h: np.ndarray,
+    rtol: float, atol: float,
+) -> np.ndarray:
+    """Propagators over [x0, x0 + h] of the scaled state s_m = h^m phi^(m), shape (S, dim, dim).
+
+    The Taylor coefficients c_n of a solution at x0, scaled as a_n = c_n h^n,
+    obey (v2 = v''/2, (n+1)_k = (n+1) ... (n+k))
+
+        eps (n+1)_4 a_{n+4} = h^2 (n+1)(n+2) a_{n+2} + h^4 [(e - v0) a_n - h v1 a_{n-1} - h^2 v2 a_{n-2}]
+        (n+1)_2 a_{n+2} = h^2 [(v0 - e) a_n + h v1 a_{n-1} + h^2 v2 a_{n-2}]     (standard mode).
+
+    Column k starts as s = e_k, i.e. a_j = delta_jk / k! for j < dim, and
+    ends as s_m = sum_n n!/(n-m)! a_n.  All sub-steps and columns run at
+    once.  The series stops once the last dim terms of every sub-step lie
+    below rtol times its largest term plus atol.
+    """
+    v0, v1, v2 = _potential_taylor(problem, x0)
+    if dim == 4:
+        gain, scale = (h**2 / problem.epsilon)[:, None], -(h**4) / problem.epsilon
+    else:
+        gain, scale = 0.0, h**2
+    k0, k1, k2 = (scale * (v0 - energy))[:, None], (scale * h * v1)[:, None], (scale * h**2 * v2)[:, None]
+    # falling factorials n!/(n-m)!, zero for m > n
+    falling = np.ones((_MAX_TERMS, dim))
+    for m in range(1, dim):
+        falling[:, m] = falling[:, m - 1] * (np.arange(_MAX_TERMS) - m + 1)
+    a = np.zeros((_MAX_TERMS + 2, x0.size, dim))  # a[n + 2] holds a_n; a_-1 = a_-2 = 0
+    for j in range(dim):
+        a[j + 2, :, j] = 1.0 / math.factorial(j)
+    # largest |term| of each coefficient (row m = dim - 1 weighs most); the identity's are 1
+    size = np.ones((_MAX_TERMS, x0.size))
+    largest = np.ones(x0.size)
+    for n in range(dim, _MAX_TERMS):
+        p = n - dim
+        nxt = k0 * a[p + 2] + k1 * a[p + 1] + k2 * a[p]
+        if dim == 4:
+            nxt += gain * ((p + 1) * (p + 2)) * a[p + 4]
+        a[n + 2] = nxt / math.prod(range(p + 1, n + 1))
+        size[n] = np.abs(a[n + 2]).max(axis=1) * falling[n, -1]
+        np.maximum(largest, size[n], out=largest)
+        if np.all(size[n + 1 - dim : n + 1] <= rtol * largest + atol):
+            return np.einsum("nm,nsk->smk", falling[: n + 1], a[2 : n + 3])
+    raise NumericalError(f"Taylor series did not reach its tail bound within {_MAX_TERMS} terms")
+
 
 def _propagators(
-    rhs: Callable, dim: int, starts: np.ndarray, ends: np.ndarray, rtol: float, atol: float
+    problem: DimensionlessProblem, energy: float, dim: int, starts: np.ndarray, ends: np.ndarray,
+    rtol: float, atol: float,
 ) -> np.ndarray:
     """Real propagators U_k of Phi' = A(x) Phi over [starts[k], ends[k]], shape (K, dim, dim).
 
-    Each interval maps to s in [0, 1], dPhi/ds = (end - start) A(start + s (end - start)) Phi,
-    so a batch of K identity frames integrates as one real system (one
-    ``solve_ivp`` call, shared step control).  scipy's error norm is an RMS
-    over all components, so rtol and atol are divided by sqrt(K): each
-    interval's own RMS error then stays within the caller's tolerance.
-    scipy clamps an rtol below _RTOL_FLOOR, so a batch holds at most
-    (rtol / _RTOL_FLOOR)^2 intervals and longer lists take several calls.
+    dim 4 is the fourth-order companion system, dim 2 the standard one.
+    Each interval is cut into equal sub-steps h with |h| rho <= 1, rho the
+    larger ``_max_rate`` of its two ends, so a sub-step grows by about e at
+    most and its series sums without cancellation.  The sub-step
+    propagators come from one ``_scaled_steps`` call.  They are chained by
+    pairwise stacked products in the scaled state (every sub-step of an
+    interval shares h), which is unscaled once: U = H^-1 S H with
+    H = diag(h^m).  A zero-width interval is exactly the identity.
     """
-    starts = np.asarray(starts, dtype=float)
-    widths = np.asarray(ends, dtype=float) - starts
-    batch = max(1, int((rtol / _RTOL_FLOOR) ** 2))
-    out = np.empty((starts.size, dim, dim))
-    for i in range(0, starts.size, batch):
-        k = min(batch, starts.size - i)
-        col_starts = np.repeat(starts[i : i + k], dim)
-        col_widths = np.repeat(widths[i : i + k], dim)
-
-        def scaled(s, y):
-            return (rhs(col_starts + s * col_widths, y).reshape(dim, -1) * col_widths).reshape(-1)
-
-        split = math.sqrt(k)
-        sol = solve_ivp(
-            scaled,
-            (0.0, 1.0),
-            np.tile(np.eye(dim), k).reshape(-1),
-            method="DOP853",
-            rtol=rtol / split,
-            atol=atol / split,
-        )
-        if not sol.success:
-            raise NumericalError(f"propagator integration failed: {sol.message}")
-        out[i : i + k] = sol.y[:, -1].reshape(dim, k, dim).transpose(1, 0, 2)
+    if dim == 4 and problem.epsilon <= 0.0:
+        raise PreconditionError("the companion system requires epsilon > 0; use the standard mode")
+    starts = np.asarray(starts, dtype=float).reshape(-1)
+    widths = np.asarray(ends, dtype=float).reshape(-1) - starts
+    rate = _max_rate(problem, energy, dim, np.concatenate([starts, starts + widths])).reshape(2, -1).max(axis=0)
+    counts = np.maximum(1, np.ceil(np.abs(widths) * rate)).astype(int)
+    h = widths / counts
+    # (K, a power of two) slots, sub-step j of interval k in slot (k, j); the rest stay identities
+    slots = 1 << (int(counts.max(initial=1)) - 1).bit_length()
+    live = np.arange(slots) < counts[:, None]
+    chain = np.empty(live.shape + (dim, dim))
+    chain[:] = np.eye(dim)
+    x0 = starts[:, None] + np.arange(slots) * h[:, None]
+    chain[live] = _scaled_steps(problem, energy, dim, x0[live], np.repeat(h, counts), rtol, atol)
+    while chain.shape[1] > 1:
+        chain = chain[:, 1::2] @ chain[:, 0::2]  # later sub-steps on the left
+    zero = widths == 0.0
+    powers = np.arange(dim)
+    out = chain[:, 0] * np.where(zero, 1.0, h)[:, None, None] ** (powers - powers[:, None])
+    out[zero] = np.eye(dim)
     return out
 
 
@@ -144,11 +224,7 @@ def integrate(
         raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
     state = np.asarray(initial, dtype=complex)
     dim = state.shape[0] if state.ndim in (1, 2) else 0
-    if dim == 4:
-        rhs = companion_rhs(problem, energy)
-    elif dim == 2:
-        rhs = standard_rhs(problem, energy)
-    else:
+    if dim not in (2, 4):
         raise PreconditionError(
             "initial must be a state or a frame of states as columns, with 4 rows (2 in standard mode)"
         )
@@ -157,7 +233,7 @@ def integrate(
     sides = [order[xs[order] >= x_from], order[xs[order] < x_from]]
     grids = [np.concatenate(([x_from], xs[side])) for side in sides]
     steps = _propagators(
-        rhs, dim, np.concatenate([g[:-1] for g in grids]),
+        problem, energy, dim, np.concatenate([g[:-1] for g in grids]),
         np.concatenate([g[1:] for g in grids]), rtol, atol,
     )
     out = np.empty(state.shape + (xs.size,), dtype=complex)
@@ -259,6 +335,23 @@ def _wkb_frame_at(
 
 
 GROWTH_FLOOR = 0.5  # |growth exponent| below this is too close to zero to count
+SEGMENT_GROWTH = 3.0  # largest rho * width of a march segment
+
+
+def _march_points(
+    problem: DimensionlessProblem, energy: float, dim: int, x_far: float, anchor: float, checkpoints: int
+) -> np.ndarray:
+    """Ends of equal march segments from x_far to the anchor.
+
+    At least ``checkpoints`` segments, and enough that none grows by more
+    than e^SEGMENT_GROWTH (rho * width, rho the larger ``_max_rate`` of the
+    two ends).  Past that, the QR of a segment's image loses the decaying
+    directions to roundoff, and Abel's sum of the exponents drifts from zero.
+    """
+    ends = np.array([x_far, anchor])
+    rho = float(_max_rate(problem, energy, dim, ends).max())
+    count = max(checkpoints, math.ceil(rho * abs(anchor - x_far) / SEGMENT_GROWTH))
+    return np.linspace(x_far, anchor, count + 1)
 
 
 def growth_exponents(
@@ -275,8 +368,10 @@ def growth_exponents(
     """Log-growth of each direction of a frame marched from the far field to the anchor.
 
     The march runs backwards from the far point toward ``side`` to the
-    interior anchor over ``checkpoints`` equal segments.  The segment
-    propagators U_k come from one batched integration (``_propagators``);
+    interior anchor over equal segments, at least ``checkpoints`` of them
+    and more where one would grow by more than e^SEGMENT_GROWTH
+    (``_march_points``).  The segment propagators U_k come from one
+    ``_propagators`` call;
     the frame is then re-orthonormalized segment by segment, q, r =
     qr(U_k @ q), and the log |diag r| accumulate.  Directions that grow
     toward the interior are exactly those bounded (decaying) toward the
@@ -304,18 +399,15 @@ def growth_exponents(
 
     march_direction = math.copysign(1.0, anchor - x_far)
     if standard or problem.epsilon == 0.0:
-        wloc = problem.v_derivs(x_far)[0] - energy
-        r = math.sqrt(wloc)
+        r = math.sqrt(w_launch)
         frame = np.array([[1.0, 1.0], [-sgn * r, sgn * r]], dtype=complex)
-        rhs = standard_rhs(problem, energy)
         dim = 2
     else:
         frame = _wkb_frame_at(problem, energy, x_far, march_direction)
-        rhs = companion_rhs(problem, energy)
         dim = 4
 
-    xs = np.linspace(x_far, anchor, checkpoints + 1)
-    segments = _propagators(rhs, dim, xs[:-1], xs[1:], rtol, atol)
+    xs = _march_points(problem, energy, dim, x_far, anchor, checkpoints)
+    segments = _propagators(problem, energy, dim, xs[:-1], xs[1:], rtol, atol)
     # initial QR so the accumulated R diagonals measure growth only
     q, _ = np.linalg.qr(frame)
     growth = np.zeros(dim)
@@ -391,44 +483,46 @@ class MomentumSolution:
     momentum_scale: float
     dimension: int = 1
 
-    def phase(self, pt: float) -> float:
+    def phase(self, pt):
+        """g(pt) / gamma; pt may be a float or an array."""
         bt, e = self.beta_tilde, self.e_tilde
         if bt == 0.0:
             g = pt**3 / 3.0 - e * pt
         else:
             rb = math.sqrt(bt)
-            g = pt / bt - (1.0 / bt + e) * math.atan(rb * pt) / rb
+            g = pt / bt - (1.0 / bt + e) * np.arctan(rb * pt) / rb
         return g / self.gamma
 
-    def phase_derivative(self, pt: float) -> float:
+    def phase_derivative(self, pt):
         return (pt**2 - self.e_tilde) / (self.gamma * (1.0 + self.beta_tilde * pt**2))
 
-    def __call__(self, pt: float) -> complex:
-        return self.c0 * complex(np.exp(1j * self.phase(pt)))
+    def __call__(self, pt):
+        return self.c0 * np.exp(1j * self.phase(pt))
 
-    def derivative(self, pt: float) -> complex:
+    def derivative(self, pt):
         return self(pt) * 1j * self.phase_derivative(pt)
 
-    def ode_residual(self, pt: float, derivative: complex | None = None) -> float:
-        """Scaled defect of the first-order equation at pt."""
+    def ode_residual(self, pt, derivative=None):
+        """Scaled defect of the first-order equation at pt (a float or an array)."""
         c = self(pt)
         dc = self.derivative(pt) if derivative is None else derivative
         t1 = 1j * self.gamma * (1.0 + self.beta_tilde * pt**2) * dc
         t2 = (pt**2 - self.e_tilde) * c
-        return abs(t1 + t2) / (abs(t1) + abs(t2) + 1e-300)
+        return np.abs(t1 + t2) / (np.abs(t1) + np.abs(t2) + 1e-300)
 
     def phase_quadrature_check(self, pts: Sequence[float]) -> float:
-        """max |g(pt) - g(p0) - int g'| over pts: verifies the antiderivative."""
-        pts = sorted(pts)
-        worst = 0.0
-        base = self.phase(pts[0])
-        acc = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            acc += quad(self.phase_derivative, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-            diff = abs(self.phase(b) - base - acc)
-            scale = max(1.0, abs(self.phase(b)))
-            worst = max(worst, diff / scale)
-        return worst
+        """max |g(pt) - g(p0) - int g'| over pts: verifies the antiderivative.
+
+        The integrals of g' over the gaps between consecutive pts come from
+        one ``panel_integrals`` call (epsabs = epsrel = 1e-13).
+        """
+        pts = np.sort(np.asarray(pts, dtype=float))
+        gaps = panel_integrals(
+            lambda t, width, _: self.phase_derivative(t) * width, pts[:-1], pts[1:], 1e-13
+        ).real
+        g = self.phase(pts[1:])
+        diff = np.abs(g - self.phase(pts[0]) - np.cumsum(gaps))
+        return float(np.max(diff / np.maximum(1.0, np.abs(g)), initial=0.0))
 
 
 def momentum_rep_linear(setup: PhysicalSetup, energy_si: float, c0: complex = 1.0) -> MomentumSolution:

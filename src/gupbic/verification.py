@@ -215,7 +215,7 @@ def momentum_dimension_evidence(setup: PhysicalSetup, energy_si: float) -> tuple
     """
     problem = nondimensionalize(setup)
     sol = momentum_rep_linear(setup, energy_si)
-    res = max(sol.ode_residual(p) for p in np.linspace(-6.0, 6.0, 100))
+    res = float(np.max(sol.ode_residual(np.linspace(-6.0, 6.0, 100))))
     e = problem.energy_from_si(energy_si)
     mu1 = characteristic_roots(problem.epsilon, e).mu1
     return sol, res, wronskian(problem, e, 0.8 + 1.0 / mu1, anchor=0.8)
@@ -232,10 +232,10 @@ def check_momentum_representation(setup: PhysicalSetup | None = None, energy_si:
     anti = sol.phase_quadrature_check(np.linspace(-4.0, 4.0, 9))
     # finite-difference cross-check of the analytic derivative
     h = 1e-6
-    fd_worst = 0.0
-    for p in np.linspace(-3.0, 3.0, 11):
-        fd = (sol(p + h) - sol(p - h)) / (2.0 * h)
-        fd_worst = max(fd_worst, abs(fd - sol.derivative(p)) / max(abs(sol.derivative(p)), 1e-30))
+    ps = np.linspace(-3.0, 3.0, 11)
+    fd = (sol(ps + h) - sol(ps - h)) / (2.0 * h)
+    exact = sol.derivative(ps)
+    fd_worst = float(np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-30)))
     measured = max(res, anti)
     return _result(
         "momentum_representation",

@@ -260,8 +260,7 @@ class TestExitCodes:
 
     def test_tol_bounds_checked(self, tmp_path, capsys):
         assert run(["verify", "--tol", "1e-3", "--out", tmp_path]) == 2
-        # scipy clamps DOP853's rtol below 2.22e-14 with a warning; the batched
-        # Wronskian marches divide --tol by sqrt(9), so 1e-14 would be clamped
+        # below 1e-13 the roundoff of the oracle's chained steps exceeds its series tail
         capsys.readouterr()
         assert run(["verify", "--tol", "1e-14", "--out", tmp_path]) == 2
         err = json.loads(capsys.readouterr().err)

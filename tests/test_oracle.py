@@ -20,6 +20,8 @@ from gupbic import (
 from gupbic.errors import NumericalError, PreconditionError, WrongPotentialError
 from gupbic.matcher import StateFunction, bound_states
 from gupbic.verification import (
+    REFERENCE_HALF_WIDTH,
+    beta_for_epsilon,
     check_wronskian_constancy,
     reference_well_setup,
     harmonic_setup_for,
@@ -29,6 +31,22 @@ from gupbic.verification import (
 )
 
 E1_DIMLESS = 2.918779290241783
+
+
+@pytest.fixture
+def propagator_calls(monkeypatch):
+    """The interval count of every oracle._propagators call made in the test."""
+    from gupbic import oracle
+
+    calls = []
+    real = oracle._propagators
+
+    def counting(problem, energy, dim, starts, ends, rtol, atol):
+        calls.append(len(starts))
+        return real(problem, energy, dim, starts, ends, rtol, atol)
+
+    monkeypatch.setattr(oracle, "_propagators", counting)
+    return calls
 
 
 class TestIntegrate:
@@ -71,8 +89,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("rtol", [1e-11, 1e-13])
     def test_closed_form_well_state_at_201_points(self, well_problem, rtol):
-        # the exact-well check's chain; at 1e-13 the 200 intervals exceed
-        # one batch, and no integration may clamp (a UserWarning, an error here)
+        # the exact-well check's chain of 200 intervals, at the default
+        # tolerance and at the floor; no warning may be raised
         roots = characteristic_roots(well_problem.epsilon, 5.0)
         state = StateFunction(np.array([0.05, 0.4, 0.7, 0.55]), exact_constant_basis(roots, well_problem.domain))
         xs = np.linspace(-1.0, 1.0, 201)
@@ -84,28 +102,18 @@ class TestIntegrate:
         for got, ref in zip(states, exact):
             assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
-    def test_two_sided_grid_is_two_one_sided_marches(self, well_problem, monkeypatch):
+    def test_two_sided_grid_is_two_one_sided_marches(self, well_problem, propagator_calls):
         # from a middle launch point each side marches outward on its own,
-        # and both sides' intervals go into one propagator solve
-        from gupbic import oracle
-
+        # and both sides' intervals go into one propagator call
         init = np.array([0.3, -0.1, 0.2, 0.5])
         xs = np.array([0.4, -0.9, 0.1, 0.0, -0.2, 0.95, -0.5])
         left, right = xs[xs < 0.0], xs[xs >= 0.0]
         expected = np.empty((4, xs.size), dtype=complex)
         expected[:, xs < 0.0] = integrate(well_problem, 5.0, init, 0.0, left)
         expected[:, xs >= 0.0] = integrate(well_problem, 5.0, init, 0.0, right)
-
-        calls = []
-        real = oracle.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "solve_ivp", counting)
+        del propagator_calls[:]
         states = integrate(well_problem, 5.0, init, 0.0, xs)
-        assert calls == [(0.0, 1.0)]
+        assert propagator_calls == [7]
         assert np.linalg.norm(states - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_two_component_initial_selects_standard_mode(self, well_problem):
@@ -158,25 +166,15 @@ class TestCompanionRhs:
 
 
 class TestWronskian:
-    def test_drift_integrates_once(self, well_problem, monkeypatch):
-        from gupbic import oracle
-
-        calls = []
-        real = oracle.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "solve_ivp", counting)
+    def test_drift_integrates_once(self, well_problem, propagator_calls):
         drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0)
         assert drift < 1e-8
-        # both sides of the anchor in one batched propagator solve
-        assert calls == [(0.0, 1.0)]
+        # both sides of the anchor in one propagator call, one interval per point
+        assert propagator_calls == [9]
 
     def test_scipy_names_are_patchable_module_attributes(self, well_problem, monkeypatch):
-        # scipy loads on first use, but quad and solve_ivp stay module
-        # attributes, and the oracle calls go through the binding
+        # scipy loads on first use, and quad and solve_ivp stay module
+        # attributes, but the oracle's integrations call neither
         from scipy.integrate import quad
 
         from gupbic import basis, matcher, oracle, spectrum
@@ -195,9 +193,9 @@ class TestWronskian:
 
         monkeypatch.setattr(oracle, "solve_ivp", counting)
         integrate(well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], -1.0, [1.0])
-        assert calls == [(0.0, 1.0)]
         wronskian(well_problem, 5.0, 0.5, anchor=0.0)
-        assert len(calls) == 2
+        growth_exponents(nondimensionalize(harmonic_setup_for(0.02)), 1.7, "+inf")
+        assert calls == []
 
     def test_frame_of_an_array_is_the_stack_of_frames(self, well_problem):
         # a frame marches as its columns do, each launched on its own
@@ -218,8 +216,7 @@ class TestWronskian:
         assert drift < 1e-8
 
     def test_thirty_frames_at_the_rtol_floor_do_not_clamp(self, well_problem):
-        # 30 intervals at rtol 1e-13 split to 1.8e-14 in one batch, below
-        # scipy's floor; _propagators batches them instead
+        # 30 frames at the smallest accepted rtol, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 31), anchor=0.0, rtol=1e-13)
@@ -229,19 +226,9 @@ class TestWronskian:
         result = check_wronskian_constancy(n_cases=9, seed=11)
         assert result.passed, result
 
-    def test_wronskian_integrates_away_from_the_anchor(self, well_problem, monkeypatch):
-        from gupbic import oracle
-
-        calls = []
-        real = oracle.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "solve_ivp", counting)
+    def test_wronskian_integrates_away_from_the_anchor(self, well_problem, propagator_calls):
         w = wronskian(well_problem, 5.0, 0.5, anchor=0.0)
-        assert calls == [(0.0, 1.0)]
+        assert propagator_calls == [1]
         assert abs(w - 1.0) < 1e-10
 
     def test_dependent_initials_give_zero(self, well_problem):
@@ -331,20 +318,10 @@ class TestDecayingSubspace:
         with pytest.raises(PreconditionError):
             decaying_subspace_dimension(well_problem, 5.0, "+inf")
 
-    def test_march_integrates_once(self, monkeypatch):
-        from gupbic import oracle
-
-        calls = []
-        real = oracle.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "solve_ivp", counting)
+    def test_march_integrates_once(self, propagator_calls):
         har = nondimensionalize(harmonic_setup_for(0.02))
         assert decaying_subspace_dimension(har, 1.7, "-inf") == 2
-        assert calls == [(0.0, 1.0)]
+        assert propagator_calls == [24]  # no segment grows past e^3 at eps 0.02
 
     def test_exponents_near_zero_are_not_counted(self):
         from gupbic.oracle import bounded_dimension
@@ -355,8 +332,8 @@ class TestDecayingSubspace:
 
     @staticmethod
     def _reference_growth(problem, energy, side, standard):
-        # the march one segment at a time: each solve_ivp carries the
-        # orthonormal frame q itself across its segment
+        # the march one segment at a time, over the march's own segments:
+        # each solve_ivp carries the orthonormal frame q itself across its segment
         from scipy.integrate import solve_ivp
 
         from gupbic import oracle
@@ -373,12 +350,29 @@ class TestDecayingSubspace:
             rhs, dim = oracle.companion_rhs(problem, energy), 4
         q, _ = np.linalg.qr(frame)
         growth = np.zeros(dim)
-        xs = np.linspace(x_far, anchor, 25)
+        xs = oracle._march_points(problem, energy, dim, x_far, anchor, 24)
         for a, b in zip(xs[:-1], xs[1:]):
             sol = solve_ivp(rhs, (a, b), q.reshape(-1), method="DOP853", rtol=1e-11, atol=1e-13)
             q, r = np.linalg.qr(sol.y[:, -1].reshape(dim, dim))
             growth += np.log(np.abs(np.diag(r)))
         return growth
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.02, 0.2])
+    @pytest.mark.parametrize("standard", [False, True], ids=["fourth-order", "standard"])
+    def test_exponents_sum_to_zero(self, eps, standard):
+        # trace A = 0, so by Abel's formula the log-growths of a whole frame sum to 0
+        lin = nondimensionalize(linear_setup_for(eps))
+        har = nondimensionalize(harmonic_setup_for(eps))
+        for problem, energy, side in ((lin, 2.0, "+inf"), (har, 1.7, "+inf"), (har, 1.7, "-inf")):
+            growth = growth_exponents(problem, energy, side, standard=standard)
+            assert abs(growth.sum()) <= 1e-9 * np.max(np.abs(growth))
+
+    def test_march_splits_only_where_a_segment_would_grow_past_e3(self, propagator_calls):
+        # checkpoints is a minimum: 24 segments at eps 0.02, more at eps 1e-4
+        for eps in (0.02, 1e-4):
+            growth_exponents(nondimensionalize(linear_setup_for(eps)), 2.0, "+inf")
+        assert propagator_calls[0] == 24
+        assert propagator_calls[1] > 24
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.02, 0.2])
     @pytest.mark.parametrize("standard", [False, True], ids=["fourth-order", "standard"])
@@ -395,6 +389,12 @@ class TestDecayingSubspace:
 
 
 class TestPropagators:
+    @staticmethod
+    def _problem(kind, eps):
+        if kind == "well":
+            return nondimensionalize(reference_well_setup(beta=beta_for_epsilon(eps, REFERENCE_HALF_WIDTH)))
+        return nondimensionalize((linear_setup_for if kind == "linear" else harmonic_setup_for)(eps))
+
     def test_batched_intervals_match_single_interval_solves(self, harmonic_problem):
         from scipy.integrate import solve_ivp
 
@@ -404,7 +404,7 @@ class TestPropagators:
         starts = np.array([0.0, 0.0, -1.5, 0.7, 1.2, 0.3, -0.4])
         ends = np.array([1.5, -1.5, 0.0, 0.71, 1.2, 0.29, 1.1])
         rhs = companion_rhs(harmonic_problem, 1.7)
-        batched = _propagators(rhs, 4, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
+        batched = _propagators(harmonic_problem, 1.7, 4, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
         assert batched.shape == (starts.size, 4, 4)
         for a, b, u in zip(starts, ends, batched):
             if a == b:
@@ -417,43 +417,60 @@ class TestPropagators:
             single = sol.y[:, -1].reshape(4, 4)
             assert np.linalg.norm(u - single) <= 1e-9 * np.linalg.norm(single)
 
-    def test_tolerance_is_split_over_the_intervals(self, harmonic_problem, monkeypatch):
-        # scipy's error norm is an RMS over all components; dividing by
-        # sqrt(K) keeps each interval's own RMS error within the tolerance
-        from gupbic import oracle
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.02, 0.2])
+    @pytest.mark.parametrize("dim", [4, 2])
+    @pytest.mark.parametrize("kind", ["well", "linear", "harmonic"])
+    def test_matches_tight_dop853(self, kind, dim, eps):
+        # each interval against its own DOP853 solve at rtol 1e-13, forward and reversed
+        from scipy.integrate import solve_ivp
 
-        seen = []
-        real = oracle.solve_ivp
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators, companion_rhs, standard_rhs
 
-        def spy(*args, **kwargs):
-            seen.append((kwargs["rtol"], kwargs["atol"]))
-            return real(*args, **kwargs)
+        problem = self._problem(kind, eps)
+        starts = np.array([0.3, 0.9, 0.9, 0.5, 1.2])
+        ends = np.array([0.9, 0.3, 0.91, 0.75, 0.45])
+        rhs = (companion_rhs if dim == 4 else standard_rhs)(problem, 1.7)
+        batched = _propagators(problem, 1.7, dim, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
+        for a, b, u in zip(starts, ends, batched):
+            sol = solve_ivp(rhs, (a, b), np.eye(dim).reshape(-1), method="DOP853", rtol=1e-13, atol=1e-15)
+            ref = sol.y[:, -1].reshape(dim, dim)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        monkeypatch.setattr(oracle, "solve_ivp", spy)
-        rhs = oracle.standard_rhs(harmonic_problem, 1.7)
-        oracle._propagators(rhs, 2, np.zeros(9), np.linspace(0.1, 0.9, 9), 1e-10, 1e-12)
-        assert seen == [(pytest.approx(1e-10 / 3), pytest.approx(1e-12 / 3))]
+    @pytest.mark.parametrize("eps", [1e-4, 0.02, 0.2])
+    @pytest.mark.parametrize("kind", ["well", "linear", "harmonic"])
+    def test_unit_determinant(self, kind, eps):
+        # Abel: trace A = 0; each interval grows by a few e-folds at most
+        # here, so the determinant is read to roundoff
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators
 
-    def test_batches_keep_the_split_rtol_above_scipys_floor(self, harmonic_problem, monkeypatch):
-        # (1e-13 / (100 eps))^2 = 20.3, so 45 intervals go in batches of 20, 20 and 5
-        from gupbic import oracle
+        problem = self._problem(kind, eps)
+        starts = np.linspace(0.3, 1.2, 7)
+        ends = starts + np.array([1.0, -1.0, 3.0, -3.0, 0.5, 2.0, -2.0]) * math.sqrt(eps)
+        for dim in (4, 2):
+            u = _propagators(problem, 1.7, dim, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
+            np.testing.assert_allclose(np.linalg.det(u), 1.0, rtol=0.0, atol=1e-12)
 
-        seen = []
-        real = oracle.solve_ivp
+    def test_zero_width_interval_is_exactly_the_identity(self, harmonic_problem):
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators
 
-        def spy(*args, **kwargs):
-            seen.append((args[2].size // 16, kwargs["rtol"]))
-            return real(*args, **kwargs)
+        for dim in (4, 2):
+            u = _propagators(harmonic_problem, 1.7, dim, [0.4, 0.7], [0.4, 0.9], DEFAULT_RTOL, DEFAULT_ATOL)
+            assert np.array_equal(u[0], np.eye(dim))
+            assert not np.array_equal(u[1], np.eye(dim))
 
-        monkeypatch.setattr(oracle, "solve_ivp", spy)
-        rhs = oracle.companion_rhs(harmonic_problem, 1.7)
-        starts, ends = np.zeros(45), np.linspace(0.02, 0.9, 45)
-        batched = oracle._propagators(rhs, 4, starts, ends, 1e-13, 1e-15)
-        assert [k for k, _ in seen] == [20, 20, 5]
-        assert all(rtol >= 100 * np.finfo(float).eps for _, rtol in seen)
-        assert seen[0][1] == pytest.approx(1e-13 / math.sqrt(20))
-        whole = oracle._propagators(rhs, 4, starts, ends, 1e-11, 1e-13)
-        assert np.linalg.norm(batched - whole) <= 1e-9 * np.linalg.norm(whole)
+    def test_cubic_potential_is_refused(self, harmonic_problem):
+        # the recurrence is exact for v of degree <= 2 only
+        import dataclasses
+
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators
+
+        cubic = dataclasses.replace(
+            harmonic_problem, v_derivs=lambda x: (x**3, 3.0 * x**2, 6.0 * x, 6.0, 0.0)
+        )
+        with pytest.raises(PreconditionError, match="degree <= 2"):
+            _propagators(cubic, 1.7, 4, [0.0], [0.5], DEFAULT_RTOL, DEFAULT_ATOL)
+        with pytest.raises(PreconditionError, match="degree <= 2"):
+            integrate(cubic, 1.7, [1.0, 0.0], 0.0, [0.5])
 
 
 @pytest.fixture(scope="module")
