@@ -60,11 +60,9 @@ from .oracle import (
     wronskian_drift,
 )
 from .spectrum import (
-    CriticalBetaResult,
     MomentumMoments,
     Observability,
     SpectrumScan,
-    critical_beta_exponent,
     dof_scan,
     ground_analog_state,
     momentum_moments,

@@ -777,7 +777,7 @@ class WkbBasisFunction(BasisFunction):
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         if order > 4:
-            raise ValueError("WKB derivatives available up to order 4")
+            raise PreconditionError(f"WKB derivatives available up to order 4, got order {order}")
         f = self.value(x)
         if order == 0:
             return np.array([f], dtype=complex)

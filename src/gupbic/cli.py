@@ -36,13 +36,7 @@ from .errors import (
 from .matcher import bound_states
 from .oracle import DEFAULT_RTOL, MAX_RTOL, MIN_RTOL
 from .output import RunManifest, config_digest, write_csv, write_json
-from .spectrum import (
-    critical_beta_exponent,
-    dof_scan,
-    ground_analog_state,
-    observability,
-    well_special_energies,
-)
+from .spectrum import OBVIOUS_RATIO_THRESHOLD, dof_scan, observability, well_special_energies
 from .verification import momentum_dimension_evidence, reference_well_setup, run_verification
 
 EXIT_OK = 0
@@ -59,7 +53,6 @@ def default_setup() -> PhysicalSetup:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", default=None, help="key = value config file")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, metavar="N")
     parser.add_argument("--potential", choices=["well", "linear", "harmonic"], default=None)
     parser.add_argument("--mass", type=float, default=None, metavar="KG")
     parser.add_argument("--beta", type=float, default=None, metavar="B")
@@ -91,6 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-min", type=float, default=None, metavar="J")
     p.add_argument("--e-max", type=float, default=None, metavar="J")
     p.add_argument("--n", type=int, default=200, metavar="N")
+    p.add_argument(
+        "--threads", type=int, default=1, metavar="N",
+        help="threads that scan the energies: same output, and no faster (the work holds the interpreter lock)",
+    )
 
     p = sub.add_parser("spectrum", help="special energies of the infinite well")
     _add_common(p)
@@ -206,7 +203,7 @@ def cmd_wavefunction(args) -> int:
         for lo, hi in solution.regions:
             n_pts = max(int(args.grid_n * (hi - lo) / _total_span(solution.regions)), 2)
             xs = np.linspace(lo, hi, n_pts)
-            for x, val in zip(xs, state.values(xs) * si_norm):
+            for x, val in zip(xs, state.value(xs) * si_norm):
                 rows.append(
                     (problem.length_to_si(float(x)), float(x), idx, val.real, val.imag)
                 )
@@ -288,33 +285,31 @@ def cmd_spectrum(args) -> int:
 def cmd_observability(args) -> int:
     setup, config_path = _setup_from_args(args)
     manifest = _manifest(args, setup, config_path)
-    problem, state = ground_analog_state(setup)
-    result = observability(setup, state=state, problem=problem)
-    critical = critical_beta_exponent(setup, state=state, problem=problem)
+    result = observability(setup)
     payload = {
         "potential": setup.potential.kind,
         "beta": setup.beta,
         "ratio": result.ratio,
         "verdict": result.verdict.value,
-        "threshold": result.threshold,
+        "threshold": OBVIOUS_RATIO_THRESHOLD,
         "moments": {
             "mean_P": result.moments.mean_P,
             "delta_P": result.moments.delta_P,
             "mean_p": result.moments.mean_p,
             "delta_p": result.moments.delta_p,
         },
-        "critical_beta_exponent": critical.exponent,
-        "critical_beta_exponent_refined": critical.refined_exponent,
+        "critical_beta_exponent": result.exponent,
+        "critical_beta_exponent_refined": result.refined_exponent,
     }
-    if critical.discrepancy_note:
-        payload["discrepancy_note"] = critical.discrepancy_note
+    if result.discrepancy_note:
+        payload["discrepancy_note"] = result.discrepancy_note
     out = Path(args.out)
     json_path = write_json(out / "observability.json", payload)
     manifest.add_output(json_path)
     manifest.write(out)
     print(
         f"observability: r = {result.ratio:.4g} -> {result.verdict.value}; "
-        f"critical beta exponent {critical.exponent:.2f}"
+        f"critical beta exponent {result.exponent:.2f}"
     )
     return EXIT_OK
 

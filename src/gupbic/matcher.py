@@ -346,19 +346,9 @@ class StateFunction:
                 out += c * f.derivatives(x, order=order)
         return out
 
-    def value(self, x: float) -> complex:
+    def value(self, x):
+        """The state at a float or an array x."""
         return self.derivatives(x, order=0)[0]
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """The state at every point of ``xs``; WKB bases evaluate the array in one call."""
-        out = np.zeros(len(xs), dtype=complex)
-        for c, f in zip(self.coefficients, self.basis):
-            if c != 0:
-                out += c * f.value_array(xs)
-        return out
-
-    def __call__(self, x: float) -> complex:
-        return self.value(x)
 
 
 @dataclass(frozen=True)

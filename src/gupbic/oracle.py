@@ -268,30 +268,23 @@ def wronskian_drift(
 # --- residuals -----------------------------------------------------------------
 
 
-def _derivatives_of(evaluator, x, order: int) -> np.ndarray:
-    if hasattr(evaluator, "derivatives"):
-        return np.asarray(evaluator.derivatives(x, order=order), dtype=complex)
-    return np.asarray(evaluator(x, order), dtype=complex)
-
-
 RESIDUAL_SCALE_FLOOR = 1e-3
 
 
-def residual(evaluator, problem: DimensionlessProblem, energy: float, grid: Sequence[float]) -> float:
+def residual(state, problem: DimensionlessProblem, energy: float, grid: Sequence[float]) -> float:
     """max over grid of the scaled defect of eps*phi'''' - phi'' + (v - e)*phi.
 
     Each point's defect is divided by its own |eps phi''''| + |phi''| +
     |(v - e) phi|, but never by less than RESIDUAL_SCALE_FLOOR times the
     largest such sum on the grid: where the state and its derivatives all
     vanish (a wall, a node, the centre of an odd state) the terms are
-    roundoff and the plain ratio reads O(1).  The evaluator supplies four
-    derivatives (value + d1..d4) for the whole grid in one call, shape
-    (5, len(grid)).
+    roundoff and the plain ratio reads O(1).  ``state.derivatives(grid,
+    order=4)`` supplies value + d1..d4 for the whole grid in one call.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         return 0.0
-    d = _derivatives_of(evaluator, grid, 4)
+    d = np.asarray(state.derivatives(grid, order=4), dtype=complex)
     t4 = problem.epsilon * d[4]
     t2 = d[2]
     t0 = (problem.v_derivs(grid)[0] - energy) * d[0]
@@ -314,20 +307,15 @@ def _wkb_frame_at(
     transient and its finite-span exponents come out mixed).
     """
     params = WkbParameters.from_problem(problem, energy, x0=x_far)
-    lo, hi = x_far - 1.0, x_far + 1.0
-    rmap = map_regions(params, lo, hi)
-    # clip to the branch-validity piece containing the launch point
-    for z in rmap.s_zeros:
-        if z < x_far:
-            lo = max(lo, z + 0.05)
-        else:
-            hi = min(hi, z - 0.05)
-    if not (lo < x_far < hi):
+    rmap = map_regions(params, x_far - 1.0, x_far + 1.0)
+    # the branch-validity piece containing the launch point
+    piece = next((p for p in rmap.pieces() if p[0] < x_far < p[1]), None)
+    if piece is None:
         raise PreconditionError(
             f"launch point x={x_far} sits on a branch degeneracy; shift the far point"
         )
     branches = []
-    for w in wkb_branches(params, (lo, hi), rmap):
+    for w in wkb_branches(params, piece, rmap):
         rate = (params.eta * w.lam(x_far)).real * march_direction
         branches.append((rate, w.derivatives(x_far, order=3)))
     branches.sort(key=lambda item: -item[0])

@@ -1,8 +1,9 @@
 """Adaptive composite Gauss-Legendre panels, the one integrator of the package.
 
 It computes the WKB exponent integrals (``basis``), the Gram matrix
-(``matcher.overlap_gram``) and the momentum moments
-(``spectrum.momentum_moments``); only the oracle checks use another.
+(``matcher.overlap_gram``), the momentum moments
+(``spectrum.momentum_moments``) and the oracle's antiderivative check of
+the momentum-space phase (``oracle.MomentumSolution``).
 """
 
 from __future__ import annotations

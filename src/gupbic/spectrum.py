@@ -6,10 +6,11 @@ The deformed momentum operator is P = p (1 + beta' p^2); in scaled coordinates
     <P>   = p_c * int phi* (-i phi' + i bt' phi''') dxt,
     <P^2> = p_c^2 * int phi* (-phi'' + 2 bt' phi'''' - bt'^2 phi^(6)) dxt,
 
-with bt' = beta' p_c^2.  The fourth and sixth derivatives are reduced through
-the equation of motion (phi'''' = [phi'' - (v - e) phi]/eps and its
-derivatives) rather than differentiated numerically; closed-form reference
-states supply direct analytic derivatives instead.
+with bt' = beta' p_c^2.  Given the state's energy, the fourth to sixth
+derivatives are reduced through the equation of motion (phi'''' =
+[phi'' - (v - e) phi]/eps and its derivatives) rather than differentiated
+numerically; without it the state supplies them, as the closed-form
+reference states do analytically.
 
 All five integrands phi* [phi, -i phi', -phi'', P phi, P^2 phi] are
 integrated in one call of the package's Gauss-Legendre panel integrator
@@ -186,11 +187,9 @@ class AnalyticState:
         """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
         raise NotImplementedError
 
-    def value(self, x: float) -> complex:
+    def value(self, x):
+        """The state at a float or an array x."""
         return self.derivatives(x, order=0)[0]
-
-    def __call__(self, x: float) -> complex:
-        return self.value(x)
 
 
 class ShiftedSineState(AnalyticState):
@@ -288,19 +287,12 @@ class MomentumMoments:
         return self.delta_p**2 + self.mean_p**2
 
 
-def _state_derivs_order6(
-    state, problem: DimensionlessProblem, x, source: str, energy: float | None
-) -> np.ndarray:
-    if source == "direct":
-        return np.asarray(state.derivatives(x, order=6), dtype=complex)
-    eps = problem.epsilon
-    if eps <= 0.0:
-        raise PreconditionError("equation-of-motion reduction needs epsilon > 0")
+def _derivatives_order6(state, problem: DimensionlessProblem, x, energy: float | None) -> np.ndarray:
+    """The state's derivatives 0..6; given ``energy``, 4..6 from the equation of motion."""
     if energy is None:
-        raise PreconditionError(
-            "equation-of-motion reduction needs the state's dimensionless energy"
-        )
-    d = np.asarray(state.derivatives(x, order=3), dtype=complex)
+        return state.derivatives(x, order=6)
+    eps = problem.epsilon
+    d = state.derivatives(x, order=3)
     v = problem.v_derivs(x)
     w = v[0] - energy
     d4 = (d[2] - w * d[0]) / eps
@@ -313,30 +305,20 @@ def momentum_moments(
     state,
     problem: DimensionlessProblem,
     regions: Sequence[tuple[float, float]] | None = None,
-    derivative_source: str = "auto",
     energy: float | None = None,
 ) -> MomentumMoments:
     """<P>, dP (deformed operator) and <p>, dp (standard) for a normalized state.
 
-    ``derivative_source``: 'reduction' uses the equation of motion for the 4th
-    and 6th derivatives (requires the state's dimensionless ``energy``);
-    'direct' asks the state for them; 'auto' prefers 'direct' when the state
-    supports order 6, else 'reduction'.  The state's ``derivatives`` must take
-    an array of abscissas.
+    The state's ``derivatives`` must take an array of abscissas.  Given the
+    state's dimensionless ``energy``, the 4th to 6th derivatives come from
+    the equation of motion; without it, the state supplies them (a WKB
+    state cannot: its bases stop at order 4 and raise ``PreconditionError``).
     """
     setup = problem.setup
     if regions is None:
         regions = getattr(state, "regions", None)
         if regions is None:
             raise PreconditionError("no integration regions supplied or carried by the state")
-    if derivative_source == "auto":
-        try:
-            state.derivatives(0.5 * (regions[0][0] + regions[0][1]), order=6)
-            derivative_source = "direct"
-        except Exception:
-            derivative_source = "reduction"
-    elif derivative_source not in ("direct", "reduction"):
-        raise PreconditionError(f"unknown derivative_source {derivative_source!r}")
 
     p_c = problem.momentum_scale
     bt_prime = setup.beta_prime * p_c**2
@@ -347,7 +329,7 @@ def momentum_moments(
             d = state.derivatives(x, order=2)
             ops = [d[0], -1j * d[1], -d[2]]
         else:
-            d = _state_derivs_order6(state, problem, x, derivative_source, energy)
+            d = _derivatives_order6(state, problem, x, energy)
             ops = [
                 d[0],
                 -1j * d[1],
@@ -402,38 +384,16 @@ class Observability(Enum):
 
 @dataclass(frozen=True)
 class ObservabilityResult:
+    """The observability verdict and the critical deformation strength of one setup.
+
+    ``exponent`` is log10 of the beta that makes r = 1 for the ground-analog state.
+    """
+
     verdict: Observability
     ratio: float
     moments: MomentumMoments
-    threshold: float
-
-
-def observability(
-    setup: PhysicalSetup,
-    state=None,
-    problem: DimensionlessProblem | None = None,
-    threshold: float = OBVIOUS_RATIO_THRESHOLD,
-) -> ObservabilityResult:
-    """Obvious iff r = beta [(dp)^2 + <p>^2] >= threshold (default 0.1)."""
-    if state is None:
-        problem, state = ground_analog_state(setup)
-    elif problem is None:
-        problem = nondimensionalize(setup)
-    moments = momentum_moments(state, problem)
-    verdict = Observability.OBVIOUS if moments.ratio >= threshold else Observability.INCONSPICUOUS
-    return ObservabilityResult(
-        verdict=verdict, ratio=moments.ratio, moments=moments, threshold=threshold
-    )
-
-
-@dataclass(frozen=True)
-class CriticalBetaResult:
-    """log10 of the deformation strength that makes r = 1 for the given state."""
-
     exponent: float
     refined_exponent: float
-    variance_sum: float
-    moments: MomentumMoments
     discrepancy_note: str | None = None
 
 
@@ -444,39 +404,33 @@ LINEAR_EXPONENT_NOTE = (
 )
 
 
-def critical_beta_exponent(
-    setup: PhysicalSetup,
-    state=None,
-    problem: DimensionlessProblem | None = None,
-) -> CriticalBetaResult:
-    """log10(1 / [(dp)^2 + <p>^2]) with standard momentum moments.
+def observability(setup: PhysicalSetup) -> ObservabilityResult:
+    """Ratio, verdict and critical exponent from one set of ground-analog moments.
 
-    The returned exponent is beta-independent (it uses the undeformed
-    moments); one fixed-point refinement with the full deformed operator at
-    beta = 10^exponent is reported alongside as ``refined_exponent``.
+    With S = (dp)^2 + <p>^2 from the standard momentum moments, the ratio is
+    r = beta S (Obvious iff r >= OBVIOUS_RATIO_THRESHOLD) and the exponent
+    is log10(1 / S), which does not depend on beta.  One fixed-point
+    refinement with the full deformed operator at beta = 10^exponent is
+    reported alongside as ``refined_exponent``.
     """
-    if state is None:
-        problem, state = ground_analog_state(setup)
-    elif problem is None:
-        problem = nondimensionalize(setup)
+    problem, state = ground_analog_state(setup)
     moments = momentum_moments(state, problem)
     s = moments.variance_sum_standard
     if s <= 0.0:
         raise PreconditionError("zero momentum moments: critical exponent undefined")
     exponent = -math.log10(s)
 
-    beta_star = 10.0**exponent
     refined_setup = PhysicalSetup(
-        mass=setup.mass, beta=beta_star, potential=setup.potential, hbar=setup.hbar
+        mass=setup.mass, beta=10.0**exponent, potential=setup.potential, hbar=setup.hbar
     )
     refined_problem = nondimensionalize(refined_setup, length_scale=problem.length_scale)
-    refined = momentum_moments(state, refined_problem, regions=getattr(state, "regions", None))
-    s_ref = refined.delta_P**2 + refined.mean_P**2
-    note = LINEAR_EXPONENT_NOTE if problem.kind == "linear" else None
-    return CriticalBetaResult(
-        exponent=exponent,
-        refined_exponent=-math.log10(s_ref),
-        variance_sum=s,
+    refined = momentum_moments(state, refined_problem)
+    obvious = moments.ratio >= OBVIOUS_RATIO_THRESHOLD
+    return ObservabilityResult(
+        verdict=Observability.OBVIOUS if obvious else Observability.INCONSPICUOUS,
+        ratio=moments.ratio,
         moments=moments,
-        discrepancy_note=note,
+        exponent=exponent,
+        refined_exponent=-math.log10(refined.delta_P**2 + refined.mean_P**2),
+        discrepancy_note=LINEAR_EXPONENT_NOTE if problem.kind == "linear" else None,
     )

@@ -159,7 +159,7 @@ def check_exact_well_oracle_agreement(
         state = StateFunction(np.array([0.05, 0.4, 0.7, 0.55]), basis)
         xs = np.linspace(-1.0, 1.0, 201)
         phi = integrate(problem, e, state.derivatives(-1.0, order=3), -1.0, xs, rtol=rtol)[0]
-        vals = state.values(xs)
+        vals = state.value(xs)
         err = np.max(np.abs(phi - vals)) / np.max(np.abs(vals))
         worst = max(worst, err)
     return _result("exact_well_oracle_agreement", worst, 1e-8, setup=_well_label(setup))
@@ -296,7 +296,7 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
         xs = np.linspace(-1.0, 1.0, 301)
         errs = []
         for st in sol.states:
-            vals = st.values(xs)
+            vals = st.value(xs)
             ref = np.sin(kap * (xs + 1.0))
             sign = 1.0 if abs(np.max(vals.real + ref)) >= abs(np.max(vals.real - ref)) else -1.0
             errs.append(float(np.max(np.abs(sign * vals - ref))))

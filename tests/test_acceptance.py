@@ -25,9 +25,9 @@ from gupbic import (
 from gupbic.basis import WkbParameters, map_regions, wkb_basis
 from gupbic.matcher import solve_linear, solve_well
 from gupbic.spectrum import (
-    critical_beta_exponent,
     dof_scan,
     kappa_at_energy,
+    observability,
     well_special_energies,
 )
 from gupbic.verification import (
@@ -238,21 +238,21 @@ def test_criterion_7_observability_exponents():
 
     # well: computed-by-quadrature exponent vs the inverse-variance oracle
     well = reference_well_setup()
-    res_well = critical_beta_exponent(well)
+    res_well = observability(well)
     oracle_well = -math.log10((math.pi * HBAR / (2.0 * A_WELL)) ** 2)
     assert res_well.exponent == pytest.approx(oracle_well, abs=1e-8)
     assert abs(res_well.exponent - 47.6) <= 0.1
     assert abs(res_well.exponent - 47.0) <= 1.5  # informational published-estimate comparison
 
     harmonic = PhysicalSetup(mass=M_E, beta=BETA_REFERENCE_PARAMS, potential=Harmonic(omega=1e30))
-    res_har = critical_beta_exponent(harmonic)
+    res_har = observability(harmonic)
     oracle_har = -math.log10(M_E * HBAR * 1e30 / 2.0)
     assert res_har.exponent == pytest.approx(oracle_har, abs=1e-8)
     assert abs(res_har.exponent - 34.3) <= 0.1
     assert abs(res_har.exponent - 33.0) <= 1.5  # informational published-estimate comparison
 
     linear = PhysicalSetup(mass=M_E, beta=BETA_REFERENCE_PARAMS, potential=Linear(slope=M_E * 9.8))
-    res_lin = critical_beta_exponent(linear)
+    res_lin = observability(linear)
     assert res_lin.discrepancy_note is not None
     report(
         7,

@@ -166,6 +166,27 @@ class TestObservabilityCommand:
         assert "discrepancy_note" in payload
         assert payload["critical_beta_exponent"] == pytest.approx(61.95, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--potential", "linear", "--L", "1.281e-8"], ["--potential", "harmonic", "--omega", "1.897e16"]],
+        ids=["well", "linear", "harmonic"],
+    )
+    def test_moments_computed_twice(self, tmp_path, monkeypatch, flags):
+        # the ratio and the exponent share one moments call; the refined
+        # exponent at beta* makes the other
+        import gupbic.spectrum
+
+        calls = []
+        moments = gupbic.spectrum.momentum_moments
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return moments(*args, **kwargs)
+
+        monkeypatch.setattr(gupbic.spectrum, "momentum_moments", counting)
+        assert run(["observability", *flags, "--out", tmp_path]) == 0
+        assert len(calls) == 2
+
 
 class TestMomentumCheck:
     def test_dimension_mismatch_payload(self, tmp_path):
@@ -291,6 +312,11 @@ class TestExitCodes:
     def test_tol_is_a_verify_flag_only(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["dof-scan", "--tol", "1e-9", "--out", tmp_path])
+        assert exc.value.code == 2
+
+    def test_threads_is_a_dof_scan_flag_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--threads", "2", "--out", tmp_path])
         assert exc.value.code == 2
 
 

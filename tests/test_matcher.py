@@ -747,6 +747,6 @@ def test_wavefunction_shape_matches_high_precision_reference(kind):
                 ref.append(total)
             peak_ref = max(abs(r) for r in ref)
             shape_ref = np.array([complex(r / peak_ref) for r in ref])
-            phi = st.values(xs)
+            phi = st.value(xs)
             shape = phi / np.max(np.abs(phi))
             assert np.max(np.abs(shape - shape_ref)) < 1e-13

@@ -80,7 +80,7 @@ class TestIntegrate:
         errors = []
         for rtol in (1e-7, 1e-9, 1e-11):
             phi = integrate(well_problem, 5.0, init, -1.0, xs, rtol=rtol, atol=rtol * 1e-2)[0]
-            errors.append(np.max(np.abs(phi - state.values(xs))))
+            errors.append(np.max(np.abs(phi - state.value(xs))))
         assert errors[0] > errors[1] > errors[2]
 
     def test_tolerance_precondition(self, well_problem):
@@ -272,14 +272,15 @@ class TestResidual:
         kap = roots.kappa
         state = StateFunction(np.array([0, 0, math.sin(kap), math.cos(kap)]), basis)
 
-        def corrupted(x, order):
-            d = state.derivatives(x, order=order)
-            d[0] += 0.01 * x
-            d[1] += 0.01
-            return d
+        class Corrupted:
+            def derivatives(self, x, order=3):
+                d = state.derivatives(x, order=order)
+                d[0] += 0.01 * x
+                d[1] += 0.01
+                return d
 
         grid = np.linspace(-0.99, 0.99, 100)
-        assert residual(corrupted, well_problem, E1_DIMLESS, grid) > 1e-2
+        assert residual(Corrupted(), well_problem, E1_DIMLESS, grid) > 1e-2
 
     def test_wkb_fast_branch_trend(self):
         # omega_2 residual shrinks with epsilon (1e-3 -> below 1e-2; 1e-4 smaller)

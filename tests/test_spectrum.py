@@ -17,7 +17,6 @@ from gupbic.spectrum import (
     GaussianGroundState,
     Observability,
     ShiftedSineState,
-    critical_beta_exponent,
     dof_scan,
     ground_analog_state,
     kappa_at_energy,
@@ -149,13 +148,8 @@ class TestMomentumMoments:
         se = well_special_energies(well_setup, 1)[0]
         lo, hi = well_problem.domain
         state = ShiftedSineState(kappa=math.pi / 2, lo=lo, hi=hi)
-        m_direct = momentum_moments(state, well_problem, derivative_source="direct")
-        m_reduced = momentum_moments(
-            state,
-            well_problem,
-            derivative_source="reduction",
-            energy=se.energy_dimensionless,
-        )
+        m_direct = momentum_moments(state, well_problem)
+        m_reduced = momentum_moments(state, well_problem, energy=se.energy_dimensionless)
         assert m_reduced.delta_P**2 == pytest.approx(m_direct.delta_P**2, rel=1e-6)
 
     @pytest.mark.parametrize("source", ["direct", "reduction"])
@@ -168,8 +162,9 @@ class TestMomentumMoments:
         lo, hi = problem.domain
         kappa = math.pi / (hi - lo)
         state = ShiftedSineState(kappa=kappa, lo=lo, hi=hi)
-        energy = well_special_energies(setup, 1)[0].energy_dimensionless
-        m = momentum_moments(state, problem, derivative_source=source, energy=energy)
+        # "direct" takes the sixth derivative from the state, "reduction" from the equation of motion
+        energy = well_special_energies(setup, 1)[0].energy_dimensionless if source == "reduction" else None
+        m = momentum_moments(state, problem, energy=energy)
         p_c = problem.momentum_scale
         bt = setup.beta_prime * p_c**2
         expected = kappa**2 * (1.0 + bt * kappa**2) ** 2
@@ -182,7 +177,7 @@ class TestMomentumMoments:
     def test_gaussian_deformed_second_moment_closed_form(self, setup):
         # <p^2>, <p^4>, <p^6> of the harmonic ground state are 1/2, 3/4, 15/8 in p_c units
         problem, state = ground_analog_state(setup)
-        m = momentum_moments(state, problem, derivative_source="direct")
+        m = momentum_moments(state, problem)
         p_c = problem.momentum_scale
         bt = setup.beta_prime * p_c**2
         expected = 0.5 + 2.0 * bt * 0.75 + bt**2 * 15.0 / 8.0
@@ -207,9 +202,7 @@ class TestMomentumMoments:
         problem = nondimensionalize(linear_setup_for(0.01))
         sol = solve_linear(problem, 2.0)
         with pytest.raises(NumericalError, match="variance"):
-            momentum_moments(
-                sol.states[0], problem, regions=sol.regions, derivative_source="reduction", energy=2.0
-            )
+            momentum_moments(sol.states[0], problem, regions=sol.regions, energy=2.0)
         assert calls == []
 
     def test_non_normalized_rejected(self, well_problem):
@@ -235,13 +228,18 @@ class TestMomentumMoments:
         problem = nondimensionalize(linear_setup_for(0.01))
         sol = solve_linear(problem, 2.0)
         with pytest.raises(NumericalError, match="variance"):
-            momentum_moments(
-                sol.states[0],
-                problem,
-                regions=sol.regions,
-                derivative_source="reduction",
-                energy=2.0,
-            )
+            momentum_moments(sol.states[0], problem, regions=sol.regions, energy=2.0)
+
+    def test_wkb_state_without_energy_names_the_order_limit(self):
+        # WKB bases stop at the fourth derivative, so the deformed moments of a
+        # WKB state need its energy for the equation-of-motion reduction
+        from gupbic.matcher import solve_linear
+        from gupbic.verification import linear_setup_for
+
+        problem = nondimensionalize(linear_setup_for(0.01))
+        sol = solve_linear(problem, 2.0)
+        with pytest.raises(PreconditionError, match="up to order 4"):
+            momentum_moments(sol.states[0], problem, regions=sol.regions)
 
     def test_gaussian_ground_variance(self):
         setup = PhysicalSetup(mass=M_E, beta=1e47, potential=Harmonic(omega=1e30))
@@ -275,13 +273,10 @@ class TestObservability:
         result = observability(setup)
         assert result.verdict is Observability.INCONSPICUOUS
 
-    def test_threshold_configurable(self, well_setup):
-        assert observability(well_setup, threshold=0.5).verdict is Observability.INCONSPICUOUS
-
 
 class TestCriticalBeta:
     def test_well_exponent(self, well_setup):
-        result = critical_beta_exponent(well_setup)
+        result = observability(well_setup)
         assert result.exponent == pytest.approx(47.5616, abs=1e-3)
         assert result.discrepancy_note is None
         # refined value with the deformed operator is reported alongside
@@ -289,20 +284,20 @@ class TestCriticalBeta:
 
     def test_harmonic_exponent(self):
         setup = PhysicalSetup(mass=M_E, beta=1e47, potential=Harmonic(omega=1e30))
-        result = critical_beta_exponent(setup)
+        result = observability(setup)
         assert result.exponent == pytest.approx(34.3185, abs=1e-3)
 
     def test_linear_exponent_with_discrepancy_flag(self):
         setup = PhysicalSetup(mass=M_E, beta=1e47, potential=Linear(slope=M_E * 9.8))
-        result = critical_beta_exponent(setup)
+        result = observability(setup)
         assert result.exponent == pytest.approx(61.95, abs=0.05)
         assert result.discrepancy_note is not None
         assert "37" in result.discrepancy_note
 
     def test_beta_independent(self, well_setup):
-        r1 = critical_beta_exponent(well_setup).exponent
+        r1 = observability(well_setup).exponent
         other = PhysicalSetup(mass=M_E, beta=1e30, potential=InfiniteWell(a=A_WELL))
-        assert critical_beta_exponent(other).exponent == pytest.approx(r1, rel=1e-12)
+        assert observability(other).exponent == pytest.approx(r1, rel=1e-12)
 
 
 class TestReferenceStates:
