@@ -10,6 +10,7 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .matcher import bound_states
 from .oracle import DEFAULT_RTOL, MAX_RTOL, MIN_RTOL
-from .output import RunManifest, config_digest, write_csv, write_json
+from .output import RunManifest, config_digest, fmt_float, write_csv, write_json
 from .spectrum import OBVIOUS_RATIO_THRESHOLD, dof_scan, observability, well_special_energies
 from .verification import momentum_dimension_evidence, reference_well_setup, run_verification
 
@@ -61,7 +62,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega", type=float, default=None, metavar="RAD_S")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones.
+
+    argparse keeps no state between ``parse_args`` calls, so one parser
+    serves every ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="gupbic",
         description=(
@@ -197,16 +204,22 @@ def cmd_wavefunction(args) -> int:
     manifest = _manifest(args, setup, config_path)
     solution = bound_states(problem, e_dim, orthogonalize=not args.no_orthogonalize)
 
-    rows = []
     si_norm = 1.0 / math.sqrt(problem.length_scale)  # phi_SI = phi_scaled / sqrt(L_c)
-    for idx, state in enumerate(solution.states, start=1):
-        for lo, hi in solution.regions:
-            n_pts = max(int(args.grid_n * (hi - lo) / _total_span(solution.regions)), 2)
-            xs = np.linspace(lo, hi, n_pts)
-            for x, val in zip(xs, state.value(xs) * si_norm):
-                rows.append(
-                    (problem.length_to_si(float(x)), float(x), idx, val.real, val.imag)
-                )
+    grids = []  # per region: the formatted "x_SI,x_tilde" cells and every state's values
+    for lo, hi in solution.regions:
+        n_pts = max(int(args.grid_n * (hi - lo) / _total_span(solution.regions)), 2)
+        xs = np.linspace(lo, hi, n_pts)
+        points = [
+            f"{fmt_float(x_si)},{fmt_float(x)}"
+            for x_si, x in zip(problem.length_to_si(xs).tolist(), xs.tolist())
+        ]
+        grids.append((points, (solution.values(xs) * si_norm).tolist()))
+    rows = [
+        (point, idx, val.real, val.imag)
+        for idx in range(1, solution.degeneracy + 1)
+        for points, values in grids
+        for point, val in zip(points, values[idx - 1])
+    ]
     out = Path(args.out)
     csv_path = write_csv(out / "wavefunctions.csv", ["x_SI", "x_tilde", "state_index", "re_phi", "im_phi"], rows)
     manifest.add_output(csv_path)
@@ -226,6 +239,8 @@ def cmd_dof_scan(args) -> int:
     setup, config_path = _setup_from_args(args)
     if args.n < 2:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     problem = nondimensionalize(setup)
     e_max = args.e_max if args.e_max is not None else 2e-17
     e_min = args.e_min if args.e_min is not None else e_max / args.n
@@ -234,7 +249,7 @@ def cmd_dof_scan(args) -> int:
     energies = np.linspace(e_min, e_max, args.n)
 
     manifest = _manifest(args, setup, config_path)
-    scan = dof_scan(setup, energies, threads=max(args.threads, 1), problem=problem)
+    scan = dof_scan(setup, energies, threads=args.threads, problem=problem)
 
     out = Path(args.out)
     csv_path = write_csv(out / "scan.csv", ["E_SI", "E_dimensionless", "dof", "label"], scan.rows())

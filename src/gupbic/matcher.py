@@ -329,6 +329,24 @@ def well_coefficients(
 # --- bound states ----------------------------------------------------------------
 
 
+def evaluate_states(coefficients, basis: Sequence[BasisFunction], x, order: int = 3) -> np.ndarray:
+    """Derivatives 0..order of the states given as coefficient rows over one basis.
+
+    Shape (rows, order + 1) + shape(x).  Each basis function with a nonzero
+    coefficient in some row is evaluated once, and each row sums c_j w_j over
+    its nonzero coefficients in basis order.
+    """
+    rows = np.asarray(coefficients, dtype=complex)
+    out = np.zeros((len(rows), order + 1) + np.shape(x), dtype=complex)
+    for j, f in enumerate(basis):
+        used = np.flatnonzero(rows[:, j])
+        if used.size:
+            d = f.derivatives(x, order=order)
+            for r in used:
+                out[r] += rows[r, j] * d
+    return out
+
+
 class StateFunction:
     """Linear combination of basis functions with fixed coefficients."""
 
@@ -340,11 +358,7 @@ class StateFunction:
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
-        out = np.zeros((order + 1,) + np.shape(x), dtype=complex)
-        for c, f in zip(self.coefficients, self.basis):
-            if c != 0:
-                out += c * f.derivatives(x, order=order)
-        return out
+        return evaluate_states(self.coefficients[None], self.basis, x, order=order)[0]
 
     def value(self, x):
         """The state at a float or an array x."""
@@ -359,6 +373,15 @@ class BoundStateSolution:
     states: tuple[StateFunction, ...]
     gram: np.ndarray
     regions: tuple[tuple[float, float], ...] = field(default=())
+
+    def values(self, x) -> np.ndarray:
+        """Every state at a float or an array x, shape (degeneracy,) + shape(x).
+
+        The states share one basis (``normalize`` builds them so), and each
+        basis function is evaluated once for all of them.
+        """
+        rows = [s.coefficients for s in self.states]
+        return evaluate_states(rows, self.states[0].basis, x, order=0)[:, 0]
 
 
 def overlap_gram(

@@ -2,7 +2,9 @@
 
 CSV formatting is pinned for byte-identical reruns: scientific notation with
 17 significant digits, '.' decimal separator, '\\n' line endings, exact header
-row.  Files are written atomically (temp + rename).
+row.  ``write_csv`` formats each row with one %-template and gives the bytes
+of ``_fmt_cell`` applied cell by cell.  Files are written atomically (temp +
+rename).
 """
 
 from __future__ import annotations
@@ -40,10 +42,30 @@ def _atomic_write(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _cell_code(cell_type: type) -> str:
+    """The %-code that formats a cell of this type as ``_fmt_cell`` does."""
+    if issubclass(cell_type, bool):
+        return "%s"  # the cell is replaced by "true" or "false" first
+    if issubclass(cell_type, int):
+        return "%d"
+    if issubclass(cell_type, float):
+        return "%.16e"
+    return "%s"
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write the CSV; each row is one %-template, built once per tuple of cell types."""
     path = Path(path)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(cell) for cell in row) for row in rows)
+    templates: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = ",".join(map(_cell_code, types))
+        if bool in types:
+            row = tuple(_fmt_cell(cell) if type(cell) is bool else cell for cell in row)
+        lines.append(templates[types] % row)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 

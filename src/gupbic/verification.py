@@ -295,8 +295,7 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
         kap = se.k * math.pi / 2.0
         xs = np.linspace(-1.0, 1.0, 301)
         errs = []
-        for st in sol.states:
-            vals = st.value(xs)
+        for vals in sol.values(xs):
             ref = np.sin(kap * (xs + 1.0))
             sign = 1.0 if abs(np.max(vals.real + ref)) >= abs(np.max(vals.real - ref)) else -1.0
             errs.append(float(np.max(np.abs(sign * vals - ref))))

@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gupbic import cli
 from gupbic.cli import main
-from gupbic.output import sha256_hex
+from gupbic.core import nondimensionalize
+from gupbic.matcher import bound_states
+from gupbic.output import _fmt_cell, sha256_hex
+from gupbic.spectrum import well_special_energies
 
 WELL_CFG = """
 mass = 9.10956e-31
@@ -99,6 +103,35 @@ class TestWavefunction:
         capsys.readouterr()
         assert run(["wavefunction", "--k", "1", "--E", "1e-18", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wavefunction", "--k", "1"],
+            ["wavefunction", "--potential", "harmonic", "--omega", "1.897e16", "--E", "2e-18"],
+            ["wavefunction", "--potential", "linear", "--L", "1.281e-8", "--E", "2e-18"],
+        ],
+        ids=["well", "harmonic", "linear"],
+    )
+    def test_rows_match_per_state_evaluation(self, tmp_path, argv):
+        # the command evaluates every state at once on each region's grid; the
+        # rows rebuilt here evaluate one state at a time and format cell by cell
+        assert run(argv + ["--out", tmp_path]) == 0
+        args = cli.build_parser().parse_args(argv)
+        setup, _ = cli._setup_from_args(args)
+        problem = nondimensionalize(setup)
+        energy_si = args.E if args.k is None else well_special_energies(setup, args.k)[-1].energy_si
+        solution = bound_states(problem, problem.energy_from_si(energy_si))
+        span = sum(hi - lo for lo, hi in solution.regions)
+        si_norm = 1.0 / math.sqrt(problem.length_scale)
+        lines = ["x_SI,x_tilde,state_index,re_phi,im_phi"]
+        for idx, state in enumerate(solution.states, start=1):
+            for lo, hi in solution.regions:
+                xs = np.linspace(lo, hi, max(int(801 * (hi - lo) / span), 2))
+                for x, val in zip(xs, state.value(xs) * si_norm):
+                    cells = (problem.length_to_si(float(x)), float(x), idx, val.real, val.imag)
+                    lines.append(",".join(_fmt_cell(c) for c in cells))
+        assert (tmp_path / "wavefunctions.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["wavefunction", "--k", "1", "--grid-n", "101", "--out", out1]) == 0
@@ -132,6 +165,62 @@ class TestDofScan:
         assert run(["dof-scan", "--n", "1", "--out", tmp_path]) == 2
         capsys.readouterr()
         assert run(["dof-scan", "--e-min", "2e-17", "--e-max", "1e-17", "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        assert run(["dof-scan", "--n", "5", "--threads", threads, "--out", tmp_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert f"--threads must be >= 1, got {threads}" in err["error"]["message"]
+        assert not (tmp_path / "scan.csv").exists()
+
+
+class TestInProcessReuse:
+    # one parser serves every main() call in a process; a call must not see
+    # anything an earlier one parsed
+    SEQUENCE = (
+        ["wavefunction", "--k", "1"],
+        ["wavefunction", "--E", "1e-18"],
+        ["wavefunction", "--k", "one"],  # an argparse error: exits 2
+        ["dof-scan", "--n", "5"],
+    )
+
+    def run_sequence(self, out, capsys):
+        results = []
+        for i, argv in enumerate(self.SEQUENCE):
+            try:
+                code = run(argv + ["--out", out / str(i)])
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, capsys.readouterr().err))
+        return results
+
+    def test_shared_parser_writes_what_a_fresh_one_does(self, tmp_path, monkeypatch, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        seen_k = []
+        wavefunction = cli._COMMANDS["wavefunction"]
+
+        def recording(args):
+            seen_k.append(args.k)
+            return wavefunction(args)
+
+        monkeypatch.setitem(cli._COMMANDS, "wavefunction", recording)
+        shared = self.run_sequence(tmp_path / "shared", capsys)
+        assert [code for code, _ in shared] == [0, 0, 2, 0]
+        assert seen_k == [1, None]
+
+        # the undecorated builder makes a new parser on every call
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert self.run_sequence(tmp_path / "fresh", capsys) == shared
+        assert seen_k == [1, None, 1, None]
+        files = sorted(
+            p.relative_to(tmp_path / "shared")
+            for p in (tmp_path / "shared").rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+        )
+        assert [f.name for f in files] == ["wavefunctions.csv", "wavefunctions.csv", "scan.csv", "scan.json"]
+        for f in files:
+            assert (tmp_path / "shared" / f).read_bytes() == (tmp_path / "fresh" / f).read_bytes()
 
 
 class TestSpectrumCommand:

@@ -29,6 +29,7 @@ from gupbic.matcher import (
     conditions_for,
     decay_at,
     degrees_of_freedom,
+    evaluate_states,
     normalize,
     nullspace,
     overlap_gram,
@@ -406,6 +407,59 @@ class TestOverlapGram:
         monkeypatch.setattr(gupbic.panels, "_MAX_BISECTIONS", 12)
         with pytest.raises(NumericalError, match="did not converge"):
             overlap_gram([Step(0.0, index=1)], [(0.0, 1.0)])
+
+
+class TestEvaluateStates:
+    @staticmethod
+    def one_state_at_a_time(coefficients, basis, xs, order):
+        # the loop each state ran on its own: basis order, zero terms skipped
+        out = np.zeros((order + 1,) + xs.shape, dtype=complex)
+        for c, f in zip(coefficients, basis):
+            if c != 0:
+                out += c * f.derivatives(xs, order=order)
+        return out
+
+    @pytest.mark.parametrize(
+        "kind, energy",
+        [("well", 0.7), ("well", E1_DIMLESS), ("linear", 2.0), ("harmonic", 2.0)],
+        ids=["well-continuum", "well-special", "linear", "harmonic"],
+    )
+    def test_shared_columns_match_the_one_state_loop(
+        self, kind, energy, well_problem, linear_problem, harmonic_problem
+    ):
+        problem = {"well": well_problem, "linear": linear_problem, "harmonic": harmonic_problem}[kind]
+        sol = bound_states(problem, energy)
+        basis = sol.states[0].basis
+        rows = [st.coefficients for st in sol.states]
+        for lo, hi in sol.regions:
+            xs = np.linspace(lo, hi, 57)
+            shared = evaluate_states(rows, basis, xs, order=3)
+            for st, got in zip(sol.states, shared):
+                want = self.one_state_at_a_time(st.coefficients, basis, xs, 3)
+                assert np.array_equal(got, want)
+                assert np.array_equal(st.derivatives(xs, order=3), want)
+            values = sol.values(xs)
+            assert values.shape == (sol.degeneracy, xs.size)
+            assert np.array_equal(values, shared[:, 0])
+
+    def test_each_used_column_is_evaluated_once(self, harmonic_problem):
+        sol = bound_states(harmonic_problem, 2.0)
+        calls = []
+
+        class Counting:
+            def __init__(self, f):
+                self.f = f
+
+            def derivatives(self, x, order=3):
+                calls.append(self.f)
+                return self.f.derivatives(x, order=order)
+
+        basis = [Counting(f) for f in sol.states[0].basis]
+        rows = [st.coefficients for st in sol.states]
+        evaluate_states(rows, basis, np.linspace(*sol.regions[1], 11), order=0)
+        used = [j for j in range(4) if any(r[j] != 0 for r in rows)]
+        assert used == [1, 3]  # w2 and w4, shared by the orthogonalized pair
+        assert calls == [basis[j].f for j in used]
 
 
 class TestSolvers:
