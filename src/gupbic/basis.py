@@ -87,9 +87,7 @@ class CharacteristicRoots:
     """
 
     mu1: float
-    mu2: float
     kappa: float
-    discriminant: float
     epsilon: float
     e_minus_v: float
     nu: float = 0.0
@@ -100,7 +98,7 @@ class CharacteristicRoots:
             second = 1j * self.kappa
         else:
             second = complex(self.nu)
-        return np.array([self.mu1, self.mu2, second, -second], dtype=complex)
+        return np.array([self.mu1, -self.mu1, second, -second], dtype=complex)
 
     def quartic_residual(self, mu: complex) -> float:
         q = self.e_minus_v
@@ -132,15 +130,7 @@ def characteristic_roots(epsilon: float, e_minus_v: float) -> CharacteristicRoot
     else:
         kappa = 0.0
         nu = math.sqrt(-second_sq)
-    return CharacteristicRoots(
-        mu1=mu1,
-        mu2=-mu1,
-        kappa=kappa,
-        discriminant=disc,
-        epsilon=epsilon,
-        e_minus_v=e_minus_v,
-        nu=nu,
-    )
+    return CharacteristicRoots(mu1=mu1, kappa=kappa, epsilon=epsilon, e_minus_v=e_minus_v, nu=nu)
 
 
 # --- basis functions ----------------------------------------------------------
@@ -184,10 +174,8 @@ class BasisFunction:
     def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
         return np.array([self.scaled_value(float(x), log_shift) for x in xs], dtype=complex)
 
-    def asymptotic_class(self, side: Side, probes: Sequence[float] | None = None) -> AsymptoticClass:
-        if probes is None:
-            probes = self._auto_probes(side)
-        return classify_asymptotics(self, side, probes)
+    def asymptotic_class(self, side: Side) -> AsymptoticClass:
+        return classify_asymptotics(self, side, self._auto_probes(side))
 
     def _auto_probes(self, side: Side) -> list[float]:
         lo, hi = self.validity
@@ -641,9 +629,7 @@ class WkbBasisFunction(BasisFunction):
     then scaled_value at one x.
     """
 
-    def __init__(
-        self, table: ExponentTable, index: int, window: float = TURNING_WINDOW_HALF_WIDTH
-    ):
+    def __init__(self, table: ExponentTable, index: int):
         if index not in _BRANCH_SIGNS:
             raise ValueError(f"branch index must be 1..4, got {index}")
         self.table = table
@@ -653,9 +639,9 @@ class WkbBasisFunction(BasisFunction):
         self.interval = table.interval
         self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
         self._b_zeros = table.b_zeros
-        self._window = float(window)
         if index in (3, 4):
-            self.windows = tuple((z - window, z + window) for z in self._b_zeros)
+            w = TURNING_WINDOW_HALF_WIDTH
+            self.windows = tuple((z - w, z + w) for z in self._b_zeros)
         else:
             self.windows = ()
         lo, hi = self.interval
@@ -746,7 +732,7 @@ class WkbBasisFunction(BasisFunction):
             eta * lam[k] - 0.5 * corr[k] - 0.5 * (dlog_lam[k] + dlog_s[k]) for k in range(4)
         )
 
-    def asymptotic_class(self, side: Side, probes: Sequence[float] | None = None) -> AsymptoticClass:
+    def asymptotic_class(self, side: Side) -> AsymptoticClass:
         """Closed form on a piece unbounded toward ``side``, else ``classify_asymptotics``.
 
         Past the last zero of a^2 - b, s = sqrt(a^2 - b) is purely imaginary,
@@ -757,16 +743,16 @@ class WkbBasisFunction(BasisFunction):
         p = self.params
         outward = 1.0 if side is Side.PLUS_INFINITY else -1.0
         unbounded = math.isinf(self.interval[1] if outward > 0 else self.interval[0])
-        if probes is None and unbounded and p.a_coef**2 < p.b(p.x0):
+        if unbounded and p.a_coef**2 < p.b(p.x0):
             rate = outward * (p.eta * self.lam(p.x0)).real
             return AsymptoticClass.GROWING if rate > 0 else AsymptoticClass.DECAYING
-        return super().asymptotic_class(side, probes)
+        return super().asymptotic_class(side)
 
     def _auto_probes(self, side: Side) -> list[float]:
         probes = super()._auto_probes(side)
         if not self.windows:
             return probes
-        step = 2.5 * self._window
+        step = 2.5 * TURNING_WINDOW_HALF_WIDTH
         shifted = []
         for p in probes:
             while any(a < p < b for a, b in self.windows):
@@ -842,11 +828,9 @@ class SymmetrizedBasisFunction(BasisFunction):
     def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
         return self.inner.scaled_value_array(np.abs(xs), log_shift)
 
-    def asymptotic_class(self, side: Side, probes: Sequence[float] | None = None) -> AsymptoticClass:
+    def asymptotic_class(self, side: Side) -> AsymptoticClass:
         """The inner branch's class toward +inf: the mirror piece toward -inf is its image."""
-        if probes is None:
-            return self.inner.asymptotic_class(Side.PLUS_INFINITY)
-        return super().asymptotic_class(side, probes)
+        return self.inner.asymptotic_class(Side.PLUS_INFINITY)
 
     def _auto_probes(self, side: Side) -> list[float]:
         inner_probes = self.inner._auto_probes(Side.PLUS_INFINITY)
@@ -870,7 +854,8 @@ class WkbRegionMap:
     s_zeros: tuple[float, ...]
     working: tuple[float, float]
 
-    def pieces(self, margin: float = TURNING_WINDOW_HALF_WIDTH) -> list[tuple[float, float]]:
+    def pieces(self) -> list[tuple[float, float]]:
+        margin = TURNING_WINDOW_HALF_WIDTH
         lo, hi = self.working
         cuts = [lo] + [z for z in self.s_zeros if lo < z < hi] + [hi]
         out = []
@@ -955,9 +940,10 @@ def wkb_basis(
 # --- asymptotic classification -------------------------------------------------
 
 
-def classify_asymptotics(
-    f: BasisFunction, side: Side, probes: Sequence[float], samples_per_interval: int = 7
-) -> AsymptoticClass:
+_CLASSIFY_SAMPLES = 7  # samples per probe-to-probe interval
+
+
+def classify_asymptotics(f: BasisFunction, side: Side, probes: Sequence[float]) -> AsymptoticClass:
     """Growing / Decaying / Oscillatory from |f| and sign behaviour at probes.
 
     The amplitude on each probe-to-probe interval is the envelope estimate
@@ -979,7 +965,7 @@ def classify_asymptotics(
     # every sample in one call; samples in a turning window or with a
     # non-finite log are masked
     ends = np.asarray(probes, dtype=float)
-    xs = np.linspace(ends[:-1], ends[1:], samples_per_interval, axis=1)
+    xs = np.linspace(ends[:-1], ends[1:], _CLASSIFY_SAMPLES, axis=1)
     ok = f.valid(xs)
     logs = np.full(xs.shape, np.nan)
     logs[ok] = f.log_abs_array(xs[ok])
@@ -990,7 +976,7 @@ def classify_asymptotics(
     # sign samples: each interval's valid samples but its last (the next
     # interval's first), then the last probe
     keep = ok.copy()
-    last = samples_per_interval - 1 - np.argmax(ok[:, ::-1], axis=1)
+    last = _CLASSIFY_SAMPLES - 1 - np.argmax(ok[:, ::-1], axis=1)
     keep[np.arange(len(xs)), last] = False
     keep[-1, -1] = ok[-1, -1]
     all_xs = xs[keep]

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol", type=float, default=DEFAULT_RTOL, metavar="X",
         help=(
-            f"relative tolerance of the oracle integrations, in [{MIN_RTOL:g}, {MAX_RTOL:g}]: "
+            f"relative tolerance of every oracle integration of the battery, in [{MIN_RTOL:g}, {MAX_RTOL:g}]: "
             "the bound on each Taylor series' tail, relative to its largest term; "
             "below the lower end the roundoff of the chained steps already exceeds the tail"
         ),

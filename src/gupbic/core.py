@@ -22,19 +22,38 @@ bare number (e.g. 1e47).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Union
 
-from .errors import ConfigError, DomainError, InvalidSetupError
+from .errors import ConfigError, InvalidSetupError
 
 HBAR = 1.054571817e-34  # J*s
+EPSILON_MAX = math.sqrt(sys.float_info.max)  # the deformed momentum moments square epsilon
 
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise InvalidSetupError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def checked_scale(name: str, compute: Callable[[], float], zero_ok: bool = False) -> float:
+    """compute(), a quantity derived from the setup, required finite and > 0 (>= 0 with zero_ok).
+
+    Python raises where IEEE arithmetic would divide by an underflowed zero
+    or overflow a power; like an inf or 0 result, that means the setup's
+    magnitudes leave the float range, and the error names the quantity.
+    """
+    try:
+        value = float(compute())
+    except (ZeroDivisionError, OverflowError) as exc:
+        cause = "a divisor underflows to 0" if isinstance(exc, ZeroDivisionError) else "a power overflows"
+        raise InvalidSetupError(f"{name} leaves the float range for this setup: {cause}") from None
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise InvalidSetupError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
     return value
 
 
@@ -127,9 +146,11 @@ class PhysicalSetup:
         if isinstance(p, InfiniteWell):
             return p.a
         if isinstance(p, Linear):
-            return (self.hbar**2 / (2.0 * self.mass * p.slope)) ** (1.0 / 3.0)
+            return checked_scale(
+                "length_scale", lambda: (self.hbar**2 / (2.0 * self.mass * p.slope)) ** (1.0 / 3.0)
+            )
         if isinstance(p, Harmonic):
-            return math.sqrt(self.hbar / (self.mass * p.omega))
+            return checked_scale("length_scale", lambda: math.sqrt(self.hbar / (self.mass * p.omega)))
         raise InvalidSetupError(f"unknown potential {p!r}")
 
 
@@ -149,15 +170,6 @@ class DimensionlessProblem:
     domain: tuple[float, float]  # dimensionless
     kind: str
     setup: PhysicalSetup = field(repr=False)
-
-    def v(self, x: float) -> float:
-        lo, hi = self.domain
-        if not (lo < x < hi):
-            raise DomainError(
-                f"x={x} outside dimensionless domain ({lo}, {hi}); "
-                "hard walls are boundary conditions, not potential values"
-            )
-        return self.v_derivs(x)[0]
 
     @property
     def momentum_scale(self) -> float:
@@ -180,7 +192,9 @@ class DimensionlessProblem:
 def nondimensionalize(setup: PhysicalSetup, length_scale: float | None = None) -> DimensionlessProblem:
     """Rescale the fourth-order equation to dimensionless form.
 
-    eps = 2 (beta/3) hbar^2 / L_c^2 and E_c = hbar^2 / (2 m L_c^2) exactly.
+    eps = 2 (beta/3) hbar^2 / L_c^2 and E_c = hbar^2 / (2 m L_c^2) exactly.  Each
+    of L_c, E_c, eps and the scaled potential coefficient must be a finite
+    float (``checked_scale``), and eps at most EPSILON_MAX.
     """
     if length_scale is None:
         length_scale = setup.canonical_length_scale()
@@ -189,8 +203,15 @@ def nondimensionalize(setup: PhysicalSetup, length_scale: float | None = None) -
         raise InvalidSetupError(f"length_scale must be > 0, got {length_scale}")
 
     hbar, m = setup.hbar, setup.mass
-    epsilon = 2.0 * setup.beta_prime * hbar**2 / length_scale**2
-    e_scale = hbar**2 / (2.0 * m * length_scale**2)
+    e_scale = checked_scale("energy_scale", lambda: hbar**2 / (2.0 * m * length_scale**2))
+    epsilon = checked_scale(
+        "epsilon", lambda: 2.0 * setup.beta_prime * hbar**2 / length_scale**2, zero_ok=True
+    )
+    if epsilon > EPSILON_MAX:
+        raise InvalidSetupError(
+            f"epsilon must be at most {EPSILON_MAX:.4g} (the deformed momentum moments "
+            f"square it), got {epsilon!r}"
+        )
     p = setup.potential
 
     if isinstance(p, InfiniteWell):
@@ -200,14 +221,16 @@ def nondimensionalize(setup: PhysicalSetup, length_scale: float | None = None) -
             return (0.0, 0.0, 0.0, 0.0, 0.0)
 
     elif isinstance(p, Linear):
-        slope = p.slope * length_scale / e_scale
+        slope = checked_scale("scaled slope", lambda: p.slope * length_scale / e_scale)
         lo, hi = 0.0, math.inf
 
         def v_derivs(x: float, _s=slope):
             return (_s * x, _s, 0.0, 0.0, 0.0)
 
     elif isinstance(p, Harmonic):
-        curv = 0.5 * m * p.omega**2 * length_scale**2 / e_scale
+        curv = checked_scale(
+            "scaled curvature", lambda: 0.5 * m * p.omega**2 * length_scale**2 / e_scale
+        )
         lo, hi = -math.inf, math.inf
 
         def v_derivs(x: float, _c=curv):

@@ -13,10 +13,6 @@ class ConfigError(InvalidSetupError):
     """Configuration file could not be parsed or validated."""
 
 
-class DomainError(GupBicError):
-    """Coordinate lies outside the declared potential domain."""
-
-
 class UnsupportedEpsilonError(GupBicError):
     """epsilon <= 0: the fourth-order closed-form machinery does not apply."""
 

@@ -74,7 +74,7 @@ class Case(Enum):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    kind: str  # point_zero | decay_plus | decay_minus | vanish_on_ray
+    kind: str  # point_zero | decay_plus | decay_minus
     location: float | None = None
     side: Side | None = None
     is_key: bool = True
@@ -82,8 +82,6 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind == "point_zero" and self.location is None:
             raise InvalidConditionsError("point_zero needs a location")
-        if self.kind == "vanish_on_ray" and (self.side is None or self.location is None):
-            raise InvalidConditionsError("vanish_on_ray needs a side and a cut location")
 
 
 def point_zero(x: float, is_key: bool = True) -> BoundaryCondition:
@@ -93,10 +91,6 @@ def point_zero(x: float, is_key: bool = True) -> BoundaryCondition:
 def decay_at(side: Side, is_key: bool = True) -> BoundaryCondition:
     kind = "decay_plus" if side is Side.PLUS_INFINITY else "decay_minus"
     return BoundaryCondition(kind=kind, side=side, is_key=is_key)
-
-
-def vanish_on_ray(side: Side, cut: float, is_key: bool = True) -> BoundaryCondition:
-    return BoundaryCondition(kind="vanish_on_ray", side=side, location=float(cut), is_key=is_key)
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,7 @@ class CaseClassification:
 def classify(conditions: Sequence[BoundaryCondition]) -> CaseClassification:
     """Case split and predicted degrees of freedom from the condition set.
 
-    Two-sided compact support (walls/rays): the applied conditions subtract
+    Two-sided compact support (walls): the applied conditions subtract
     directly from the four coefficients.  A decay condition pins the two
     outward-growing coefficients on its side; with a wall that determines
     three, with a second decay the pair counts once (the same outward pair is
@@ -120,19 +114,11 @@ def classify(conditions: Sequence[BoundaryCondition]) -> CaseClassification:
     if not conditions:
         raise InvalidConditionsError("nonempty condition list required")
 
-    rays = [c for c in conditions if c.kind == "vanish_on_ray"]
-    left_cuts = [c.location for c in rays if c.side is Side.MINUS_INFINITY]
-    right_cuts = [c.location for c in rays if c.side is Side.PLUS_INFINITY]
-    if left_cuts and right_cuts and max(left_cuts) >= min(right_cuts):
-        raise InvalidConditionsError(
-            f"vanishing rays overlap (empty interior): cuts {max(left_cuts)} >= {min(right_cuts)}"
-        )
-
     kbcs = [c for c in conditions if c.is_key]
     non_kbc = len(conditions) - len(kbcs)
     has_decay_plus = any(c.kind == "decay_plus" for c in kbcs)
     has_decay_minus = any(c.kind == "decay_minus" for c in kbcs)
-    key_points = [c for c in kbcs if c.kind in ("point_zero", "vanish_on_ray")]
+    key_points = [c for c in kbcs if c.kind == "point_zero"]
 
     if has_decay_plus and has_decay_minus:
         case = Case.III
@@ -198,8 +184,6 @@ def assemble(
     for c in conditions:
         if c.kind == "point_zero":
             points.append((float(c.location), 0))
-        elif c.kind == "vanish_on_ray":
-            points.append((float(c.location), 0))  # support edge: phi vanishes at the cut
         elif c.kind == "decay_plus":
             decay_sides.append(Side.PLUS_INFINITY)
         elif c.kind == "decay_minus":
@@ -243,8 +227,8 @@ def assemble(
     return ConstraintSystem(energy=energy, matrix=matrix, row_kinds=tuple(kinds), basis=basis)
 
 
-def nullity_of(system: ConstraintSystem, rank_tol: float = RANK_TOL) -> int:
-    """4 - numerical rank of the constraint matrix."""
+def nullity_of(system: ConstraintSystem) -> int:
+    """4 - numerical rank of the constraint matrix (singular values above RANK_TOL * the largest)."""
     m = system.matrix
     if not np.all(np.isfinite(m.view(float))):
         raise PreconditionError("constraint matrix has non-finite entries")
@@ -254,14 +238,12 @@ def nullity_of(system: ConstraintSystem, rank_tol: float = RANK_TOL) -> int:
     smax = svals[0] if svals.size else 0.0
     if smax == 0.0:
         return 4
-    return 4 - int(np.sum(svals > rank_tol * smax))
+    return 4 - int(np.sum(svals > RANK_TOL * smax))
 
 
-def nullspace(
-    system: ConstraintSystem, rank_tol: float = RANK_TOL
-) -> tuple[int, list[np.ndarray]]:
+def nullspace(system: ConstraintSystem) -> tuple[int, list[np.ndarray]]:
     """(nullity, orthonormal coefficient vectors) of the constraint system."""
-    nullity = nullity_of(system, rank_tol=rank_tol)
+    nullity = nullity_of(system)
     if nullity == 4:
         return 4, [np.eye(4, dtype=complex)[:, j] for j in range(4)]
     if nullity == 0:
@@ -521,14 +503,14 @@ def well_basis(problem: DimensionlessProblem, energy: float):
     return roots, exact_constant_basis(roots, problem.domain)
 
 
-def special_kappa_index(problem: DimensionlessProblem, energy: float, tol: float = 1e-9) -> int | None:
-    """k if kappa(E) is within tol of k*pi/(half-width) for the well, else None."""
+def special_kappa_index(problem: DimensionlessProblem, energy: float) -> int | None:
+    """k if kappa(E) * 2 half-width / pi lies within 1e-9 of an integer k >= 1 (well), else None."""
     lo, hi = problem.domain
     half = 0.5 * (hi - lo)
     roots = characteristic_roots(problem.epsilon, energy)
     ratio = roots.kappa * 2.0 * half / math.pi
     k = round(ratio)
-    if k >= 1 and abs(ratio - k) < tol:
+    if k >= 1 and abs(ratio - k) < 1e-9:
         return k
     return None
 
@@ -612,66 +594,57 @@ class WkbAssembly:
 _LINEAR_X0_MIN = 1e-3  # the linear reference point keeps this far from the wall
 
 
-def _linear_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembly:
+def wkb_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembly:
+    """Interior and far-field WKB sets of the linear or harmonic potential at one energy.
+
+    Both live on the positive half-line: the linear domain, or the harmonic
+    tail whose mirror image is the negative one.  The interior piece runs
+    from the wall (linear) or the turning point x_t (harmonic) to the zero
+    of a^2 - b, the far piece from that zero to infinity, each a turning
+    window clear of the zeros.  The harmonic sets are the branches' even
+    continuations.
+    """
+    if problem.kind not in ("linear", "harmonic"):
+        raise WrongPotentialError(f"WKB assembly not implemented for kind {problem.kind!r}")
     if energy <= 0:
         raise PreconditionError("energy must be > 0")
     params0 = WkbParameters.from_problem(problem, energy, x0=0.0)
     rmap = map_regions(params0, 0.0, math.inf)
     (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
-    if x_t - TURNING_WINDOW_HALF_WIDTH < _LINEAR_X0_MIN:
-        # x_t = e / slope, so the limit on x_t is one on the energy
-        e_min = energy * (TURNING_WINDOW_HALF_WIDTH + _LINEAR_X0_MIN) / x_t
-        raise PreconditionError(
-            f"turning point x_t={x_t:.3g} is too close to the wall at x=0: its turning "
-            f"window (half-width {TURNING_WINDOW_HALF_WIDTH}) must leave out the reference "
-            f"point x0={_LINEAR_X0_MIN:g}, so x_t >= {TURNING_WINDOW_HALF_WIDTH + _LINEAR_X0_MIN:g}; "
-            f"the lowest energy that works is about {problem.energy_to_si(e_min):.4g} J "
-            f"(dimensionless {e_min:.4g})"
-        )
-    x0 = min(0.45 * x_t, x_t - 3 * TURNING_WINDOW_HALF_WIDTH)
-    x0 = max(x0, _LINEAR_X0_MIN)
+    if problem.kind == "linear":
+        if x_t - TURNING_WINDOW_HALF_WIDTH < _LINEAR_X0_MIN:
+            raise PreconditionError(_linear_wall_message(problem, energy, x_t))
+        piece = (0.0, s_zero - TURNING_WINDOW_HALF_WIDTH)
+        x0 = max(min(0.45 * x_t, x_t - 3 * TURNING_WINDOW_HALF_WIDTH), _LINEAR_X0_MIN)
+    else:
+        piece = (x_t + TURNING_WINDOW_HALF_WIDTH, s_zero - TURNING_WINDOW_HALF_WIDTH)
+        if piece[1] <= piece[0]:
+            raise PreconditionError(_harmonic_band_message(problem, params0, x_t, s_zero))
+        x0 = 0.5 * (piece[0] + piece[1])
     params = WkbParameters.from_problem(problem, energy, x0=x0)
-    main_piece = (0.0, s_zero - TURNING_WINDOW_HALF_WIDTH)
-    basis = wkb_branches(params, main_piece, rmap)
+    basis = wkb_branches(params, piece, rmap)
 
     far_lo = s_zero + TURNING_WINDOW_HALF_WIDTH
     far_params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
-    far_piece = (far_lo, math.inf)
-    far_basis = wkb_branches(far_params, far_piece, rmap)
+    far_basis = wkb_branches(far_params, (far_lo, math.inf), rmap)
+    if problem.kind == "harmonic":
+        basis = tuple(SymmetrizedBasisFunction(f) for f in basis)
+        far_basis = tuple(SymmetrizedBasisFunction(f) for f in far_basis)
     return WkbAssembly(
-        params=params,
-        basis=basis,
-        far_basis=far_basis,
-        b_zeros=rmap.b_zeros,
-        s_zeros=rmap.s_zeros,
+        params=params, basis=basis, far_basis=far_basis, b_zeros=rmap.b_zeros, s_zeros=rmap.s_zeros
     )
 
 
-def _harmonic_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembly:
-    if energy <= 0:
-        raise PreconditionError("energy must be > 0")
-    params0 = WkbParameters.from_problem(problem, energy, x0=0.0)
-    # the positive tail; the negative one is its mirror image
-    rmap = map_regions(params0, 0.0, math.inf)
-    (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
-    mid_lo = x_t + TURNING_WINDOW_HALF_WIDTH
-    mid_hi = s_zero - TURNING_WINDOW_HALF_WIDTH
-    if mid_hi <= mid_lo:
-        raise PreconditionError(_harmonic_band_message(problem, params0, x_t, s_zero))
-    params = WkbParameters.from_problem(problem, energy, x0=0.5 * (mid_lo + mid_hi))
-    tail = wkb_branches(params, (mid_lo, mid_hi), rmap)
-    basis = tuple(SymmetrizedBasisFunction(f) for f in tail)
-
-    far_lo = s_zero + TURNING_WINDOW_HALF_WIDTH
-    far_params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
-    far = wkb_branches(far_params, (far_lo, math.inf), rmap)
-    far_basis = tuple(SymmetrizedBasisFunction(f) for f in far)
-    return WkbAssembly(
-        params=params,
-        basis=basis,
-        far_basis=far_basis,
-        b_zeros=rmap.b_zeros,
-        s_zeros=rmap.s_zeros,
+def _linear_wall_message(problem: DimensionlessProblem, energy: float, x_t: float) -> str:
+    """Why the linear turning point is too close to the wall, with the lowest energy that works."""
+    # x_t = e / slope, so the limit on x_t is one on the energy
+    e_min = energy * (TURNING_WINDOW_HALF_WIDTH + _LINEAR_X0_MIN) / x_t
+    return (
+        f"turning point x_t={x_t:.3g} is too close to the wall at x=0: its turning "
+        f"window (half-width {TURNING_WINDOW_HALF_WIDTH}) must leave out the reference "
+        f"point x0={_LINEAR_X0_MIN:g}, so x_t >= {TURNING_WINDOW_HALF_WIDTH + _LINEAR_X0_MIN:g}; "
+        f"the lowest energy that works is about {problem.energy_to_si(e_min):.4g} J "
+        f"(dimensionless {e_min:.4g})"
     )
 
 
@@ -707,14 +680,6 @@ def _harmonic_band_message(
     )
 
 
-def wkb_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembly:
-    if problem.kind == "linear":
-        return _linear_assembly(problem, energy)
-    if problem.kind == "harmonic":
-        return _harmonic_assembly(problem, energy)
-    raise WrongPotentialError(f"WKB assembly not implemented for kind {problem.kind!r}")
-
-
 def degrees_of_freedom(problem: DimensionlessProblem, energy: float) -> tuple[int, ConstraintSystem]:
     """Nullity of the assembled boundary system at one energy."""
     conditions = conditions_for(problem)
@@ -732,7 +697,7 @@ def solve_linear(
     problem: DimensionlessProblem, energy: float, orthogonalize: bool = True
 ) -> BoundStateSolution:
     """Single bound state phi = C2 w2 - C2 w2(0)/w4(0) w4 for V proportional to x."""
-    asm = _linear_assembly(problem, energy)
+    asm = wkb_assembly(problem, energy)
     w2, w4 = asm.basis[1], asm.basis[3]
     lo, _ = problem.domain
     ratio = w2.value(lo) / w4.value(lo)
@@ -775,7 +740,7 @@ def solve_harmonic(
     Connecting across the interior allowed region requires turning-point
     formulas outside this method's scope.
     """
-    asm = _harmonic_assembly(problem, energy)
+    asm = wkb_assembly(problem, energy)
     regions = list(asm.basis[0].mirror_pieces)  # type: ignore[attr-defined]
     vec2 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     vec4 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)

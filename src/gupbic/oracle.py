@@ -248,9 +248,12 @@ def integrate(
 # --- Wronskian -----------------------------------------------------------------
 
 
-def wronskian(problem: DimensionlessProblem, energy: float, x: float, anchor: float) -> complex:
+def wronskian(
+    problem: DimensionlessProblem, energy: float, x: float, anchor: float, rtol: float = DEFAULT_RTOL
+) -> complex:
     """det at x of the identity frame launched at the anchor (Abel: exactly 1)."""
-    return complex(np.linalg.det(integrate(problem, energy, np.eye(4), anchor, [x])[..., 0]))
+    frame = integrate(problem, energy, np.eye(4), anchor, [x], rtol=rtol)[..., 0]
+    return complex(np.linalg.det(frame))
 
 
 def wronskian_drift(
@@ -324,21 +327,22 @@ def _wkb_frame_at(
 
 GROWTH_FLOOR = 0.5  # |growth exponent| below this is too close to zero to count
 SEGMENT_GROWTH = 3.0  # largest rho * width of a march segment
+MIN_SEGMENTS = 24  # fewest march segments
 
 
 def _march_points(
-    problem: DimensionlessProblem, energy: float, dim: int, x_far: float, anchor: float, checkpoints: int
+    problem: DimensionlessProblem, energy: float, dim: int, x_far: float, anchor: float
 ) -> np.ndarray:
     """Ends of equal march segments from x_far to the anchor.
 
-    At least ``checkpoints`` segments, and enough that none grows by more
+    At least MIN_SEGMENTS segments, and enough that none grows by more
     than e^SEGMENT_GROWTH (rho * width, rho the larger ``_max_rate`` of the
     two ends).  Past that, the QR of a segment's image loses the decaying
     directions to roundoff, and Abel's sum of the exponents drifts from zero.
     """
     ends = np.array([x_far, anchor])
     rho = float(_max_rate(problem, energy, dim, ends).max())
-    count = max(checkpoints, math.ceil(rho * abs(anchor - x_far) / SEGMENT_GROWTH))
+    count = max(MIN_SEGMENTS, math.ceil(rho * abs(anchor - x_far) / SEGMENT_GROWTH))
     return np.linspace(x_far, anchor, count + 1)
 
 
@@ -347,16 +351,13 @@ def growth_exponents(
     energy: float,
     side: str,
     x_far: float | None = None,
-    anchor: float | None = None,
     standard: bool = False,
-    checkpoints: int = 24,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
     """Log-growth of each direction of a frame marched from the far field to the anchor.
 
     The march runs backwards from the far point toward ``side`` to the
-    interior anchor over equal segments, at least ``checkpoints`` of them
+    interior anchor over equal segments, at least MIN_SEGMENTS of them
     and more where one would grow by more than e^SEGMENT_GROWTH
     (``_march_points``).  The segment propagators U_k come from one
     ``_propagators`` call;
@@ -377,8 +378,7 @@ def growth_exponents(
 
     if x_far is None:
         x_far = sgn * _auto_far_point(problem, energy, sgn)
-    if anchor is None:
-        anchor = _auto_anchor(problem, energy, sgn, x_far)
+    anchor = _auto_anchor(problem, energy, sgn, x_far)
     w_launch = problem.v_derivs(x_far)[0] - energy
     if w_launch < 1.0:
         raise PreconditionError(
@@ -394,8 +394,8 @@ def growth_exponents(
         frame = _wkb_frame_at(problem, energy, x_far, march_direction)
         dim = 4
 
-    xs = _march_points(problem, energy, dim, x_far, anchor, checkpoints)
-    segments = _propagators(problem, energy, dim, xs[:-1], xs[1:], rtol, atol)
+    xs = _march_points(problem, energy, dim, x_far, anchor)
+    segments = _propagators(problem, energy, dim, xs[:-1], xs[1:], rtol, DEFAULT_ATOL)
     # initial QR so the accumulated R diagonals measure growth only
     q, _ = np.linalg.qr(frame)
     growth = np.zeros(dim)
@@ -490,12 +490,10 @@ class MomentumSolution:
     def derivative(self, pt):
         return self(pt) * 1j * self.phase_derivative(pt)
 
-    def ode_residual(self, pt, derivative=None):
+    def ode_residual(self, pt):
         """Scaled defect of the first-order equation at pt (a float or an array)."""
-        c = self(pt)
-        dc = self.derivative(pt) if derivative is None else derivative
-        t1 = 1j * self.gamma * (1.0 + self.beta_tilde * pt**2) * dc
-        t2 = (pt**2 - self.e_tilde) * c
+        t1 = 1j * self.gamma * (1.0 + self.beta_tilde * pt**2) * self.derivative(pt)
+        t2 = (pt**2 - self.e_tilde) * self(pt)
         return np.abs(t1 + t2) / (np.abs(t1) + np.abs(t2) + 1e-300)
 
     def phase_quadrature_check(self, pts: Sequence[float]) -> float:

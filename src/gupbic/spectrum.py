@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ._scipy import lazy
-from .core import DimensionlessProblem, InfiniteWell, PhysicalSetup, nondimensionalize
+from .core import DimensionlessProblem, InfiniteWell, PhysicalSetup, checked_scale, nondimensionalize
 from .errors import GupBicError, NumericalError, PreconditionError, WrongPotentialError
 from .matcher import degrees_of_freedom
 from .basis import characteristic_roots
@@ -71,9 +71,10 @@ def well_special_energies(setup: PhysicalSetup, k_max: int) -> list[SpecialEnerg
     problem = nondimensionalize(setup)
     out = []
     for k in range(1, k_max + 1):
-        e_si = (
-            k**4 * math.pi**4 * hbar**4 * setup.beta_prime / (16.0 * m * a**4)
-            + k**2 * math.pi**2 * hbar**2 / (8.0 * m * a**2)
+        e_si = checked_scale(
+            f"special energy E_{k}",
+            lambda: k**4 * math.pi**4 * hbar**4 * setup.beta_prime / (16.0 * m * a**4)
+            + k**2 * math.pi**2 * hbar**2 / (8.0 * m * a**2),
         )
         out.append(
             SpecialEnergy(k=k, energy_si=e_si, energy_dimensionless=problem.energy_from_si(e_si))
@@ -207,10 +208,9 @@ class ShiftedSineState(AnalyticState):
 
 
 class GaussianGroundState(AnalyticState):
-    """phi = pi^(-1/4) exp(-x^2/2): standard harmonic ground state, scaled units."""
+    """phi = pi^(-1/4) exp(-x^2/2): standard harmonic ground state, scaled units, on |x| < 12."""
 
-    def __init__(self, cutoff: float = 12.0):
-        self.regions = ((-cutoff, cutoff),)
+    regions = ((-12.0, 12.0),)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         # phi^(n) = (-1)^n He_n(x) phi with He_{n+1} = x He_n - n He_{n-1}
@@ -228,16 +228,16 @@ class AiryBouncerState(AnalyticState):
     """phi = Ai(x - z1) / |Ai'(-z1)| on (0, inf): standard bouncer ground state.
 
     z1 = 2.33811... is minus the first Airy zero; derivatives follow from
-    Ai'' = u Ai via A^(n+2) = u A^(n) + n A^(n-1).
+    Ai'' = u Ai via A^(n+2) = u A^(n) + n A^(n-1).  The state is cut 14 past z1.
     """
 
-    def __init__(self, cutoff: float = 14.0):
+    def __init__(self):
         from scipy.special import ai_zeros, airy
 
         zero = float(ai_zeros(1)[0][0])  # negative
         self.shift = -zero
         self.norm = abs(float(airy(zero)[1]))
-        self.regions = ((0.0, self.shift + cutoff),)
+        self.regions = ((0.0, self.shift + 14.0),)
 
     @property
     def ground_energy(self) -> float:
@@ -420,8 +420,9 @@ def observability(setup: PhysicalSetup) -> ObservabilityResult:
         raise PreconditionError("zero momentum moments: critical exponent undefined")
     exponent = -math.log10(s)
 
+    critical_beta = checked_scale("critical beta 10^exponent", lambda: 10.0**exponent)
     refined_setup = PhysicalSetup(
-        mass=setup.mass, beta=10.0**exponent, potential=setup.potential, hbar=setup.hbar
+        mass=setup.mass, beta=critical_beta, potential=setup.potential, hbar=setup.hbar
     )
     refined_problem = nondimensionalize(refined_setup, length_scale=problem.length_scale)
     refined = momentum_moments(state, refined_problem)

@@ -24,6 +24,7 @@ from .core import (
 from .errors import GupBicError
 from .matcher import StateFunction, solve_well
 from .oracle import (
+    DEFAULT_RTOL,
     GROWTH_FLOOR,
     MomentumSolution,
     bounded_dimension,
@@ -96,8 +97,6 @@ def _result(name: str, measured: float, threshold: float, comparison: str = "<="
         ok = measured <= threshold
     elif comparison == ">=":
         ok = measured >= threshold
-    elif comparison == "==":
-        ok = measured == threshold
     else:
         raise ValueError(f"unknown comparison {comparison!r}")
     return CheckResult(
@@ -107,7 +106,7 @@ def _result(name: str, measured: float, threshold: float, comparison: str = "<="
 
 
 def check_wronskian_constancy(
-    n_cases: int = 20, seed: int = 20240811, rtol: float = 1e-11
+    n_cases: int = 20, seed: int = 20240811, rtol: float = DEFAULT_RTOL
 ) -> CheckResult:
     """Abel invariant: trace A = 0, so W must be constant along x."""
     rng = np.random.default_rng(seed)
@@ -146,7 +145,7 @@ def check_wronskian_constancy(
 
 
 def check_exact_well_oracle_agreement(
-    setup: PhysicalSetup | None = None, rtol: float = 1e-11
+    setup: PhysicalSetup | None = None, rtol: float = DEFAULT_RTOL
 ) -> CheckResult:
     """Closed-form well solutions vs integration from identical initial data."""
     if setup is None:
@@ -205,7 +204,9 @@ def check_residual_negative_control(setup: PhysicalSetup | None = None) -> Check
     )
 
 
-def momentum_dimension_evidence(setup: PhysicalSetup, energy_si: float) -> tuple[MomentumSolution, float, complex]:
+def momentum_dimension_evidence(
+    setup: PhysicalSetup, energy_si: float, rtol: float = DEFAULT_RTOL
+) -> tuple[MomentumSolution, float, complex]:
     """The 1 vs 4 solution-space evidence for the linear potential at one energy.
 
     Returns the momentum-space solution, its largest ODE residual over 100
@@ -218,17 +219,19 @@ def momentum_dimension_evidence(setup: PhysicalSetup, energy_si: float) -> tuple
     res = float(np.max(sol.ode_residual(np.linspace(-6.0, 6.0, 100))))
     e = problem.energy_from_si(energy_si)
     mu1 = characteristic_roots(problem.epsilon, e).mu1
-    return sol, res, wronskian(problem, e, 0.8 + 1.0 / mu1, anchor=0.8)
+    return sol, res, wronskian(problem, e, 0.8 + 1.0 / mu1, anchor=0.8, rtol=rtol)
 
 
-def check_momentum_representation(setup: PhysicalSetup | None = None, energy_si: float | None = None) -> CheckResult:
+def check_momentum_representation(
+    setup: PhysicalSetup | None = None, energy_si: float | None = None, rtol: float = DEFAULT_RTOL
+) -> CheckResult:
     """First-order momentum-space solution: residual, antiderivative, dimensions."""
     if setup is None:
         setup = linear_setup_for(0.01)
     problem = nondimensionalize(setup)
     if energy_si is None:
         energy_si = problem.energy_to_si(2.0)
-    sol, res, w = momentum_dimension_evidence(setup, energy_si)
+    sol, res, w = momentum_dimension_evidence(setup, energy_si, rtol)
     anti = sol.phase_quadrature_check(np.linspace(-4.0, 4.0, 9))
     # finite-difference cross-check of the analytic derivative
     h = 1e-6
@@ -253,7 +256,7 @@ DECAY_EPS = 0.02
 DECAY_SETUP = f"linear (e 2) and harmonic (e 1.7), eps {DECAY_EPS:g}"
 
 
-def check_decaying_dimensions(standard: bool = False) -> CheckResult:
+def check_decaying_dimensions(standard: bool = False, rtol: float = DEFAULT_RTOL) -> CheckResult:
     """Bounded-subspace dimension: 2 per side (fourth order), 1 per side (standard).
 
     The detail records each side's growth exponents and the smallest
@@ -263,9 +266,9 @@ def check_decaying_dimensions(standard: bool = False) -> CheckResult:
     lin = nondimensionalize(linear_setup_for(DECAY_EPS))
     har = nondimensionalize(harmonic_setup_for(DECAY_EPS))
     growth = {
-        "linear:+inf": growth_exponents(lin, 2.0, "+inf", standard=standard),
-        "harmonic:+inf": growth_exponents(har, 1.7, "+inf", standard=standard),
-        "harmonic:-inf": growth_exponents(har, 1.7, "-inf", standard=standard),
+        "linear:+inf": growth_exponents(lin, 2.0, "+inf", standard=standard, rtol=rtol),
+        "harmonic:+inf": growth_exponents(har, 1.7, "+inf", standard=standard, rtol=rtol),
+        "harmonic:-inf": growth_exponents(har, 1.7, "-inf", standard=standard, rtol=rtol),
     }
     results = {k: bounded_dimension(g) for k, g in growth.items()}
     worst = max(abs(v - expected) for v in results.values())
@@ -318,7 +321,7 @@ def standard_harmonic_mismatch(problem, energy: float) -> float:
     return float((det / (np.linalg.norm(lv) * np.linalg.norm(rv))).real)
 
 
-def run_verification(setup: PhysicalSetup, rtol: float = 1e-11) -> list[CheckResult]:
+def run_verification(setup: PhysicalSetup, rtol: float = DEFAULT_RTOL) -> list[CheckResult]:
     """The check battery for the CLI verify command.
 
     ``setup`` selects only standard mode (beta = 0) and the setup of the well
@@ -330,10 +333,10 @@ def run_verification(setup: PhysicalSetup, rtol: float = 1e-11) -> list[CheckRes
     checks.append(check_exact_well_oracle_agreement(rtol=rtol))
     checks.append(check_residual_exact())
     checks.append(check_residual_negative_control())
-    checks.append(check_momentum_representation())
+    checks.append(check_momentum_representation(rtol=rtol))
     standard_mode = setup.beta == 0.0
     try:
-        checks.append(check_decaying_dimensions(standard=standard_mode))
+        checks.append(check_decaying_dimensions(standard=standard_mode, rtol=rtol))
     except GupBicError as exc:
         checks.append(
             CheckResult(

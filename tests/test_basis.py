@@ -42,7 +42,7 @@ class TestCharacteristicRoots:
         r = characteristic_roots(0.04, 0.0)
         assert r.kappa == 0.0
         assert r.mu1 == pytest.approx(1.0 / math.sqrt(0.04), rel=1e-14)
-        assert r.mu2 == -r.mu1
+        assert r.all_roots()[1] == -r.mu1
 
     def test_reference_ground_level_roots(self):
         r = characteristic_roots(EPS_REFERENCE, 2.9186)

@@ -381,22 +381,42 @@ class TestExitCodes:
             warnings.simplefilter("error", UserWarning)
             assert run(["verify", "--tol", "1e-13", "--out", tmp_path]) == 0
 
-    def test_tol_reaches_frame_integrator(self, tmp_path, monkeypatch):
+    def test_tol_reaches_every_oracle_propagator(self, tmp_path, monkeypatch, capsys):
+        # every oracle integration of the battery builds its steps with
+        # _propagators: the frame integrations, the growth-exponent marches
+        # and the momentum Wronskian must all get the --tol value
         from gupbic import oracle
 
-        class Reached(Exception):
-            pass
-
         seen = []
+        propagators = oracle._propagators
 
-        def integrate_spy(*args, rtol=oracle.DEFAULT_RTOL, **kwargs):
+        def spy(problem, energy, dim, starts, ends, rtol, atol):
             seen.append(rtol)
-            raise Reached
+            return propagators(problem, energy, dim, starts, ends, rtol, atol)
 
-        monkeypatch.setattr(oracle, "integrate", integrate_spy)
-        with pytest.raises(Reached):
-            run(["verify", "--tol", "1e-9", "--out", tmp_path])
-        assert seen == [1e-9]
+        monkeypatch.setattr(oracle, "_propagators", spy)
+        assert run(["verify", "--tol", "1e-9", "--out", tmp_path]) == 0
+        assert seen and set(seen) == {1e-9}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["wavefunction", "--k", "1", "--a", "1e-300"],
+            ["wavefunction", "--k", "1", "--a", "1e-100"],
+            ["wavefunction", "--k", "1", "--a", "1e200"],
+            ["observability", "--potential", "harmonic", "--omega", "1e300"],
+            ["dof-scan", "--potential", "linear", "--L", "1e-300", "--n", "3"],
+            ["observability", "--beta", "1e300"],
+        ],
+    )
+    def test_extreme_setups_exit_with_a_named_error(self, args, tmp_path, capsys):
+        # finite inputs whose scales leave the float range: a JSON error and
+        # exit 2 or 3, never a traceback
+        code = run(args + ["--out", tmp_path])
+        err = capsys.readouterr().err
+        assert code in (2, 3)
+        assert "Traceback" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"]["message"]
 
     def test_tol_is_a_verify_flag_only(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

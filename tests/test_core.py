@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupbic import (
     HBAR,
@@ -16,7 +18,7 @@ from gupbic.core import (
     parse_config_text,
     setup_from_entries,
 )
-from gupbic.errors import ConfigError, DomainError, InvalidSetupError
+from gupbic.errors import ConfigError, InvalidSetupError
 
 REFERENCE_PARAMS = dict(mass=9.10956e-31, beta=1e47, a=1e-10)
 
@@ -104,34 +106,48 @@ class TestNondimensionalization:
         )
 
 
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+POTENTIALS = {"well": InfiniteWell, "linear": Linear, "harmonic": Harmonic}
+
+
+@given(
+    kind=st.sampled_from(sorted(POTENTIALS)),
+    mass=LOG_UNIFORM,
+    beta=st.one_of(st.just(0.0), LOG_UNIFORM),
+    parameter=LOG_UNIFORM,
+)
+@settings(max_examples=400, deadline=None)
+def test_finite_setups_scale_into_range_or_raise_invalid_setup(kind, mass, beta, parameter):
+    # every finite setup either nondimensionalizes to finite scales or is
+    # refused with InvalidSetupError; no ZeroDivisionError or OverflowError
+    setup = PhysicalSetup(mass=mass, beta=beta, potential=POTENTIALS[kind](parameter))
+    try:
+        problem = nondimensionalize(setup)
+    except InvalidSetupError:
+        return
+    assert math.isfinite(problem.length_scale) and problem.length_scale > 0.0
+    assert math.isfinite(problem.energy_scale) and problem.energy_scale > 0.0
+    assert math.isfinite(problem.epsilon) and problem.epsilon >= 0.0
+    assert all(math.isfinite(d) for d in problem.v_derivs(1.0))
+
+
 class TestPotentialValues:
     def test_well_interior_zero(self):
         problem = nondimensionalize(reference_setup())
-        assert problem.v(0.0) == 0.0
-
-    def test_well_outside_domain_error(self):
-        problem = nondimensionalize(reference_setup())
-        with pytest.raises(DomainError):
-            problem.v(1.5)
+        assert problem.v_derivs(0.0)[0] == 0.0
 
     def test_harmonic_canonical_is_x_squared(self):
         setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Harmonic(omega=2e16))
         problem = nondimensionalize(setup)
-        assert problem.v(2.0) == pytest.approx(4.0, rel=1e-12)
+        assert problem.v_derivs(2.0)[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_linear_is_linear(self):
         setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Linear(slope=3e-8))
         problem = nondimensionalize(setup)
-        v1 = problem.v(1.0)
-        assert problem.v(2.5) == pytest.approx(2.5 * v1, rel=1e-12)
+        v1 = problem.v_derivs(1.0)[0]
+        assert problem.v_derivs(2.5)[0] == pytest.approx(2.5 * v1, rel=1e-12)
         # canonical bouncer scale makes the slope exactly one
         assert v1 == pytest.approx(1.0, rel=1e-12)
-
-    def test_linear_wall_is_boundary_not_value(self):
-        setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Linear(slope=3e-8))
-        problem = nondimensionalize(setup)
-        with pytest.raises(DomainError):
-            problem.v(-0.5)
 
 
 class TestConfig:

@@ -37,7 +37,6 @@ from gupbic.matcher import (
     solve_harmonic,
     solve_linear,
     solve_well,
-    vanish_on_ray,
     well_coefficients,
 )
 from gupbic.spectrum import dof_scan, well_special_energies
@@ -72,24 +71,12 @@ class TestClassify:
         assert result.predicted_dof == 1
         assert result.non_kbc_count == 1
 
-    def test_rays_are_case_one(self):
-        result = classify(
-            [vanish_on_ray(Side.MINUS_INFINITY, -2.0), vanish_on_ray(Side.PLUS_INFINITY, 2.0)]
-        )
-        assert result.case is Case.I
-
     def test_single_point_is_unbound(self):
         assert classify([point_zero(0.0)]).case is Case.UNBOUND
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidConditionsError):
             classify([])
-
-    def test_overlapping_rays_rejected(self):
-        with pytest.raises(InvalidConditionsError, match="empty interior"):
-            classify(
-                [vanish_on_ray(Side.MINUS_INFINITY, 1.0), vanish_on_ray(Side.PLUS_INFINITY, -1.0)]
-            )
 
 
 class TestAssemble:
@@ -566,10 +553,10 @@ class TestSolvers:
         # branch; its regions must be those of a scan that stops at the first
         # point 70 below the peak
         from gupbic.basis import TURNING_WINDOW_HALF_WIDTH as W
-        from gupbic.matcher import _linear_assembly
+        from gupbic.matcher import wkb_assembly
 
         problem = nondimensionalize(linear_setup_for(eps))
-        asm = _linear_assembly(problem, e)
+        asm = wkb_assembly(problem, e)
         w2, w4 = asm.basis[1], asm.basis[3]
         shift = math.log(abs(w2.value(0.0) / w4.value(0.0)) + 1e-300)
         state_log = lambda x: max(w2.log_abs(x), w4.log_abs(x) + shift)

@@ -351,7 +351,7 @@ class TestDecayingSubspace:
             rhs, dim = oracle.companion_rhs(problem, energy), 4
         q, _ = np.linalg.qr(frame)
         growth = np.zeros(dim)
-        xs = oracle._march_points(problem, energy, dim, x_far, anchor, 24)
+        xs = oracle._march_points(problem, energy, dim, x_far, anchor)
         for a, b in zip(xs[:-1], xs[1:]):
             sol = solve_ivp(rhs, (a, b), q.reshape(-1), method="DOP853", rtol=1e-11, atol=1e-13)
             q, r = np.linalg.qr(sol.y[:, -1].reshape(dim, dim))
