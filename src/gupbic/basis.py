@@ -84,6 +84,10 @@ class CharacteristicRoots:
     pair +-mu1; for q > 0 the - branch gives the oscillatory pair +-i*kappa.
     For q < 0 (classically forbidden) the second pair is real +-nu with
     nu = sqrt[(1 - sqrt(1 + 4*eps*q)) / (2*eps)]; kappa is then 0.
+
+    For an array of q (one per energy of a batched scan) mu1, kappa, nu and
+    e_minus_v are arrays of that shape; ``all_roots`` and
+    ``quartic_residual`` take one q.
     """
 
     mu1: float
@@ -107,30 +111,30 @@ class CharacteristicRoots:
         return abs(value) / scale
 
 
-def characteristic_roots(epsilon: float, e_minus_v: float) -> CharacteristicRoots:
-    """Solve the constant-potential characteristic quartic."""
+def characteristic_roots(epsilon: float, e_minus_v) -> CharacteristicRoots:
+    """Solve the constant-potential characteristic quartic for a float or an array of q."""
     if epsilon <= 0.0:
         raise UnsupportedEpsilonError(
             "epsilon must be > 0; the second-order (beta = 0) equation is handled "
             "by the oracle integrator"
         )
-    disc = 1.0 + 4.0 * epsilon * e_minus_v
-    if disc < 0.0:
+    q = np.asarray(e_minus_v, dtype=float)
+    disc = 1.0 + 4.0 * epsilon * q
+    if np.any(disc < 0.0):
         raise ComplexQuartetError(
-            f"1 + 4*eps*(e - v) = {disc} < 0: complex root quartet (deep forbidden "
-            "region); use the WKB basis"
+            f"1 + 4*eps*(e - v) = {disc[disc < 0.0].flat[0]} < 0: complex root quartet "
+            "(deep forbidden region); use the WKB basis"
         )
-    root = math.sqrt(disc)
-    mu1 = math.sqrt((1.0 + root) / (2.0 * epsilon))
+    root = np.sqrt(disc)
+    mu1 = np.sqrt((1.0 + root) / (2.0 * epsilon))
     # (root - 1)/(2 eps) = 2 q / (1 + root): stable for small eps*q
-    second_sq = 2.0 * e_minus_v / (1.0 + root)
-    if e_minus_v > 0.0:
-        kappa = math.sqrt(second_sq)
-        nu = 0.0
-    else:
-        kappa = 0.0
-        nu = math.sqrt(-second_sq)
-    return CharacteristicRoots(mu1=mu1, kappa=kappa, epsilon=epsilon, e_minus_v=e_minus_v, nu=nu)
+    second_sq = 2.0 * q / (1.0 + root)
+    above = q > 0.0
+    kappa = np.sqrt(np.where(above, second_sq, 0.0))
+    nu = np.sqrt(np.where(above, 0.0, -second_sq))
+    if q.ndim == 0:
+        mu1, kappa, nu, q = float(mu1), float(kappa), float(nu), float(q)
+    return CharacteristicRoots(mu1=mu1, kappa=kappa, epsilon=epsilon, e_minus_v=q, nu=nu)
 
 
 # --- basis functions ----------------------------------------------------------
@@ -150,29 +154,24 @@ class BasisFunction:
     def value(self, x: float) -> complex:
         return self.derivatives(x, order=0)[0]
 
-    def log_abs(self, x: float) -> float:
-        """log|f(x)|; overflow-safe."""
-        raise NotImplementedError
-
-    def scaled_value(self, x: float, log_shift: float) -> complex:
-        """f(x) * exp(-log_shift), computed without forming f(x)."""
-        raise NotImplementedError
-
-    # Array forms: one point at a time here; the exact and WKB functions
-    # evaluate the whole array at once.
+    # Log-space access at a float or an array of abscissas: a point row of
+    # ``assemble`` and the classifier scale by one log shift and never form
+    # a value past the exponent cap.
 
     def valid(self, xs: np.ndarray) -> np.ndarray:
         """Mask of the abscissas where the function may be evaluated."""
         return np.ones(np.shape(xs), dtype=bool)
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.value(float(x)) for x in xs], dtype=complex)
+        raise NotImplementedError
 
     def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.log_abs(float(x)) for x in xs], dtype=float)
+        """log|f(x)|; overflow-safe."""
+        raise NotImplementedError
 
-    def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
-        return np.array([self.scaled_value(float(x), log_shift) for x in xs], dtype=complex)
+    def scaled_value_array(self, xs: np.ndarray, log_shift) -> np.ndarray:
+        """f(x) * exp(-log_shift), computed without forming f(x)."""
+        raise NotImplementedError
 
     def asymptotic_class(self, side: Side) -> AsymptoticClass:
         return classify_asymptotics(self, side, self._auto_probes(side))
@@ -191,11 +190,20 @@ class BasisFunction:
         return list(np.linspace(hi - 0.05 * (hi - lo), lo + 1e-9 * max(1.0, abs(lo)), 5))
 
 
-class ExponentialBasisFunction(BasisFunction):
-    """f(x) = exp(rate * (x - anchor)), rate real; f(anchor) = 1."""
+def _rates(values):
+    """A float, or a float array (one function per energy of a batched basis)."""
+    return float(values) if np.ndim(values) == 0 else np.asarray(values, dtype=float)
 
-    def __init__(self, rate: float, index: int, anchor: float = 0.0):
-        self.rate = float(rate)
+
+class ExponentialBasisFunction(BasisFunction):
+    """f(x) = exp(rate * (x - anchor)), rate real; f(anchor) = 1.
+
+    ``rate`` is a float or an array of rates; the evaluators broadcast it
+    against the abscissas.
+    """
+
+    def __init__(self, rate, index: int, anchor: float = 0.0):
+        self.rate = _rates(rate)
         self.anchor = float(anchor)
         self.index = index
         self.method = "exact"
@@ -205,24 +213,17 @@ class ExponentialBasisFunction(BasisFunction):
         f = self.value_array(x)
         return np.array([f * self.rate**k for k in range(order + 1)], dtype=complex)
 
-    def log_abs(self, x: float) -> float:
-        return self.rate * (x - self.anchor)
+    def log_abs_array(self, xs):
+        return self.rate * (np.asarray(xs, dtype=float) - self.anchor)
 
-    def scaled_value(self, x: float, log_shift: float) -> complex:
-        e = self.log_abs(x) - log_shift
-        if e > EXPONENT_CAP:
-            raise BasisOverflowError(
-                f"scaled exp exponent {e:.6g} at x={x:.6g} beyond the cap "
-                f"EXPONENT_CAP = {EXPONENT_CAP:g}",
-                exponent=e,
-            )
-        return complex(math.exp(e)) if e > -745.0 else 0.0 + 0.0j
+    def scaled_value_array(self, xs, log_shift):
+        # the complex exp takes the libm exp that math.exp takes (the real
+        # np.exp can differ from it in the last bit)
+        e = self.log_abs_array(xs) - log_shift
+        return _capped_exp(np.asarray(e, dtype=complex), xs, "exp")
 
-    def value_array(self, xs: np.ndarray) -> np.ndarray:
-        # the complex exp takes the libm exp that math.exp takes, so the
-        # values equal the scalar ones bit for bit
-        e = self.rate * (np.asarray(xs, dtype=float) - self.anchor)
-        return _capped_exp(e.astype(complex), xs, "exp")
+    def value_array(self, xs):
+        return self.scaled_value_array(xs, 0.0)
 
     def __repr__(self):
         return (
@@ -232,12 +233,12 @@ class ExponentialBasisFunction(BasisFunction):
 
 
 class TrigBasisFunction(BasisFunction):
-    """f(x) = cos(kappa x) or sin(kappa x)."""
+    """f(x) = cos(kappa x) or sin(kappa x); ``kappa`` a float or an array, as the exponential's rate."""
 
-    def __init__(self, kappa: float, phase: str, index: int):
+    def __init__(self, kappa, phase: str, index: int):
         if phase not in ("cos", "sin"):
             raise ValueError(f"phase must be cos or sin, got {phase!r}")
-        self.kappa = float(kappa)
+        self.kappa = _rates(kappa)
         self.phase = phase
         self.index = index
         self.method = "exact"
@@ -251,19 +252,21 @@ class TrigBasisFunction(BasisFunction):
         cycle = [c, -s, -c, s] if self.phase == "cos" else [s, c, -s, -c]
         return np.array([cycle[n % 4] * k**n for n in range(order + 1)], dtype=complex)
 
-    def _scalar(self, x: float) -> float:
-        return (math.cos if self.phase == "cos" else math.sin)(self.kappa * x)
-
-    def log_abs(self, x: float) -> float:
-        v = abs(self._scalar(x))
-        return math.log(v) if v > 0 else -math.inf
-
-    def scaled_value(self, x: float, log_shift: float) -> complex:
-        return complex(self._scalar(x) * math.exp(-log_shift))
-
-    def value_array(self, xs: np.ndarray) -> np.ndarray:
+    def _wave(self, xs):
         trig = np.cos if self.phase == "cos" else np.sin
-        return trig(self.kappa * np.asarray(xs, dtype=float)).astype(complex)
+        return trig(self.kappa * np.asarray(xs, dtype=float))
+
+    def log_abs_array(self, xs):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self._wave(xs)))
+
+    def scaled_value_array(self, xs, log_shift):
+        # exp(-log_shift) by the complex exp, as for the exponentials
+        scale = np.exp(np.asarray(-log_shift, dtype=complex)).real
+        return (self._wave(xs) * scale).astype(complex)
+
+    def value_array(self, xs):
+        return self._wave(xs).astype(complex)
 
     def __repr__(self):
         return f"TrigBasisFunction(kappa={self.kappa:.6g}, {self.phase}, index={self.index})"
@@ -276,12 +279,14 @@ def exact_constant_basis(
 
     The exponentials are the boundary layers at the walls (lo, hi): each is 1
     at its own wall and exp(-mu1 (hi - lo)) at the other, so every wall value
-    lies in [0, 1] however thin the layers are.
+    lies in [0, 1] however thin the layers are.  Roots of an array of q give
+    one batched set whose functions evaluate every energy at once.
     """
-    if roots.kappa <= 0.0:
+    degenerate = np.asarray(roots.kappa) <= 0.0
+    if np.any(degenerate):
         raise DegenerateBasisError(
-            f"kappa = {roots.kappa}: oscillatory pair degenerate (e <= v); "
-            "constant-potential basis requires e - v > 0"
+            f"kappa = {np.asarray(roots.kappa)[degenerate].flat[0]}: oscillatory pair "
+            "degenerate (e <= v); constant-potential basis requires e - v > 0"
         )
     lo, hi = walls
     return (

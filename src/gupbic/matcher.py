@@ -145,7 +145,11 @@ def classify(conditions: Sequence[BoundaryCondition]) -> CaseClassification:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Rows on the coefficient vector at fixed energy, each of unit max magnitude."""
+    """Rows on the coefficient vector at fixed energy, each of unit max magnitude.
+
+    ``matrix`` is (rows, 4), or (N, rows, 4) with ``energy`` an array of N
+    when the basis is batched over N energies.
+    """
 
     energy: float
     matrix: np.ndarray
@@ -213,32 +217,39 @@ def assemble(
                 kinds.append(f"decay[{side.value}] kills C{j + 1}")
     for x, order in points:
         if order == 0:
-            shift = max(f.log_abs(x) for f in basis)
-            row = np.array([f.scaled_value(x, shift) for f in basis], dtype=complex)
+            logs = [f.log_abs_array(x) for f in basis]
+            # np.max per energy of a batch: where a log is NaN, which the builtin
+            # max can pass over, the row turns non-finite and the batch raises
+            shift = max(logs) if np.ndim(logs[0]) == 0 else np.max(logs, axis=0)
+            entries = [f.scaled_value_array(x, shift) for f in basis]
         else:
-            row = np.array([f.derivatives(x, order=order)[order] for f in basis], dtype=complex)
-        m = np.max(np.abs(row))
-        if m > 0:
-            row = row / m
-        rows.append(row)
+            entries = [f.derivatives(x, order=order)[order] for f in basis]
+        row = np.array(entries, dtype=complex).T  # (4,), or (N, 4) for a batched basis
+        m = np.abs(row).max(axis=-1, keepdims=True)
+        m[~(m > 0)] = 1.0  # a zero or non-finite row stays as it is
+        rows.append(row / m)
         kinds.append(f"phi({x:g}) = 0" if order == 0 else f"phi^({order})({x:g}) = 0")
 
-    matrix = np.array(rows, dtype=complex) if rows else np.zeros((0, 4), dtype=complex)
+    # (rows, 4), or (N, rows, 4) for a batched basis, whose rows are all point rows
+    matrix = np.array(rows, dtype=complex).swapaxes(0, -2) if rows else np.zeros((0, 4), dtype=complex)
     return ConstraintSystem(energy=energy, matrix=matrix, row_kinds=tuple(kinds), basis=basis)
 
 
-def nullity_of(system: ConstraintSystem) -> int:
-    """4 - numerical rank of the constraint matrix (singular values above RANK_TOL * the largest)."""
+def nullity_of(system: ConstraintSystem) -> int | np.ndarray:
+    """4 - numerical rank of the constraint matrix (singular values above RANK_TOL * the largest).
+
+    An int, or an int array with one nullity per energy for a stacked
+    (N, rows, 4) matrix, whose SVDs run in one call.
+    """
     m = system.matrix
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise PreconditionError("constraint matrix has non-finite entries")
-    if m.shape[0] == 0:
-        return 4
+    if m.shape[-2] == 0:
+        return 4 if m.ndim == 2 else np.full(m.shape[0], 4)
     svals = np.linalg.svd(m, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    if smax == 0.0:
-        return 4
-    return 4 - int(np.sum(svals > RANK_TOL * smax))
+    # an all-zero matrix has rank 0: no singular value exceeds RANK_TOL * 0
+    rank = np.sum(svals > RANK_TOL * svals[..., :1], axis=-1)
+    return 4 - (int(rank) if m.ndim == 2 else rank)
 
 
 def nullspace(system: ConstraintSystem) -> tuple[int, list[np.ndarray]]:
@@ -496,7 +507,8 @@ def conditions_for(problem: DimensionlessProblem) -> list[BoundaryCondition]:
     raise WrongPotentialError(f"no boundary conditions for kind {problem.kind!r}")
 
 
-def well_basis(problem: DimensionlessProblem, energy: float):
+def well_basis(problem: DimensionlessProblem, energy):
+    """Roots and exact basis at one energy, or batched over an array of energies."""
     if problem.kind != "well":
         raise WrongPotentialError("well basis requested for a non-well problem")
     roots = characteristic_roots(problem.epsilon, energy)
@@ -680,8 +692,15 @@ def _harmonic_band_message(
     )
 
 
-def degrees_of_freedom(problem: DimensionlessProblem, energy: float) -> tuple[int, ConstraintSystem]:
-    """Nullity of the assembled boundary system at one energy."""
+def degrees_of_freedom(
+    problem: DimensionlessProblem, energy
+) -> tuple[int | np.ndarray, ConstraintSystem]:
+    """Nullity of the assembled boundary system at one energy.
+
+    For the well ``energy`` may be an array: one batched basis, one stacked
+    system and one nullity per energy (an int array), bit for bit the
+    per-energy results.  An error at any energy raises for the whole batch.
+    """
     conditions = conditions_for(problem)
     if problem.kind == "well":
         _, basis = well_basis(problem, energy)

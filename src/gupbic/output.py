@@ -3,8 +3,8 @@
 CSV formatting is pinned for byte-identical reruns: scientific notation with
 17 significant digits, '.' decimal separator, '\\n' line endings, exact header
 row.  ``write_csv`` formats each row with one %-template and gives the bytes
-of ``_fmt_cell`` applied cell by cell.  Files are written atomically (temp +
-rename).
+of ``_fmt_cell`` applied cell by cell; numpy booleans and floats read as the
+Python ones.  Files are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import __version__
+
+_BOOLS = (bool, np.bool_)
+_FLOATS = (float, np.floating)
 
 
 def fmt_float(x: float) -> str:
@@ -25,12 +30,12 @@ def fmt_float(x: float) -> str:
 
 
 def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, _BOOLS):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
+    if isinstance(value, _FLOATS):
+        return fmt_float(float(value))
     return str(value)
 
 
@@ -44,11 +49,11 @@ def _atomic_write(path: Path, data: str) -> None:
 
 def _cell_code(cell_type: type) -> str:
     """The %-code that formats a cell of this type as ``_fmt_cell`` does."""
-    if issubclass(cell_type, bool):
+    if issubclass(cell_type, _BOOLS):
         return "%s"  # the cell is replaced by "true" or "false" first
     if issubclass(cell_type, int):
         return "%d"
-    if issubclass(cell_type, float):
+    if issubclass(cell_type, _FLOATS):
         return "%.16e"
     return "%s"
 
@@ -57,15 +62,18 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     """Write the CSV; each row is one %-template, built once per tuple of cell types."""
     path = Path(path)
     lines = [",".join(header)]
-    templates: dict[tuple[type, ...], str] = {}
+    # per tuple of cell types: the template and whether a cell is a boolean
+    templates: dict[tuple[type, ...], tuple[str, bool]] = {}
     for row in rows:
         row = tuple(row)
         types = tuple(map(type, row))
         if types not in templates:
-            templates[types] = ",".join(map(_cell_code, types))
-        if bool in types:
-            row = tuple(_fmt_cell(cell) if type(cell) is bool else cell for cell in row)
-        lines.append(templates[types] % row)
+            has_bool = any(issubclass(t, _BOOLS) for t in types)
+            templates[types] = ",".join(map(_cell_code, types)), has_bool
+        template, has_bool = templates[types]
+        if has_bool:
+            row = tuple(_fmt_cell(cell) if isinstance(cell, _BOOLS) else cell for cell in row)
+        lines.append(template % row)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 

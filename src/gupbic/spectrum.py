@@ -34,7 +34,13 @@ import numpy as np
 
 from ._scipy import lazy
 from .core import DimensionlessProblem, InfiniteWell, PhysicalSetup, checked_scale, nondimensionalize
-from .errors import GupBicError, NumericalError, PreconditionError, WrongPotentialError
+from .errors import (
+    GupBicError,
+    InvalidSetupError,
+    NumericalError,
+    PreconditionError,
+    WrongPotentialError,
+)
 from .matcher import degrees_of_freedom
 from .basis import characteristic_roots
 from .panels import panel_integrals
@@ -44,6 +50,8 @@ quad = lazy("integrate", "quad")
 
 OBVIOUS_RATIO_THRESHOLD = 0.1
 _MOMENT_TOL = 1e-11
+# most special well levels a scan labels; a scan top above more of them is refused
+MAX_SPECIAL_LEVELS = 100_000
 
 
 # --- special energies (infinite well) ---------------------------------------------
@@ -67,19 +75,65 @@ def well_special_energies(setup: PhysicalSetup, k_max: int) -> list[SpecialEnerg
         raise WrongPotentialError("special energies are defined for the infinite well")
     if k_max < 1:
         raise PreconditionError(f"k_max must be >= 1, got {k_max}")
-    a, m, hbar = setup.potential.a, setup.mass, setup.hbar
     problem = nondimensionalize(setup)
     out = []
     for k in range(1, k_max + 1):
-        e_si = checked_scale(
-            f"special energy E_{k}",
-            lambda: k**4 * math.pi**4 * hbar**4 * setup.beta_prime / (16.0 * m * a**4)
-            + k**2 * math.pi**2 * hbar**2 / (8.0 * m * a**2),
-        )
+        e_si = _special_energy_si(setup, k)
         out.append(
             SpecialEnergy(k=k, energy_si=e_si, energy_dimensionless=problem.energy_from_si(e_si))
         )
     return out
+
+
+def _special_energy_si(setup: PhysicalSetup, k: int) -> float:
+    a, m, hbar = setup.potential.a, setup.mass, setup.hbar
+    return checked_scale(
+        f"special energy E_{k}",
+        lambda: k**4 * math.pi**4 * hbar**4 * setup.beta_prime / (16.0 * m * a**4)
+        + k**2 * math.pi**2 * hbar**2 / (8.0 * m * a**2),
+    )
+
+
+def _special_level_count(setup: PhysicalSetup, top: float) -> int:
+    """The number of special well levels with E_k <= top.
+
+    E_k = c2 k^2 (1 + r k^2) with r = c4 / c2, so k^2 = 2y / (1 + sqrt(1 + 4 r y))
+    at E_k = top, y = top / c2.  The estimate is formed in logs (the
+    coefficients span the float range), then moved to the exact count by
+    the formula of ``well_special_energies``, which is monotone in k.  Above
+    MAX_SPECIAL_LEVELS it raises InvalidSetupError naming the count.
+    """
+    a, m, hbar = setup.potential.a, setup.mass, setup.hbar
+    log_pi_hbar2 = 2.0 * (math.log(math.pi) + math.log(hbar))
+    log_y = math.log(top) - (log_pi_hbar2 - math.log(8.0) - math.log(m) - 2.0 * math.log(a))
+    log_k2 = log_y
+    if setup.beta_prime > 0.0:
+        log_r = log_pi_hbar2 + math.log(setup.beta_prime) - math.log(2.0) - 2.0 * math.log(a)
+        log_4ry = math.log(4.0) + log_r + log_y
+        # log((1 + sqrt(1 + 4ry)) / 2); past e^100 the 1s are far below the float resolution
+        if log_4ry > 100.0:
+            log_k2 -= 0.5 * log_4ry - math.log(2.0)
+        else:
+            log_k2 -= math.log1p(math.sqrt(1.0 + math.exp(log_4ry))) - math.log(2.0)
+    log_k = 0.5 * log_k2
+    if log_k > math.log(MAX_SPECIAL_LEVELS + 2):
+        raise InvalidSetupError(_too_many_levels(f"about 10^{log_k / math.log(10.0):.1f}", top))
+    k = int(math.exp(log_k))
+    while k > 0 and _special_energy_si(setup, k) > top:
+        k -= 1
+    while _special_energy_si(setup, k + 1) <= top:
+        k += 1
+    if k > MAX_SPECIAL_LEVELS:
+        raise InvalidSetupError(_too_many_levels(str(k), top))
+    return k
+
+
+def _too_many_levels(count: str, top: float) -> str:
+    return (
+        f"{count} special well levels lie below the scan top {top:.6g} J (with half the "
+        f"grid spacing); dof_scan labels at most MAX_SPECIAL_LEVELS = {MAX_SPECIAL_LEVELS}: "
+        "lower --e-max, or use a setup with fewer levels in range"
+    )
 
 
 def kappa_at_energy(setup: PhysicalSetup, energy_si: float) -> float:
@@ -119,9 +173,12 @@ def dof_scan(
 ) -> SpectrumScan:
     """Degrees of freedom (degeneracy) at each scan energy.
 
-    Per-energy failures are recorded and do not abort the scan.  Grid rows
-    nearest a special well energy (within half the grid spacing) are labelled
-    StandardLevel, everything else ExtraContinuum.
+    Per-energy failures are recorded and do not abort the scan.  The well
+    runs as one batched pass over all energies (``threads`` then does not
+    apply); if the batch raises, the energies run one at a time, so each
+    failure is recorded with its own message.  Grid rows nearest a special
+    well energy (within half the grid spacing) are labelled StandardLevel,
+    everything else ExtraContinuum.
     """
     energies = np.asarray(list(energies_si), dtype=float)
     if energies.size < 1 or np.any(energies <= 0.0) or np.any(np.diff(energies) <= 0.0):
@@ -136,13 +193,20 @@ def dof_scan(
         except GupBicError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    results = None
+    if problem.kind == "well":
+        try:
+            results = [(d, None) for d in degrees_of_freedom(problem, e_dims)[0].tolist()]
+        except GupBicError:
+            pass  # the per-energy pass below records each failing energy's own message
+    if results is None:
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, e_dims))
-    else:
-        results = [one(e) for e in e_dims]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(one, e_dims))
+        else:
+            results = [one(e) for e in e_dims]
 
     dof = tuple(r[0] for r in results)
     errors = {i: r[1] for i, r in enumerate(results) if r[1] is not None}
@@ -151,19 +215,11 @@ def dof_scan(
     labels = ["ExtraContinuum"] * energies.size
     if isinstance(setup.potential, InfiniteWell):
         tol = 0.5 * float(np.max(np.diff(energies))) if energies.size > 1 else 0.5 * energies[0]
-        collected = []
-        k = 1
-        while True:
-            se = well_special_energies(setup, k)[-1]
-            if se.energy_si > energies[-1] + tol:
-                break
-            collected.append(se)
-            k += 1
-        for se in collected:
-            i = int(np.argmin(np.abs(energies - se.energy_si)))
-            if abs(energies[i] - se.energy_si) < tol:
+        k_max = _special_level_count(setup, energies[-1] + tol)
+        if k_max:
+            marks = tuple(well_special_energies(setup, k_max))
+            for i in _nearest_rows(energies, np.array([se.energy_si for se in marks]), tol):
                 labels[i] = "StandardLevel"
-        marks = tuple(collected)
 
     return SpectrumScan(
         kind=problem.kind,
@@ -174,6 +230,26 @@ def dof_scan(
         special_marks=marks,
         errors=errors,
     )
+
+
+def _nearest_rows(energies: np.ndarray, levels: np.ndarray, tol: float) -> np.ndarray:
+    """Rows np.argmin(|energies - level|) of the levels within tol of their nearest row.
+
+    Among equal distances argmin takes the first row; they form one run
+    ending at the left neighbour of the level, which the walk steps down.
+    """
+
+    def dist(rows):
+        return np.abs(energies[rows] - levels)
+
+    right = np.minimum(np.searchsorted(energies, levels), energies.size - 1)
+    left = np.maximum(right - 1, 0)
+    rows = np.where(dist(left) <= dist(right), left, right)
+    while True:
+        tie = (rows > 0) & (dist(np.maximum(rows - 1, 0)) == dist(rows))
+        if not tie.any():
+            return rows[dist(rows) < tol]
+        rows = rows - tie
 
 
 # --- reference (ground-analog) states ----------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -165,6 +166,24 @@ class TestDofScan:
         assert run(["dof-scan", "--n", "1", "--out", tmp_path]) == 2
         capsys.readouterr()
         assert run(["dof-scan", "--e-min", "2e-17", "--e-max", "1e-17", "--out", tmp_path]) == 2
+
+    def test_dense_well_scan_ends_with_a_named_error(self, tmp_path, capsys):
+        # about 1e54 special levels lie below the scan top: refused with exit
+        # 2, where labelling them level by level never ended
+        args = [
+            "dof-scan", "--potential", "well", "--mass", "1.144408626846768e+177",
+            "--beta", "8.002948965540257e-161", "--a", "1.4324237794493972e-60", "--n", "3",
+        ]
+        start = time.perf_counter()
+        code = run(args + ["--out", tmp_path])
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        error = json.loads(err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "InvalidSetupError"
+        assert "about 10^54.1 special well levels" in error["message"]
+        assert "MAX_SPECIAL_LEVELS = 100000" in error["message"]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):

@@ -36,4 +36,12 @@ def test_row_templates_give_the_per_cell_bytes(tmp_path_factory, rows):
 
 def test_bool_cells_read_true_and_false(tmp_path):
     path = write_csv(tmp_path / "flags.csv", ["flag", "n"], [(True, 1), (False, 0), (np.bool_(True), 2)])
-    assert path.read_text() == "flag,n\ntrue,1\nfalse,0\nTrue,2\n"
+    assert path.read_text() == "flag,n\ntrue,1\nfalse,0\ntrue,2\n"
+
+
+def test_numpy_floats_read_as_python_floats(tmp_path):
+    cells = [(np.float32(0.1), np.float64(0.1), 0.1)]
+    path = write_csv(tmp_path / "floats.csv", ["f32", "f64", "py"], cells)
+    f32 = f"{float(np.float32(0.1)):.16e}"
+    assert path.read_text() == f"f32,f64,py\n{f32},{0.1:.16e},{0.1:.16e}\n"
+    assert _fmt_cell(np.float32(0.1)) == f32

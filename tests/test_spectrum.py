@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupbic import (
     HBAR,
@@ -11,7 +13,9 @@ from gupbic import (
     PhysicalSetup,
     nondimensionalize,
 )
-from gupbic.errors import PreconditionError, WrongPotentialError
+from gupbic.errors import GupBicError, InvalidSetupError, PreconditionError, WrongPotentialError
+from gupbic import spectrum
+from gupbic.matcher import degrees_of_freedom
 from gupbic.spectrum import (
     AiryBouncerState,
     GaussianGroundState,
@@ -113,6 +117,117 @@ class TestDofScan:
             dof_scan(well_setup, [2e-18, 1e-18])
         with pytest.raises(PreconditionError):
             dof_scan(well_setup, [-1e-18, 1e-18])
+
+
+def one_energy_at_a_time(problem, e_dims):
+    """(dof, errors, matrices) of the well scan run energy by energy."""
+    dof, errors, matrices = [], {}, []
+    for i, e in enumerate(e_dims):
+        try:
+            d, system = degrees_of_freedom(problem, float(e))
+        except GupBicError as exc:
+            dof.append(None)
+            errors[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        dof.append(d)
+        matrices.append(system.matrix)
+    return tuple(dof), errors, matrices
+
+
+class TestBatchedWellScan:
+    @given(
+        log_beta=st.floats(20.0, 50.0),
+        a=st.floats(5e-11, 2e-10),
+        energies=st.lists(
+            st.floats(1e-21, 2e-17), min_size=2, max_size=64, unique=True
+        ).map(sorted),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_the_per_energy_path(self, log_beta, a, energies):
+        setup = PhysicalSetup(mass=M_E, beta=10.0**log_beta, potential=InfiniteWell(a=a))
+        problem = nondimensionalize(setup)
+        e_dims = np.array(energies) / problem.energy_scale
+        dof, errors, matrices = one_energy_at_a_time(problem, e_dims)
+        assert errors == {}
+        scan = dof_scan(setup, energies, problem=problem)
+        assert scan.dof == dof and scan.errors == {}
+        assert all(type(d) is int for d in scan.dof)
+        nullity, system = degrees_of_freedom(problem, e_dims)
+        assert system.matrix.shape == (len(energies), 2, 4)
+        assert nullity.tolist() == list(dof)
+        for stacked, single in zip(system.matrix, matrices):
+            assert np.array_equal(stacked, single)
+
+    def test_beta_zero_records_the_per_energy_errors(self):
+        setup = PhysicalSetup(mass=M_E, beta=0.0, potential=InfiniteWell(a=A_WELL))
+        energies = np.linspace(1e-19, 2e-17, 9)
+        problem = nondimensionalize(setup)
+        dof, errors, _ = one_energy_at_a_time(problem, energies / problem.energy_scale)
+        scan = dof_scan(setup, energies)
+        assert len(errors) == 9 and scan.errors == errors
+        assert scan.dof == dof == (None,) * 9
+
+
+def labelled_one_level_at_a_time(setup, energies):
+    """(marks, labels) as the scan built them before: every level list rebuilt per k."""
+    energies = np.asarray(energies, dtype=float)
+    tol = 0.5 * float(np.max(np.diff(energies))) if energies.size > 1 else 0.5 * energies[0]
+    marks, k = [], 1
+    while True:
+        se = well_special_energies(setup, k)[-1]
+        if se.energy_si > energies[-1] + tol:
+            break
+        marks.append(se)
+        k += 1
+    labels = ["ExtraContinuum"] * energies.size
+    for se in marks:
+        i = int(np.argmin(np.abs(energies - se.energy_si)))
+        if abs(energies[i] - se.energy_si) < tol:
+            labels[i] = "StandardLevel"
+    return tuple(marks), tuple(labels)
+
+
+class TestSpecialLevelLabels:
+    @pytest.mark.parametrize(
+        "a, energies",
+        [
+            (1e-8, np.linspace(1e-19, 2e-17, 200)),  # the CLI's --a 1e-8, 249 levels
+            (1e-8, np.linspace(2e-17 / 2000, 2e-17, 2000)),
+            (A_WELL, np.linspace(1e-19, 2e-17, 60)),
+            (A_WELL, [1.0e-21]),  # no level below the top
+            (3e-9, [1e-30, 2e-30, 1e-18]),  # equal rounded distances: argmin takes the first
+        ],
+    )
+    def test_marks_and_labels_match_the_level_by_level_loop(self, a, energies):
+        setup = PhysicalSetup(mass=M_E, beta=1e47, potential=InfiniteWell(a=a))
+        scan = dof_scan(setup, energies)
+        marks, labels = labelled_one_level_at_a_time(setup, energies)
+        assert scan.special_marks == marks
+        assert scan.labels == labels
+
+    def test_cli_a_1e8_marks_pinned(self):
+        setup = PhysicalSetup(mass=M_E, beta=1e47, potential=InfiniteWell(a=1e-8))
+        energies = np.linspace(2e-17 / 200, 2e-17, 200)  # dof-scan --a 1e-8
+        scan = dof_scan(setup, energies)
+        assert len(scan.special_marks) == 249
+        assert [se.k for se in scan.special_marks] == list(range(1, 250))
+        assert scan.labels.count("StandardLevel") == 145
+
+    def test_too_many_levels_refused(self):
+        setup = PhysicalSetup(mass=M_E, beta=1e47, potential=InfiniteWell(a=1e-5))
+        with pytest.raises(InvalidSetupError, match=r"about 10\^5\.5 special well levels"):
+            dof_scan(setup, [1e-19, 2e-17])
+
+    def test_level_limit_is_exact(self):
+        # a single energy y labels the levels up to 1.5 y; the estimate sits
+        # below log(limit + 2) on both sides, so the exact count decides
+        setup = PhysicalSetup(mass=M_E, beta=1e47, potential=InfiniteWell(a=4e-6))
+        limit = spectrum.MAX_SPECIAL_LEVELS
+        at_limit = spectrum._special_energy_si(setup, limit) / 1.5
+        assert len(dof_scan(setup, [at_limit]).special_marks) == limit
+        past = spectrum._special_energy_si(setup, limit + 1) / 1.5 * (1.0 + 1e-12)
+        with pytest.raises(InvalidSetupError, match=rf"^{limit + 1} special well levels"):
+            dof_scan(setup, [past])
 
 
 class TestMomentumMoments:
