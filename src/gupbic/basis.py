@@ -630,8 +630,8 @@ class WkbBasisFunction(BasisFunction):
     inside it are masked by windows of half-width TURNING_WINDOW_HALF_WIDTH
     (evaluation inside a window raises ValidityError), while the exponent
     integrals cross them.  ``_point`` keeps the exponent at the last float x
-    (a tuple replaced whole): a point row of ``assemble`` takes log_abs and
-    then scaled_value at one x.
+    (a tuple replaced whole): a point row of ``assemble`` takes
+    ``log_abs_array`` and then ``scaled_value_array`` at one x.
     """
 
     def __init__(self, table: ExponentTable, index: int):
@@ -712,19 +712,16 @@ class WkbBasisFunction(BasisFunction):
             return point[1]
         return e.reshape(xs.shape)
 
-    def log_abs(self, x):
+    def log_abs_array(self, x):
         return np.real(self.exponent(x))
 
     def value(self, x):
         return _capped_exp(self.exponent(x), x, "WKB")
 
-    def scaled_value(self, x, log_shift: float):
+    def scaled_value_array(self, x, log_shift: float):
         return _capped_exp(self.exponent(x) - log_shift, x, "scaled WKB")
 
-    # the evaluators above take arrays as they are
-    log_abs_array = log_abs
-    value_array = value
-    scaled_value_array = scaled_value
+    value_array = value  # takes an array as it is
 
     def _theta_chain(self, x) -> tuple:
         """Derivatives 1..4 of log w_j at a float or an array x (analytic chain rule)."""
@@ -814,12 +811,6 @@ class SymmetrizedBasisFunction(BasisFunction):
 
     def value(self, x: float) -> complex:
         return self.inner.value(abs(x))
-
-    def log_abs(self, x: float) -> float:
-        return self.inner.log_abs(abs(x))
-
-    def scaled_value(self, x: float, log_shift: float) -> complex:
-        return self.inner.scaled_value(abs(x), log_shift)
 
     def valid(self, xs: np.ndarray) -> np.ndarray:
         return self.inner.valid(np.abs(xs))

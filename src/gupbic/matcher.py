@@ -724,7 +724,7 @@ def solve_linear(
 
     # integrable tail: cut where the state has dropped ~30 decades from its peak
     (x_t,), (s_zero,) = asm.b_zeros, asm.s_zeros
-    state_log = lambda xs: np.maximum(w2.log_abs(xs), w4.log_abs(xs) + math.log(abs(ratio) + 1e-300))
+    state_log = lambda xs: np.maximum(w2.log_abs_array(xs), w4.log_abs_array(xs) + math.log(abs(ratio) + 1e-300))
     # near the lowest energy x_t - 2 W falls below the grid start, which is then the only point
     peak_hi = max(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH)
     peak = state_log(np.linspace(lo + 1e-3, peak_hi, 9)).max()

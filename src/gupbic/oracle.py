@@ -12,6 +12,9 @@ launch point; the Wronskian is the determinant of the marched identity frame.
 A standard (second-order, beta = 0) mode serves the classical-limit
 contrast: ``integrate`` selects it from a 2-row initial state or frame
 (phi, phi'), ``growth_exponents`` from ``standard=True`` or epsilon = 0.
+Far-field marches launch from ``launch_frame``, the eigenvectors of the
+frozen-coefficient system at the far point, so the oracle reads nothing of
+the closed-form and WKB bases it checks.
 
 Every potential is a polynomial of degree <= 2, so the propagators are
 Taylor series whose coefficients obey an exact recurrence (``_scaled_steps``):
@@ -28,7 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._scipy import lazy
-from .basis import WkbParameters, map_regions, wkb_branches
 from .core import DimensionlessProblem, Linear, PhysicalSetup, nondimensionalize
 from .errors import NumericalError, PreconditionError, WrongPotentialError
 from .panels import panel_integrals
@@ -299,30 +301,30 @@ def residual(state, problem: DimensionlessProblem, energy: float, grid: Sequence
 # --- decaying-subspace dimension -------------------------------------------------
 
 
-def _wkb_frame_at(
-    problem: DimensionlessProblem, energy: float, x_far: float, march_direction: float
+def launch_frame(
+    problem: DimensionlessProblem, energy: float, dim: int, x_far: float, march_direction: float
 ) -> np.ndarray:
-    """4x4 frame of WKB branch vectors at the launch point.
+    """Eigenvectors (1, lam, ..., lam^(dim-1)) of the frozen A(x_far) as columns, shape (dim, dim).
 
-    Columns are ordered by decreasing growth rate in the march direction so
-    the QR diagonal tracks the modal growths from the first checkpoint
-    (an unordered frame spends the whole march in a column-reordering
-    transient and its finite-span exponents come out mixed).
+    The lam are the roots of eps lam^4 - lam^2 - (e - v) = 0 (dim 4) or
+    lam^2 = v - e (dim 2), v read at x_far.  Columns are ordered by
+    decreasing Re(lam) * march_direction, the growth rate along the march,
+    so the QR diagonal tracks the modal growths from the first segment (an
+    unordered frame spends the whole march in a column-reordering transient
+    and its finite-span exponents come out mixed).  Column 0 is the
+    solution that decays toward the far side fastest.
     """
-    params = WkbParameters.from_problem(problem, energy, x0=x_far)
-    rmap = map_regions(params, x_far - 1.0, x_far + 1.0)
-    # the branch-validity piece containing the launch point
-    piece = next((p for p in rmap.pieces() if p[0] < x_far < p[1]), None)
-    if piece is None:
-        raise PreconditionError(
-            f"launch point x={x_far} sits on a branch degeneracy; shift the far point"
-        )
-    branches = []
-    for w in wkb_branches(params, piece, rmap):
-        rate = (params.eta * w.lam(x_far)).real * march_direction
-        branches.append((rate, w.derivatives(x_far, order=3)))
-    branches.sort(key=lambda item: -item[0])
-    return np.array([col for _, col in branches], dtype=complex).T
+    w = problem.v_derivs(x_far)[0] - energy
+    if dim == 2:
+        lam2 = np.array([w])
+    else:
+        eps = problem.epsilon
+        big = (1.0 + np.sqrt(1.0 - 4.0 * eps * w + 0j)) / (2.0 * eps)
+        lam2 = np.array([big, w / (eps * big)])  # the small root from the product w / eps
+    lam = np.emath.sqrt(lam2)
+    lam = np.concatenate([lam, -lam])
+    lam = lam[np.argsort(-lam.real * march_direction, kind="stable")]
+    return (lam ** np.arange(dim)[:, None]).astype(complex)
 
 
 GROWTH_FLOOR = 0.5  # |growth exponent| below this is too close to zero to count
@@ -364,8 +366,11 @@ def growth_exponents(
     the frame is then re-orthonormalized segment by segment, q, r =
     qr(U_k @ q), and the log |diag r| accumulate.  Directions that grow
     toward the interior are exactly those bounded (decaying) toward the
-    side.  Launch data are WKB branch vectors, which keeps the initial frame
-    well conditioned.  Returns dim exponents (4, or 2 in standard mode).
+    side.  The launch frame is ``launch_frame``, the frozen-coefficient
+    eigenvectors at the far point: it reads only v there, so the march
+    checks the WKB layer without leaning on it, and an even potential gives
+    mirror-equal exponents toward +inf and -inf.  Returns dim exponents (4,
+    or 2 in standard mode).
     """
     if side not in ("+inf", "-inf"):
         raise PreconditionError(f"side must be '+inf' or '-inf', got {side!r}")
@@ -385,14 +390,8 @@ def growth_exponents(
             f"launch point x={x_far} not in the forbidden region (v - e = {w_launch:.3g} < 1)"
         )
 
-    march_direction = math.copysign(1.0, anchor - x_far)
-    if standard or problem.epsilon == 0.0:
-        r = math.sqrt(w_launch)
-        frame = np.array([[1.0, 1.0], [-sgn * r, sgn * r]], dtype=complex)
-        dim = 2
-    else:
-        frame = _wkb_frame_at(problem, energy, x_far, march_direction)
-        dim = 4
+    dim = 2 if standard or problem.epsilon == 0.0 else 4
+    frame = launch_frame(problem, energy, dim, x_far, math.copysign(1.0, anchor - x_far))
 
     xs = _march_points(problem, energy, dim, x_far, anchor)
     segments = _propagators(problem, energy, dim, xs[:-1], xs[1:], rtol, DEFAULT_ATOL)

@@ -75,7 +75,11 @@ def well_special_energies(setup: PhysicalSetup, k_max: int) -> list[SpecialEnerg
         raise WrongPotentialError("special energies are defined for the infinite well")
     if k_max < 1:
         raise PreconditionError(f"k_max must be >= 1, got {k_max}")
-    problem = nondimensionalize(setup)
+    return _special_levels(setup, nondimensionalize(setup), k_max)
+
+
+def _special_levels(setup: PhysicalSetup, problem: DimensionlessProblem, k_max: int) -> list[SpecialEnergy]:
+    """E_1 ... E_k_max of ``well_special_energies``, scaled by the problem of the setup."""
     out = []
     for k in range(1, k_max + 1):
         e_si = _special_energy_si(setup, k)
@@ -217,7 +221,7 @@ def dof_scan(
         tol = 0.5 * float(np.max(np.diff(energies))) if energies.size > 1 else 0.5 * energies[0]
         k_max = _special_level_count(setup, energies[-1] + tol)
         if k_max:
-            marks = tuple(well_special_energies(setup, k_max))
+            marks = tuple(_special_levels(setup, problem, k_max))
             for i in _nearest_rows(energies, np.array([se.energy_si for se in marks]), tol):
                 labels[i] = "StandardLevel"
 

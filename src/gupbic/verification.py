@@ -30,6 +30,7 @@ from .oracle import (
     bounded_dimension,
     growth_exponents,
     integrate,
+    launch_frame,
     momentum_rep_linear,
     residual,
     wronskian,
@@ -309,14 +310,16 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
 def standard_harmonic_mismatch(problem, energy: float) -> float:
     """Two-sided-decay matching defect for the second-order (beta = 0) equation.
 
-    Launches the decaying solution from each far side, meets at x = 0, and
-    returns the normalized Wronskian of the two trajectories: zero exactly at
-    the standard levels e = 1, 3, 5, ... (natural units), O(1) in between.
+    Launches the solution decaying toward each far side (column 0 of its
+    ``launch_frame``), meets at x = 0, and returns the normalized Wronskian
+    of the two trajectories: zero exactly at the standard levels e = 1, 3,
+    5, ... (natural units), O(1) in between.
     """
     x_far = math.sqrt(energy) + 4.0
-    r = math.sqrt(x_far**2 - energy)
-    lv = integrate(problem, energy, [1.0, -r], x_far, [0.0])[:, 0]
-    rv = integrate(problem, energy, [1.0, +r], -x_far, [0.0])[:, 0]
+    lv, rv = (
+        integrate(problem, energy, launch_frame(problem, energy, 2, x, -x)[:, 0], x, [0.0])[:, 0]
+        for x in (x_far, -x_far)
+    )
     det = lv[0] * rv[1] - rv[0] * lv[1]
     return float((det / (np.linalg.norm(lv) * np.linalg.norm(rv))).real)
 

@@ -183,7 +183,7 @@ def _tail_fit_r_squared(eps: float, energy: float = 1.0) -> float:
     rmap = map_regions(params, x_start - 1.0, 4.0 * x_start + 1.0)
     w1 = wkb_basis(params, 1, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap)
     xs = np.linspace(x_start, 4.0 * x_start, 60)
-    logs = np.array([w1.log_abs(x) for x in xs])
+    logs = np.array([w1.log_abs_array(x) for x in xs])
     design = np.vstack([xs**1.25, np.ones_like(xs)]).T
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     pred = design @ coef

@@ -549,7 +549,7 @@ class TestSolvers:
 
     @pytest.mark.parametrize("eps, e", [(0.01, 2.0), (0.12, 2.0), (1e-3, 5.0), (0.2, 0.5)])
     def test_linear_tail_cut_matches_point_by_point_search(self, eps, e):
-        # solve_linear evaluates each search grid in one log_abs call per
+        # solve_linear evaluates each search grid in one log_abs_array call per
         # branch; its regions must be those of a scan that stops at the first
         # point 70 below the peak
         from gupbic.basis import TURNING_WINDOW_HALF_WIDTH as W
@@ -559,7 +559,7 @@ class TestSolvers:
         asm = wkb_assembly(problem, e)
         w2, w4 = asm.basis[1], asm.basis[3]
         shift = math.log(abs(w2.value(0.0) / w4.value(0.0)) + 1e-300)
-        state_log = lambda x: max(w2.log_abs(x), w4.log_abs(x) + shift)
+        state_log = lambda x: max(w2.log_abs_array(x), w4.log_abs_array(x) + shift)
         x_t = min(asm.b_zeros)
         cut = min(asm.s_zeros) - W
         peak = max(state_log(x) for x in np.linspace(1e-3, x_t - 2 * W, 9))

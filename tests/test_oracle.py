@@ -310,6 +310,64 @@ class TestDecayingSubspace:
         assert decaying_subspace_dimension(har, 1.7, "+inf", standard=True) == 1
         assert decaying_subspace_dimension(har, 1.7, "-inf", standard=True) == 1
 
+    @pytest.mark.parametrize("energy", [9.5, 10.0, 21.0])
+    @pytest.mark.parametrize("side", ["+inf", "-inf"])
+    def test_far_points_past_a_wkb_branch_degeneracy_count(self, energy, side):
+        # the default far point here lies where two WKB branches meet; the
+        # frozen-coefficient frame reads only v there
+        har = nondimensionalize(harmonic_setup_for(0.02))
+        assert decaying_subspace_dimension(har, energy, side) == 2
+
+    def test_harmonic_exponents_are_mirror_equal(self):
+        # v is even, so the march toward -inf is the mirror image of the one toward +inf
+        har = nondimensionalize(harmonic_setup_for(0.02))
+        plus = growth_exponents(har, 1.7, "+inf")
+        minus = growth_exponents(har, 1.7, "-inf")
+        np.testing.assert_allclose(minus, plus, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_standard_frame_is_the_decaying_and_growing_pair(self, sgn):
+        # columns (1, lam) with lam = -+sgn sqrt(v - e), the decaying solution first
+        from gupbic.oracle import launch_frame
+
+        har = nondimensionalize(harmonic_setup_for(0.02))
+        for x, energy in ((3.0, 1.7), (5.7, 1.7), (4.5, 9.5)):
+            r = math.sqrt(har.v_derivs(sgn * x)[0] - energy)
+            old = np.array([[1.0, 1.0], [-sgn * r, sgn * r]], dtype=complex)
+            new = launch_frame(har, energy, 2, sgn * x, -sgn)
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+    def test_fourth_order_frame_holds_the_characteristic_eigenvectors(self):
+        from gupbic.oracle import launch_frame
+
+        har = nondimensionalize(harmonic_setup_for(0.02))
+        for x, energy in ((4.0, 1.7), (-4.0, 1.7), (6.0, 21.0)):  # the last a complex quartet
+            frame = launch_frame(har, energy, 4, x, -math.copysign(1.0, x))
+            lam = frame[1]
+            np.testing.assert_allclose(frame, lam ** np.arange(4)[:, None], rtol=1e-15, atol=0.0)
+            w = har.v_derivs(x)[0] - energy
+            quartic = har.epsilon * lam**4 - lam**2 + w
+            assert np.max(np.abs(quartic)) <= 1e-12 * np.max(har.epsilon * np.abs(lam) ** 4)
+            rates = -math.copysign(1.0, x) * lam.real
+            assert np.all(np.diff(rates) <= 0.0)
+
+    def test_oracle_imports_nothing_from_basis(self):
+        # the oracle checks the basis layer, so it may not be built on it
+        import ast
+        import pathlib
+
+        from gupbic import oracle
+
+        imported = set()  # dotted names of every imported module and imported name
+        for node in ast.walk(ast.parse(pathlib.Path(oracle.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, ["gupbic" if node.level else "", node.module]))
+                imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+        assert "gupbic.core" in imported
+        assert not [name for name in imported if (name + ".").startswith("gupbic.basis.")]
+
     def test_launch_outside_forbidden_region_rejected(self):
         lin = nondimensionalize(linear_setup_for(0.02))
         with pytest.raises(PreconditionError):
@@ -343,13 +401,10 @@ class TestDecayingSubspace:
         x_far = sgn * oracle._auto_far_point(problem, energy, sgn)
         anchor = oracle._auto_anchor(problem, energy, sgn, x_far)
         if standard:
-            r = math.sqrt(problem.v_derivs(x_far)[0] - energy)
-            frame = np.array([[1.0, 1.0], [-sgn * r, sgn * r]], dtype=complex)
             rhs, dim = oracle.standard_rhs(problem, energy), 2
         else:
-            frame = oracle._wkb_frame_at(problem, energy, x_far, math.copysign(1.0, anchor - x_far))
             rhs, dim = oracle.companion_rhs(problem, energy), 4
-        q, _ = np.linalg.qr(frame)
+        q, _ = np.linalg.qr(oracle.launch_frame(problem, energy, dim, x_far, math.copysign(1.0, anchor - x_far)))
         growth = np.zeros(dim)
         xs = oracle._march_points(problem, energy, dim, x_far, anchor)
         for a, b in zip(xs[:-1], xs[1:]):

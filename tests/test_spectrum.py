@@ -112,6 +112,21 @@ class TestDofScan:
         assert len(scan.errors) > 0
         assert any(d is None for d in scan.dof)
 
+    def test_well_scan_scales_the_problem_once(self, well_setup, monkeypatch):
+        # the special-level marks reuse the scan's own problem
+        calls = []
+        real = spectrum.nondimensionalize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "nondimensionalize", counting)
+        scan = dof_scan(well_setup, np.linspace(1e-19, 2e-17, 60))
+        assert len(scan.special_marks) == 2
+        assert len(calls) == 1
+        assert scan.special_marks == tuple(well_special_energies(well_setup, 2))
+
     def test_grid_validation(self, well_setup):
         with pytest.raises(PreconditionError):
             dof_scan(well_setup, [2e-18, 1e-18])
