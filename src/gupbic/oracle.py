@@ -20,6 +20,14 @@ Every potential is a polynomial of degree <= 2, so the propagators are
 Taylor series whose coefficients obey an exact recurrence (``_scaled_steps``):
 numpy only, with no step control and no scipy.  The series' tail bound is
 the integrations' rtol and atol.
+
+Queries come in batches: ``integrate_many``, ``wronskian_drifts`` and
+``growth_exponents_many`` serve many (problem, energy, ...) requests of one
+system at once.  ``_propagators`` sums the sub-steps of every request in one
+recurrence, ``integrate_many`` chains them with one stacked prefix-product
+scan, and the decay marches re-orthonormalize with one stacked QR per segment
+step.  ``integrate``, ``wronskian_drift`` and ``growth_exponents`` are the
+batches of one.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ def _potential_taylor(problem: DimensionlessProblem, x: np.ndarray) -> tuple[np.
     nonzero v''' or v'''' is refused.
     """
     d = problem.v_derivs(x)
-    if np.any(d[3]) or np.any(d[4]):
+    if np.count_nonzero(d[3]) or np.count_nonzero(d[4]):
         raise PreconditionError("the oracle's Taylor recurrence needs v''' = v'''' = 0 (degree <= 2)")
     zero = np.zeros(x.shape)
     return d[0] + zero, d[1] + zero, 0.5 * d[2] + zero
@@ -119,86 +127,188 @@ def _max_rate(problem: DimensionlessProblem, energy: float, dim: int, x: np.ndar
 
 
 def _scaled_steps(
-    problem: DimensionlessProblem, energy: float, dim: int, x0: np.ndarray, h: np.ndarray,
+    eps: np.ndarray, w: np.ndarray, v1: np.ndarray, v2: np.ndarray, h: np.ndarray, dim: int,
     rtol: float, atol: float,
 ) -> np.ndarray:
     """Propagators over [x0, x0 + h] of the scaled state s_m = h^m phi^(m), shape (S, dim, dim).
 
+    Every argument array holds one entry per sub-step: eps, w = v0 - e,
+    v1 and v2 of v(x0 + t) = v0 + v1 t + v2 t^2, and h (eps is read in
+    dim 4 only), so sub-steps of many problems and energies run together.
     The Taylor coefficients c_n of a solution at x0, scaled as a_n = c_n h^n,
-    obey (v2 = v''/2, (n+1)_k = (n+1) ... (n+k))
+    obey ((n+1)_k = (n+1) ... (n+k))
 
-        eps (n+1)_4 a_{n+4} = h^2 (n+1)(n+2) a_{n+2} + h^4 [(e - v0) a_n - h v1 a_{n-1} - h^2 v2 a_{n-2}]
-        (n+1)_2 a_{n+2} = h^2 [(v0 - e) a_n + h v1 a_{n-1} + h^2 v2 a_{n-2}]     (standard mode).
+        eps (n+1)_4 a_{n+4} = h^2 (n+1)(n+2) a_{n+2} - h^4 [w a_n + h v1 a_{n-1} + h^2 v2 a_{n-2}]
+        (n+1)_2 a_{n+2} = h^2 [w a_n + h v1 a_{n-1} + h^2 v2 a_{n-2}]     (standard mode).
 
     Column k starts as s = e_k, i.e. a_j = delta_jk / k! for j < dim, and
     ends as s_m = sum_n n!/(n-m)! a_n.  All sub-steps and columns run at
     once.  The series stops once the last dim terms of every sub-step lie
     below rtol times its largest term plus atol.
     """
-    v0, v1, v2 = _potential_taylor(problem, x0)
     if dim == 4:
-        gain, scale = (h**2 / problem.epsilon)[:, None], -(h**4) / problem.epsilon
+        gain, scale = h**2 / eps, -(h**4) / eps
     else:
         gain, scale = 0.0, h**2
-    k0, k1, k2 = (scale * (v0 - energy))[:, None], (scale * h * v1)[:, None], (scale * h**2 * v2)[:, None]
+    # weights of a_{n-2} ... a_n (dim 4: ... a_{n+2}, a_{n+1} weighing 0) in the next coefficient
+    weights = np.zeros((dim + 1, 1, h.size))
+    weights[0, 0], weights[1, 0], weights[2, 0] = scale * h**2 * v2, scale * h * v1, scale * w
     # falling factorials n!/(n-m)!, zero for m > n
     falling = np.ones((_MAX_TERMS, dim))
     for m in range(1, dim):
         falling[:, m] = falling[:, m - 1] * (np.arange(_MAX_TERMS) - m + 1)
-    a = np.zeros((_MAX_TERMS + 2, x0.size, dim))  # a[n + 2] holds a_n; a_-1 = a_-2 = 0
+    # a[n + 2, k] holds a_n of column k for every sub-step (a_-1 = a_-2 = 0); sub-steps run along
+    # the last axis, so every per-term operation runs over contiguous rows.  Room for 24 terms
+    # first, doubled when the series runs longer.
+    a = np.zeros((26, dim, h.size))
     for j in range(dim):
-        a[j + 2, :, j] = 1.0 / math.factorial(j)
-    # largest |term| of each coefficient (row m = dim - 1 weighs most); the identity's are 1
-    size = np.ones((_MAX_TERMS, x0.size))
-    largest = np.ones(x0.size)
+        a[j + 2, j] = 1.0 / math.factorial(j)
+    # largest |term| of the last dim coefficients (row m = dim - 1 weighs most); the identity's are 1
+    recent = np.ones((dim, h.size))
+    largest = np.ones(h.size)
     for n in range(dim, _MAX_TERMS):
         p = n - dim
-        nxt = k0 * a[p + 2] + k1 * a[p + 1] + k2 * a[p]
+        if n + 2 == len(a):
+            a = np.concatenate([a, np.empty_like(a)])
         if dim == 4:
-            nxt += gain * ((p + 1) * (p + 2)) * a[p + 4]
-        a[n + 2] = nxt / math.prod(range(p + 1, n + 1))
-        size[n] = np.abs(a[n + 2]).max(axis=1) * falling[n, -1]
-        np.maximum(largest, size[n], out=largest)
-        if np.all(size[n + 1 - dim : n + 1] <= rtol * largest + atol):
-            return np.einsum("nm,nsk->smk", falling[: n + 1], a[2 : n + 3])
+            np.multiply(gain, (p + 1) * (p + 2), out=weights[4, 0])
+        np.divide(np.add.reduce(weights * a[p : n + 1]), math.prod(range(p + 1, n + 1)), out=a[n + 2])
+        size = np.multiply(np.maximum.reduce(np.abs(a[n + 2])), falling[n, -1], out=recent[n % dim])
+        np.maximum(largest, size, out=largest)
+        if (recent <= rtol * largest + atol).all():
+            s = falling[: n + 1].T @ a[2 : n + 3].reshape(n + 1, -1)
+            return s.reshape(dim, dim, h.size).transpose(2, 0, 1)
     raise NumericalError(f"Taylor series did not reach its tail bound within {_MAX_TERMS} terms")
 
 
 def _propagators(
-    problem: DimensionlessProblem, energy: float, dim: int, starts: np.ndarray, ends: np.ndarray,
-    rtol: float, atol: float,
-) -> np.ndarray:
-    """Real propagators U_k of Phi' = A(x) Phi over [starts[k], ends[k]], shape (K, dim, dim).
+    requests: Sequence[tuple[DimensionlessProblem, float, Sequence[float], Sequence[float]]],
+    dim: int, rtol: float, atol: float,
+) -> list[np.ndarray]:
+    """Real propagators of Phi' = A(x) Phi for each (problem, energy, starts, ends) request.
 
-    dim 4 is the fourth-order companion system, dim 2 the standard one.
-    Each interval is cut into equal sub-steps h with |h| rho <= 1, rho the
-    larger ``_max_rate`` of its two ends, so a sub-step grows by about e at
-    most and its series sums without cancellation.  The sub-step
-    propagators come from one ``_scaled_steps`` call.  They are chained by
-    pairwise stacked products in the scaled state (every sub-step of an
-    interval shares h), which is unscaled once: U = H^-1 S H with
-    H = diag(h^m).  A zero-width interval is exactly the identity.
+    Request r's entry has shape (K_r, dim, dim): U_k over [starts[k],
+    ends[k]] of its problem at its energy.  dim 4 is the fourth-order
+    companion system, dim 2 the standard one.  Each interval is cut into
+    equal sub-steps h with |h| rho <= 1, rho the larger ``_max_rate`` of
+    its two ends, so a sub-step grows by about e at most and its series
+    sums without cancellation.  The sub-step propagators of every request
+    come from one ``_scaled_steps`` call.  Intervals are grouped by their
+    sub-step count rounded up to a power of two, so a long interval pads
+    only its own group; within a group they are chained by pairwise
+    stacked products in the scaled state (every sub-step of an interval
+    shares h), which is unscaled once: U = H^-1 S H with H = diag(h^m).
+    A zero-width interval is exactly the identity.
     """
-    if dim == 4 and problem.epsilon <= 0.0:
-        raise PreconditionError("the companion system requires epsilon > 0; use the standard mode")
-    starts = np.asarray(starts, dtype=float).reshape(-1)
-    widths = np.asarray(ends, dtype=float).reshape(-1) - starts
-    rate = _max_rate(problem, energy, dim, np.concatenate([starts, starts + widths])).reshape(2, -1).max(axis=0)
-    counts = np.maximum(1, np.ceil(np.abs(widths) * rate)).astype(int)
-    h = widths / counts
-    # (K, a power of two) slots, sub-step j of interval k in slot (k, j); the rest stay identities
-    slots = 1 << (int(counts.max(initial=1)) - 1).bit_length()
-    live = np.arange(slots) < counts[:, None]
-    chain = np.empty(live.shape + (dim, dim))
-    chain[:] = np.eye(dim)
-    x0 = starts[:, None] + np.arange(slots) * h[:, None]
-    chain[live] = _scaled_steps(problem, energy, dim, x0[live], np.repeat(h, counts), rtol, atol)
-    while chain.shape[1] > 1:
-        chain = chain[:, 1::2] @ chain[:, 0::2]  # later sub-steps on the left
+    if not requests:
+        return []
+    sizes, widths, counts, coeffs = [], [], [], []
+    for problem, energy, starts, ends in requests:
+        if dim == 4 and problem.epsilon <= 0.0:
+            raise PreconditionError("the companion system requires epsilon > 0; use the standard mode")
+        starts = np.asarray(starts, dtype=float).reshape(-1)
+        width = np.asarray(ends, dtype=float).reshape(-1) - starts
+        rate = _max_rate(problem, energy, dim, np.concatenate([starts, starts + width])).reshape(2, -1).max(axis=0)
+        count = np.maximum(1, np.ceil(np.abs(width) * rate)).astype(int)
+        h = np.repeat(width / count, count)
+        j = np.arange(h.size) - np.repeat(np.cumsum(count) - count, count)  # sub-step j of its interval
+        v0, v1, v2 = _potential_taylor(problem, np.repeat(starts, count) + j * h)
+        coeffs.append((np.full(h.size, problem.epsilon), v0 - energy, v1, v2, h))
+        sizes.append(starts.size)
+        widths.append(width)
+        counts.append(count)
+    steps = _scaled_steps(*(np.concatenate(c) for c in zip(*coeffs)), dim, rtol, atol)
+    steps = np.concatenate([steps, np.eye(dim)[None]])  # the last entry pads the chains
+    widths, counts = np.concatenate(widths), np.concatenate(counts)
+    first = np.cumsum(counts) - counts
+    doublings = np.ceil(np.log2(counts)).astype(int)  # a chain of 2^d slots holds the sub-steps
+    out = np.empty((counts.size, dim, dim))
+    for d in np.flatnonzero(np.bincount(doublings)):
+        group = np.flatnonzero(doublings == d)
+        width = 1 << int(d)
+        index = first[group, None] + np.arange(width)
+        chain = steps[np.where(np.arange(width) < counts[group, None], index, -1)]
+        while chain.shape[1] > 1:
+            chain = chain[:, 1::2] @ chain[:, 0::2]  # later sub-steps on the left
+        out[group] = chain[:, 0]
+    # unscale, U[m, k] = S[m, k] h^(k - m), from one table of the powers h^-(dim-1) ... h^(dim-1)
     zero = widths == 0.0
     powers = np.arange(dim)
-    out = chain[:, 0] * np.where(zero, 1.0, h)[:, None, None] ** (powers - powers[:, None])
+    h_powers = np.where(zero, 1.0, widths / counts)[:, None] ** np.arange(1 - dim, dim)
+    out *= h_powers[:, powers - powers[:, None] + dim - 1]
     out[zero] = np.eye(dim)
+    offsets = np.cumsum([0] + sizes)
+    return [out[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def _prefix_products(runs: list[np.ndarray]) -> list[np.ndarray]:
+    """Running products U_k ... U_1 over each run of propagators U_1, U_2, ... (a list like ``runs``).
+
+    The runs are stacked, padded to the longest, and scanned together
+    (Hillis-Steele): after the round of stride d each product covers the
+    last 2d steps of its run, so log2 of the longest run's length rounds of
+    stacked products finish every run.
+    """
+    if not runs:
+        return []
+    length = max(len(run) for run in runs)
+    chain = np.zeros((len(runs), length) + runs[0].shape[1:])
+    for row, run in zip(chain, runs):
+        row[: len(run)] = run
+    stride = 1
+    while stride < length:
+        chain[:, stride:] = chain[:, stride:] @ chain[:, :-stride]  # later steps on the left
+        stride *= 2
+    return [row[: len(run)] for row, run in zip(chain, runs)]
+
+
+def integrate_many(
+    requests: Sequence[tuple[DimensionlessProblem, float, Sequence[complex] | np.ndarray, float, Sequence[float]]],
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> list[np.ndarray]:
+    """``integrate`` for each (problem, energy, initial, x_from, xs) request, in one batch.
+
+    Every request's initial must have the same number of rows (one
+    system); the propagators of all requests come from one
+    ``_propagators`` call and are chained by one prefix-product scan.
+    """
+    if not (MIN_RTOL <= rtol <= MAX_RTOL):
+        raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
+    if not requests:
+        return []
+    marches, intervals, dims = [], [], set()
+    for problem, energy, initial, x_from, xs in requests:
+        state = np.asarray(initial, dtype=complex)
+        dim = state.shape[0] if state.ndim in (1, 2) else 0
+        if dim not in (2, 4):
+            raise PreconditionError(
+                "initial must be a state or a frame of states as columns, with 4 rows (2 in standard mode)"
+            )
+        dims.add(dim)
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        if not (math.isfinite(x_from) and np.isfinite(xs).all()):
+            bad = x_from if not math.isfinite(x_from) else xs[~np.isfinite(xs)][0]
+            raise PreconditionError(f"integration abscissas must be finite, got {bad}")
+        order = np.argsort(np.abs(xs - x_from), kind="stable")
+        sides = [order[xs[order] >= x_from], order[xs[order] < x_from]]
+        grids = [np.concatenate(([x_from], xs[side])) for side in sides]
+        intervals.append((
+            problem, energy, np.concatenate([g[:-1] for g in grids]), np.concatenate([g[1:] for g in grids])
+        ))
+        marches.append((state, xs.size, sides))
+    if len(dims) > 1:
+        raise PreconditionError("one batch integrates one system: every initial needs the same number of rows")
+    steps = _propagators(intervals, dims.pop(), rtol, atol)
+    runs = [
+        (k, side, run)
+        for k, (u, (_, _, sides)) in enumerate(zip(steps, marches))
+        for side, run in zip(sides, np.split(u, [sides[0].size]))
+        if side.size
+    ]
+    out = [np.empty(state.shape + (size,), dtype=complex) for state, size, _ in marches]
+    for (k, side, _), chain in zip(runs, _prefix_products([run for _, _, run in runs])):
+        out[k][..., side] = np.moveaxis(chain @ marches[k][0], 0, -1)
     return out
 
 
@@ -220,31 +330,10 @@ def integrate(
     outward from ``x_from`` on each side separately, visiting that side's
     abscissas in order of distance; the propagators U_k over consecutive
     points of both sides come from one ``_propagators`` call, and the state
-    at the k-th point of a side is U_k ... U_1 @ initial.
+    at the k-th point of a side is U_k ... U_1 @ initial, the products from
+    one stacked prefix scan.  ``x_from`` and ``xs`` must be finite.
     """
-    if not (MIN_RTOL <= rtol <= MAX_RTOL):
-        raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
-    state = np.asarray(initial, dtype=complex)
-    dim = state.shape[0] if state.ndim in (1, 2) else 0
-    if dim not in (2, 4):
-        raise PreconditionError(
-            "initial must be a state or a frame of states as columns, with 4 rows (2 in standard mode)"
-        )
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    order = np.argsort(np.abs(xs - x_from), kind="stable")
-    sides = [order[xs[order] >= x_from], order[xs[order] < x_from]]
-    grids = [np.concatenate(([x_from], xs[side])) for side in sides]
-    steps = _propagators(
-        problem, energy, dim, np.concatenate([g[:-1] for g in grids]),
-        np.concatenate([g[1:] for g in grids]), rtol, atol,
-    )
-    out = np.empty(state.shape + (xs.size,), dtype=complex)
-    for side, us in zip(sides, np.split(steps, [sides[0].size])):
-        current = state
-        for k, u in zip(side, us):
-            current = u @ current
-            out[..., k] = current
-    return out
+    return integrate_many([(problem, energy, initial, x_from, xs)], rtol, atol)[0]
 
 
 # --- Wronskian -----------------------------------------------------------------
@@ -258,6 +347,16 @@ def wronskian(
     return complex(np.linalg.det(frame))
 
 
+def wronskian_drifts(
+    cases: Sequence[tuple[DimensionlessProblem, float, Sequence[float], float]], rtol: float = DEFAULT_RTOL
+) -> list[float]:
+    """``wronskian_drift`` of each (problem, energy, xs, anchor) case, from one ``integrate_many`` call."""
+    frames = integrate_many([(problem, e, np.eye(4), anchor, xs) for problem, e, xs, anchor in cases], rtol)
+    return [
+        float(np.max(np.abs(np.linalg.det(np.moveaxis(f, -1, 0)) - 1.0), initial=0.0)) for f in frames
+    ]
+
+
 def wronskian_drift(
     problem: DimensionlessProblem,
     energy: float,
@@ -265,9 +364,8 @@ def wronskian_drift(
     anchor: float,
     rtol: float = DEFAULT_RTOL,
 ) -> float:
-    """max |W(x) - 1| over xs of the identity frame launched at the anchor (constancy check)."""
-    frames = integrate(problem, energy, np.eye(4), anchor, xs, rtol=rtol)
-    return float(np.max(np.abs(np.linalg.det(np.moveaxis(frames, -1, 0)) - 1.0)))
+    """max |W(x) - 1| over xs of the identity frame launched at the anchor (constancy check; 0 on no xs)."""
+    return wronskian_drifts([(problem, energy, xs, anchor)], rtol)[0]
 
 
 # --- residuals -----------------------------------------------------------------
@@ -348,6 +446,66 @@ def _march_points(
     return np.linspace(x_far, anchor, count + 1)
 
 
+def growth_exponents_many(
+    marches: Sequence[tuple[DimensionlessProblem, float, str, float | None]],
+    standard: bool = False,
+    rtol: float = DEFAULT_RTOL,
+) -> list[np.ndarray]:
+    """``growth_exponents`` of each (problem, energy, side, x_far) march, in one batch.
+
+    The segment propagators of every march come from one ``_propagators``
+    call, and the frames of all marches are re-orthonormalized together,
+    one stacked ``np.linalg.qr`` per segment step; a march with fewer
+    segments than the longest holds its frame and exponents once it is
+    done.  Every march must run the same system (dim 4, or 2 in standard
+    mode or at epsilon = 0).
+    """
+    if not marches:
+        return []
+    launches, requests, dims = [], [], set()
+    for problem, energy, side, x_far in marches:
+        if side not in ("+inf", "-inf"):
+            raise PreconditionError(f"side must be '+inf' or '-inf', got {side!r}")
+        sgn = 1.0 if side == "+inf" else -1.0
+        lo, hi = problem.domain
+        if side == "+inf" and not math.isinf(hi):
+            raise PreconditionError("domain is bounded toward +inf; no far field there")
+        if side == "-inf" and not math.isinf(lo):
+            raise PreconditionError("domain is bounded toward -inf; no far field there")
+        if x_far is None:
+            x_far = sgn * _auto_far_point(problem, energy, sgn)
+        w_launch = problem.v_derivs(x_far)[0] - energy
+        if w_launch < 1.0:
+            raise PreconditionError(
+                f"launch point x={x_far} not in the forbidden region (v - e = {w_launch:.3g} < 1)"
+            )
+        anchor = _auto_anchor(problem, energy, sgn, x_far)
+        if not sgn * (x_far - anchor) > 0.0:
+            raise PreconditionError(f"far point x={x_far} does not lie toward {side} of the anchor x={anchor}")
+        dim = 2 if standard or problem.epsilon == 0.0 else 4
+        dims.add(dim)
+        launches.append(launch_frame(problem, energy, dim, x_far, math.copysign(1.0, anchor - x_far)))
+        xs = _march_points(problem, energy, dim, x_far, anchor)
+        requests.append((problem, energy, xs[:-1], xs[1:]))
+    if len(dims) > 1:
+        raise PreconditionError("one batch marches one system: every march needs the same dim")
+    segments = _propagators(requests, dims.pop(), rtol, DEFAULT_ATOL)
+    # marches longest first, so the ones still running at segment step k are the first active[k]
+    order = np.argsort([-len(u) for u in segments], kind="stable")
+    lengths = np.array([len(segments[i]) for i in order])
+    steps = np.zeros((len(order), lengths[0]) + segments[0].shape[1:])
+    for row, i in zip(steps, order):
+        row[: len(segments[i])] = segments[i]
+    active = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
+    # initial QR so the accumulated R diagonals measure growth only
+    q, _ = np.linalg.qr(np.stack([launches[i] for i in order]))
+    growth = np.zeros(q.shape[:2])
+    for k, m in enumerate(active):
+        q[:m], r = np.linalg.qr(steps[:m, k] @ q[:m])
+        growth[:m] += np.log(np.abs(r.diagonal(0, 1, 2)))
+    return [growth[k] for k in np.argsort(order)]
+
+
 def growth_exponents(
     problem: DimensionlessProblem,
     energy: float,
@@ -362,46 +520,18 @@ def growth_exponents(
     interior anchor over equal segments, at least MIN_SEGMENTS of them
     and more where one would grow by more than e^SEGMENT_GROWTH
     (``_march_points``).  The segment propagators U_k come from one
-    ``_propagators`` call;
-    the frame is then re-orthonormalized segment by segment, q, r =
-    qr(U_k @ q), and the log |diag r| accumulate.  Directions that grow
+    ``_propagators`` call; the frame is then re-orthonormalized segment by
+    segment, q, r = qr(U_k @ q), and the log |diag r| accumulate
+    (``growth_exponents_many`` with one march).  Directions that grow
     toward the interior are exactly those bounded (decaying) toward the
     side.  The launch frame is ``launch_frame``, the frozen-coefficient
     eigenvectors at the far point: it reads only v there, so the march
     checks the WKB layer without leaning on it, and an even potential gives
-    mirror-equal exponents toward +inf and -inf.  Returns dim exponents (4,
-    or 2 in standard mode).
+    mirror-equal exponents toward +inf and -inf.  An explicit ``x_far``
+    must lie toward ``side`` of the anchor.  Returns dim exponents (4, or 2
+    in standard mode).
     """
-    if side not in ("+inf", "-inf"):
-        raise PreconditionError(f"side must be '+inf' or '-inf', got {side!r}")
-    sgn = 1.0 if side == "+inf" else -1.0
-    lo, hi = problem.domain
-    if side == "+inf" and not math.isinf(hi):
-        raise PreconditionError("domain is bounded toward +inf; no far field there")
-    if side == "-inf" and not math.isinf(lo):
-        raise PreconditionError("domain is bounded toward -inf; no far field there")
-
-    if x_far is None:
-        x_far = sgn * _auto_far_point(problem, energy, sgn)
-    anchor = _auto_anchor(problem, energy, sgn, x_far)
-    w_launch = problem.v_derivs(x_far)[0] - energy
-    if w_launch < 1.0:
-        raise PreconditionError(
-            f"launch point x={x_far} not in the forbidden region (v - e = {w_launch:.3g} < 1)"
-        )
-
-    dim = 2 if standard or problem.epsilon == 0.0 else 4
-    frame = launch_frame(problem, energy, dim, x_far, math.copysign(1.0, anchor - x_far))
-
-    xs = _march_points(problem, energy, dim, x_far, anchor)
-    segments = _propagators(problem, energy, dim, xs[:-1], xs[1:], rtol, DEFAULT_ATOL)
-    # initial QR so the accumulated R diagonals measure growth only
-    q, _ = np.linalg.qr(frame)
-    growth = np.zeros(dim)
-    for u in segments:
-        q, r = np.linalg.qr(u @ q)
-        growth += np.log(np.abs(np.diag(r)))
-    return growth
+    return growth_exponents_many([(problem, energy, side, x_far)], standard, rtol)[0]
 
 
 def bounded_dimension(growth: np.ndarray) -> int:
@@ -434,11 +564,11 @@ def _auto_far_point(problem: DimensionlessProblem, energy: float, sgn: float) ->
 
 
 def _auto_anchor(problem: DimensionlessProblem, energy: float, sgn: float, x_far: float) -> float:
-    # walk inward until v - e drops below 1 (near the turning point) or span caps
+    # the first point inward where v - e drops below 1 (near the turning point), or a span cap
     xs = np.linspace(abs(x_far), 0.0, 400)
-    for x in xs:
-        if problem.v_derivs(sgn * x)[0] - energy < 1.0:
-            return sgn * min(x + 0.2, abs(x_far))
+    inside = np.flatnonzero(problem.v_derivs(sgn * xs)[0] - energy < 1.0)
+    if inside.size:
+        return sgn * min(xs[inside[0]] + 0.2, abs(x_far))
     return 0.0 if problem.kind != "linear" else min(1.0, abs(x_far) / 2)
 
 

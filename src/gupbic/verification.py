@@ -28,13 +28,13 @@ from .oracle import (
     GROWTH_FLOOR,
     MomentumSolution,
     bounded_dimension,
-    growth_exponents,
-    integrate,
+    growth_exponents_many,
+    integrate_many,
     launch_frame,
     momentum_rep_linear,
     residual,
     wronskian,
-    wronskian_drift,
+    wronskian_drifts,
 )
 
 ELECTRON_MASS = 9.10956e-31
@@ -109,9 +109,9 @@ def _result(name: str, measured: float, threshold: float, comparison: str = "<="
 def check_wronskian_constancy(
     n_cases: int = 20, seed: int = 20240811, rtol: float = DEFAULT_RTOL
 ) -> CheckResult:
-    """Abel invariant: trace A = 0, so W must be constant along x."""
+    """Abel invariant: trace A = 0, so W must be constant along x (all cases in one batch)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cases = []
     kinds = ["well", "linear", "harmonic"]
     for i in range(n_cases):
         kind = kinds[i % 3]
@@ -137,10 +137,9 @@ def check_wronskian_constancy(
         xs = np.linspace(anchor - span, anchor + span, 9)
         if problem.kind == "linear":
             xs = xs[xs > 0.05]
-        drift = wronskian_drift(problem, e, xs, anchor=anchor, rtol=rtol)
-        worst = max(worst, drift)
+        cases.append((problem, e, xs, anchor))
     return _result(
-        "wronskian_constancy", worst, 1e-8, cases=n_cases,
+        "wronskian_constancy", max(wronskian_drifts(cases, rtol), default=0.0), 1e-8, cases=n_cases,
         setup=f"random well, linear and harmonic cases, eps 10^[-1.6, 0.3], seed {seed}",
     )
 
@@ -148,20 +147,26 @@ def check_wronskian_constancy(
 def check_exact_well_oracle_agreement(
     setup: PhysicalSetup | None = None, rtol: float = DEFAULT_RTOL
 ) -> CheckResult:
-    """Closed-form well solutions vs integration from identical initial data."""
+    """Closed-form well solutions vs integration from identical initial data (one batch)."""
     if setup is None:
         setup = reference_well_setup()
     problem = nondimensionalize(setup)
+    xs = np.linspace(-1.0, 1.0, 201)
+    energies = (2.918779290241783, 1.638, 16.38)
+    states = [
+        StateFunction(
+            np.array([0.05, 0.4, 0.7, 0.55]),
+            exact_constant_basis(characteristic_roots(problem.epsilon, e), problem.domain),
+        )
+        for e in energies
+    ]
+    marched = integrate_many(
+        [(problem, e, state.derivatives(-1.0, order=3), -1.0, xs) for e, state in zip(energies, states)], rtol
+    )
     worst = 0.0
-    for e in (2.918779290241783, 1.638, 16.38):
-        roots = characteristic_roots(problem.epsilon, e)
-        basis = exact_constant_basis(roots, problem.domain)
-        state = StateFunction(np.array([0.05, 0.4, 0.7, 0.55]), basis)
-        xs = np.linspace(-1.0, 1.0, 201)
-        phi = integrate(problem, e, state.derivatives(-1.0, order=3), -1.0, xs, rtol=rtol)[0]
+    for state, phi in zip(states, marched):
         vals = state.value(xs)
-        err = np.max(np.abs(phi - vals)) / np.max(np.abs(vals))
-        worst = max(worst, err)
+        worst = max(worst, np.max(np.abs(phi[0] - vals)) / np.max(np.abs(vals)))
     return _result("exact_well_oracle_agreement", worst, 1e-8, setup=_well_label(setup))
 
 
@@ -266,11 +271,12 @@ def check_decaying_dimensions(standard: bool = False, rtol: float = DEFAULT_RTOL
     expected = 1 if standard else 2
     lin = nondimensionalize(linear_setup_for(DECAY_EPS))
     har = nondimensionalize(harmonic_setup_for(DECAY_EPS))
-    growth = {
-        "linear:+inf": growth_exponents(lin, 2.0, "+inf", standard=standard, rtol=rtol),
-        "harmonic:+inf": growth_exponents(har, 1.7, "+inf", standard=standard, rtol=rtol),
-        "harmonic:-inf": growth_exponents(har, 1.7, "-inf", standard=standard, rtol=rtol),
+    marches = {
+        "linear:+inf": (lin, 2.0, "+inf", None),
+        "harmonic:+inf": (har, 1.7, "+inf", None),
+        "harmonic:-inf": (har, 1.7, "-inf", None),
     }
+    growth = dict(zip(marches, growth_exponents_many(list(marches.values()), standard, rtol)))
     results = {k: bounded_dimension(g) for k, g in growth.items()}
     worst = max(abs(v - expected) for v in results.values())
     return _result(
@@ -316,10 +322,10 @@ def standard_harmonic_mismatch(problem, energy: float) -> float:
     5, ... (natural units), O(1) in between.
     """
     x_far = math.sqrt(energy) + 4.0
-    lv, rv = (
-        integrate(problem, energy, launch_frame(problem, energy, 2, x, -x)[:, 0], x, [0.0])[:, 0]
-        for x in (x_far, -x_far)
-    )
+    launches = [
+        (problem, energy, launch_frame(problem, energy, 2, x, -x)[:, 0], x, [0.0]) for x in (x_far, -x_far)
+    ]
+    lv, rv = (phi[:, 0] for phi in integrate_many(launches))
     det = lv[0] * rv[1] - rv[0] * lv[1]
     return float((det / (np.linalg.norm(lv) * np.linalg.norm(rv))).real)
 

@@ -409,9 +409,9 @@ class TestExitCodes:
         seen = []
         propagators = oracle._propagators
 
-        def spy(problem, energy, dim, starts, ends, rtol, atol):
+        def spy(requests, dim, rtol, atol):
             seen.append(rtol)
-            return propagators(problem, energy, dim, starts, ends, rtol, atol)
+            return propagators(requests, dim, rtol, atol)
 
         monkeypatch.setattr(oracle, "_propagators", spy)
         assert run(["verify", "--tol", "1e-9", "--out", tmp_path]) == 0

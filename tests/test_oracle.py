@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -41,9 +42,9 @@ def propagator_calls(monkeypatch):
     calls = []
     real = oracle._propagators
 
-    def counting(problem, energy, dim, starts, ends, rtol, atol):
-        calls.append(len(starts))
-        return real(problem, energy, dim, starts, ends, rtol, atol)
+    def counting(requests, dim, rtol, atol):
+        calls.append(sum(len(starts) for _, _, starts, _ in requests))
+        return real(requests, dim, rtol, atol)
 
     monkeypatch.setattr(oracle, "_propagators", counting)
     return calls
@@ -86,6 +87,55 @@ class TestIntegrate:
     def test_tolerance_precondition(self, well_problem):
         with pytest.raises(PreconditionError):
             integrate(well_problem, 5.0, [1, 0, 0, 0], -1.0, [1.0], rtol=1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_abscissas_are_refused(self, well_problem, bad):
+        # a NaN lands on neither side of the launch point and an infinity
+        # asks for endless sub-steps: both are refused, naming the value
+        with pytest.raises(PreconditionError, match=str(bad)):
+            integrate(well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], 0.0, [0.3, bad])
+        with pytest.raises(PreconditionError, match=str(bad)):
+            integrate(well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], bad, [0.3])
+
+    def test_prefix_chain_matches_the_step_by_step_chain(self, well_problem, propagator_calls):
+        # the stacked prefix products against U_k @ (... (U_1 @ initial)) one
+        # step at a time, over the exact-well check's 200 intervals
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators
+
+        init = np.array([0.05, 0.4, 0.7, 0.55])
+        xs = np.linspace(-1.0, 1.0, 201)
+        states = integrate(well_problem, 16.38, init, -1.0, xs)
+        steps = _propagators([(well_problem, 16.38, np.r_[-1.0, xs[:-1]], xs)], 4, DEFAULT_RTOL, DEFAULT_ATOL)[0]
+        current = init.astype(complex)
+        for k, u in enumerate(steps):
+            current = u @ current
+            assert np.linalg.norm(states[:, k] - current) <= 1e-12 * np.linalg.norm(current)
+        assert propagator_calls == [201, 201]
+
+    def test_batch_matches_one_request_at_a_time(self, well_problem, linear_problem, harmonic_problem):
+        # states and frames, both sides of the launch point, an empty grid
+        # and a long march beside short ones, all in one batch
+        from gupbic.oracle import integrate_many
+
+        requests = [
+            (well_problem, 5.0, [0.3, -0.1, 0.2, 0.5], 0.0, [0.4, -0.9, 0.1, 0.0, -0.2]),
+            (linear_problem, 2.0, np.eye(4), 1.0, np.linspace(0.2, 3.0, 7)),
+            (harmonic_problem, 1.7, np.eye(4)[:, :2], -3.0, [3.0]),
+            (harmonic_problem, 3.3, [1.0, 0.0, 0.0, 0.0], 0.5, []),
+        ]
+        for batched, request in zip(integrate_many(requests), requests):
+            single = integrate(*request)
+            assert batched.shape == single.shape
+            assert np.linalg.norm(batched - single) <= 1e-12 * max(np.linalg.norm(single), 1.0)
+
+    def test_batch_of_mixed_systems_is_refused(self, well_problem):
+        from gupbic.oracle import integrate_many
+
+        with pytest.raises(PreconditionError, match="one system"):
+            integrate_many([
+                (well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], 0.0, [0.5]),
+                (well_problem, 5.0, [1.0, 0.0], 0.0, [0.5]),
+            ])
 
     @pytest.mark.parametrize("rtol", [1e-11, 1e-13])
     def test_closed_form_well_state_at_201_points(self, well_problem, rtol):
@@ -210,6 +260,10 @@ class TestWronskian:
 
     def test_canonical_frame_is_identity_determinant(self, well_problem):
         assert wronskian(well_problem, 5.0, 0.3, anchor=0.3) == pytest.approx(1.0)
+
+    def test_drift_over_no_points_is_zero(self, well_problem):
+        # as residual reads 0.0 on an empty grid
+        assert wronskian_drift(well_problem, 5.0, [], anchor=0.0) == 0.0
 
     def test_constant_along_domain(self, well_problem):
         drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0)
@@ -373,6 +427,66 @@ class TestDecayingSubspace:
         with pytest.raises(PreconditionError):
             decaying_subspace_dimension(lin, 2.0, "+inf", x_far=1.0)
 
+    def test_far_point_on_the_wrong_side_rejected(self):
+        # x_far = -5 toward +inf would march across the whole well
+        har = nondimensionalize(harmonic_setup_for(0.02))
+        with pytest.raises(PreconditionError, match="toward \\+inf"):
+            growth_exponents(har, 1.7, "+inf", x_far=-5.0)
+        with pytest.raises(PreconditionError, match="toward -inf"):
+            growth_exponents(har, 1.7, "-inf", x_far=5.0)
+        assert growth_exponents(har, 1.7, "-inf", x_far=-5.0).shape == (4,)
+
+    @pytest.mark.parametrize("eps", [1e-4, 0.02, 0.2])
+    @pytest.mark.parametrize("energy", [0.7, 1.7, 6.0, 15.0])
+    def test_auto_anchor_matches_the_point_by_point_walk(self, eps, energy):
+        # the anchor from one evaluation of v on the inward grid is the
+        # first point of the old walk, bit for bit
+        from gupbic import oracle
+
+        def walk(problem, energy, sgn, x_far):
+            for x in np.linspace(abs(x_far), 0.0, 400):
+                if problem.v_derivs(sgn * x)[0] - energy < 1.0:
+                    return sgn * min(x + 0.2, abs(x_far))
+            return 0.0 if problem.kind != "linear" else min(1.0, abs(x_far) / 2)
+
+        lin = nondimensionalize(linear_setup_for(eps))
+        har = nondimensionalize(harmonic_setup_for(eps))
+        for problem, sgn in ((lin, 1.0), (har, 1.0), (har, -1.0)):
+            far = sgn * oracle._auto_far_point(problem, energy, sgn)
+            for x_far in (far, 1.5 * far, 0.5 * far):
+                assert oracle._auto_anchor(problem, energy, sgn, x_far) == walk(problem, energy, sgn, x_far)
+
+    @pytest.mark.parametrize("standard", [False, True], ids=["fourth-order", "standard"])
+    def test_batched_marches_match_single_marches(self, standard, propagator_calls):
+        # four marches in one batch (fourth order: 88 segments for the
+        # linear potential at eps 1e-4 beside 24-segment ones): one
+        # propagator call, the exponents of each march alone to 1e-10
+        # relative, and the same counts
+        from gupbic.oracle import bounded_dimension, growth_exponents_many
+
+        marches = [
+            (nondimensionalize(linear_setup_for(1e-4)), 2.0, "+inf", None),
+            (nondimensionalize(harmonic_setup_for(0.02)), 1.7, "-inf", None),
+            (nondimensionalize(linear_setup_for(0.02)), 2.0, "+inf", None),
+            (nondimensionalize(harmonic_setup_for(0.2)), 6.0, "+inf", 9.0),
+        ]
+        batched = growth_exponents_many(marches, standard)
+        assert len(propagator_calls) == 1
+        for growth, (problem, energy, side, x_far) in zip(batched, marches):
+            single = growth_exponents(problem, energy, side, x_far=x_far, standard=standard)
+            np.testing.assert_allclose(growth, single, rtol=1e-10, atol=0.0)
+            assert bounded_dimension(growth) == bounded_dimension(single) == (1 if standard else 2)
+
+    def test_batch_of_mixed_systems_is_refused(self):
+        # epsilon = 0 marches the standard system, epsilon > 0 the fourth-order one
+        from gupbic.oracle import growth_exponents_many
+
+        setup = harmonic_setup_for(0.02)
+        classical = dataclasses.replace(setup, beta=0.0)
+        marches = [(nondimensionalize(s), 1.7, "+inf", None) for s in (setup, classical)]
+        with pytest.raises(PreconditionError, match="one system"):
+            growth_exponents_many(marches)
+
     def test_bounded_side_rejected(self, well_problem):
         with pytest.raises(PreconditionError):
             decaying_subspace_dimension(well_problem, 5.0, "+inf")
@@ -460,7 +574,7 @@ class TestPropagators:
         starts = np.array([0.0, 0.0, -1.5, 0.7, 1.2, 0.3, -0.4])
         ends = np.array([1.5, -1.5, 0.0, 0.71, 1.2, 0.29, 1.1])
         rhs = companion_rhs(harmonic_problem, 1.7)
-        batched = _propagators(harmonic_problem, 1.7, 4, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
+        batched = _propagators([(harmonic_problem, 1.7, starts, ends)], 4, DEFAULT_RTOL, DEFAULT_ATOL)[0]
         assert batched.shape == (starts.size, 4, 4)
         for a, b, u in zip(starts, ends, batched):
             if a == b:
@@ -486,7 +600,7 @@ class TestPropagators:
         starts = np.array([0.3, 0.9, 0.9, 0.5, 1.2])
         ends = np.array([0.9, 0.3, 0.91, 0.75, 0.45])
         rhs = (companion_rhs if dim == 4 else standard_rhs)(problem, 1.7)
-        batched = _propagators(problem, 1.7, dim, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
+        batched = _propagators([(problem, 1.7, starts, ends)], dim, DEFAULT_RTOL, DEFAULT_ATOL)[0]
         for a, b, u in zip(starts, ends, batched):
             sol = solve_ivp(rhs, (a, b), np.eye(dim).reshape(-1), method="DOP853", rtol=1e-13, atol=1e-15)
             ref = sol.y[:, -1].reshape(dim, dim)
@@ -503,14 +617,45 @@ class TestPropagators:
         starts = np.linspace(0.3, 1.2, 7)
         ends = starts + np.array([1.0, -1.0, 3.0, -3.0, 0.5, 2.0, -2.0]) * math.sqrt(eps)
         for dim in (4, 2):
-            u = _propagators(problem, 1.7, dim, starts, ends, DEFAULT_RTOL, DEFAULT_ATOL)
+            u = _propagators([(problem, 1.7, starts, ends)], dim, DEFAULT_RTOL, DEFAULT_ATOL)[0]
             np.testing.assert_allclose(np.linalg.det(u), 1.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 2])
+    def test_batched_requests_match_one_request_at_a_time(self, dim):
+        # problems, energies and directions mixed, and one long interval
+        # (many sub-steps) beside one-sub-step ones
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators
+
+        requests = [
+            (self._problem("harmonic", 0.02), 1.7, [0.0, 0.3, 6.0], [0.3, 0.0, -6.0]),
+            (self._problem("linear", 1e-4), 2.0, [0.5, 1.0], [0.51, 1.0]),
+            (self._problem("well", 0.2), 5.0, np.linspace(-1.0, 0.9, 5), np.linspace(-0.9, 1.0, 5)),
+            (self._problem("linear", 0.2), 0.7, [], []),
+        ]
+        batched = _propagators(requests, dim, DEFAULT_RTOL, DEFAULT_ATOL)
+        for u, request in zip(batched, requests):
+            single = _propagators([request], dim, DEFAULT_RTOL, DEFAULT_ATOL)[0]
+            assert u.shape == single.shape == (len(request[2]), dim, dim)
+            for a, b in zip(u, single):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_long_series_matches_the_closed_form(self):
+        # phi'' = w phi with constant w over one sub-step h: S = [[cosh z,
+        # sinh z / z], [z sinh z, cosh z]], z = h sqrt(w); at z = 6 the
+        # series runs past its first 24 terms
+        from gupbic.oracle import _scaled_steps
+
+        w, h = np.array([4.0, 0.25]), np.array([3.0, 1.0])
+        s = _scaled_steps(np.zeros(2), w, np.zeros(2), np.zeros(2), h, 2, 1e-13, 0.0)
+        z = h * np.sqrt(w)
+        exact = np.array([[np.cosh(z), np.sinh(z) / z], [z * np.sinh(z), np.cosh(z)]]).transpose(2, 0, 1)
+        np.testing.assert_allclose(s, exact, rtol=1e-13, atol=0.0)
 
     def test_zero_width_interval_is_exactly_the_identity(self, harmonic_problem):
         from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators
 
         for dim in (4, 2):
-            u = _propagators(harmonic_problem, 1.7, dim, [0.4, 0.7], [0.4, 0.9], DEFAULT_RTOL, DEFAULT_ATOL)
+            u = _propagators([(harmonic_problem, 1.7, [0.4, 0.7], [0.4, 0.9])], dim, DEFAULT_RTOL, DEFAULT_ATOL)[0]
             assert np.array_equal(u[0], np.eye(dim))
             assert not np.array_equal(u[1], np.eye(dim))
 
@@ -524,9 +669,30 @@ class TestPropagators:
             harmonic_problem, v_derivs=lambda x: (x**3, 3.0 * x**2, 6.0 * x, 6.0, 0.0)
         )
         with pytest.raises(PreconditionError, match="degree <= 2"):
-            _propagators(cubic, 1.7, 4, [0.0], [0.5], DEFAULT_RTOL, DEFAULT_ATOL)
+            _propagators([(cubic, 1.7, [0.0], [0.5])], 4, DEFAULT_RTOL, DEFAULT_ATOL)
         with pytest.raises(PreconditionError, match="degree <= 2"):
             integrate(cubic, 1.7, [1.0, 0.0], 0.0, [0.5])
+
+
+class TestVerifyBattery:
+    def test_default_battery_sums_four_recurrences(self, monkeypatch):
+        # one _scaled_steps call for each of the Wronskian, exact-well,
+        # momentum and decay checks
+        from gupbic import oracle
+        from gupbic.verification import run_verification
+
+        calls = []
+        real = oracle._scaled_steps
+
+        def counting(*args):
+            calls.append(args[4].size)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_scaled_steps", counting)
+        for setup in (reference_well_setup(), dataclasses.replace(reference_well_setup(), beta=0.0)):
+            del calls[:]
+            assert all(check.passed for check in run_verification(setup))
+            assert len(calls) <= 4
 
 
 @pytest.fixture(scope="module")
