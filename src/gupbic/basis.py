@@ -39,6 +39,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,11 +47,13 @@ import numpy as np
 from ._scipy import lazy
 from .errors import (
     BasisOverflowError,
+    ClassificationError,
     ComplexQuartetError,
     DegenerateBasisError,
     PreconditionError,
     UnsupportedEpsilonError,
     ValidityError,
+    raise_where,
 )
 from .panels import panel_integrals
 
@@ -190,8 +193,8 @@ class BasisFunction:
         return list(np.linspace(hi - 0.05 * (hi - lo), lo + 1e-9 * max(1.0, abs(lo)), 5))
 
 
-def _rates(values):
-    """A float, or a float array (one function per energy of a batched basis)."""
+def _per_energy(values):
+    """A float, or a float array (one entry per energy of a batch)."""
     return float(values) if np.ndim(values) == 0 else np.asarray(values, dtype=float)
 
 
@@ -203,7 +206,7 @@ class ExponentialBasisFunction(BasisFunction):
     """
 
     def __init__(self, rate, index: int, anchor: float = 0.0):
-        self.rate = _rates(rate)
+        self.rate = _per_energy(rate)
         self.anchor = float(anchor)
         self.index = index
         self.method = "exact"
@@ -238,7 +241,7 @@ class TrigBasisFunction(BasisFunction):
     def __init__(self, kappa, phase: str, index: int):
         if phase not in ("cos", "sin"):
             raise ValueError(f"phase must be cos or sin, got {phase!r}")
-        self.kappa = _rates(kappa)
+        self.kappa = _per_energy(kappa)
         self.phase = phase
         self.index = index
         self.method = "exact"
@@ -306,18 +309,21 @@ _PANEL_WIDTH = 0.25
 _QUAD_TOL = 1e-12
 _SEGMENT_CHUNK = 1024  # segments integrated together, bounding the temporaries
 _MIN_EDGE_GAP = 1e-3 * _PANEL_WIDTH
-# (node, weight) of the three-point Gauss-Legendre rule on [0, 1]: exact for
-# the quartic mean in the closed-form I1 of a linear b
-_CHORD_NODES = ((0.5 - 0.5 * 0.6**0.5, 5 / 18), (0.5, 8 / 18), (0.5 + 0.5 * 0.6**0.5, 5 / 18))
+# nodes and weights of the three-point Gauss-Legendre rule on [0, 1]: exact
+# for the quartic mean in the closed-form I1 of a linear b
+_CHORD_NODES = np.array([0.5 - 0.5 * 0.6**0.5, 0.5, 0.5 + 0.5 * 0.6**0.5])
+_CHORD_WEIGHTS = np.array([5 / 18, 8 / 18, 5 / 18])
 
 
 @dataclass(frozen=True)
 class WkbParameters:
-    """Scaled WKB coefficients for one (problem, energy) pair.
+    """Scaled WKB coefficients for one (problem, energy) pair, or for a batch of energies.
 
     eta = (2/eps)^(1/4); a_coef = eta^2/4; b(x) = (v(x) - e)/2 with derivative
     chain to fourth order supplied by ``b_chain``.  Both take a float or a
-    numpy array of abscissas.
+    numpy array of abscissas.  For a batch ``energy`` and ``x0`` are arrays,
+    one entry per energy, and abscissas broadcast against them: the energies
+    are the last axis.
     """
 
     eta: float
@@ -339,10 +345,12 @@ class WkbParameters:
         def b_chain(x):
             v = v_derivs(x)
             # + 0 * x broadcasts a constant potential over an array x
-            b0 = 0.5 * (v[0] - energy) + 0.0 * x
+            b0 = 0.5 * (v[0] + 0.0 * x - energy)
             return (b0, 0.5 * v[1], 0.5 * v[2], 0.5 * v[3], 0.5 * v[4])
 
-        return cls(eta=eta, a_coef=a_coef, x0=x0, b_chain=b_chain, energy=energy, epsilon=eps)
+        return cls(
+            eta=eta, a_coef=a_coef, x0=_per_energy(x0), b_chain=b_chain, energy=energy, epsilon=eps
+        )
 
     def b(self, x):
         return self.b_chain(x)[0]
@@ -370,8 +378,8 @@ def _sqrt_chain(w: tuple, sign: float = 1.0) -> tuple:
     else:
         root = cmath.sqrt(w0)
     y = [sign * root]
-    twice = 2.0 * y[0]
     if len(w) > 1:
+        twice = 2.0 * y[0]
         y.append(w[1] / twice)
     if len(w) > 2:
         y.append((w[2] - 2.0 * y[1] * y[1]) / twice)
@@ -412,13 +420,14 @@ def _branch_chains(p: WkbParameters, x, sigma, tau: float, order: int = 4, b: tu
     """
     if b is None:
         b = p.b_chain(x)
-    w = (p.a_coef**2 - b[0], -b[1], -b[2], -b[3], -b[4])[: order + 1]
+    w = (p.a_coef**2 - b[0],) + tuple(-c for c in b[1 : order + 1])
     s = _sqrt_chain(w)
     # a - s written as b / (a + s): no cancellation near a turning point
+    a_s = p.a_coef + s[0]
     if np.ndim(sigma) == 0:
-        u0 = p.a_coef + s[0] if sigma > 0 else b[0] / (p.a_coef + s[0])
+        u0 = a_s if sigma > 0 else b[0] / a_s
     else:
-        u0 = np.where(sigma > 0, p.a_coef + s[0], b[0] / (p.a_coef + s[0]))
+        u0 = np.where(sigma > 0, a_s, b[0] / a_s)
     u = (u0,) + tuple(sigma * sk for sk in s[1:])
     return s, _sqrt_chain(u, sign=tau)
 
@@ -453,11 +462,13 @@ class ExponentTable:
 
     ``_table`` holds the panel edges met so far, their [I1, I2] sums per
     pair (shape (2, 2, edges)), the zero-of-b flags and the grid panels
-    covered below and above x0.  ``_last`` holds the last query, a copy of
-    its abscissas, with the sums of each pair that asked for it: a point
-    row or a Gram round that asks the four branches in turn computes once
-    per pair.  Both are replaced whole, never changed in place, so
-    concurrent readers see a consistent state.
+    covered below and above x0; a batch of energies takes the closed forms
+    only.  ``_last`` holds the last query, a copy of its abscissas, with
+    the sums and chain values of each pair that asked for it (the closed
+    forms fill both pairs at once): a point row or a Gram round that asks
+    the four branches in turn computes once per pair.  Both are replaced
+    whole, never changed in place, so concurrent readers see a consistent
+    state.
     """
 
     def __init__(
@@ -465,51 +476,96 @@ class ExponentTable:
     ):
         self.params = params
         self.interval = interval
-        self.b_zeros = tuple(sorted(float(z) for z in b_zeros))
-        # b' where b is linear (the exponents are closed forms), else None
-        _, slope, *higher = (float(c) for c in params.b_chain(0.0))
-        self._slope = None if any(higher) else slope
-        self._table = (
-            np.array([params.x0]),
-            np.zeros((2, 2, 1), dtype=complex),
-            np.array([False]),
-            0,
-            0,
-        )
+        self.b_zeros = tuple(_per_energy(z) for z in b_zeros)  # ascending, from a region map
+        w = TURNING_WINDOW_HALF_WIDTH
+        self.windows = tuple((z - w, z + w) for z in self.b_zeros)  # of branches 3 and 4
+        self._x0_checked: set[bool] = set()  # window kinds whose reference point passed
+        self._classes: dict[Side, tuple] = {}
+        self._table = None  # begun by the first panel query
         self._last = (np.empty(0), (None, None))
 
-    def integrals(self, xs: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """(I1, I2) of the tau = +1 branch of pair ``sigma`` from x0 to each x of a flat xs."""
-        k = 0 if sigma > 0 else 1
-        query, sums = self._last
-        if not (query.shape == xs.shape and np.array_equal(query, xs)):
-            query, sums = xs.copy(), (None, None)
-        if sums[k] is None:
-            pair = self._sums(xs, sigma)
-            sums = (pair, sums[1]) if k == 0 else (sums[0], pair)
-            self._last = (query, sums)
-        return sums[k][0], sums[k][1]
+    @cached_property
+    def _slope(self) -> float | None:
+        """b' where b is linear (the exponents are closed forms), else None; read once, when first asked."""
+        _, slope, *higher = self.params.b_chain(0.0)
+        return None if any(higher) else float(slope)
 
-    def _sums(self, xs: np.ndarray, sigma: float) -> np.ndarray:
-        """[I1, I2] of pair ``sigma`` at xs, in closed form where b is linear."""
-        if self._slope is None:
-            return self._panel_sums(xs, sigma)
+    def integrals(self, xs: np.ndarray, sigma: float) -> tuple:
+        """(I1, I2, s, lam) of the tau = +1 branch of pair ``sigma`` at each x of a flat xs.
+
+        I1 and I2 run from x0; s and lam are the chain values at x.
+        """
+        k = 0 if sigma > 0 else 1
+        query, pairs = self._last
+        if not (query.shape == xs.shape and (query == xs).all()):
+            query, pairs = xs.copy(), (None, None)
+        if pairs[k] is None:
+            if self._slope is None:
+                s, lam = (c[0] for c in _branch_chains(self.params, xs, sigma, 1.0, order=0))
+                pair = (*self._panel_sums(xs, sigma), s, lam)
+                pairs = (pair, pairs[1]) if k == 0 else (pairs[0], pair)
+            else:
+                pairs = self._closed_sums(xs)
+            self._last = (query, pairs)
+        return pairs[k]
+
+    def _closed_sums(self, xs: np.ndarray) -> tuple:
+        """``integrals`` of both pairs at xs where b is linear: the closed forms, in one pass."""
         p, root_a = self.params, math.sqrt(self.params.a_coef)
-        s, lam = (c[0] for c in _branch_chains(p, np.append(xs, p.x0), sigma, 1.0, order=0))
-        s, s0, lam, lam0 = s[:-1], s[-1], lam[:-1], lam[-1]
+        sigma = np.array([1.0, -1.0]).reshape((2,) + (1,) * xs.ndim)  # the pairs, leading
+        # x0 is one more row (of one entry per energy of a batch)
+        at = np.concatenate([xs, np.reshape(p.x0, (1,) + np.shape(p.x0))])
+        s, lam = (c[0] for c in _branch_chains(p, at, sigma, 1.0, order=0))
+        s, s0, lam, lam0 = s[:-1], s[-1], lam[:, :-1], lam[:, -1:]
         scale = (xs - p.x0) / ((s + s0) * (lam + lam0))
         step = -sigma * self._slope * scale  # lam - lam0
-        mean = 0.0
-        for t, w in _CHORD_NODES:
-            node = lam0 + t * step
-            mean = mean + w * node * node * (sigma * s0 + t * step * (lam0 + node))
-        q, q0 = (lam / root_a, lam0 / root_a) if sigma < 0 else (root_a / lam, root_a / lam0)
+        # the nodes on a leading axis, summed in their order
+        t, w = (c.reshape((3,) + (1,) * step.ndim) for c in (_CHORD_NODES, _CHORD_WEIGHTS))
+        node = lam0 + t * step
+        mean = (w * node * node * (sigma * s0 + t * step * (lam0 + node))).sum(axis=0)
+        # sigma = +1 takes sqrt(a)/lam, sigma = -1 lam/sqrt(a): each off its atanh cut
+        q = np.array([root_a / lam[0], lam[1] / root_a])
+        q0 = np.array([root_a / lam0[0], lam0[1] / root_a])
+        i1 = 4.0 * sigma * scale * mean
         i2 = -(sigma / root_a) * (np.arctanh(q) - np.arctanh(q0))
-        return np.stack([4.0 * sigma * scale * mean, i2])
+        return tuple((i1[k], i2[k], s, lam[k]) for k in range(2))
+
+    def closed_classes(self, side: Side) -> tuple:
+        """Classes of branches 1..4 toward ``side`` in closed form, found once per side.
+
+        On a piece unbounded toward ``side`` and past the last zero of
+        a^2 - b (a^2 < b(x0)), s = sqrt(a^2 - b) is purely imaginary, so
+        a +- s has the real part a > 0 and Re(lam_j) keeps the sign tau_j to
+        infinity; no branches cross there.  The class toward ``side`` is
+        the outward sign of Re(eta lam_j): tau_j times that of the side, the
+        same at every energy.  Where the form does not apply the result is
+        (); a batch raises ClassificationError for those energies instead.
+        """
+        classes = self._classes.get(side)
+        if classes is None:
+            p, outward = self.params, 1.0 if side is Side.PLUS_INFINITY else -1.0
+            end = self.interval[1] if outward > 0 else self.interval[0]
+            unbounded = math.isinf(end) if isinstance(end, float) else np.isinf(end).all()
+            closed = unbounded and p.a_coef**2 < p.b(p.x0)
+            if np.ndim(p.x0) == 0 and not closed:
+                classes = ()
+            else:
+                raise_where(
+                    np.logical_not(closed),
+                    lambda: ClassificationError(f"no closed-form class toward {side.value}"),
+                )
+                classes = tuple(
+                    AsymptoticClass.GROWING if outward * tau > 0 else AsymptoticClass.DECAYING
+                    for _, tau in _BRANCH_SIGNS.values()
+                )
+            self._classes[side] = classes
+        return classes
 
     def _panel_sums(self, xs: np.ndarray, sigma: float) -> np.ndarray:
         """[I1, I2] of pair ``sigma`` at xs: the sum at the nearest panel edge plus the rest."""
         x0 = self.params.x0
+        if self._table is None:
+            self._table = (np.array([x0]), np.zeros((2, 2, 1), dtype=complex), np.array([False]), 0, 0)
         pos, cum, at_zero, k_lo, k_hi = self._table
         x_min, x_max = xs.min(), xs.max()
         if x_max > x0 + k_hi * _PANEL_WIDTH or x_min < x0 - k_lo * _PANEL_WIDTH:
@@ -585,7 +641,9 @@ class ExponentTable:
         keep = (lo < grid) & (grid < hi)
         if zeros.size:
             keep &= np.abs(grid[:, None] - zeros).min(axis=1) > _MIN_EDGE_GAP
-        edges = np.unique(np.concatenate([grid[keep], inside]))
+        # sorted, without repeats (np.unique would import numpy.ma)
+        edges = np.sort(np.concatenate([grid[keep], inside]))
+        edges = edges[np.diff(edges, prepend=-np.inf) != 0.0]
         return (edges if sense > 0 else edges[::-1]), k
 
     def _extend(self, x_min: float, x_max: float) -> tuple:
@@ -593,7 +651,9 @@ class ExponentTable:
         pos, cum, at_zero, k_lo, k_hi = self._table
         up, k_hi = self._new_edges(k_hi, x_max, 1.0)
         down, k_lo = self._new_edges(k_lo, x_min, -1.0)
-        up_zero, down_zero = np.isin(up, self.b_zeros), np.isin(down, self.b_zeros)
+        # which edges are zeros of b (np.isin would import numpy.ma through np.unique)
+        zeros = np.array(self.b_zeros)
+        up_zero, down_zero = ((edges[:, None] == zeros).any(axis=1) for edges in (up, down))
         # outward panels from the old end edges; a panel ending on a zero of b
         # is integrated from that zero
         left = np.concatenate([np.append(pos[-1:], up)[:-1], np.append(pos[:1], down)[:-1]])
@@ -632,6 +692,11 @@ class WkbBasisFunction(BasisFunction):
     integrals cross them.  ``_point`` keeps the exponent at the last float x
     (a tuple replaced whole): a point row of ``assemble`` takes
     ``log_abs_array`` and then ``scaled_value_array`` at one x.
+
+    On a batched table (``WkbParameters`` of a batch of energies) the
+    interval ends and windows hold one entry per energy, abscissas broadcast
+    against the energies, and a check that fails raises for the batch with
+    the failing energies as the error's ``failed``.
     """
 
     def __init__(self, table: ExponentTable, index: int):
@@ -644,14 +709,17 @@ class WkbBasisFunction(BasisFunction):
         self.interval = table.interval
         self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
         self._b_zeros = table.b_zeros
-        if index in (3, 4):
-            w = TURNING_WINDOW_HALF_WIDTH
-            self.windows = tuple((z - w, z + w) for z in self._b_zeros)
-        else:
-            self.windows = ()
-        lo, hi = self.interval
-        if not (lo < params.x0 < hi and self.valid(params.x0)):
-            raise ValidityError(f"reference point x0={params.x0} outside validity region")
+        self.windows = table.windows if index in (3, 4) else ()
+        windowed = bool(self.windows)
+        if windowed not in table._x0_checked:  # branches with the same windows share the check
+            lo, hi = self.interval
+            x0 = params.x0
+            raise_where(
+                ~(self.valid(x0) & (lo < x0) & (x0 < hi)),
+                lambda x: ValidityError(f"reference point x0={x} outside validity region"),
+                x0,
+            )
+            table._x0_checked.add(windowed)
         self._point = (math.nan, 0j)
 
     @property
@@ -676,41 +744,51 @@ class WkbBasisFunction(BasisFunction):
         # strict test on the stored window edges: a region end built as
         # z -+ window is then outside exactly, whatever the roundoff of x - z
         for a, b in self.windows:
-            ok &= ~((a < x) & (x < b))
+            ok = ok & ~((a < x) & (x < b))
         return ok
 
     def _check(self, x: np.ndarray) -> None:
-        bad = np.flatnonzero(~self.valid(x))
-        if bad.size == 0:
+        """Raise ValidityError at the first abscissa of a flat x (of each energy, for a batch) outside the piece."""
+        ok = self.valid(x)
+        if ok.all():
             return
-        lo, hi = self.interval
-        x = float(x[bad[0]])
+        first = np.take_along_axis(x, np.argmin(ok, axis=0)[None], 0)[0]
+        raise_where(~ok.all(axis=0), self._invalid, first, *self.interval, *self._b_zeros)
+
+    @staticmethod
+    def _invalid(x, lo, hi, *b_zeros) -> ValidityError:
         if not (lo <= x <= hi):
-            raise ValidityError(f"x={x} outside validity interval [{lo}, {hi}]")
-        z = min(self._b_zeros, key=lambda t: abs(x - t))
-        raise ValidityError(f"x={x} inside turning-point window around x={z}")
+            return ValidityError(f"x={x} outside validity interval [{lo}, {hi}]")
+        z = min(b_zeros, key=lambda t: abs(x - t))
+        return ValidityError(f"x={x} inside turning-point window around x={z}")
 
     # -- evaluation
 
     def exponent(self, x):
-        """log w_j(x) including the prefactor (principal-branch logs); x a float or an array."""
+        """log w_j(x) including the prefactor (principal-branch logs); x a float or an array.
+
+        On a batched piece x broadcasts against the energies, and so does the result.
+        """
         point = self._point
         if isinstance(x, float) and x == point[0]:
             return point[1]
         xs = np.asarray(x, dtype=float)
-        flat = xs.reshape(-1)
+        batch = np.shape(self.params.x0)
+        # x broadcasts against a batch's energies, the last axis (a float x: one per energy)
+        shape = (np.broadcast_shapes(xs.shape, batch) if xs.ndim else batch) if batch else xs.shape
+        flat = (xs if xs.shape == shape else np.full(shape, xs)).reshape((-1,) + batch)
         if flat.size == 0:
-            return np.empty(xs.shape, dtype=complex)
+            return np.empty(shape, dtype=complex)
         self._check(flat)
-        i1, i2 = self.table.integrals(flat, self._inner_sigma)
+        i1, i2, s, lam = self.table.integrals(flat, self._inner_sigma)
         if self._sign_tau < 0:
             i1, i2 = -i1, -i2
-        s, lam = self._chains(flat, order=0)
-        e = self.params.eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam[0]) + np.log(s[0]))
+        lam = self._sign_tau * lam
+        e = (self.params.eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam) + np.log(s))).reshape(shape)
         if xs.ndim == 0:
-            self._point = point = (float(xs), complex(e[0]))
+            self._point = point = (float(xs), e if batch else complex(e))
             return point[1]
-        return e.reshape(xs.shape)
+        return e
 
     def log_abs_array(self, x):
         return np.real(self.exponent(x))
@@ -735,20 +813,9 @@ class WkbBasisFunction(BasisFunction):
         )
 
     def asymptotic_class(self, side: Side) -> AsymptoticClass:
-        """Closed form on a piece unbounded toward ``side``, else ``classify_asymptotics``.
-
-        Past the last zero of a^2 - b, s = sqrt(a^2 - b) is purely imaginary,
-        so a +- s never touches the negative real axis and Re(lam_j) keeps
-        the sign tau_j to infinity; no branches cross there.  The class
-        toward ``side`` is then the sign of Re(eta lam_j) at x0, outward.
-        """
-        p = self.params
-        outward = 1.0 if side is Side.PLUS_INFINITY else -1.0
-        unbounded = math.isinf(self.interval[1] if outward > 0 else self.interval[0])
-        if unbounded and p.a_coef**2 < p.b(p.x0):
-            rate = outward * (p.eta * self.lam(p.x0)).real
-            return AsymptoticClass.GROWING if rate > 0 else AsymptoticClass.DECAYING
-        return super().asymptotic_class(side)
+        """The table's closed-form class (``ExponentTable.closed_classes``), else ``classify_asymptotics``."""
+        classes = self.table.closed_classes(side)
+        return classes[self.index - 1] if classes else super().asymptotic_class(side)
 
     def _auto_probes(self, side: Side) -> list[float]:
         probes = super()._auto_probes(side)
@@ -800,9 +867,15 @@ class SymmetrizedBasisFunction(BasisFunction):
         self.inner = inner
         self.index = inner.index
         self.method = inner.method
-        lo, hi = inner.validity
-        self.validity = (-hi, hi)
-        self.mirror_pieces = ((-hi, -lo), (lo, hi))
+
+    @property
+    def validity(self) -> tuple[float, float]:  # type: ignore[override]
+        return -self.inner.validity[1], self.inner.validity[1]
+
+    @property
+    def mirror_pieces(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        lo, hi = self.inner.validity
+        return (-hi, -lo), (lo, hi)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         d = self.inner.derivatives(np.abs(x), order=order)
@@ -843,7 +916,8 @@ class WkbRegionMap:
     """Turning structure of b on a working interval.
 
     b_zeros: classical turning points (b = 0); s_zeros: zeros of a^2 - b, the
-    hard piece boundaries where the branch pair degenerates.
+    hard piece boundaries where the branch pair degenerates.  For a batch
+    of energies each zero is an array (``map_regions``).
     """
 
     b_zeros: tuple[float, ...]
@@ -869,48 +943,81 @@ def map_regions(params: WkbParameters, lo: float, hi: float) -> WkbRegionMap:
     b is a polynomial of degree <= 2 for every potential with a WKB basis
     (constant, linear, harmonic): b(x) - k = c2 x^2 + c1 x + c0 with
     c0 = b(0) - k, c1 = b'(0) and c2 = b''(0)/2, for k = 0 and k = a^2.
+    For a batch of energies each zero is an array, NaN at the energies
+    where it does not lie in [lo, hi].
     """
-    b0, b1, b2, b3, b4 = (float(c) for c in params.b_chain(0.0))
+    b0, b1, b2, b3, b4 = params.b_chain(0.0)
     if b3 != 0.0 or b4 != 0.0:
         raise PreconditionError(
             "closed-form region map needs a potential of degree <= 2; the third and "
             f"fourth derivatives of b are {b3:g} and {b4:g}"
         )
+    # the roots of b - k for k = 0 and k = a^2 (second axis), NaN outside [lo, hi]
+    roots = _quadratic_roots(0.5 * b2, b1, np.array([b0, b0 - params.a_coef**2]))
+    inside = (lo <= roots) & (roots <= hi)
+    roots = np.where(inside, roots, np.nan)
+    found = inside.reshape(4, -1).any(axis=1).tolist()
+    b_zeros, s_zeros = (
+        tuple(_per_energy(roots[i, k]) for i in range(2) if found[2 * i + k]) for k in range(2)
+    )
+    return WkbRegionMap(b_zeros=b_zeros, s_zeros=s_zeros, working=(lo, hi))
 
-    def zeros(k: float) -> tuple[float, ...]:
-        return tuple(z for z in _quadratic_roots(0.5 * b2, b1, b0 - k) if lo <= z <= hi)
 
-    return WkbRegionMap(b_zeros=zeros(0.0), s_zeros=zeros(params.a_coef**2), working=(lo, hi))
+def _quadratic_roots(c2: float, c1: float, c0) -> np.ndarray:
+    """Real roots of c2 x^2 + c1 x + c0, ascending, from the cancellation-free formula.
 
-
-def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of c2 x^2 + c1 x + c0, ascending, from the cancellation-free formula."""
-    if c2 == 0.0:
-        return [-c0 / c1] if c1 != 0.0 else []
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [-0.5 * c1 / c2]
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    return sorted([q / c2, c0 / q])
+    c0 is a float or an array (one per energy); the result has shape
+    (2,) + shape(c0).  A root that does not exist is NaN: both where the
+    roots are complex (or c2 = c1 = 0), the second where c2 = 0 or the root
+    is double.
+    """
+    c0 = np.asarray(c0, dtype=float)
+    # quietly NaN where a root does not exist and inf where one overflows, as the float formula
+    with np.errstate(all="ignore"):
+        if c2 == 0.0:
+            nan = np.full(c0.shape, np.nan)
+            return np.array([-c0 / c1 if c1 != 0.0 else nan, nan])
+        disc = c1 * c1 - 4.0 * c2 * c0
+        q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+        pair = q / c2, c0 / q
+    two = disc > 0.0
+    # q / c2 is the double root -c1 / (2 c2) where disc = 0, and NaN where disc < 0
+    return np.array([np.where(two, np.minimum(*pair), pair[0]), np.where(two, np.maximum(*pair), np.nan)])
 
 
 def _piece_table(
     params: WkbParameters, interval: tuple[float, float], region_map: WkbRegionMap | None
 ) -> ExponentTable:
-    """The exponent table of ``interval``; errors if a zero of a^2 - b lies inside."""
+    """The exponent table of ``interval``; errors if a zero of a^2 - b lies inside.
+
+    For a batch the interval ends may be arrays, one entry per energy.
+    """
     lo, hi = interval
     if region_map is None:
         region_map = map_regions(params, lo, hi)
-    inside_s = [z for z in region_map.s_zeros if lo < z < hi]
-    if inside_s:
-        raise ValidityError(
-            f"turning point of the branch pair (a^2 - b = 0) at x={inside_s[0]:.6g} "
-            f"inside requested interval ({lo}, {hi})"
+
+    def inside(zeros) -> list:
+        """(zero, mask of the energies where it lies inside) of the zeros inside at some energy."""
+        masks = ((z, (lo < z) & (z < hi)) for z in zeros)
+        return [(z, m) for z, m in masks if np.count_nonzero(m)]
+
+    s_inside = inside(region_map.s_zeros)
+    if s_inside:
+        first = math.nan  # the first zero of a^2 - b inside (of each energy)
+        for z, m in reversed(s_inside):
+            first = np.where(m, z, first)
+        raise_where(
+            ~np.isnan(first),
+            lambda z, a, b: ValidityError(
+                f"turning point of the branch pair (a^2 - b = 0) at x={float(z):.6g} "
+                f"inside requested interval ({a}, {b})"
+            ),
+            first,
+            lo,
+            hi,
         )
-    b_zeros = [z for z in region_map.b_zeros if lo < z < hi]
-    return ExponentTable(params, (float(lo), float(hi)), b_zeros)
+    b_zeros = [z if np.all(m) else np.where(m, z, np.nan) for z, m in inside(region_map.b_zeros)]
+    return ExponentTable(params, (_per_energy(lo), _per_energy(hi)), b_zeros)
 
 
 def wkb_branches(

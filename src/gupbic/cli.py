@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200, metavar="N")
     p.add_argument(
         "--threads", type=int, default=1, metavar="N",
-        help="threads that scan the energies: same output, and no faster (the work holds the interpreter lock)",
+        help="threads that rerun the energies a batched scan flags: same output, and no faster "
+        "(the work holds the interpreter lock)",
     )
 
     p = sub.add_parser("spectrum", help="special energies of the infinite well")

@@ -1,8 +1,33 @@
 """Exception taxonomy for the minimal-length bound-state solver."""
 
+import numpy as np
+
 
 class GupBicError(Exception):
-    """Base class for all solver errors."""
+    """Base class for all solver errors.
+
+    ``failed`` is the mask of the energies an error of a batched pass
+    concerns (``raise_where``); None means every energy.
+    """
+
+    failed = None
+
+
+def raise_where(bad, make_error, *values) -> None:
+    """Raise ``make_error(*values)`` if any energy is flagged in ``bad``.
+
+    ``values`` are floats, or arrays with one entry per energy of a batch;
+    the error is made from their entries at the first flagged energy.  For
+    a batch (an array ``bad``) the error carries ``bad`` as ``failed``.
+    """
+    if not np.count_nonzero(bad):  # the common case, and faster than any()
+        return
+    bad = np.asarray(bad)
+    j = int(bad.argmax())
+    error = make_error(*(v if np.ndim(v) == 0 else v[j] for v in values))
+    if bad.ndim:
+        error.failed = bad
+    raise error
 
 
 class InvalidSetupError(GupBicError):

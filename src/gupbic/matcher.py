@@ -53,6 +53,7 @@ from .errors import (
     NormalizationError,
     PreconditionError,
     WrongPotentialError,
+    raise_where,
 )
 from .panels import panel_integrals
 
@@ -200,6 +201,7 @@ def assemble(
         else:
             points.append((float(entry), 0))
 
+    batch = np.shape(energy)  # (N,) for a basis batched over N energies
     rows: list[np.ndarray] = []
     kinds: list[str] = []
     for side in decay_sides:
@@ -211,8 +213,8 @@ def assemble(
                     "widen the classification probes"
                 )
             if cls is AsymptoticClass.GROWING:
-                row = np.zeros(4, dtype=complex)
-                row[j] = 1.0
+                row = np.zeros(batch + (4,), dtype=complex)
+                row[..., j] = 1.0
                 rows.append(row)
                 kinds.append(f"decay[{side.value}] kills C{j + 1}")
     for x, order in points:
@@ -230,7 +232,7 @@ def assemble(
         rows.append(row / m)
         kinds.append(f"phi({x:g}) = 0" if order == 0 else f"phi^({order})({x:g}) = 0")
 
-    # (rows, 4), or (N, rows, 4) for a batched basis, whose rows are all point rows
+    # (rows, 4), or (N, rows, 4) for a batched basis
     matrix = np.array(rows, dtype=complex).swapaxes(0, -2) if rows else np.zeros((0, 4), dtype=complex)
     return ConstraintSystem(energy=energy, matrix=matrix, row_kinds=tuple(kinds), basis=basis)
 
@@ -243,7 +245,10 @@ def nullity_of(system: ConstraintSystem) -> int | np.ndarray:
     """
     m = system.matrix
     if not np.isfinite(m).all():
-        raise PreconditionError("constraint matrix has non-finite entries")
+        raise_where(
+            ~np.isfinite(m).all(axis=(-2, -1)),
+            lambda: PreconditionError("constraint matrix has non-finite entries"),
+        )
     if m.shape[-2] == 0:
         return 4 if m.ndim == 2 else np.full(m.shape[0], 4)
     svals = np.linalg.svd(m, compute_uv=False)
@@ -594,7 +599,7 @@ def solve_well(
 
 @dataclass(frozen=True)
 class WkbAssembly:
-    """WKB fundamental set for an unbounded potential at one energy."""
+    """WKB fundamental set for an unbounded potential at one energy, or batched over an array of energies."""
 
     params: WkbParameters
     basis: tuple[BasisFunction, ...]
@@ -606,7 +611,7 @@ class WkbAssembly:
 _LINEAR_X0_MIN = 1e-3  # the linear reference point keeps this far from the wall
 
 
-def wkb_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembly:
+def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
     """Interior and far-field WKB sets of the linear or harmonic potential at one energy.
 
     Both live on the positive half-line: the linear domain, or the harmonic
@@ -615,23 +620,35 @@ def wkb_assembly(problem: DimensionlessProblem, energy: float) -> WkbAssembly:
     of a^2 - b, the far piece from that zero to infinity, each a turning
     window clear of the zeros.  The harmonic sets are the branches' even
     continuations.
+
+    For an array of energies this is one batched pass: the parameters, zeros,
+    pieces and reference points hold one entry per energy, and the sets
+    evaluate every energy at once.  A failed precondition raises for the
+    batch with the failing energies as the error's ``failed``.
     """
     if problem.kind not in ("linear", "harmonic"):
         raise WrongPotentialError(f"WKB assembly not implemented for kind {problem.kind!r}")
-    if energy <= 0:
-        raise PreconditionError("energy must be > 0")
+    raise_where(np.less_equal(energy, 0), lambda: PreconditionError("energy must be > 0"))
     params0 = WkbParameters.from_problem(problem, energy, x0=0.0)
     rmap = map_regions(params0, 0.0, math.inf)
     (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
     if problem.kind == "linear":
-        if x_t - TURNING_WINDOW_HALF_WIDTH < _LINEAR_X0_MIN:
-            raise PreconditionError(_linear_wall_message(problem, energy, x_t))
+        raise_where(
+            x_t - TURNING_WINDOW_HALF_WIDTH < _LINEAR_X0_MIN,
+            lambda e, xt: PreconditionError(_linear_wall_message(problem, e, xt)),
+            energy,
+            x_t,
+        )
         piece = (0.0, s_zero - TURNING_WINDOW_HALF_WIDTH)
-        x0 = max(min(0.45 * x_t, x_t - 3 * TURNING_WINDOW_HALF_WIDTH), _LINEAR_X0_MIN)
+        x0 = np.maximum(np.minimum(0.45 * x_t, x_t - 3 * TURNING_WINDOW_HALF_WIDTH), _LINEAR_X0_MIN)
     else:
         piece = (x_t + TURNING_WINDOW_HALF_WIDTH, s_zero - TURNING_WINDOW_HALF_WIDTH)
-        if piece[1] <= piece[0]:
-            raise PreconditionError(_harmonic_band_message(problem, params0, x_t, s_zero))
+        raise_where(
+            piece[1] <= piece[0],
+            lambda xt, sz: PreconditionError(_harmonic_band_message(problem, params0, xt, sz)),
+            x_t,
+            s_zero,
+        )
         x0 = 0.5 * (piece[0] + piece[1])
     params = WkbParameters.from_problem(problem, energy, x0=x0)
     basis = wkb_branches(params, piece, rmap)
@@ -697,9 +714,12 @@ def degrees_of_freedom(
 ) -> tuple[int | np.ndarray, ConstraintSystem]:
     """Nullity of the assembled boundary system at one energy.
 
-    For the well ``energy`` may be an array: one batched basis, one stacked
-    system and one nullity per energy (an int array), bit for bit the
-    per-energy results.  An error at any energy raises for the whole batch.
+    For every potential ``energy`` may be an array, which runs as one
+    batched pass: one batched basis, one stacked (N, rows, 4) system and one
+    SVD call, with one nullity per energy (an int array).  The well's counts
+    and matrices are bit for bit the per-energy ones; the WKB matrices agree
+    with them to rounding.  An error at any energy raises for the whole
+    batch; a WKB error carries the energies it concerns as ``failed``.
     """
     conditions = conditions_for(problem)
     if problem.kind == "well":

@@ -177,12 +177,14 @@ def dof_scan(
 ) -> SpectrumScan:
     """Degrees of freedom (degeneracy) at each scan energy.
 
-    Per-energy failures are recorded and do not abort the scan.  The well
-    runs as one batched pass over all energies (``threads`` then does not
-    apply); if the batch raises, the energies run one at a time, so each
-    failure is recorded with its own message.  Grid rows nearest a special
-    well energy (within half the grid spacing) are labelled StandardLevel,
-    everything else ExtraContinuum.
+    Per-energy failures are recorded and do not abort the scan.  Every
+    potential runs as one batched pass over all energies.  If the batch
+    raises, the energies its error names (``GupBicError.failed``; every
+    energy where it names none) run one at a time, so each failure is
+    recorded with its own message, and the rest run as a batch again.
+    ``threads`` > 1 runs those one-at-a-time energies in a thread pool.
+    Grid rows nearest a special well energy (within half the grid spacing)
+    are labelled StandardLevel, everything else ExtraContinuum.
     """
     energies = np.asarray(list(energies_si), dtype=float)
     if energies.size < 1 or np.any(energies <= 0.0) or np.any(np.diff(energies) <= 0.0):
@@ -197,20 +199,28 @@ def dof_scan(
         except GupBicError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = None
-    if problem.kind == "well":
-        try:
-            results = [(d, None) for d in degrees_of_freedom(problem, e_dims)[0].tolist()]
-        except GupBicError:
-            pass  # the per-energy pass below records each failing energy's own message
-    if results is None:
+    def each(rows: np.ndarray) -> list:
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, e_dims))
+                return list(pool.map(one, e_dims[rows]))
+        return [one(e) for e in e_dims[rows]]
+
+    results: list = [None] * energies.size  # (dof, error message) of each energy
+    batch = np.arange(energies.size)
+    while batch.size:
+        try:
+            nullities = degrees_of_freedom(problem, e_dims[batch])[0].tolist()
+        except GupBicError as exc:
+            flagged = np.ones(batch.size, dtype=bool) if exc.failed is None else exc.failed
+            for i, result in zip(batch[flagged].tolist(), each(batch[flagged])):
+                results[i] = result
+            batch = batch[~flagged]
         else:
-            results = [one(e) for e in e_dims]
+            for i, d in zip(batch.tolist(), nullities):
+                results[i] = (d, None)
+            break
 
     dof = tuple(r[0] for r in results)
     errors = {i: r[1] for i, r in enumerate(results) if r[1] is not None}

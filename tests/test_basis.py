@@ -621,7 +621,7 @@ def test_linear_closed_form_matches_panels_and_mpmath(eps):
             assert table._slope is not None
             xs = np.array(points)
             for sigma in (1.0, -1.0):
-                got = table._sums(xs, sigma)
+                got = np.stack(table.integrals(xs, sigma)[:2])
                 scale = np.maximum(1.0, np.abs(eta * got[0]))
                 for ref, bound in ((table._panel_sums(xs, sigma), 1e-13),
                                    (_mp_closed_form(mp, table, xs, sigma), 1e-14)):
@@ -827,3 +827,56 @@ def test_array_derivatives_match_point_by_point():
         pts = np.stack([f.derivatives(float(x), order=4) for x in xs], axis=-1).reshape(5, 3, 4)
         assert arr.shape == (5, 3, 4)
         assert np.all(np.abs(arr - pts) <= 1e-14 * np.abs(pts).max(axis=(1, 2), keepdims=True))
+
+
+def _scalar_quadratic_roots(c2, c1, c0):
+    """The one-equation formula: the real roots of c2 x^2 + c1 x + c0, ascending."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [-0.5 * c1 / c2]
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return sorted([q / c2, c0 / q])
+
+
+@pytest.mark.parametrize(
+    "c2, c1, c0s",
+    [
+        (1.0, 2.0, [1.0, 0.5, 2.0, -3.0, 0.0]),  # disc = 0, > 0, < 0, a root at 0
+        (1.0, -2.0, [1.0, 0.5, 2.0, -3.0]),
+        (-0.5, 3.0, [-4.5, -5.0, 7.0]),  # disc = 0 at c0 = c1^2 / (4 c2), then < 0, > 0
+        (0.25, 0.0, [-1.0, 0.0, 1.0]),  # the harmonic b: c1 = 0
+        (0.0, 1.5, [-2.0, 0.0, 3.0]),  # the linear b: one root
+        (0.0, -1.5, [-2.0, 3.0]),
+        (0.0, 0.0, [-2.0, 0.0, 3.0]),  # no root
+    ],
+)
+def test_batched_quadratic_roots_match_the_scalar_formula(c2, c1, c0s):
+    # one array of c0 (one per energy) gives per energy the roots of the
+    # one-equation formula, bit for bit, NaN where a root does not exist
+    batched = gupbic.basis._quadratic_roots(c2, c1, np.array(c0s))
+    assert batched.shape == (2, len(c0s))
+    for i, c0 in enumerate(c0s):
+        want = _scalar_quadratic_roots(c2, c1, c0)
+        got = [float(r) for r in batched[:, i] if not math.isnan(r)]
+        assert got == want, (c2, c1, c0)
+        assert np.isnan(batched[len(want) :, i]).all()
+        # a float c0 is the batch of one
+        alone = gupbic.basis._quadratic_roots(c2, c1, c0)
+        assert np.array_equal(alone, batched[:, i], equal_nan=True)
+
+
+@given(
+    c2=st.sampled_from([0.0, 0.5, -2.0]),
+    c1=st.floats(-10.0, 10.0),
+    c0s=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_batched_quadratic_roots_match_the_scalar_formula_anywhere(c2, c1, c0s):
+    batched = gupbic.basis._quadratic_roots(c2, c1, np.array(c0s))
+    for i, c0 in enumerate(c0s):
+        got = [float(r) for r in batched[:, i] if not math.isnan(r)]
+        assert got == _scalar_quadratic_roots(c2, c1, c0)

@@ -536,3 +536,37 @@ print(json.dumps({{"codes": codes, "scipy": loaded}}))
         assert report["codes"] == {
             "dof-scan": 0, "wavefunction": 0, "spectrum": 0, "observability": 0, "verify": 0,
         }
+
+
+class TestHarmonicWavefunctionWithoutMaskedArrays:
+    # the panel walk sorts its edges and matches the zeros of b by
+    # comparison, never through np.unique, whose first call imports numpy.ma
+    # (about 1.6 MB and 30 ms in a fresh process); linear observability
+    # still loads it, through scipy.special
+    CHILD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import gupbic.cli
+
+out = {out!r}
+report = {{}}
+for name, argv in (
+    ("wavefunction", ["wavefunction", "--potential", "harmonic", "--omega", "1.897e16", "--E", "2e-18"]),
+    ("observability", ["observability", "--potential", "linear", "--L", "1.281e-8"]),
+):
+    code = gupbic.cli.main(argv + ["--out", out + "/" + name])
+    report[name] = [code, "numpy.ma" in sys.modules]
+print(json.dumps(report))
+"""
+
+    def test_harmonic_wavefunction_does_not_import_numpy_ma(self, tmp_path):
+        import gupbic
+
+        src = str(Path(gupbic.__file__).resolve().parent.parent)
+        child = self.CHILD.format(src=src, out=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"wavefunction": [0, False], "observability": [0, True]}

@@ -14,7 +14,7 @@ from gupbic import (
     nondimensionalize,
 )
 from gupbic.errors import GupBicError, InvalidSetupError, PreconditionError, WrongPotentialError
-from gupbic import spectrum
+from gupbic import matcher, spectrum
 from gupbic.matcher import degrees_of_freedom
 from gupbic.spectrum import (
     AiryBouncerState,
@@ -28,7 +28,7 @@ from gupbic.spectrum import (
     observability,
     well_special_energies,
 )
-from gupbic.verification import reference_well_setup, harmonic_setup_for
+from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
 
 M_E = 9.10956e-31
 A_WELL = 1e-10
@@ -135,7 +135,7 @@ class TestDofScan:
 
 
 def one_energy_at_a_time(problem, e_dims):
-    """(dof, errors, matrices) of the well scan run energy by energy."""
+    """(dof, errors, matrices) of a scan run energy by energy."""
     dof, errors, matrices = [], {}, []
     for i, e in enumerate(e_dims):
         try:
@@ -181,6 +181,87 @@ class TestBatchedWellScan:
         scan = dof_scan(setup, energies)
         assert len(errors) == 9 and scan.errors == errors
         assert scan.dof == dof == (None,) * 9
+
+
+def relative_gap(stacked, single):
+    """Largest entry gap of two constraint matrices, relative to the single one's largest entry."""
+    return float(np.max(np.abs(stacked - single)) / max(np.max(np.abs(single)), 1e-300))
+
+
+class TestBatchedWkbScan:
+    # the linear and harmonic counts run as one batched pass; each energy
+    # that fails (a precondition, or a check of the batch) is rerun alone
+    @given(
+        kind=st.sampled_from(["linear", "harmonic"]),
+        log_eps=st.floats(-4.0, math.log10(0.5)),
+        energies=st.lists(st.floats(-21.0, -16.5), min_size=2, max_size=24, unique=True).map(
+            lambda logs: sorted(10.0**t for t in logs)
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_the_per_energy_path(self, kind, log_eps, energies):
+        # E_c = 1e-18 J: linear energies below about 5.1e-20 J put the wall
+        # inside the turning window, harmonic ones above e_max close the band
+        setup = (linear_setup_for if kind == "linear" else harmonic_setup_for)(10.0**log_eps)
+        problem = nondimensionalize(setup)
+        e_dims = np.asarray(energies) / problem.energy_scale
+        dof, errors, matrices = one_energy_at_a_time(problem, e_dims)
+        scan = dof_scan(setup, energies, problem=problem)
+        assert scan.dof == dof
+        assert scan.errors == errors
+        assert all(type(d) is int for d in scan.dof if d is not None)
+        ok = [i for i, d in enumerate(dof) if d is not None]
+        if not ok:
+            return
+        nullity, system = degrees_of_freedom(problem, e_dims[ok])
+        assert nullity.tolist() == [dof[i] for i in ok]
+        assert system.matrix.shape == (len(ok),) + matrices[0].shape
+        for stacked, single in zip(system.matrix, matrices):
+            assert np.array_equal(stacked, single) or relative_gap(stacked, single) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, beta, energies, limit",
+        [
+            ("harmonic", 4.1e47, np.linspace(2e-17 / 40, 2e-17, 40), "highest energy"),
+            ("linear", 1e47, np.linspace(2e-20, 2e-17, 40), "lowest energy"),
+        ],
+    )
+    def test_failing_energies_rerun_alone(self, monkeypatch, kind, beta, energies, limit):
+        # the energies the batch flags run one at a time; the rest stay batched
+        potential = Harmonic(omega=1.897e16) if kind == "harmonic" else Linear(slope=1.281e-8)
+        setup = PhysicalSetup(mass=M_E, beta=beta, potential=potential)
+        problem = nondimensionalize(setup)
+        calls = []
+        real = spectrum.degrees_of_freedom
+
+        def counting(problem, energy):
+            calls.append(np.size(energy) if np.ndim(energy) else None)
+            return real(problem, energy)
+
+        monkeypatch.setattr(spectrum, "degrees_of_freedom", counting)
+        scan = dof_scan(setup, energies, problem=problem)
+        dof, errors, _ = one_energy_at_a_time(problem, energies / problem.energy_scale)
+        assert scan.dof == dof and scan.errors == errors
+        assert errors and all(limit in message for message in errors.values())
+        n_failed = len(errors)
+        # a batch of all energies, one per failing energy, a batch of the rest
+        assert calls == [energies.size] + [None] * n_failed + [energies.size - n_failed]
+
+    @pytest.mark.parametrize("kind", ["linear", "harmonic"])
+    def test_a_clean_scan_is_one_svd(self, monkeypatch, kind):
+        setup = (linear_setup_for if kind == "linear" else harmonic_setup_for)(0.05)
+        calls = []
+        real = matcher.nullity_of
+
+        def counting(system):
+            calls.append(system.matrix.shape)
+            return real(system)
+
+        monkeypatch.setattr(matcher, "nullity_of", counting)
+        scan = dof_scan(setup, np.linspace(2e-19, 5e-18, 200))
+        assert scan.errors == {}
+        assert set(scan.dof) == {1 if kind == "linear" else 2}
+        assert calls == [(200, 3 if kind == "linear" else 4, 4)]
 
 
 def labelled_one_level_at_a_time(setup, energies):
