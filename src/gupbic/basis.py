@@ -24,9 +24,8 @@ lam_j continuous across zeros of b (classical turning points).  Zeros of
 a^2 - b are hard validity boundaries: the correction integrand has a pole
 there, so a basis instance never spans one.  Zeros of b are excluded by a
 window of half-width 0.05 for j in {3, 4} (the 1/sqrt(lam) prefactor is
-singular), but the exponent integrals are continued across them (the
-singularity of the correction integrand is an integrable |x - xt|^(-1/2),
-which x = xt +- u^2 makes smooth on the panels that end at xt).
+singular), but the exponent integrals, closed forms in lam for b of degree
+<= 2 (``ExponentTable``), are continued across them.
 
 Exponents are computed before exponentiation and capped at |Re| <= 700;
 beyond the cap value access raises BasisOverflowError and callers switch to
@@ -55,7 +54,6 @@ from .errors import (
     ValidityError,
     raise_where,
 )
-from .panels import panel_integrals
 
 # unused here: perfbench/tracer.py patches basis.quad until ROADMAP item 1 replaces it
 quad = lazy("integrate", "quad")
@@ -302,17 +300,14 @@ def exact_constant_basis(
 
 # --- WKB machinery -------------------------------------------------------------
 
-# Exponent integrals: composite Gauss-Legendre sums (panel_integrals) on
-# fixed panels of width _PANEL_WIDTH counted from x0 and split at the zeros
-# of b.
-_PANEL_WIDTH = 0.25
-_QUAD_TOL = 1e-12
-_SEGMENT_CHUNK = 1024  # segments integrated together, bounding the temporaries
-_MIN_EDGE_GAP = 1e-3 * _PANEL_WIDTH
+# Exponent integrals: closed forms in lam (``ExponentTable``).
 # nodes and weights of the three-point Gauss-Legendre rule on [0, 1]: exact
 # for the quartic mean in the closed-form I1 of a linear b
 _CHORD_NODES = np.array([0.5 - 0.5 * 0.6**0.5, 0.5, 0.5 + 0.5 * 0.6**0.5])
 _CHORD_WEIGHTS = np.array([5 / 18, 8 / 18, 5 / 18])
+# duplication steps of ``_carlson_fd``: each shrinks the spread of the
+# arguments fourfold, so after nine the series' error is below rounding
+_CARLSON_STEPS = 9
 
 
 @dataclass(frozen=True)
@@ -408,18 +403,50 @@ def _capped_exp(e, x, what: str):
         return np.where(re > -745.0, np.exp(e), 0.0 + 0.0j)
 
 
+def _carlson_fd(x, y, z) -> tuple:
+    """Carlson's R_F(x, y, z) and R_D(x, y, z), elementwise, by one duplication loop.
+
+    B. C. Carlson, "Numerical computation of real or complex elliptic
+    integrals", Numer. Algorithms 10 (1995).  Real arguments must be >= 0,
+    complex ones off the negative real axis (principal square roots), with
+    at most one of x, y zero and z nonzero.  A fixed number of steps keeps
+    each entry's value independent of the other entries.
+    """
+    tail, scale = 0.0, 1.0  # R_D's sum over the steps, and 4^-step
+    for _ in range(_CARLSON_STEPS):
+        rx, ry, rz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = rx * ry + ry * rz + rz * rx
+        tail = tail + scale / (rz * (z + lam))
+        scale *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    mean = (x + y + z) / 3.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
+    mean = (x + y + 3.0 * z) / 5.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * dz
+    series = (
+        1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+        - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0
+    )
+    return rf, scale * series / (mean * np.sqrt(mean)) + 3.0 * tail
+
+
 _BRANCH_SIGNS = {1: (+1.0, +1.0), 2: (+1.0, -1.0), 3: (-1.0, +1.0), 4: (-1.0, -1.0)}
 
 
-def _branch_chains(p: WkbParameters, x, sigma, tau: float, order: int = 4, b: tuple | None = None):
+def _branch_chains(p: WkbParameters, x, sigma, tau: float, order: int = 4):
     """(s chain, lam chain) of lam = tau sqrt(a + sigma s), derivatives 0..order at x.
 
     ``sigma`` is +-1.0, or an array of +-1.0 that broadcasts against x (one
-    per panel of a walk over both branch pairs).  ``b`` replaces
-    b_chain(x) when the caller has the b chain already.
+    per branch pair).
     """
-    if b is None:
-        b = p.b_chain(x)
+    b = p.b_chain(x)
     w = (p.a_coef**2 - b[0],) + tuple(-c for c in b[1 : order + 1])
     s = _sqrt_chain(w)
     # a - s written as b / (a + s): no cancellation near a turning point
@@ -437,38 +464,43 @@ class ExponentTable:
 
     I1 = int lam and I2 = int lam'/s from x0 depend on x alone.  The table
     computes them for the tau = +1 branch of each pair (sigma = +1, -1); the
-    tau = -1 partner, lam -> -lam, reads them negated, which is exact.
+    tau = -1 partner, lam -> -lam, reads them negated, which is exact.  Both
+    are closed forms in lam, O(1) per point, for b of degree <= 2 (linear
+    or harmonic; b'(0) and b'' are read once from ``b_chain``).
 
-    Where b is linear (b'' = b''' = b'''' = 0, read once from ``b_chain``),
-    s^2 = a^2 - b is linear in x and both are closed forms in lam:
+    From lam^2 = a + sigma s, I2 = sigma int dlam / (lam^2 - a), so for
+    every b
 
-        I1 = 4 sigma (x - x0) P / ((s + s0)(lam + lam0)),
         I2 = -(sigma/sqrt a) [atanh q(lam) - atanh q(lam0)],
 
-    with P the mean of lam^2 (lam^2 - a) over the chord from lam0 to lam,
-    and q = lam/sqrt(a) for sigma = -1, sqrt(a)/lam for sigma = +1.  This I1
-    is -(4/b')[lam^5/5 - a lam^3/3] with lam - lam0 divided out, so nothing
-    cancels near x0; P, on three Gauss-Legendre nodes (exact), forms each
-    node's lam^2 - a from sigma s0, so nothing cancels near the zero of s;
-    each q stays off its own atanh cut (README, "Method notes").
+    with q = lam/sqrt(a) for sigma = -1, sqrt(a)/lam for sigma = +1: each q
+    stays off its own atanh cut (README, "Method notes").
 
-    Otherwise the sums run over fixed panels counted from x0 and split at
-    the zeros of b; the partner's own walk would give the negated sums bit
-    for bit (node values negate exactly, the panel test is symmetric).
-    Growing the table walks the new panels for both pairs in one
-    ``panel_integrals`` call, as two interval sets that each converge on
-    their own; the rest from the nearest panel edge to a query point is
-    integrated for the pair that asks.
+    Where b is linear (b'' = 0), s^2 = a^2 - b is linear in x and
 
-    ``_table`` holds the panel edges met so far, their [I1, I2] sums per
-    pair (shape (2, 2, edges)), the zero-of-b flags and the grid panels
-    covered below and above x0; a batch of energies takes the closed forms
-    only.  ``_last`` holds the last query, a copy of its abscissas, with
-    the sums and chain values of each pair that asked for it (the closed
-    forms fill both pairs at once): a point row or a Gram round that asks
-    the four branches in turn computes once per pair.  Both are replaced
-    whole, never changed in place, so concurrent readers see a consistent
-    state.
+        I1 = 4 sigma (x - x0) P / ((s + s0)(lam + lam0)),
+
+    with P the mean of lam^2 (lam^2 - a) over the chord from lam0 to lam.
+    This I1 is -(4/b')[lam^5/5 - a lam^3/3] with lam - lam0 divided out, so
+    nothing cancels near x0; P, on three Gauss-Legendre nodes (exact), forms
+    each node's lam^2 - a from sigma s0, so nothing cancels near the zero
+    of s.
+
+    Where b = (c y^2 - e)/2 is quadratic (y = x - m from its vertex m,
+    e > 0), c y^2 = 2 (alpha - lam^2)(gamma + lam^2) with r = sqrt(a^2 + e/2),
+    alpha = a + r, gamma = r - a = e / (2 alpha), and I1 is an elliptic
+    integral in lam:
+    2/3 lam |y| plus Carlson's R_F and R_D (``_carlson_fd``) of arguments
+    that hold alpha - lam^2 and gamma + lam^2.  Each is formed without
+    subtracting lam^2: one of them is r + s, the other c y^2 / (2 (r + s)).
+    The sigma = +1 integral runs from the vertex (lam^2 = alpha), the
+    sigma = -1 one from the turning point (lam = 0), so each stays of the
+    size of int lam itself; I1 is odd in y about the vertex.
+
+    ``_last`` holds the last query, a copy of its abscissas, with the sums
+    and chain values of both pairs: a point row or a Gram round that asks
+    the four branches in turn computes once.  It is replaced whole, never
+    changed in place, so concurrent readers see a consistent state.
     """
 
     def __init__(
@@ -481,54 +513,47 @@ class ExponentTable:
         self.windows = tuple((z - w, z + w) for z in self.b_zeros)  # of branches 3 and 4
         self._x0_checked: set[bool] = set()  # window kinds whose reference point passed
         self._classes: dict[Side, tuple] = {}
-        self._table = None  # begun by the first panel query
-        self._last = (np.empty(0), (None, None))
+        self._last = (np.full(1, np.nan), None)  # NaN matches no query
 
     @cached_property
-    def _slope(self) -> float | None:
-        """b' where b is linear (the exponents are closed forms), else None; read once, when first asked."""
-        _, slope, *higher = self.params.b_chain(0.0)
-        return None if any(higher) else float(slope)
+    def _b_derivs(self) -> tuple[float, float]:
+        """(b'(0), b''): b is linear where b'' = 0, else quadratic; read once, when first asked."""
+        _, slope, curvature, *_ = self.params.b_chain(0.0)
+        return float(slope), float(curvature)
 
     def integrals(self, xs: np.ndarray, sigma: float) -> tuple:
         """(I1, I2, s, lam) of the tau = +1 branch of pair ``sigma`` at each x of a flat xs.
 
         I1 and I2 run from x0; s and lam are the chain values at x.
         """
-        k = 0 if sigma > 0 else 1
         query, pairs = self._last
         if not (query.shape == xs.shape and (query == xs).all()):
-            query, pairs = xs.copy(), (None, None)
-        if pairs[k] is None:
-            if self._slope is None:
-                s, lam = (c[0] for c in _branch_chains(self.params, xs, sigma, 1.0, order=0))
-                pair = (*self._panel_sums(xs, sigma), s, lam)
-                pairs = (pair, pairs[1]) if k == 0 else (pairs[0], pair)
-            else:
-                pairs = self._closed_sums(xs)
+            query, pairs = xs.copy(), self._closed_sums(xs)
             self._last = (query, pairs)
-        return pairs[k]
+        return pairs[0 if sigma > 0 else 1]
 
     def _closed_sums(self, xs: np.ndarray) -> tuple:
-        """``integrals`` of both pairs at xs where b is linear: the closed forms, in one pass."""
+        """``integrals`` of both pairs at xs: the closed forms, in one pass."""
         p, root_a = self.params, math.sqrt(self.params.a_coef)
+        slope, curvature = self._b_derivs
+        n = xs.shape[0]
         sigma = np.array([1.0, -1.0]).reshape((2,) + (1,) * xs.ndim)  # the pairs, leading
-        # x0 is one more row (of one entry per energy of a batch)
-        at = np.concatenate([xs, np.reshape(p.x0, (1,) + np.shape(p.x0))])
+        # x0 is one more row (of one entry per energy of a batch), and the
+        # vertex of a quadratic b one after it
+        rows = [xs, np.reshape(p.x0, (1,) + np.shape(p.x0))]
+        if curvature:
+            vertex = -slope / curvature
+            rows.append(np.full(rows[1].shape, vertex))
+        at = np.concatenate(rows)
         s, lam = (c[0] for c in _branch_chains(p, at, sigma, 1.0, order=0))
-        s, s0, lam, lam0 = s[:-1], s[-1], lam[:, :-1], lam[:, -1:]
-        scale = (xs - p.x0) / ((s + s0) * (lam + lam0))
-        step = -sigma * self._slope * scale  # lam - lam0
-        # the nodes on a leading axis, summed in their order
-        t, w = (c.reshape((3,) + (1,) * step.ndim) for c in (_CHORD_NODES, _CHORD_WEIGHTS))
-        node = lam0 + t * step
-        mean = (w * node * node * (sigma * s0 + t * step * (lam0 + node))).sum(axis=0)
+        if curvature:
+            i1 = self._elliptic_i1(at, s, lam, vertex)
+        else:
+            i1 = self._chord_i1(xs, s[:-1], s[-1], lam[:, :-1], lam[:, -1:], sigma)
         # sigma = +1 takes sqrt(a)/lam, sigma = -1 lam/sqrt(a): each off its atanh cut
-        q = np.array([root_a / lam[0], lam[1] / root_a])
-        q0 = np.array([root_a / lam0[0], lam0[1] / root_a])
-        i1 = 4.0 * sigma * scale * mean
-        i2 = -(sigma / root_a) * (np.arctanh(q) - np.arctanh(q0))
-        return tuple((i1[k], i2[k], s, lam[k]) for k in range(2))
+        q = np.arctanh(np.array([root_a / lam[0, : n + 1], lam[1, : n + 1] / root_a]))
+        i2 = -(sigma / root_a) * (q[:, :n] - q[:, n:])
+        return tuple((i1[k], i2[k], s[:n], lam[k, :n]) for k in range(2))
 
     def closed_classes(self, side: Side) -> tuple:
         """Classes of branches 1..4 toward ``side`` in closed form, found once per side.
@@ -561,126 +586,57 @@ class ExponentTable:
             self._classes[side] = classes
         return classes
 
-    def _panel_sums(self, xs: np.ndarray, sigma: float) -> np.ndarray:
-        """[I1, I2] of pair ``sigma`` at xs: the sum at the nearest panel edge plus the rest."""
-        x0 = self.params.x0
-        if self._table is None:
-            self._table = (np.array([x0]), np.zeros((2, 2, 1), dtype=complex), np.array([False]), 0, 0)
-        pos, cum, at_zero, k_lo, k_hi = self._table
-        x_min, x_max = xs.min(), xs.max()
-        if x_max > x0 + k_hi * _PANEL_WIDTH or x_min < x0 - k_lo * _PANEL_WIDTH:
-            pos, cum, at_zero, _, _ = self._extend(x_min, x_max)
-        i = np.searchsorted(pos, xs)
-        below, above = np.maximum(i - 1, 0), np.minimum(i, pos.size - 1)
-        anchor = np.where(xs - pos[below] <= pos[above] - xs, below, above)
-        rest = self._segment_integrals(pos[anchor], xs, at_zero[anchor], (sigma,))[0]
-        return cum[0 if sigma > 0 else 1][:, anchor] + rest
+    def _chord_i1(self, xs, s, s0, lam, lam0, sigma) -> np.ndarray:
+        """I1 of both pairs where b is linear, from the chain values at xs and at x0."""
+        p = self.params
+        scale = (xs - p.x0) / ((s + s0) * (lam + lam0))
+        step = -sigma * self._b_derivs[0] * scale  # lam - lam0
+        # the nodes on a leading axis, summed in their order
+        t, w = (c.reshape((3,) + (1,) * step.ndim) for c in (_CHORD_NODES, _CHORD_WEIGHTS))
+        node = lam0 + t * step
+        mean = (w * node * node * (sigma * s0 + t * step * (lam0 + node))).sum(axis=0)
+        return 4.0 * sigma * scale * mean
 
-    def _segment_integrals(
-        self, c: np.ndarray, o: np.ndarray, subst: np.ndarray, pairs: tuple[float, ...]
-    ) -> np.ndarray:
-        """[I1, I2] increments from c to o for each pair sigma in ``pairs``, shape (pairs, 2, len(c)).
+    def _elliptic_i1(self, at, s, lam, vertex: float) -> np.ndarray:
+        """I1 of both pairs where b is quadratic.
 
-        Where ``subst`` is set, c is a zero of b and x = c +- u^2 turns the
-        |x - c|^(-1/2) singularity of branches 3 and 4 into a smooth integrand.
+        The rows of ``at``, ``s`` and ``lam`` are xs, then x0, then the vertex.
         """
-        out = np.zeros((len(pairs), 2, c.size), dtype=complex)
-        for k in range(0, c.size, _SEGMENT_CHUNK):
-            part = slice(k, k + _SEGMENT_CHUNK)
-            out[..., part] = self._chunk_integrals(c[part], o[part], subst[part], pairs)
-        return out
-
-    def _chunk_integrals(self, c, o, subst, pairs: tuple[float, ...]) -> np.ndarray:
-        n, m = c.size, len(pairs)
-        sense = np.where(o < c, -1.0, 1.0)
-        length = np.abs(o - c)
-
-        def integrand(u, width, i):
-            # interval i is segment i % n for pair i // n
-            k = i % n
-            sub, c_i, sense_i = subst[k, None], c[k, None], sense[k, None]
-            x = c_i + sense_i * np.where(sub, u * u, u)
-            jac = np.where(sub, 2.0 * u, 1.0) * (sense_i * width)
-            b_x = self.params.b_chain(x)
-            if sub.any():
-                b_x = self._b_past_zero(c_i, sense_i * u * u, sub, b_x)
-            sigma = pairs[0] if m == 1 else np.asarray(pairs)[i // n, None]
-            s, lam = _branch_chains(self.params, x, sigma, 1.0, order=1, b=b_x)
-            return np.stack([lam[0], lam[1] / s[0]]) * jac
-
-        end = np.where(subst, np.sqrt(length), length)
-        sums = panel_integrals(integrand, np.zeros(m * n), np.tile(end, m), _QUAD_TOL)
-        return sums.reshape(2, m, n).swapaxes(0, 1)
-
-    def _b_past_zero(self, z: np.ndarray, d: np.ndarray, sub: np.ndarray, b_x: tuple) -> tuple:
-        """b and b' at z + d from Taylor's formula at a zero z of b, where ``sub`` is set.
-
-        z + d rounds d to the spacing of floats near z, and b(z + d) then
-        carries a relative error of roughly 1e-16 |z| / |d| that stops the
-        bisection next to the zero.  Taylor's formula takes d itself and
-        b(z) = 0; it is exact because v is a polynomial of degree <= 4 for
-        every potential with a WKB basis (linear, harmonic).
-        """
-        _, b1, b2, b3, b4 = self.params.b_chain(z)
-        b0_t = d * (b1 + d * (b2 / 2.0 + d * (b3 / 6.0 + d * b4 / 24.0)))
-        b1_t = b1 + d * (b2 + d * (b3 / 2.0 + d * b4 / 6.0))
-        return (np.where(sub, b0_t, b_x[0]), np.where(sub, b1_t, b_x[1])) + tuple(b_x[2:])
-
-    def _new_edges(self, k_done: int, reach: float, sense: float) -> tuple[np.ndarray, int]:
-        """Panel edges (grid edges and zeros of b) beyond grid edge k_done up to
-        the first grid edge past ``reach``, ordered outward from x0."""
-        x0 = self.params.x0
-        lo, hi = self.interval
-        k = max(k_done, int(math.floor(sense * (reach - x0) / _PANEL_WIDTH)) + 1)
-        grid = x0 + sense * np.arange(k_done + 1, k + 1) * _PANEL_WIDTH
-        near, far = x0 + sense * k_done * _PANEL_WIDTH, x0 + sense * k * _PANEL_WIDTH
-        zeros = np.array(self.b_zeros)
-        inside = zeros[(sense * (zeros - near) > 0) & (sense * (zeros - far) <= 0)]
-        # a grid edge next to a zero of b would leave a sliver panel whose
-        # substituted nodes round onto the zero itself
-        keep = (lo < grid) & (grid < hi)
-        if zeros.size:
-            keep &= np.abs(grid[:, None] - zeros).min(axis=1) > _MIN_EDGE_GAP
-        # sorted, without repeats (np.unique would import numpy.ma)
-        edges = np.sort(np.concatenate([grid[keep], inside]))
-        edges = edges[np.diff(edges, prepend=-np.inf) != 0.0]
-        return (edges if sense > 0 else edges[::-1]), k
-
-    def _extend(self, x_min: float, x_max: float) -> tuple:
-        """Grow the panel table until it holds the panel edges nearest to x_min and x_max."""
-        pos, cum, at_zero, k_lo, k_hi = self._table
-        up, k_hi = self._new_edges(k_hi, x_max, 1.0)
-        down, k_lo = self._new_edges(k_lo, x_min, -1.0)
-        # which edges are zeros of b (np.isin would import numpy.ma through np.unique)
-        zeros = np.array(self.b_zeros)
-        up_zero, down_zero = ((edges[:, None] == zeros).any(axis=1) for edges in (up, down))
-        # outward panels from the old end edges; a panel ending on a zero of b
-        # is integrated from that zero
-        left = np.concatenate([np.append(pos[-1:], up)[:-1], np.append(pos[:1], down)[:-1]])
-        left_zero = np.concatenate(
-            [np.append(at_zero[-1:], up_zero)[:-1], np.append(at_zero[:1], down_zero)[:-1]]
+        p, a, c = self.params, self.params.a_coef, self._b_derivs[1]
+        e = -2.0 * p.b(vertex)
+        raise_where(
+            e <= 0.0,
+            lambda e: PreconditionError(
+                "closed-form exponents of a quadratic potential need an energy above its "
+                f"minimum, got e - v_min = {e:g}"
+            ),
+            e,
         )
-        right = np.concatenate([up, down])
-        right_zero = np.concatenate([up_zero, down_zero])
-        steps = self._segment_integrals(
-            np.where(right_zero, right, left),
-            np.where(right_zero, left, right),
-            right_zero | left_zero,
-            (1.0, -1.0),
-        ) * np.where(right_zero, -1.0, 1.0)
-        # running sums outward from x0, in a fixed order
-        cum_up = np.cumsum(np.concatenate([cum[..., -1:], steps[..., : up.size]], axis=-1), axis=-1)
-        cum_down = np.cumsum(
-            np.concatenate([cum[..., :1], steps[..., up.size :]], axis=-1), axis=-1
+        r = np.sqrt(a * a + 0.5 * e)
+        alpha = a + r
+        gamma = 0.5 * e / alpha  # r - a, whose digits cancel where e << a^2
+        if not s.imag.any():  # between the zeros of a^2 - b: real arguments
+            s = s.real
+        y = at - vertex
+        rs = r + s
+        near = 0.5 * c * y * y / rs  # alpha - lam^2 for sigma = +1, gamma + lam^2 for sigma = -1
+        rf, rd = _carlson_fd(
+            np.stack([2.0 * r * (a + s), gamma * rs]),
+            np.stack([alpha * rs, alpha * near]),
+            np.reshape([2.0 * r * alpha, 0.5 * e], (2, 1) + np.shape(e)),  # alpha gamma = e/2
         )
-        self._table = (
-            np.concatenate([down[::-1], pos, up]),
-            np.concatenate([cum_down[..., :0:-1], cum, cum_up[..., 1:]], axis=-1),
-            np.concatenate([down_zero[::-1], at_zero, up_zero]),
-            k_lo,
-            k_hi,
+        k = math.sqrt(8.0 / c)
+        # sigma = +1 from the vertex, where u = sqrt(alpha - lam^2) is 0
+        u = np.sqrt(near)
+        from_vertex = k * u * (
+            (a * alpha / 3.0 + e / 6.0) * rf[0] - (2.0 * a * r * alpha / 9.0) * near * rd[0]
         )
-        return self._table
+        # sigma = -1 from the turning point, where lam is 0
+        lam_t = lam[1]
+        from_turn = -(k * e / 6.0) * lam_t * (rf[1] + (a / 3.0) * lam_t * lam_t * rd[1])
+        w = (2.0 / 3.0) * lam * np.abs(y) + np.stack([from_vertex, from_turn])
+        j = np.sign(y) * (w - w[:, -1:])  # odd in y about the vertex
+        return j[:, :-2] - j[:, -2:-1]
 
 
 class WkbBasisFunction(BasisFunction):

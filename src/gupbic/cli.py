@@ -245,6 +245,9 @@ def cmd_dof_scan(args) -> int:
     problem = nondimensionalize(setup)
     e_max = args.e_max if args.e_max is not None else 2e-17
     e_min = args.e_min if args.e_min is not None else e_max / args.n
+    for flag, value in (("--e-min", e_min), ("--e-max", e_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite energy in J, got {value}")
     if not (0.0 < e_min < e_max):
         raise ConfigError(f"need 0 < --e-min < --e-max, got {e_min}, {e_max}")
     energies = np.linspace(e_min, e_max, args.n)

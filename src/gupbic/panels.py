@@ -1,9 +1,9 @@
 """Adaptive composite Gauss-Legendre panels, the one integrator of the package.
 
-It computes the WKB exponent integrals (``basis``), the Gram matrix
-(``matcher.overlap_gram``), the momentum moments
-(``spectrum.momentum_moments``) and the oracle's antiderivative check of
-the momentum-space phase (``oracle.MomentumSolution``).
+It computes the Gram matrix (``matcher.overlap_gram``), the momentum
+moments (``spectrum.momentum_moments``) and the oracle's antiderivative
+check of the momentum-space phase (``oracle.MomentumSolution``); the WKB
+exponent integrals are closed forms (``basis.ExponentTable``).
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ import numpy as np
 from ._scipy import lazy
 from .core import DimensionlessProblem, InfiniteWell, PhysicalSetup, checked_scale, nondimensionalize
 from .errors import (
+    ConfigError,
     GupBicError,
     InvalidSetupError,
     NumericalError,
@@ -187,7 +188,12 @@ def dof_scan(
     are labelled StandardLevel, everything else ExtraContinuum.
     """
     energies = np.asarray(list(energies_si), dtype=float)
-    if energies.size < 1 or np.any(energies <= 0.0) or np.any(np.diff(energies) <= 0.0):
+    finite = np.isfinite(energies)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ConfigError(f"scan energies must be finite, got {energies[i]} J at index {i}")
+    # strictly increasing from a first energy > 0
+    if energies.size < 1 or energies[0] <= 0.0 or np.any(np.diff(energies) <= 0.0):
         raise PreconditionError("energies must be strictly increasing and > 0")
     if problem is None:
         problem = nondimensionalize(setup)

@@ -488,9 +488,9 @@ def test_exponent_matches_quad_reference(case):
 
 
 def test_large_array_matches_small_batches():
-    # more points than one integration chunk, across a turning window and
-    # the panel grid; each segment is integrated on its own, so the values
-    # cannot depend on which other points share the array
+    # thousands of points across a turning window: each point's closed form
+    # (a fixed number of Carlson duplication steps) is computed on its own,
+    # so the values cannot depend on which other points share the array
     problem, e, x0, piece, rmap, _ = _pieces_for_accuracy()[2]
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 3):
@@ -549,30 +549,58 @@ def test_shared_branches_match_standalone(case, order):
             assert np.array_equal(f.value(own), alone.value(own)), j
 
 
-def test_shared_walk_equals_separate_walks_of_each_branch():
-    # the table walks both pairs at once (panel edges) and serves tau = -1
-    # by negation; a walk of each of the four branches on its own gives the
-    # same sums bit for bit (node values negate exactly, the panel test is
-    # symmetric, and each interval of a walk converges on its own)
-    params, (lo, _), rmap, _ = _shared_table_cases()[0]
-    x_t = rmap.b_zeros[0]
-    rng = np.random.default_rng(1)
-    c = rng.uniform(lo, x_t - 0.1, 48)
-    o = np.minimum(c + rng.uniform(0.0, 0.6, 48), x_t - 0.1)
+_REFERENCE_TOL = 1e-13
 
-    def walk(sigma, tau):
-        def integrand(u, width, i):
-            s, lam = gupbic.basis._branch_chains(params, c[i, None] + u, sigma, tau, order=1)
-            return np.stack([lam[0], lam[1] / s[0]]) * width
 
-        tol = gupbic.basis._QUAD_TOL
-        return gupbic.panels.panel_integrals(integrand, np.zeros(c.size), o - c, tol)
+def _panel_reference(table, xs, sigma):
+    """[I1, I2] of branch tau = +1 of pair ``sigma`` from x0 to each x, by Gauss-Legendre panels.
 
-    table = wkb_branches(params, (lo, rmap.s_zeros[0] - 0.05), rmap)[0].table
-    shared = table._segment_integrals(c, o, np.zeros(c.size, dtype=bool), (1.0, -1.0))
-    for pair, sigma in enumerate((1.0, -1.0)):
-        assert np.array_equal(shared[pair], walk(sigma, 1.0))
-        assert np.array_equal(-shared[pair], walk(sigma, -1.0))
+    ``panels.panel_integrals`` integrates lam and lam'/s on the path from x0
+    to x, split at the zeros of b and at the midpoints between the splits,
+    so that each segment touches at most one zero, at its start c.  There
+    x = c +- u^2 turns the |x - c|^(-1/2) of lam'/s into a smooth integrand,
+    and b(c + d) comes from Taylor's formula at c, with b(c) = 0: c + d
+    would drop the digits of d.
+    """
+    p = table.params
+    zeros = [float(z) for z in table.b_zeros]
+    starts, owner = [], []
+    for k, x in enumerate(np.asarray(xs, dtype=float)):
+        lo, hi = sorted((p.x0, x))
+        cuts = [lo] + [z for z in zeros if lo < z < hi] + [hi]
+        if x < p.x0:
+            cuts = cuts[::-1]
+        for left, right in zip(cuts[:-1], cuts[1:]):
+            mid = 0.5 * (left + right)
+            # each half runs from one end of the segment, where a zero of b may lie
+            for c, o, sign in ((left, mid, 1.0), (right, mid, -1.0)):
+                starts.append((c, o, sign))
+                owner.append(k)
+    c = np.array([t[0] for t in starts])
+    o = np.array([t[1] for t in starts])
+    sign = np.array([t[2] for t in starts])
+    at_zero = np.array([any(cz == z for z in zeros) for cz in c])
+    sense = np.where(o < c, -1.0, 1.0)
+    end = np.where(at_zero, np.sqrt(np.abs(o - c)), np.abs(o - c))
+    a = p.a_coef
+
+    def integrand(u, width, i):
+        ci, sub, di = c[i, None], at_zero[i, None], sense[i, None]
+        d = di * np.where(sub, u * u, u)
+        jac = np.where(sub, 2.0 * u, 1.0) * di * width
+        b0, b1, b2, b3, b4 = p.b_chain(ci)
+        b0 = np.where(sub, 0.0, b0)
+        b = b0 + d * (b1 + d * (b2 / 2.0 + d * (b3 / 6.0 + d * b4 / 24.0)))
+        db = b1 + d * (b2 + d * (b3 / 2.0 + d * b4 / 6.0))
+        s = np.sqrt((a * a - b).astype(complex))
+        lam = np.sqrt(a + s if sigma > 0 else b / (a + s))
+        dlam = sigma * (-db / (2.0 * s)) / (2.0 * lam)
+        return np.stack([lam, dlam / s]) * jac
+
+    parts = gupbic.panels.panel_integrals(integrand, np.zeros(c.size), end, _REFERENCE_TOL)
+    out = np.zeros((2, len(xs)), dtype=complex)
+    np.add.at(out, (slice(None), np.array(owner)), parts * sign)
+    return out
 
 
 def _mp_closed_form(mp, table, xs, sigma):
@@ -618,39 +646,200 @@ def test_linear_closed_form_matches_panels_and_mpmath(eps):
         far = [far_lo, far_lo + 1e-3, far_lo + 0.4, far_lo + 2.3, far_lo + 4.4, far_lo + 20.0]
         for branches, points in ((asm.basis, main), (asm.far_basis, far)):
             table, eta = branches[0].table, branches[0].params.eta
-            assert table._slope is not None
+            assert table._b_derivs[1] == 0.0
             xs = np.array(points)
             for sigma in (1.0, -1.0):
                 got = np.stack(table.integrals(xs, sigma)[:2])
                 scale = np.maximum(1.0, np.abs(eta * got[0]))
-                for ref, bound in ((table._panel_sums(xs, sigma), 1e-13),
+                for ref, bound in ((_panel_reference(table, xs, sigma), 1e-13),
                                    (_mp_closed_form(mp, table, xs, sigma), 1e-14)):
                     err = np.abs(eta * (got[0] - ref[0])) / scale
                     assert np.all(err <= bound), (e, sigma, xs[np.argmax(err)], err.max())
                     assert np.all(np.abs(got[1] - ref[1]) <= 1e-12), (e, sigma)
 
 
-def test_linear_potential_walks_no_panels(monkeypatch, linear_problem, harmonic_problem):
-    # a linear b takes its exponents in closed form: the linear count, bound
-    # states and far-field launch frame walk no panel; the harmonic pieces do
+def _mp_harmonic_integrals(mp, table, xs, sigma):
+    """[I1, I2] of pair ``sigma`` (tau = +1) from x0 to each x by 30-digit mpmath quadrature.
+
+    The path is split at the zeros of b and of a^2 - b, where lam and s have
+    square-root kinks (tanh-sinh takes the endpoint singularities).
+    """
+    p = table.params
+    with mp.workdps(30):
+        a = mp.mpf(p.a_coef)
+        b0, b2 = (mp.mpf(float(v)) for v in np.array(p.b_chain(0.0))[[0, 2]])
+        x_t, x_s = mp.sqrt(-2 * b0 / b2), mp.sqrt(2 * (a * a - b0) / b2)
+        kinks = [-x_s, -x_t, x_t, x_s]
+
+        def s_lam(x):
+            s = mp.sqrt(a * a - b0 - b2 * x * x / 2)
+            return s, mp.sqrt(a + sigma * s)
+
+        def i2_integrand(x):
+            s, lam = s_lam(x)
+            return sigma * (-b2 * x / (2 * s)) / (2 * lam) / s
+
+        out = []
+        for x in xs:
+            lo, hi = sorted((mp.mpf(p.x0), mp.mpf(float(x))))
+            path = [lo] + [k for k in kinks if lo < k < hi] + [hi]
+            sign = 1 if x >= p.x0 else -1
+            i1 = mp.quad(lambda t: s_lam(t)[1], path)
+            i2 = mp.quad(i2_integrand, path)
+            out.append((complex(sign * i1), complex(sign * i2)))
+    return np.array(out).T
+
+
+def _harmonic_pieces(eps: float, e: float):
+    """(x0, piece, points) on the three kinds of harmonic piece.
+
+    The interior piece runs across both turning points, the forbidden band
+    from x_t + W to x_s - W (where it is wider than the windows), the far
+    tail from x_s + W; the points lie at 0, 1e-9 and beside each window.
+    """
+    problem = nondimensionalize(harmonic_setup_for(eps))
+    rmap = map_regions(WkbParameters.from_problem(problem, e, x0=0.0), -math.inf, math.inf)
+    x_t, x_s = rmap.b_zeros[1], rmap.s_zeros[1]
+    w = gupbic.basis.TURNING_WINDOW_HALF_WIDTH
+    out = [(0.5 * x_t, (w - x_s, x_s - w),
+            [w - x_s, -x_t - w, -1e-9, 0.0, 1e-9, x_t - w, x_t + w, x_s - w])]
+    if x_s - x_t > 4 * w:
+        out.append((0.5 * (x_t + x_s), (x_t + w, x_s - w),
+                    [x_t + w, x_t + w + 1e-3, 0.5 * (x_t + x_s) + 0.01, x_s - w]))
+    far = x_s + w
+    out.append((far + 0.5, (far, math.inf), [far, far + 1e-3, far + 2.3, far + 20.0]))
+    return problem, rmap, out
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.2])
+def test_harmonic_closed_form_matches_panels_and_mpmath(eps):
+    # the closed-form I1 (Carlson's R_F and R_D) and I2 of a quadratic b
+    # against Gauss-Legendre panels and against 30-digit quadrature, on the
+    # interior piece across both turning points, the forbidden band and the
+    # far tail, for both pairs.  Two more points lie 0.1 and 0.01 from x0,
+    # where I1 is small: there the error is that of the anchored values
+    # whose difference I1 is, about 1e-16 of eta |x0 lam(x0)|
+    mp = pytest.importorskip("mpmath")
+    for e in (0.3, 5.0, 12.0):
+        problem, rmap, pieces = _harmonic_pieces(eps, e)
+        for x0, piece, points in pieces:
+            params = WkbParameters.from_problem(problem, e, x0=x0)
+            table = wkb_branches(params, piece, rmap)[0].table
+            assert table._b_derivs[1] > 0.0
+            xs = np.array(points + [x0 - 0.1, x0 + 0.01])
+            for sigma in (1.0, -1.0):
+                got = np.stack(table.integrals(xs, sigma)[:2])
+                scale = np.maximum(1.0, np.abs(params.eta * got[0]))
+                lam0 = table.integrals(np.array([x0]), sigma)[3][0]
+                scale[-2:] = np.maximum(scale[-2:], 1e-2 * params.eta * abs(x0 * lam0))
+                refs = (_panel_reference(table, xs, sigma), _mp_harmonic_integrals(mp, table, xs, sigma))
+                for ref in refs:
+                    err = np.abs(params.eta * (got[0] - ref[0])) / scale
+                    assert np.all(err <= 1e-13), (e, x0, sigma, xs[np.argmax(err)], err.max())
+                    assert np.all(np.abs(got[1] - ref[1]) <= 1e-12), (e, x0, sigma)
+
+
+def test_batched_harmonic_table_matches_each_energy():
+    # a table over an array of energies takes the closed forms of all of
+    # them in one pass, bit for bit as each energy's own table
+    problem = nondimensionalize(harmonic_setup_for(0.02))
+    energies = np.array([0.3, 2.0, 5.0])
+    rmap = map_regions(WkbParameters.from_problem(problem, energies, x0=0.0), 0.0, math.inf)
+    (x_t,), (x_s,) = rmap.b_zeros, rmap.s_zeros
+    w = gupbic.basis.TURNING_WINDOW_HALF_WIDTH
+    t = np.linspace(0.0, 1.0, 7)[:, None]
+    band = (x_t + w, x_s - w, x_s - w, 0.5 * (x_t + x_s))
+    tail = (x_s + w, x_s + 4.0, np.full(3, np.inf), x_s + 0.5)  # points up to x_s + 4
+    for lo, hi, end, x0 in (band, tail):
+        params = WkbParameters.from_problem(problem, energies, x0=x0)
+        table = wkb_branches(params, (lo, end), rmap)[0].table
+        xs = lo + t * (hi - lo)  # (points, energies)
+        for sigma in (1.0, -1.0):
+            got = table.integrals(xs, sigma)
+            for k, e in enumerate(energies):
+                one = WkbParameters.from_problem(problem, e, x0=float(x0[k]))
+                alone = wkb_branches(one, (float(lo[k]), float(end[k])))[0].table
+                for g, ref in zip(got, alone.integrals(xs[:, k].copy(), sigma)):
+                    assert np.array_equal(g[:, k], ref), (e, sigma)
+
+
+def test_harmonic_exponents_below_the_minimum_raise():
+    # the elliptic reduction needs e > 0 over the minimum of the potential
+    problem = nondimensionalize(harmonic_setup_for(0.02))
+    params = WkbParameters.from_problem(problem, -1.0, x0=1.0)
+    w = wkb_branches(params, (0.5, 2.0))[0]
+    with pytest.raises(PreconditionError, match="above its minimum"):
+        w.exponent(1.5)
+    batch = WkbParameters.from_problem(problem, np.array([2.0, -1.0]), x0=np.array([1.0, 1.0]))
+    with pytest.raises(PreconditionError) as info:
+        wkb_branches(batch, (np.array([0.5, 0.5]), np.array([1.2, 2.0])))[0].exponent(0.9)
+    assert info.value.failed.tolist() == [False, True]
+
+
+def test_carlson_integrals_match_scipy():
+    # the numpy duplication loop against scipy.special.elliprf/elliprd on
+    # complex arguments off the negative axis (moduli 1e-300 ... 1e3, phases
+    # up to 3 rad), real ones and arguments at or near 0
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(3)
+
+    def draw(lo, hi, n=400):
+        return 10.0 ** rng.uniform(lo, hi, n) * np.exp(1j * rng.uniform(-3.0, 3.0, n))
+
+    cases = [
+        (draw(-6, 3), draw(-6, 3), draw(-6, 3)),
+        (draw(-300, -8), draw(-2, 2), draw(-2, 2)),
+        (draw(-2, 2), np.zeros(400, dtype=complex), draw(-2, 2)),
+        tuple(10.0 ** rng.uniform(-8, 3, (3, 400))),
+        (np.zeros(3), np.array([1.0, 1e-12, 5.0]), np.array([2.0, 1.0, 1e-9])),
+    ]
+    for x, y, z in cases:
+        rf, rd = gupbic.basis._carlson_fd(x, y, z)
+        for got, ref in ((rf, special.elliprf(x, y, z)), (rd, special.elliprd(x, y, z))):
+            assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref)), np.max(np.abs(got / ref - 1))
+
+
+def test_no_potential_walks_panels(monkeypatch, linear_problem, harmonic_problem):
+    # every exponent is a closed form: no exponent call of a linear or
+    # harmonic count, bound state set or far-field launch frame reaches
+    # panels.panel_integrals, which the Gram and the moments still use
+    import sys
+
+    from gupbic.basis import WkbBasisFunction
     from gupbic.matcher import bound_states, degrees_of_freedom
     from gupbic.oracle import growth_exponents
 
-    walks = []
-    extend = gupbic.basis.ExponentTable._extend
+    depth, calls, walks = [0], [], []
+    exponent = WkbBasisFunction.exponent
 
-    def counting_extend(self, *args):
-        walks.append(args)
-        return extend(self, *args)
+    def tracked_exponent(self, x):
+        calls.append(self.table)
+        depth[0] += 1
+        try:
+            return exponent(self, x)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(gupbic.basis.ExponentTable, "_extend", counting_extend)
+    def recording(original):
+        def panel_integrals(*args):
+            walks.append(depth[0])
+            return original(*args)
+
+        return panel_integrals
+
+    monkeypatch.setattr(WkbBasisFunction, "exponent", tracked_exponent)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gupbic") and hasattr(module, "panel_integrals"):
+            monkeypatch.setattr(module, "panel_integrals", recording(module.panel_integrals))
     for e in (0.5, 2.0, 7.5, 15.0):
         assert degrees_of_freedom(linear_problem, e)[0] == 1
         assert len(bound_states(linear_problem, e).states) == 1
         assert growth_exponents(linear_problem, e, "+inf").shape == (4,)
-        assert walks == [], e
-    bound_states(harmonic_problem, 1.7)
-    assert len(walks) >= 1
+    harmonic = bound_states(harmonic_problem, 1.7)
+    assert len(harmonic.states) == 2
+    # the harmonic Gram integrates exponent values on panels, and no walk starts inside one
+    assert any(t.params.b_chain(0.0)[2] for t in calls) and walks
+    assert not any(walks), "an exponent call reached panel_integrals"
 
 
 def _classify_point_by_point(f, side, probes, samples_per_interval=7):
@@ -791,8 +980,8 @@ def test_region_map_rejects_cubic_potentials():
 
 
 def test_dof_scan_makes_no_scalar_quad_calls(monkeypatch):
-    # the WKB exponent integrals are batched Gauss-Legendre sums; a scalar
-    # quad call from basis would mean the per-point path is back
+    # the WKB exponent integrals are closed forms; a scalar quad call from
+    # basis would mean a per-point quadrature is back
     calls = []
 
     def counting_quad(*args, **kwargs):

@@ -167,6 +167,25 @@ class TestDofScan:
         capsys.readouterr()
         assert run(["dof-scan", "--e-min", "2e-17", "--e-max", "1e-17", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--potential", "linear", "--L", "1.281e-8"],
+            ["--potential", "harmonic", "--omega", "1.897e16"],
+        ],
+        ids=["well", "linear", "harmonic"],
+    )
+    def test_non_finite_energy_bound_is_a_config_error(self, tmp_path, capsys, flags):
+        # an infinite --e-max passed the 0 < --e-min < --e-max check and the
+        # grid's inf and NaN energies ended in a traceback (exit 1)
+        for bound in ("inf", "nan"):
+            args = ["dof-scan", "--e-min", "1e-19", "--e-max", bound, "--n", "3"] + flags
+            assert run(args + ["--out", tmp_path]) == 2
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+            assert error["type"] == "ConfigError"
+            assert "--e-max must be a finite energy" in error["message"]
+
     def test_dense_well_scan_ends_with_a_named_error(self, tmp_path, capsys):
         # about 1e54 special levels lie below the scan top: refused with exit
         # 2, where labelling them level by level never ended
@@ -276,7 +295,11 @@ class TestObservabilityCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [[], ["--potential", "linear", "--L", "1.281e-8"], ["--potential", "harmonic", "--omega", "1.897e16"]],
+        [
+            [],
+            ["--potential", "linear", "--L", "1.281e-8"],
+            ["--potential", "harmonic", "--omega", "1.897e16"],
+        ],
         ids=["well", "linear", "harmonic"],
     )
     def test_moments_computed_twice(self, tmp_path, monkeypatch, flags):
@@ -539,10 +562,10 @@ print(json.dumps({{"codes": codes, "scipy": loaded}}))
 
 
 class TestHarmonicWavefunctionWithoutMaskedArrays:
-    # the panel walk sorts its edges and matches the zeros of b by
-    # comparison, never through np.unique, whose first call imports numpy.ma
-    # (about 1.6 MB and 30 ms in a fresh process); linear observability
-    # still loads it, through scipy.special
+    # the harmonic exponents are closed forms with Carlson's R_F and R_D in
+    # numpy, so a harmonic wavefunction loads neither scipy nor numpy.ma
+    # (np.unique's first call imports it: about 1.6 MB and 30 ms in a fresh
+    # process); linear observability still loads both, through scipy.special
     CHILD = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -555,7 +578,8 @@ for name, argv in (
     ("observability", ["observability", "--potential", "linear", "--L", "1.281e-8"]),
 ):
     code = gupbic.cli.main(argv + ["--out", out + "/" + name])
-    report[name] = [code, "numpy.ma" in sys.modules]
+    scipy = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+    report[name] = [code, "numpy.ma" in sys.modules, scipy]
 print(json.dumps(report))
 """
 
@@ -569,4 +593,4 @@ print(json.dumps(report))
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert report == {"wavefunction": [0, False], "observability": [0, True]}
+        assert report == {"wavefunction": [0, False, False], "observability": [0, True, True]}

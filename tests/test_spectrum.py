@@ -13,7 +13,13 @@ from gupbic import (
     PhysicalSetup,
     nondimensionalize,
 )
-from gupbic.errors import GupBicError, InvalidSetupError, PreconditionError, WrongPotentialError
+from gupbic.errors import (
+    ConfigError,
+    GupBicError,
+    InvalidSetupError,
+    PreconditionError,
+    WrongPotentialError,
+)
 from gupbic import matcher, spectrum
 from gupbic.matcher import degrees_of_freedom
 from gupbic.spectrum import (
@@ -132,6 +138,13 @@ class TestDofScan:
             dof_scan(well_setup, [2e-18, 1e-18])
         with pytest.raises(PreconditionError):
             dof_scan(well_setup, [-1e-18, 1e-18])
+        with pytest.raises(PreconditionError):
+            dof_scan(well_setup, [])
+
+    @pytest.mark.parametrize("energies", [[1e-19, math.inf], [1e-19, math.nan, 2e-18], [math.nan]])
+    def test_non_finite_energies_are_refused(self, well_setup, energies):
+        with pytest.raises(ConfigError, match="must be finite"):
+            dof_scan(well_setup, energies)
 
 
 def one_energy_at_a_time(problem, e_dims):
