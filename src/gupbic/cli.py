@@ -36,7 +36,7 @@ from .errors import (
 )
 from .matcher import bound_states
 from .oracle import DEFAULT_RTOL, MAX_RTOL, MIN_RTOL
-from .output import RunManifest, config_digest, fmt_float, write_csv, write_json
+from .output import RunManifest, config_digest, write_csv, write_json
 from .spectrum import OBVIOUS_RATIO_THRESHOLD, dof_scan, observability, well_special_energies
 from .verification import momentum_dimension_evidence, reference_well_setup, run_verification
 
@@ -197,8 +197,7 @@ def cmd_wavefunction(args) -> int:
             raise ConfigError("--k selects well special levels; use --E for this potential")
         energy_si = well_special_energies(setup, args.k)[-1].energy_si
     else:
-        if args.E <= 0:
-            raise ConfigError(f"--E must be > 0 J, got {args.E}")
+        _check_energy(args.E)
         energy_si = args.E
     e_dim = problem.energy_from_si(energy_si)
 
@@ -206,23 +205,22 @@ def cmd_wavefunction(args) -> int:
     solution = bound_states(problem, e_dim, orthogonalize=not args.no_orthogonalize)
 
     si_norm = 1.0 / math.sqrt(problem.length_scale)  # phi_SI = phi_scaled / sqrt(L_c)
-    grids = []  # per region: the formatted "x_SI,x_tilde" cells and every state's values
+    grids, values = [], []
     for lo, hi in solution.regions:
         n_pts = max(int(args.grid_n * (hi - lo) / _total_span(solution.regions)), 2)
         xs = np.linspace(lo, hi, n_pts)
-        points = [
-            f"{fmt_float(x_si)},{fmt_float(x)}"
-            for x_si, x in zip(problem.length_to_si(xs).tolist(), xs.tolist())
-        ]
-        grids.append((points, (solution.values(xs) * si_norm).tolist()))
-    rows = [
-        (point, idx, val.real, val.imag)
-        for idx in range(1, solution.degeneracy + 1)
-        for points, values in grids
-        for point, val in zip(points, values[idx - 1])
-    ]
+        grids.append(xs)
+        values.append(solution.values(xs))  # each region on its own grid: see README, Method notes
+    points = np.concatenate(grids)
+    x = np.tile(points, solution.degeneracy)
+    state_index = np.repeat(np.arange(1, solution.degeneracy + 1), len(points))
+    phi = np.concatenate(values, axis=1).ravel() * si_norm
     out = Path(args.out)
-    csv_path = write_csv(out / "wavefunctions.csv", ["x_SI", "x_tilde", "state_index", "re_phi", "im_phi"], rows)
+    csv_path = write_csv(
+        out / "wavefunctions.csv",
+        ["x_SI", "x_tilde", "state_index", "re_phi", "im_phi"],
+        [problem.length_to_si(x), x, state_index, phi.real, phi.imag],
+    )
     manifest.add_output(csv_path)
     manifest.write(out)
     print(
@@ -230,6 +228,11 @@ def cmd_wavefunction(args) -> int:
         f"degeneracy {solution.degeneracy}, wrote {csv_path}"
     )
     return EXIT_OK
+
+
+def _check_energy(energy_si: float) -> None:
+    if not (math.isfinite(energy_si) and energy_si > 0):
+        raise ConfigError(f"--E must be a finite energy > 0 J, got {energy_si}")
 
 
 def _total_span(regions) -> float:
@@ -256,13 +259,12 @@ def cmd_dof_scan(args) -> int:
     scan = dof_scan(setup, energies, threads=args.threads, problem=problem)
 
     out = Path(args.out)
-    csv_path = write_csv(out / "scan.csv", ["E_SI", "E_dimensionless", "dof", "label"], scan.rows())
+    header = ["E_SI", "E_dimensionless", "dof", "label"]
+    columns = scan.columns()
+    csv_path = write_csv(out / "scan.csv", header, columns)
     payload = {
         "kind": scan.kind,
-        "rows": [
-            {"E_SI": r[0], "E_dimensionless": r[1], "dof": r[2], "label": r[3]}
-            for r in scan.rows()
-        ],
+        "rows": [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))],
         "special_marks": [
             {"k": se.k, "E_SI": se.energy_si, "E_dimensionless": se.energy_dimensionless}
             for se in scan.special_marks
@@ -293,7 +295,11 @@ def cmd_spectrum(args) -> int:
     csv_path = write_csv(
         out / "special_energies.csv",
         ["k", "E_SI", "E_dimensionless"],
-        [(se.k, se.energy_si, se.energy_dimensionless) for se in specials],
+        [
+            np.array([se.k for se in specials]),
+            np.array([se.energy_si for se in specials]),
+            np.array([se.energy_dimensionless for se in specials]),
+        ],
     )
     manifest.add_output(csv_path)
     manifest.write(out)
@@ -339,8 +345,7 @@ def cmd_momentum_check(args) -> int:
         raise ConfigError("momentum-check needs the linear potential (--potential linear --L ...)")
     problem = nondimensionalize(setup)
     energy_si = args.E if args.E is not None else problem.energy_to_si(2.0)
-    if energy_si <= 0:
-        raise ConfigError(f"--E must be > 0 J, got {energy_si}")
+    _check_energy(energy_si)
     manifest = _manifest(args, setup, config_path)
     sol, res, w = momentum_dimension_evidence(setup, energy_si)
     payload = {

@@ -163,11 +163,10 @@ class SpectrumScan:
     special_marks: tuple[SpecialEnergy, ...]
     errors: dict[int, str] = field(default_factory=dict)
 
-    def rows(self):
-        for e_si, e_dim, d, label in zip(
-            self.energies_si, self.energies_dimensionless, self.dof, self.labels
-        ):
-            yield (float(e_si), float(e_dim), -1 if d is None else int(d), label)
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """E_SI, E_dimensionless, dof and label of each energy; dof is -1 where the energy failed."""
+        dof = np.array([-1 if d is None else d for d in self.dof], dtype=np.int64)
+        return self.energies_si, self.energies_dimensionless, dof, np.array(self.labels)
 
 
 def dof_scan(

@@ -460,6 +460,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"]["message"]
 
+    @pytest.mark.parametrize("energy", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["wavefunction", "--potential", "harmonic", "--omega", "1.897e16"],
+            ["wavefunction"],
+            ["momentum-check", "--potential", "linear", "--L", "1.281e-8"],
+        ],
+        ids=["wavefunction-harmonic", "wavefunction-well", "momentum-check-linear"],
+    )
+    def test_non_finite_energy_is_a_config_error(self, args, energy, tmp_path, capsys):
+        # inf and nan passed the --E > 0 check, then failed inside the
+        # solver with exit 1 (unpacking, negative dimensions) or 3
+        code = run(args + ["--E", energy, "--out", tmp_path])
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert code == 2
+        assert error["type"] == "ConfigError"
+        assert "--E must be a finite energy" in error["message"]
+
     def test_tol_is_a_verify_flag_only(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["dof-scan", "--tol", "1e-9", "--out", tmp_path])
