@@ -3,14 +3,18 @@
 Subcommands: wavefunction, dof-scan, spectrum, observability, momentum-check,
 verify.  All user-facing energies and lengths are SI (dimensionless columns
 are included for transparency).  Exit codes: 0 ok, 1 verification failure,
-2 usage/config error, 3 numerical failure.  Errors are reported as a JSON
-object on stderr.
+2 usage/config error, 3 numerical failure.  Errors, argparse's usage errors
+included, are reported as a JSON object on stderr.
+
+Importing this module loads only ``core``, ``errors`` and ``output``; each
+command imports the numerical layers it runs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
@@ -20,12 +24,16 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_RTOL,
+    MAX_RTOL,
+    MIN_RTOL,
     Harmonic,
     InfiniteWell,
     Linear,
     PhysicalSetup,
     load_config,
     nondimensionalize,
+    reference_well_setup,
 )
 from .errors import (
     ConfigError,
@@ -34,16 +42,33 @@ from .errors import (
     PreconditionError,
     WrongPotentialError,
 )
-from .matcher import bound_states
-from .oracle import DEFAULT_RTOL, MAX_RTOL, MIN_RTOL
 from .output import RunManifest, config_digest, write_csv, write_json
-from .spectrum import OBVIOUS_RATIO_THRESHOLD, dof_scan, observability, well_special_energies
-from .verification import momentum_dimension_evidence, reference_well_setup, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# unused here: the layer names this module once imported stay readable as
+# attributes because perfbench/tracer.py reads cli.dof_scan; kept until ROADMAP
+# item 1 step 2 replaces the tracer
+_LAYER_NAMES = {
+    "bound_states": "matcher",
+    "dof_scan": "spectrum",
+    "observability": "spectrum",
+    "well_special_energies": "spectrum",
+    "OBVIOUS_RATIO_THRESHOLD": "spectrum",
+    "momentum_dimension_evidence": "verification",
+    "run_verification": "verification",
+}
+
+
+def __getattr__(name: str):
+    # imported on access and never bound here, so a patch of the layer's name is seen
+    module = _LAYER_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def default_setup() -> PhysicalSetup:
@@ -62,6 +87,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega", type=float, default=None, metavar="RAD_S")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, its subcommand parsers included, that reports a
+    usage error as the CLI's JSON error object rather than its usage text."""
+
+    def error(self, message: str):
+        _emit_error("ArgumentError", message, EXIT_USAGE)
+        raise SystemExit(EXIT_USAGE)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by later ones.
@@ -69,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     argparse keeps no state between ``parse_args`` calls, so one parser
     serves every ``main`` call in a process.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gupbic",
         description=(
             "Bound states of the fourth-order minimal-length Schroedinger equation: "
@@ -184,6 +218,8 @@ def _manifest(args, setup: PhysicalSetup, config_path: str | None) -> RunManifes
 
 
 def cmd_wavefunction(args) -> int:
+    from .matcher import bound_states
+
     setup, config_path = _setup_from_args(args)
     if args.grid_n < 2:
         raise ConfigError(f"--grid-n must be >= 2, got {args.grid_n}")
@@ -195,6 +231,8 @@ def cmd_wavefunction(args) -> int:
             raise ConfigError(f"--k must be >= 1, got {args.k}")
         if not isinstance(setup.potential, InfiniteWell):
             raise ConfigError("--k selects well special levels; use --E for this potential")
+        from .spectrum import well_special_energies
+
         energy_si = well_special_energies(setup, args.k)[-1].energy_si
     else:
         _check_energy(args.E)
@@ -240,6 +278,8 @@ def _total_span(regions) -> float:
 
 
 def cmd_dof_scan(args) -> int:
+    from .spectrum import dof_scan
+
     setup, config_path = _setup_from_args(args)
     if args.n < 2:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
@@ -286,6 +326,8 @@ def cmd_dof_scan(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import well_special_energies
+
     setup, config_path = _setup_from_args(args)
     if args.k_max < 1:
         raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
@@ -308,6 +350,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_observability(args) -> int:
+    from .spectrum import OBVIOUS_RATIO_THRESHOLD, observability
+
     setup, config_path = _setup_from_args(args)
     manifest = _manifest(args, setup, config_path)
     result = observability(setup)
@@ -340,6 +384,8 @@ def cmd_observability(args) -> int:
 
 
 def cmd_momentum_check(args) -> int:
+    from .verification import momentum_dimension_evidence
+
     setup, config_path = _setup_from_args(args)
     if not isinstance(setup.potential, Linear):
         raise ConfigError("momentum-check needs the linear potential (--potential linear --L ...)")
@@ -370,6 +416,8 @@ def cmd_momentum_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_verification
+
     setup, config_path = _setup_from_args(args)
     if not (MIN_RTOL <= args.tol <= MAX_RTOL):
         raise ConfigError(

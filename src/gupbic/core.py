@@ -154,6 +154,24 @@ class PhysicalSetup:
         raise InvalidSetupError(f"unknown potential {p!r}")
 
 
+# The reference setup and the oracle's tolerance range live here, with no
+# numerical layer, so that the CLI's parser and default setup import none.
+ELECTRON_MASS = 9.10956e-31
+REFERENCE_HALF_WIDTH = 1e-10
+REFERENCE_BETA = 1e47
+
+DEFAULT_RTOL = 1e-11
+# Accepted oracle rtol.  Below 1e-13 a tighter series tail buys nothing: the
+# roundoff of the chained step products already exceeds it (verify's oracle
+# checks read the same at every rtol from 1e-11 down).
+MIN_RTOL, MAX_RTOL = 1e-13, 1e-6
+
+
+def reference_well_setup(beta: float = REFERENCE_BETA) -> PhysicalSetup:
+    """Electron in a 1 Angstrom half-width well, beta = 1e47 unless given."""
+    return PhysicalSetup(mass=ELECTRON_MASS, beta=beta, potential=InfiniteWell(a=REFERENCE_HALF_WIDTH))
+
+
 @dataclass(frozen=True)
 class DimensionlessProblem:
     """Scaled coefficients of eps*phi'''' - phi'' + (v - e)*phi = 0.

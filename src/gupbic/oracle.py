@@ -39,7 +39,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._scipy import lazy
-from .core import DimensionlessProblem, Linear, PhysicalSetup, nondimensionalize
+from .core import (
+    DEFAULT_RTOL,
+    MAX_RTOL,
+    MIN_RTOL,
+    DimensionlessProblem,
+    Linear,
+    PhysicalSetup,
+    nondimensionalize,
+)
 from .errors import NumericalError, PreconditionError, WrongPotentialError
 from .panels import panel_integrals
 
@@ -47,12 +55,7 @@ from .panels import panel_integrals
 quad = lazy("integrate", "quad")
 solve_ivp = lazy("integrate", "solve_ivp")
 
-DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-13
-# Accepted oracle rtol.  Below 1e-13 a tighter series tail buys nothing: the
-# roundoff of the chained step products already exceeds it (verify's oracle
-# checks read the same at every rtol from 1e-11 down).
-MIN_RTOL, MAX_RTOL = 1e-13, 1e-6
 
 
 def companion_rhs(problem: DimensionlessProblem, energy: float) -> Callable:

@@ -14,17 +14,21 @@ import numpy as np
 
 from .basis import characteristic_roots, exact_constant_basis
 from .core import (
+    DEFAULT_RTOL,
+    ELECTRON_MASS,
     HBAR,
+    REFERENCE_BETA,  # unused here: kept readable as verification.REFERENCE_BETA
+    REFERENCE_HALF_WIDTH,
     Harmonic,
     InfiniteWell,
     Linear,
     PhysicalSetup,
     nondimensionalize,
+    reference_well_setup,
 )
 from .errors import GupBicError
 from .matcher import StateFunction, solve_well
 from .oracle import (
-    DEFAULT_RTOL,
     GROWTH_FLOOR,
     MomentumSolution,
     bounded_dimension,
@@ -36,14 +40,6 @@ from .oracle import (
     wronskian,
     wronskian_drifts,
 )
-
-ELECTRON_MASS = 9.10956e-31
-REFERENCE_HALF_WIDTH = 1e-10
-REFERENCE_BETA = 1e47
-
-
-def reference_well_setup(beta: float = REFERENCE_BETA) -> PhysicalSetup:
-    return PhysicalSetup(mass=ELECTRON_MASS, beta=beta, potential=InfiniteWell(a=REFERENCE_HALF_WIDTH))
 
 
 def beta_for_epsilon(epsilon: float, length_scale: float, hbar: float = HBAR) -> float:

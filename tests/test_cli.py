@@ -489,14 +489,34 @@ class TestExitCodes:
             run(["verify", "--threads", "2", "--out", tmp_path])
         assert exc.value.code == 2
 
+    def test_usage_error_is_a_json_error(self, tmp_path, capsys):
+        # argparse reads -inf as an option, so --E has no value: a usage
+        # error, reported as the JSON object instead of argparse's usage text
+        with pytest.raises(SystemExit) as exc:
+            run(["wavefunction", "--E", "-inf", "--out", tmp_path])
+        assert exc.value.code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "ArgumentError"
+        assert error["exit_code"] == 2
+        assert "--E" in error["message"]
+
+    def test_help_still_prints_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["wavefunction", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: gupbic wavefunction")
+        assert captured.err == ""
+
 
 class TestVerifyCommand:
     def test_failed_check_exits_1(self, tmp_path, monkeypatch):
-        from gupbic import cli
+        from gupbic import verification
         from gupbic.verification import CheckResult
 
+        # cmd_verify imports run_verification from its module when it runs
         monkeypatch.setattr(
-            cli,
+            verification,
             "run_verification",
             lambda setup, rtol=1e-11: [
                 CheckResult(name="stub", passed=False, measured=1.0, threshold=0.0)
@@ -578,6 +598,53 @@ print(json.dumps({{"codes": codes, "scipy": loaded}}))
         assert report["codes"] == {
             "dof-scan": 0, "wavefunction": 0, "spectrum": 0, "observability": 0, "verify": 0,
         }
+
+
+class TestLayersLoadOnUse:
+    # importing the CLI, building its parser and scaling the default setup
+    # load no numerical layer; each command imports the layers it runs, so
+    # the well, spectrum and observability commands never load the oracle
+    CHILD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import gupbic.cli
+from gupbic.core import nondimensionalize
+
+LAYERS = ("_scipy", "basis", "matcher", "oracle", "panels", "spectrum", "verification")
+
+def loaded():
+    return [m for m in LAYERS if "gupbic." + m in sys.modules]
+
+out = {out!r}
+gupbic.cli.build_parser()
+nondimensionalize(gupbic.cli.default_setup())
+report = {{"start": loaded(), "codes": {{}}}}
+for argv in (["spectrum"], ["observability"], ["dof-scan"], ["wavefunction", "--k", "1"]):
+    report["codes"][argv[0]] = gupbic.cli.main(argv + ["--out", out + "/" + argv[0]])
+report["commands"] = loaded()
+report["codes"]["verify"] = gupbic.cli.main(["verify", "--out", out + "/verify"])
+report["verify"] = loaded()
+print(json.dumps(report))
+"""
+
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        import gupbic
+
+        src = str(Path(gupbic.__file__).resolve().parent.parent)
+        child = self.CHILD.format(src=src, out=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["start"] == []
+        assert report["commands"] == ["_scipy", "basis", "matcher", "panels", "spectrum"]
+        assert report["codes"] == {
+            "spectrum": 0, "observability": 0, "dof-scan": 0, "wavefunction": 0, "verify": 0,
+        }
+        assert report["verify"] == [
+            "_scipy", "basis", "matcher", "oracle", "panels", "spectrum", "verification",
+        ]
 
 
 class TestHarmonicWavefunctionWithoutMaskedArrays:
