@@ -24,6 +24,7 @@ null vectors are the true coefficient vectors.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,6 +36,7 @@ from ._scipy import lazy
 from .basis import (
     AsymptoticClass,
     BasisFunction,
+    CharacteristicRoots,
     Side,
     SymmetrizedBasisFunction,
     TURNING_WINDOW_HALF_WIDTH,
@@ -382,32 +384,79 @@ class BoundStateSolution:
         return evaluate_states(rows, self.states[0].basis, x, order=0)[:, 0]
 
 
-def overlap_gram(
-    basis: Sequence[BasisFunction],
-    regions: Sequence[tuple[float, float]],
-    singular_points: Sequence[float] = (),
-) -> np.ndarray:
-    """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions.
+def overlap_gram(basis: Sequence[BasisFunction], regions: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions, by quadrature.
 
-    Gauss-Legendre panels (``panel_integrals`` at _GRAM_TOL), first edged by
-    the region ends and the ``singular_points`` inside them; each round
-    evaluates every basis function once on the nodes of all open panels.
-    Where a product w_i w_j* would pass the float range it raises
-    ``BasisOverflowError`` (``_check_gram_range``) instead.
+    Gauss-Legendre panels (``panel_integrals`` at _GRAM_TOL), one per region
+    to start; each round evaluates every basis function once on the nodes of
+    all open panels.  It serves the WKB states; the well's basis has a closed
+    form (``well_gram``).  Where a product w_i w_j* would pass the float
+    range it raises ``BasisOverflowError`` (``_check_gram_range``) instead.
     """
-    a, b = [], []
-    for lo, hi in regions:
-        edges = [lo] + sorted(p for p in singular_points if lo < p < hi) + [hi]
-        a += edges[:-1]
-        b += edges[1:]
 
     def integrand(x, width, _):
         v = np.stack([fn.value_array(x) for fn in basis])
         _check_gram_range(basis, v, x, width)
         return v[:, None] * (v.conj() * width)
 
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    a, b = np.array(regions, dtype=float).T
     return panel_integrals(integrand, a, b, _GRAM_TOL).sum(axis=-1)
+
+
+# coefficients (-1)^n / (2n + 3)!, n = 0..11, of (t - sin t) / t^3 = sum c_n t^(2n):
+# below t = 2 the twelfth term is under 3e-19 of the first
+_SINC_DEFECT_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(12))
+
+
+def _sinc_defect(t: float) -> float:
+    """1 - sin(t)/t, without the cancellation of the difference at small t."""
+    if abs(t) >= 2.0:
+        return 1.0 - math.sin(t) / t
+    t2 = t * t
+    acc = 0.0
+    for c in reversed(_SINC_DEFECT_SERIES):
+        acc = acc * t2 + c
+    return t2 * acc
+
+
+def well_gram(roots: CharacteristicRoots, walls: tuple[float, float]) -> np.ndarray:
+    """Closed-form overlap matrix F_ij = int w_i w_j* of ``exact_constant_basis`` over the walls.
+
+    With L = hi - lo, S = hi + lo, t = kappa L and mu = mu1:
+
+      * the layers' self-overlaps are (1 - e^{-2 mu L}) / (2 mu), formed with
+        expm1, and their cross term is L e^{-mu L};
+      * int e^{mu (x - hi)} e^{i kappa x} = (e^{i kappa hi} - e^{-mu L}
+        e^{i kappa lo}) / (mu + i kappa), and the lower layer's likewise,
+        give the exp-cos and exp-sin entries as real and imaginary parts;
+      * cos^2 and sin^2 integrate to (L/2)(2 cos^2(kappa S/2) - cos(kappa S) d)
+        and (L/2)(2 sin^2(kappa S/2) + cos(kappa S) d), d = 1 - sin(t)/t
+        from ``_sinc_defect``, so neither cancels at small kappa L; cos sin
+        integrates to (L/2) sin(kappa S) sin(t)/t.
+
+    Every basis function is real, so F is real and symmetric.
+    """
+    lo, hi = walls
+    mu, kappa = float(roots.mu1), float(roots.kappa)
+    length, centre = hi - lo, hi + lo
+    decay = math.exp(-mu * length)
+    t = kappa * length
+    half_s = 0.5 * kappa * centre
+    d = _sinc_defect(t)
+    c = math.cos(2.0 * half_s)
+    upper = (cmath.exp(1j * kappa * hi) - decay * cmath.exp(1j * kappa * lo)) / (mu + 1j * kappa)
+    lower = (cmath.exp(1j * kappa * lo) - decay * cmath.exp(1j * kappa * hi)) / (mu - 1j * kappa)
+    layer = -math.expm1(-2.0 * mu * length) / (2.0 * mu)
+    f = np.empty((4, 4))
+    f[0, 0] = f[1, 1] = layer
+    f[0, 1] = f[1, 0] = length * decay
+    f[0, 2], f[0, 3] = upper.real, upper.imag
+    f[1, 2], f[1, 3] = lower.real, lower.imag
+    f[2, 0], f[3, 0], f[2, 1], f[3, 1] = f[0, 2], f[0, 3], f[1, 2], f[1, 3]
+    f[2, 2] = 0.5 * length * (2.0 * math.cos(half_s) ** 2 - c * d)
+    f[3, 3] = 0.5 * length * (2.0 * math.sin(half_s) ** 2 + c * d)
+    f[2, 3] = f[3, 2] = 0.5 * length * math.sin(2.0 * half_s) * math.sin(t) / t
+    return f.astype(complex)
 
 
 def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) -> None:
@@ -440,17 +489,19 @@ def normalize(
     problem: DimensionlessProblem,
     energy: float,
     orthogonalize: bool = True,
-    singular_points: Sequence[float] = (),
     growing_guard: Sequence[int] = (),
+    gram: np.ndarray | None = None,
 ) -> BoundStateSolution:
     """Unit-normalize (and optionally pairwise orthogonalize) coefficient vectors.
 
-    Norms are the Gram quadratic form c^H F c with F from composite
-    Gauss-Legendre panels over ``regions`` (``overlap_gram``); F is computed
-    on the actively used basis subset (growing branches with zero coefficient
-    are never integrated).  The first vector's direction is preserved by the
-    modified Gram-Schmidt sweep, so a seeded state (e.g. the wall-to-wall
-    sine) survives orthogonalization unchanged up to scale.  ``growing_guard``
+    Norms are the Gram quadratic form c^H F c over the actively used basis
+    subset: the block of ``gram``, the whole basis's overlap matrix when it
+    is known in closed form (the well's ``well_gram``), or else F from
+    composite Gauss-Legendre panels over ``regions`` (``overlap_gram``;
+    growing branches with zero coefficient are never integrated).  The
+    first vector's direction is preserved by the modified Gram-Schmidt
+    sweep, so a seeded state (e.g. the wall-to-wall sine) survives
+    orthogonalization unchanged up to scale.  ``growing_guard``
     lists 1-based coefficient slots that must vanish for the state to be
     normalizable (growing branches on unbounded domains).
     """
@@ -467,8 +518,10 @@ def normalize(
                 )
 
     active = [j for j in range(len(basis)) if any(abs(v[j]) > 0.0 for v in vecs)]
-    sub_basis = [basis[j] for j in active]
-    f_sub = overlap_gram(sub_basis, regions, singular_points=singular_points)
+    if gram is None:
+        f_sub = overlap_gram([basis[j] for j in active], regions)
+    else:
+        f_sub = np.asarray(gram)[np.ix_(active, active)]
     herm_defect = np.max(np.abs(f_sub - f_sub.conj().T))
     if herm_defect > 1e-8 * max(1.0, float(np.max(np.abs(f_sub)))):
         raise NormalizationError(f"overlap matrix not Hermitian (defect {herm_defect:.2e})")
@@ -583,9 +636,6 @@ def solve_well(
         if np.linalg.norm(w) > 1e-6:
             good.append(w)
 
-    # breakpoints at the inner edges of the wall layers (30 decay lengths) let
-    # the Gram quadrature see layers too thin for it to find on its own
-    layer = 30.0 / roots.mu1
     return normalize(
         good[:nullity],
         basis,
@@ -593,7 +643,7 @@ def solve_well(
         problem=problem,
         energy=energy,
         orthogonalize=orthogonalize,
-        singular_points=(lo + layer, hi - layer),
+        gram=well_gram(roots, (lo, hi)),
     )
 
 

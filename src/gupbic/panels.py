@@ -1,9 +1,12 @@
 """Adaptive composite Gauss-Legendre panels, the one integrator of the package.
 
-It computes the Gram matrix (``matcher.overlap_gram``), the momentum
-moments (``spectrum.momentum_moments``) and the oracle's antiderivative
-check of the momentum-space phase (``oracle.MomentumSolution``); the WKB
-exponent integrals are closed forms (``basis.ExponentTable``).
+It computes the Gram matrix of the linear and harmonic WKB states
+(``matcher.overlap_gram``), the momentum moments of a general state
+(``spectrum.momentum_moments``) and the oracle's antiderivative check of the
+momentum-space phase (``oracle.MomentumSolution``).  The WKB exponent
+integrals (``basis.ExponentTable``), the well's Gram (``matcher.well_gram``)
+and the observability moments (``spectrum.closed_form_moments``) are closed
+forms.
 """
 
 from __future__ import annotations

@@ -6,16 +6,24 @@ The deformed momentum operator is P = p (1 + beta' p^2); in scaled coordinates
     <P>   = p_c * int phi* (-i phi' + i bt' phi''') dxt,
     <P^2> = p_c^2 * int phi* (-phi'' + 2 bt' phi'''' - bt'^2 phi^(6)) dxt,
 
-with bt' = beta' p_c^2.  Given the state's energy, the fourth to sixth
-derivatives are reduced through the equation of motion (phi'''' =
-[phi'' - (v - e) phi]/eps and its derivatives) rather than differentiated
-numerically; without it the state supplies them, as the closed-form
-reference states do analytically.
+with bt' = beta' p_c^2.
 
-All five integrands phi* [phi, -i phi', -phi'', P phi, P^2 phi] are
-integrated in one call of the package's Gauss-Legendre panel integrator
-(``panels.panel_integrals``, tolerance _MOMENT_TOL), which asks the state for
-its derivatives on every node of the open panels at once.
+The observability condition reads three closed-form ground states (the
+wall-to-wall sine, the Gaussian and the Airy bouncer), so it integrates
+nothing: each state carries its power moments m2, m4, m6 in p_c units
+(``power_moments``), and since the states are real and vanish at their ends,
+<p> = <P> = 0 and <P^2> = p_c^2 (m2 + 2 bt' m4 + bt'^2 m6)
+(``closed_form_moments``).
+
+``momentum_moments`` integrates any state.  Given the state's energy, the
+fourth to sixth derivatives are reduced through the equation of motion
+(phi'''' = [phi'' - (v - e) phi]/eps and its derivatives) rather than
+differentiated numerically; without it the state supplies them, as the
+closed-form states do analytically.  All five integrands phi* [phi, -i phi',
+-phi'', P phi, P^2 phi] are integrated in one call of the package's
+Gauss-Legendre panel integrator (``panels.panel_integrals``, tolerance
+_MOMENT_TOL), which asks the state for its derivatives on every node of the
+open panels at once.
 
 The observability ratio r = beta [(dp)^2 + <p>^2] uses the standard momentum
 moments, so it is exactly linear in beta; the full deformed-operator moments
@@ -51,6 +59,10 @@ quad = lazy("integrate", "quad")
 
 OBVIOUS_RATIO_THRESHOLD = 0.1
 _MOMENT_TOL = 1e-11
+# AIRY_Z1 = 2.33811... is minus the first zero of Ai, AIRY_NORM = |Ai'(-AIRY_Z1)|:
+# the values of scipy.special.ai_zeros(1) and airy, bit for bit
+AIRY_Z1 = 2.3381074104597674
+AIRY_NORM = 0.7012108227206915
 # most special well levels a scan labels; a scan top above more of them is refused
 MAX_SPECIAL_LEVELS = 100_000
 
@@ -275,9 +287,14 @@ def _nearest_rows(energies: np.ndarray, levels: np.ndarray, tol: float) -> np.nd
 
 
 class AnalyticState:
-    """Closed-form normalized state with derivatives to arbitrary order."""
+    """Closed-form normalized real state with derivatives to arbitrary order.
+
+    ``power_moments`` are m2, m4, m6 = -int phi phi'', int phi phi'''' and
+    -int phi phi^(6): <p^2>, <p^4> and <p^6> in p_c units.
+    """
 
     regions: tuple[tuple[float, float], ...]
+    power_moments: tuple[float, float, float]
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
@@ -295,6 +312,8 @@ class ShiftedSineState(AnalyticState):
         self.kappa = kappa
         self.lo = lo
         self.regions = ((lo, hi),)
+        # an eigenfunction of p^2 with eigenvalue kappa^2
+        self.power_moments = (kappa**2, kappa**4, kappa**6)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         k, u = self.kappa, self.kappa * (np.asarray(x, dtype=float) - self.lo)
@@ -306,6 +325,7 @@ class GaussianGroundState(AnalyticState):
     """phi = pi^(-1/4) exp(-x^2/2): standard harmonic ground state, scaled units, on |x| < 12."""
 
     regions = ((-12.0, 12.0),)
+    power_moments = (0.5, 0.75, 1.875)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         # phi^(n) = (-1)^n He_n(x) phi with He_{n+1} = x He_n - n He_{n-1}
@@ -322,17 +342,22 @@ class GaussianGroundState(AnalyticState):
 class AiryBouncerState(AnalyticState):
     """phi = Ai(x - z1) / |Ai'(-z1)| on (0, inf): standard bouncer ground state.
 
-    z1 = 2.33811... is minus the first Airy zero; derivatives follow from
+    z1 = AIRY_Z1 is minus the first Airy zero; derivatives follow from
     Ai'' = u Ai via A^(n+2) = u A^(n) + n A^(n-1).  The state is cut 14 past z1.
+
+    The power moments follow from phi'' = u phi (u = x - z1) and phi(0) = 0,
+    which removes every wall term: m2 = -<u>, m4 = <u^2>, and
+    phi^(6) = 4 phi + 6 u phi' + u^3 phi gives m6 = -1 - <u^3>.  The
+    hypervirial relations give <x> = 2 z1/3, <x^2> = 8 z1^2/15 and
+    <x^3> = 16 z1^3/35 + 3/7, so m2 = z1/3, m4 = z1^2/5 and m6 = (z1^3 - 10)/7.
     """
 
     def __init__(self):
-        from scipy.special import ai_zeros, airy
-
-        zero = float(ai_zeros(1)[0][0])  # negative
-        self.shift = -zero
-        self.norm = abs(float(airy(zero)[1]))
+        self.shift = AIRY_Z1
+        self.norm = AIRY_NORM
         self.regions = ((0.0, self.shift + 14.0),)
+        z = self.shift
+        self.power_moments = (z / 3.0, z * z / 5.0, (z**3 - 10.0) / 7.0)
 
     @property
     def ground_energy(self) -> float:
@@ -444,7 +469,26 @@ def momentum_moments(
         mean_pp, mean_pp2 = mean_p, mean_p2
     else:
         mean_pp, mean_pp2 = moments[3] * p_c, moments[4] * p_c**2
+    return _summary(setup, norm, mean_p, mean_p2, mean_pp, mean_pp2)
 
+
+def closed_form_moments(state: AnalyticState, problem: DimensionlessProblem) -> MomentumMoments:
+    """``momentum_moments`` of a closed-form state from its power moments, with no integral.
+
+    The state is real and vanishes at the ends of its regions, so <p> = <P>
+    = 0, and <P^2> = p_c^2 (m2 + 2 bt' m4 + bt'^2 m6).
+    """
+    p_c = problem.momentum_scale
+    bt_prime = problem.setup.beta_prime * p_c**2
+    m2, m4, m6 = state.power_moments
+    mean_pp2 = (m2 + 2.0 * bt_prime * m4 + bt_prime**2 * m6) * p_c**2
+    return _summary(problem.setup, 1.0, 0.0, m2 * p_c**2, 0.0, mean_pp2)
+
+
+def _summary(
+    setup: PhysicalSetup, norm: float, mean_p: float, mean_p2: float, mean_pp: float, mean_pp2: float
+) -> MomentumMoments:
+    """Variances and the ratio from the first and second moments of p and P (SI)."""
     var_p = mean_p2 - mean_p**2
     var_pp = mean_pp2 - mean_pp**2
     floor = -1e-10 * max(abs(mean_p2), mean_p**2, 1e-300)
@@ -509,7 +553,7 @@ def observability(setup: PhysicalSetup) -> ObservabilityResult:
     reported alongside as ``refined_exponent``.
     """
     problem, state = ground_analog_state(setup)
-    moments = momentum_moments(state, problem)
+    moments = closed_form_moments(state, problem)
     s = moments.variance_sum_standard
     if s <= 0.0:
         raise PreconditionError("zero momentum moments: critical exponent undefined")
@@ -520,7 +564,7 @@ def observability(setup: PhysicalSetup) -> ObservabilityResult:
         mass=setup.mass, beta=critical_beta, potential=setup.potential, hbar=setup.hbar
     )
     refined_problem = nondimensionalize(refined_setup, length_scale=problem.length_scale)
-    refined = momentum_moments(state, refined_problem)
+    refined = closed_form_moments(state, refined_problem)
     obvious = moments.ratio >= OBVIOUS_RATIO_THRESHOLD
     return ObservabilityResult(
         verdict=Observability.OBVIOUS if obvious else Observability.INCONSPICUOUS,

@@ -302,21 +302,18 @@ class TestObservabilityCommand:
         ],
         ids=["well", "linear", "harmonic"],
     )
-    def test_moments_computed_twice(self, tmp_path, monkeypatch, flags):
-        # the ratio and the exponent share one moments call; the refined
-        # exponent at beta* makes the other
+    def test_makes_no_panel_call(self, tmp_path, monkeypatch, flags):
+        # the ground states carry their power moments in closed form, so
+        # observability integrates nothing
+        import gupbic.panels
         import gupbic.spectrum
 
-        calls = []
-        moments = gupbic.spectrum.momentum_moments
+        def refuse(*args, **kwargs):
+            raise AssertionError("observability called panel_integrals")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return moments(*args, **kwargs)
-
-        monkeypatch.setattr(gupbic.spectrum, "momentum_moments", counting)
+        for module in (gupbic.panels, gupbic.spectrum):
+            monkeypatch.setattr(module, "panel_integrals", refuse)
         assert run(["observability", *flags, "--out", tmp_path]) == 0
-        assert len(calls) == 2
 
 
 class TestMomentumCheck:
@@ -600,6 +597,39 @@ print(json.dumps({{"codes": codes, "scipy": loaded}}))
         }
 
 
+class TestScipyFreeObservability:
+    # the Airy constants are module constants and no moment is integrated,
+    # so observability loads no scipy module for any potential
+    CHILD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import gupbic.cli
+
+out = {out!r}
+report = {{}}
+for name, flags in (
+    ("well", []),
+    ("linear", ["--potential", "linear", "--L", "1.281e-8"]),
+    ("harmonic", ["--potential", "harmonic", "--omega", "1.897e16"]),
+):
+    code = gupbic.cli.main(["observability", *flags, "--out", out + "/" + name])
+    report[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+print(json.dumps(report))
+"""
+
+    def test_observability_does_not_import_scipy(self, tmp_path):
+        import gupbic
+
+        src = str(Path(gupbic.__file__).resolve().parent.parent)
+        child = self.CHILD.format(src=src, out=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"well": [0, []], "linear": [0, []], "harmonic": [0, []]}
+
+
 class TestLayersLoadOnUse:
     # importing the CLI, building its parser and scaling the default setup
     # load no numerical layer; each command imports the layers it runs, so
@@ -651,7 +681,8 @@ class TestHarmonicWavefunctionWithoutMaskedArrays:
     # the harmonic exponents are closed forms with Carlson's R_F and R_D in
     # numpy, so a harmonic wavefunction loads neither scipy nor numpy.ma
     # (np.unique's first call imports it: about 1.6 MB and 30 ms in a fresh
-    # process); linear observability still loads both, through scipy.special
+    # process); nor does linear observability, whose Airy constants are
+    # module constants
     CHILD = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -679,4 +710,4 @@ print(json.dumps(report))
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert report == {"wavefunction": [0, False, False], "observability": [0, True, True]}
+        assert report == {"wavefunction": [0, False, False], "observability": [0, False, False]}

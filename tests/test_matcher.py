@@ -38,6 +38,7 @@ from gupbic.matcher import (
     solve_linear,
     solve_well,
     well_coefficients,
+    well_gram,
 )
 from gupbic.spectrum import dof_scan, well_special_energies
 from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
@@ -269,15 +270,16 @@ class TestNormalize:
         assert np.allclose(g, g.conj().T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(g) > -1e-10)
 
-    @pytest.mark.parametrize("beta", [1e44, 1e42, 1e40, 1e38, 1e34, 1e30])
+    @pytest.mark.parametrize("beta", [1e44, 1e42, 1e40, 1e38, 1e34, 1e30, 1e26, 1e23, 1e20])
     def test_well_gram_resolves_thin_wall_layers(self, beta):
-        # layers of width 1/mu1 down to ~1e-9 of the well: the self-overlap of
-        # exp(mu1 (x - hi)) is (1 - e^{-4 mu1}) / (2 mu1)
+        # layers of width 1/mu1 down to ~1e-14 of the well: the self-overlap of
+        # exp(mu1 (x - hi)) is (1 - e^{-4 mu1}) / (2 mu1); the panel Gram was
+        # 2.8e-4 off at beta 1e20
         problem = nondimensionalize(reference_well_setup(beta=beta))
         sol = solve_well(problem, 2.5)
         mu1 = characteristic_roots(problem.epsilon, 2.5).mu1
         assert sol.gram.shape == (4, 4)
-        assert sol.gram[0, 0].real == pytest.approx(-math.expm1(-4.0 * mu1) / (2.0 * mu1), rel=1e-7)
+        assert sol.gram[0, 0].real == pytest.approx(-math.expm1(-4.0 * mu1) / (2.0 * mu1), rel=1e-13)
 
     def test_thin_layer_well_states_have_unit_norm(self):
         problem = nondimensionalize(reference_well_setup(beta=1e38))
@@ -328,28 +330,90 @@ def _reference_gram(basis, regions, points=()):
 
 
 def _gram_cases():
-    for beta in (1e47, 1e40):
+    """(name, Gram, basis, regions, breakpoints of the reference) of each case.
+
+    The well's Gram is the closed form (at a special energy too), the WKB
+    ones are panels; the reference breaks the well at the inner edges of
+    its wall layers (30 decay lengths), which it cannot find on its own.
+    """
+    for beta, e in ((1e47, 2.5), (1e40, 2.5), (1e47, E1_DIMLESS)):
         problem = nondimensionalize(reference_well_setup(beta=beta))
-        roots = characteristic_roots(problem.epsilon, 2.5)
+        roots = characteristic_roots(problem.epsilon, e)
         layer = 30.0 / roots.mu1
         basis = exact_constant_basis(roots, problem.domain)
-        yield f"well-{beta:g}", basis, [(-1.0, 1.0)], (-1.0 + layer, 1.0 - layer)
+        gram = well_gram(roots, problem.domain)
+        yield f"well-{beta:g}-{e:g}", gram, basis, [(-1.0, 1.0)], (-1.0 + layer, 1.0 - layer)
     sol = solve_linear(nondimensionalize(linear_setup_for(0.12)), 2.0)
-    basis = sol.states[0].basis
-    yield "linear", (basis[1], basis[3]), list(sol.regions), ()
+    basis = (sol.states[0].basis[1], sol.states[0].basis[3])
+    yield "linear", overlap_gram(basis, sol.regions), basis, list(sol.regions), ()
     sol = solve_harmonic(nondimensionalize(harmonic_setup_for(0.02)), 5.0)
-    basis = sol.states[0].basis
-    yield "harmonic", (basis[1], basis[3]), list(sol.regions), ()
+    basis = (sol.states[0].basis[1], sol.states[0].basis[3])
+    yield "harmonic", overlap_gram(basis, sol.regions), basis, list(sol.regions), ()
+
+
+def _layer_regions(lo, hi, mu1):
+    """(lo, hi) split at the inner edges of the wall layers that lie inside it."""
+    edges = [lo] + [x for x in (lo + 30.0 / mu1, hi - 30.0 / mu1) if lo < x < hi] + [hi]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class TestOverlapGram:
     def test_matches_scalar_quad_reference(self):
-        for name, basis, regions, points in _gram_cases():
-            f = overlap_gram(basis, regions, singular_points=points)
+        for name, f, basis, regions, points in _gram_cases():
             ref = _reference_gram(basis, regions, points)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(f - ref)) <= 1e-10 * scale, name
             assert np.max(np.abs(f - f.conj().T)) <= 1e-14 * scale, name
+
+    @pytest.mark.parametrize("beta", [1e47, 1e44, 1e40, 1e37, 1e34])
+    def test_well_closed_form_matches_panels(self, beta):
+        # the panel Gram, split at the layer edges, resolves the layers down to beta 1e34
+        problem = nondimensionalize(reference_well_setup(beta=beta))
+        lo, hi = problem.domain
+        for e in np.linspace(0.7, 16.4, 7):
+            roots = characteristic_roots(problem.epsilon, e)
+            basis = exact_constant_basis(roots, problem.domain)
+            panels = overlap_gram(basis, _layer_regions(lo, hi, roots.mu1))
+            f = well_gram(roots, problem.domain)
+            assert np.max(np.abs(f - panels)) <= 1e-14 * np.max(np.abs(panels)), e
+
+    @pytest.mark.parametrize("walls", [(-1.0, 1.0), (-0.4, 1.3), (0.2, 3.4)])
+    @pytest.mark.parametrize("eps, e", [(1e-3, 1e-8), (1e-3, 1e-4), (0.3, 1.7), (1e-3, 40.0)])
+    def test_well_gram_against_mpmath(self, walls, eps, e):
+        # every entry, at small kappa L (where cos^2 and sin^2 nearly cancel
+        # in the textbook forms) and on walls off the centre, by 50-digit
+        # quadrature (at 30 digits tanh-sinh loses 1e-14 on the layers' cross term)
+        import mpmath
+
+        roots = characteristic_roots(eps, e)
+        f = well_gram(roots, walls)
+        with mpmath.workdps(50):
+            mu, k = mpmath.mpf(float(roots.mu1)), mpmath.mpf(float(roots.kappa))
+            lo, hi = (mpmath.mpf(w) for w in walls)
+            ws = [
+                lambda x: mpmath.exp(mu * (x - hi)),
+                lambda x: mpmath.exp(-mu * (x - lo)),
+                lambda x: mpmath.cos(k * x),
+                lambda x: mpmath.sin(k * x),
+            ]
+            ref = np.array([
+                [float(mpmath.quad(lambda x: ws[i](x) * ws[j](x), [lo, hi])) for j in range(4)]
+                for i in range(4)
+            ])
+        assert np.array_equal(f.imag, np.zeros((4, 4)))
+        for i, j in ((0, 0), (0, 1), (2, 2), (3, 3), (2, 3)):
+            assert f[i, j].real == pytest.approx(ref[i, j], rel=1e-14, abs=1e-300), (i, j)
+        assert np.max(np.abs(f.real - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_well_states_make_no_panel_call(self, monkeypatch, well_problem):
+        import gupbic.matcher
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the well's Gram reached the panels")
+
+        monkeypatch.setattr(gupbic.matcher, "overlap_gram", refuse)
+        for e in (0.7, E1_DIMLESS, 5.5):
+            assert solve_well(well_problem, e).degeneracy == 2
 
     def test_real_harmonic_pair_is_orthonormal_under_the_reference(self):
         # the imaginary parts of the real tail pairs are roundoff; an adaptive

@@ -27,6 +27,7 @@ from gupbic.spectrum import (
     GaussianGroundState,
     Observability,
     ShiftedSineState,
+    closed_form_moments,
     dof_scan,
     ground_analog_state,
     kappa_at_energy,
@@ -345,8 +346,8 @@ class TestMomentumMoments:
         m = momentum_moments(state, problem)
         assert m.mean_p == pytest.approx(0.0, abs=1e-30)
         assert m.mean_P == pytest.approx(0.0, abs=1e-30)
-        assert m.delta_p**2 == pytest.approx((math.pi * HBAR / (2 * A_WELL)) ** 2, rel=1e-8)
-        assert m.delta_p**2 == pytest.approx(2.744e-48, rel=1e-3)
+        assert m.delta_p**2 == pytest.approx((math.pi * HBAR / (2 * A_WELL)) ** 2, rel=1e-8, abs=0.0)
+        assert m.delta_p**2 == pytest.approx(2.744e-48, rel=1e-3, abs=0.0)
 
     def test_ratio_values(self, well_setup):
         problem, state = ground_analog_state(well_setup)
@@ -355,7 +356,7 @@ class TestMomentumMoments:
         low = PhysicalSetup(mass=M_E, beta=1e20, potential=InfiniteWell(a=A_WELL))
         problem_low, state_low = ground_analog_state(low)
         m_low = momentum_moments(state_low, problem_low)
-        assert m_low.ratio == pytest.approx(2.744e-28, rel=1e-3)
+        assert m_low.ratio == pytest.approx(2.744e-28, rel=1e-3, abs=0.0)
 
     def test_ratio_linear_in_beta(self, well_setup):
         problem, state = ground_analog_state(well_setup)
@@ -374,7 +375,7 @@ class TestMomentumMoments:
         state = ShiftedSineState(kappa=math.pi / 2, lo=lo, hi=hi)
         m_direct = momentum_moments(state, well_problem)
         m_reduced = momentum_moments(state, well_problem, energy=se.energy_dimensionless)
-        assert m_reduced.delta_P**2 == pytest.approx(m_direct.delta_P**2, rel=1e-6)
+        assert m_reduced.delta_P**2 == pytest.approx(m_direct.delta_P**2, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("source", ["direct", "reduction"])
     @pytest.mark.parametrize("beta", [1e47, 1e48])
@@ -408,8 +409,8 @@ class TestMomentumMoments:
         assert (m.delta_P**2 + m.mean_P**2) / p_c**2 == pytest.approx(expected, rel=1e-10)
 
     def test_moments_do_not_call_scalar_quad(self, monkeypatch, well_setup):
-        # every moment, of a closed-form or a WKB state, comes from the
-        # Gauss-Legendre panels
+        # observability's moments are closed forms and a WKB state's come
+        # from the Gauss-Legendre panels: neither reaches scalar quad
         import gupbic.spectrum
         from gupbic.errors import NumericalError
         from gupbic.matcher import solve_linear
@@ -469,7 +470,7 @@ class TestMomentumMoments:
         setup = PhysicalSetup(mass=M_E, beta=1e47, potential=Harmonic(omega=1e30))
         problem, state = ground_analog_state(setup)
         m = momentum_moments(state, problem)
-        assert m.delta_p**2 == pytest.approx(M_E * HBAR * 1e30 / 2.0, rel=1e-8)
+        assert m.delta_p**2 == pytest.approx(M_E * HBAR * 1e30 / 2.0, rel=1e-8, abs=0.0)
 
     def test_airy_ground_virial(self):
         setup = PhysicalSetup(mass=M_E, beta=1e47, potential=Linear(slope=M_E * 9.8))
@@ -477,7 +478,62 @@ class TestMomentumMoments:
         m = momentum_moments(state, problem)
         # virial for V = Lx: <p^2>/2m = E/3, ground energy = first Airy zero
         expected = 2.0 * M_E * (state.ground_energy * problem.energy_scale) / 3.0
-        assert m.delta_p**2 == pytest.approx(expected, rel=1e-7)
+        assert m.delta_p**2 == pytest.approx(expected, rel=1e-7, abs=0.0)
+
+
+# the ends and the middle of the cli-mix ranges of a, L and omega, at the CLI's beta
+CLI_MIX_POTENTIALS = [
+    InfiniteWell(a=5e-11), InfiniteWell(a=1e-10), InfiniteWell(a=2e-10),
+    Linear(slope=1e-29), Linear(slope=1.7e-19), Linear(slope=1e-8),
+    Harmonic(omega=1e15), Harmonic(omega=3.2e22), Harmonic(omega=1e30),
+]
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("potential", CLI_MIX_POTENTIALS, ids=repr)
+    def test_match_the_panel_moments(self, potential):
+        # the power moments against the five panel integrals, at the setup's
+        # beta and at the critical beta* = 10^exponent the refinement reads
+        setup = PhysicalSetup(mass=M_E, beta=1e47, potential=potential)
+        problem, state = ground_analog_state(setup)
+        critical = PhysicalSetup(
+            mass=M_E, beta=10.0 ** observability(setup).exponent, potential=potential
+        )
+        for prob in (problem, nondimensionalize(critical, length_scale=problem.length_scale)):
+            closed = closed_form_moments(state, prob)
+            panels = momentum_moments(state, prob)
+            assert closed.mean_p == closed.mean_P == 0.0
+            assert abs(panels.mean_p) <= 1e-12 * panels.delta_p
+            assert abs(panels.mean_P) <= 1e-12 * panels.delta_P
+            # SI moments are far below approx's default absolute tolerance
+            assert closed.delta_p**2 == pytest.approx(panels.delta_p**2, rel=1e-12, abs=0.0)
+            assert closed.delta_P**2 == pytest.approx(
+                panels.delta_P**2 + panels.mean_P**2, rel=1e-12, abs=0.0
+            )
+            assert closed.ratio == pytest.approx(panels.ratio, rel=1e-12, abs=0.0)
+
+    def test_airy_constants_are_scipys(self):
+        from scipy.special import ai_zeros, airy
+
+        zero = float(ai_zeros(1)[0][0])
+        assert spectrum.AIRY_Z1 == -zero
+        assert spectrum.AIRY_NORM == abs(float(airy(zero)[1]))
+
+    def test_airy_hypervirial_moments_against_mpmath(self):
+        # m2 = -<u>, m4 = <u^2> and m6 = -1 - <u^3> (u = x - z1), with the
+        # position moments of the bouncer by 30-digit quadrature
+        import mpmath
+
+        with mpmath.workdps(30):
+            z1 = -mpmath.airyaizero(1)
+
+            def mean(n):
+                weight = lambda x: mpmath.airyai(x - z1) ** 2
+                parts = [0, z1, z1 + 20]
+                return mpmath.quad(lambda x: (x - z1) ** n * weight(x), parts) / mpmath.quad(weight, parts)
+
+            reference = [float(-mean(1)), float(mean(2)), float(-1 - mean(3))]
+        assert AiryBouncerState().power_moments == pytest.approx(reference, rel=1e-14)
 
 
 class TestObservability:
