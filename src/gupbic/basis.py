@@ -121,11 +121,13 @@ def characteristic_roots(epsilon: float, e_minus_v) -> CharacteristicRoots:
         )
     q = np.asarray(e_minus_v, dtype=float)
     disc = 1.0 + 4.0 * epsilon * q
-    if np.any(disc < 0.0):
-        raise ComplexQuartetError(
-            f"1 + 4*eps*(e - v) = {disc[disc < 0.0].flat[0]} < 0: complex root quartet "
-            "(deep forbidden region); use the WKB basis"
-        )
+    raise_where(
+        disc < 0.0,
+        lambda d: ComplexQuartetError(
+            f"1 + 4*eps*(e - v) = {d} < 0: complex root quartet (deep forbidden region); use the WKB basis"
+        ),
+        disc,
+    )
     root = np.sqrt(disc)
     mu1 = np.sqrt((1.0 + root) / (2.0 * epsilon))
     # (root - 1)/(2 eps) = 2 q / (1 + root): stable for small eps*q
@@ -196,6 +198,15 @@ def _per_energy(values):
     return float(values) if np.ndim(values) == 0 else np.asarray(values, dtype=float)
 
 
+def _powers(base, order: int) -> list:
+    """base**k, k = 0..order, by the float pow, which numpy's array power can differ
+    from in the last bit: a batched basis's derivatives are each energy's own."""
+    if np.ndim(base) == 0:
+        return [base**k for k in range(order + 1)]
+    flat = base.ravel().tolist()
+    return np.array([[b**k for b in flat] for k in range(order + 1)]).reshape((order + 1,) + base.shape)
+
+
 class ExponentialBasisFunction(BasisFunction):
     """f(x) = exp(rate * (x - anchor)), rate real; f(anchor) = 1.
 
@@ -212,7 +223,7 @@ class ExponentialBasisFunction(BasisFunction):
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         f = self.value_array(x)
-        return np.array([f * self.rate**k for k in range(order + 1)], dtype=complex)
+        return np.array([f * p for p in _powers(self.rate, order)], dtype=complex)
 
     def log_abs_array(self, xs):
         return self.rate * (np.asarray(xs, dtype=float) - self.anchor)
@@ -251,7 +262,7 @@ class TrigBasisFunction(BasisFunction):
         u = k * np.asarray(x, dtype=float)
         c, s = np.cos(u), np.sin(u)
         cycle = [c, -s, -c, s] if self.phase == "cos" else [s, c, -s, -c]
-        return np.array([cycle[n % 4] * k**n for n in range(order + 1)], dtype=complex)
+        return np.array([cycle[n % 4] * p for n, p in enumerate(_powers(k, order))], dtype=complex)
 
     def _wave(self, xs):
         trig = np.cos if self.phase == "cos" else np.sin
@@ -283,12 +294,13 @@ def exact_constant_basis(
     lies in [0, 1] however thin the layers are.  Roots of an array of q give
     one batched set whose functions evaluate every energy at once.
     """
-    degenerate = np.asarray(roots.kappa) <= 0.0
-    if np.any(degenerate):
-        raise DegenerateBasisError(
-            f"kappa = {np.asarray(roots.kappa)[degenerate].flat[0]}: oscillatory pair "
-            "degenerate (e <= v); constant-potential basis requires e - v > 0"
-        )
+    raise_where(
+        np.less_equal(roots.kappa, 0.0),
+        lambda k: DegenerateBasisError(
+            f"kappa = {k}: oscillatory pair degenerate (e <= v); constant-potential basis requires e - v > 0"
+        ),
+        roots.kappa,
+    )
     lo, hi = walls
     return (
         ExponentialBasisFunction(roots.mu1, index=1, anchor=hi),

@@ -243,16 +243,14 @@ def cmd_wavefunction(args) -> int:
     solution = bound_states(problem, e_dim, orthogonalize=not args.no_orthogonalize)
 
     si_norm = 1.0 / math.sqrt(problem.length_scale)  # phi_SI = phi_scaled / sqrt(L_c)
-    grids, values = [], []
-    for lo, hi in solution.regions:
-        n_pts = max(int(args.grid_n * (hi - lo) / _total_span(solution.regions)), 2)
-        xs = np.linspace(lo, hi, n_pts)
-        grids.append(xs)
-        values.append(solution.values(xs))  # each region on its own grid: see README, Method notes
-    points = np.concatenate(grids)
+    # each region on its own grid (README, Method notes), all evaluated in one pass
+    span = sum(hi - lo for lo, hi in solution.regions)
+    points = np.concatenate(
+        [np.linspace(lo, hi, max(int(args.grid_n * (hi - lo) / span), 2)) for lo, hi in solution.regions]
+    )
     x = np.tile(points, solution.degeneracy)
     state_index = np.repeat(np.arange(1, solution.degeneracy + 1), len(points))
-    phi = np.concatenate(values, axis=1).ravel() * si_norm
+    phi = solution.values(points).ravel() * si_norm
     out = Path(args.out)
     csv_path = write_csv(
         out / "wavefunctions.csv",
@@ -271,10 +269,6 @@ def cmd_wavefunction(args) -> int:
 def _check_energy(energy_si: float) -> None:
     if not (math.isfinite(energy_si) and energy_si > 0):
         raise ConfigError(f"--E must be a finite energy > 0 J, got {energy_si}")
-
-
-def _total_span(regions) -> float:
-    return sum(hi - lo for lo, hi in regions)
 
 
 def cmd_dof_scan(args) -> int:

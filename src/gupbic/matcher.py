@@ -50,7 +50,6 @@ from .core import DimensionlessProblem
 from .errors import (
     BasisOverflowError,
     ClassificationError,
-    DegenerateBasisError,
     InvalidConditionsError,
     NormalizationError,
     PreconditionError,
@@ -274,56 +273,78 @@ def nullspace(system: ConstraintSystem) -> tuple[int, list[np.ndarray]]:
 # --- explicit determinant-form coefficients (infinite well) ------------------------
 
 
-def _cross_triple(row_lo: np.ndarray, row_hi: np.ndarray) -> np.ndarray:
-    """Nonzero solution of the 2x3 homogeneous system [row_lo; row_hi] d = 0."""
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays of one shape, formed on the real and imaginary parts as a
+    scalar complex product forms it (numpy's vectorised product can differ in the last bit)."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _cross_triple(row_lo, row_hi) -> np.ndarray:
+    """Solution d of the 2x3 homogeneous system [row_lo; row_hi] d = 0; zero where the rows are parallel.
+
+    Rows of shape (3,), or (3,) + batch, whose d are each the one that
+    entry's rows give alone (``_cmul``).
+    """
     u, v = np.asarray(row_lo, dtype=complex), np.asarray(row_hi, dtype=complex)
-    d = np.array(
-        [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ]
-    )
-    if np.max(np.abs(d)) == 0.0:
-        raise DegenerateBasisError("vanishing determinant triple; fall back to the nullspace")
-    return d
+    products = _cmul(u[[1, 2, 0, 2, 0, 1]], v[[2, 0, 1, 1, 2, 0]])  # u_i v_j, then u_j v_i
+    return products[:3] - products[3:]
+
+
+def _libm(fn, x):
+    """``fn``, a function of ``math``, at a float or at each entry of a 1-D array.
+
+    The seeds take libm's sine and cosine, which numpy's can differ from in
+    the last bit.
+    """
+    return fn(x) if np.ndim(x) == 0 else np.array([fn(v) for v in x.tolist()])
 
 
 def well_coefficients(
     basis: Sequence[BasisFunction],
     walls: tuple[float, float],
     triple: tuple[int, int, int],
-    shifted_cos_kappa: float | None = None,
+    shifted_cos_kappa: float | np.ndarray | None = None,
 ) -> np.ndarray:
     """Determinant-form coefficient 4-vector for a three-function well ansatz.
 
     ``triple`` selects basis indices (1-based).  With ``shifted_cos_kappa`` the
     third member is replaced by cos(kappa*(x - lo)) (the wall-anchored cosine
-    used at the special energies), expressed on the plain cos/sin pair.
+    used at the special energies), expressed on the plain cos/sin pair.  The
+    vector is zero where the triple's determinant vanishes.
 
     The basis values at the walls are used as they are: the wall-anchored
-    exponentials of ``exact_constant_basis`` keep them in [0, 1].
+    exponentials of ``exact_constant_basis`` keep them in [0, 1].  A basis
+    batched over N energies (with an array kappa) gives an (N, 4) array.
     """
-    lo, hi = walls
+    values = np.array([[f.value_array(x) for x in walls] for f in basis])
+    return _determinant_vectors(values, walls, [triple], shifted_cos_kappa)[0]
 
-    def values_at(x: float) -> list[complex]:
-        vals = [basis[idx - 1].value(x) for idx in triple[:-1]]
-        if shifted_cos_kappa is None:
-            return vals + [basis[triple[-1] - 1].value(x)]
-        return vals + [complex(math.cos(shifted_cos_kappa * (x - lo)))]
 
-    d = _cross_triple(values_at(lo), values_at(hi))
-    out = np.zeros(4, dtype=complex)
-    for slot, idx in enumerate(triple[:-1]):
-        out[idx - 1] = d[slot]
+def _determinant_vectors(values: np.ndarray, walls, triples, shifted_cos_kappa=None) -> np.ndarray:
+    """``well_coefficients`` of several triples at once, shape (len(triples),) + batch + (4,).
+
+    ``values`` are the basis values at the walls, shape (4, 2) + batch;
+    ``shifted_cos_kappa`` shifts the third member of the last triple.
+    """
+    lo = walls[0]
+    idx = np.array(triples) - 1
+    rows = values.swapaxes(0, 1)[:, idx.T]  # (wall, member, triple) + batch
+    if shifted_cos_kappa is not None:
+        rows[:, 2, -1] = [_libm(math.cos, shifted_cos_kappa * (x - lo)) for x in walls]
+    d = _cross_triple(rows[0], rows[1])
+    out = np.zeros((len(idx), 4) + d.shape[2:], dtype=complex)
+    for t, slots in enumerate(idx):
+        used = 2 if shifted_cos_kappa is not None and t == len(idx) - 1 else 3
+        out[t, slots[:used]] = d[:used, t]
     if shifted_cos_kappa is not None:
         k = shifted_cos_kappa
         # cos(k(x - lo)) = cos(k lo) cos(kx) + sin(k lo) sin(kx)
-        out[2] += d[2] * math.cos(k * lo)
-        out[3] += d[2] * math.sin(k * lo)
-    else:
-        out[triple[-1] - 1] = d[2]
-    return out
+        out[-1, 2] += d[2, -1] * _libm(math.cos, k * lo)
+        out[-1, 3] += d[2, -1] * _libm(math.sin, k * lo)
+    return out.transpose(0, *range(2, out.ndim), 1)
 
 
 # --- bound states ----------------------------------------------------------------
@@ -335,16 +356,25 @@ def evaluate_states(coefficients, basis: Sequence[BasisFunction], x, order: int 
     Shape (rows, order + 1) + shape(x).  Each basis function with a nonzero
     coefficient in some row is evaluated once, and each row sums c_j w_j over
     its nonzero coefficients in basis order.
+
+    A basis batched over N energies with parameters of shape (N, 1)
+    evaluates every energy on a 1-D x at once, shape (rows, order + 1, N,
+    len(x)); the coefficients are then shared, shape (rows, 4), or one set
+    per energy, shape (rows, 4, N, 1), and a row whose coefficient vanishes
+    at some energies only adds 0 * w_j there.
     """
     rows = np.asarray(coefficients, dtype=complex)
-    out = np.zeros((len(rows), order + 1) + np.shape(x), dtype=complex)
+    nonzero = rows.any(axis=tuple(range(2, rows.ndim))).T.tolist()  # per basis function, per row
+    out = None
     for j, f in enumerate(basis):
-        used = np.flatnonzero(rows[:, j])
-        if used.size:
+        used = [r for r, flag in enumerate(nonzero[j]) if flag]
+        if used:
             d = f.derivatives(x, order=order)
+            if out is None:
+                out = np.zeros((len(rows),) + d.shape, dtype=complex)
             for r in used:
                 out[r] += rows[r, j] * d
-    return out
+    return np.zeros((len(rows), order + 1) + np.shape(x), dtype=complex) if out is None else out
 
 
 class StateFunction:
@@ -509,7 +539,7 @@ def normalize(
     if not vecs:
         raise NormalizationError("no coefficient vectors supplied")
     for v in vecs:
-        if np.max(np.abs(v)) == 0.0:
+        if not v.any():
             raise NormalizationError("zero coefficient vector is not a state")
         for idx in growing_guard:
             if abs(v[idx - 1]) > 1e-12 * np.max(np.abs(v)):
@@ -517,7 +547,7 @@ def normalize(
                     f"coefficient C{idx} multiplies a growing branch; state not normalizable"
                 )
 
-    active = [j for j in range(len(basis)) if any(abs(v[j]) > 0.0 for v in vecs)]
+    active = np.flatnonzero((np.abs(vecs) > 0.0).any(axis=0))
     if gram is None:
         f_sub = overlap_gram([basis[j] for j in active], regions)
     else:
@@ -526,9 +556,11 @@ def normalize(
     if herm_defect > 1e-8 * max(1.0, float(np.max(np.abs(f_sub)))):
         raise NormalizationError(f"overlap matrix not Hermitian (defect {herm_defect:.2e})")
 
+    f_conj = f_sub.conj()
+
     def inner(u: np.ndarray, v: np.ndarray) -> complex:
         # F_ij = int w_i w_j^*, so <u, v> = u^H conj(F) v
-        return complex(np.conj(u[active]) @ f_sub.conj() @ v[active])
+        return complex(np.conj(u[active]) @ f_conj @ v[active])
 
     states: list[np.ndarray] = []
     for v in vecs:
@@ -573,78 +605,79 @@ def well_basis(problem: DimensionlessProblem, energy):
     return roots, exact_constant_basis(roots, problem.domain)
 
 
-def special_kappa_index(problem: DimensionlessProblem, energy: float) -> int | None:
-    """k if kappa(E) * 2 half-width / pi lies within 1e-9 of an integer k >= 1 (well), else None."""
-    lo, hi = problem.domain
-    half = 0.5 * (hi - lo)
-    roots = characteristic_roots(problem.epsilon, energy)
-    ratio = roots.kappa * 2.0 * half / math.pi
-    k = round(ratio)
-    if k >= 1 and abs(ratio - k) < 1e-9:
-        return k
-    return None
-
-
 def solve_well(
     problem: DimensionlessProblem,
-    energy: float,
+    energy,
     orthogonalize: bool = True,
     extra_conditions: Sequence[float | tuple[float, int]] = (),
-) -> BoundStateSolution:
+) -> BoundStateSolution | list[BoundStateSolution]:
     """Degenerate pair for the infinite well at dimensionless energy > 0.
 
     At the special energies (kappa = k*pi/2a) the first state is the
     wall-to-wall sine; elsewhere the pair is the determinant-form construction
     on the (w1,w2,w3) and (w2,w3,w4) triples.  Both are cross-checked against
     the numerical nullspace.
+
+    A 1-D array of energies gives one solution per energy from one stacked
+    pass, and a float, a batch of one, gives its solution.  The pass forms
+    one batched basis and (N, rows, 4) wall system, takes every rank and
+    nullspace from one stacked SVD, and forms the seeds and their row
+    residuals for every energy at once; the nullspace top-up (where a seed
+    fails), the closed-form Gram and the normalization run per energy.  Per
+    energy the arithmetic is that of a batch of one, so each solution is bit
+    for bit the one its energy gives alone.  ``extra_conditions`` apply to
+    every energy; an error names the energies it concerns as ``failed``.
     """
     lo, hi = problem.domain
-    roots, basis = well_basis(problem, energy)
-    system = assemble(basis, conditions_for(problem), energy, extra_conditions=extra_conditions)
-    nullity, null_vecs = nullspace(system)
-    if nullity == 0:
-        raise NormalizationError(f"no bound state at e={energy} (nullity 0)")
-
-    k = special_kappa_index(problem, energy)
-    seeds: list[np.ndarray]
-    if k is not None:
-        kap = roots.kappa
-        sine = np.array([0.0, 0.0, math.sin(kap * abs(lo)), math.cos(kap * abs(lo))], dtype=complex)
-        # sin(kappa(x - lo)) expressed on (cos, sin); lo = -|lo|
-        try:
-            partner = well_coefficients(basis, (lo, hi), (1, 2, 3), shifted_cos_kappa=kap)
-        except DegenerateBasisError:
-            partner = None
-        seeds = [sine] + ([partner] if partner is not None else [])
-    else:
-        seeds = []
-        for triple in ((1, 2, 3), (2, 3, 4)):
-            try:
-                seeds.append(well_coefficients(basis, (lo, hi), triple))
-            except DegenerateBasisError:
-                continue
-
-    # keep seeds that genuinely satisfy the walls; top up from the nullspace
-    good = [s for s in seeds if system.row_residual(s) < 1e-8]
-    for v in null_vecs:
-        if len(good) >= nullity:
-            break
-        w = v.copy()
-        for u in good:
-            u_n = u / np.linalg.norm(u)
-            w = w - (np.conj(u_n) @ w) * u_n
-        if np.linalg.norm(w) > 1e-6:
-            good.append(w)
-
-    return normalize(
-        good[:nullity],
-        basis,
-        regions=[(lo, hi)],
-        problem=problem,
-        energy=energy,
-        orthogonalize=orthogonalize,
-        gram=well_gram(roots, (lo, hi)),
+    energies = np.asarray(energy, dtype=float).reshape(-1)
+    roots, basis = well_basis(problem, energies)
+    m = assemble(basis, conditions_for(problem), energies, extra_conditions=extra_conditions).matrix
+    raise_where(
+        ~np.isfinite(m).all(axis=(-2, -1)), lambda: PreconditionError("constraint matrix has non-finite entries")
     )
+    _, svals, vh = np.linalg.svd(m)
+    nullity = 4 - (svals > RANK_TOL * svals[..., :1]).sum(axis=-1)
+    raise_where(nullity == 0, lambda e: NormalizationError(f"no bound state at e={e} (nullity 0)"), energies)
+
+    # special energies: kappa * 2 half-width / pi within 1e-9 of an integer k >= 1
+    kappa = roots.kappa
+    ratio = kappa * 2.0 * (0.5 * (hi - lo)) / math.pi
+    k = np.rint(ratio)
+    special = ((k >= 1) & (np.abs(ratio - k) < 1e-9))[:, None]
+    # sin(kappa(x - lo)) expressed on (cos, sin); lo = -|lo|
+    sine = np.zeros((energies.size, 4), dtype=complex)
+    sine[:, 2], sine[:, 3] = _libm(math.sin, kappa * abs(lo)), _libm(math.cos, kappa * abs(lo))
+    # the wall rows are the basis values at the walls: each wall's own boundary
+    # layer is 1 there and every other value lies in [0, 1], so they are scaled by 1
+    values = m[:, :2].transpose(2, 1, 0)  # (4, 2, N)
+    first, second, partner = _determinant_vectors(values, (lo, hi), [(1, 2, 3), (2, 3, 4), (1, 2, 3)], kappa)
+    seeds = np.empty((energies.size, 2, 4), dtype=complex)
+    seeds[:, 0], seeds[:, 1] = np.where(special, sine, first), np.where(special, partner, second)
+    # keep seeds that genuinely satisfy the walls, max |row . c| < 1e-8 |c| (a vanishing triple is dropped)
+    keep = np.abs(m @ seeds.swapaxes(-1, -2)).max(axis=-2) < 1e-8 * np.linalg.norm(seeds, axis=-1)
+
+    solutions, failed, error = [], np.zeros(energies.size, dtype=bool), None
+    columns = zip(energies.tolist(), nullity.tolist(), keep.tolist(), roots.mu1.tolist(), kappa.tolist())
+    for n, (e, count, kept, mu1, kap) in enumerate(columns):
+        good = [s for s, ok in zip(seeds[n], kept) if ok]
+        if len(good) < count:  # top up from the nullspace
+            for v in np.eye(4, dtype=complex) if count == 4 else vh[n, 4 - count :].conj():
+                if len(good) >= count:
+                    break
+                w = v.copy()
+                for u in good:
+                    u_n = u / np.linalg.norm(u)
+                    w = w - (np.conj(u_n) @ w) * u_n
+                if np.linalg.norm(w) > 1e-6:
+                    good.append(w)
+        at = CharacteristicRoots(mu1=mu1, kappa=kap, epsilon=roots.epsilon, e_minus_v=e)
+        one_basis, gram = exact_constant_basis(at, (lo, hi)), well_gram(at, (lo, hi))
+        try:
+            solutions.append(normalize(good[:count], one_basis, [(lo, hi)], problem, e, orthogonalize, gram=gram))
+        except NormalizationError as exc:
+            failed[n], error = True, error or exc
+    raise_where(failed, lambda: error)
+    return solutions if np.ndim(energy) else solutions[0]
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,6 @@ from .errors import (
     PreconditionError,
     WrongPotentialError,
 )
-from .matcher import degrees_of_freedom
-from .basis import characteristic_roots
 from .panels import panel_integrals
 
 # unused here: perfbench/tracer.py patches spectrum.quad until ROADMAP item 1 replaces it
@@ -157,6 +155,8 @@ def kappa_at_energy(setup: PhysicalSetup, energy_si: float) -> float:
     """Oscillatory wavenumber kappa (SI, 1/m) at the given well energy."""
     if not isinstance(setup.potential, InfiniteWell):
         raise WrongPotentialError("kappa check is defined for the infinite well")
+    from .basis import characteristic_roots
+
     problem = nondimensionalize(setup)
     roots = characteristic_roots(problem.epsilon, problem.energy_from_si(energy_si))
     return roots.kappa / problem.length_scale
@@ -198,6 +198,8 @@ def dof_scan(
     Grid rows nearest a special well energy (within half the grid spacing)
     are labelled StandardLevel, everything else ExtraContinuum.
     """
+    from .matcher import degrees_of_freedom
+
     energies = np.asarray(list(energies_si), dtype=float)
     finite = np.isfinite(energies)
     if not finite.all():

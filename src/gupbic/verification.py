@@ -27,7 +27,7 @@ from .core import (
     reference_well_setup,
 )
 from .errors import GupBicError
-from .matcher import StateFunction, solve_well
+from .matcher import StateFunction, evaluate_states, solve_well, well_basis
 from .oracle import (
     GROWTH_FLOOR,
     MomentumSolution,
@@ -143,27 +143,24 @@ def check_wronskian_constancy(
 def check_exact_well_oracle_agreement(
     setup: PhysicalSetup | None = None, rtol: float = DEFAULT_RTOL
 ) -> CheckResult:
-    """Closed-form well solutions vs integration from identical initial data (one batch)."""
+    """Closed-form well solutions vs integration from identical initial data (one batch).
+
+    One exact basis batched over the three energies gives every state's
+    launch derivatives in one evaluation and its grid values in another.
+    """
     if setup is None:
         setup = reference_well_setup()
     problem = nondimensionalize(setup)
     xs = np.linspace(-1.0, 1.0, 201)
-    energies = (2.918779290241783, 1.638, 16.38)
-    states = [
-        StateFunction(
-            np.array([0.05, 0.4, 0.7, 0.55]),
-            exact_constant_basis(characteristic_roots(problem.epsilon, e), problem.domain),
-        )
-        for e in energies
-    ]
-    marched = integrate_many(
-        [(problem, e, state.derivatives(-1.0, order=3), -1.0, xs) for e, state in zip(energies, states)], rtol
-    )
-    worst = 0.0
-    for state, phi in zip(states, marched):
-        vals = state.value(xs)
-        worst = max(worst, np.max(np.abs(phi[0] - vals)) / np.max(np.abs(vals)))
-    return _result("exact_well_oracle_agreement", worst, 1e-8, setup=_well_label(setup))
+    energies = np.array([2.918779290241783, 1.638, 16.38])
+    _, basis = well_basis(problem, energies[:, None])
+    coefficients = [[0.05, 0.4, 0.7, 0.55]]
+    launch = evaluate_states(coefficients, basis, [-1.0], order=3)[0, :, :, 0].T.copy()  # (energy, order)
+    vals = evaluate_states(coefficients, basis, xs, order=0)[0, 0]
+    marched = integrate_many([(problem, e, d, -1.0, xs) for e, d in zip(energies.tolist(), launch)], rtol)
+    phi = np.array([march[0] for march in marched])
+    worst = np.max(np.max(np.abs(phi - vals), axis=-1) / np.max(np.abs(vals), axis=-1))
+    return _result("exact_well_oracle_agreement", float(worst), 1e-8, setup=_well_label(setup))
 
 
 def check_residual_exact(setup: PhysicalSetup | None = None) -> CheckResult:
@@ -289,24 +286,29 @@ def check_decaying_dimensions(standard: bool = False, rtol: float = DEFAULT_RTOL
 
 
 def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
-    """At the special energies one normalized state is the wall-to-wall sine."""
+    """At the special energies one normalized state is the wall-to-wall sine.
+
+    The three levels are solved in one batch, and all their states are
+    evaluated in one pass over the basis batched over the levels.
+    """
     from .spectrum import well_special_energies
 
     if setup is None:
         setup = reference_well_setup()
     problem = nondimensionalize(setup)
-    worst = 0.0
-    for se in well_special_energies(setup, 3):
-        sol = solve_well(problem, se.energy_dimensionless)
-        kap = se.k * math.pi / 2.0
-        xs = np.linspace(-1.0, 1.0, 301)
-        errs = []
-        for vals in sol.values(xs):
-            ref = np.sin(kap * (xs + 1.0))
-            sign = 1.0 if abs(np.max(vals.real + ref)) >= abs(np.max(vals.real - ref)) else -1.0
-            errs.append(float(np.max(np.abs(sign * vals - ref))))
-        worst = max(worst, min(errs))
-    return _result("well_sine_recovery", worst, 1e-8, setup=_well_label(setup))
+    specials = well_special_energies(setup, 3)
+    energies = np.array([se.energy_dimensionless for se in specials])
+    solutions = solve_well(problem, energies)
+    _, basis = well_basis(problem, energies[:, None])
+    # (state, 4, level, 1): each level's coefficient rows
+    coefficients = np.array([[st.coefficients for st in sol.states] for sol in solutions]).transpose(1, 2, 0)[..., None]
+    xs = np.linspace(-1.0, 1.0, 301)
+    vals = evaluate_states(coefficients, basis, xs, order=0)[:, 0]  # (state, level, x)
+    kap = np.array([se.k for se in specials]) * math.pi / 2.0
+    ref = np.sin(kap[:, None] * (xs + 1.0))
+    sign = np.where(np.abs(np.max(vals.real + ref, axis=-1)) >= np.abs(np.max(vals.real - ref, axis=-1)), 1.0, -1.0)
+    errs = np.max(np.abs(sign[..., None] * vals - ref), axis=-1)
+    return _result("well_sine_recovery", float(np.max(np.min(errs, axis=0))), 1e-8, setup=_well_label(setup))
 
 
 def standard_harmonic_mismatch(problem, energy: float) -> float:

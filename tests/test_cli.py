@@ -110,12 +110,15 @@ class TestWavefunction:
             ["wavefunction", "--k", "1"],
             ["wavefunction", "--potential", "harmonic", "--omega", "1.897e16", "--E", "2e-18"],
             ["wavefunction", "--potential", "linear", "--L", "1.281e-8", "--E", "2e-18"],
+            ["wavefunction", "--potential", "harmonic", "--omega", "2e16", "--beta", "1e46", "--E", "3e-18"],
+            ["wavefunction", "--potential", "linear", "--L", "1.281e-8", "--beta", "1e45", "--E", "9.7e-18"],
         ],
-        ids=["well", "harmonic", "linear"],
+        ids=["well", "harmonic", "linear", "harmonic-beta-1e46", "linear-beta-1e45"],
     )
     def test_rows_match_per_state_evaluation(self, tmp_path, argv):
-        # the command evaluates every state at once on each region's grid; the
-        # rows rebuilt here evaluate one state at a time and format cell by cell
+        # the command evaluates every state at once on the regions' grids
+        # joined; the rows rebuilt here evaluate one state at a time on each
+        # region's own grid and format cell by cell
         assert run(argv + ["--out", tmp_path]) == 0
         args = cli.build_parser().parse_args(argv)
         setup, _ = cli._setup_from_args(args)
@@ -267,7 +270,7 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--k-max", "3", "--out", out]) == 0
         _, rows = read_csv(out / "special_energies.csv")
         assert [int(r[0]) for r in rows] == [1, 2, 3]
-        assert float(rows[0][1]) == pytest.approx(1.7816655450003429e-18, rel=1e-12)
+        assert float(rows[0][1]) == pytest.approx(1.7816655450003429e-18, rel=1e-12, abs=0.0)
 
     def test_wrong_potential_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "lin.cfg"
@@ -675,6 +678,40 @@ print(json.dumps(report))
         assert report["verify"] == [
             "_scipy", "basis", "matcher", "oracle", "panels", "spectrum", "verification",
         ]
+
+
+class TestSpectrumLoadsNoSolver:
+    # the special energies, the closed-form ground states and the momentum
+    # moments call neither the solver nor the basis layer, so spectrum and
+    # observability load neither module
+    CHILD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import gupbic.cli
+
+out = {out!r}
+codes = []
+for argv in (
+    ["spectrum"],
+    ["observability"],
+    ["observability", "--potential", "linear", "--L", "1.281e-8"],
+    ["observability", "--potential", "harmonic", "--omega", "1.897e16"],
+):
+    codes.append(gupbic.cli.main(argv + ["--out", out + "/" + str(len(codes))]))
+loaded = sorted(m for m in ("gupbic.matcher", "gupbic.basis") if m in sys.modules)
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+
+    def test_spectrum_and_observability_load_neither_matcher_nor_basis(self, tmp_path):
+        import gupbic
+
+        src = str(Path(gupbic.__file__).resolve().parent.parent)
+        child = self.CHILD.format(src=src, out=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
 class TestHarmonicWavefunctionWithoutMaskedArrays:

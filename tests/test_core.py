@@ -38,7 +38,7 @@ class TestNondimensionalization:
 
     def test_reference_energy_scale(self):
         problem = nondimensionalize(reference_setup())
-        assert problem.energy_scale == pytest.approx(6.1041461783592245e-19, rel=1e-12)
+        assert problem.energy_scale == pytest.approx(6.1041461783592245e-19, rel=1e-12, abs=0.0)
 
     def test_beta_prime_is_derived(self):
         setup = reference_setup()
@@ -48,11 +48,11 @@ class TestNondimensionalization:
         problem = nondimensionalize(reference_setup())
         for value in (1e-18, 3.7e-19, 2e-17):
             assert problem.energy_to_si(problem.energy_from_si(value)) == pytest.approx(
-                value, rel=1e-14
+                value, rel=1e-14, abs=0.0
             )
         for x in (1e-10, -3e-11, 7.7e-11):
             assert problem.length_to_si(problem.length_from_si(x)) == pytest.approx(
-                x, rel=1e-14
+                x, rel=1e-14, abs=0.0
             )
 
     def test_epsilon_invariant_under_joint_rescaling(self):
@@ -98,11 +98,11 @@ class TestNondimensionalization:
         assert reference_setup().canonical_length_scale() == REFERENCE_PARAMS["a"]
         lin = PhysicalSetup(mass=m, beta=0.0, potential=Linear(slope=2.5e-8))
         assert lin.canonical_length_scale() == pytest.approx(
-            (hbar**2 / (2 * m * 2.5e-8)) ** (1 / 3), rel=1e-13
+            (hbar**2 / (2 * m * 2.5e-8)) ** (1 / 3), rel=1e-13, abs=0.0
         )
         har = PhysicalSetup(mass=m, beta=0.0, potential=Harmonic(omega=1e16))
         assert har.canonical_length_scale() == pytest.approx(
-            math.sqrt(hbar / (m * 1e16)), rel=1e-13
+            math.sqrt(hbar / (m * 1e16)), rel=1e-13, abs=0.0
         )
 
 

@@ -15,12 +15,15 @@ from gupbic import (
 from gupbic.basis import ExponentialBasisFunction, Side
 from gupbic.errors import (
     BasisOverflowError,
+    ComplexQuartetError,
+    DegenerateBasisError,
     InvalidConditionsError,
     NormalizationError,
     NumericalError,
     PreconditionError,
 )
 from gupbic.matcher import (
+    BoundStateSolution,
     Case,
     ConstraintSystem,
     assemble,
@@ -37,6 +40,7 @@ from gupbic.matcher import (
     solve_harmonic,
     solve_linear,
     solve_well,
+    well_basis,
     well_coefficients,
     well_gram,
 )
@@ -513,6 +517,91 @@ class TestEvaluateStates:
         assert calls == [basis[j].f for j in used]
 
 
+def _bits(a):
+    """The raw bits of a float or complex array, so that signed zeros count too."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _same_solution(a, b):
+    assert a.degeneracy == b.degeneracy and a.regions == b.regions
+    assert a.energy_dimensionless == b.energy_dimensionless and a.energy_si == b.energy_si
+    assert np.array_equal(_bits(a.gram), _bits(b.gram))
+    for s, t in zip(a.states, b.states):
+        assert np.array_equal(_bits(s.coefficients), _bits(t.coefficients))
+        assert [vars(f) for f in s.basis] == [vars(f) for f in t.basis]
+
+
+class TestBatchedWell:
+    @pytest.mark.parametrize("beta", [1e41, 1e44, 1e47])
+    @pytest.mark.parametrize("orthogonalize", [True, False])
+    @pytest.mark.parametrize("extra", [(), (0.3,), ((0.5, 1),)], ids=["walls", "point", "slope"])
+    def test_batch_is_each_energy_alone_bit_for_bit(self, beta, orthogonalize, extra):
+        setup = reference_well_setup(beta=beta)
+        problem = nondimensionalize(setup)
+        special = [se.energy_dimensionless for se in well_special_energies(setup, 8)]
+        energies = np.concatenate([special, np.random.default_rng(28).uniform(0.05, 60.0, 24)])
+        batch = solve_well(problem, energies, orthogonalize=orthogonalize, extra_conditions=extra)
+        assert len(batch) == energies.size
+        for e, sol in zip(energies.tolist(), batch):
+            _same_solution(sol, solve_well(problem, e, orthogonalize=orthogonalize, extra_conditions=extra))
+        if not extra:
+            # the special levels were seeded with the sine, which has no layer terms
+            assert all(not sol.states[0].coefficients[:2].any() for sol in batch[:8])
+            assert all(sol.states[0].coefficients[:2].all() for sol in batch[8:])
+
+    def test_a_float_is_a_batch_of_one(self, well_problem):
+        one = solve_well(well_problem, 5.5)
+        assert isinstance(one, BoundStateSolution)
+        (batch,) = solve_well(well_problem, np.array([5.5]))
+        _same_solution(one, batch)
+
+    def test_failing_energies_are_named(self, well_problem):
+        # phi''(+-1) = 0 on top of the walls keeps the sine at a special
+        # level and pins every coefficient elsewhere
+        curvature = [(-1.0, 2), (1.0, 2)]
+        energies = np.array([E1_DIMLESS, 5.5, 8.1911537730])
+        with pytest.raises(NormalizationError, match="nullity 0") as info:
+            solve_well(well_problem, energies, extra_conditions=curvature)
+        assert info.value.failed.tolist() == [False, True, True]
+        assert solve_well(well_problem, E1_DIMLESS, extra_conditions=curvature).degeneracy == 1
+        with pytest.raises(DegenerateBasisError, match="kappa = 0.0") as info:
+            solve_well(well_problem, np.array([5.5, -0.5, 2.5]))
+        assert info.value.failed.tolist() == [False, True, False]
+        with pytest.raises(ComplexQuartetError) as info:
+            solve_well(well_problem, np.array([-5.0, 5.5]))
+        assert info.value.failed.tolist() == [True, False]
+
+    def test_cross_triple_forms_the_scalar_complex_products(self):
+        # numpy's vectorised complex product can differ from the scalar one
+        # in the last bit; a batch's triples are formed as the scalar ones
+        from gupbic.matcher import _cross_triple
+
+        rng = np.random.default_rng(5)
+        u, v = rng.normal(size=(2, 3, 200)) + 1j * rng.normal(size=(2, 3, 200))
+        d = _cross_triple(u, v)
+        for n in range(200):
+            a, b = u[:, n], v[:, n]
+            want = np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+            assert np.array_equal(_bits(d[:, n]), _bits(want))
+
+    def test_batched_basis_evaluates_each_energy_bit_for_bit(self, well_problem):
+        # parameters of shape (N, 1) against a grid, one coefficient set per energy
+        energies = np.array([E1_DIMLESS, 1.638, 16.38])
+        _, grid_basis = well_basis(well_problem, energies[:, None])
+        rng = np.random.default_rng(3)
+        coefficients = (rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3)))[..., None]
+        xs = np.linspace(-1.0, 1.0, 41)
+        got = evaluate_states(coefficients, grid_basis, xs, order=3)
+        assert got.shape == (2, 4, 3, 41)
+        shared = evaluate_states(coefficients[:, :, 0, 0], grid_basis, [-1.0], order=3)
+        for n, e in enumerate(energies.tolist()):
+            _, basis = well_basis(well_problem, e)
+            want = evaluate_states(coefficients[:, :, n, 0], basis, xs, order=3)
+            assert np.array_equal(_bits(got[:, :, n]), _bits(want))
+            launch = evaluate_states(coefficients[:, :, 0, 0], basis, -1.0, order=3)
+            assert np.array_equal(_bits(shared[..., n, 0]), _bits(launch))
+
+
 class TestSolvers:
     def test_well_special_pair(self, well_problem):
         sol = solve_well(well_problem, E1_DIMLESS)
@@ -662,7 +751,7 @@ class TestSolvers:
         found = re.search(limit, str(info.value))
         e_si, e_max = float(found.group(1)), float(found.group(2))
         assert e_max == pytest.approx(((0.25 / eps - 0.01) / 0.2) ** 2, rel=1e-3)
-        assert e_si == pytest.approx(problem.energy_to_si(e_max), rel=1e-3)
+        assert e_si == pytest.approx(problem.energy_to_si(e_max), rel=1e-3, abs=0.0)
         assert degrees_of_freedom(problem, 0.99 * e_max)[0] == 2
         with pytest.raises(PreconditionError, match="highest energy that works"):
             degrees_of_freedom(problem, 1.01 * e_max)

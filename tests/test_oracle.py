@@ -695,6 +695,71 @@ class TestVerifyBattery:
             assert len(calls) <= 4
 
 
+def sine_recovery_one_level_at_a_time(setup):
+    """check_well_sine_recovery's measure as it was formed level by level: one solve and one evaluation each."""
+    from gupbic.matcher import solve_well
+    from gupbic.spectrum import well_special_energies
+
+    problem = nondimensionalize(setup)
+    worst = 0.0
+    for se in well_special_energies(setup, 3):
+        sol = solve_well(problem, se.energy_dimensionless)
+        kap = se.k * math.pi / 2.0
+        xs = np.linspace(-1.0, 1.0, 301)
+        errs = []
+        for vals in sol.values(xs):
+            ref = np.sin(kap * (xs + 1.0))
+            sign = 1.0 if abs(np.max(vals.real + ref)) >= abs(np.max(vals.real - ref)) else -1.0
+            errs.append(float(np.max(np.abs(sign * vals - ref))))
+        worst = max(worst, min(errs))
+    return worst
+
+
+def exact_well_one_state_at_a_time(setup, rtol):
+    """check_exact_well_oracle_agreement's measure as it was formed state by state, one basis per energy."""
+    from gupbic.oracle import integrate_many
+
+    problem = nondimensionalize(setup)
+    xs = np.linspace(-1.0, 1.0, 201)
+    energies = (2.918779290241783, 1.638, 16.38)
+    states = [
+        StateFunction(
+            np.array([0.05, 0.4, 0.7, 0.55]),
+            exact_constant_basis(characteristic_roots(problem.epsilon, e), problem.domain),
+        )
+        for e in energies
+    ]
+    marched = integrate_many(
+        [(problem, e, state.derivatives(-1.0, order=3), -1.0, xs) for e, state in zip(energies, states)], rtol
+    )
+    worst = 0.0
+    for state, phi in zip(states, marched):
+        vals = state.value(xs)
+        worst = max(worst, np.max(np.abs(phi[0] - vals)) / np.max(np.abs(vals)))
+    return worst
+
+
+class TestBatchedWellChecks:
+    @pytest.mark.parametrize("beta", [1e47, 1e44, 1e41, 1e38])
+    @pytest.mark.parametrize("a", [1e-10, 3e-10])
+    def test_sine_recovery_equals_the_level_by_level_loop(self, beta, a):
+        from gupbic.core import ELECTRON_MASS, InfiniteWell
+        from gupbic.verification import check_well_sine_recovery
+
+        setup = PhysicalSetup(mass=ELECTRON_MASS, beta=beta, potential=InfiniteWell(a=a))
+        assert check_well_sine_recovery(setup).measured == sine_recovery_one_level_at_a_time(setup)
+
+    @pytest.mark.parametrize(
+        "beta, rtol", [(1e47, 1e-11), (1e47, 1e-13), (1e47, 1e-6), (1e46, 1e-11), (1e44, 1e-11)]
+    )
+    def test_exact_well_equals_the_state_by_state_loop(self, beta, rtol):
+        from gupbic.verification import check_exact_well_oracle_agreement
+
+        setup = reference_well_setup(beta=beta)
+        measured = check_exact_well_oracle_agreement(setup, rtol=rtol).measured
+        assert measured == exact_well_one_state_at_a_time(setup, rtol)
+
+
 @pytest.fixture(scope="module")
 def lin():
     setup = linear_setup_for(0.01)
