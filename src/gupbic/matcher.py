@@ -158,12 +158,21 @@ class ConstraintSystem:
     row_kinds: tuple[str, ...]
     basis: tuple[BasisFunction, ...]
 
-    def row_residual(self, coefficients: np.ndarray) -> float:
-        """max |row . c| over rows for a unit coefficient vector."""
-        if self.matrix.shape[0] == 0:
-            return 0.0
+    def row_residual(self, coefficients: np.ndarray) -> float | np.ndarray:
+        """max |row . c| / |c| over rows: the residual of the unit vector along c; inf for c = 0.
+
+        Coefficient vectors along the last axis: a 4-vector gives a float,
+        and for a stacked (N, rows, 4) matrix an (N, S, 4) array, S vectors
+        per energy, gives (N, S) residuals.
+        """
         c = np.asarray(coefficients, dtype=complex)
-        return float(np.max(np.abs(self.matrix @ (c / np.linalg.norm(c)))))
+        norm = np.linalg.norm(c, axis=-1)
+        if self.matrix.shape[-2] == 0:
+            res = np.zeros(norm.shape)
+        else:
+            res = np.abs(c @ self.matrix.swapaxes(-1, -2)).max(axis=-1)
+        res = np.divide(res, norm, out=np.full(norm.shape, np.inf), where=norm > 0)
+        return float(res) if res.ndim == 0 else res
 
 
 def assemble(
@@ -238,36 +247,59 @@ def assemble(
     return ConstraintSystem(energy=energy, matrix=matrix, row_kinds=tuple(kinds), basis=basis)
 
 
-def nullity_of(system: ConstraintSystem) -> int | np.ndarray:
-    """4 - numerical rank of the constraint matrix (singular values above RANK_TOL * the largest).
-
-    An int, or an int array with one nullity per energy for a stacked
-    (N, rows, 4) matrix, whose SVDs run in one call.
-    """
+def _finite_matrix(system: ConstraintSystem) -> np.ndarray:
+    """The constraint matrix; raises for the energies whose rows hold a non-finite entry."""
     m = system.matrix
     if not np.isfinite(m).all():
         raise_where(
             ~np.isfinite(m).all(axis=(-2, -1)),
             lambda: PreconditionError("constraint matrix has non-finite entries"),
         )
+    return m
+
+
+def _nullity(svals: np.ndarray) -> np.ndarray:
+    """4 - numerical rank: the count of singular values at or below RANK_TOL * the largest."""
+    # an all-zero matrix has rank 0: no singular value exceeds RANK_TOL * 0
+    return 4 - (svals > RANK_TOL * svals[..., :1]).sum(axis=-1)
+
+
+def nullity_of(system: ConstraintSystem) -> int | np.ndarray:
+    """4 - numerical rank of the constraint matrix (singular values above RANK_TOL * the largest).
+
+    An int, or an int array with one nullity per energy for a stacked
+    (N, rows, 4) matrix, whose SVDs run in one call.
+    """
+    m = _finite_matrix(system)
     if m.shape[-2] == 0:
         return 4 if m.ndim == 2 else np.full(m.shape[0], 4)
-    svals = np.linalg.svd(m, compute_uv=False)
-    # an all-zero matrix has rank 0: no singular value exceeds RANK_TOL * 0
-    rank = np.sum(svals > RANK_TOL * svals[..., :1], axis=-1)
-    return 4 - (int(rank) if m.ndim == 2 else rank)
+    nullity = _nullity(np.linalg.svd(m, compute_uv=False))
+    return int(nullity) if m.ndim == 2 else nullity
 
 
-def nullspace(system: ConstraintSystem) -> tuple[int, list[np.ndarray]]:
-    """(nullity, orthonormal coefficient vectors) of the constraint system."""
-    nullity = nullity_of(system)
-    if nullity == 4:
-        return 4, [np.eye(4, dtype=complex)[:, j] for j in range(4)]
-    if nullity == 0:
-        return 0, []
-    _, _, vh = np.linalg.svd(system.matrix)
-    # the conjugated rows of vh beyond the rank index are an orthonormal nullspace basis
-    return nullity, list(vh[4 - nullity :].conj())
+def nullspace(system: ConstraintSystem) -> tuple[int | np.ndarray, list]:
+    """(nullity, orthonormal coefficient vectors) of the constraint system.
+
+    The rank and the vectors come from one SVD.  For a stacked (N, rows, 4)
+    matrix the SVDs run in one call and give an int array of N nullities
+    and one list of vectors per energy.
+    """
+    m = _finite_matrix(system)
+    if m.shape[-2] == 0:  # no rows: all four directions are free
+        nullity, vh = np.full(m.shape[:-2], 4), np.zeros(m.shape[:-2] + (4, 4), dtype=complex)
+    else:
+        _, svals, vh = np.linalg.svd(m)
+        nullity = _nullity(svals)
+
+    def vectors(count: int, v) -> list[np.ndarray]:
+        if count == 4:
+            return [np.eye(4, dtype=complex)[:, j] for j in range(4)]
+        # the conjugated rows of vh beyond the rank index are an orthonormal nullspace basis
+        return list(v[4 - count :].conj())
+
+    if m.ndim == 2:
+        return int(nullity), vectors(int(nullity), vh)
+    return nullity, [vectors(count, v) for count, v in zip(nullity.tolist(), vh)]
 
 
 # --- explicit determinant-form coefficients (infinite well) ------------------------
@@ -631,12 +663,8 @@ def solve_well(
     lo, hi = problem.domain
     energies = np.asarray(energy, dtype=float).reshape(-1)
     roots, basis = well_basis(problem, energies)
-    m = assemble(basis, conditions_for(problem), energies, extra_conditions=extra_conditions).matrix
-    raise_where(
-        ~np.isfinite(m).all(axis=(-2, -1)), lambda: PreconditionError("constraint matrix has non-finite entries")
-    )
-    _, svals, vh = np.linalg.svd(m)
-    nullity = 4 - (svals > RANK_TOL * svals[..., :1]).sum(axis=-1)
+    system = assemble(basis, conditions_for(problem), energies, extra_conditions=extra_conditions)
+    nullity, null_vecs = nullspace(system)
     raise_where(nullity == 0, lambda e: NormalizationError(f"no bound state at e={e} (nullity 0)"), energies)
 
     # special energies: kappa * 2 half-width / pi within 1e-9 of an integer k >= 1
@@ -647,21 +675,19 @@ def solve_well(
     # sin(kappa(x - lo)) expressed on (cos, sin); lo = -|lo|
     sine = np.zeros((energies.size, 4), dtype=complex)
     sine[:, 2], sine[:, 3] = _libm(math.sin, kappa * abs(lo)), _libm(math.cos, kappa * abs(lo))
-    # the wall rows are the basis values at the walls: each wall's own boundary
-    # layer is 1 there and every other value lies in [0, 1], so they are scaled by 1
-    values = m[:, :2].transpose(2, 1, 0)  # (4, 2, N)
+    values = np.array([f.value_array(np.array([[lo], [hi]])) for f in basis])  # (4, 2, N)
     first, second, partner = _determinant_vectors(values, (lo, hi), [(1, 2, 3), (2, 3, 4), (1, 2, 3)], kappa)
     seeds = np.empty((energies.size, 2, 4), dtype=complex)
     seeds[:, 0], seeds[:, 1] = np.where(special, sine, first), np.where(special, partner, second)
-    # keep seeds that genuinely satisfy the walls, max |row . c| < 1e-8 |c| (a vanishing triple is dropped)
-    keep = np.abs(m @ seeds.swapaxes(-1, -2)).max(axis=-2) < 1e-8 * np.linalg.norm(seeds, axis=-1)
+    # keep seeds that genuinely satisfy the walls (a vanishing triple is dropped)
+    keep = system.row_residual(seeds) < 1e-8
 
     solutions, failed, error = [], np.zeros(energies.size, dtype=bool), None
-    columns = zip(energies.tolist(), nullity.tolist(), keep.tolist(), roots.mu1.tolist(), kappa.tolist())
-    for n, (e, count, kept, mu1, kap) in enumerate(columns):
+    columns = zip(energies.tolist(), nullity.tolist(), keep.tolist(), null_vecs, roots.mu1.tolist(), kappa.tolist())
+    for n, (e, count, kept, vecs, mu1, kap) in enumerate(columns):
         good = [s for s, ok in zip(seeds[n], kept) if ok]
         if len(good) < count:  # top up from the nullspace
-            for v in np.eye(4, dtype=complex) if count == 4 else vh[n, 4 - count :].conj():
+            for v in vecs:
                 if len(good) >= count:
                     break
                 w = v.copy()

@@ -35,6 +35,7 @@ from gupbic.matcher import (
     evaluate_states,
     normalize,
     nullspace,
+    nullity_of,
     overlap_gram,
     point_zero,
     solve_harmonic,
@@ -180,6 +181,62 @@ class TestNullspace:
             if se.k % 2 == 0:
                 # even k: the unshifted pure-sine coefficient vector itself
                 assert system.row_residual(np.array([0, 0, 0, 1], dtype=complex)) < 1e-12
+
+    def _stacked(self, problem, energies, extra=()):
+        _, basis = well_basis(problem, np.asarray(energies))
+        stacked = assemble(basis, conditions_for(problem), np.asarray(energies), extra_conditions=extra)
+        singles = []
+        for e in energies:
+            _, b = well_basis(problem, e)
+            singles.append(assemble(b, conditions_for(problem), e, extra_conditions=extra))
+        return stacked, singles
+
+    @pytest.mark.parametrize("extra", [(), (0.3,)])
+    def test_stacked_nullspace_is_the_per_energy_one(self, well_problem, extra):
+        energies = [E1_DIMLESS, 1.638, 8.1911537730, 4 * E1_DIMLESS]
+        stacked, singles = self._stacked(well_problem, energies, extra)
+        nullity, vecs = nullspace(stacked)
+        assert nullity.tolist() == [nullspace(s)[0] for s in singles]
+        assert nullity.tolist() == nullity_of(stacked).tolist()
+        for got, single in zip(vecs, singles):
+            want = nullspace(single)[1]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_stacked_nullspace_of_no_rows_is_canonical(self, well_problem):
+        system = ConstraintSystem(
+            energy=np.array([1.0, 2.0]),
+            matrix=np.zeros((2, 0, 4), dtype=complex),
+            row_kinds=(),
+            basis=tuple(well_basis(well_problem, np.array([1.0, 2.0]))[1]),
+        )
+        nullity, vecs = nullspace(system)
+        assert nullity.tolist() == [4, 4]
+        for v in vecs:
+            assert np.array_equal(np.array(v).T, np.eye(4))
+
+    def test_stacked_nullspace_names_a_non_finite_energy(self, well_problem):
+        stacked, _ = self._stacked(well_problem, [1.638, 8.1911537730])
+        matrix = stacked.matrix.copy()
+        matrix[1, 0, 0] = np.nan
+        bad = ConstraintSystem(energy=stacked.energy, matrix=matrix, row_kinds=stacked.row_kinds, basis=stacked.basis)
+        for op in (nullspace, nullity_of):
+            with pytest.raises(PreconditionError) as info:
+                op(bad)
+            assert info.value.failed.tolist() == [False, True]
+
+    def test_batched_row_residual_is_the_per_vector_one(self, well_problem):
+        energies = [E1_DIMLESS, 1.638, 8.1911537730]
+        stacked, singles = self._stacked(well_problem, energies)
+        rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+        coeffs[1, 1] = 0.0
+        got = stacked.row_residual(coeffs)
+        assert got.shape == (3, 2)
+        for n, single in enumerate(singles):
+            assert got[n, 0] == pytest.approx(single.row_residual(coeffs[n, 0]), rel=1e-14, abs=0.0)
+        assert got[1, 1] == math.inf and singles[1].row_residual(coeffs[1, 1]) == math.inf
 
 
 class TestWellCoefficients:
