@@ -100,6 +100,7 @@ def standard_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
 # --- propagators and integration -----------------------------------------------
 
 _MAX_TERMS = 80  # series cap; with h rho <= 1 the tail rule ends it near 20 terms
+MAX_SUB_STEPS = 2**17  # most sub-steps of one _propagators call, each 26-52 x 4 doubles of series
 
 
 def _potential_taylor(problem: DimensionlessProblem, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -201,18 +202,28 @@ def _propagators(
     only its own group; within a group they are chained by pairwise
     stacked products in the scaled state (every sub-step of an interval
     shares h), which is unscaled once: U = H^-1 S H with H = diag(h^m).
-    A zero-width interval is exactly the identity.
+    A zero-width interval is exactly the identity.  More than
+    ``MAX_SUB_STEPS`` sub-steps over all requests raise a PreconditionError
+    before any is allocated.
     """
     if not requests:
         return []
     sizes, widths, counts, coeffs = [], [], [], []
+    total = 0.0
     for problem, energy, starts, ends in requests:
         if dim == 4 and problem.epsilon <= 0.0:
             raise PreconditionError("the companion system requires epsilon > 0; use the standard mode")
         starts = np.asarray(starts, dtype=float).reshape(-1)
         width = np.asarray(ends, dtype=float).reshape(-1) - starts
         rate = _max_rate(problem, energy, dim, np.concatenate([starts, starts + width])).reshape(2, -1).max(axis=0)
-        count = np.maximum(1, np.ceil(np.abs(width) * rate)).astype(int)
+        count = np.maximum(1.0, np.ceil(np.abs(width) * rate))
+        total += count.sum()
+        if not total <= MAX_SUB_STEPS:  # a NaN count fails too
+            raise PreconditionError(
+                f"the oracle's intervals need {total:.4g} sub-steps (|h| rho <= 1), "
+                f"above its cap of {MAX_SUB_STEPS}: the system is too stiff over this range"
+            )
+        count = count.astype(int)
         h = np.repeat(width / count, count)
         j = np.arange(h.size) - np.repeat(np.cumsum(count) - count, count)  # sub-step j of its interval
         v0, v1, v2 = _potential_taylor(problem, np.repeat(starts, count) + j * h)

@@ -13,8 +13,20 @@ nearest |x| 10^(16-k), which a double-double product gives exactly wherever
 it is not within 1e-9 of a tie; ties, non-finite values and three-digit
 exponents go to Python's ``%``.  Other columns format each distinct value
 once.  Every cell is a fixed-width byte row padded with NUL bytes, which the
-writer drops, so no cell may contain one.  Files are written atomically
-(temp + rename).
+writer drops, so no cell may contain one.
+
+``write_json`` writes exactly ``json.dumps(payload, indent=2, sort_keys=True)``
+plus a newline, from ``_encode``: json's pure-Python indent encoder yields
+every token through generators, and this one joins each container's items
+once.  Strings and keys are escaped to ASCII by json's own escaper, floats
+(subclasses such as ``np.float64`` too) are ``float.__repr__`` with
+``NaN``/``Infinity``/``-Infinity``, tuples are lists; a non-str key or any
+other type is a TypeError.
+
+Every file is written atomically: its bytes go to ``<name>.tmp-<pid>`` through
+one raw descriptor, which ``os.replace`` then renames over the target, so a
+reader sees the old file or the new one whole.  The directory is created only
+when that open finds it missing.
 """
 
 from __future__ import annotations
@@ -46,11 +58,26 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)  # as open(path, "wb")
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
+    """Write data to ``<name>.tmp-<pid>`` through one descriptor, then rename it over path.
+
+    The directory is made only when the first open finds it missing.
+    """
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
 
 
@@ -218,9 +245,65 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Pat
     return path
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# the text of a scalar of exactly one of these types; subclasses (np.float64) take _encode's tests
+_SCALARS = {
+    str: _escape,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _encode(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of value, whose line starts with ``indent``.
+
+    ``indent`` is the newline and the spaces before value's line.  A scalar
+    of an exact type takes ``_SCALARS``, also inline in a container's loop;
+    a subclass of str, int or float is written as its base type, as json
+    does.  A non-str key fails ``_escape`` with a TypeError.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner, get, texts = indent + "  ", _SCALARS.get, []
+        for key in sorted(value):
+            item = value[key]
+            scalar = get(type(item))
+            texts.append(_escape(key) + ": " + (scalar(item) if scalar else _encode(item, inner)))
+        return "{" + inner + ("," + inner).join(texts) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner, get, texts = indent + "  ", _SCALARS.get, []
+        for item in value:
+            scalar = get(type(item))
+            texts.append(scalar(item) if scalar else _encode(item, inner))
+        return "[" + inner + ("," + inner).join(texts) + indent + "]"
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):  # not a bool: bool has no subclasses, so _SCALARS took it
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: str | Path, payload) -> Path:
     path = Path(path)
-    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    _atomic_write(path, (_encode(payload, "\n") + "\n").encode())
     return path
 
 

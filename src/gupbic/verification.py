@@ -147,6 +147,13 @@ def check_exact_well_oracle_agreement(
 
     One exact basis batched over the three energies gives every state's
     launch derivatives in one evaluation and its grid values in another.
+
+    The check holds only near the reference setup (beta 1e47, a = 1e-10 m),
+    where it reads about 6e-12.  Its energies and coefficients are fixed, and
+    the forward march amplifies roundoff by about exp(2 mu1 L), so other
+    setups fail its 1e-8 threshold with no fault in either solver: 1.1e-6 at
+    a = 3e-10 m, 5.1e15 at beta 1e45.  Setups stiffer still (beta 1e30)
+    exceed the oracle's ``MAX_SUB_STEPS`` and raise a PreconditionError.
     """
     if setup is None:
         setup = reference_well_setup()

@@ -500,6 +500,16 @@ class TestExitCodes:
         assert error["exit_code"] == 2
         assert "--E" in error["message"]
 
+    @pytest.mark.parametrize("below", [[], ["sub"]])
+    def test_out_naming_a_regular_file_exits_3(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert run(["spectrum", "--k-max", "2", "--out", taken.joinpath(*below)]) == 3
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error["exit_code"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert taken.read_text() == "a file, not a directory\n"
+
     def test_help_still_prints_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["wavefunction", "--help"])
@@ -748,3 +758,32 @@ print(json.dumps(report))
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         assert report == {"wavefunction": [0, False, False], "observability": [0, False, False]}
+
+
+class TestJsonBytes:
+    # each command's argv and the JSON files it writes
+    RUNS = {
+        "wavefunction": (["wavefunction", "--k", "1"], []),
+        "dof-scan": (["dof-scan", "--n", "5"], ["scan.json"]),
+        "dof-scan-linear": (["dof-scan", "--potential", "linear", "--L", "1.281e-8", "--n", "3"], ["scan.json"]),
+        "spectrum": (["spectrum", "--k-max", "3"], []),
+        "observability": (["observability", "--potential", "harmonic", "--omega", "1.897e16"], ["observability.json"]),
+        "momentum-check": (
+            ["momentum-check", "--potential", "linear", "--L", "1.281e-8", "--E", "2e-18"],
+            ["momentum_check.json"],
+        ),
+        "verify": (["verify"], ["verify.json"]),
+        "verify-beta0": (["verify", "--beta", "0"], ["verify.json"]),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_json_files_are_json_dumps_indent_2_sorted(self, tmp_path, name):
+        # every JSON file a command writes reads back and re-encodes to its own bytes
+        argv, written = self.RUNS[name]
+        out = tmp_path / name
+        assert run(argv + ["--out", out]) == 0
+        files = sorted(out.glob("*.json"))
+        assert [f.name for f in files] == sorted(written + ["manifest.json"])
+        for f in files:
+            text = f.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", f.name

@@ -673,6 +673,30 @@ class TestPropagators:
         with pytest.raises(PreconditionError, match="degree <= 2"):
             integrate(cubic, 1.7, [1.0, 0.0], 0.0, [0.5])
 
+    def test_sub_step_count_is_capped_before_allocation(self, monkeypatch):
+        # at beta 1e30 the exact-well check asks for about 2e9 sub-steps;
+        # the cap refuses them, naming the count, before any series is summed
+        from gupbic import oracle
+        from gupbic.verification import check_exact_well_oracle_agreement
+
+        def unreachable(*args):
+            raise AssertionError("the series ran past the cap")
+
+        monkeypatch.setattr(oracle, "_scaled_steps", unreachable)
+        cap = f"cap of {oracle.MAX_SUB_STEPS}"
+        with pytest.raises(PreconditionError, match=r"need \d\.\d+e\+09 sub-steps .*" + cap):
+            check_exact_well_oracle_agreement(reference_well_setup(beta=1e30))
+
+    def test_cap_counts_every_request_of_a_call(self, well_problem):
+        # two requests each under the cap, together above it
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, MAX_SUB_STEPS, _max_rate, _propagators
+
+        rate = float(_max_rate(well_problem, 1.0, 4, np.array([0.0]))[0])
+        width = 0.6 * MAX_SUB_STEPS / rate
+        request = (well_problem, 1.0, [0.0], [width])
+        with pytest.raises(PreconditionError, match=f"cap of {MAX_SUB_STEPS}"):
+            _propagators([request, request], 4, DEFAULT_RTOL, DEFAULT_ATOL)
+
 
 class TestVerifyBattery:
     def test_default_battery_sums_four_recurrences(self, monkeypatch):

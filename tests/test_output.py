@@ -1,3 +1,5 @@
+import json
+import os
 import string
 from decimal import Decimal
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gupbic import output
-from gupbic.output import _fmt_cell, _float_cells, write_csv
+from gupbic.output import _encode, _fmt_cell, _float_cells, write_csv, write_json
 
 CELLS = st.one_of(
     st.booleans(),
@@ -162,3 +164,102 @@ def test_float_cells_fall_back_to_python_formatting(fallback):
     fast = [-9.999999999999999e99, 1.5e-99, 0.5, -0.0]
     assert float_strings(x + fast) == ["%.16e" % v for v in x + fast]
     assert [str(v) for v in fallback] == [str(v) for v in x]
+
+
+# --- the atomic writer -------------------------------------------------------------
+
+
+def test_writer_creates_missing_parent_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "c.json"
+    assert write_json(path, {"x": 1}) == path
+    assert path.read_text() == '{\n  "x": 1\n}\n'
+    assert write_csv(tmp_path / "d" / "e.csv", ["n"], [[1, 2]]).read_text() == "n\n1\n2\n"
+
+
+def test_writer_replaces_an_existing_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"an older and longer file than the new one\n" * 100)
+    old = path.open("rb")  # a reader of the old file keeps reading it whole
+    write_csv(path, ["n"], [[7]])
+    assert path.read_bytes() == b"n\n7\n"
+    assert old.read().startswith(b"an older")
+    old.close()
+    write_json(tmp_path / "out.json", [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+
+
+def test_writer_writes_every_byte_of_short_writes(tmp_path, monkeypatch):
+    real = os.write
+    monkeypatch.setattr(output.os, "write", lambda fd, data: real(fd, bytes(data[:7])))
+    payload = {"rows": [{"x": 0.1 * i, "name": "r%d" % i} for i in range(50)]}
+    path = write_json(tmp_path / "short.json", payload)
+    monkeypatch.undo()
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "kept.json"
+    write_json(path, {"old": True})
+
+    def full(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(output.os, "write", full)
+    with pytest.raises(OSError, match="No space"):
+        write_json(path, {"new": True})
+    monkeypatch.undo()
+    assert json.loads(path.read_text()) == {"old": True}
+
+
+# --- the indent-2 JSON encoder -----------------------------------------------------
+
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, -1e16, 1e-7, 1e22]),
+)
+JSON_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x1F) | st.sampled_from('"\\/\x7f\u2028')),
+    st.sampled_from(["\ud800", "\U0001f600", "\u00e9t\u00e9", ""]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63, max_value=2**200), JSON_FLOATS, JSON_TEXT
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(payload=JSON_PAYLOADS)
+@settings(max_examples=1000, deadline=None)
+def test_encoder_matches_json_dumps(payload):
+    assert _encode(payload, "\n") == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_encoder_edges_match_json_dumps(tmp_path):
+    edges = [
+        [], {}, (), [[]], {"": {}}, [(), ((),)], True, False, None, 0, -1, 2**64, -(10**40),
+        0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1.7976931348623157e308, float("nan"), float("inf"),
+        -float("inf"), np.float64(0.1), np.float64(-0.0), np.float64(float("nan")), "\x00\x1f\"\\\u00e9\ud800",
+        {"b": [1, 2.5], "a": {"c": (True, None)}, "\u00e9": "x", "A": 1},
+        type("Count", (int,), {})(3), type("Label", (str,), {})("x"),  # subclasses write as their base
+    ]
+    for value in edges + [edges]:
+        assert _encode(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+    path = write_json(tmp_path / "edges.json", edges)
+    assert path.read_bytes() == (json.dumps(edges, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "value", [{1: "int key"}, {"a": 1, 2: "b"}, np.int64(1), np.bool_(True), {1.5}, object(), [b"bytes"]]
+)
+def test_encoder_refuses_non_str_keys_and_unsupported_types(value):
+    with pytest.raises(TypeError):
+        _encode(value, "\n")
