@@ -65,8 +65,6 @@ TURNING_WINDOW_HALF_WIDTH = 0.05
 class AsymptoticClass(Enum):
     GROWING = "Growing"
     DECAYING = "Decaying"
-    OSCILLATORY = "Oscillatory"
-    UNDEFINED = "Undefined"
 
 
 class Side(Enum):
@@ -144,7 +142,7 @@ def characteristic_roots(epsilon: float, e_minus_v) -> CharacteristicRoots:
 
 
 class BasisFunction:
-    """Common interface: evaluate with derivatives, classify, scale safely."""
+    """Common interface: evaluate with derivatives, scale safely."""
 
     index: int
     method: str
@@ -158,12 +156,8 @@ class BasisFunction:
         return self.derivatives(x, order=0)[0]
 
     # Log-space access at a float or an array of abscissas: a point row of
-    # ``assemble`` and the classifier scale by one log shift and never form
-    # a value past the exponent cap.
-
-    def valid(self, xs: np.ndarray) -> np.ndarray:
-        """Mask of the abscissas where the function may be evaluated."""
-        return np.ones(np.shape(xs), dtype=bool)
+    # ``assemble`` scales by one log shift and never forms a value past the
+    # exponent cap.
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -175,22 +169,6 @@ class BasisFunction:
     def scaled_value_array(self, xs: np.ndarray, log_shift) -> np.ndarray:
         """f(x) * exp(-log_shift), computed without forming f(x)."""
         raise NotImplementedError
-
-    def asymptotic_class(self, side: Side) -> AsymptoticClass:
-        return classify_asymptotics(self, side, self._auto_probes(side))
-
-    def _auto_probes(self, side: Side) -> list[float]:
-        lo, hi = self.validity
-        span = 4.0
-        if side is Side.PLUS_INFINITY:
-            if math.isinf(hi):
-                start = lo + 0.25 if math.isfinite(lo) else 0.0
-                return list(np.linspace(start, start + span, 5))
-            return list(np.linspace(lo + 0.05 * (hi - lo), hi - 1e-9 * max(1.0, abs(hi)), 5))
-        if math.isinf(lo):
-            start = hi - 0.25 if math.isfinite(hi) else 0.0
-            return list(np.linspace(start, start - span, 5))
-        return list(np.linspace(hi - 0.05 * (hi - lo), lo + 1e-9 * max(1.0, abs(lo)), 5))
 
 
 def _per_energy(values):
@@ -575,26 +553,23 @@ class ExponentTable:
         a +- s has the real part a > 0 and Re(lam_j) keeps the sign tau_j to
         infinity; no branches cross there.  The class toward ``side`` is
         the outward sign of Re(eta lam_j): tau_j times that of the side, the
-        same at every energy.  Where the form does not apply the result is
-        (); a batch raises ClassificationError for those energies instead.
+        same at every energy.  Where the form does not apply (a bounded
+        piece, or one short of the last zero of a^2 - b) this raises
+        ClassificationError, for a batch with the failing energies as
+        ``failed``.
         """
         classes = self._classes.get(side)
         if classes is None:
             p, outward = self.params, 1.0 if side is Side.PLUS_INFINITY else -1.0
             end = self.interval[1] if outward > 0 else self.interval[0]
-            unbounded = math.isinf(end) if isinstance(end, float) else np.isinf(end).all()
-            closed = unbounded and p.a_coef**2 < p.b(p.x0)
-            if np.ndim(p.x0) == 0 and not closed:
-                classes = ()
-            else:
-                raise_where(
-                    np.logical_not(closed),
-                    lambda: ClassificationError(f"no closed-form class toward {side.value}"),
-                )
-                classes = tuple(
-                    AsymptoticClass.GROWING if outward * tau > 0 else AsymptoticClass.DECAYING
-                    for _, tau in _BRANCH_SIGNS.values()
-                )
+            raise_where(
+                ~(np.isinf(end) & (p.a_coef**2 < p.b(p.x0))),
+                lambda: ClassificationError(f"no closed-form class toward {side.value}"),
+            )
+            classes = tuple(
+                AsymptoticClass.GROWING if outward * tau > 0 else AsymptoticClass.DECAYING
+                for _, tau in _BRANCH_SIGNS.values()
+            )
             self._classes[side] = classes
         return classes
 
@@ -780,24 +755,6 @@ class WkbBasisFunction(BasisFunction):
             eta * lam[k] - 0.5 * corr[k] - 0.5 * (dlog_lam[k] + dlog_s[k]) for k in range(4)
         )
 
-    def asymptotic_class(self, side: Side) -> AsymptoticClass:
-        """The table's closed-form class (``ExponentTable.closed_classes``), else ``classify_asymptotics``."""
-        classes = self.table.closed_classes(side)
-        return classes[self.index - 1] if classes else super().asymptotic_class(side)
-
-    def _auto_probes(self, side: Side) -> list[float]:
-        probes = super()._auto_probes(side)
-        if not self.windows:
-            return probes
-        step = 2.5 * TURNING_WINDOW_HALF_WIDTH
-        shifted = []
-        for p in probes:
-            while any(a < p < b for a, b in self.windows):
-                p += step if side is Side.PLUS_INFINITY else -step
-            shifted.append(p)
-        ordered = sorted(set(shifted), reverse=side is Side.MINUS_INFINITY)
-        return ordered if len(ordered) >= 2 else probes
-
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         if order > 4:
             raise PreconditionError(f"WKB derivatives available up to order 4, got order {order}")
@@ -853,9 +810,6 @@ class SymmetrizedBasisFunction(BasisFunction):
     def value(self, x: float) -> complex:
         return self.inner.value(abs(x))
 
-    def valid(self, xs: np.ndarray) -> np.ndarray:
-        return self.inner.valid(np.abs(xs))
-
     def value_array(self, xs: np.ndarray) -> np.ndarray:
         return self.inner.value_array(np.abs(xs))
 
@@ -864,16 +818,6 @@ class SymmetrizedBasisFunction(BasisFunction):
 
     def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
         return self.inner.scaled_value_array(np.abs(xs), log_shift)
-
-    def asymptotic_class(self, side: Side) -> AsymptoticClass:
-        """The inner branch's class toward +inf: the mirror piece toward -inf is its image."""
-        return self.inner.asymptotic_class(Side.PLUS_INFINITY)
-
-    def _auto_probes(self, side: Side) -> list[float]:
-        inner_probes = self.inner._auto_probes(Side.PLUS_INFINITY)
-        if side is Side.PLUS_INFINITY:
-            return inner_probes
-        return [-p for p in inner_probes]
 
     def __repr__(self):
         return f"SymmetrizedBasisFunction({self.inner!r})"
@@ -1011,59 +955,16 @@ def wkb_basis(
 # --- asymptotic classification -------------------------------------------------
 
 
-_CLASSIFY_SAMPLES = 7  # samples per probe-to-probe interval
+def classify_asymptotics(f: BasisFunction, side: Side) -> AsymptoticClass:
+    """The class of ``f`` toward ``side``, read from its far-field closed form.
 
-
-def classify_asymptotics(f: BasisFunction, side: Side, probes: Sequence[float]) -> AsymptoticClass:
-    """Growing / Decaying / Oscillatory from |f| and sign behaviour at probes.
-
-    The amplitude on each probe-to-probe interval is the envelope estimate
-    max_x log|f(x)| over a few samples (pointwise |f| lands on nodes of
-    oscillatory functions).  Growing: the envelope rises by >= 10x across the
-    probes; Decaying: falls by >= 10x; Oscillatory: sign-changing with
-    consecutive-interval envelope ratios inside [0.5, 2].  Anything else is
-    Undefined (widen the probes).
+    A WKB branch takes its table's ``closed_classes``; the even continuation
+    of one takes its inner branch's class toward +inf, since the mirror piece
+    toward -inf is its image.  Any other function, and a branch on a piece
+    the closed form does not cover, raises ClassificationError.
     """
-    probes = list(probes)
-    if len(probes) < 2:
-        raise ValueError("need at least two probe points")
-    diffs = np.diff(probes)
-    if side is Side.PLUS_INFINITY and not np.all(diffs > 0):
-        raise ValueError("probes must increase toward +inf")
-    if side is Side.MINUS_INFINITY and not np.all(diffs < 0):
-        raise ValueError("probes must decrease toward -inf")
-
-    # every sample in one call; samples in a turning window or with a
-    # non-finite log are masked
-    ends = np.asarray(probes, dtype=float)
-    xs = np.linspace(ends[:-1], ends[1:], _CLASSIFY_SAMPLES, axis=1)
-    ok = f.valid(xs)
-    logs = np.full(xs.shape, np.nan)
-    logs[ok] = f.log_abs_array(xs[ok])
-    ok &= np.isfinite(logs)
-    if np.any(ok.sum(axis=1) < 3):
-        return AsymptoticClass.UNDEFINED
-    env_logs = np.where(ok, logs, -np.inf).max(axis=1)
-    # sign samples: each interval's valid samples but its last (the next
-    # interval's first), then the last probe
-    keep = ok.copy()
-    last = _CLASSIFY_SAMPLES - 1 - np.argmax(ok[:, ::-1], axis=1)
-    keep[np.arange(len(xs)), last] = False
-    keep[-1, -1] = ok[-1, -1]
-    all_xs = xs[keep]
-
-    growth = env_logs[-1] - env_logs[0]
-    ln10 = math.log(10.0)
-    if growth >= ln10:
-        return AsymptoticClass.GROWING
-    if growth <= -ln10:
-        return AsymptoticClass.DECAYING
-
-    shift = float(np.max(env_logs))
-    vals = f.scaled_value_array(all_xs, shift)
-    comps = vals.real if np.max(np.abs(vals.real)) >= np.max(np.abs(vals.imag)) else vals.imag
-    sign_changes = int(np.sum(np.abs(np.diff(np.sign(comps))) > 0))
-    ratios = np.exp(np.diff(env_logs))
-    if sign_changes >= 1 and np.all((ratios >= 0.5) & (ratios <= 2.0)):
-        return AsymptoticClass.OSCILLATORY
-    return AsymptoticClass.UNDEFINED
+    if isinstance(f, SymmetrizedBasisFunction):
+        f, side = f.inner, Side.PLUS_INFINITY
+    if not isinstance(f, WkbBasisFunction):
+        raise ClassificationError(f"{type(f).__name__} has no closed-form class toward {side.value}")
+    return f.table.closed_classes(side)[f.index - 1]

@@ -63,7 +63,7 @@ class BasisOverflowError(GupBicError):
 
 
 class ClassificationError(GupBicError):
-    """Asymptotic class is Undefined where a definite class is required."""
+    """No closed-form asymptotic class: the function is not on a far-field WKB piece."""
 
 
 class InvalidConditionsError(GupBicError):

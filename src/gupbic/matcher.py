@@ -6,7 +6,9 @@ set.  Boundary conditions become linear rows on (C_1..C_4):
   * a point condition phi(xp) = 0 is the row [w_1(xp), ..., w_4(xp)];
   * a decay condition toward one side zeroes the coefficients of the basis
     functions whose asymptotic class toward that side is Growing (one unit
-    row each).
+    row each).  The class comes from ``basis.classify_asymptotics``, a
+    closed form that only far-field WKB pieces have, so decay rows read the
+    ``far_basis`` of a WKB assembly.
 
 The count of degrees of freedom (nullity of the assembled system) is the
 degeneracy of the energy; key boundary conditions (KBCs) are those that make
@@ -42,6 +44,7 @@ from .basis import (
     TURNING_WINDOW_HALF_WIDTH,
     WkbParameters,
     characteristic_roots,
+    classify_asymptotics,
     exact_constant_basis,
     map_regions,
     wkb_branches,
@@ -49,7 +52,6 @@ from .basis import (
 from .core import DimensionlessProblem
 from .errors import (
     BasisOverflowError,
-    ClassificationError,
     InvalidConditionsError,
     NormalizationError,
     PreconditionError,
@@ -187,8 +189,10 @@ def assemble(
     ``extra_conditions`` injects additional point conditions for sensitivity
     studies: a bare x means phi(x) = 0, a pair (x, k) means phi^(k)(x) = 0
     (hard walls themselves impose only phi = 0).  ``far_basis`` continues the
-    basis past the last validity boundary; its asymptotic classes decide the
-    decay rows (default: the classes of ``basis`` itself).
+    basis past the last validity boundary; its asymptotic classes
+    (``classify_asymptotics``) decide the decay rows (default: the classes
+    of ``basis`` itself, which raise ClassificationError unless it is a
+    far-field set).
     """
     basis = tuple(basis)
     if len(basis) != 4:
@@ -216,13 +220,7 @@ def assemble(
     kinds: list[str] = []
     for side in decay_sides:
         for j, f in enumerate(basis if far_basis is None else far_basis):
-            cls = f.asymptotic_class(side)
-            if cls is AsymptoticClass.UNDEFINED:
-                raise ClassificationError(
-                    f"asymptotic class of basis {j + 1} toward {side.value} is undefined; "
-                    "widen the classification probes"
-                )
-            if cls is AsymptoticClass.GROWING:
+            if classify_asymptotics(f, side) is AsymptoticClass.GROWING:
                 row = np.zeros(batch + (4,), dtype=complex)
                 row[..., j] = 1.0
                 rows.append(row)

@@ -31,6 +31,7 @@ when that open finds it missing.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -64,7 +65,9 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write data to ``<name>.tmp-<pid>`` through one descriptor, then rename it over path.
 
-    The directory is made only when the first open finds it missing.
+    The directory is made only when the first open finds it missing.  If the
+    write or the rename fails, the temporary file is removed and path is left
+    as it was.
     """
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
@@ -73,12 +76,17 @@ def _atomic_write(path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(tmp, _WRITE_FLAGS, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view) :]
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # --- float columns as arrays ------------------------------------------------------

@@ -17,7 +17,6 @@ from .core import (
     DEFAULT_RTOL,
     ELECTRON_MASS,
     HBAR,
-    REFERENCE_BETA,  # unused here: kept readable as verification.REFERENCE_BETA
     REFERENCE_HALF_WIDTH,
     Harmonic,
     InfiniteWell,

@@ -14,7 +14,6 @@ from gupbic.basis import (
     AsymptoticClass,
     ExponentialBasisFunction,
     Side,
-    TrigBasisFunction,
     WkbParameters,
     classify_asymptotics,
     map_regions,
@@ -23,6 +22,7 @@ from gupbic.basis import (
 )
 from gupbic.errors import (
     BasisOverflowError,
+    ClassificationError,
     ComplexQuartetError,
     DegenerateBasisError,
     PreconditionError,
@@ -127,13 +127,14 @@ class TestExactBasis:
         assert abs(w) == pytest.approx(expected, rel=1e-12)
         assert abs(w) > 1.0
 
-    def test_asymptotic_classes(self, basis_and_roots):
+    def test_exact_functions_have_no_class(self, basis_and_roots):
+        # growth of an exact exponential depends on the side alone; the count
+        # never asks, and the classifier knows only the far-field WKB form
         _, basis = basis_and_roots
-        assert basis[0].asymptotic_class(Side.PLUS_INFINITY) is AsymptoticClass.GROWING
-        assert basis[1].asymptotic_class(Side.PLUS_INFINITY) is AsymptoticClass.DECAYING
-        assert basis[0].asymptotic_class(Side.MINUS_INFINITY) is AsymptoticClass.DECAYING
-        assert basis[2].asymptotic_class(Side.PLUS_INFINITY) is AsymptoticClass.OSCILLATORY
-        assert basis[3].asymptotic_class(Side.MINUS_INFINITY) is AsymptoticClass.OSCILLATORY
+        for f in basis:
+            for side in Side:
+                with pytest.raises(ClassificationError, match=type(f).__name__):
+                    classify_asymptotics(f, side)
 
     def test_small_beta_limit_matches_standard_well(self):
         # kappa -> sqrt(e): the oscillatory pair converges pointwise
@@ -272,7 +273,7 @@ class TestWkbBasis:
         from gupbic.matcher import wkb_assembly
 
         asm = wkb_assembly(linear_problem, 2.0)
-        classes = {j: f.asymptotic_class(Side.PLUS_INFINITY) for j, f in enumerate(asm.far_basis, 1)}
+        classes = {j: classify_asymptotics(f, Side.PLUS_INFINITY) for j, f in enumerate(asm.far_basis, 1)}
         assert classes[1] is AsymptoticClass.GROWING
         assert classes[2] is AsymptoticClass.DECAYING
         assert classes[3] is AsymptoticClass.GROWING
@@ -320,15 +321,43 @@ def test_region_map_pieces(linear_problem):
     assert pieces[1][0] == pytest.approx(z + 0.05)
 
 
-def test_windowed_classification_does_not_crash(linear_problem):
-    # classifying a slow branch on a piece containing its turning window
-    # must skip the windowed samples instead of raising
-    params = WkbParameters.from_problem(linear_problem, 2.0, x0=0.5)
-    rmap = map_regions(params, 0.0, 3.9)
-    w4 = wkb_basis(params, 4, (0.0, 3.9), region_map=rmap)
-    assert w4.windows != ()
-    cls = w4.asymptotic_class(Side.PLUS_INFINITY)
-    assert cls in (AsymptoticClass.DECAYING, AsymptoticClass.UNDEFINED)
+@pytest.mark.parametrize("side", list(Side))
+def test_interior_branch_has_no_class(linear_problem, side):
+    # the linear interior piece ends at the wall and short of the zero of
+    # a^2 - b: neither end is covered by the closed form
+    f = wkb_assembly(linear_problem, 2.0).basis[0]
+    with pytest.raises(ClassificationError, match=f"toward \\{side.value}") as info:
+        classify_asymptotics(f, side)
+    assert info.value.failed is None
+
+
+def test_linear_far_piece_has_no_class_toward_minus_inf(linear_problem):
+    # the far piece starts past the zero of a^2 - b, so it is bounded below
+    f = wkb_assembly(linear_problem, 2.0).far_basis[0]
+    assert classify_asymptotics(f, Side.PLUS_INFINITY) is AsymptoticClass.GROWING
+    with pytest.raises(ClassificationError, match="toward -inf"):
+        classify_asymptotics(f, Side.MINUS_INFINITY)
+
+
+@pytest.mark.parametrize("kind", ["linear", "harmonic"])
+def test_batched_interior_branch_has_no_class(linear_problem, harmonic_problem, kind):
+    problem = linear_problem if kind == "linear" else harmonic_problem
+    f = wkb_assembly(problem, np.array([1.5, 2.0, 3.0])).basis[2]
+    with pytest.raises(ClassificationError, match=r"toward \+inf") as info:
+        classify_asymptotics(f, Side.PLUS_INFINITY)
+    assert info.value.failed.tolist() == [True, True, True]
+
+
+@pytest.mark.parametrize("kind", ["linear", "harmonic"])
+def test_batched_far_classes_are_the_per_energy_ones(linear_problem, harmonic_problem, kind):
+    problem = linear_problem if kind == "linear" else harmonic_problem
+    sides = [Side.PLUS_INFINITY] + ([Side.MINUS_INFINITY] if kind == "harmonic" else [])
+    energies = np.array([1.5, 2.0, 3.0])
+    batched = wkb_assembly(problem, energies).far_basis
+    for e in energies.tolist():
+        for f, g in zip(batched, wkb_assembly(problem, e).far_basis):
+            for side in sides:
+                assert classify_asymptotics(f, side) is classify_asymptotics(g, side), (e, f, side)
 
 
 def test_concurrent_evaluation_matches_serial(linear_problem):
@@ -375,29 +404,6 @@ def test_concurrent_shared_table_matches_serial():
         got = list(pool.map(lambda k: shared[tasks[k][0]].value(tasks[k][1]), order))
     for k, value in zip(order, got):
         assert np.array_equal(value, expected[k]), tasks[k]
-
-class TestClassification:
-    def test_growing_exponential(self):
-        f = ExponentialBasisFunction(rate=2.0, index=1)
-        assert classify_asymptotics(f, Side.PLUS_INFINITY, [0, 1, 2, 3]) is AsymptoticClass.GROWING
-        assert classify_asymptotics(f, Side.MINUS_INFINITY, [0, -1, -2, -3]) is AsymptoticClass.DECAYING
-
-    def test_oscillatory_trig(self):
-        f = TrigBasisFunction(kappa=1.5708, phase="cos", index=3)
-        probes = list(np.linspace(0.1, 8.0, 9))
-        assert classify_asymptotics(f, Side.PLUS_INFINITY, probes) is AsymptoticClass.OSCILLATORY
-
-    def test_undefined_for_slow_growth(self):
-        f = ExponentialBasisFunction(rate=0.1, index=1)
-        assert classify_asymptotics(f, Side.PLUS_INFINITY, [0.0, 0.5, 1.0]) is AsymptoticClass.UNDEFINED
-
-    def test_probe_validation(self):
-        f = ExponentialBasisFunction(rate=1.0, index=1)
-        with pytest.raises(ValueError, match="increase"):
-            classify_asymptotics(f, Side.PLUS_INFINITY, [1.0, 0.0])
-        with pytest.raises(ValueError, match="two probe"):
-            classify_asymptotics(f, Side.PLUS_INFINITY, [1.0])
-
 
 # --- the array-valued exponent layer against independent references ------------
 
@@ -842,8 +848,12 @@ def test_no_potential_walks_panels(monkeypatch, linear_problem, harmonic_problem
     assert not any(walks), "an exponent call reached panel_integrals"
 
 
-def _classify_point_by_point(f, side, probes, samples_per_interval=7):
-    """The classifier evaluated one sample at a time (the batched rule, unrolled)."""
+def _classify_point_by_point(f, probes, samples_per_interval=7):
+    """A sampled class: the rise or fall of max log|f| over probe-to-probe intervals.
+
+    Samples in a turning window or with a non-finite log are skipped; None
+    when the envelope moves by less than a factor 10 either way.
+    """
 
     def safe_log_abs(x):
         try:
@@ -852,85 +862,39 @@ def _classify_point_by_point(f, side, probes, samples_per_interval=7):
             return None
         return value if math.isfinite(value) else None
 
-    env_logs, all_xs = [], []
+    env_logs = []
     for a, b in zip(probes[:-1], probes[1:]):
-        valid = [(x, v) for x in np.linspace(a, b, samples_per_interval)
-                 if (v := safe_log_abs(x)) is not None]
+        valid = [v for x in np.linspace(a, b, samples_per_interval) if (v := safe_log_abs(x)) is not None]
         if len(valid) < 3:
-            return AsymptoticClass.UNDEFINED
-        all_xs.extend(x for x, _ in valid[:-1])
-        env_logs.append(max(v for _, v in valid))
-    if safe_log_abs(probes[-1]) is not None:
-        all_xs.append(probes[-1])
+            return None
+        env_logs.append(max(valid))
     growth = env_logs[-1] - env_logs[0]
     if growth >= math.log(10.0):
         return AsymptoticClass.GROWING
     if growth <= -math.log(10.0):
         return AsymptoticClass.DECAYING
-    shift = max(env_logs)
-    vals = np.array([complex(f.scaled_value_array(x, shift)) for x in all_xs])
-    comps = vals.real if np.max(np.abs(vals.real)) >= np.max(np.abs(vals.imag)) else vals.imag
-    sign_changes = int(np.sum(np.abs(np.diff(np.sign(comps))) > 0))
-    ratios = np.exp(np.diff(env_logs))
-    if sign_changes >= 1 and np.all((ratios >= 0.5) & (ratios <= 2.0)):
-        return AsymptoticClass.OSCILLATORY
-    return AsymptoticClass.UNDEFINED
+    return None
 
 
 @pytest.mark.parametrize("kind", ["linear", "harmonic"])
-def test_batched_classification_matches_point_by_point(kind):
-    setup_for = linear_setup_for if kind == "linear" else harmonic_setup_for
-    sides = [Side.PLUS_INFINITY] + ([Side.MINUS_INFINITY] if kind == "harmonic" else [])
-    compared = 0
-    for eps in (1e-4, 1e-2, 0.2):
-        problem = nondimensionalize(setup_for(eps))
-        for e in (1.5, 3.0, 5.0, 7.5, 10.0):
-            for f in wkb_assembly(problem, e).far_basis:
-                for side in sides:
-                    probes = f._auto_probes(side)
-                    got = classify_asymptotics(f, side, probes)
-                    assert got is _classify_point_by_point(f, side, probes), (eps, e, f, side)
-                    assert got is not AsymptoticClass.UNDEFINED
-                    compared += 1
-    assert compared == 3 * 5 * 4 * len(sides)
-
-
-def test_batched_classification_matches_point_by_point_on_interior_pieces(linear_problem):
-    # the interior pieces hold turning windows (masked samples) and
-    # oscillatory stretches, which the far-field classes above never reach
-    for problem, e in ((linear_problem, 2.0), (nondimensionalize(harmonic_setup_for(0.12)), 5.0)):
-        for f in wkb_assembly(problem, e).basis:
-            for side in (Side.PLUS_INFINITY, Side.MINUS_INFINITY):
-                probes = f._auto_probes(side)
-                assert classify_asymptotics(f, side, probes) is _classify_point_by_point(
-                    f, side, probes
-                )
-    # the only sign change falls between the last two samples, at the last probe
-    f = TrigBasisFunction(kappa=math.pi / 3.8, phase="cos", index=3)
-    probes = [0.0, 1.0, 2.0]
-    assert classify_asymptotics(f, Side.PLUS_INFINITY, probes) is AsymptoticClass.OSCILLATORY
-    assert _classify_point_by_point(f, Side.PLUS_INFINITY, probes) is AsymptoticClass.OSCILLATORY
-
-
-@pytest.mark.parametrize("kind", ["linear", "harmonic"])
-def test_far_classes_closed_form_match_classification(kind, monkeypatch):
+def test_far_classes_closed_form_match_classification(kind):
     # past the last zero of a^2 - b the class is the sign of Re(eta lam_j)
-    # at x0: it must equal the sampled classification, which it never calls
+    # at x0: it must equal the sampled envelope along the far piece
     setup_for = linear_setup_for if kind == "linear" else harmonic_setup_for
     sides = [Side.PLUS_INFINITY] + ([Side.MINUS_INFINITY] if kind == "harmonic" else [])
-    calls = []
-    monkeypatch.setattr(gupbic.basis, "classify_asymptotics", lambda *a: calls.append(a))
     compared = 0
     for eps in (1e-4, 1e-2, 0.2):
         problem = nondimensionalize(setup_for(eps))
         for e in (1.5, 3.0, 5.0, 7.5, 10.0):
             for f in wkb_assembly(problem, e).far_basis:
+                lo = getattr(f, "inner", f).validity[0]
+                probes = np.linspace(lo + 0.25, lo + 4.25, 5)
                 for side in sides:
-                    expected = classify_asymptotics(f, side, f._auto_probes(side))
-                    assert f.asymptotic_class(side) is expected, (eps, e, f, side)
+                    outward = probes if side is Side.PLUS_INFINITY else -probes
+                    expected = _classify_point_by_point(f, outward)
+                    assert classify_asymptotics(f, side) is expected, (eps, e, f, side)
                     compared += 1
     assert compared == 3 * 5 * 4 * len(sides)
-    assert calls == []
 
 
 def _zeros_by_brentq(f, lo, hi, n=2001):

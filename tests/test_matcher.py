@@ -15,6 +15,7 @@ from gupbic import (
 from gupbic.basis import ExponentialBasisFunction, Side
 from gupbic.errors import (
     BasisOverflowError,
+    ClassificationError,
     ComplexQuartetError,
     DegenerateBasisError,
     InvalidConditionsError,
@@ -44,6 +45,7 @@ from gupbic.matcher import (
     well_basis,
     well_coefficients,
     well_gram,
+    wkb_assembly,
 )
 from gupbic.spectrum import dof_scan, well_special_energies
 from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
@@ -113,8 +115,6 @@ class TestAssemble:
         assert system.row_kinds[2].startswith("phi(0")
 
     def test_linear_nullvector_is_the_closed_form_ratio(self, linear_problem):
-        from gupbic.matcher import wkb_assembly
-
         dof, system = degrees_of_freedom(linear_problem, 2.0)
         nullity, vecs = nullspace(system)
         assert nullity == 1
@@ -131,6 +131,18 @@ class TestAssemble:
         nullity, vecs = nullspace(system)
         span = np.abs(np.array(vecs))
         assert np.max(span[:, 0]) < 1e-12 and np.max(span[:, 2]) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["linear", "harmonic"])
+    def test_decay_rows_need_the_far_basis(self, kind, linear_problem, harmonic_problem):
+        # the interior set has no class toward infinity: only its far-field
+        # continuation decides the decay rows
+        problem = linear_problem if kind == "linear" else harmonic_problem
+        asm = wkb_assembly(problem, 2.0)
+        conditions = conditions_for(problem)
+        with pytest.raises(ClassificationError, match="no closed-form class"):
+            assemble(asm.basis, conditions, 2.0)
+        system = assemble(asm.basis, conditions, 2.0, far_basis=asm.far_basis)
+        assert system.row_kinds == degrees_of_freedom(problem, 2.0)[1].row_kinds
 
 
 class TestNullspace:
@@ -316,8 +328,6 @@ class TestNormalize:
             )
 
     def test_growing_guard(self, linear_problem):
-        from gupbic.matcher import wkb_assembly
-
         asm = wkb_assembly(linear_problem, 2.0)
         with pytest.raises(NormalizationError, match="growing"):
             normalize(
@@ -763,7 +773,6 @@ class TestSolvers:
         # branch; its regions must be those of a scan that stops at the first
         # point 70 below the peak
         from gupbic.basis import TURNING_WINDOW_HALF_WIDTH as W
-        from gupbic.matcher import wkb_assembly
 
         problem = nondimensionalize(linear_setup_for(eps))
         asm = wkb_assembly(problem, e)

@@ -198,17 +198,20 @@ def test_writer_writes_every_byte_of_short_writes(tmp_path, monkeypatch):
 
 
 def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
+    # a failed write or rename leaves the old file and no temporary one
     path = tmp_path / "kept.json"
     write_json(path, {"old": True})
 
-    def full(fd, data):
+    def full(*args):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(output.os, "write", full)
-    with pytest.raises(OSError, match="No space"):
-        write_json(path, {"new": True})
-    monkeypatch.undo()
-    assert json.loads(path.read_text()) == {"old": True}
+    for step in ("write", "replace"):
+        monkeypatch.setattr(output.os, step, full)
+        with pytest.raises(OSError, match="No space"):
+            write_json(path, {"new": True})
+        monkeypatch.undo()
+        assert json.loads(path.read_text()) == {"old": True}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"], step
 
 
 # --- the indent-2 JSON encoder -----------------------------------------------------
