@@ -34,7 +34,6 @@ _MODULE_EXPORTS = {
         "characteristic_roots",
         "classify_asymptotics",
         "exact_constant_basis",
-        "wkb_basis",
         "wkb_branches",
     ),
     "matcher": (
@@ -54,17 +53,13 @@ _MODULE_EXPORTS = {
         "solve_harmonic",
         "solve_linear",
         "solve_well",
-        "well_coefficients",
     ),
     "oracle": (
         "MomentumSolution",
-        "decaying_subspace_dimension",
-        "growth_exponents",
         "integrate",
         "momentum_rep_linear",
         "residual",
         "wronskian",
-        "wronskian_drift",
     ),
     "spectrum": (
         "MomentumMoments",

@@ -145,22 +145,19 @@ class BasisFunction:
     """Common interface: evaluate with derivatives, scale safely."""
 
     index: int
-    method: str
     validity: tuple[float, float]
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
         raise NotImplementedError
 
-    def value(self, x: float) -> complex:
-        return self.derivatives(x, order=0)[0]
+    def value(self, x):
+        """f(x) at a float or an array x, the value ``derivatives(x, order=0)[0]`` holds."""
+        raise NotImplementedError
 
     # Log-space access at a float or an array of abscissas: a point row of
     # ``assemble`` scales by one log shift and never forms a value past the
     # exponent cap.
-
-    def value_array(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
         """log|f(x)|; overflow-safe."""
@@ -196,11 +193,10 @@ class ExponentialBasisFunction(BasisFunction):
         self.rate = _per_energy(rate)
         self.anchor = float(anchor)
         self.index = index
-        self.method = "exact"
         self.validity = (-math.inf, math.inf)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
-        f = self.value_array(x)
+        f = self.value(x)
         return np.array([f * p for p in _powers(self.rate, order)], dtype=complex)
 
     def log_abs_array(self, xs):
@@ -212,8 +208,8 @@ class ExponentialBasisFunction(BasisFunction):
         e = self.log_abs_array(xs) - log_shift
         return _capped_exp(np.asarray(e, dtype=complex), xs, "exp")
 
-    def value_array(self, xs):
-        return self.scaled_value_array(xs, 0.0)
+    def value(self, x):
+        return self.scaled_value_array(x, 0.0)
 
     def __repr__(self):
         return (
@@ -231,7 +227,6 @@ class TrigBasisFunction(BasisFunction):
         self.kappa = _per_energy(kappa)
         self.phase = phase
         self.index = index
-        self.method = "exact"
         self.validity = (-math.inf, math.inf)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
@@ -255,8 +250,8 @@ class TrigBasisFunction(BasisFunction):
         scale = np.exp(np.asarray(-log_shift, dtype=complex)).real
         return (self._wave(xs) * scale).astype(complex)
 
-    def value_array(self, xs):
-        return self._wave(xs).astype(complex)
+    def value(self, x):
+        return self._wave(x).astype(complex)
 
     def __repr__(self):
         return f"TrigBasisFunction(kappa={self.kappa:.6g}, {self.phase}, index={self.index})"
@@ -648,7 +643,6 @@ class WkbBasisFunction(BasisFunction):
         self.table = table
         self.params = params = table.params
         self.index = index
-        self.method = "wkb"
         self.interval = table.interval
         self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
         self._b_zeros = table.b_zeros
@@ -742,8 +736,6 @@ class WkbBasisFunction(BasisFunction):
     def scaled_value_array(self, x, log_shift: float):
         return _capped_exp(self.exponent(x) - log_shift, x, "scaled WKB")
 
-    value_array = value  # takes an array as it is
-
     def _theta_chain(self, x) -> tuple:
         """Derivatives 1..4 of log w_j at a float or an array x (analytic chain rule)."""
         s, lam = self._chains(x)
@@ -791,7 +783,6 @@ class SymmetrizedBasisFunction(BasisFunction):
     def __init__(self, inner: BasisFunction):
         self.inner = inner
         self.index = inner.index
-        self.method = inner.method
 
     @property
     def validity(self) -> tuple[float, float]:  # type: ignore[override]
@@ -807,11 +798,8 @@ class SymmetrizedBasisFunction(BasisFunction):
         d[1::2] *= np.where(np.asarray(x) < 0, -1.0, 1.0)
         return d
 
-    def value(self, x: float) -> complex:
-        return self.inner.value(abs(x))
-
-    def value_array(self, xs: np.ndarray) -> np.ndarray:
-        return self.inner.value_array(np.abs(xs))
+    def value(self, x):
+        return self.inner.value(np.abs(x))
 
     def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
         return self.inner.log_abs_array(np.abs(xs))
@@ -825,7 +813,7 @@ class SymmetrizedBasisFunction(BasisFunction):
 
 @dataclass(frozen=True)
 class WkbRegionMap:
-    """Turning structure of b on a working interval.
+    """Turning structure of b on the interval ``map_regions`` searched.
 
     b_zeros: classical turning points (b = 0); s_zeros: zeros of a^2 - b, the
     hard piece boundaries where the branch pair degenerates.  For a batch
@@ -834,19 +822,6 @@ class WkbRegionMap:
 
     b_zeros: tuple[float, ...]
     s_zeros: tuple[float, ...]
-    working: tuple[float, float]
-
-    def pieces(self) -> list[tuple[float, float]]:
-        margin = TURNING_WINDOW_HALF_WIDTH
-        lo, hi = self.working
-        cuts = [lo] + [z for z in self.s_zeros if lo < z < hi] + [hi]
-        out = []
-        for left, right in zip(cuts[:-1], cuts[1:]):
-            a = left + (margin if left in self.s_zeros else 0.0)
-            b = right - (margin if right in self.s_zeros else 0.0)
-            if a < b:
-                out.append((a, b))
-        return out
 
 
 def map_regions(params: WkbParameters, lo: float, hi: float) -> WkbRegionMap:
@@ -872,7 +847,7 @@ def map_regions(params: WkbParameters, lo: float, hi: float) -> WkbRegionMap:
     b_zeros, s_zeros = (
         tuple(_per_energy(roots[i, k]) for i in range(2) if found[2 * i + k]) for k in range(2)
     )
-    return WkbRegionMap(b_zeros=b_zeros, s_zeros=s_zeros, working=(lo, hi))
+    return WkbRegionMap(b_zeros=b_zeros, s_zeros=s_zeros)
 
 
 def _quadratic_roots(c2: float, c1: float, c0) -> np.ndarray:
@@ -940,16 +915,6 @@ def wkb_branches(
     """Branches 1..4 on ``interval``, all reading one exponent table."""
     table = _piece_table(params, interval, region_map)
     return tuple(WkbBasisFunction(table, j) for j in (1, 2, 3, 4))
-
-
-def wkb_basis(
-    params: WkbParameters,
-    index: int,
-    interval: tuple[float, float],
-    region_map: WkbRegionMap | None = None,
-) -> WkbBasisFunction:
-    """Branch ``index`` on ``interval``, alone on its exponent table."""
-    return WkbBasisFunction(_piece_table(params, interval, region_map), index)
 
 
 # --- asymptotic classification -------------------------------------------------

@@ -231,9 +231,12 @@ def cmd_wavefunction(args) -> int:
             raise ConfigError(f"--k must be >= 1, got {args.k}")
         if not isinstance(setup.potential, InfiniteWell):
             raise ConfigError("--k selects well special levels; use --E for this potential")
-        from .spectrum import well_special_energies
+        from .spectrum import MAX_SPECIAL_LEVELS, well_special_energy
 
-        energy_si = well_special_energies(setup, args.k)[-1].energy_si
+        # above the cap, float rounding of kappa x begins to blur the wall-to-wall sine
+        if args.k > MAX_SPECIAL_LEVELS:
+            raise ConfigError(f"--k must be <= MAX_SPECIAL_LEVELS = {MAX_SPECIAL_LEVELS}, got {args.k}")
+        energy_si = well_special_energy(setup, args.k)
     else:
         _check_energy(args.E)
         energy_si = args.E
@@ -279,7 +282,6 @@ def cmd_dof_scan(args) -> int:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    problem = nondimensionalize(setup)
     e_max = args.e_max if args.e_max is not None else 2e-17
     e_min = args.e_min if args.e_min is not None else e_max / args.n
     for flag, value in (("--e-min", e_min), ("--e-max", e_max)):
@@ -290,7 +292,7 @@ def cmd_dof_scan(args) -> int:
     energies = np.linspace(e_min, e_max, args.n)
 
     manifest = _manifest(args, setup, config_path)
-    scan = dof_scan(setup, energies, threads=args.threads, problem=problem)
+    scan = dof_scan(setup, energies, threads=args.threads)
 
     out = Path(args.out)
     header = ["E_SI", "E_dimensionless", "dof", "label"]
@@ -387,12 +389,12 @@ def cmd_momentum_check(args) -> int:
     energy_si = args.E if args.E is not None else problem.energy_to_si(2.0)
     _check_energy(energy_si)
     manifest = _manifest(args, setup, config_path)
-    sol, res, w = momentum_dimension_evidence(setup, energy_si)
+    sol, res, w, position_dimension = momentum_dimension_evidence(setup, energy_si)
     payload = {
         "E_SI": energy_si,
         "E_dimensionless": problem.energy_from_si(energy_si),
         "momentum_space_dimension": sol.dimension,
-        "position_space_dimension": 4,
+        "position_space_dimension": position_dimension,
         "position_wronskian_abs": abs(w),
         "ode_residual_max": res,
         "beta_tilde": sol.beta_tilde,
@@ -403,7 +405,8 @@ def cmd_momentum_check(args) -> int:
     manifest.add_output(json_path)
     manifest.write(out)
     print(
-        f"momentum-check: solution spaces 1 (momentum) vs 4 (position, |W| = {abs(w):.3g}), "
+        f"momentum-check: solution spaces {sol.dimension} (momentum) vs {position_dimension} "
+        f"(position, |W| = {abs(w):.3g}), "
         f"ODE residual {res:.2e}"
     )
     return EXIT_OK

@@ -71,9 +71,6 @@ class InfiniteWell:
     def kind(self) -> str:
         return "well"
 
-    def domain(self) -> tuple[float, float]:
-        return (-self.a, self.a)
-
 
 @dataclass(frozen=True)
 class Linear:
@@ -89,9 +86,6 @@ class Linear:
     def kind(self) -> str:
         return "linear"
 
-    def domain(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
 
 @dataclass(frozen=True)
 class Harmonic:
@@ -106,9 +100,6 @@ class Harmonic:
     @property
     def kind(self) -> str:
         return "harmonic"
-
-    def domain(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
 
 
 PotentialSpec = Union[InfiniteWell, Linear, Harmonic]

@@ -332,32 +332,17 @@ def _libm(fn, x):
     return fn(x) if np.ndim(x) == 0 else np.array([fn(v) for v in x.tolist()])
 
 
-def well_coefficients(
-    basis: Sequence[BasisFunction],
-    walls: tuple[float, float],
-    triple: tuple[int, int, int],
-    shifted_cos_kappa: float | np.ndarray | None = None,
-) -> np.ndarray:
-    """Determinant-form coefficient 4-vector for a three-function well ansatz.
-
-    ``triple`` selects basis indices (1-based).  With ``shifted_cos_kappa`` the
-    third member is replaced by cos(kappa*(x - lo)) (the wall-anchored cosine
-    used at the special energies), expressed on the plain cos/sin pair.  The
-    vector is zero where the triple's determinant vanishes.
-
-    The basis values at the walls are used as they are: the wall-anchored
-    exponentials of ``exact_constant_basis`` keep them in [0, 1].  A basis
-    batched over N energies (with an array kappa) gives an (N, 4) array.
-    """
-    values = np.array([[f.value_array(x) for x in walls] for f in basis])
-    return _determinant_vectors(values, walls, [triple], shifted_cos_kappa)[0]
-
-
 def _determinant_vectors(values: np.ndarray, walls, triples, shifted_cos_kappa=None) -> np.ndarray:
-    """``well_coefficients`` of several triples at once, shape (len(triples),) + batch + (4,).
+    """Determinant-form coefficient 4-vectors of three-function well ansatzes, one per triple.
 
-    ``values`` are the basis values at the walls, shape (4, 2) + batch;
-    ``shifted_cos_kappa`` shifts the third member of the last triple.
+    Each triple selects basis indices (1-based); the vector is zero where
+    the triple's determinant vanishes.  ``values`` are the basis values at
+    the walls, shape (4, 2) + batch, used as they are: the wall-anchored
+    exponentials of ``exact_constant_basis`` keep them in [0, 1].  With
+    ``shifted_cos_kappa`` the third member of the last triple is replaced by
+    cos(kappa*(x - lo)) (the wall-anchored cosine used at the special
+    energies), expressed on the plain cos/sin pair.  The result has shape
+    (len(triples),) + batch + (4,).
     """
     lo = walls[0]
     idx = np.array(triples) - 1
@@ -455,7 +440,7 @@ def overlap_gram(basis: Sequence[BasisFunction], regions: Sequence[tuple[float, 
     """
 
     def integrand(x, width, _):
-        v = np.stack([fn.value_array(x) for fn in basis])
+        v = np.stack([fn.value(x) for fn in basis])
         _check_gram_range(basis, v, x, width)
         return v[:, None] * (v.conj() * width)
 
@@ -673,7 +658,7 @@ def solve_well(
     # sin(kappa(x - lo)) expressed on (cos, sin); lo = -|lo|
     sine = np.zeros((energies.size, 4), dtype=complex)
     sine[:, 2], sine[:, 3] = _libm(math.sin, kappa * abs(lo)), _libm(math.cos, kappa * abs(lo))
-    values = np.array([f.value_array(np.array([[lo], [hi]])) for f in basis])  # (4, 2, N)
+    values = np.array([f.value(np.array([[lo], [hi]])) for f in basis])  # (4, 2, N)
     first, second, partner = _determinant_vectors(values, (lo, hi), [(1, 2, 3), (2, 3, 4), (1, 2, 3)], kappa)
     seeds = np.empty((energies.size, 2, 4), dtype=complex)
     seeds[:, 0], seeds[:, 1] = np.where(special, sine, first), np.where(special, partner, second)

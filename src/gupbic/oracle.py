@@ -11,7 +11,7 @@ checked.  ``integrate`` marches a state or a frame of states outward from its
 launch point; the Wronskian is the determinant of the marched identity frame.
 A standard (second-order, beta = 0) mode serves the classical-limit
 contrast: ``integrate`` selects it from a 2-row initial state or frame
-(phi, phi'), ``growth_exponents`` from ``standard=True`` or epsilon = 0.
+(phi, phi'), ``growth_exponents_many`` from ``standard=True`` or epsilon = 0.
 Far-field marches launch from ``launch_frame``, the eigenvectors of the
 frozen-coefficient system at the far point, so the oracle reads nothing of
 the closed-form and WKB bases it checks.
@@ -26,8 +26,7 @@ Queries come in batches: ``integrate_many``, ``wronskian_drifts`` and
 system at once.  ``_propagators`` sums the sub-steps of every request in one
 recurrence, ``integrate_many`` chains them with one stacked prefix-product
 scan, and the decay marches re-orthonormalize with one stacked QR per segment
-step.  ``integrate``, ``wronskian_drift`` and ``growth_exponents`` are the
-batches of one.
+step.  ``integrate`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -372,22 +371,15 @@ def wronskian(
 def wronskian_drifts(
     cases: Sequence[tuple[DimensionlessProblem, float, Sequence[float], float]], rtol: float = DEFAULT_RTOL
 ) -> list[float]:
-    """``wronskian_drift`` of each (problem, energy, xs, anchor) case, from one ``integrate_many`` call."""
+    """max |W(x) - 1| over xs of each (problem, energy, xs, anchor) case (0 on no xs).
+
+    W is the determinant of the identity frame launched at the anchor (the
+    constancy check); every case's frames come from one ``integrate_many`` call.
+    """
     frames = integrate_many([(problem, e, np.eye(4), anchor, xs) for problem, e, xs, anchor in cases], rtol)
     return [
         float(np.max(np.abs(np.linalg.det(np.moveaxis(f, -1, 0)) - 1.0), initial=0.0)) for f in frames
     ]
-
-
-def wronskian_drift(
-    problem: DimensionlessProblem,
-    energy: float,
-    xs: Sequence[float],
-    anchor: float,
-    rtol: float = DEFAULT_RTOL,
-) -> float:
-    """max |W(x) - 1| over xs of the identity frame launched at the anchor (constancy check; 0 on no xs)."""
-    return wronskian_drifts([(problem, energy, xs, anchor)], rtol)[0]
 
 
 # --- residuals -----------------------------------------------------------------
@@ -473,14 +465,26 @@ def growth_exponents_many(
     standard: bool = False,
     rtol: float = DEFAULT_RTOL,
 ) -> list[np.ndarray]:
-    """``growth_exponents`` of each (problem, energy, side, x_far) march, in one batch.
+    """Log-growth of each direction of a frame marched from the far field to the anchor.
+
+    One entry of dim exponents (4, or 2 in standard mode or at epsilon = 0)
+    per (problem, energy, side, x_far) march; every march must run the same
+    system.  A march runs backwards from the far point toward ``side`` (an
+    explicit ``x_far`` must lie toward ``side`` of the anchor) to the
+    interior anchor over equal segments, at least MIN_SEGMENTS of them and
+    more where one would grow by more than e^SEGMENT_GROWTH
+    (``_march_points``).  The frame is re-orthonormalized segment by
+    segment, q, r = qr(U_k @ q), and the log |diag r| accumulate; the
+    directions that grow toward the interior are exactly those bounded
+    (decaying) toward the side.  The launch frame is ``launch_frame``, the
+    frozen-coefficient eigenvectors at the far point: it reads only v
+    there, so the march checks the WKB layer without leaning on it, and an
+    even potential gives mirror-equal exponents toward +inf and -inf.
 
     The segment propagators of every march come from one ``_propagators``
     call, and the frames of all marches are re-orthonormalized together,
     one stacked ``np.linalg.qr`` per segment step; a march with fewer
-    segments than the longest holds its frame and exponents once it is
-    done.  Every march must run the same system (dim 4, or 2 in standard
-    mode or at epsilon = 0).
+    segments than the longest holds its frame and exponents once it is done.
     """
     if not marches:
         return []
@@ -528,52 +532,18 @@ def growth_exponents_many(
     return [growth[k] for k in np.argsort(order)]
 
 
-def growth_exponents(
-    problem: DimensionlessProblem,
-    energy: float,
-    side: str,
-    x_far: float | None = None,
-    standard: bool = False,
-    rtol: float = DEFAULT_RTOL,
-) -> np.ndarray:
-    """Log-growth of each direction of a frame marched from the far field to the anchor.
-
-    The march runs backwards from the far point toward ``side`` to the
-    interior anchor over equal segments, at least MIN_SEGMENTS of them
-    and more where one would grow by more than e^SEGMENT_GROWTH
-    (``_march_points``).  The segment propagators U_k come from one
-    ``_propagators`` call; the frame is then re-orthonormalized segment by
-    segment, q, r = qr(U_k @ q), and the log |diag r| accumulate
-    (``growth_exponents_many`` with one march).  Directions that grow
-    toward the interior are exactly those bounded (decaying) toward the
-    side.  The launch frame is ``launch_frame``, the frozen-coefficient
-    eigenvectors at the far point: it reads only v there, so the march
-    checks the WKB layer without leaning on it, and an even potential gives
-    mirror-equal exponents toward +inf and -inf.  An explicit ``x_far``
-    must lie toward ``side`` of the anchor.  Returns dim exponents (4, or 2
-    in standard mode).
-    """
-    return growth_exponents_many([(problem, energy, side, x_far)], standard, rtol)[0]
-
-
 def bounded_dimension(growth: np.ndarray) -> int:
-    """Number of exponents that grow toward the interior (bounded toward the side)."""
+    """Dimension of the solution subspace bounded toward a side, from that march's exponents.
+
+    Counts the exponents that grow toward the interior; raises
+    ``NumericalError`` when one lies within GROWTH_FLOOR of zero.
+    """
     if np.any(np.abs(growth) < GROWTH_FLOOR):
         raise NumericalError(
             f"growth exponents {growth} too close to zero to count reliably; "
             "increase the march span"
         )
     return int(np.sum(growth > 0.0))
-
-
-def decaying_subspace_dimension(problem: DimensionlessProblem, energy: float, side: str, **march) -> int:
-    """Dimension of the solution subspace bounded toward ``side``.
-
-    Counts the positive ``growth_exponents`` (keyword arguments go to the
-    march); raises ``NumericalError`` when an exponent lies within
-    GROWTH_FLOOR of zero.
-    """
-    return bounded_dimension(growth_exponents(problem, energy, side, **march))
 
 
 def _auto_far_point(problem: DimensionlessProblem, energy: float, sgn: float) -> float:

@@ -61,7 +61,8 @@ _MOMENT_TOL = 1e-11
 # the values of scipy.special.ai_zeros(1) and airy, bit for bit
 AIRY_Z1 = 2.3381074104597674
 AIRY_NORM = 0.7012108227206915
-# most special well levels a scan labels; a scan top above more of them is refused
+# most special well levels a scan labels, well_special_energies lists (spectrum --k-max)
+# and wavefunction --k selects; anything above it is refused
 MAX_SPECIAL_LEVELS = 100_000
 
 
@@ -80,12 +81,17 @@ def well_special_energies(setup: PhysicalSetup, k_max: int) -> list[SpecialEnerg
 
     At these energies the oscillatory wavenumber is kappa = k pi / (2a) and the
     wall-to-wall sine solves the fourth-order equation exactly; beta -> 0
-    recovers the standard well levels.
+    recovers the standard well levels.  It lists at most MAX_SPECIAL_LEVELS
+    of them, and above that raises InvalidSetupError naming the limit.
     """
     if not isinstance(setup.potential, InfiniteWell):
         raise WrongPotentialError("special energies are defined for the infinite well")
     if k_max < 1:
         raise PreconditionError(f"k_max must be >= 1, got {k_max}")
+    if k_max > MAX_SPECIAL_LEVELS:
+        raise InvalidSetupError(
+            f"k_max = {k_max} levels requested; at most MAX_SPECIAL_LEVELS = {MAX_SPECIAL_LEVELS} are listed"
+        )
     return _special_levels(setup, nondimensionalize(setup), k_max)
 
 
@@ -93,14 +99,15 @@ def _special_levels(setup: PhysicalSetup, problem: DimensionlessProblem, k_max: 
     """E_1 ... E_k_max of ``well_special_energies``, scaled by the problem of the setup."""
     out = []
     for k in range(1, k_max + 1):
-        e_si = _special_energy_si(setup, k)
+        e_si = well_special_energy(setup, k)
         out.append(
             SpecialEnergy(k=k, energy_si=e_si, energy_dimensionless=problem.energy_from_si(e_si))
         )
     return out
 
 
-def _special_energy_si(setup: PhysicalSetup, k: int) -> float:
+def well_special_energy(setup: PhysicalSetup, k: int) -> float:
+    """E_k of ``well_special_energies`` in J, for one level k >= 1 of a well setup."""
     a, m, hbar = setup.potential.a, setup.mass, setup.hbar
     return checked_scale(
         f"special energy E_{k}",
@@ -134,9 +141,9 @@ def _special_level_count(setup: PhysicalSetup, top: float) -> int:
     if log_k > math.log(MAX_SPECIAL_LEVELS + 2):
         raise InvalidSetupError(_too_many_levels(f"about 10^{log_k / math.log(10.0):.1f}", top))
     k = int(math.exp(log_k))
-    while k > 0 and _special_energy_si(setup, k) > top:
+    while k > 0 and well_special_energy(setup, k) > top:
         k -= 1
-    while _special_energy_si(setup, k + 1) <= top:
+    while well_special_energy(setup, k + 1) <= top:
         k += 1
     if k > MAX_SPECIAL_LEVELS:
         raise InvalidSetupError(_too_many_levels(str(k), top))
@@ -181,12 +188,7 @@ class SpectrumScan:
         return self.energies_si, self.energies_dimensionless, dof, np.array(self.labels)
 
 
-def dof_scan(
-    setup: PhysicalSetup,
-    energies_si: Sequence[float],
-    threads: int = 1,
-    problem: DimensionlessProblem | None = None,
-) -> SpectrumScan:
+def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 1) -> SpectrumScan:
     """Degrees of freedom (degeneracy) at each scan energy.
 
     Per-energy failures are recorded and do not abort the scan.  Every
@@ -208,8 +210,7 @@ def dof_scan(
     # strictly increasing from a first energy > 0
     if energies.size < 1 or energies[0] <= 0.0 or np.any(np.diff(energies) <= 0.0):
         raise PreconditionError("energies must be strictly increasing and > 0")
-    if problem is None:
-        problem = nondimensionalize(setup)
+    problem = nondimensionalize(setup)
     e_dims = energies / problem.energy_scale
 
     def one(e_dim: float):

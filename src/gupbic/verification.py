@@ -211,20 +211,23 @@ def check_residual_negative_control(setup: PhysicalSetup | None = None) -> Check
 
 def momentum_dimension_evidence(
     setup: PhysicalSetup, energy_si: float, rtol: float = DEFAULT_RTOL
-) -> tuple[MomentumSolution, float, complex]:
+) -> tuple[MomentumSolution, float, complex, int]:
     """The 1 vs 4 solution-space evidence for the linear potential at one energy.
 
     Returns the momentum-space solution, its largest ODE residual over 100
-    probes in pt = [-6, 6], and the position-space Wronskian: the identity
-    frame launched at x = 0.8 and read one decay length 1/mu1 away, far
-    enough to integrate and near enough to stay conditioned at any beta.
+    probes in pt = [-6, 6], the position-space Wronskian W and the
+    position-space dimension it shows: 4 where |W| > 1e-6 (the identity
+    frame stays a fundamental system), else 0.  W is the determinant of the
+    identity frame launched at x = 0.8 and read one decay length 1/mu1 away,
+    far enough to integrate and near enough to stay conditioned at any beta.
     """
     problem = nondimensionalize(setup)
     sol = momentum_rep_linear(setup, energy_si)
     res = float(np.max(sol.ode_residual(np.linspace(-6.0, 6.0, 100))))
     e = problem.energy_from_si(energy_si)
     mu1 = characteristic_roots(problem.epsilon, e).mu1
-    return sol, res, wronskian(problem, e, 0.8 + 1.0 / mu1, anchor=0.8, rtol=rtol)
+    w = wronskian(problem, e, 0.8 + 1.0 / mu1, anchor=0.8, rtol=rtol)
+    return sol, res, w, 4 if abs(w) > 1e-6 else 0
 
 
 def check_momentum_representation(
@@ -236,7 +239,7 @@ def check_momentum_representation(
     problem = nondimensionalize(setup)
     if energy_si is None:
         energy_si = problem.energy_to_si(2.0)
-    sol, res, w = momentum_dimension_evidence(setup, energy_si, rtol)
+    sol, res, w, position_dimension = momentum_dimension_evidence(setup, energy_si, rtol)
     anti = sol.phase_quadrature_check(np.linspace(-4.0, 4.0, 9))
     # finite-difference cross-check of the analytic derivative
     h = 1e-6
@@ -250,7 +253,7 @@ def check_momentum_representation(
         measured,
         1e-10,
         momentum_dimension=sol.dimension,
-        position_dimension=4 if abs(w) > 1e-6 else 0,
+        position_dimension=position_dimension,
         wronskian_abs=float(abs(w)),
         fd_derivative_agreement=fd_worst,
         setup=f"linear, eps {problem.epsilon:.3g}, E {energy_si:.3g} J",

@@ -22,7 +22,7 @@ from gupbic import (
     nondimensionalize,
     residual,
 )
-from gupbic.basis import WkbParameters, map_regions, wkb_basis
+from gupbic.basis import WkbParameters, map_regions, wkb_branches
 from gupbic.matcher import solve_linear, solve_well
 from gupbic.spectrum import (
     dof_scan,
@@ -152,23 +152,23 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     # fast branch: single backward launch, reference point at the launch
     p2 = WkbParameters.from_problem(problem, energy, x0=x_hi)
     rmap = map_regions(p2, x_lo - 0.3, x_hi + 0.3)
-    w2 = wkb_basis(p2, 2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap)
+    w2 = wkb_branches(p2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap)[1]
     xs = np.linspace(x_lo, x_hi, 61)
     phi = integrate(problem, energy, w2.derivatives(x_hi, order=3), x_hi, xs, rtol=1e-12, atol=1e-14)[0]
-    vals = w2.value_array(xs)
+    vals = w2.value(xs)
     out[2] = math.sqrt(float(np.sum(np.abs(phi - vals) ** 2) / np.sum(np.abs(vals) ** 2)))
 
     # slow branch: piecewise backward relaunches, piece ~ 3.2/mu1 so the
     # fast-mode contamination amplification stays bounded
     p4 = WkbParameters.from_problem(problem, energy, x0=0.5 * (x_lo + x_hi))
-    w4 = wkb_basis(p4, 4, (x_lo - 0.3, x_hi + 0.3), region_map=rmap)
+    w4 = wkb_branches(p4, (x_lo - 0.3, x_hi + 0.3), region_map=rmap)[3]
     n_pieces = max(2, math.ceil((w_hi - w_lo) * mu1 / 3.2))
     edges = np.linspace(x_lo, x_hi, n_pieces + 1)
     num = den = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         pts = np.linspace(a, b, 13)
         phi = integrate(problem, energy, w4.derivatives(b, order=3), b, pts, rtol=1e-12, atol=1e-14)[0]
-        vals = w4.value_array(pts)
+        vals = w4.value(pts)
         num += float(np.sum(np.abs(phi - vals) ** 2))
         den += float(np.sum(np.abs(vals) ** 2))
     out[4] = math.sqrt(num / den)
@@ -181,7 +181,7 @@ def _tail_fit_r_squared(eps: float, energy: float = 1.0) -> float:
     x_start = max(3.0 * x_q, 40.0)
     params = WkbParameters.from_problem(problem, energy, x0=x_start)
     rmap = map_regions(params, x_start - 1.0, 4.0 * x_start + 1.0)
-    w1 = wkb_basis(params, 1, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap)
+    w1 = wkb_branches(params, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap)[0]
     xs = np.linspace(x_start, 4.0 * x_start, 60)
     logs = np.array([w1.log_abs_array(x) for x in xs])
     design = np.vstack([xs**1.25, np.ones_like(xs)]).T
@@ -265,11 +265,12 @@ def test_criterion_7_observability_exponents():
 def test_criterion_8_momentum_representation_mismatch():
     setup = linear_setup_for(1e-2)
     problem = nondimensionalize(setup)
-    sol, res, w = momentum_dimension_evidence(setup, problem.energy_to_si(2.0))
+    sol, res, w, position_dimension = momentum_dimension_evidence(setup, problem.energy_to_si(2.0))
     assert res <= 1e-10
     assert sol.dimension == 1
     # the identity frame integrated one decay length keeps W = 1 (Abel)
     assert abs(w - 1.0) <= 1e-10
+    assert position_dimension == 4
     report(
         8,
         f"momentum-space ODE residual {res:.2e} <= 1e-10, dimension 1; "

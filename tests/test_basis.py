@@ -17,7 +17,6 @@ from gupbic.basis import (
     WkbParameters,
     classify_asymptotics,
     map_regions,
-    wkb_basis,
     wkb_branches,
 )
 from gupbic.errors import (
@@ -159,7 +158,7 @@ class TestExactBasis:
         assert f.log_abs_array(100.0) == pytest.approx(1000.0)
 
     @pytest.mark.parametrize("beta", [1e47, 1e30])
-    def test_value_array_matches_point_by_point(self, beta):
+    def test_array_value_matches_point_by_point(self, beta):
         problem = nondimensionalize(reference_well_setup(beta=beta))
         roots = characteristic_roots(problem.epsilon, 2.5)
         lo, hi = problem.domain
@@ -185,7 +184,7 @@ class TestExactBasis:
             (cos, through_walls(600.0, 600.0)),
             (sin, through_walls(600.0, 600.0)),
         ):
-            arr = f.value_array(xs)
+            arr = f.value(xs)
             pts = np.array([f.value(float(x)) for x in xs])
             assert arr.shape == pts.shape and arr.dtype == complex
             assert np.all(np.abs(arr - pts) <= 2e-16 * np.abs(pts))
@@ -194,11 +193,11 @@ class TestExactBasis:
             # exact zeros past the underflow cut, and only there
             xs = through_walls(900.0, 900.0)
             xs = xs[f.rate * (xs - f.anchor) < 700.0]
-            zero = f.value_array(xs) == 0
+            zero = f.value(xs) == 0
             assert np.array_equal(zero, f.rate * (xs - f.anchor) <= -745.0)
             assert zero.any()
 
-    def test_value_array_overflow_flagged_where_scalar_is(self):
+    def test_array_value_overflow_flagged_where_scalar_is(self):
         problem = nondimensionalize(reference_well_setup(beta=1e30))
         roots = characteristic_roots(problem.epsilon, 2.5)
         grow, decay, _, _ = exact_constant_basis(roots, problem.domain)
@@ -207,9 +206,9 @@ class TestExactBasis:
             with pytest.raises(BasisOverflowError):
                 f.value(x)
             with pytest.raises(BasisOverflowError):
-                f.value_array(np.array([0.0, x]))
+                f.value(np.array([0.0, x]))
             edge = np.array([0.0, x - math.copysign(200.0 / roots.mu1, x)])
-            assert np.all(np.isfinite(f.value_array(edge)))
+            assert np.all(np.isfinite(f.value(edge)))
 
 
 class TestWkbBasis:
@@ -225,8 +224,8 @@ class TestWkbBasis:
         e = 5.5
         params = WkbParameters.from_problem(well_problem, e, x0=0.0)
         roots = characteristic_roots(well_problem.epsilon, e)
-        w1 = wkb_basis(params, 1, (-1.0, 1.0))
-        w3 = wkb_basis(params, 3, (-1.0, 1.0))
+        w1 = wkb_branches(params, (-1.0, 1.0))[0]
+        w3 = wkb_branches(params, (-1.0, 1.0))[2]
         assert params.eta * w1.lam(0.2) == pytest.approx(roots.mu1, rel=1e-13)
         assert params.eta * w3.lam(0.2) == pytest.approx(1j * roots.kappa, rel=1e-13)
 
@@ -236,7 +235,7 @@ class TestWkbBasis:
         roots = characteristic_roots(well_problem.epsilon, e)
         targets = {1: roots.mu1, 2: -roots.mu1, 3: 1j * roots.kappa, 4: -1j * roots.kappa}
         for j, rate in targets.items():
-            w = wkb_basis(params, j, (-1.0, 1.0))
+            w = wkb_branches(params, (-1.0, 1.0))[j - 1]
             ratios = [w.value(x) * cmath.exp(-rate * x) for x in (-0.9, -0.4, 0.1, 0.8)]
             for r in ratios[1:]:
                 assert abs(r / ratios[0] - 1.0) < 1e-10
@@ -245,7 +244,7 @@ class TestWkbBasis:
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 10.0)
-        w1 = wkb_basis(params, 1, (0.0, rmap.s_zeros[0] - 0.05), region_map=rmap)
+        w1 = wkb_branches(params, (0.0, rmap.s_zeros[0] - 0.05), region_map=rmap)[0]
         eps = linear_problem.epsilon
         for x in (0.3, 1.2, 3.0, 4.5):
             mu = params.eta * w1.lam(x)
@@ -260,7 +259,7 @@ class TestWkbBasis:
         rng = np.random.default_rng(3)
         h1, h2 = 1e-5, 1e-4  # h2 larger: second differences hit roundoff ~eps/h^2
         for j in (1, 2, 3, 4):
-            w = wkb_basis(params, j, (2.6, 4.0), region_map=rmap)
+            w = wkb_branches(params, (2.6, 4.0), region_map=rmap)[j - 1]
             for x in rng.uniform(2.8, 3.8, size=13):
                 d = w.derivatives(x, order=2)
                 fd1 = (w.value(x + h1) - w.value(x - h1)) / (2 * h1)
@@ -285,13 +284,13 @@ class TestWkbBasis:
         rmap = map_regions(params, 0.0, 10.0)
         s_zero = rmap.s_zeros[0]
         with pytest.raises(ValidityError, match="turning point"):
-            wkb_basis(params, 1, (s_zero - 1.0, s_zero + 1.0), region_map=rmap)
+            wkb_branches(params, (s_zero - 1.0, s_zero + 1.0), region_map=rmap)[0]
 
     def test_window_evaluation_rejected(self, linear_problem):
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 3.5)
-        w4 = wkb_basis(params, 4, (0.0, 3.5), region_map=rmap)
+        w4 = wkb_branches(params, (0.0, 3.5), region_map=rmap)[3]
         x_t = rmap.b_zeros[0]
         with pytest.raises(ValidityError, match="window"):
             w4.value(x_t + 0.01)
@@ -303,22 +302,10 @@ class TestWkbBasis:
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 3.5)
-        w2 = wkb_basis(params, 2, (0.0, 3.5), region_map=rmap)
+        w2 = wkb_branches(params, (0.0, 3.5), region_map=rmap)[1]
         assert w2.windows == ()
         x_t = rmap.b_zeros[0]
         assert np.isfinite(w2.value(x_t).real)
-
-
-def test_region_map_pieces(linear_problem):
-    # validity pieces split at branch-degeneracy points, shrunk by the margin
-    params = WkbParameters.from_problem(linear_problem, 2.0, x0=1.0)
-    rmap = map_regions(params, 0.0, 10.0)
-    assert len(rmap.s_zeros) == 1
-    pieces = rmap.pieces()
-    assert len(pieces) == 2
-    z = rmap.s_zeros[0]
-    assert pieces[0][1] == pytest.approx(z - 0.05)
-    assert pieces[1][0] == pytest.approx(z + 0.05)
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -370,10 +357,10 @@ def test_concurrent_evaluation_matches_serial(linear_problem):
     xs = list(np.linspace(2.6, 3.8, 40))
     params = WkbParameters.from_problem(linear_problem, e, x0=3.2)
     rmap = map_regions(params, 2.5, 3.9)
-    serial = wkb_basis(params, 2, (2.5, 3.9), region_map=rmap)
+    serial = wkb_branches(params, (2.5, 3.9), region_map=rmap)[1]
     serial_vals = [serial.value(x) for x in xs]
 
-    threaded = wkb_basis(params, 2, (2.5, 3.9), region_map=rmap)
+    threaded = wkb_branches(params, (2.5, 3.9), region_map=rmap)[1]
     shuffled = list(np.random.default_rng(0).permutation(xs))
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(threaded.value, shuffled))
@@ -481,7 +468,7 @@ def test_exponent_matches_quad_reference(case):
     problem, e, x0, piece, rmap, points = _pieces_for_accuracy()[case]
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 2, 3, 4):
-        w = wkb_basis(params, j, piece, region_map=rmap)
+        w = wkb_branches(params, piece, region_map=rmap)[j - 1]
         xs = [x for x in points if w.valid(x)]
         assert len(xs) >= 5
         batch = w.exponent(np.array(xs))
@@ -489,7 +476,7 @@ def test_exponent_matches_quad_reference(case):
             ref = _reference_exponent(w, x)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (j, x, got, ref)
             # one point at a time, on a fresh function, gives the same value
-            single = wkb_basis(params, j, piece, region_map=rmap).exponent(x)
+            single = wkb_branches(params, piece, region_map=rmap)[j - 1].exponent(x)
             assert abs(single - got) <= 1e-13 * max(1.0, abs(got))
 
 
@@ -500,12 +487,12 @@ def test_large_array_matches_small_batches():
     problem, e, x0, piece, rmap, _ = _pieces_for_accuracy()[2]
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 3):
-        w = wkb_basis(params, j, piece, region_map=rmap)
+        w = wkb_branches(params, piece, region_map=rmap)[j - 1]
         xs = np.linspace(*piece, 3001)
         xs = xs[w.valid(xs)]
         assert xs.size > 2048
         whole = w.exponent(xs)
-        fresh = wkb_basis(params, j, piece, region_map=rmap)
+        fresh = wkb_branches(params, piece, region_map=rmap)[j - 1]
         batches = np.concatenate([fresh.exponent(xs[k : k + 7]) for k in range(0, xs.size, 7)])
         np.testing.assert_array_equal(whole, batches)
 
@@ -537,20 +524,20 @@ def test_shared_branches_match_standalone(case, order):
     # tables, bit for bit, however the branches take turns
     params, piece, rmap, points = _shared_table_cases()[case]
     shared = wkb_branches(params, piece, rmap)
-    fresh = {j: wkb_basis(params, j, piece, region_map=rmap) for j in (1, 2, 3, 4)}
+    fresh = {j: wkb_branches(params, piece, region_map=rmap)[j - 1] for j in (1, 2, 3, 4)}
     common = np.array([x for x in points if all(f.valid(x) for f in shared)])
     for x in points:
         for j in order:
             if shared[j - 1].valid(x):
                 got = shared[j - 1].exponent(float(x))
-                alone = wkb_basis(params, j, piece, region_map=rmap)
+                alone = wkb_branches(params, piece, region_map=rmap)[j - 1]
                 assert np.array_equal(got, fresh[j].exponent(float(x))), (j, x)
                 assert np.array_equal(got, alone.exponent(float(x))), (j, x)
     for xs in (common, np.array(points)):
         for j in order:
             f = shared[j - 1]
             own = xs[f.valid(xs)]
-            alone = wkb_basis(params, j, piece, region_map=rmap)
+            alone = wkb_branches(params, piece, region_map=rmap)[j - 1]
             assert np.array_equal(f.exponent(own), alone.exponent(own)), j
             assert np.array_equal(f.value(own), alone.value(own)), j
 
@@ -813,7 +800,7 @@ def test_no_potential_walks_panels(monkeypatch, linear_problem, harmonic_problem
 
     from gupbic.basis import WkbBasisFunction
     from gupbic.matcher import bound_states, degrees_of_freedom
-    from gupbic.oracle import growth_exponents
+    from gupbic.oracle import growth_exponents_many
 
     depth, calls, walks = [0], [], []
     exponent = WkbBasisFunction.exponent
@@ -840,7 +827,7 @@ def test_no_potential_walks_panels(monkeypatch, linear_problem, harmonic_problem
     for e in (0.5, 2.0, 7.5, 15.0):
         assert degrees_of_freedom(linear_problem, e)[0] == 1
         assert len(bound_states(linear_problem, e).states) == 1
-        assert growth_exponents(linear_problem, e, "+inf").shape == (4,)
+        assert growth_exponents_many([(linear_problem, e, "+inf", None)])[0].shape == (4,)
     harmonic = bound_states(harmonic_problem, 1.7)
     assert len(harmonic.states) == 2
     # the harmonic Gram integrates exponent values on panels, and no walk starts inside one

@@ -136,6 +136,27 @@ class TestWavefunction:
                     lines.append(",".join(_fmt_cell(c) for c in cells))
         assert (tmp_path / "wavefunctions.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    def test_k_reads_its_level_alone(self, tmp_path, monkeypatch, capsys):
+        # E_K comes from the one-level formula, so the cost does not grow with K
+        import gupbic.spectrum
+
+        expected = well_special_energies(cli.default_setup(), 5)[-1].energy_si
+
+        def refuse(*args):
+            raise AssertionError("wavefunction --k built the list of levels")
+
+        monkeypatch.setattr(gupbic.spectrum, "_special_levels", refuse)
+        assert run(["wavefunction", "--k", "5", "--grid-n", "11", "--out", tmp_path]) == 0
+        assert f"E = {expected:.6e} J" in capsys.readouterr().out
+
+    def test_k_above_the_level_cap_exits_2(self, tmp_path, capsys):
+        assert run(["wavefunction", "--k", "100000", "--grid-n", "11", "--out", tmp_path / "ok"]) == 0
+        assert run(["wavefunction", "--k", "100001", "--grid-n", "11", "--out", tmp_path / "no"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "MAX_SPECIAL_LEVELS = 100000" in error["message"]
+        assert not (tmp_path / "no").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["wavefunction", "--k", "1", "--grid-n", "101", "--out", out1]) == 0
@@ -276,6 +297,13 @@ class TestSpectrumCommand:
         cfg = tmp_path / "lin.cfg"
         cfg.write_text(LINEAR_CFG)
         assert run(["spectrum", "--config", cfg, "--out", tmp_path]) == 2
+
+    def test_k_max_above_the_level_cap_exits_2(self, tmp_path, capsys):
+        assert run(["spectrum", "--k-max", "100001", "--out", tmp_path]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "InvalidSetupError"
+        assert "MAX_SPECIAL_LEVELS = 100000" in error["message"]
+        assert not (tmp_path / "special_energies.csv").exists()
 
 
 class TestObservabilityCommand:

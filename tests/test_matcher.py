@@ -27,6 +27,8 @@ from gupbic.matcher import (
     BoundStateSolution,
     Case,
     ConstraintSystem,
+    _cross_triple,
+    _determinant_vectors,
     assemble,
     bound_states,
     classify,
@@ -43,7 +45,6 @@ from gupbic.matcher import (
     solve_linear,
     solve_well,
     well_basis,
-    well_coefficients,
     well_gram,
     wkb_assembly,
 )
@@ -252,29 +253,39 @@ class TestNullspace:
 
 
 class TestWellCoefficients:
+    # solve_well(orthogonalize=False) returns the determinant-form pair as it is, normalized
+
     def test_special_energy_partner_annihilated(self, well_problem):
         roots = characteristic_roots(well_problem.epsilon, E1_DIMLESS)
         basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(basis, conditions_for(well_problem), E1_DIMLESS)
-        vec = well_coefficients(basis, (-1.0, 1.0), (1, 2, 3), shifted_cos_kappa=roots.kappa)
+        values = np.array([f.value(np.array([-1.0, 1.0])) for f in basis])
+        (vec,) = _determinant_vectors(values, (-1.0, 1.0), [(1, 2, 3)], roots.kappa)
         assert system.row_residual(vec) < 1e-12
+        # solve_well keeps that partner (a nullspace top-up would point elsewhere)
+        sine, partner = solve_well(well_problem, E1_DIMLESS, orthogonalize=False).states
+        assert not sine.coefficients[:2].any() and partner.coefficients[:2].all()
+        overlap = abs(np.vdot(vec, partner.coefficients))
+        assert overlap == pytest.approx(np.linalg.norm(vec) * np.linalg.norm(partner.coefficients), rel=1e-12)
+        for st in (sine, partner):
+            assert system.row_residual(st.coefficients) < 1e-12
 
     def test_generic_energy_triples_annihilated(self, well_problem):
         e = 8.1911537730
         roots = characteristic_roots(well_problem.epsilon, e)
         basis = exact_constant_basis(roots, well_problem.domain)
         system = assemble(basis, conditions_for(well_problem), e)
-        for triple in ((1, 2, 3), (2, 3, 4)):
-            vec = well_coefficients(basis, (-1.0, 1.0), triple)
-            assert system.row_residual(vec) < 1e-12
+        states = solve_well(well_problem, e, orthogonalize=False).states
+        # the (1, 2, 3) and (2, 3, 4) triples leave C4 and C1 exactly zero
+        for st, unused in zip(states, (3, 0)):
+            assert st.coefficients[unused] == 0.0
+            assert system.row_residual(st.coefficients) < 1e-12
 
     def test_scale_invariance_of_direction(self, well_problem):
         # multiplying all boundary values by a common factor only rescales
         e = 8.1911537730
         roots = characteristic_roots(well_problem.epsilon, e)
         basis = exact_constant_basis(roots, well_problem.domain)
-        from gupbic.matcher import _cross_triple
-
         row_lo = [f.value(-1.0) for f in basis[:3]]
         row_hi = [f.value(1.0) for f in basis[:3]]
         d1 = _cross_triple(row_lo, row_hi)
@@ -288,9 +299,8 @@ class TestWellCoefficients:
         system = assemble(basis, conditions_for(well_problem), e)
         _, null_vecs = nullspace(system)
         basis_mat = np.array(null_vecs).T  # 4 x 2, orthonormal columns
-        for triple in ((1, 2, 3), (2, 3, 4)):
-            vec = well_coefficients(basis, (-1.0, 1.0), triple)
-            vec = vec / np.linalg.norm(vec)
+        for st in solve_well(well_problem, e, orthogonalize=False).states:
+            vec = st.coefficients / np.linalg.norm(st.coefficients)
             proj = basis_mat @ (basis_mat.conj().T @ vec)
             angle = math.acos(min(abs(np.vdot(proj, vec)) / np.linalg.norm(proj), 1.0))
             assert angle < 1e-8
@@ -523,8 +533,8 @@ class TestOverlapGram:
         import gupbic.panels
 
         class Step(ExponentialBasisFunction):
-            def value_array(self, xs):
-                return np.where(np.asarray(xs) < 1.0 / 3.0, 0.0, 1.0).astype(complex)
+            def value(self, x):
+                return np.where(np.asarray(x) < 1.0 / 3.0, 0.0, 1.0).astype(complex)
 
         monkeypatch.setattr(gupbic.panels, "_MAX_BISECTIONS", 12)
         with pytest.raises(NumericalError, match="did not converge"):
@@ -641,8 +651,6 @@ class TestBatchedWell:
     def test_cross_triple_forms_the_scalar_complex_products(self):
         # numpy's vectorised complex product can differ from the scalar one
         # in the last bit; a batch's triples are formed as the scalar ones
-        from gupbic.matcher import _cross_triple
-
         rng = np.random.default_rng(5)
         u, v = rng.normal(size=(2, 3, 200)) + 1j * rng.normal(size=(2, 3, 200))
         d = _cross_triple(u, v)
@@ -713,12 +721,8 @@ class TestSolvers:
         # orthonormal output spans the same plane as the determinant pair
         e = 1.6382307546
         sol = solve_well(well_problem, e)
-        roots = characteristic_roots(well_problem.epsilon, e)
-        basis = exact_constant_basis(roots, well_problem.domain)
-        det_pair = [
-            well_coefficients(basis, (-1.0, 1.0), (1, 2, 3)),
-            well_coefficients(basis, (-1.0, 1.0), (2, 3, 4)),
-        ]
+        det_pair = [st.coefficients for st in solve_well(well_problem, e, orthogonalize=False).states]
+        assert det_pair[0][3] == det_pair[1][0] == 0.0  # the (1, 2, 3) and (2, 3, 4) triples
         q_det, _ = np.linalg.qr(np.array(det_pair).T)
         q_out, _ = np.linalg.qr(np.array([st.coefficients for st in sol.states]).T)
         # principal angles via singular values of q1^H q2

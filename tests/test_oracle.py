@@ -8,18 +8,18 @@ import pytest
 from gupbic import (
     PhysicalSetup,
     characteristic_roots,
-    decaying_subspace_dimension,
     exact_constant_basis,
-    growth_exponents,
     integrate,
     momentum_rep_linear,
     nondimensionalize,
     residual,
     wronskian,
-    wronskian_drift,
 )
+from gupbic.basis import WkbParameters, map_regions, wkb_branches
+from gupbic.core import DEFAULT_RTOL
 from gupbic.errors import NumericalError, PreconditionError, WrongPotentialError
 from gupbic.matcher import StateFunction, bound_states
+from gupbic.oracle import bounded_dimension, growth_exponents_many, wronskian_drifts
 from gupbic.verification import (
     REFERENCE_HALF_WIDTH,
     beta_for_epsilon,
@@ -32,6 +32,16 @@ from gupbic.verification import (
 )
 
 E1_DIMLESS = 2.918779290241783
+
+
+def exponents(problem, energy, side, x_far=None, standard=False):
+    """The growth exponents of one march: a batch of one, as verify runs its marches."""
+    return growth_exponents_many([(problem, energy, side, x_far)], standard)[0]
+
+
+def drift(problem, energy, xs, anchor, rtol=DEFAULT_RTOL):
+    """max |W(x) - 1| over xs of one case, as verify's Wronskian check batches them."""
+    return wronskian_drifts([(problem, energy, xs, anchor)], rtol)[0]
 
 
 @pytest.fixture
@@ -217,8 +227,7 @@ class TestCompanionRhs:
 
 class TestWronskian:
     def test_drift_integrates_once(self, well_problem, propagator_calls):
-        drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0)
-        assert drift < 1e-8
+        assert drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0) < 1e-8
         # both sides of the anchor in one propagator call, one interval per point
         assert propagator_calls == [9]
 
@@ -244,7 +253,7 @@ class TestWronskian:
         monkeypatch.setattr(oracle, "solve_ivp", counting)
         integrate(well_problem, 5.0, [1.0, 0.0, 0.0, 0.0], -1.0, [1.0])
         wronskian(well_problem, 5.0, 0.5, anchor=0.0)
-        growth_exponents(nondimensionalize(harmonic_setup_for(0.02)), 1.7, "+inf")
+        exponents(nondimensionalize(harmonic_setup_for(0.02)), 1.7, "+inf")
         assert calls == []
 
     def test_frame_of_an_array_is_the_stack_of_frames(self, well_problem):
@@ -263,18 +272,17 @@ class TestWronskian:
 
     def test_drift_over_no_points_is_zero(self, well_problem):
         # as residual reads 0.0 on an empty grid
-        assert wronskian_drift(well_problem, 5.0, [], anchor=0.0) == 0.0
+        assert drift(well_problem, 5.0, [], anchor=0.0) == 0.0
 
     def test_constant_along_domain(self, well_problem):
-        drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0)
-        assert drift < 1e-8
+        assert drift(well_problem, 5.0, np.linspace(-1, 1, 9), anchor=0.0) < 1e-8
 
     def test_thirty_frames_at_the_rtol_floor_do_not_clamp(self, well_problem):
         # 30 frames at the smallest accepted rtol, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            drift = wronskian_drift(well_problem, 5.0, np.linspace(-1, 1, 31), anchor=0.0, rtol=1e-13)
-        assert drift < 1e-8
+            worst = drift(well_problem, 5.0, np.linspace(-1, 1, 31), anchor=0.0, rtol=1e-13)
+        assert worst < 1e-8
 
     def test_randomized_battery(self):
         result = check_wronskian_constancy(n_cases=9, seed=11)
@@ -338,14 +346,12 @@ class TestResidual:
 
     def test_wkb_fast_branch_trend(self):
         # omega_2 residual shrinks with epsilon (1e-3 -> below 1e-2; 1e-4 smaller)
-        from gupbic.basis import WkbParameters, map_regions, wkb_basis
-
         values = []
         for eps in (1e-3, 1e-4):
             problem = nondimensionalize(linear_setup_for(eps))
             params = WkbParameters.from_problem(problem, 2.0, x0=3.0)
             rmap = map_regions(params, 2.4, 4.5)
-            w2 = wkb_basis(params, 2, (2.4, 4.5), region_map=rmap)
+            w2 = wkb_branches(params, (2.4, 4.5), region_map=rmap)[1]
             values.append(residual(w2, problem, 2.0, np.linspace(2.5, 4.4, 40)))
         assert values[0] < 1e-2
         assert values[1] < values[0]
@@ -354,15 +360,15 @@ class TestResidual:
 class TestDecayingSubspace:
     def test_fourth_order_dimensions(self):
         lin = nondimensionalize(linear_setup_for(0.02))
-        assert decaying_subspace_dimension(lin, 2.0, "+inf") == 2
+        assert bounded_dimension(exponents(lin, 2.0, "+inf")) == 2
         har = nondimensionalize(harmonic_setup_for(0.02))
-        assert decaying_subspace_dimension(har, 1.7, "+inf") == 2
-        assert decaying_subspace_dimension(har, 1.7, "-inf") == 2
+        assert bounded_dimension(exponents(har, 1.7, "+inf")) == 2
+        assert bounded_dimension(exponents(har, 1.7, "-inf")) == 2
 
     def test_standard_mode_dimensions(self):
         har = nondimensionalize(harmonic_setup_for(0.02))
-        assert decaying_subspace_dimension(har, 1.7, "+inf", standard=True) == 1
-        assert decaying_subspace_dimension(har, 1.7, "-inf", standard=True) == 1
+        assert bounded_dimension(exponents(har, 1.7, "+inf", standard=True)) == 1
+        assert bounded_dimension(exponents(har, 1.7, "-inf", standard=True)) == 1
 
     @pytest.mark.parametrize("energy", [9.5, 10.0, 21.0])
     @pytest.mark.parametrize("side", ["+inf", "-inf"])
@@ -370,13 +376,13 @@ class TestDecayingSubspace:
         # the default far point here lies where two WKB branches meet; the
         # frozen-coefficient frame reads only v there
         har = nondimensionalize(harmonic_setup_for(0.02))
-        assert decaying_subspace_dimension(har, energy, side) == 2
+        assert bounded_dimension(exponents(har, energy, side)) == 2
 
     def test_harmonic_exponents_are_mirror_equal(self):
         # v is even, so the march toward -inf is the mirror image of the one toward +inf
         har = nondimensionalize(harmonic_setup_for(0.02))
-        plus = growth_exponents(har, 1.7, "+inf")
-        minus = growth_exponents(har, 1.7, "-inf")
+        plus = exponents(har, 1.7, "+inf")
+        minus = exponents(har, 1.7, "-inf")
         np.testing.assert_allclose(minus, plus, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
@@ -425,16 +431,16 @@ class TestDecayingSubspace:
     def test_launch_outside_forbidden_region_rejected(self):
         lin = nondimensionalize(linear_setup_for(0.02))
         with pytest.raises(PreconditionError):
-            decaying_subspace_dimension(lin, 2.0, "+inf", x_far=1.0)
+            bounded_dimension(exponents(lin, 2.0, "+inf", x_far=1.0))
 
     def test_far_point_on_the_wrong_side_rejected(self):
         # x_far = -5 toward +inf would march across the whole well
         har = nondimensionalize(harmonic_setup_for(0.02))
         with pytest.raises(PreconditionError, match="toward \\+inf"):
-            growth_exponents(har, 1.7, "+inf", x_far=-5.0)
+            exponents(har, 1.7, "+inf", x_far=-5.0)
         with pytest.raises(PreconditionError, match="toward -inf"):
-            growth_exponents(har, 1.7, "-inf", x_far=5.0)
-        assert growth_exponents(har, 1.7, "-inf", x_far=-5.0).shape == (4,)
+            exponents(har, 1.7, "-inf", x_far=5.0)
+        assert exponents(har, 1.7, "-inf", x_far=-5.0).shape == (4,)
 
     @pytest.mark.parametrize("eps", [1e-4, 0.02, 0.2])
     @pytest.mark.parametrize("energy", [0.7, 1.7, 6.0, 15.0])
@@ -462,8 +468,6 @@ class TestDecayingSubspace:
         # linear potential at eps 1e-4 beside 24-segment ones): one
         # propagator call, the exponents of each march alone to 1e-10
         # relative, and the same counts
-        from gupbic.oracle import bounded_dimension, growth_exponents_many
-
         marches = [
             (nondimensionalize(linear_setup_for(1e-4)), 2.0, "+inf", None),
             (nondimensionalize(harmonic_setup_for(0.02)), 1.7, "-inf", None),
@@ -473,14 +477,12 @@ class TestDecayingSubspace:
         batched = growth_exponents_many(marches, standard)
         assert len(propagator_calls) == 1
         for growth, (problem, energy, side, x_far) in zip(batched, marches):
-            single = growth_exponents(problem, energy, side, x_far=x_far, standard=standard)
+            single = exponents(problem, energy, side, x_far=x_far, standard=standard)
             np.testing.assert_allclose(growth, single, rtol=1e-10, atol=0.0)
             assert bounded_dimension(growth) == bounded_dimension(single) == (1 if standard else 2)
 
     def test_batch_of_mixed_systems_is_refused(self):
         # epsilon = 0 marches the standard system, epsilon > 0 the fourth-order one
-        from gupbic.oracle import growth_exponents_many
-
         setup = harmonic_setup_for(0.02)
         classical = dataclasses.replace(setup, beta=0.0)
         marches = [(nondimensionalize(s), 1.7, "+inf", None) for s in (setup, classical)]
@@ -489,16 +491,14 @@ class TestDecayingSubspace:
 
     def test_bounded_side_rejected(self, well_problem):
         with pytest.raises(PreconditionError):
-            decaying_subspace_dimension(well_problem, 5.0, "+inf")
+            bounded_dimension(exponents(well_problem, 5.0, "+inf"))
 
     def test_march_integrates_once(self, propagator_calls):
         har = nondimensionalize(harmonic_setup_for(0.02))
-        assert decaying_subspace_dimension(har, 1.7, "-inf") == 2
+        assert bounded_dimension(exponents(har, 1.7, "-inf")) == 2
         assert propagator_calls == [24]  # no segment grows past e^3 at eps 0.02
 
     def test_exponents_near_zero_are_not_counted(self):
-        from gupbic.oracle import bounded_dimension
-
         assert bounded_dimension(np.array([9.0, 2.4, -4.3, -7.1])) == 2
         with pytest.raises(NumericalError):
             bounded_dimension(np.array([9.0, 0.3, -4.3, -7.1]))
@@ -534,25 +534,23 @@ class TestDecayingSubspace:
         lin = nondimensionalize(linear_setup_for(eps))
         har = nondimensionalize(harmonic_setup_for(eps))
         for problem, energy, side in ((lin, 2.0, "+inf"), (har, 1.7, "+inf"), (har, 1.7, "-inf")):
-            growth = growth_exponents(problem, energy, side, standard=standard)
+            growth = exponents(problem, energy, side, standard=standard)
             assert abs(growth.sum()) <= 1e-9 * np.max(np.abs(growth))
 
     def test_march_splits_only_where_a_segment_would_grow_past_e3(self, propagator_calls):
         # checkpoints is a minimum: 24 segments at eps 0.02, more at eps 1e-4
         for eps in (0.02, 1e-4):
-            growth_exponents(nondimensionalize(linear_setup_for(eps)), 2.0, "+inf")
+            exponents(nondimensionalize(linear_setup_for(eps)), 2.0, "+inf")
         assert propagator_calls[0] == 24
         assert propagator_calls[1] > 24
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.02, 0.2])
     @pytest.mark.parametrize("standard", [False, True], ids=["fourth-order", "standard"])
     def test_batched_march_matches_per_segment_march(self, eps, standard):
-        from gupbic.oracle import bounded_dimension
-
         lin = nondimensionalize(linear_setup_for(eps))
         har = nondimensionalize(harmonic_setup_for(eps))
         for problem, energy, side in ((lin, 2.0, "+inf"), (har, 1.7, "+inf"), (har, 1.7, "-inf")):
-            growth = growth_exponents(problem, energy, side, standard=standard)
+            growth = exponents(problem, energy, side, standard=standard)
             reference = self._reference_growth(problem, energy, side, standard)
             np.testing.assert_allclose(growth, reference, rtol=1e-8, atol=0.0)
             assert bounded_dimension(growth) == (1 if standard else 2)
@@ -837,9 +835,10 @@ class TestMomentumRepresentation:
 
     def test_dimension_mismatch_exhibit(self, lin):
         setup, problem = lin
-        sol, _, w = momentum_dimension_evidence(setup, problem.energy_to_si(2.0))
+        sol, _, w, position_dimension = momentum_dimension_evidence(setup, problem.energy_to_si(2.0))
         assert sol.dimension == 1
         assert abs(w - 1.0) < 1e-10  # four independent position-space solutions
+        assert position_dimension == 4
 
     def test_wrong_potential_rejected(self):
         with pytest.raises(WrongPotentialError):

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +14,11 @@ import gupbic.cli
 EXPORTS = {
     "core": "HBAR DimensionlessProblem Harmonic InfiniteWell Linear PhysicalSetup load_config nondimensionalize",
     "basis": "AsymptoticClass CharacteristicRoots Side WkbParameters characteristic_roots "
-    "classify_asymptotics exact_constant_basis wkb_basis wkb_branches",
+    "classify_asymptotics exact_constant_basis wkb_branches",
     "matcher": "BoundStateSolution Case CaseClassification ConstraintSystem StateFunction assemble "
     "bound_states classify conditions_for degrees_of_freedom normalize nullspace point_zero "
-    "solve_harmonic solve_linear solve_well well_coefficients",
-    "oracle": "MomentumSolution decaying_subspace_dimension growth_exponents integrate "
-    "momentum_rep_linear residual wronskian wronskian_drift",
+    "solve_harmonic solve_linear solve_well",
+    "oracle": "MomentumSolution integrate momentum_rep_linear residual wronskian",
     "spectrum": "MomentumMoments Observability SpectrumScan dof_scan ground_analog_state "
     "momentum_moments observability well_special_energies",
 }
@@ -72,3 +73,15 @@ def test_bare_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_entry_point_imports_resolve():
+    # every name of the README's "Library entry points" import block is a package export
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    (node,) = ast.parse(block).body
+    assert isinstance(node, ast.ImportFrom) and node.module == "gupbic"
+    names = [alias.name for alias in node.names]
+    assert len(names) > 10
+    assert [name for name in names if not hasattr(gupbic, name)] == []

@@ -34,6 +34,7 @@ from gupbic.spectrum import (
     momentum_moments,
     observability,
     well_special_energies,
+    well_special_energy,
 )
 from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
 
@@ -80,6 +81,17 @@ class TestSpecialEnergies:
             well_special_energies(setup, 3)
         with pytest.raises(PreconditionError):
             well_special_energies(reference_well_setup(), 0)
+
+    def test_one_level_is_the_list_entry(self, well_setup):
+        levels = well_special_energies(well_setup, 40)
+        for k in (1, 2, 7, 40):
+            assert well_special_energy(well_setup, k) == levels[k - 1].energy_si
+
+    def test_list_longer_than_the_cap_is_refused(self, well_setup, monkeypatch):
+        # refused before any level is built
+        monkeypatch.setattr(spectrum, "_special_levels", None)
+        with pytest.raises(InvalidSetupError, match="MAX_SPECIAL_LEVELS = 100000"):
+            well_special_energies(well_setup, spectrum.MAX_SPECIAL_LEVELS + 1)
 
 
 class TestDofScan:
@@ -178,7 +190,7 @@ class TestBatchedWellScan:
         e_dims = np.array(energies) / problem.energy_scale
         dof, errors, matrices = one_energy_at_a_time(problem, e_dims)
         assert errors == {}
-        scan = dof_scan(setup, energies, problem=problem)
+        scan = dof_scan(setup, energies)
         assert scan.dof == dof and scan.errors == {}
         assert all(type(d) is int for d in scan.dof)
         nullity, system = degrees_of_freedom(problem, e_dims)
@@ -220,7 +232,7 @@ class TestBatchedWkbScan:
         problem = nondimensionalize(setup)
         e_dims = np.asarray(energies) / problem.energy_scale
         dof, errors, matrices = one_energy_at_a_time(problem, e_dims)
-        scan = dof_scan(setup, energies, problem=problem)
+        scan = dof_scan(setup, energies)
         assert scan.dof == dof
         assert scan.errors == errors
         assert all(type(d) is int for d in scan.dof if d is not None)
@@ -254,7 +266,7 @@ class TestBatchedWkbScan:
 
         # dof_scan imports the count from matcher when it runs, so it sees the patch
         monkeypatch.setattr(matcher, "degrees_of_freedom", counting)
-        scan = dof_scan(setup, energies, problem=problem)
+        scan = dof_scan(setup, energies)
         dof, errors, _ = one_energy_at_a_time(problem, energies / problem.energy_scale)
         assert scan.dof == dof and scan.errors == errors
         assert errors and all(limit in message for message in errors.values())
@@ -334,9 +346,9 @@ class TestSpecialLevelLabels:
         # below log(limit + 2) on both sides, so the exact count decides
         setup = PhysicalSetup(mass=M_E, beta=1e47, potential=InfiniteWell(a=4e-6))
         limit = spectrum.MAX_SPECIAL_LEVELS
-        at_limit = spectrum._special_energy_si(setup, limit) / 1.5
+        at_limit = spectrum.well_special_energy(setup, limit) / 1.5
         assert len(dof_scan(setup, [at_limit]).special_marks) == limit
-        past = spectrum._special_energy_si(setup, limit + 1) / 1.5 * (1.0 + 1e-12)
+        past = spectrum.well_special_energy(setup, limit + 1) / 1.5 * (1.0 + 1e-12)
         with pytest.raises(InvalidSetupError, match=rf"^{limit + 1} special well levels"):
             dof_scan(setup, [past])
 
