@@ -506,6 +506,15 @@ class ExponentTable:
         _, slope, curvature, *_ = self.params.b_chain(0.0)
         return float(slope), float(curvature)
 
+    @cached_property
+    def branch_points(self) -> tuple[float, ...]:
+        """Zeros of b (lam_3, lam_4 -> 0) and of a^2 - b (s -> 0) on the whole line.
+
+        The amplitudes of the branches are singular there.
+        """
+        region_map = map_regions(self.params, -math.inf, math.inf)
+        return region_map.b_zeros + region_map.s_zeros
+
     def integrals(self, xs: np.ndarray, sigma: float) -> tuple:
         """(I1, I2, s, lam) of the tau = +1 branch of pair ``sigma`` at each x of a flat xs.
 

@@ -39,9 +39,12 @@ from .basis import (
     AsymptoticClass,
     BasisFunction,
     CharacteristicRoots,
+    ExponentialBasisFunction,
     Side,
     SymmetrizedBasisFunction,
     TURNING_WINDOW_HALF_WIDTH,
+    TrigBasisFunction,
+    WkbBasisFunction,
     WkbParameters,
     characteristic_roots,
     classify_asymptotics,
@@ -66,6 +69,12 @@ quad = lazy("integrate", "quad")
 RANK_TOL = 1e-10
 
 _GRAM_TOL = 1e-11  # tolerance of the overlap panels (see overlap_gram)
+# most e-folds (or radians) a Gram product's exponent changes across one seeded
+# panel: the 12- and 24-node sums of e^(12 t) on [0, 1] differ by 3e-14 of it,
+# those of e^(12 i t) by 5e-13, both within _GRAM_TOL
+_GRAM_EFOLDS = 12.0
+_GRAM_MAX_SEEDS = 256  # seeded panels of one region piece at most; bisection refines past it
+_GRAM_NEGLIGIBLE = 36.0  # e-folds of decay (e^-36 = 2e-16) past which a fast branch sets no width
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # |w| limit of the Gram products
 
 
@@ -432,11 +441,13 @@ class BoundStateSolution:
 def overlap_gram(basis: Sequence[BasisFunction], regions: Sequence[tuple[float, float]]) -> np.ndarray:
     """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions, by quadrature.
 
-    Gauss-Legendre panels (``panel_integrals`` at _GRAM_TOL), one per region
-    to start; each round evaluates every basis function once on the nodes of
-    all open panels.  It serves the WKB states; the well's basis has a closed
-    form (``well_gram``).  Where a product w_i w_j* would pass the float
-    range it raises ``BasisOverflowError`` (``_check_gram_range``) instead.
+    Gauss-Legendre panels (``panel_integrals`` at _GRAM_TOL), seeded from
+    the turning structure (``_seed_panels``) so that they pass the first
+    round; a panel that fails is bisected, and each round evaluates every
+    basis function once on the nodes of all open panels.  It serves the
+    WKB states; the well's basis has a closed form (``well_gram``).  Where a
+    product w_i w_j* would pass the float range it raises
+    ``BasisOverflowError`` (``_check_gram_range``) instead.
     """
 
     def integrand(x, width, _):
@@ -444,8 +455,110 @@ def overlap_gram(basis: Sequence[BasisFunction], regions: Sequence[tuple[float, 
         _check_gram_range(basis, v, x, width)
         return v[:, None] * (v.conj() * width)
 
-    a, b = np.array(regions, dtype=float).T
-    return panel_integrals(integrand, a, b, _GRAM_TOL).sum(axis=-1)
+    a, b, owner = _seed_panels(basis, regions)
+    return panel_integrals(integrand, a, b, _GRAM_TOL, owner).sum(axis=-1)
+
+
+def _panel_scales(fn: BasisFunction, lo: float, hi: float) -> tuple:
+    """(rate, gap_lo, gap_hi, zone) that size the Gram panels of ``fn`` on [lo, hi].
+
+    ``rate`` bounds |d log fn / dx| on [lo, hi] within ``zone``, an interval
+    of x; outside it the function is negligible and sets no width (0: no
+    bound is needed).  ``gap_lo`` and ``gap_hi`` are the distances from each
+    end to the nearest point beyond it where fn is singular (inf: none).
+
+      * A WKB branch changes its exponent at |eta lam_j|, lam_j^2 = a +- s,
+        s = sqrt(a^2 - b): its largest value is at an end of a region that
+        does not straddle the vertex of b.  Its amplitude is singular at
+        the zeros of b and of a^2 - b.  The exponent is 0 at x0, and a fast
+        branch (j = 1, 2) falls at least at eta sqrt(a) on one side of x0
+        (Re(a + s) >= a), so _GRAM_NEGLIGIBLE e-folds past x0 it leaves its
+        zone.
+      * The even continuation of a branch reads its branch at |x|.
+      * cos(kappa x) and sin(kappa x) turn at the rate kappa.
+      * exp(mu (x - anchor)) is a boundary layer at the end where it peaks,
+        graded as from a singular point _GRAM_EFOLDS / (2 |mu|) beyond it.
+    """
+    inf = math.inf
+    if isinstance(fn, SymmetrizedBasisFunction):
+        if hi <= 0.0:  # the mirror piece: its ends swap
+            rate, gap_hi, gap_lo, (z_lo, z_hi) = _panel_scales(fn.inner, -hi, -lo)
+            return rate, gap_lo, gap_hi, (-z_hi, -z_lo)
+        return _panel_scales(fn.inner, lo, hi)
+    if isinstance(fn, WkbBasisFunction):
+        p, fast = fn.params, fn.index in (1, 2)
+        a, sign = p.a_coef, 1.0 if fast else -1.0
+        rate = p.eta * max(math.sqrt(abs(a + sign * cmath.sqrt(a * a - p.b(x)))) for x in (lo, hi))
+        zeros = fn.table.branch_points
+        gap_lo = min((lo - z for z in zeros if z <= lo), default=inf)
+        gap_hi = min((z - hi for z in zeros if z >= hi), default=inf)
+        zone = (-inf, inf)
+        if fast:
+            reach = _GRAM_NEGLIGIBLE / (p.eta * math.sqrt(p.a_coef))
+            # lam_2 = -sqrt(a + s) falls to the right of x0, lam_1 to the left
+            zone = (-inf, p.x0 + reach) if fn.index == 2 else (p.x0 - reach, inf)
+        return rate, gap_lo, gap_hi, zone
+    if isinstance(fn, TrigBasisFunction):
+        return abs(fn.kappa), inf, inf, (-inf, inf)
+    if isinstance(fn, ExponentialBasisFunction) and fn.rate != 0.0:
+        gap = _GRAM_EFOLDS / (2.0 * abs(fn.rate))
+        return 0.0, (gap if fn.rate < 0.0 else inf), (gap if fn.rate > 0.0 else inf), (-inf, inf)
+    return 0.0, inf, inf, (-inf, inf)
+
+
+def _graded(first: float, width: float, limit: float) -> list[float]:
+    """Distances from an end of the edges of panels first, 2 first, 4 first, ...
+
+    With ``first`` the gap from the end to a singular point, each panel is
+    as wide as its distance from that point.  The grading stops before the
+    first panel as wide as ``width`` or one that would reach ``limit``.
+    """
+    edges = [0.0]
+    while 0.0 < first < width and edges[-1] + first < limit:
+        edges.append(edges[-1] + first)
+        first *= 2.0
+    return edges
+
+
+def _seed_panels(
+    basis: Sequence[BasisFunction], regions: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, region) of each seeded Gram panel, from ``_panel_scales`` alone.
+
+    A region splits into pieces at the zone ends inside it.  A piece's
+    middle panels are at most _GRAM_EFOLDS / (2 rate) wide, rate the largest
+    of the functions whose zone meets the piece, so no product w_i w_j*
+    changes its exponent by more than _GRAM_EFOLDS across one; a piece
+    takes at most _GRAM_MAX_SEEDS of them.  Toward an end whose gap to a
+    singular point is below that width, the panels grade geometrically
+    (``_graded``), so the 12-node rule converges on each as on a smooth
+    function.  No exponent integral is evaluated.
+    """
+    edges, owner = [], []
+    for k, (lo, hi) in enumerate(regions):
+        scales = [_panel_scales(fn, lo, hi) for fn in basis]
+        splits = sorted({z for *_, zone in scales for z in zone if lo < z < hi})
+        ends = [lo, *splits, hi]
+        for a, b in zip(ends[:-1], ends[1:]):
+            rate = max((r for r, _, _, (z_lo, z_hi) in scales if z_lo < b and a < z_hi), default=0.0)
+            length = b - a
+            width = max(_GRAM_EFOLDS / (2.0 * rate) if rate > 0.0 else math.inf, length / _GRAM_MAX_SEEDS)
+            # gaps are measured from the region's ends, and a piece lies inside it
+            gap_lo = min(g for _, g, _, _ in scales) + (a - lo)
+            gap_hi = min(g for _, _, g, _ in scales) + (hi - b)
+            limit = 0.5 * length if gap_lo < width and gap_hi < width else length
+            left = [a + d for d in _graded(gap_lo, width, limit)]
+            right = [b - d for d in _graded(gap_hi, width, limit)]
+            count = max(1, math.ceil((right[-1] - left[-1]) / width))
+            step = (right[-1] - left[-1]) / count
+            piece = left + [left[-1] + i * step for i in range(1, count)] + right[::-1]
+            edges.append(np.array(piece))
+            owner.append(np.full(len(piece) - 1, k))
+    return (
+        np.concatenate([e[:-1] for e in edges]),
+        np.concatenate([e[1:] for e in edges]),
+        np.concatenate(owner),
+    )
 
 
 # coefficients (-1)^n / (2n + 3)!, n = 0..11, of (t - sin t) / t^3 = sum c_n t^(2n):
@@ -509,8 +622,9 @@ def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) ->
 
     The largest product on a node is the largest |w|^2 times the panel width,
     so |w| sqrt(width) > sqrt(max float) is the overflow condition, and
-    testing it cannot itself overflow.  Per function the limit is a
-    log-magnitude of about 354.9.
+    testing it cannot itself overflow.  Per function the limit is the
+    log-magnitude log sqrt(max float) - log(width) / 2: 354.9 on a panel of
+    width 1, and the message gives it at the width of the failing node's panel.
     """
     scaled = np.abs(v) * np.sqrt(width)
     hit = np.any(scaled > _SQRT_FLOAT_MAX, axis=0)
@@ -519,10 +633,12 @@ def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) ->
     node = np.unravel_index(np.argmin(np.where(hit, x, np.inf)), x.shape)
     i = int(np.argmax(scaled[(slice(None),) + node]))
     log_abs = math.log(abs(complex(v[(i,) + node])))
+    panel = float(width[node[0], 0])
+    limit = math.log(_SQRT_FLOAT_MAX) - 0.5 * math.log(panel)
     raise BasisOverflowError(
         f"Gram products w_i w_j* pass the float range: log|w| = {log_abs:.6g} at "
-        f"x={float(x[node]):.6g} for {basis[i]!r}, beyond the limit of about "
-        f"{math.log(_SQRT_FLOAT_MAX):.4g}, half the log of the largest float",
+        f"x={float(x[node]):.6g} for {basis[i]!r}, beyond the limit {limit:.6g} "
+        f"at its panel width {panel:.6g}",
         exponent=log_abs,
     )
 

@@ -31,13 +31,17 @@ def _gauss_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (1.0 + np.concatenate([x_lo, x_hi])), 0.5 * w_lo, 0.5 * w_hi
 
 
-def panel_integrals(integrand: Callable, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Integrals of a vector-valued integrand over each interval [a_i, b_i], shape (..., len(a)).
+def panel_integrals(
+    integrand: Callable, a: np.ndarray, b: np.ndarray, tol: float, owner: np.ndarray | None = None
+) -> np.ndarray:
+    """Integrals of a vector-valued integrand over each interval, shape (..., intervals).
 
-    Every interval starts as one panel.  ``integrand(t, width, which)`` gets
-    the nodes t, shape (panels, 2n), of all open panels, their widths, shape
-    (panels, 1), and the interval index of each panel; it returns its values
-    times the panel width, shape (..., panels, 2n).  A panel whose n- and
+    Each [a_i, b_i] starts as one panel of interval ``owner[i]``; without
+    ``owner`` it is interval i, so every interval starts as one panel.
+    ``integrand(t, width, which)`` gets the nodes t, shape (panels, 2n), of
+    all open panels, their widths, shape (panels, 1), and the interval
+    index of each panel; it returns its values times the panel width,
+    shape (..., panels, 2n).  A panel whose n- and
     2n-node sums agree to ``tol`` in every component (absolute and relative,
     as epsabs = epsrel) adds its 2n-node sum to its interval; the others are
     bisected.  Each interval is bisected on its own, so its result does not
@@ -45,8 +49,9 @@ def panel_integrals(integrand: Callable, a: np.ndarray, b: np.ndarray, tol: floa
     """
     nodes, w_lo, w_hi = _gauss_pair()
     n = w_lo.size
-    seg = np.flatnonzero(a != b)
-    lo, hi = a[seg], b[seg]
+    owner = np.arange(a.size) if owner is None else owner
+    keep = a != b
+    seg, lo, hi = owner[keep], a[keep], b[keep]
     out = None
     for _ in range(_MAX_BISECTIONS):
         width = (hi - lo)[:, None]
@@ -56,7 +61,7 @@ def panel_integrals(integrand: Callable, a: np.ndarray, b: np.ndarray, tol: floa
         if not np.all(np.isfinite(fine)):
             raise NumericalError("Gauss-Legendre panel integrand is not finite (overflow or a pole)")
         if out is None:
-            out = np.zeros(fine.shape[:-1] + a.shape, dtype=complex)
+            out = np.zeros(fine.shape[:-1] + (owner.max(initial=-1) + 1,), dtype=complex)
         close = np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine))
         done = np.all(close, axis=tuple(range(fine.ndim - 1)))
         np.add.at(out, (..., seg[done]), fine[..., done])

@@ -24,6 +24,7 @@ from gupbic.errors import (
     PreconditionError,
 )
 from gupbic.matcher import (
+    _GRAM_TOL,
     BoundStateSolution,
     Case,
     ConstraintSystem,
@@ -48,6 +49,7 @@ from gupbic.matcher import (
     well_gram,
     wkb_assembly,
 )
+from gupbic.panels import panel_integrals
 from gupbic.spectrum import dof_scan, well_special_energies
 from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_well_setup
 
@@ -424,12 +426,48 @@ def _gram_cases():
         basis = exact_constant_basis(roots, problem.domain)
         gram = well_gram(roots, problem.domain)
         yield f"well-{beta:g}-{e:g}", gram, basis, [(-1.0, 1.0)], (-1.0 + layer, 1.0 - layer)
-    sol = solve_linear(nondimensionalize(linear_setup_for(0.12)), 2.0)
-    basis = (sol.states[0].basis[1], sol.states[0].basis[3])
-    yield "linear", overlap_gram(basis, sol.regions), basis, list(sol.regions), ()
-    sol = solve_harmonic(nondimensionalize(harmonic_setup_for(0.02)), 5.0)
-    basis = (sol.states[0].basis[1], sol.states[0].basis[3])
-    yield "harmonic", overlap_gram(basis, sol.regions), basis, list(sol.regions), ()
+    for solve, setup_for, eps, e in (
+        (solve_linear, linear_setup_for, 0.12, 2.0),
+        (solve_linear, linear_setup_for, 1e-3, 9.0),
+        (solve_harmonic, harmonic_setup_for, 0.02, 5.0),
+        (solve_harmonic, harmonic_setup_for, 1e-3, 5.0),
+    ):
+        sol = solve(nondimensionalize(setup_for(eps)), e)
+        basis = (sol.states[0].basis[1], sol.states[0].basis[3])
+        name = f"{setup_for.__name__.split('_')[0]}-{eps:g}-{e:g}"
+        yield name, overlap_gram(basis, sol.regions), basis, list(sol.regions), ()
+
+
+def _region_edged_gram(basis, regions):
+    """The adaptive Gram started from one panel per region, overlap_gram's former start.
+
+    The same integrator and the same 12- against 24-node test at
+    _GRAM_TOL; only the panels it starts from differ from the seeded ones.
+    """
+
+    def integrand(x, width, _):
+        v = np.stack([fn.value(x) for fn in basis])
+        return v[:, None] * (v.conj() * width)
+
+    a, b = np.array(regions, dtype=float).T
+    return panel_integrals(integrand, a, b, _GRAM_TOL).sum(axis=-1)
+
+
+def _wkb_grid(count):
+    """(kind, eps, e) of ``count`` seeded cases per WKB potential.
+
+    eps is log-uniform in 1e-3..0.2 and e uniform in 0.6..20.
+    """
+    rng = np.random.default_rng(2020)
+    for kind in ("harmonic", "linear"):
+        for _ in range(count):
+            eps = 10.0 ** rng.uniform(-3.0, math.log10(0.2))
+            yield kind, eps, rng.uniform(0.6, 20.0)
+
+
+def _wkb_problem(kind, eps):
+    setup_for = {"linear": linear_setup_for, "harmonic": harmonic_setup_for}[kind]
+    return nondimensionalize(setup_for(eps))
 
 
 def _layer_regions(lo, hi, mu1):
@@ -524,6 +562,34 @@ class TestOverlapGram:
         for problem, e in ((well_problem, 5.5), (linear_problem, 2.0), (harmonic_problem, 2.0)):
             assert bound_states(problem, e).degeneracy >= 1
         assert calls == []
+
+    def test_grid_grams_take_one_round(self, monkeypatch):
+        # the seeded panels pass the 12- against 24-node test at once: one
+        # integrand call per Gram (the region-edged start takes 1 to 8)
+        import gupbic.matcher
+
+        rounds = []
+
+        def counting(integrand, *args):
+            def counted(*call):
+                rounds[-1] += 1
+                return integrand(*call)
+
+            rounds.append(0)
+            return panel_integrals(counted, *args)
+
+        monkeypatch.setattr(gupbic.matcher, "panel_integrals", counting)
+        for kind, eps, e in _wkb_grid(24):
+            rounds.clear()
+            bound_states(_wkb_problem(kind, eps), e)
+            assert rounds == [1], (kind, eps, e)
+
+    def test_grid_grams_match_the_region_edged_gram(self):
+        for kind, eps, e in _wkb_grid(24):
+            sol = bound_states(_wkb_problem(kind, eps), e)
+            basis = [sol.states[0].basis[j] for j in (1, 3)]
+            ref = _region_edged_gram(basis, sol.regions)
+            assert np.max(np.abs(sol.gram - ref)) <= 1e-12 * np.max(np.abs(ref)), (kind, eps, e)
 
     def test_unconverged_panels_raise(self, monkeypatch):
         # a jump keeps the panel that holds it open until the panel is
@@ -853,17 +919,22 @@ class TestSolvers:
     @pytest.mark.parametrize("e", [8.0, 15.5])
     def test_gram_product_overflow_is_named(self, e):
         # linear eps 1e-4: every node value is below exp(700), but the Gram's
-        # products w_i w_j* pass the float range once log|w| passes ~354.9
+        # products w_i w_j* pass the float range once log|w| passes the limit
+        # log sqrt(max float) - log(width) / 2 at the failing node's panel width
         problem = nondimensionalize(linear_setup_for(1e-4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BasisOverflowError) as info:
                 bound_states(problem, e)
         message = str(info.value)
-        assert "float range" in message and "354.9" in message
+        assert "float range" in message
         assert "WkbBasisFunction(j=" in message and "x=" in message
         assert "[" not in message and len(message) < 300
-        assert 354.9 < info.value.exponent < 700.0
+        found = re.search(r"beyond the limit (\S+) at its panel width (\S+)$", message)
+        limit, width = float(found[1]), float(found[2])
+        expected = 0.5 * math.log(np.finfo(float).max) - 0.5 * math.log(width)
+        assert limit == pytest.approx(expected, abs=1e-3)
+        assert limit < info.value.exponent < 700.0
 
     def test_linear_state_ode_residual(self):
         # The slow-branch amplitude error is the classical second-order-WKB
