@@ -691,7 +691,11 @@ def normalize(
 
     def inner(u: np.ndarray, v: np.ndarray) -> complex:
         # F_ij = int w_i w_j^*, so <u, v> = u^H conj(F) v
-        return complex(np.conj(u[active]) @ f_conj @ v[active])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(np.conj(u[active]) @ f_conj @ v[active])
+        if not cmath.isfinite(value) and np.isfinite(f_sub).all():
+            _form_overflow(u[active], f_sub, v[active])
+        return value
 
     states: list[np.ndarray] = []
     for v in vecs:
@@ -711,6 +715,23 @@ def normalize(
         states=tuple(StateFunction(c, basis) for c in states),
         gram=f_sub,
         regions=tuple(regions),
+    )
+
+
+def _form_overflow(u: np.ndarray, f: np.ndarray, v: np.ndarray) -> None:
+    """Raise BasisOverflowError for a Gram form u^H conj(F) v of finite factors that left the float range.
+
+    The message gives log sum |u_i F_ij v_j|, which bounds the form, against
+    the limit log(max float), from logs alone so that naming it cannot
+    overflow.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(u))[:, None] + np.log(np.abs(f)) + np.log(np.abs(v))
+    log_sum = float(np.logaddexp.reduce(logs, axis=None))
+    raise BasisOverflowError(
+        f"the Gram form c^H F c of a state passes the float range: log sum |c_i F_ij c_j| = {log_sum:.6g}, "
+        f"beyond the limit {math.log(np.finfo(float).max):.6g}",
+        exponent=log_sum,
     )
 
 

@@ -19,18 +19,23 @@ the closed-form and WKB bases it checks.
 Every potential is a polynomial of degree <= 2, so the propagators are
 Taylor series whose coefficients obey an exact recurrence (``_scaled_steps``):
 numpy only, with no step control and no scipy.  The series' tail bound is
-the integrations' rtol and atol.
+the integrations' rtol and atol, and it is applied per request: each
+request's series stops at the first term where its own sub-steps meet it.
 
-Queries come in batches: ``integrate_many``, ``wronskian_drifts`` and
-``growth_exponents_many`` serve many (problem, energy, ...) requests of one
-system at once.  ``_propagators`` sums the sub-steps of every request in one
-recurrence, ``integrate_many`` chains them with one stacked prefix-product
-scan, and the decay marches re-orthonormalize with one stacked QR per segment
-step.  ``integrate`` is the batch of one.
+Queries come in batches: ``integrate_many`` and ``growth_exponents_many``
+serve many (problem, energy, ...) requests of one system at once, and their
+cost grows with the number of calls rather than of requests.  The requests
+are set up as arrays, ``_propagators`` sums the sub-steps of every request in
+one recurrence, ``integrate_many`` chains them with one bucketed
+prefix-product scan, and the decay marches re-orthonormalize with one
+stacked QR per segment step.  A request's result has the same bits alone or
+in any batch, and ``integrate`` is the batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -102,52 +107,72 @@ _MAX_TERMS = 80  # series cap; with h rho <= 1 the tail rule ends it near 20 ter
 MAX_SUB_STEPS = 2**17  # most sub-steps of one _propagators call, each 26-52 x 4 doubles of series
 
 
-def _potential_taylor(problem: DimensionlessProblem, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """v0, v1, v2 of v(x + t) = v0 + v1 t + v2 t^2 at each x, each of the shape of x.
+def _quadratic(problem: DimensionlessProblem) -> tuple[float, float, float]:
+    """v(0), v'(0) and v''(0), the coefficients of a potential of degree <= 2.
 
-    The recurrence is exact only for a polynomial of degree <= 2, so any
-    nonzero v''' or v'''' is refused.
+    The recurrence is exact only for such a potential, so a nonzero v'''(0)
+    or v''''(0) is refused.
     """
-    d = problem.v_derivs(x)
-    if np.count_nonzero(d[3]) or np.count_nonzero(d[4]):
+    d = problem.v_derivs(0.0)
+    if d[3] or d[4]:
         raise PreconditionError("the oracle's Taylor recurrence needs v''' = v'''' = 0 (degree <= 2)")
-    zero = np.zeros(x.shape)
-    return d[0] + zero, d[1] + zero, 0.5 * d[2] + zero
+    return d[0], d[1], d[2]
 
 
-def _max_rate(problem: DimensionlessProblem, energy: float, dim: int, x: np.ndarray) -> np.ndarray:
-    """Largest |lambda| of the frozen-coefficient system at each x.
+def _potential_taylor(quadratic: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """v0, v1, v2 of v(x + t) = v0 + v1 t + v2 t^2 for the ``_quadratic`` rows broadcast against x.
 
-    Fourth order: eps lambda^4 - lambda^2 - (e - v) = 0, whose largest
-    |lambda^2| is |1 + sqrt(1 + 4 eps (e - v))| / (2 eps); standard mode:
-    lambda^2 = v - e.
+    The sums are ordered so a linear or harmonic potential gets the bits of
+    its own ``v_derivs``.
     """
-    w = energy - _potential_taylor(problem, x)[0]
+    c0, c1, c2 = quadratic
+    half = 0.5 * c2
+    return half * x * x + c1 * x + c0, c2 * x + c1, half
+
+
+def _max_rate(eps: np.ndarray, w: np.ndarray, dim: int) -> np.ndarray:
+    """Largest |lambda| of the frozen-coefficient system at each entry, w = e - v.
+
+    Fourth order: eps lambda^4 - lambda^2 - w = 0, whose largest |lambda^2|
+    is |1 + sqrt(1 + 4 eps w)| / (2 eps); standard mode: lambda^2 = -w.
+    """
     if dim == 2:
         return np.sqrt(np.abs(w))
-    eps = problem.epsilon
     return np.sqrt(np.abs(1.0 + np.sqrt(1.0 + 4.0 * eps * w + 0j)) / (2.0 * eps))
 
 
+@functools.cache
+def _series_tables(dim: int) -> tuple[np.ndarray, list[float], list[int]]:
+    """The falling factorials n!/(n-m)! (zero for m > n), their m = dim - 1 column, and (n-dim+1) ... n."""
+    falling = np.ones((_MAX_TERMS, dim))
+    for m in range(1, dim):
+        falling[:, m] = falling[:, m - 1] * (np.arange(_MAX_TERMS) - m + 1)
+    return falling, falling[:, -1].tolist(), [math.prod(range(n - dim + 1, n + 1)) for n in range(_MAX_TERMS)]
+
+
 def _scaled_steps(
-    eps: np.ndarray, w: np.ndarray, v1: np.ndarray, v2: np.ndarray, h: np.ndarray, dim: int,
-    rtol: float, atol: float,
+    eps: np.ndarray, w: np.ndarray, v1: np.ndarray, v2: np.ndarray, h: np.ndarray, firsts: np.ndarray,
+    dim: int, rtol: float, atol: float,
 ) -> np.ndarray:
     """Propagators over [x0, x0 + h] of the scaled state s_m = h^m phi^(m), shape (S, dim, dim).
 
-    Every argument array holds one entry per sub-step: eps, w = v0 - e,
-    v1 and v2 of v(x0 + t) = v0 + v1 t + v2 t^2, and h (eps is read in
-    dim 4 only), so sub-steps of many problems and energies run together.
-    The Taylor coefficients c_n of a solution at x0, scaled as a_n = c_n h^n,
-    obey ((n+1)_k = (n+1) ... (n+k))
+    Every argument array but ``firsts`` holds one entry per sub-step: eps,
+    w = v0 - e, v1 and v2 of v(x0 + t) = v0 + v1 t + v2 t^2, and h (eps is
+    read in dim 4 only), so sub-steps of many problems and energies run
+    together.  The sub-steps of a request are consecutive, and ``firsts``
+    holds the index of each request's first one.  The Taylor coefficients
+    c_n of a solution at x0, scaled as a_n = c_n h^n, obey
+    ((n+1)_k = (n+1) ... (n+k))
 
         eps (n+1)_4 a_{n+4} = h^2 (n+1)(n+2) a_{n+2} - h^4 [w a_n + h v1 a_{n-1} + h^2 v2 a_{n-2}]
         (n+1)_2 a_{n+2} = h^2 [w a_n + h v1 a_{n-1} + h^2 v2 a_{n-2}]     (standard mode).
 
     Column k starts as s = e_k, i.e. a_j = delta_jk / k! for j < dim, and
     ends as s_m = sum_n n!/(n-m)! a_n.  All sub-steps and columns run at
-    once.  The series stops once the last dim terms of every sub-step lie
-    below rtol times its largest term plus atol.
+    once.  Each request's series stops at the first term where the last dim
+    terms of every one of its sub-steps lie below rtol times that sub-step's
+    largest term plus atol, so a request's propagators have the same bits
+    whatever else runs in the call.
     """
     if dim == 4:
         gain, scale = h**2 / eps, -(h**4) / eps
@@ -156,10 +181,7 @@ def _scaled_steps(
     # weights of a_{n-2} ... a_n (dim 4: ... a_{n+2}, a_{n+1} weighing 0) in the next coefficient
     weights = np.zeros((dim + 1, 1, h.size))
     weights[0, 0], weights[1, 0], weights[2, 0] = scale * h**2 * v2, scale * h * v1, scale * w
-    # falling factorials n!/(n-m)!, zero for m > n
-    falling = np.ones((_MAX_TERMS, dim))
-    for m in range(1, dim):
-        falling[:, m] = falling[:, m - 1] * (np.arange(_MAX_TERMS) - m + 1)
+    falling, tail, divisors = _series_tables(dim)
     # a[n + 2, k] holds a_n of column k for every sub-step (a_-1 = a_-2 = 0); sub-steps run along
     # the last axis, so every per-term operation runs over contiguous rows.  Room for 24 terms
     # first, doubled when the series runs longer.
@@ -168,19 +190,28 @@ def _scaled_steps(
         a[j + 2, j] = 1.0 / math.factorial(j)
     # largest |term| of the last dim coefficients (row m = dim - 1 weighs most); the identity's are 1
     recent = np.ones((dim, h.size))
+    rows, top = list(recent), weights[-1, 0]
     largest = np.ones(h.size)
+    s = np.empty((dim, dim, h.size))
+    running, bounds = firsts.size, firsts.tolist() + [h.size]
     for n in range(dim, _MAX_TERMS):
         p = n - dim
         if n + 2 == len(a):
             a = np.concatenate([a, np.empty_like(a)])
         if dim == 4:
-            np.multiply(gain, (p + 1) * (p + 2), out=weights[4, 0])
-        np.divide(np.add.reduce(weights * a[p : n + 1]), math.prod(range(p + 1, n + 1)), out=a[n + 2])
-        size = np.multiply(np.maximum.reduce(np.abs(a[n + 2])), falling[n, -1], out=recent[n % dim])
+            np.multiply(gain, (p + 1) * (p + 2), out=top)
+        np.divide(np.add.reduce(weights * a[p : n + 1]), divisors[n], out=a[n + 2])
+        size = np.multiply(np.maximum.reduce(np.abs(a[n + 2])), tail[n], out=rows[n % dim])
         np.maximum(largest, size, out=largest)
-        if (recent <= rtol * largest + atol).all():
-            s = falling[: n + 1].T @ a[2 : n + 3].reshape(n + 1, -1)
-            return s.reshape(dim, dim, h.size).transpose(2, 0, 1)
+        stop = np.logical_and.reduceat(np.maximum.reduce(recent) <= rtol * largest + atol, firsts).tolist()
+        if any(stop):
+            for i in itertools.compress(range(len(stop)), stop):  # each request's sum, as if it ran alone
+                lo, hi = bounds[i], bounds[i + 1]
+                s[..., lo:hi] = (falling[: n + 1].T @ a[2 : n + 3, :, lo:hi].reshape(n + 1, -1)).reshape(dim, dim, -1)
+                largest[lo:hi] = np.nan  # a stopped request meets the rule no more
+                running -= 1
+        if not running:
+            return s.transpose(2, 0, 1)
     raise NumericalError(f"Taylor series did not reach its tail bound within {_MAX_TERMS} terms")
 
 
@@ -195,52 +226,55 @@ def _propagators(
     companion system, dim 2 the standard one.  Each interval is cut into
     equal sub-steps h with |h| rho <= 1, rho the larger ``_max_rate`` of
     its two ends, so a sub-step grows by about e at most and its series
-    sums without cancellation.  The sub-step propagators of every request
-    come from one ``_scaled_steps`` call.  Intervals are grouped by their
-    sub-step count rounded up to a power of two, so a long interval pads
-    only its own group; within a group they are chained by pairwise
-    stacked products in the scaled state (every sub-step of an interval
-    shares h), which is unscaled once: U = H^-1 S H with H = diag(h^m).
-    A zero-width interval is exactly the identity.  More than
-    ``MAX_SUB_STEPS`` sub-steps over all requests raise a PreconditionError
-    before any is allocated.
+    sums without cancellation.  The intervals of every request are set up
+    as one array, and their sub-step propagators come from one
+    ``_scaled_steps`` call, whose series stops per request: a request's
+    propagators have the same bits alone or in any batch.  Intervals are
+    grouped by their sub-step count rounded up to a power of two, so a long
+    interval pads only its own group; within a group they are chained by
+    pairwise stacked products in the scaled state (every sub-step of an
+    interval shares h), which is unscaled once: U = H^-1 S H with
+    H = diag(h^m).  A zero-width interval is exactly the identity.  More
+    than ``MAX_SUB_STEPS`` sub-steps over all requests raise a
+    PreconditionError before any is allocated.
     """
     if not requests:
         return []
-    sizes, widths, counts, coeffs = [], [], [], []
-    total = 0.0
-    for problem, energy, starts, ends in requests:
-        if dim == 4 and problem.epsilon <= 0.0:
-            raise PreconditionError("the companion system requires epsilon > 0; use the standard mode")
-        starts = np.asarray(starts, dtype=float).reshape(-1)
-        width = np.asarray(ends, dtype=float).reshape(-1) - starts
-        rate = _max_rate(problem, energy, dim, np.concatenate([starts, starts + width])).reshape(2, -1).max(axis=0)
-        count = np.maximum(1.0, np.ceil(np.abs(width) * rate))
-        total += count.sum()
-        if not total <= MAX_SUB_STEPS:  # a NaN count fails too
-            raise PreconditionError(
-                f"the oracle's intervals need {total:.4g} sub-steps (|h| rho <= 1), "
-                f"above its cap of {MAX_SUB_STEPS}: the system is too stiff over this range"
-            )
-        count = count.astype(int)
-        h = np.repeat(width / count, count)
-        j = np.arange(h.size) - np.repeat(np.cumsum(count) - count, count)  # sub-step j of its interval
-        v0, v1, v2 = _potential_taylor(problem, np.repeat(starts, count) + j * h)
-        coeffs.append((np.full(h.size, problem.epsilon), v0 - energy, v1, v2, h))
-        sizes.append(starts.size)
-        widths.append(width)
-        counts.append(count)
-    steps = _scaled_steps(*(np.concatenate(c) for c in zip(*coeffs)), dim, rtol, atol)
-    steps = np.concatenate([steps, np.eye(dim)[None]])  # the last entry pads the chains
-    widths, counts = np.concatenate(widths), np.concatenate(counts)
-    first = np.cumsum(counts) - counts
-    doublings = np.ceil(np.log2(counts)).astype(int)  # a chain of 2^d slots holds the sub-steps
-    out = np.empty((counts.size, dim, dim))
-    for d in np.flatnonzero(np.bincount(doublings)):
+    if dim == 4 and min(problem.epsilon for problem, *_ in requests) <= 0.0:
+        raise PreconditionError("the companion system requires epsilon > 0; use the standard mode")
+    sizes = [len(starts) for _, _, starts, _ in requests]
+    starts = np.concatenate([starts for _, _, starts, _ in requests], dtype=float)
+    widths = np.concatenate([ends for *_, ends in requests], dtype=float) - starts
+    owner = np.repeat(np.arange(len(requests)), sizes)  # request of each interval
+    coefficients = np.array([(p.epsilon, e, *_quadratic(p)) for p, e, _, _ in requests]).T[:, owner]
+    eps, energy, *quadratic = coefficients
+    ends = np.concatenate([starts, starts + widths]).reshape(2, -1)
+    rate = _max_rate(eps, energy - _potential_taylor(quadratic, ends)[0], dim).max(axis=0)
+    counts = np.maximum(1.0, np.ceil(np.abs(widths) * rate))
+    total = counts.sum()
+    if not total <= MAX_SUB_STEPS:  # a NaN count fails too
+        raise PreconditionError(
+            f"the oracle's intervals need {total:.4g} sub-steps (|h| rho <= 1), "
+            f"above its cap of {MAX_SUB_STEPS}: the system is too stiff over this range"
+        )
+    counts = counts.astype(int)
+    first = np.cumsum(counts) - counts  # each interval's first sub-step
+    interval = np.repeat(np.arange(counts.size), counts)  # interval of each sub-step
+    h = (widths / counts)[interval]
+    x = starts[interval] + (np.arange(h.size) - first[interval]) * h
+    eps, energy, *quadratic = coefficients[:, interval]
+    v0, v1, v2 = _potential_taylor(quadratic, x)
+    bounds = [0, *itertools.accumulate(sizes)]
+    opening = first[[a for a, b in zip(bounds, bounds[1:]) if b > a]]  # each request's first sub-step
+    steps = _scaled_steps(eps, v0 - energy, v1, v2, h, opening, dim, rtol, atol)
+    out = steps[first]  # an interval of one sub-step is done
+    doublings = np.frexp(counts - 1)[1]  # ceil(log2(count)): a chain of 2^d slots holds the sub-steps
+    for d in np.flatnonzero(np.bincount(doublings)[1:]) + 1:
         group = np.flatnonzero(doublings == d)
         width = 1 << int(d)
-        index = first[group, None] + np.arange(width)
-        chain = steps[np.where(np.arange(width) < counts[group, None], index, -1)]
+        inside = np.arange(width) < counts[group, None]
+        chain = steps[np.where(inside, first[group, None] + np.arange(width), 0)]
+        chain[~inside] = np.eye(dim)  # identities pad the chains
         while chain.shape[1] > 1:
             chain = chain[:, 1::2] @ chain[:, 0::2]  # later sub-steps on the left
         out[group] = chain[:, 0]
@@ -250,30 +284,35 @@ def _propagators(
     h_powers = np.where(zero, 1.0, widths / counts)[:, None] ** np.arange(1 - dim, dim)
     out *= h_powers[:, powers - powers[:, None] + dim - 1]
     out[zero] = np.eye(dim)
-    offsets = np.cumsum([0] + sizes)
-    return [out[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    return [out[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _prefix_products(runs: list[np.ndarray]) -> list[np.ndarray]:
-    """Running products U_k ... U_1 over each run of propagators U_1, U_2, ... (a list like ``runs``).
+def _prefix_products(steps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Running products U_k ... U_1 over consecutive runs of the stacked propagators, in place in ``steps``.
 
-    The runs are stacked, padded to the longest, and scanned together
-    (Hillis-Steele): after the round of stride d each product covers the
-    last 2d steps of its run, so log2 of the longest run's length rounds of
-    stacked products finish every run.  Every run pays for the longest: a
-    batch that mixes short runs with long ones multiplies the padding too.
+    Run i holds the next ``lengths[i]`` (>= 1) entries.  Runs are bucketed
+    by their length rounded up to a power of two, each bucket padded to its
+    longest run, and each bucket scanned (Hillis-Steele): after the round of
+    stride d each product covers the last 2d steps of its run, so log2 of
+    the bucket's width rounds of stacked products finish it.  A run's
+    products never read its padding, so they have the same bits in any
+    bucket, and a short run no longer pays for a long one.
     """
-    if not runs:
-        return []
-    length = max(len(run) for run in runs)
-    chain = np.zeros((len(runs), length) + runs[0].shape[1:])
-    for row, run in zip(chain, runs):
-        row[: len(run)] = run
-    stride = 1
-    while stride < length:
-        chain[:, stride:] = chain[:, stride:] @ chain[:, :-stride]  # later steps on the left
-        stride *= 2
-    return [row[: len(run)] for row, run in zip(chain, runs)]
+    firsts = np.cumsum(lengths) - lengths
+    doublings = np.frexp(lengths - 1)[1]  # ceil(log2(length))
+    for d in np.flatnonzero(np.bincount(doublings)[1:]) + 1:  # a run of one step is its own product
+        group = np.flatnonzero(doublings == d)
+        width = int(lengths[group].max())
+        inside = np.arange(width) < lengths[group, None]
+        index = np.where(inside, firsts[group, None] + np.arange(width), 0)
+        chain = steps[index]
+        chain[~inside] = 0.0  # padding
+        stride = 1
+        while stride < width:
+            chain[:, stride:] = chain[:, stride:] @ chain[:, :-stride]  # later steps on the left
+            stride *= 2
+        steps[index[inside]] = chain[inside]
+    return steps
 
 
 def integrate_many(
@@ -284,52 +323,62 @@ def integrate_many(
     """``integrate`` for each (problem, energy, initial, x_from, xs) request, in one batch.
 
     Every request's initial must have the same number of rows (one
-    system); the propagators of all requests come from one
-    ``_propagators`` call and are chained by one prefix-product scan.
-
-    The scan pads every run to the longest (``_prefix_products``), so a
-    batch gains only where its runs are of similar length.  ``verify``'s
-    three calls (the Wronskian check's 9 short marches, the exact-well
-    check's 3 runs of 201 points, the momentum check's one point) took
-    2.8-3.1 ms of CPU; the same 13 requests in one call took 3.8-4.0 ms
-    (2-vCPU Xeon VM, medians of 200 calls).
+    system).  The march points of all requests are ordered as one array,
+    their propagators come from one ``_propagators`` call, one prefix-product
+    scan chains every side's run, and the initials of each width (a state is
+    a frame of width 1) take their chains in one stacked product.  A
+    request's result has the same bits alone or in any batch.
     """
     if not (MIN_RTOL <= rtol <= MAX_RTOL):
         raise PreconditionError(f"rtol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {rtol}")
     if not requests:
         return []
-    marches, intervals, dims = [], [], set()
-    for problem, energy, initial, x_from, xs in requests:
-        state = np.asarray(initial, dtype=complex)
-        dim = state.shape[0] if state.ndim in (1, 2) else 0
-        if dim not in (2, 4):
-            raise PreconditionError(
-                "initial must be a state or a frame of states as columns, with 4 rows (2 in standard mode)"
-            )
-        dims.add(dim)
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        if not (math.isfinite(x_from) and np.isfinite(xs).all()):
-            bad = x_from if not math.isfinite(x_from) else xs[~np.isfinite(xs)][0]
-            raise PreconditionError(f"integration abscissas must be finite, got {bad}")
-        order = np.argsort(np.abs(xs - x_from), kind="stable")
-        sides = [order[xs[order] >= x_from], order[xs[order] < x_from]]
-        grids = [np.concatenate(([x_from], xs[side])) for side in sides]
-        intervals.append((
-            problem, energy, np.concatenate([g[:-1] for g in grids]), np.concatenate([g[1:] for g in grids])
-        ))
-        marches.append((state, xs.size, sides))
+    initials = [np.asarray(initial, dtype=complex) for _, _, initial, _, _ in requests]
+    dims = {state.shape[0] if state.ndim in (1, 2) else 0 for state in initials}
+    if not dims <= {2, 4}:
+        raise PreconditionError(
+            "initial must be a state or a frame of states as columns, with 4 rows (2 in standard mode)"
+        )
     if len(dims) > 1:
         raise PreconditionError("one batch integrates one system: every initial needs the same number of rows")
-    steps = _propagators(intervals, dims.pop(), rtol, atol)
-    runs = [
-        (k, side, run)
-        for k, (u, (_, _, sides)) in enumerate(zip(steps, marches))
-        for side, run in zip(sides, np.split(u, [sides[0].size]))
-        if side.size
-    ]
-    out = [np.empty(state.shape + (size,), dtype=complex) for state, size, _ in marches]
-    for (k, side, _), chain in zip(runs, _prefix_products([run for _, _, run in runs])):
-        out[k][..., side] = np.moveaxis(chain @ marches[k][0], 0, -1)
+    dim = dims.pop()
+    count = len(requests)
+    sizes = [len(xs) for *_, xs in requests]
+    grid = np.concatenate([[x_from for *_, x_from, _ in requests], *(xs for *_, xs in requests)], dtype=float)
+    if not np.logical_and.reduce(np.isfinite(grid)):
+        raise PreconditionError(f"integration abscissas must be finite, got {grid[~np.isfinite(grid)][0]}")
+    owner = np.repeat(np.arange(count), sizes)
+    origin, xs = grid[owner], grid[count:]
+    # each side of a request's launch point is one run of the march, outward by distance; the
+    # runs lie request by request, the side x >= x_from first
+    left = xs < origin
+    order = np.lexsort((np.abs(xs - origin), left, owner))
+    lengths = np.bincount(2 * owner + left)
+    lengths = lengths[lengths > 0]
+    firsts = np.cumsum(lengths) - lengths
+    ends = xs[order]
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1]
+    starts[firsts] = origin[order[firsts]]
+    bounds = [0, *itertools.accumulate(sizes)]
+    intervals = [(r[0], r[1], starts[a:b], ends[a:b]) for r, a, b in zip(requests, bounds, bounds[1:])]
+    steps = np.concatenate(_propagators(intervals, dim, rtol, atol))
+    chains = np.empty_like(steps)
+    chains[order] = _prefix_products(steps, lengths)
+    # the initials of one width k take their chains in one stacked (dim, dim) @ (dim, k) product,
+    # so a request's product has the same shape, and bits, in any batch
+    frames = [state.reshape(dim, -1) for state in initials]
+    widths = np.array([frame.shape[1] for frame in frames])
+    out = [None] * count
+    for k in set(widths.tolist()):
+        members = widths == k
+        group = np.flatnonzero(members).tolist()
+        points = np.flatnonzero(members[owner])
+        slot = (np.cumsum(members) - 1)[owner[points]]  # each point's request within the group
+        marched = (chains[points] @ np.array([frames[i] for i in group])[slot]).transpose(1, 2, 0)
+        edges = [0, *itertools.accumulate(sizes[i] for i in group)]
+        for i, a, b in zip(group, edges, edges[1:]):
+            out[i] = marched[..., a:b].reshape(initials[i].shape + (b - a,))
     return out
 
 
@@ -368,18 +417,13 @@ def wronskian(
     return complex(np.linalg.det(frame))
 
 
-def wronskian_drifts(
-    cases: Sequence[tuple[DimensionlessProblem, float, Sequence[float], float]], rtol: float = DEFAULT_RTOL
-) -> list[float]:
-    """max |W(x) - 1| over xs of each (problem, energy, xs, anchor) case (0 on no xs).
+def wronskian_drift(frames: np.ndarray) -> float:
+    """max |W(x) - 1| over frames of shape (4, 4, K), identity frames marched from their anchors.
 
-    W is the determinant of the identity frame launched at the anchor (the
-    constancy check); every case's frames come from one ``integrate_many`` call.
+    W is a frame's determinant, which Abel's formula holds at exactly 1
+    (the constancy check); 0 on no points.
     """
-    frames = integrate_many([(problem, e, np.eye(4), anchor, xs) for problem, e, xs, anchor in cases], rtol)
-    return [
-        float(np.max(np.abs(np.linalg.det(np.moveaxis(f, -1, 0)) - 1.0), initial=0.0)) for f in frames
-    ]
+    return float(np.max(np.abs(np.linalg.det(np.moveaxis(frames, -1, 0)) - 1.0), initial=0.0))
 
 
 # --- residuals -----------------------------------------------------------------
@@ -426,38 +470,75 @@ def launch_frame(
     and its finite-span exponents come out mixed).  Column 0 is the
     solution that decays toward the far side fastest.
     """
-    w = problem.v_derivs(x_far)[0] - energy
+    w = np.array([problem.v_derivs(x_far)[0] - energy])
+    return _launch_frames(np.array([problem.epsilon]), w, dim, np.array([march_direction]))[0]
+
+
+def _launch_frames(eps: np.ndarray, w: np.ndarray, dim: int, march_direction: np.ndarray) -> np.ndarray:
+    """``launch_frame`` of each march, shape (M, dim, dim), from its eps, w = v(x_far) - e and direction."""
     if dim == 2:
-        lam2 = np.array([w])
+        lam2 = w[:, None]
     else:
-        eps = problem.epsilon
         big = (1.0 + np.sqrt(1.0 - 4.0 * eps * w + 0j)) / (2.0 * eps)
-        lam2 = np.array([big, w / (eps * big)])  # the small root from the product w / eps
+        lam2 = np.stack([big, w / (eps * big)], axis=1)  # the small root from the product w / eps
     lam = np.emath.sqrt(lam2)
-    lam = np.concatenate([lam, -lam])
-    lam = lam[np.argsort(-lam.real * march_direction, kind="stable")]
-    return (lam ** np.arange(dim)[:, None]).astype(complex)
+    lam = np.concatenate([lam, -lam], axis=1)
+    lam = np.take_along_axis(lam, np.argsort(-lam.real * march_direction[:, None], axis=1, kind="stable"), axis=1)
+    return (lam[:, None, :] ** np.arange(dim)[:, None]).astype(complex)
 
 
 GROWTH_FLOOR = 0.5  # |growth exponent| below this is too close to zero to count
 SEGMENT_GROWTH = 3.0  # largest rho * width of a march segment
 MIN_SEGMENTS = 24  # fewest march segments
+_FAR_WALK = np.cumprod(np.r_[1.0, np.full(199, 1.3)])  # the far-point candidates 1.3^k, k < 200
+
+
+def _auto_far_point(quadratic: np.ndarray, energy: np.ndarray, sgn: np.ndarray) -> np.ndarray:
+    """|x_far| of each march: 1 past the first candidate 1.3^k toward its side where v - e >= 2."""
+    reached = _potential_taylor(quadratic[..., None], sgn[:, None] * _FAR_WALK)[0] - energy[:, None] >= 2.0
+    if not reached.any(axis=1).all():
+        raise PreconditionError("could not locate a forbidden-region far point")
+    return _FAR_WALK[reached.argmax(axis=1)] + 1.0
+
+
+def _auto_anchor(
+    quadratic: np.ndarray, energy: np.ndarray, sgn: np.ndarray, x_far: np.ndarray, linear: np.ndarray
+) -> np.ndarray:
+    """Each march's anchor: 0.2 outward of the first of 400 points from x_far inward where v - e < 1.
+
+    That point lies near the turning point; the anchor is capped at x_far.
+    Where v - e stays >= 1 the anchor is 0, or min(1, |x_far| / 2) for the
+    linear potential.
+    """
+    grid = np.linspace(np.abs(x_far), 0.0, 400, axis=-1)
+    inside = _potential_taylor(quadratic[..., None], sgn[:, None] * grid)[0] - energy[:, None] < 1.0
+    first = grid[np.arange(grid.shape[0]), inside.argmax(axis=1)]
+    span_cap = np.where(linear, np.minimum(1.0, np.abs(x_far) / 2), 0.0)
+    return np.where(inside.any(axis=1), sgn * np.minimum(first + 0.2, np.abs(x_far)), span_cap)
 
 
 def _march_points(
-    problem: DimensionlessProblem, energy: float, dim: int, x_far: float, anchor: float
-) -> np.ndarray:
-    """Ends of equal march segments from x_far to the anchor.
+    quadratic: np.ndarray, eps: np.ndarray, energy: np.ndarray, dim: int, x_far: np.ndarray, anchor: np.ndarray
+) -> list[np.ndarray]:
+    """Ends of equal march segments from x_far to the anchor, for each march.
 
     At least MIN_SEGMENTS segments, and enough that none grows by more
     than e^SEGMENT_GROWTH (rho * width, rho the larger ``_max_rate`` of the
     two ends).  Past that, the QR of a segment's image loses the decaying
     directions to roundoff, and Abel's sum of the exponents drifts from zero.
+    Each march's points are ``np.linspace(x_far, anchor, count + 1)``, all
+    formed in one array.
     """
-    ends = np.array([x_far, anchor])
-    rho = float(_max_rate(problem, energy, dim, ends).max())
-    count = max(MIN_SEGMENTS, math.ceil(rho * abs(anchor - x_far) / SEGMENT_GROWTH))
-    return np.linspace(x_far, anchor, count + 1)
+    ends = np.stack([x_far, anchor])
+    rho = _max_rate(eps, energy - _potential_taylor(quadratic, ends)[0], dim).max(axis=0)
+    sizes = np.maximum(MIN_SEGMENTS, np.ceil(rho * np.abs(anchor - x_far) / SEGMENT_GROWTH)).astype(int) + 1
+    march = np.repeat(np.arange(sizes.size), sizes)
+    lasts = np.cumsum(sizes) - 1
+    step = (anchor - x_far) / (sizes - 1)
+    points = (np.arange(march.size) - (lasts - sizes + 1)[march]) * step[march] + x_far[march]
+    points[lasts] = anchor
+    bounds = [0, *(lasts + 1).tolist()]
+    return [points[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def growth_exponents_many(
@@ -481,55 +562,61 @@ def growth_exponents_many(
     there, so the march checks the WKB layer without leaning on it, and an
     even potential gives mirror-equal exponents toward +inf and -inf.
 
-    The segment propagators of every march come from one ``_propagators``
+    The far points, anchors, launch frames and segments of every march are
+    set up as arrays, their propagators come from one ``_propagators``
     call, and the frames of all marches are re-orthonormalized together,
     one stacked ``np.linalg.qr`` per segment step; a march with fewer
     segments than the longest holds its frame and exponents once it is done.
     """
     if not marches:
         return []
-    launches, requests, dims = [], [], set()
-    for problem, energy, side, x_far in marches:
+    for problem, _, side, _ in marches:
         if side not in ("+inf", "-inf"):
             raise PreconditionError(f"side must be '+inf' or '-inf', got {side!r}")
-        sgn = 1.0 if side == "+inf" else -1.0
         lo, hi = problem.domain
         if side == "+inf" and not math.isinf(hi):
             raise PreconditionError("domain is bounded toward +inf; no far field there")
         if side == "-inf" and not math.isinf(lo):
             raise PreconditionError("domain is bounded toward -inf; no far field there")
-        if x_far is None:
-            x_far = sgn * _auto_far_point(problem, energy, sgn)
-        w_launch = problem.v_derivs(x_far)[0] - energy
-        if w_launch < 1.0:
-            raise PreconditionError(
-                f"launch point x={x_far} not in the forbidden region (v - e = {w_launch:.3g} < 1)"
-            )
-        anchor = _auto_anchor(problem, energy, sgn, x_far)
-        if not sgn * (x_far - anchor) > 0.0:
-            raise PreconditionError(f"far point x={x_far} does not lie toward {side} of the anchor x={anchor}")
-        dim = 2 if standard or problem.epsilon == 0.0 else 4
-        dims.add(dim)
-        launches.append(launch_frame(problem, energy, dim, x_far, math.copysign(1.0, anchor - x_far)))
-        xs = _march_points(problem, energy, dim, x_far, anchor)
-        requests.append((problem, energy, xs[:-1], xs[1:]))
+    dims = {2 if standard or problem.epsilon == 0.0 else 4 for problem, *_ in marches}
     if len(dims) > 1:
         raise PreconditionError("one batch marches one system: every march needs the same dim")
-    segments = _propagators(requests, dims.pop(), rtol, DEFAULT_ATOL)
+    dim = dims.pop()
+    eps, energy, sgn, x_far = np.array(
+        [(p.epsilon, e, 1.0 if side == "+inf" else -1.0, math.nan if x is None else x) for p, e, side, x in marches]
+    ).T
+    quadratic = np.array([_quadratic(problem) for problem, *_ in marches]).T
+    auto = np.array([x is None for *_, x in marches])
+    if auto.any():
+        x_far[auto] = sgn[auto] * _auto_far_point(quadratic[:, auto], energy[auto], sgn[auto])
+    w_launch = _potential_taylor(quadratic, x_far)[0] - energy
+    for i in np.flatnonzero(w_launch < 1.0)[:1]:
+        raise PreconditionError(
+            f"launch point x={x_far[i]} not in the forbidden region (v - e = {w_launch[i]:.3g} < 1)"
+        )
+    anchor = _auto_anchor(quadratic, energy, sgn, x_far, np.array([p.kind == "linear" for p, *_ in marches]))
+    for i in np.flatnonzero(~(sgn * (x_far - anchor) > 0.0))[:1]:
+        raise PreconditionError(
+            f"far point x={x_far[i]} does not lie toward {marches[i][2]} of the anchor x={anchor[i]}"
+        )
+    launches = _launch_frames(eps, w_launch, dim, np.copysign(1.0, anchor - x_far))
+    points = _march_points(quadratic, eps, energy, dim, x_far, anchor)
+    requests = [(problem, e, xs[:-1], xs[1:]) for (problem, e, _, _), xs in zip(marches, points)]
+    segments = _propagators(requests, dim, rtol, DEFAULT_ATOL)
     # marches longest first, so the ones still running at segment step k are the first active[k]
-    order = np.argsort([-len(u) for u in segments], kind="stable")
-    lengths = np.array([len(segments[i]) for i in order])
-    steps = np.zeros((len(order), lengths[0]) + segments[0].shape[1:])
-    for row, i in zip(steps, order):
-        row[: len(segments[i])] = segments[i]
-    active = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
+    lengths = np.array([len(u) for u in segments])
+    order = np.argsort(-lengths, kind="stable")
+    running = np.arange(lengths.max()) < lengths[order, None]
+    index = (np.cumsum(lengths) - lengths)[order, None] + np.arange(lengths.max())
+    steps = np.concatenate(segments)[np.where(running, index, 0)]
+    active = running.sum(axis=0)
     # initial QR so the accumulated R diagonals measure growth only
-    q, _ = np.linalg.qr(np.stack([launches[i] for i in order]))
+    q, _ = np.linalg.qr(launches[order])
     growth = np.zeros(q.shape[:2])
     for k, m in enumerate(active):
         q[:m], r = np.linalg.qr(steps[:m, k] @ q[:m])
         growth[:m] += np.log(np.abs(r.diagonal(0, 1, 2)))
-    return [growth[k] for k in np.argsort(order)]
+    return list(growth[np.argsort(order)])
 
 
 def bounded_dimension(growth: np.ndarray) -> int:
@@ -544,24 +631,6 @@ def bounded_dimension(growth: np.ndarray) -> int:
             "increase the march span"
         )
     return int(np.sum(growth > 0.0))
-
-
-def _auto_far_point(problem: DimensionlessProblem, energy: float, sgn: float) -> float:
-    x = 1.0
-    for _ in range(200):
-        if problem.v_derivs(sgn * x)[0] - energy >= 2.0:
-            return x + 1.0
-        x *= 1.3
-    raise PreconditionError("could not locate a forbidden-region far point")
-
-
-def _auto_anchor(problem: DimensionlessProblem, energy: float, sgn: float, x_far: float) -> float:
-    # the first point inward where v - e drops below 1 (near the turning point), or a span cap
-    xs = np.linspace(abs(x_far), 0.0, 400)
-    inside = np.flatnonzero(problem.v_derivs(sgn * xs)[0] - energy < 1.0)
-    if inside.size:
-        return sgn * min(xs[inside[0]] + 0.2, abs(x_far))
-    return 0.0 if problem.kind != "linear" else min(1.0, abs(x_far) / 2)
 
 
 # --- momentum representation (linear potential) ----------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,8 +37,7 @@ from .oracle import (
     launch_frame,
     momentum_rep_linear,
     residual,
-    wronskian,
-    wronskian_drifts,
+    wronskian_drift,
 )
 
 
@@ -101,10 +101,29 @@ def _result(name: str, measured: float, threshold: float, comparison: str = "<="
     )
 
 
+# A plan is a check split in two: its oracle integration requests, and the judge that turns
+# their results (one integrate_many entry per request, in order) into the check's outcome.
+_Plan = tuple[list[tuple], Callable[[list[np.ndarray]], Any]]
+
+
+def _integrated(plans: list[_Plan], rtol: float) -> list:
+    """Each plan's judgement, from one ``integrate_many`` call over the requests of every plan."""
+    marched = integrate_many([request for requests, _ in plans for request in requests], rtol)
+    judged, start = [], 0
+    for requests, judge in plans:
+        judged.append(judge(marched[start : start + len(requests)]))
+        start += len(requests)
+    return judged
+
+
 def check_wronskian_constancy(
     n_cases: int = 20, seed: int = 20240811, rtol: float = DEFAULT_RTOL
 ) -> CheckResult:
     """Abel invariant: trace A = 0, so W must be constant along x (all cases in one batch)."""
+    return _integrated([_wronskian_constancy_plan(n_cases, seed)], rtol)[0]
+
+
+def _wronskian_constancy_plan(n_cases: int = 20, seed: int = 20240811) -> _Plan:
     rng = np.random.default_rng(seed)
     cases = []
     kinds = ["well", "linear", "harmonic"]
@@ -132,11 +151,16 @@ def check_wronskian_constancy(
         xs = np.linspace(anchor - span, anchor + span, 9)
         if problem.kind == "linear":
             xs = xs[xs > 0.05]
-        cases.append((problem, e, xs, anchor))
-    return _result(
-        "wronskian_constancy", max(wronskian_drifts(cases, rtol), default=0.0), 1e-8, cases=n_cases,
-        setup=f"random well, linear and harmonic cases, eps 10^[-1.6, 0.3], seed {seed}",
-    )
+        cases.append((problem, e, np.eye(4), anchor, xs))
+
+    def judge(frames):
+        every_point = np.concatenate([np.empty((4, 4, 0)), *frames], axis=-1)
+        return _result(
+            "wronskian_constancy", wronskian_drift(every_point), 1e-8, cases=n_cases,
+            setup=f"random well, linear and harmonic cases, eps 10^[-1.6, 0.3], seed {seed}",
+        )
+
+    return cases, judge
 
 
 def check_exact_well_oracle_agreement(
@@ -154,6 +178,10 @@ def check_exact_well_oracle_agreement(
     a = 3e-10 m, 5.1e15 at beta 1e45.  Setups stiffer still (beta 1e30)
     exceed the oracle's ``MAX_SUB_STEPS`` and raise a PreconditionError.
     """
+    return _integrated([_exact_well_plan(setup)], rtol)[0]
+
+
+def _exact_well_plan(setup: PhysicalSetup | None) -> _Plan:
     if setup is None:
         setup = reference_well_setup()
     problem = nondimensionalize(setup)
@@ -163,10 +191,13 @@ def check_exact_well_oracle_agreement(
     coefficients = [[0.05, 0.4, 0.7, 0.55]]
     launch = evaluate_states(coefficients, basis, [-1.0], order=3)[0, :, :, 0].T.copy()  # (energy, order)
     vals = evaluate_states(coefficients, basis, xs, order=0)[0, 0]
-    marched = integrate_many([(problem, e, d, -1.0, xs) for e, d in zip(energies.tolist(), launch)], rtol)
-    phi = np.array([march[0] for march in marched])
-    worst = np.max(np.max(np.abs(phi - vals), axis=-1) / np.max(np.abs(vals), axis=-1))
-    return _result("exact_well_oracle_agreement", float(worst), 1e-8, setup=_well_label(setup))
+
+    def judge(marched):
+        phi = np.array([march[0] for march in marched])
+        worst = np.max(np.max(np.abs(phi - vals), axis=-1) / np.max(np.abs(vals), axis=-1))
+        return _result("exact_well_oracle_agreement", float(worst), 1e-8, setup=_well_label(setup))
+
+    return [(problem, e, d, -1.0, xs) for e, d in zip(energies.tolist(), launch)], judge
 
 
 def check_residual_exact(setup: PhysicalSetup | None = None) -> CheckResult:
@@ -221,43 +252,60 @@ def momentum_dimension_evidence(
     identity frame launched at x = 0.8 and read one decay length 1/mu1 away,
     far enough to integrate and near enough to stay conditioned at any beta.
     """
+    return _integrated([_momentum_evidence_plan(setup, energy_si)], rtol)[0]
+
+
+def _momentum_evidence_plan(setup: PhysicalSetup, energy_si: float) -> _Plan:
     problem = nondimensionalize(setup)
     sol = momentum_rep_linear(setup, energy_si)
     res = float(np.max(sol.ode_residual(np.linspace(-6.0, 6.0, 100))))
     e = problem.energy_from_si(energy_si)
     mu1 = characteristic_roots(problem.epsilon, e).mu1
-    w = wronskian(problem, e, 0.8 + 1.0 / mu1, anchor=0.8, rtol=rtol)
-    return sol, res, w, 4 if abs(w) > 1e-6 else 0
+
+    def judge(marched):
+        w = complex(np.linalg.det(marched[0][..., 0]))
+        return sol, res, w, 4 if abs(w) > 1e-6 else 0
+
+    return [(problem, e, np.eye(4), 0.8, [0.8 + 1.0 / mu1])], judge
 
 
 def check_momentum_representation(
     setup: PhysicalSetup | None = None, energy_si: float | None = None, rtol: float = DEFAULT_RTOL
 ) -> CheckResult:
     """First-order momentum-space solution: residual, antiderivative, dimensions."""
+    return _integrated([_momentum_representation_plan(setup, energy_si)], rtol)[0]
+
+
+def _momentum_representation_plan(setup: PhysicalSetup | None, energy_si: float | None) -> _Plan:
     if setup is None:
         setup = linear_setup_for(0.01)
     problem = nondimensionalize(setup)
     if energy_si is None:
         energy_si = problem.energy_to_si(2.0)
-    sol, res, w, position_dimension = momentum_dimension_evidence(setup, energy_si, rtol)
-    anti = sol.phase_quadrature_check(np.linspace(-4.0, 4.0, 9))
-    # finite-difference cross-check of the analytic derivative
-    h = 1e-6
-    ps = np.linspace(-3.0, 3.0, 11)
-    fd = (sol(ps + h) - sol(ps - h)) / (2.0 * h)
-    exact = sol.derivative(ps)
-    fd_worst = float(np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-30)))
-    measured = max(res, anti)
-    return _result(
-        "momentum_representation",
-        measured,
-        1e-10,
-        momentum_dimension=sol.dimension,
-        position_dimension=position_dimension,
-        wronskian_abs=float(abs(w)),
-        fd_derivative_agreement=fd_worst,
-        setup=f"linear, eps {problem.epsilon:.3g}, E {energy_si:.3g} J",
-    )
+    requests, evidence = _momentum_evidence_plan(setup, energy_si)
+
+    def judge(marched):
+        sol, res, w, position_dimension = evidence(marched)
+        anti = sol.phase_quadrature_check(np.linspace(-4.0, 4.0, 9))
+        # finite-difference cross-check of the analytic derivative
+        h = 1e-6
+        ps = np.linspace(-3.0, 3.0, 11)
+        fd = (sol(ps + h) - sol(ps - h)) / (2.0 * h)
+        exact = sol.derivative(ps)
+        fd_worst = float(np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-30)))
+        measured = max(res, anti)
+        return _result(
+            "momentum_representation",
+            measured,
+            1e-10,
+            momentum_dimension=sol.dimension,
+            position_dimension=position_dimension,
+            wronskian_abs=float(abs(w)),
+            fd_derivative_agreement=fd_worst,
+            setup=f"linear, eps {problem.epsilon:.3g}, E {energy_si:.3g} J",
+        )
+
+    return requests, judge
 
 
 DECAY_EPS = 0.02
@@ -342,14 +390,15 @@ def run_verification(setup: PhysicalSetup, rtol: float = DEFAULT_RTOL) -> list[C
 
     ``setup`` selects only standard mode (beta = 0) and the setup of the well
     sine-recovery check (run for a well with beta > 0); every other check
-    runs its fixed reference setup, which its ``detail`` names.
+    runs its fixed reference setup, which its ``detail`` names.  The oracle
+    runs twice: one ``integrate_many`` batch serves the Wronskian, exact-well
+    and momentum checks, and the decay check's marches are the second call.
+    Each check reads the same as when it runs alone.
     """
-    checks: list[CheckResult] = []
-    checks.append(check_wronskian_constancy(n_cases=9, rtol=rtol))
-    checks.append(check_exact_well_oracle_agreement(rtol=rtol))
-    checks.append(check_residual_exact())
-    checks.append(check_residual_negative_control())
-    checks.append(check_momentum_representation(rtol=rtol))
+    wronskian_check, exact_check, momentum_check = _integrated(
+        [_wronskian_constancy_plan(n_cases=9), _exact_well_plan(None), _momentum_representation_plan(None, None)], rtol
+    )
+    checks = [wronskian_check, exact_check, check_residual_exact(), check_residual_negative_control(), momentum_check]
     standard_mode = setup.beta == 0.0
     try:
         checks.append(check_decaying_dimensions(standard=standard_mode, rtol=rtol))

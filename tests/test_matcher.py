@@ -936,6 +936,25 @@ class TestSolvers:
         assert limit == pytest.approx(expected, abs=1e-3)
         assert limit < info.value.exponent < 700.0
 
+    def test_norm_overflow_is_named(self):
+        # linear eps 1.106e-4, e 8.33: the Gram is finite, but its entries near
+        # the float max make the state's norm^2 c^H F c pass the float range;
+        # the error names that limit, log(max float), with no numpy warning
+        from gupbic.core import Linear, PhysicalSetup
+
+        setup = PhysicalSetup(mass=9.10956e-31, beta=9.105818502759737e43, potential=Linear(slope=1.2799338868106442e-08))
+        problem = nondimensionalize(setup)
+        assert problem.epsilon == pytest.approx(1.106e-4, rel=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BasisOverflowError) as info:
+                bound_states(problem, problem.energy_from_si(8.33e-18))
+        found = re.search(r"= (\S+), beyond the limit (\S+)$", str(info.value))
+        assert "float range" in str(info.value)
+        assert float(found[2]) == pytest.approx(math.log(np.finfo(float).max), abs=1e-3)
+        assert float(found[1]) == pytest.approx(info.value.exponent, abs=1e-3)
+        assert info.value.exponent > math.log(np.finfo(float).max)
+
     def test_linear_state_ode_residual(self):
         # The slow-branch amplitude error is the classical second-order-WKB
         # one, ~(5/16)/|v-e|^3 relative, so the <=5% contract applies at least

@@ -19,7 +19,7 @@ from gupbic.basis import WkbParameters, map_regions, wkb_branches
 from gupbic.core import DEFAULT_RTOL
 from gupbic.errors import NumericalError, PreconditionError, WrongPotentialError
 from gupbic.matcher import StateFunction, bound_states
-from gupbic.oracle import bounded_dimension, growth_exponents_many, wronskian_drifts
+from gupbic.oracle import bounded_dimension, growth_exponents_many, wronskian_drift
 from gupbic.verification import (
     REFERENCE_HALF_WIDTH,
     beta_for_epsilon,
@@ -40,8 +40,8 @@ def exponents(problem, energy, side, x_far=None, standard=False):
 
 
 def drift(problem, energy, xs, anchor, rtol=DEFAULT_RTOL):
-    """max |W(x) - 1| over xs of one case, as verify's Wronskian check batches them."""
-    return wronskian_drifts([(problem, energy, xs, anchor)], rtol)[0]
+    """max |W(x) - 1| over xs of one case, as verify's Wronskian check judges each of its frames."""
+    return wronskian_drift(integrate(problem, energy, np.eye(4), anchor, xs, rtol=rtol))
 
 
 @pytest.fixture
@@ -136,7 +136,7 @@ class TestIntegrate:
         for batched, request in zip(integrate_many(requests), requests):
             single = integrate(*request)
             assert batched.shape == single.shape
-            assert np.linalg.norm(batched - single) <= 1e-12 * max(np.linalg.norm(single), 1.0)
+            assert np.array_equal(batched, single)
 
     def test_batch_of_mixed_systems_is_refused(self, well_problem):
         from gupbic.oracle import integrate_many
@@ -458,16 +458,18 @@ class TestDecayingSubspace:
         lin = nondimensionalize(linear_setup_for(eps))
         har = nondimensionalize(harmonic_setup_for(eps))
         for problem, sgn in ((lin, 1.0), (har, 1.0), (har, -1.0)):
-            far = sgn * oracle._auto_far_point(problem, energy, sgn)
+            quadratic, energies, sgns = np.array(oracle._quadratic(problem))[:, None], np.array([energy]), np.array([sgn])
+            far = float(sgn * oracle._auto_far_point(quadratic, energies, sgns)[0])
             for x_far in (far, 1.5 * far, 0.5 * far):
-                assert oracle._auto_anchor(problem, energy, sgn, x_far) == walk(problem, energy, sgn, x_far)
+                anchor = oracle._auto_anchor(quadratic, energies, sgns, np.array([x_far]), np.array([problem.kind == "linear"]))
+                assert anchor[0] == walk(problem, energy, sgn, x_far)
 
     @pytest.mark.parametrize("standard", [False, True], ids=["fourth-order", "standard"])
     def test_batched_marches_match_single_marches(self, standard, propagator_calls):
         # four marches in one batch (fourth order: 88 segments for the
         # linear potential at eps 1e-4 beside 24-segment ones): one
-        # propagator call, the exponents of each march alone to 1e-10
-        # relative, and the same counts
+        # propagator call, the exponents of each march alone bit for bit,
+        # and the same counts
         marches = [
             (nondimensionalize(linear_setup_for(1e-4)), 2.0, "+inf", None),
             (nondimensionalize(harmonic_setup_for(0.02)), 1.7, "-inf", None),
@@ -478,7 +480,7 @@ class TestDecayingSubspace:
         assert len(propagator_calls) == 1
         for growth, (problem, energy, side, x_far) in zip(batched, marches):
             single = exponents(problem, energy, side, x_far=x_far, standard=standard)
-            np.testing.assert_allclose(growth, single, rtol=1e-10, atol=0.0)
+            assert np.array_equal(growth, single)
             assert bounded_dimension(growth) == bounded_dimension(single) == (1 if standard else 2)
 
     def test_batch_of_mixed_systems_is_refused(self):
@@ -511,16 +513,20 @@ class TestDecayingSubspace:
 
         from gupbic import oracle
 
-        sgn = 1.0 if side == "+inf" else -1.0
-        x_far = sgn * oracle._auto_far_point(problem, energy, sgn)
-        anchor = oracle._auto_anchor(problem, energy, sgn, x_far)
+        sgn = np.array([1.0 if side == "+inf" else -1.0])
+        quadratic, energies = np.array(oracle._quadratic(problem))[:, None], np.array([energy])
+        x_far = sgn * oracle._auto_far_point(quadratic, energies, sgn)
+        anchor = oracle._auto_anchor(quadratic, energies, sgn, x_far, np.array([problem.kind == "linear"]))
+        x_far, anchor = float(x_far[0]), float(anchor[0])
         if standard:
             rhs, dim = oracle.standard_rhs(problem, energy), 2
         else:
             rhs, dim = oracle.companion_rhs(problem, energy), 4
         q, _ = np.linalg.qr(oracle.launch_frame(problem, energy, dim, x_far, math.copysign(1.0, anchor - x_far)))
         growth = np.zeros(dim)
-        xs = oracle._march_points(problem, energy, dim, x_far, anchor)
+        xs = oracle._march_points(
+            quadratic, np.array([problem.epsilon]), energies, dim, np.array([x_far]), np.array([anchor])
+        )[0]
         for a, b in zip(xs[:-1], xs[1:]):
             sol = solve_ivp(rhs, (a, b), q.reshape(-1), method="DOP853", rtol=1e-11, atol=1e-13)
             q, r = np.linalg.qr(sol.y[:, -1].reshape(dim, dim))
@@ -634,8 +640,7 @@ class TestPropagators:
         for u, request in zip(batched, requests):
             single = _propagators([request], dim, DEFAULT_RTOL, DEFAULT_ATOL)[0]
             assert u.shape == single.shape == (len(request[2]), dim, dim)
-            for a, b in zip(u, single):
-                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            assert np.array_equal(u, single)
 
     def test_long_series_matches_the_closed_form(self):
         # phi'' = w phi with constant w over one sub-step h: S = [[cosh z,
@@ -644,7 +649,7 @@ class TestPropagators:
         from gupbic.oracle import _scaled_steps
 
         w, h = np.array([4.0, 0.25]), np.array([3.0, 1.0])
-        s = _scaled_steps(np.zeros(2), w, np.zeros(2), np.zeros(2), h, 2, 1e-13, 0.0)
+        s = _scaled_steps(np.zeros(2), w, np.zeros(2), np.zeros(2), h, np.array([0]), 2, 1e-13, 0.0)
         z = h * np.sqrt(w)
         exact = np.array([[np.cosh(z), np.sinh(z) / z], [z * np.sinh(z), np.cosh(z)]]).transpose(2, 0, 1)
         np.testing.assert_allclose(s, exact, rtol=1e-13, atol=0.0)
@@ -689,7 +694,7 @@ class TestPropagators:
         # two requests each under the cap, together above it
         from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, MAX_SUB_STEPS, _max_rate, _propagators
 
-        rate = float(_max_rate(well_problem, 1.0, 4, np.array([0.0]))[0])
+        rate = float(_max_rate(well_problem.epsilon, np.array([1.0]), 4)[0])
         width = 0.6 * MAX_SUB_STEPS / rate
         request = (well_problem, 1.0, [0.0], [width])
         with pytest.raises(PreconditionError, match=f"cap of {MAX_SUB_STEPS}"):
@@ -697,9 +702,9 @@ class TestPropagators:
 
 
 class TestVerifyBattery:
-    def test_default_battery_sums_four_recurrences(self, monkeypatch):
-        # one _scaled_steps call for each of the Wronskian, exact-well,
-        # momentum and decay checks
+    def test_default_battery_sums_two_recurrences(self, monkeypatch):
+        # one _scaled_steps call for the Wronskian, exact-well and momentum
+        # checks' integrations together, one for the decay check's marches
         from gupbic import oracle
         from gupbic.verification import run_verification
 
@@ -714,7 +719,88 @@ class TestVerifyBattery:
         for setup in (reference_well_setup(), dataclasses.replace(reference_well_setup(), beta=0.0)):
             del calls[:]
             assert all(check.passed for check in run_verification(setup))
-            assert len(calls) <= 4
+            assert len(calls) == 2
+
+    def test_momentum_evidence_sums_one_recurrence(self, propagator_calls):
+        setup = linear_setup_for(0.01)
+        momentum_dimension_evidence(setup, nondimensionalize(setup).energy_to_si(2.0))
+        assert propagator_calls == [1]
+
+    @pytest.mark.parametrize("beta", [None, 0.0], ids=["default", "beta-0"])
+    def test_battery_equals_its_checks(self, beta):
+        # the battery's one integration batch gives each check the result it has alone
+        from gupbic.verification import (
+            check_decaying_dimensions,
+            check_exact_well_oracle_agreement,
+            check_momentum_representation,
+            check_residual_exact,
+            check_residual_negative_control,
+            check_well_sine_recovery,
+            run_verification,
+        )
+
+        setup = reference_well_setup() if beta is None else dataclasses.replace(reference_well_setup(), beta=beta)
+        alone = [
+            check_wronskian_constancy(n_cases=9),
+            check_exact_well_oracle_agreement(),
+            check_residual_exact(),
+            check_residual_negative_control(),
+            check_momentum_representation(),
+            check_decaying_dimensions(standard=beta == 0.0),
+        ] + ([check_well_sine_recovery(setup)] if beta is None else [])
+        assert [c.as_dict() for c in run_verification(setup)] == [c.as_dict() for c in alone]
+
+
+class TestBatchIndependence:
+    """Every request of a seeded mixed batch has exactly the bits it has alone."""
+
+    @staticmethod
+    def _problem(rng):
+        # a well, linear or harmonic problem at a random epsilon, and the lower end of its abscissas
+        eps = float(10.0 ** rng.uniform(-3.0, -0.7))
+        kind = ("well", "linear", "harmonic")[rng.integers(3)]
+        if kind == "well":
+            return nondimensionalize(reference_well_setup(beta=beta_for_epsilon(eps, REFERENCE_HALF_WIDTH))), -1.0
+        if kind == "linear":
+            return nondimensionalize(linear_setup_for(eps)), 0.05
+        return nondimensionalize(harmonic_setup_for(eps)), -1.5
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [4, 2])
+    def test_propagators_and_integrations(self, seed, dim):
+        # intervals both ways, states and frames of every width, abscissas on
+        # both sides of the launch point and empty requests, all mixed
+        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators, integrate_many
+
+        rng = np.random.default_rng(seed)
+        intervals, integrations = [], []
+        for _ in range(12):
+            (problem, lo), energy = self._problem(rng), float(rng.uniform(0.5, 6.0))
+            count = int(rng.integers(0, 6))
+            intervals.append((problem, energy, rng.uniform(lo, 1.0, count), rng.uniform(lo, 1.0, count)))
+            width = int(rng.integers(0, dim + 1))
+            shape = (dim,) if width == 0 else (dim, width)
+            initial = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            xs = rng.uniform(lo, 1.0, int(rng.integers(0, 8)))
+            integrations.append((problem, energy, initial, float(rng.uniform(lo, 1.0)), xs))
+        for batched, request in zip(_propagators(intervals, dim, DEFAULT_RTOL, DEFAULT_ATOL), intervals):
+            assert np.array_equal(batched, _propagators([request], dim, DEFAULT_RTOL, DEFAULT_ATOL)[0])
+        for batched, request in zip(integrate_many(integrations), integrations):
+            assert np.array_equal(batched, integrate_many([request])[0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("standard", [False, True], ids=["fourth-order", "standard"])
+    def test_decay_marches(self, seed, standard):
+        rng = np.random.default_rng(seed)
+        marches = []
+        for _ in range(5):
+            eps, energy, kind = float(10.0 ** rng.uniform(-3.0, -0.7)), float(rng.uniform(0.5, 6.0)), rng.integers(3)
+            if kind == 0:
+                marches.append((nondimensionalize(linear_setup_for(eps)), energy, "+inf", None))
+            else:
+                marches.append((nondimensionalize(harmonic_setup_for(eps)), energy, ("+inf", "-inf")[kind - 1], None))
+        for batched, march in zip(growth_exponents_many(marches, standard), marches):
+            assert np.array_equal(batched, growth_exponents_many([march], standard)[0])
 
 
 def sine_recovery_one_level_at_a_time(setup):
