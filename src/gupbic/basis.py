@@ -39,11 +39,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._scipy import lazy
+from .core import potential_derivs
 from .errors import (
     BasisOverflowError,
     ClassificationError,
@@ -299,19 +300,18 @@ _CARLSON_STEPS = 9
 class WkbParameters:
     """Scaled WKB coefficients for one (problem, energy) pair, or for a batch of energies.
 
-    eta = (2/eps)^(1/4); a_coef = eta^2/4; b(x) = (v(x) - e)/2 with derivative
-    chain to fourth order supplied by ``b_chain``.  Both take a float or a
-    numpy array of abscissas.  For a batch ``energy`` and ``x0`` are arrays,
-    one entry per energy, and abscissas broadcast against them: the energies
-    are the last axis.
+    eta = (2/eps)^(1/4); a_coef = eta^2/4; b(x) = (v(x) - e)/2, with v the
+    problem's ``v_coefficients`` (v(0), v'(0), v''(0)).  ``b`` and
+    ``b_chain`` take a float or a numpy array of abscissas.  For a batch
+    ``energy`` and ``x0`` are arrays, one entry per energy, and abscissas
+    broadcast against them: the energies are the last axis.
     """
 
     eta: float
     a_coef: float
     x0: float
-    b_chain: Callable[[float], tuple]
+    v_coefficients: tuple[float, float, float]
     energy: float
-    epsilon: float
 
     @classmethod
     def from_problem(cls, problem, energy: float, x0: float) -> "WkbParameters":
@@ -319,18 +319,15 @@ class WkbParameters:
         if eps <= 0.0:
             raise UnsupportedEpsilonError("WKB basis requires epsilon > 0")
         eta = (2.0 / eps) ** 0.25
-        a_coef = eta * eta / 4.0
-        v_derivs = problem.v_derivs
-
-        def b_chain(x):
-            v = v_derivs(x)
-            # + 0 * x broadcasts a constant potential over an array x
-            b0 = 0.5 * (v[0] + 0.0 * x - energy)
-            return (b0, 0.5 * v[1], 0.5 * v[2], 0.5 * v[3], 0.5 * v[4])
-
         return cls(
-            eta=eta, a_coef=a_coef, x0=_per_energy(x0), b_chain=b_chain, energy=energy, epsilon=eps
+            eta=eta, a_coef=eta * eta / 4.0, x0=_per_energy(x0),
+            v_coefficients=problem.v_coefficients, energy=energy,
         )
+
+    def b_chain(self, x) -> tuple:
+        """b and its derivatives 1..4 at x; b has degree <= 2, so the third and fourth are 0."""
+        v, v1, v2 = potential_derivs(self.v_coefficients, x)
+        return 0.5 * (v - self.energy), 0.5 * v1, 0.5 * v2, 0.0, 0.0
 
     def b(self, x):
         return self.b_chain(x)[0]
@@ -451,7 +448,7 @@ class ExponentTable:
     computes them for the tau = +1 branch of each pair (sigma = +1, -1); the
     tau = -1 partner, lam -> -lam, reads them negated, which is exact.  Both
     are closed forms in lam, O(1) per point, for b of degree <= 2 (linear
-    or harmonic; b'(0) and b'' are read once from ``b_chain``).
+    or harmonic).
 
     From lam^2 = a + sigma s, I2 = sigma int dlam / (lam^2 - a), so for
     every b
@@ -501,12 +498,6 @@ class ExponentTable:
         self._last = (np.full(1, np.nan), None)  # NaN matches no query
 
     @cached_property
-    def _b_derivs(self) -> tuple[float, float]:
-        """(b'(0), b''): b is linear where b'' = 0, else quadratic; read once, when first asked."""
-        _, slope, curvature, *_ = self.params.b_chain(0.0)
-        return float(slope), float(curvature)
-
-    @cached_property
     def branch_points(self) -> tuple[float, ...]:
         """Zeros of b (lam_3, lam_4 -> 0) and of a^2 - b (s -> 0) on the whole line.
 
@@ -529,7 +520,7 @@ class ExponentTable:
     def _closed_sums(self, xs: np.ndarray) -> tuple:
         """``integrals`` of both pairs at xs: the closed forms, in one pass."""
         p, root_a = self.params, math.sqrt(self.params.a_coef)
-        slope, curvature = self._b_derivs
+        _, slope, curvature, _, _ = p.b_chain(0.0)  # b is linear where b'' = 0, else quadratic
         n = xs.shape[0]
         sigma = np.array([1.0, -1.0]).reshape((2,) + (1,) * xs.ndim)  # the pairs, leading
         # x0 is one more row (of one entry per energy of a batch), and the
@@ -541,9 +532,9 @@ class ExponentTable:
         at = np.concatenate(rows)
         s, lam = (c[0] for c in _branch_chains(p, at, sigma, 1.0, order=0))
         if curvature:
-            i1 = self._elliptic_i1(at, s, lam, vertex)
+            i1 = self._elliptic_i1(at, s, lam, vertex, curvature)
         else:
-            i1 = self._chord_i1(xs, s[:-1], s[-1], lam[:, :-1], lam[:, -1:], sigma)
+            i1 = self._chord_i1(xs, s[:-1], s[-1], lam[:, :-1], lam[:, -1:], sigma, slope)
         # sigma = +1 takes sqrt(a)/lam, sigma = -1 lam/sqrt(a): each off its atanh cut
         q = np.arctanh(np.array([root_a / lam[0, : n + 1], lam[1, : n + 1] / root_a]))
         i2 = -(sigma / root_a) * (q[:, :n] - q[:, n:])
@@ -577,23 +568,23 @@ class ExponentTable:
             self._classes[side] = classes
         return classes
 
-    def _chord_i1(self, xs, s, s0, lam, lam0, sigma) -> np.ndarray:
-        """I1 of both pairs where b is linear, from the chain values at xs and at x0."""
+    def _chord_i1(self, xs, s, s0, lam, lam0, sigma, slope: float) -> np.ndarray:
+        """I1 of both pairs where b is linear with b' = slope, from the chain values at xs and at x0."""
         p = self.params
         scale = (xs - p.x0) / ((s + s0) * (lam + lam0))
-        step = -sigma * self._b_derivs[0] * scale  # lam - lam0
+        step = -sigma * slope * scale  # lam - lam0
         # the nodes on a leading axis, summed in their order
         t, w = (c.reshape((3,) + (1,) * step.ndim) for c in (_CHORD_NODES, _CHORD_WEIGHTS))
         node = lam0 + t * step
         mean = (w * node * node * (sigma * s0 + t * step * (lam0 + node))).sum(axis=0)
         return 4.0 * sigma * scale * mean
 
-    def _elliptic_i1(self, at, s, lam, vertex: float) -> np.ndarray:
-        """I1 of both pairs where b is quadratic.
+    def _elliptic_i1(self, at, s, lam, vertex: float, c: float) -> np.ndarray:
+        """I1 of both pairs where b is quadratic with b'' = c.
 
         The rows of ``at``, ``s`` and ``lam`` are xs, then x0, then the vertex.
         """
-        p, a, c = self.params, self.params.a_coef, self._b_derivs[1]
+        p, a = self.params, self.params.a_coef
         e = -2.0 * p.b(vertex)
         raise_where(
             e <= 0.0,
@@ -836,18 +827,13 @@ class WkbRegionMap:
 def map_regions(params: WkbParameters, lo: float, hi: float) -> WkbRegionMap:
     """Zeros of b and of a^2 - b in [lo, hi], in closed form.
 
-    b is a polynomial of degree <= 2 for every potential with a WKB basis
-    (constant, linear, harmonic): b(x) - k = c2 x^2 + c1 x + c0 with
+    b is a polynomial of degree <= 2, as every potential is (constant,
+    linear, harmonic): b(x) - k = c2 x^2 + c1 x + c0 with
     c0 = b(0) - k, c1 = b'(0) and c2 = b''(0)/2, for k = 0 and k = a^2.
     For a batch of energies each zero is an array, NaN at the energies
     where it does not lie in [lo, hi].
     """
-    b0, b1, b2, b3, b4 = params.b_chain(0.0)
-    if b3 != 0.0 or b4 != 0.0:
-        raise PreconditionError(
-            "closed-form region map needs a potential of degree <= 2; the third and "
-            f"fourth derivatives of b are {b3:g} and {b4:g}"
-        )
+    b0, b1, b2, _, _ = params.b_chain(0.0)
     # the roots of b - k for k = 0 and k = a^2 (second axis), NaN outside [lo, hi]
     roots = _quadratic_roots(0.5 * b2, b1, np.array([b0, b0 - params.a_coef**2]))
     inside = (lo <= roots) & (roots <= hi)

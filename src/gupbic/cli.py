@@ -71,6 +71,7 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
+# unused here: perfbench/run.py and perfbench/workloads.py call cli.default_setup until ROADMAP item 1 step 2
 def default_setup() -> PhysicalSetup:
     """Reference configuration: electron in a 1 Angstrom half-width well, beta = 1e47."""
     return reference_well_setup()
@@ -169,7 +170,7 @@ def _setup_from_args(args) -> tuple[PhysicalSetup, str | None]:
         setup = load_config(args.config)
         config_path = args.config
     else:
-        setup = default_setup()
+        setup = reference_well_setup()
         config_path = None
 
     overrides = {

@@ -13,6 +13,12 @@ numerical routine in this package works on the scaled form
 with x = L_c * xt, E = E_c * e, E_c = hbar^2 / (2 m L_c^2).  SI units appear
 only at the I/O boundary.
 
+Each of the three potentials (infinite well, linear, harmonic) is a
+polynomial of degree <= 2 on its domain, so the scaled problem carries v as
+three numbers, (v(0), v'(0), v''(0)), and one evaluator,
+``potential_derivs``, serves every layer: the oracle's Taylor recurrence,
+the WKB chains and region map, and the momentum moments.
+
 beta carries units of 1/momentum^2; that convention is inferred from
 dimensional consistency of the deformed uncertainty relation
 (beta [(dP)^2 + <P>^2] must be dimensionless) and the CLI accepts beta as the
@@ -163,22 +169,38 @@ def reference_well_setup(beta: float = REFERENCE_BETA) -> PhysicalSetup:
     return PhysicalSetup(mass=ELECTRON_MASS, beta=beta, potential=InfiniteWell(a=REFERENCE_HALF_WIDTH))
 
 
+def potential_derivs(coefficients, x) -> tuple:
+    """v, v' and v'' at x of v = c0 + c1 x + c2 x^2 / 2, from (c0, c1, c2) = (v(0), v'(0), v''(0)).
+
+    Each coefficient is a float, or an array (a row of a batch) that
+    broadcasts against x; v and v' take the broadcast shape, and v'' is c2.
+    The sum 0.5 c2 x x + c1 x + c0 gives the linear s x and the harmonic
+    c x^2 to the bit.
+    """
+    c0, c1, c2 = coefficients
+    return 0.5 * c2 * x * x + c1 * x + c0, c2 * x + c1, c2
+
+
 @dataclass(frozen=True)
 class DimensionlessProblem:
     """Scaled coefficients of eps*phi'''' - phi'' + (v - e)*phi = 0.
 
-    ``v_derivs(x)`` returns (v, v', v'', v''', v'''') at dimensionless x; the
-    higher derivatives feed the WKB chain rules and the momentum-operator
-    reduction.
+    ``v_coefficients`` holds the potential as (v(0), v'(0), v''(0)): zero
+    for the well, (0, s, 0) for the linear potential and (0, 0, 2c) for the
+    harmonic v = c x^2.
     """
 
     epsilon: float
-    v_derivs: Callable[[float], tuple[float, float, float, float, float]]
+    v_coefficients: tuple[float, float, float]
     length_scale: float  # m
     energy_scale: float  # J
     domain: tuple[float, float]  # dimensionless
     kind: str
     setup: PhysicalSetup = field(repr=False)
+
+    def v_derivs(self, x) -> tuple:
+        """v, v' and v'' at dimensionless x, a float or an array (``potential_derivs``)."""
+        return potential_derivs(self.v_coefficients, x)
 
     @property
     def momentum_scale(self) -> float:
@@ -225,32 +247,23 @@ def nondimensionalize(setup: PhysicalSetup, length_scale: float | None = None) -
 
     if isinstance(p, InfiniteWell):
         lo, hi = -p.a / length_scale, p.a / length_scale
-
-        def v_derivs(x: float):
-            return (0.0, 0.0, 0.0, 0.0, 0.0)
-
+        v_coefficients = (0.0, 0.0, 0.0)
     elif isinstance(p, Linear):
         slope = checked_scale("scaled slope", lambda: p.slope * length_scale / e_scale)
         lo, hi = 0.0, math.inf
-
-        def v_derivs(x: float, _s=slope):
-            return (_s * x, _s, 0.0, 0.0, 0.0)
-
+        v_coefficients = (0.0, slope, 0.0)
     elif isinstance(p, Harmonic):
         curv = checked_scale(
             "scaled curvature", lambda: 0.5 * m * p.omega**2 * length_scale**2 / e_scale
         )
         lo, hi = -math.inf, math.inf
-
-        def v_derivs(x: float, _c=curv):
-            return (_c * x * x, 2.0 * _c * x, 2.0 * _c, 0.0, 0.0)
-
+        v_coefficients = (0.0, 0.0, 2.0 * curv)
     else:
         raise InvalidSetupError(f"unknown potential {p!r}")
 
     return DimensionlessProblem(
         epsilon=epsilon,
-        v_derivs=v_derivs,
+        v_coefficients=v_coefficients,
         length_scale=length_scale,
         energy_scale=e_scale,
         domain=(lo, hi),

@@ -917,7 +917,7 @@ def _harmonic_band_message(
     With k <= g^2 c no energy works, and since k scales as 1/eps the limit is
     eps < eps k / (g^2 c).
     """
-    c = 0.5 * problem.v_derivs(0.0)[2]
+    c = 0.5 * problem.v_coefficients[2]
     k = 2.0 * params.a_coef**2
     gap = 2.0 * TURNING_WINDOW_HALF_WIDTH
     band = (

@@ -16,8 +16,10 @@ Far-field marches launch from ``launch_frame``, the eigenvectors of the
 frozen-coefficient system at the far point, so the oracle reads nothing of
 the closed-form and WKB bases it checks.
 
-Every potential is a polynomial of degree <= 2, so the propagators are
-Taylor series whose coefficients obey an exact recurrence (``_scaled_steps``):
+Every potential is a polynomial of degree <= 2, which the problem carries
+as its three coefficients (``v_coefficients``, evaluated by
+``core.potential_derivs``), so the propagators are Taylor series whose
+coefficients obey an exact recurrence (``_scaled_steps``):
 numpy only, with no step control and no scipy.  The series' tail bound is
 the integrations' rtol and atol, and it is applied per request: each
 request's series stops at the first term where its own sub-steps meet it.
@@ -51,6 +53,7 @@ from .core import (
     Linear,
     PhysicalSetup,
     nondimensionalize,
+    potential_derivs,
 )
 from .errors import NumericalError, PreconditionError, WrongPotentialError
 from .panels import panel_integrals
@@ -105,29 +108,6 @@ def standard_rhs(problem: DimensionlessProblem, energy: float) -> Callable:
 
 _MAX_TERMS = 80  # series cap; with h rho <= 1 the tail rule ends it near 20 terms
 MAX_SUB_STEPS = 2**17  # most sub-steps of one _propagators call, each 26-52 x 4 doubles of series
-
-
-def _quadratic(problem: DimensionlessProblem) -> tuple[float, float, float]:
-    """v(0), v'(0) and v''(0), the coefficients of a potential of degree <= 2.
-
-    The recurrence is exact only for such a potential, so a nonzero v'''(0)
-    or v''''(0) is refused.
-    """
-    d = problem.v_derivs(0.0)
-    if d[3] or d[4]:
-        raise PreconditionError("the oracle's Taylor recurrence needs v''' = v'''' = 0 (degree <= 2)")
-    return d[0], d[1], d[2]
-
-
-def _potential_taylor(quadratic: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """v0, v1, v2 of v(x + t) = v0 + v1 t + v2 t^2 for the ``_quadratic`` rows broadcast against x.
-
-    The sums are ordered so a linear or harmonic potential gets the bits of
-    its own ``v_derivs``.
-    """
-    c0, c1, c2 = quadratic
-    half = 0.5 * c2
-    return half * x * x + c1 * x + c0, c2 * x + c1, half
 
 
 def _max_rate(eps: np.ndarray, w: np.ndarray, dim: int) -> np.ndarray:
@@ -246,10 +226,10 @@ def _propagators(
     starts = np.concatenate([starts for _, _, starts, _ in requests], dtype=float)
     widths = np.concatenate([ends for *_, ends in requests], dtype=float) - starts
     owner = np.repeat(np.arange(len(requests)), sizes)  # request of each interval
-    coefficients = np.array([(p.epsilon, e, *_quadratic(p)) for p, e, _, _ in requests]).T[:, owner]
+    coefficients = np.array([(p.epsilon, e, *p.v_coefficients) for p, e, _, _ in requests]).T[:, owner]
     eps, energy, *quadratic = coefficients
     ends = np.concatenate([starts, starts + widths]).reshape(2, -1)
-    rate = _max_rate(eps, energy - _potential_taylor(quadratic, ends)[0], dim).max(axis=0)
+    rate = _max_rate(eps, energy - potential_derivs(quadratic, ends)[0], dim).max(axis=0)
     counts = np.maximum(1.0, np.ceil(np.abs(widths) * rate))
     total = counts.sum()
     if not total <= MAX_SUB_STEPS:  # a NaN count fails too
@@ -263,10 +243,10 @@ def _propagators(
     h = (widths / counts)[interval]
     x = starts[interval] + (np.arange(h.size) - first[interval]) * h
     eps, energy, *quadratic = coefficients[:, interval]
-    v0, v1, v2 = _potential_taylor(quadratic, x)
+    v0, v1, v2 = potential_derivs(quadratic, x)
     bounds = [0, *itertools.accumulate(sizes)]
     opening = first[[a for a, b in zip(bounds, bounds[1:]) if b > a]]  # each request's first sub-step
-    steps = _scaled_steps(eps, v0 - energy, v1, v2, h, opening, dim, rtol, atol)
+    steps = _scaled_steps(eps, v0 - energy, v1, 0.5 * v2, h, opening, dim, rtol, atol)
     out = steps[first]  # an interval of one sub-step is done
     doublings = np.frexp(counts - 1)[1]  # ceil(log2(count)): a chain of 2^d slots holds the sub-steps
     for d in np.flatnonzero(np.bincount(doublings)[1:]) + 1:
@@ -495,7 +475,7 @@ _FAR_WALK = np.cumprod(np.r_[1.0, np.full(199, 1.3)])  # the far-point candidate
 
 def _auto_far_point(quadratic: np.ndarray, energy: np.ndarray, sgn: np.ndarray) -> np.ndarray:
     """|x_far| of each march: 1 past the first candidate 1.3^k toward its side where v - e >= 2."""
-    reached = _potential_taylor(quadratic[..., None], sgn[:, None] * _FAR_WALK)[0] - energy[:, None] >= 2.0
+    reached = potential_derivs(quadratic[..., None], sgn[:, None] * _FAR_WALK)[0] - energy[:, None] >= 2.0
     if not reached.any(axis=1).all():
         raise PreconditionError("could not locate a forbidden-region far point")
     return _FAR_WALK[reached.argmax(axis=1)] + 1.0
@@ -511,7 +491,7 @@ def _auto_anchor(
     linear potential.
     """
     grid = np.linspace(np.abs(x_far), 0.0, 400, axis=-1)
-    inside = _potential_taylor(quadratic[..., None], sgn[:, None] * grid)[0] - energy[:, None] < 1.0
+    inside = potential_derivs(quadratic[..., None], sgn[:, None] * grid)[0] - energy[:, None] < 1.0
     first = grid[np.arange(grid.shape[0]), inside.argmax(axis=1)]
     span_cap = np.where(linear, np.minimum(1.0, np.abs(x_far) / 2), 0.0)
     return np.where(inside.any(axis=1), sgn * np.minimum(first + 0.2, np.abs(x_far)), span_cap)
@@ -530,7 +510,7 @@ def _march_points(
     formed in one array.
     """
     ends = np.stack([x_far, anchor])
-    rho = _max_rate(eps, energy - _potential_taylor(quadratic, ends)[0], dim).max(axis=0)
+    rho = _max_rate(eps, energy - potential_derivs(quadratic, ends)[0], dim).max(axis=0)
     sizes = np.maximum(MIN_SEGMENTS, np.ceil(rho * np.abs(anchor - x_far) / SEGMENT_GROWTH)).astype(int) + 1
     march = np.repeat(np.arange(sizes.size), sizes)
     lasts = np.cumsum(sizes) - 1
@@ -585,11 +565,11 @@ def growth_exponents_many(
     eps, energy, sgn, x_far = np.array(
         [(p.epsilon, e, 1.0 if side == "+inf" else -1.0, math.nan if x is None else x) for p, e, side, x in marches]
     ).T
-    quadratic = np.array([_quadratic(problem) for problem, *_ in marches]).T
+    quadratic = np.array([problem.v_coefficients for problem, *_ in marches]).T
     auto = np.array([x is None for *_, x in marches])
     if auto.any():
         x_far[auto] = sgn[auto] * _auto_far_point(quadratic[:, auto], energy[auto], sgn[auto])
-    w_launch = _potential_taylor(quadratic, x_far)[0] - energy
+    w_launch = potential_derivs(quadratic, x_far)[0] - energy
     for i in np.flatnonzero(w_launch < 1.0)[:1]:
         raise PreconditionError(
             f"launch point x={x_far[i]} not in the forbidden region (v - e = {w_launch[i]:.3g} < 1)"

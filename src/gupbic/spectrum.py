@@ -416,11 +416,11 @@ def _derivatives_order6(state, problem: DimensionlessProblem, x, energy: float |
         return state.derivatives(x, order=6)
     eps = problem.epsilon
     d = state.derivatives(x, order=3)
-    v = problem.v_derivs(x)
-    w = v[0] - energy
+    v, v1, v2 = problem.v_derivs(x)
+    w = v - energy
     d4 = (d[2] - w * d[0]) / eps
-    d5 = (d[3] - v[1] * d[0] - w * d[1]) / eps
-    d6 = (d4 - v[2] * d[0] - 2.0 * v[1] * d[1] - w * d[2]) / eps
+    d5 = (d[3] - v1 * d[0] - w * d[1]) / eps
+    d6 = (d4 - v2 * d[0] - 2.0 * v1 * d[1] - w * d[2]) / eps
     return np.concatenate([d, [d4, d5, d6]])
 
 

@@ -639,7 +639,7 @@ def test_linear_closed_form_matches_panels_and_mpmath(eps):
         far = [far_lo, far_lo + 1e-3, far_lo + 0.4, far_lo + 2.3, far_lo + 4.4, far_lo + 20.0]
         for branches, points in ((asm.basis, main), (asm.far_basis, far)):
             table, eta = branches[0].table, branches[0].params.eta
-            assert table._b_derivs[1] == 0.0
+            assert branches[0].params.b_chain(0.0)[2] == 0.0
             xs = np.array(points)
             for sigma in (1.0, -1.0):
                 got = np.stack(table.integrals(xs, sigma)[:2])
@@ -718,7 +718,7 @@ def test_harmonic_closed_form_matches_panels_and_mpmath(eps):
         for x0, piece, points in pieces:
             params = WkbParameters.from_problem(problem, e, x0=x0)
             table = wkb_branches(params, piece, rmap)[0].table
-            assert table._b_derivs[1] > 0.0
+            assert params.b_chain(0.0)[2] > 0.0
             xs = np.array(points + [x0 - 0.1, x0 + 0.01])
             for sigma in (1.0, -1.0):
                 got = np.stack(table.integrals(xs, sigma)[:2])
@@ -901,9 +901,8 @@ def test_closed_form_zeros_match_brentq():
             lo = 0.0 if problem.kind == "linear" else -hi
             for e in (0.3, 1.5, 7.5, 12.0):
                 params = WkbParameters.from_problem(problem, e, x0=0.0)
-                x_t = e / problem.v_derivs(1.0)[1] if problem.kind == "linear" else math.sqrt(
-                    e / problem.v_derivs(1.0)[0]
-                )
+                _, slope, curvature = problem.v_coefficients
+                x_t = e / slope if problem.kind == "linear" else math.sqrt(e / (0.5 * curvature))
                 # the whole line, then windows left of x_t (none) and between
                 # x_t and the zero of a^2 - b (b only)
                 for a, b, n_b, n_s in ((lo, hi, None, None), (0.5 * x_t, 0.9 * x_t, 0, 0),
@@ -919,15 +918,6 @@ def test_closed_form_zeros_match_brentq():
                             assert abs(z - w) <= 1e-13 * max(1.0, abs(w))
                     windows += 1
     assert windows == 2 * 3 * 4 * 3
-
-
-def test_region_map_rejects_cubic_potentials():
-    params = WkbParameters(
-        eta=2.0, a_coef=1.0, x0=0.0, b_chain=lambda x: (x**3 - 1.0, 3 * x**2, 6 * x, 6.0, 0.0),
-        energy=1.0, epsilon=0.5,
-    )
-    with pytest.raises(PreconditionError, match="degree <= 2"):
-        map_regions(params, -2.0, 2.0)
 
 
 def test_dof_scan_makes_no_scalar_quad_calls(monkeypatch):

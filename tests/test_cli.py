@@ -11,7 +11,7 @@ import pytest
 
 from gupbic import cli
 from gupbic.cli import main
-from gupbic.core import nondimensionalize
+from gupbic.core import nondimensionalize, reference_well_setup
 from gupbic.matcher import bound_states
 from gupbic.output import _fmt_cell, sha256_hex
 from gupbic.spectrum import well_special_energies
@@ -140,7 +140,7 @@ class TestWavefunction:
         # E_K comes from the one-level formula, so the cost does not grow with K
         import gupbic.spectrum
 
-        expected = well_special_energies(cli.default_setup(), 5)[-1].energy_si
+        expected = well_special_energies(reference_well_setup(), 5)[-1].energy_si
 
         def refuse(*args):
             raise AssertionError("wavefunction --k built the list of levels")
@@ -679,7 +679,7 @@ class TestLayersLoadOnUse:
 import json, sys
 sys.path.insert(0, {src!r})
 import gupbic.cli
-from gupbic.core import nondimensionalize
+from gupbic.core import nondimensionalize, reference_well_setup
 
 LAYERS = ("_scipy", "basis", "matcher", "oracle", "panels", "spectrum", "verification")
 
@@ -688,7 +688,7 @@ def loaded():
 
 out = {out!r}
 gupbic.cli.build_parser()
-nondimensionalize(gupbic.cli.default_setup())
+nondimensionalize(reference_well_setup())
 report = {{"start": loaded(), "codes": {{}}}}
 for argv in (["spectrum"], ["observability"], ["dof-scan"], ["wavefunction", "--k", "1"]):
     report["codes"][argv[0]] = gupbic.cli.main(argv + ["--out", out + "/" + argv[0]])

@@ -132,22 +132,40 @@ def test_finite_setups_scale_into_range_or_raise_invalid_setup(kind, mass, beta,
 
 
 class TestPotentialValues:
+    """``v_derivs`` against each potential's closed form, exactly, at a float and a (K, N) array."""
+
+    XS = (2.5, np.random.default_rng(34).uniform(-3.0, 3.0, (4, 7)))
+
+    @staticmethod
+    def assert_derivs(problem, x, v, v1, v2):
+        got = problem.v_derivs(x)
+        for g, want in zip(got[:2], (v, v1)):
+            assert np.shape(g) == np.shape(x) and np.all(g == want)
+        assert got[2] == v2
+
     def test_well_interior_zero(self):
         problem = nondimensionalize(reference_setup())
-        assert problem.v_derivs(0.0)[0] == 0.0
+        assert problem.v_coefficients == (0.0, 0.0, 0.0)
+        for x in self.XS:
+            self.assert_derivs(problem, x, 0.0, 0.0, 0.0)
 
     def test_harmonic_canonical_is_x_squared(self):
         setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Harmonic(omega=2e16))
         problem = nondimensionalize(setup)
-        assert problem.v_derivs(2.0)[0] == pytest.approx(4.0, rel=1e-12)
+        c = 0.5 * problem.v_coefficients[2]
+        # the canonical oscillator length makes v = x^2
+        assert problem.v_coefficients[:2] == (0.0, 0.0) and c == pytest.approx(1.0, rel=1e-12)
+        for x in self.XS:
+            self.assert_derivs(problem, x, c * x * x, 2.0 * c * x, 2.0 * c)
 
     def test_linear_is_linear(self):
         setup = PhysicalSetup(mass=REFERENCE_PARAMS["mass"], beta=0.0, potential=Linear(slope=3e-8))
         problem = nondimensionalize(setup)
-        v1 = problem.v_derivs(1.0)[0]
-        assert problem.v_derivs(2.5)[0] == pytest.approx(2.5 * v1, rel=1e-12)
-        # canonical bouncer scale makes the slope exactly one
-        assert v1 == pytest.approx(1.0, rel=1e-12)
+        s = problem.v_coefficients[1]
+        # canonical bouncer scale makes the slope one
+        assert problem.v_coefficients[::2] == (0.0, 0.0) and s == pytest.approx(1.0, rel=1e-12)
+        for x in self.XS:
+            self.assert_derivs(problem, x, s * x, s, 0.0)
 
 
 class TestConfig:

@@ -458,7 +458,7 @@ class TestDecayingSubspace:
         lin = nondimensionalize(linear_setup_for(eps))
         har = nondimensionalize(harmonic_setup_for(eps))
         for problem, sgn in ((lin, 1.0), (har, 1.0), (har, -1.0)):
-            quadratic, energies, sgns = np.array(oracle._quadratic(problem))[:, None], np.array([energy]), np.array([sgn])
+            quadratic, energies, sgns = np.array(problem.v_coefficients)[:, None], np.array([energy]), np.array([sgn])
             far = float(sgn * oracle._auto_far_point(quadratic, energies, sgns)[0])
             for x_far in (far, 1.5 * far, 0.5 * far):
                 anchor = oracle._auto_anchor(quadratic, energies, sgns, np.array([x_far]), np.array([problem.kind == "linear"]))
@@ -514,7 +514,7 @@ class TestDecayingSubspace:
         from gupbic import oracle
 
         sgn = np.array([1.0 if side == "+inf" else -1.0])
-        quadratic, energies = np.array(oracle._quadratic(problem))[:, None], np.array([energy])
+        quadratic, energies = np.array(problem.v_coefficients)[:, None], np.array([energy])
         x_far = sgn * oracle._auto_far_point(quadratic, energies, sgn)
         anchor = oracle._auto_anchor(quadratic, energies, sgn, x_far, np.array([problem.kind == "linear"]))
         x_far, anchor = float(x_far[0]), float(anchor[0])
@@ -661,20 +661,6 @@ class TestPropagators:
             u = _propagators([(harmonic_problem, 1.7, [0.4, 0.7], [0.4, 0.9])], dim, DEFAULT_RTOL, DEFAULT_ATOL)[0]
             assert np.array_equal(u[0], np.eye(dim))
             assert not np.array_equal(u[1], np.eye(dim))
-
-    def test_cubic_potential_is_refused(self, harmonic_problem):
-        # the recurrence is exact for v of degree <= 2 only
-        import dataclasses
-
-        from gupbic.oracle import DEFAULT_ATOL, DEFAULT_RTOL, _propagators
-
-        cubic = dataclasses.replace(
-            harmonic_problem, v_derivs=lambda x: (x**3, 3.0 * x**2, 6.0 * x, 6.0, 0.0)
-        )
-        with pytest.raises(PreconditionError, match="degree <= 2"):
-            _propagators([(cubic, 1.7, [0.0], [0.5])], 4, DEFAULT_RTOL, DEFAULT_ATOL)
-        with pytest.raises(PreconditionError, match="degree <= 2"):
-            integrate(cubic, 1.7, [1.0, 0.0], 0.0, [0.5])
 
     def test_sub_step_count_is_capped_before_allocation(self, monkeypatch):
         # at beta 1e30 the exact-well check asks for about 2e9 sub-steps;
