@@ -220,19 +220,14 @@ class DimensionlessProblem:
         return x / self.length_scale
 
 
-def nondimensionalize(setup: PhysicalSetup, length_scale: float | None = None) -> DimensionlessProblem:
-    """Rescale the fourth-order equation to dimensionless form.
+def nondimensionalize(setup: PhysicalSetup) -> DimensionlessProblem:
+    """Rescale the fourth-order equation to dimensionless form at the setup's canonical L_c.
 
     eps = 2 (beta/3) hbar^2 / L_c^2 and E_c = hbar^2 / (2 m L_c^2) exactly.  Each
     of L_c, E_c, eps and the scaled potential coefficient must be a finite
     float (``checked_scale``), and eps at most EPSILON_MAX.
     """
-    if length_scale is None:
-        length_scale = setup.canonical_length_scale()
-    length_scale = _require_finite("length_scale", length_scale)
-    if length_scale <= 0:
-        raise InvalidSetupError(f"length_scale must be > 0, got {length_scale}")
-
+    length_scale = setup.canonical_length_scale()
     hbar, m = setup.hbar, setup.mass
     e_scale = checked_scale("energy_scale", lambda: hbar**2 / (2.0 * m * length_scale**2))
     epsilon = checked_scale(

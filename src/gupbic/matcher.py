@@ -787,9 +787,9 @@ def solve_well(
     nullity, null_vecs = nullspace(system)
     raise_where(nullity == 0, lambda e: NormalizationError(f"no bound state at e={e} (nullity 0)"), energies)
 
-    # special energies: kappa * 2 half-width / pi within 1e-9 of an integer k >= 1
+    # special energies: kappa (hi - lo) / pi within 1e-9 of an integer k >= 1
     kappa = roots.kappa
-    ratio = kappa * 2.0 * (0.5 * (hi - lo)) / math.pi
+    ratio = kappa * (hi - lo) / math.pi
     k = np.rint(ratio)
     special = ((k >= 1) & (np.abs(ratio - k) < 1e-9))[:, None]
     # sin(kappa(x - lo)) expressed on (cos, sin); lo = -|lo|

@@ -77,12 +77,13 @@ class SpecialEnergy:
 
 
 def well_special_energies(setup: PhysicalSetup, k_max: int) -> list[SpecialEnergy]:
-    """E_k = k^4 pi^4 hbar^4 beta' / (16 m a^4) + k^2 pi^2 hbar^2 / (8 m a^2).
+    """E_k = E_c (kappa_k^2 + eps kappa_k^4) with kappa_k = k pi / (hi - lo), k = 1 ... k_max.
 
-    At these energies the oscillatory wavenumber is kappa = k pi / (2a) and the
-    wall-to-wall sine solves the fourth-order equation exactly; beta -> 0
-    recovers the standard well levels.  It lists at most MAX_SPECIAL_LEVELS
-    of them, and above that raises InvalidSetupError naming the limit.
+    At these energies the oscillatory wavenumber is kappa_k and the
+    wall-to-wall sine solves the fourth-order equation exactly; eps -> 0
+    recovers the standard well levels.  Each level is formed in scaled units
+    and converted to J once.  It lists at most MAX_SPECIAL_LEVELS of them,
+    and above that raises InvalidSetupError naming the limit.
     """
     if not isinstance(setup.potential, InfiniteWell):
         raise WrongPotentialError("special energies are defined for the infinite well")
@@ -92,58 +93,57 @@ def well_special_energies(setup: PhysicalSetup, k_max: int) -> list[SpecialEnerg
         raise InvalidSetupError(
             f"k_max = {k_max} levels requested; at most MAX_SPECIAL_LEVELS = {MAX_SPECIAL_LEVELS} are listed"
         )
-    return _special_levels(setup, nondimensionalize(setup), k_max)
+    return _special_levels(nondimensionalize(setup), k_max)
 
 
-def _special_levels(setup: PhysicalSetup, problem: DimensionlessProblem, k_max: int) -> list[SpecialEnergy]:
-    """E_1 ... E_k_max of ``well_special_energies``, scaled by the problem of the setup."""
-    out = []
-    for k in range(1, k_max + 1):
-        e_si = well_special_energy(setup, k)
-        out.append(
-            SpecialEnergy(k=k, energy_si=e_si, energy_dimensionless=problem.energy_from_si(e_si))
-        )
-    return out
+def _special_levels(problem: DimensionlessProblem, k_max: int) -> list[SpecialEnergy]:
+    """E_1 ... E_k_max of ``well_special_energies`` for the problem of a well setup."""
+    return [_special_level(problem, k) for k in range(1, k_max + 1)]
 
 
 def well_special_energy(setup: PhysicalSetup, k: int) -> float:
     """E_k of ``well_special_energies`` in J, for one level k >= 1 of a well setup."""
-    a, m, hbar = setup.potential.a, setup.mass, setup.hbar
-    return checked_scale(
-        f"special energy E_{k}",
-        lambda: k**4 * math.pi**4 * hbar**4 * setup.beta_prime / (16.0 * m * a**4)
-        + k**2 * math.pi**2 * hbar**2 / (8.0 * m * a**2),
-    )
+    return _special_level(nondimensionalize(setup), k).energy_si
 
 
-def _special_level_count(setup: PhysicalSetup, top: float) -> int:
-    """The number of special well levels with E_k <= top.
+def well_kappa(problem: DimensionlessProblem, k):
+    """kappa_k = k pi / (hi - lo), the wavenumber of the k-th wall-to-wall sine; k an int or an array."""
+    lo, hi = problem.domain
+    return k * math.pi / (hi - lo)
 
-    E_k = c2 k^2 (1 + r k^2) with r = c4 / c2, so k^2 = 2y / (1 + sqrt(1 + 4 r y))
-    at E_k = top, y = top / c2.  The estimate is formed in logs (the
-    coefficients span the float range), then moved to the exact count by
-    the formula of ``well_special_energies``, which is monotone in k.  Above
-    MAX_SPECIAL_LEVELS it raises InvalidSetupError naming the count.
+
+def _special_level(problem: DimensionlessProblem, k: int) -> SpecialEnergy:
+    """Level k of ``well_special_energies``: e_k = kappa_k^2 + eps kappa_k^4, and e_k E_c in J."""
+    kappa = well_kappa(problem, k)
+    kappa2 = kappa * kappa
+    e = kappa2 + problem.epsilon * kappa2 * kappa2
+    e_si = checked_scale(f"special energy E_{k}", lambda: problem.energy_to_si(e))
+    return SpecialEnergy(k=k, energy_si=e_si, energy_dimensionless=e)
+
+
+def _special_level_count(problem: DimensionlessProblem, top: float) -> int:
+    """The number of special well levels with E_k <= top (J).
+
+    e = kappa^2 (1 + eps kappa^2) reaches y = top / E_c at
+    kappa^2 = 2y / (1 + sqrt(1 + 4 eps y)), that is kappa = sqrt(y) / sqrt((1 + h) / 2)
+    with h = hypot(1, 2 sqrt(eps) sqrt(y)): formed from sqrt(y), it stays
+    finite where y or 4 eps y would overflow.  The estimate
+    k = kappa (hi - lo) / pi is then moved to the exact count by the level
+    formula, which is monotone in k.  Above MAX_SPECIAL_LEVELS it raises
+    InvalidSetupError naming the count.
     """
-    a, m, hbar = setup.potential.a, setup.mass, setup.hbar
-    log_pi_hbar2 = 2.0 * (math.log(math.pi) + math.log(hbar))
-    log_y = math.log(top) - (log_pi_hbar2 - math.log(8.0) - math.log(m) - 2.0 * math.log(a))
-    log_k2 = log_y
-    if setup.beta_prime > 0.0:
-        log_r = log_pi_hbar2 + math.log(setup.beta_prime) - math.log(2.0) - 2.0 * math.log(a)
-        log_4ry = math.log(4.0) + log_r + log_y
-        # log((1 + sqrt(1 + 4ry)) / 2); past e^100 the 1s are far below the float resolution
-        if log_4ry > 100.0:
-            log_k2 -= 0.5 * log_4ry - math.log(2.0)
-        else:
-            log_k2 -= math.log1p(math.sqrt(1.0 + math.exp(log_4ry))) - math.log(2.0)
-    log_k = 0.5 * log_k2
-    if log_k > math.log(MAX_SPECIAL_LEVELS + 2):
-        raise InvalidSetupError(_too_many_levels(f"about 10^{log_k / math.log(10.0):.1f}", top))
-    k = int(math.exp(log_k))
-    while k > 0 and well_special_energy(setup, k) > top:
+    root_y = math.sqrt(top) / math.sqrt(problem.energy_scale)
+    h = math.hypot(1.0, 2.0 * math.sqrt(problem.epsilon) * root_y)
+    lo, hi = problem.domain
+    estimate = root_y / math.sqrt(0.5 + 0.5 * h) * (hi - lo) / math.pi
+    if not estimate <= MAX_SPECIAL_LEVELS + 2:  # NaN where sqrt(y) overflows
+        finite = math.isfinite(estimate)
+        count = f"about 10^{math.log10(estimate):.1f}" if finite else f"more than {MAX_SPECIAL_LEVELS}"
+        raise InvalidSetupError(_too_many_levels(count, top))
+    k = int(estimate)
+    while k > 0 and _special_level(problem, k).energy_si > top:
         k -= 1
-    while well_special_energy(setup, k + 1) <= top:
+    while _special_level(problem, k + 1).energy_si <= top:
         k += 1
     if k > MAX_SPECIAL_LEVELS:
         raise InvalidSetupError(_too_many_levels(str(k), top))
@@ -249,9 +249,9 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     labels = ["ExtraContinuum"] * energies.size
     if isinstance(setup.potential, InfiniteWell):
         tol = 0.5 * float(np.max(np.diff(energies))) if energies.size > 1 else 0.5 * energies[0]
-        k_max = _special_level_count(setup, energies[-1] + tol)
+        k_max = _special_level_count(problem, energies[-1] + tol)
         if k_max:
-            marks = tuple(_special_levels(setup, problem, k_max))
+            marks = tuple(_special_levels(problem, k_max))
             for i in _nearest_rows(energies, np.array([se.energy_si for se in marks]), tol):
                 labels[i] = "StandardLevel"
 
@@ -382,7 +382,7 @@ def ground_analog_state(setup: PhysicalSetup) -> tuple[DimensionlessProblem, Ana
     problem = nondimensionalize(setup)
     if problem.kind == "well":
         lo, hi = problem.domain
-        return problem, ShiftedSineState(kappa=math.pi / (hi - lo), lo=lo, hi=hi)
+        return problem, ShiftedSineState(kappa=well_kappa(problem, 1), lo=lo, hi=hi)
     if problem.kind == "harmonic":
         return problem, GaussianGroundState()
     if problem.kind == "linear":
@@ -566,7 +566,7 @@ def observability(setup: PhysicalSetup) -> ObservabilityResult:
     refined_setup = PhysicalSetup(
         mass=setup.mass, beta=critical_beta, potential=setup.potential, hbar=setup.hbar
     )
-    refined_problem = nondimensionalize(refined_setup, length_scale=problem.length_scale)
+    refined_problem = nondimensionalize(refined_setup)
     refined = closed_form_moments(state, refined_problem)
     obvious = moments.ratio >= OBVIOUS_RATIO_THRESHOLD
     return ObservabilityResult(

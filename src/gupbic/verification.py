@@ -348,7 +348,7 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
     The three levels are solved in one batch, and all their states are
     evaluated in one pass over the basis batched over the levels.
     """
-    from .spectrum import well_special_energies
+    from .spectrum import well_kappa, well_special_energies
 
     if setup is None:
         setup = reference_well_setup()
@@ -361,7 +361,7 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
     coefficients = np.array([[st.coefficients for st in sol.states] for sol in solutions]).transpose(1, 2, 0)[..., None]
     xs = np.linspace(-1.0, 1.0, 301)
     vals = evaluate_states(coefficients, basis, xs, order=0)[:, 0]  # (state, level, x)
-    kap = np.array([se.k for se in specials]) * math.pi / 2.0
+    kap = well_kappa(problem, np.array([se.k for se in specials]))
     ref = np.sin(kap[:, None] * (xs + 1.0))
     sign = np.where(np.abs(np.max(vals.real + ref, axis=-1)) >= np.abs(np.max(vals.real - ref, axis=-1)), 1.0, -1.0)
     errs = np.max(np.abs(sign[..., None] * vals - ref), axis=-1)

@@ -488,6 +488,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--a", "1e100"],
+            ["spectrum", "--a", "1e-75", "--beta", "0"],
+            ["wavefunction", "--a", "1e100", "--k", "1"],
+            ["dof-scan", "--a", "1e100", "--e-max", "1e-230", "--n", "5"],
+        ],
+    )
+    def test_extreme_wells_list_their_special_levels(self, args, tmp_path):
+        # a^4 overflows at a = 1e100 and 16 m a^4 underflows at a = 1e-75, but
+        # every special level fits in a float (E_c = 6.1e-239 J at a = 1e100)
+        assert run(args + ["--out", tmp_path]) == 0
+
     @pytest.mark.parametrize("energy", ["inf", "nan"])
     @pytest.mark.parametrize(
         "args",

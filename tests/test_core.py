@@ -76,10 +76,6 @@ class TestNondimensionalization:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidSetupError):
             PhysicalSetup(mass=math.nan, beta=1e47, potential=InfiniteWell(a=1e-10))
-        with pytest.raises(InvalidSetupError):
-            nondimensionalize(reference_setup(), length_scale=math.inf)
-        with pytest.raises(InvalidSetupError):
-            nondimensionalize(reference_setup(), length_scale=-1.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidSetupError):

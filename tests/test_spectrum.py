@@ -87,6 +87,28 @@ class TestSpecialEnergies:
         for k in (1, 2, 7, 40):
             assert well_special_energy(well_setup, k) == levels[k - 1].energy_si
 
+    def test_levels_match_the_si_closed_form_to_50_digits(self):
+        # 60 seeded wells (a 1e-12..1e-6 m, beta 1e30..1e50) at 100 levels each,
+        # and the wells whose SI powers leave the float range (a^4 overflows at
+        # a = 1e100, 16 m a^4 underflows at a = 1e-75): the scaled form read
+        # at most 1.0e-15 relative to the 50-digit SI closed form
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(35)
+        wells = [(10.0 ** rng.uniform(-12, -6), 10.0 ** rng.uniform(30, 50)) for _ in range(60)]
+        wells += [(1e100, 1e47), (1e100, 0.0), (1e-75, 0.0)]
+        worst = 0.0
+        with mpmath.workdps(50):
+            pi = mpmath.pi
+            for a, beta in wells:
+                setup = PhysicalSetup(mass=M_E, beta=beta, potential=InfiniteWell(a=a))
+                a, m, hbar = mpmath.mpf(a), mpmath.mpf(M_E), mpmath.mpf(HBAR)
+                for se in well_special_energies(setup, 100):
+                    k = se.k
+                    exact = k**4 * pi**4 * hbar**4 * (mpmath.mpf(beta) / 3) / (16 * m * a**4)
+                    exact += k**2 * pi**2 * hbar**2 / (8 * m * a**2)
+                    worst = max(worst, float(abs(se.energy_si / exact - 1)))
+        assert worst <= 1.5e-15
+
     def test_list_longer_than_the_cap_is_refused(self, well_setup, monkeypatch):
         # refused before any level is built
         monkeypatch.setattr(spectrum, "_special_levels", None)
@@ -341,9 +363,15 @@ class TestSpecialLevelLabels:
         with pytest.raises(InvalidSetupError, match=r"about 10\^5\.5 special well levels"):
             dof_scan(setup, [1e-19, 2e-17])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_scan_top_is_refused(self, well_setup):
+        # the top plus half the grid spacing overflows to inf: a named refusal, not a ValueError
+        with pytest.raises(InvalidSetupError, match="^more than 100000 special well levels"):
+            dof_scan(well_setup, [1e308, 1.7e308])
+
     def test_level_limit_is_exact(self):
         # a single energy y labels the levels up to 1.5 y; the estimate sits
-        # below log(limit + 2) on both sides, so the exact count decides
+        # below limit + 2 on both sides, so the exact count decides
         setup = PhysicalSetup(mass=M_E, beta=1e47, potential=InfiniteWell(a=4e-6))
         limit = spectrum.MAX_SPECIAL_LEVELS
         at_limit = spectrum.well_special_energy(setup, limit) / 1.5
@@ -512,7 +540,7 @@ class TestClosedFormMoments:
         critical = PhysicalSetup(
             mass=M_E, beta=10.0 ** observability(setup).exponent, potential=potential
         )
-        for prob in (problem, nondimensionalize(critical, length_scale=problem.length_scale)):
+        for prob in (problem, nondimensionalize(critical)):
             closed = closed_form_moments(state, prob)
             panels = momentum_moments(state, prob)
             assert closed.mean_p == closed.mean_P == 0.0
