@@ -125,21 +125,23 @@ def _special_level_count(problem: DimensionlessProblem, top: float) -> int:
     """The number of special well levels with E_k <= top (J).
 
     e = kappa^2 (1 + eps kappa^2) reaches y = top / E_c at
-    kappa^2 = 2y / (1 + sqrt(1 + 4 eps y)), that is kappa = sqrt(y) / sqrt((1 + h) / 2)
-    with h = hypot(1, 2 sqrt(eps) sqrt(y)): formed from sqrt(y), it stays
-    finite where y or 4 eps y would overflow.  The estimate
-    k = kappa (hi - lo) / pi is then moved to the exact count by the level
-    formula, which is monotone in k.  Above MAX_SPECIAL_LEVELS it raises
-    InvalidSetupError naming the count.
+    kappa^2 = 2y / (1 + sqrt(1 + 4 eps y)).  With r = sqrt(y) that is
+    kappa = sqrt(r) / sqrt((1/r + hypot(1/r, 2 sqrt(eps))) / 2): no factor
+    grows with r, so it stays finite wherever r does (r > 0 as top > 0).
+    A top whose r overflows lies above more than MAX_SPECIAL_LEVELS levels
+    (eps <= EPSILON_MAX).  The estimate k = kappa (hi - lo) / pi is then
+    moved to the exact count by the level formula, which is monotone in k.
+    Above MAX_SPECIAL_LEVELS it raises InvalidSetupError naming the count.
     """
     root_y = math.sqrt(top) / math.sqrt(problem.energy_scale)
-    h = math.hypot(1.0, 2.0 * math.sqrt(problem.epsilon) * root_y)
+    if not math.isfinite(root_y):
+        raise InvalidSetupError(_too_many_levels(f"more than {MAX_SPECIAL_LEVELS}", top))
+    inv = 1.0 / root_y
+    kappa = math.sqrt(root_y) / math.sqrt(0.5 * inv + 0.5 * math.hypot(inv, 2.0 * math.sqrt(problem.epsilon)))
     lo, hi = problem.domain
-    estimate = root_y / math.sqrt(0.5 + 0.5 * h) * (hi - lo) / math.pi
-    if not estimate <= MAX_SPECIAL_LEVELS + 2:  # NaN where sqrt(y) overflows
-        finite = math.isfinite(estimate)
-        count = f"about 10^{math.log10(estimate):.1f}" if finite else f"more than {MAX_SPECIAL_LEVELS}"
-        raise InvalidSetupError(_too_many_levels(count, top))
+    estimate = kappa * (hi - lo) / math.pi
+    if estimate > MAX_SPECIAL_LEVELS + 2:
+        raise InvalidSetupError(_too_many_levels(f"about 10^{math.log10(estimate):.1f}", top))
     k = int(estimate)
     while k > 0 and _special_level(problem, k).energy_si > top:
         k -= 1

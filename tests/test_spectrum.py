@@ -369,6 +369,26 @@ class TestSpecialLevelLabels:
         with pytest.raises(InvalidSetupError, match="^more than 100000 special well levels"):
             dof_scan(well_setup, [1e308, 1.7e308])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_level_product_is_refused(self, monkeypatch):
+        # 4 eps y overflows (2 sqrt(eps) sqrt(y) = 2.8e315) while sqrt(y) does
+        # not: about 1e81 levels lie below the top, refused from the estimate
+        # before the walk steps level by level towards them
+        calls = 0
+        level = spectrum._special_level
+
+        def counted(problem, k):
+            nonlocal calls
+            calls += 1
+            assert calls < 1000, "the level walk does not end"
+            return level(problem, k)
+
+        monkeypatch.setattr(spectrum, "_special_level", counted)
+        setup = PhysicalSetup(mass=1e30, beta=1e300, potential=InfiniteWell(a=1e40))
+        with pytest.raises(InvalidSetupError, match=r"^about 10\^81\.4 special well levels"):
+            dof_scan(setup, [1e299, 1e300])
+        assert calls == 0
+
     def test_level_limit_is_exact(self):
         # a single energy y labels the levels up to 1.5 y; the estimate sits
         # below limit + 2 on both sides, so the exact count decides
