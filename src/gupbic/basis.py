@@ -30,6 +30,12 @@ singular), but the exponent integrals, closed forms in lam for b of degree
 Exponents are computed before exponentiation and capped at |Re| <= 700;
 beyond the cap value access raises BasisOverflowError and callers switch to
 log-space access.
+
+A fundamental set (``FundamentalSet``) evaluates its four functions for the
+point rows of a constraint system and for the states built on it.  A WKB
+set asks each branch in turn at each point; the exact constant-potential
+set (``ExactConstantSet``) evaluates all four at once, over an axis of
+points and a batch's energies.
 """
 
 from __future__ import annotations
@@ -156,9 +162,9 @@ class BasisFunction:
         """f(x) at a float or an array x, the value ``derivatives(x, order=0)[0]`` holds."""
         raise NotImplementedError
 
-    # Log-space access at a float or an array of abscissas: a point row of
-    # ``assemble`` scales by one log shift and never forms a value past the
-    # exponent cap.
+    # Log-space access at a float or an array of abscissas: a value row of
+    # ``FundamentalSet.point_rows`` scales by one log shift and never forms a
+    # value past the exponent cap.
 
     def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
         """log|f(x)|; overflow-safe."""
@@ -183,6 +189,64 @@ def _powers(base, order: int) -> list:
     return np.array([[b**k for b in flat] for k in range(order + 1)]).reshape((order + 1,) + base.shape)
 
 
+# Kernels of the exact functions.  A rate, anchor or wavenumber broadcasts
+# against the abscissas: one per energy of a batch, and for an
+# ``ExactConstantSet`` one per member as well.  A single function passes its
+# own parameters, the set all of its members' at once, so both take the same
+# elementwise operations and every entry has the same bits.
+
+
+def _exp_log(rate, anchor, x):
+    """log exp(rate (x - anchor)) = rate (x - anchor)."""
+    return rate * (np.asarray(x, dtype=float) - anchor)
+
+
+def _exp_scaled(logs, x, log_shift):
+    """exp(logs - log_shift) of exponentials whose logs at x are ``logs``; raises past the cap."""
+    # the complex exp takes the libm exp that math.exp takes (the real
+    # np.exp can differ from it in the last bit)
+    return _capped_exp(np.asarray(logs - log_shift, dtype=complex), x, "exp")
+
+
+def _exp_derivatives(rate, anchor, x, order: int) -> np.ndarray:
+    """Derivatives 0..order of exp(rate (x - anchor)) on a leading axis."""
+    f = _exp_scaled(_exp_log(rate, anchor, x), x, 0.0)
+    return np.array([f * p for p in _powers(rate, order)], dtype=complex)
+
+
+def _trig_waves(kappa, x) -> tuple:
+    """cos(kappa x) and sin(kappa x)."""
+    u = kappa * np.asarray(x, dtype=float)
+    return np.cos(u), np.sin(u)
+
+
+def _trig_logs(waves):
+    """log|waves|, -inf at a zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(waves))
+
+
+def _trig_scaled(waves, log_shift):
+    """waves * exp(-log_shift), the factor by the complex exp as for the exponentials."""
+    scale = np.exp(np.asarray(-log_shift, dtype=complex)).real
+    return (waves * scale).astype(complex)
+
+
+# where each phase enters the derivative cycle cos -> -sin -> -cos -> sin
+_TRIG_STARTS = {"cos": 0, "sin": 3}
+
+
+def _trig_derivatives(kappa, x, order: int, phases: Sequence[str]) -> np.ndarray:
+    """Derivatives 0..order of cos(kappa x) or sin(kappa x) per phase, shape (phases, order + 1) + shape."""
+    c, s = _trig_waves(kappa, x)
+    cycle = (c, -s, -c, s)
+    powers = _powers(kappa, order)
+    return np.array(
+        [[cycle[(n + _TRIG_STARTS[phase]) % 4] * p for n, p in enumerate(powers)] for phase in phases],
+        dtype=complex,
+    )
+
+
 class ExponentialBasisFunction(BasisFunction):
     """f(x) = exp(rate * (x - anchor)), rate real; f(anchor) = 1.
 
@@ -197,17 +261,13 @@ class ExponentialBasisFunction(BasisFunction):
         self.validity = (-math.inf, math.inf)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
-        f = self.value(x)
-        return np.array([f * p for p in _powers(self.rate, order)], dtype=complex)
+        return _exp_derivatives(self.rate, self.anchor, x, order)
 
     def log_abs_array(self, xs):
-        return self.rate * (np.asarray(xs, dtype=float) - self.anchor)
+        return _exp_log(self.rate, self.anchor, xs)
 
     def scaled_value_array(self, xs, log_shift):
-        # the complex exp takes the libm exp that math.exp takes (the real
-        # np.exp can differ from it in the last bit)
-        e = self.log_abs_array(xs) - log_shift
-        return _capped_exp(np.asarray(e, dtype=complex), xs, "exp")
+        return _exp_scaled(self.log_abs_array(xs), xs, log_shift)
 
     def value(self, x):
         return self.scaled_value_array(x, 0.0)
@@ -223,7 +283,7 @@ class TrigBasisFunction(BasisFunction):
     """f(x) = cos(kappa x) or sin(kappa x); ``kappa`` a float or an array, as the exponential's rate."""
 
     def __init__(self, kappa, phase: str, index: int):
-        if phase not in ("cos", "sin"):
+        if phase not in _TRIG_STARTS:
             raise ValueError(f"phase must be cos or sin, got {phase!r}")
         self.kappa = _per_energy(kappa)
         self.phase = phase
@@ -231,25 +291,16 @@ class TrigBasisFunction(BasisFunction):
         self.validity = (-math.inf, math.inf)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
-        k = self.kappa
-        # derivative cycle: cos -> -sin -> -cos -> sin; sin -> cos -> -sin -> -cos
-        u = k * np.asarray(x, dtype=float)
-        c, s = np.cos(u), np.sin(u)
-        cycle = [c, -s, -c, s] if self.phase == "cos" else [s, c, -s, -c]
-        return np.array([cycle[n % 4] * p for n, p in enumerate(_powers(k, order))], dtype=complex)
+        return _trig_derivatives(self.kappa, x, order, (self.phase,))[0]
 
     def _wave(self, xs):
-        trig = np.cos if self.phase == "cos" else np.sin
-        return trig(self.kappa * np.asarray(xs, dtype=float))
+        return _trig_waves(self.kappa, xs)[self.phase == "sin"]
 
     def log_abs_array(self, xs):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(self._wave(xs)))
+        return _trig_logs(self._wave(xs))
 
     def scaled_value_array(self, xs, log_shift):
-        # exp(-log_shift) by the complex exp, as for the exponentials
-        scale = np.exp(np.asarray(-log_shift, dtype=complex)).real
-        return (self._wave(xs) * scale).astype(complex)
+        return _trig_scaled(self._wave(xs), log_shift)
 
     def value(self, x):
         return self._wave(x).astype(complex)
@@ -258,15 +309,136 @@ class TrigBasisFunction(BasisFunction):
         return f"TrigBasisFunction(kappa={self.kappa:.6g}, {self.phase}, index={self.index})"
 
 
-def exact_constant_basis(
-    roots: CharacteristicRoots, walls: tuple[float, float]
-) -> tuple[BasisFunction, ...]:
+# --- fundamental sets -----------------------------------------------------------
+
+
+class FundamentalSet(tuple):
+    """The four functions w_1..w_4 of a fundamental set, evaluated one by one.
+
+    ``point_rows`` gives the entries of ``assemble``'s point rows and
+    ``derivatives`` the derivatives of chosen members.  Here each function
+    is asked in turn, at one point at a time: a WKB branch keeps the
+    exponent of its last float x (``WkbBasisFunction``), so the linear wall
+    row stays one float point.  ``ExactConstantSet`` evaluates its members
+    as one stacked set instead.  ``fundamental_set`` takes a plain sequence
+    of basis functions as one.
+    """
+
+    def point_rows(self, points: Sequence[tuple[float, int]]) -> np.ndarray:
+        """Entries of the point rows, shape (points,) + batch + (4,), for points (x, order).
+
+        Order 0 gives the values [w_1(x), ..., w_4(x)] times exp(-shift),
+        with one log shift per row (per energy of a batch), the largest
+        log|w_j(x)|, so no entry is formed past the exponent cap.  Order
+        k >= 1 gives the k-th derivatives, unscaled.
+        """
+        rows = []
+        for x, order in points:
+            if order == 0:
+                logs = [f.log_abs_array(x) for f in self]
+                # np.max per energy of a batch: where a log is NaN, which the builtin
+                # max can pass over, the row turns non-finite and the batch raises
+                shift = max(logs) if np.ndim(logs[0]) == 0 else np.max(logs, axis=0)
+                entries = [f.scaled_value_array(x, shift) for f in self]
+            else:
+                entries = [f.derivatives(x, order=order)[order] for f in self]
+            rows.append(np.array(entries, dtype=complex).T)  # (4,), or (N, 4) for a batch
+        return np.array(rows)
+
+    def derivatives(self, x, order: int, members: Sequence[int]) -> Sequence[np.ndarray]:
+        """Derivatives 0..order at x of the members (0-based, ascending), each (order + 1,) + shape."""
+        return [self[j].derivatives(x, order=order) for j in members]
+
+
+def fundamental_set(basis: Sequence[BasisFunction]) -> FundamentalSet:
+    """``basis`` itself if it is a FundamentalSet, else its functions as one."""
+    return basis if isinstance(basis, FundamentalSet) else FundamentalSet(basis)
+
+
+class ExactConstantSet(FundamentalSet):
+    """The set of ``exact_constant_basis``, evaluated as one stacked set.
+
+    The exponentials' rates and anchors are held stacked on a member axis,
+    and the trig pair shares kappa x, so ``point_rows`` and ``derivatives``
+    evaluate all four members at every point (and every energy of a batch)
+    in one pass, one call of each kernel.  The elementwise operations are
+    those of the single functions, so every entry has the bits each member
+    gives alone at one point and one energy, and an exponent past the cap
+    raises at the first point whose row passes it.
+    """
+
+    def __init__(self, members: Sequence[BasisFunction]):
+        """``members``: the four functions, in the order of ``exact_constant_basis``."""
+        grow, decay, cos, _ = self
+        self._rates = np.array([grow.rate, decay.rate])  # (2,) + batch
+        self._anchors = np.array([grow.anchor, decay.anchor])
+        self._kappa = cos.kappa
+
+    def point_rows(self, points: Sequence[tuple[float, int]]) -> np.ndarray:
+        batch = np.shape(self._kappa)
+        # points lead and the members follow, so an exponent past the cap
+        # raises at the first point, in the order of the rows, that passes it
+        xs = np.array([x for x, _ in points], dtype=float).reshape((-1, 1) + (1,) * len(batch))
+        orders = np.array([k for _, k in points])
+        if not orders.any():
+            rows = self._value_rows(xs)
+        else:
+            rows = np.empty((len(points), 4) + batch, dtype=complex)
+            value = orders == 0
+            if value.any():
+                rows[value] = self._value_rows(xs[value])
+            rows[~value] = self._derivative_rows(xs[~value], orders[~value])
+        return rows.transpose((0, *range(2, rows.ndim), 1))
+
+    def _point_major(self, x) -> tuple:
+        """The exponentials' rates and anchors with a member axis after the points of x."""
+        return self._rates[None], self._anchors.reshape((1, 2) + (1,) * (x.ndim - 2))
+
+    def _value_rows(self, x) -> np.ndarray:
+        """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch."""
+        rates, anchors = self._point_major(x)
+        logs = _exp_log(rates, anchors, x)
+        waves = np.concatenate(_trig_waves(self._kappa, x), axis=1)
+        every = np.concatenate([logs, _trig_logs(waves)], axis=1)
+        shift = np.maximum.reduce(every, axis=1, keepdims=True)
+        return np.concatenate([_exp_scaled(logs, x, shift), _trig_scaled(waves, shift)], axis=1)
+
+    def _derivative_rows(self, x, orders: np.ndarray) -> np.ndarray:
+        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch.
+
+        One pass to the highest order, each point reading its own: a lower
+        order's entries do not depend on the highest.
+        """
+        rates, anchors = self._point_major(x)
+        top, at = int(orders.max()), np.arange(orders.size)
+        exps = _exp_derivatives(rates, anchors, x, top)[orders, at]
+        trig = _trig_derivatives(self._kappa, x[:, 0], top, ("cos", "sin"))[:, orders, at]
+        return np.concatenate([exps, trig.swapaxes(0, 1)], axis=1)
+
+    def derivatives(self, x, order: int, members: Sequence[int]) -> np.ndarray:
+        """Derivatives of the members, shape (members, order + 1) + shape, shape that of x and the batch."""
+        batch = np.shape(self._kappa)
+        shape = np.broadcast_shapes(batch, np.shape(x))
+        parts = []
+        exps = [j for j in members if j < 2]
+        if exps:
+            rates = self._rates[exps].reshape((len(exps),) + (1,) * (len(shape) - len(batch)) + batch)
+            anchors = self._anchors[exps].reshape((len(exps),) + (1,) * len(shape))
+            parts.append(np.swapaxes(_exp_derivatives(rates, anchors, x, order), 0, 1))
+        phases = [self[j].phase for j in members if j >= 2]
+        if phases:
+            parts.append(_trig_derivatives(self._kappa, x, order, phases))
+        return np.concatenate(parts)
+
+
+def exact_constant_basis(roots: CharacteristicRoots, walls: tuple[float, float]) -> ExactConstantSet:
     """{exp(mu1 (x - hi)), exp(-mu1 (x - lo)), cos(kappa x), sin(kappa x)} for q = e - v > 0.
 
     The exponentials are the boundary layers at the walls (lo, hi): each is 1
     at its own wall and exp(-mu1 (hi - lo)) at the other, so every wall value
     lies in [0, 1] however thin the layers are.  Roots of an array of q give
-    one batched set whose functions evaluate every energy at once.
+    one batched set whose functions evaluate every energy at once, and the
+    set evaluates its four members at once (``ExactConstantSet``).
     """
     raise_where(
         np.less_equal(roots.kappa, 0.0),
@@ -276,11 +448,13 @@ def exact_constant_basis(
         roots.kappa,
     )
     lo, hi = walls
-    return (
-        ExponentialBasisFunction(roots.mu1, index=1, anchor=hi),
-        ExponentialBasisFunction(-roots.mu1, index=2, anchor=lo),
-        TrigBasisFunction(roots.kappa, "cos", index=3),
-        TrigBasisFunction(roots.kappa, "sin", index=4),
+    return ExactConstantSet(
+        (
+            ExponentialBasisFunction(roots.mu1, index=1, anchor=hi),
+            ExponentialBasisFunction(-roots.mu1, index=2, anchor=lo),
+            TrigBasisFunction(roots.kappa, "cos", index=3),
+            TrigBasisFunction(roots.kappa, "sin", index=4),
+        )
     )
 
 
@@ -370,7 +544,7 @@ def _sqrt_chain(w: tuple, sign: float = 1.0) -> tuple:
 def _capped_exp(e, x, what: str):
     """exp(e) for a log-space value e (float or array): raises past the cap, 0 below -745."""
     re = np.real(e)
-    if np.any(re > EXPONENT_CAP):
+    if np.count_nonzero(re > EXPONENT_CAP):  # faster than np.any on the few entries of a row
         i = int(np.argmax(np.ravel(re) > EXPONENT_CAP))
         x_bad = float(np.broadcast_to(np.asarray(x, dtype=float), np.shape(re)).ravel()[i])
         e_bad = complex(np.ravel(e)[i])
@@ -906,10 +1080,10 @@ def wkb_branches(
     params: WkbParameters,
     interval: tuple[float, float],
     region_map: WkbRegionMap | None = None,
-) -> tuple[WkbBasisFunction, ...]:
+) -> FundamentalSet:
     """Branches 1..4 on ``interval``, all reading one exponent table."""
     table = _piece_table(params, interval, region_map)
-    return tuple(WkbBasisFunction(table, j) for j in (1, 2, 3, 4))
+    return FundamentalSet(WkbBasisFunction(table, j) for j in (1, 2, 3, 4))
 
 
 # --- asymptotic classification -------------------------------------------------

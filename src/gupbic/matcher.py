@@ -22,6 +22,12 @@ epsilon.  WKB values can pass the exponent cap (the linear wall at x = 0), so
 each point row is formed with one log shift, the largest log|w_j(x)| in the
 row, and is then scaled to unit max magnitude.  No column carries a scale:
 null vectors are the true coefficient vectors.
+
+The basis set forms the point rows' entries (``FundamentalSet.point_rows``),
+so the path is the set's: the well's exact set forms every point row of
+every energy in one stacked pass, and a WKB set one point and one branch at
+a time.  ``evaluate_states`` likewise asks the set for its members'
+derivatives.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .basis import (
     BasisFunction,
     CharacteristicRoots,
     ExponentialBasisFunction,
+    FundamentalSet,
     Side,
     SymmetrizedBasisFunction,
     TURNING_WINDOW_HALF_WIDTH,
@@ -49,6 +56,7 @@ from .basis import (
     characteristic_roots,
     classify_asymptotics,
     exact_constant_basis,
+    fundamental_set,
     map_regions,
     wkb_branches,
 )
@@ -203,7 +211,7 @@ def assemble(
     of ``basis`` itself, which raise ClassificationError unless it is a
     far-field set).
     """
-    basis = tuple(basis)
+    basis = fundamental_set(basis)
     if len(basis) != 4:
         raise PreconditionError(f"need the 4-function fundamental set, got {len(basis)}")
 
@@ -234,20 +242,12 @@ def assemble(
                 row[..., j] = 1.0
                 rows.append(row)
                 kinds.append(f"decay[{side.value}] kills C{j + 1}")
-    for x, order in points:
-        if order == 0:
-            logs = [f.log_abs_array(x) for f in basis]
-            # np.max per energy of a batch: where a log is NaN, which the builtin
-            # max can pass over, the row turns non-finite and the batch raises
-            shift = max(logs) if np.ndim(logs[0]) == 0 else np.max(logs, axis=0)
-            entries = [f.scaled_value_array(x, shift) for f in basis]
-        else:
-            entries = [f.derivatives(x, order=order)[order] for f in basis]
-        row = np.array(entries, dtype=complex).T  # (4,), or (N, 4) for a batched basis
-        m = np.abs(row).max(axis=-1, keepdims=True)
+    if points:
+        entries = basis.point_rows(points)  # (points, 4), or (points, N, 4) for a batched basis
+        m = np.abs(entries).max(axis=-1, keepdims=True)
         m[~(m > 0)] = 1.0  # a zero or non-finite row stays as it is
-        rows.append(row / m)
-        kinds.append(f"phi({x:g}) = 0" if order == 0 else f"phi^({order})({x:g}) = 0")
+        rows.extend(entries / m)
+        kinds.extend(f"phi({x:g}) = 0" if order == 0 else f"phi^({order})({x:g}) = 0" for x, order in points)
 
     # (rows, 4), or (N, rows, 4) for a batched basis
     matrix = np.array(rows, dtype=complex).swapaxes(0, -2) if rows else np.zeros((0, 4), dtype=complex)
@@ -377,9 +377,10 @@ def _determinant_vectors(values: np.ndarray, walls, triples, shifted_cos_kappa=N
 def evaluate_states(coefficients, basis: Sequence[BasisFunction], x, order: int = 3) -> np.ndarray:
     """Derivatives 0..order of the states given as coefficient rows over one basis.
 
-    Shape (rows, order + 1) + shape(x).  Each basis function with a nonzero
-    coefficient in some row is evaluated once, and each row sums c_j w_j over
-    its nonzero coefficients in basis order.
+    Shape (rows, order + 1) + shape(x).  The set evaluates each basis
+    function with a nonzero coefficient in some row once (the exact set all
+    of them in one stacked pass, ``FundamentalSet.derivatives``), and each
+    row sums c_j w_j over its nonzero coefficients in basis order.
 
     A basis batched over N energies with parameters of shape (N, 1)
     evaluates every energy on a 1-D x at once, shape (rows, order + 1, N,
@@ -389,16 +390,16 @@ def evaluate_states(coefficients, basis: Sequence[BasisFunction], x, order: int 
     """
     rows = np.asarray(coefficients, dtype=complex)
     nonzero = rows.any(axis=tuple(range(2, rows.ndim))).T.tolist()  # per basis function, per row
-    out = None
-    for j, f in enumerate(basis):
-        used = [r for r, flag in enumerate(nonzero[j]) if flag]
-        if used:
-            d = f.derivatives(x, order=order)
-            if out is None:
-                out = np.zeros((len(rows),) + d.shape, dtype=complex)
-            for r in used:
+    used = [j for j, flags in enumerate(nonzero) if any(flags)]
+    if not used:
+        return np.zeros((len(rows), order + 1) + np.shape(x), dtype=complex)
+    values = fundamental_set(basis).derivatives(x, order, used)
+    out = np.zeros((len(rows),) + values[0].shape, dtype=complex)
+    for j, d in zip(used, values):
+        for r, flag in enumerate(nonzero[j]):
+            if flag:
                 out[r] += rows[r, j] * d
-    return np.zeros((len(rows), order + 1) + np.shape(x), dtype=complex) if out is None else out
+    return out
 
 
 class StateFunction:
@@ -406,7 +407,7 @@ class StateFunction:
 
     def __init__(self, coefficients: Sequence[complex], basis: Sequence[BasisFunction]):
         self.coefficients = np.asarray(coefficients, dtype=complex)
-        self.basis = tuple(basis)
+        self.basis = fundamental_set(basis)
         if self.coefficients.shape != (len(self.basis),):
             raise PreconditionError("coefficient/basis size mismatch")
 
@@ -795,7 +796,7 @@ def solve_well(
     # sin(kappa(x - lo)) expressed on (cos, sin); lo = -|lo|
     sine = np.zeros((energies.size, 4), dtype=complex)
     sine[:, 2], sine[:, 3] = _libm(math.sin, kappa * abs(lo)), _libm(math.cos, kappa * abs(lo))
-    values = np.array([f.value(np.array([[lo], [hi]])) for f in basis])  # (4, 2, N)
+    values = basis.derivatives(np.array([[lo], [hi]]), 0, range(4))[:, 0]  # (4, 2, N)
     first, second, partner = _determinant_vectors(values, (lo, hi), [(1, 2, 3), (2, 3, 4), (1, 2, 3)], kappa)
     seeds = np.empty((energies.size, 2, 4), dtype=complex)
     seeds[:, 0], seeds[:, 1] = np.where(special, sine, first), np.where(special, partner, second)
@@ -831,8 +832,8 @@ class WkbAssembly:
     """WKB fundamental set for an unbounded potential at one energy, or batched over an array of energies."""
 
     params: WkbParameters
-    basis: tuple[BasisFunction, ...]
-    far_basis: tuple[BasisFunction, ...]
+    basis: FundamentalSet
+    far_basis: FundamentalSet
     b_zeros: tuple[float, ...]
     s_zeros: tuple[float, ...]
 
@@ -886,8 +887,8 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
     far_params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
     far_basis = wkb_branches(far_params, (far_lo, math.inf), rmap)
     if problem.kind == "harmonic":
-        basis = tuple(SymmetrizedBasisFunction(f) for f in basis)
-        far_basis = tuple(SymmetrizedBasisFunction(f) for f in far_basis)
+        basis = FundamentalSet(SymmetrizedBasisFunction(f) for f in basis)
+        far_basis = FundamentalSet(SymmetrizedBasisFunction(f) for f in far_basis)
     return WkbAssembly(
         params=params, basis=basis, far_basis=far_basis, b_zeros=rmap.b_zeros, s_zeros=rmap.s_zeros
     )

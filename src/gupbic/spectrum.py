@@ -153,9 +153,13 @@ def _special_level_count(problem: DimensionlessProblem, top: float) -> int:
 
 
 def _too_many_levels(count: str, top: float) -> str:
+    if math.isfinite(top):
+        where = f"the scan top {top:.6g} J (with half the grid spacing)"
+    else:
+        where = "the scan top (with half the grid spacing it passes the float range)"
     return (
-        f"{count} special well levels lie below the scan top {top:.6g} J (with half the "
-        f"grid spacing); dof_scan labels at most MAX_SPECIAL_LEVELS = {MAX_SPECIAL_LEVELS}: "
+        f"{count} special well levels lie below {where}; "
+        f"dof_scan labels at most MAX_SPECIAL_LEVELS = {MAX_SPECIAL_LEVELS}: "
         "lower --e-max, or use a setup with fewer levels in range"
     )
 
@@ -201,6 +205,11 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     ``threads`` > 1 runs those one-at-a-time energies in a thread pool.
     Grid rows nearest a special well energy (within half the grid spacing)
     are labelled StandardLevel, everything else ExtraContinuum.
+
+    Before any solve a well scan counts its special levels, which refuses a
+    top above MAX_SPECIAL_LEVELS of them, and every scan refuses energies
+    whose scaled value e = E / E_c passes the float range: both raise
+    InvalidSetupError naming the limit.
     """
     from .matcher import degrees_of_freedom
 
@@ -213,7 +222,21 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     if energies.size < 1 or energies[0] <= 0.0 or np.any(np.diff(energies) <= 0.0):
         raise PreconditionError("energies must be strictly increasing and > 0")
     problem = nondimensionalize(setup)
-    e_dims = energies / problem.energy_scale
+    k_max = 0
+    if isinstance(setup.potential, InfiniteWell):
+        # counted before any solve, so a top above too many levels is refused at once
+        tol = 0.5 * float(np.max(np.diff(energies))) if energies.size > 1 else 0.5 * energies[0]
+        with np.errstate(over="ignore"):
+            k_max = _special_level_count(problem, energies[-1] + tol)
+    with np.errstate(over="ignore"):
+        e_dims = energies / problem.energy_scale
+    if not np.isfinite(e_dims[-1]):
+        e_max = float(np.finfo(float).max) * problem.energy_scale
+        raise InvalidSetupError(
+            f"scan energy {energies[-1]:.6g} J is past the float range in scaled units "
+            f"(E_c = {problem.energy_scale:.6g} J): the scan energies must stay below "
+            f"{e_max:.6g} J, the largest float times E_c"
+        )
 
     def one(e_dim: float):
         try:
@@ -249,13 +272,10 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
 
     marks: tuple[SpecialEnergy, ...] = ()
     labels = ["ExtraContinuum"] * energies.size
-    if isinstance(setup.potential, InfiniteWell):
-        tol = 0.5 * float(np.max(np.diff(energies))) if energies.size > 1 else 0.5 * energies[0]
-        k_max = _special_level_count(problem, energies[-1] + tol)
-        if k_max:
-            marks = tuple(_special_levels(problem, k_max))
-            for i in _nearest_rows(energies, np.array([se.energy_si for se in marks]), tol):
-                labels[i] = "StandardLevel"
+    if k_max:
+        marks = tuple(_special_levels(problem, k_max))
+        for i in _nearest_rows(energies, np.array([se.energy_si for se in marks]), tol):
+            labels[i] = "StandardLevel"
 
     return SpectrumScan(
         kind=problem.kind,

@@ -210,6 +210,29 @@ class TestDofScan:
             assert error["type"] == "ConfigError"
             assert "--e-max must be a finite energy" in error["message"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flags, limit",
+        [
+            ([], "more than 100000 special well levels lie below the scan top"),
+            (["--potential", "linear", "--L", "1.281e-8"], "must stay below 1.79869e+290 J"),
+            (["--potential", "harmonic", "--omega", "1.897e16"], "must stay below 1.79816e+290 J"),
+        ],
+        ids=["well", "linear", "harmonic"],
+    )
+    def test_overflowing_scan_energies_are_refused(self, tmp_path, capsys, flags, limit):
+        # E / E_c passes the float range: the linear scan exited 3 and wrote
+        # "E_dimensionless": Infinity into scan.json, and the well scan solved
+        # every energy, with numpy warnings, before it refused
+        args = ["dof-scan", "--e-min", "1e300", "--e-max", "1.7e308", "--n", "3"] + flags
+        assert run(args + ["--out", tmp_path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "InvalidSetupError"
+        assert limit in error["message"]
+        assert not (tmp_path / "scan.json").exists()
+
     def test_dense_well_scan_ends_with_a_named_error(self, tmp_path, capsys):
         # about 1e54 special levels lie below the scan top: refused with exit
         # 2, where labelling them level by level never ended

@@ -743,6 +743,155 @@ class TestBatchedWell:
             assert np.array_equal(_bits(shared[..., n, 0]), _bits(launch))
 
 
+def _per_point_rows(basis, points):
+    """The point rows of ``assemble`` formed one point and one function at a time.
+
+    A value row takes one log shift, the largest log|w_j(x)|; a row of
+    order k >= 1 takes the k-th derivatives; each row is then scaled to unit
+    max magnitude.  ``basis`` is a set of one energy, ``points`` (x, order).
+    """
+    rows = []
+    for x, order in points:
+        if order == 0:
+            logs = [f.log_abs_array(x) for f in basis]
+            entries = [f.scaled_value_array(x, max(logs)) for f in basis]
+        else:
+            entries = [f.derivatives(x, order=order)[order] for f in basis]
+        row = np.array(entries, dtype=complex)
+        m = np.abs(row).max()
+        rows.append(row / m if m > 0 else row)
+    return np.array(rows)
+
+
+class TestStackedExactSet:
+    """The well's exact set evaluates its four members in one stacked pass, bit for bit
+    the values each member gives alone at one point and one energy."""
+
+    ORDERS_0_TO_3 = (0.3, (0.5, 1), (-0.2, 2), (0.9, 3), (-0.7, 0), (0.1, 2))
+    CLAMPED = ((-1.0, 1), (1.0, 1))  # phi' = 0 at both walls as well
+
+    @staticmethod
+    def energies(setup, count=6):
+        special = [se.energy_dimensionless for se in well_special_energies(setup, count)]
+        return np.concatenate([special, np.random.default_rng(36).uniform(0.05, 60.0, 18)])
+
+    # beta 1e30: the layers are so thin that exp(-mu1 (hi - lo)) underflows to 0 at the far wall
+    @pytest.mark.parametrize("beta", [1e30, 1e41, 1e44, 1e47])
+    @pytest.mark.parametrize("extra", [(), ORDERS_0_TO_3, CLAMPED], ids=["walls", "orders-0-3", "clamped"])
+    def test_rows_are_the_per_point_rows_bit_for_bit(self, beta, extra):
+        setup = reference_well_setup(beta=beta)
+        problem = nondimensionalize(setup)
+        energies = self.energies(setup)
+        conditions = conditions_for(problem)
+        points = [(c.location, 0) for c in conditions]
+        points += [entry if isinstance(entry, tuple) else (entry, 0) for entry in extra]
+        batched = assemble(well_basis(problem, energies)[1], conditions, energies, extra_conditions=extra)
+        assert batched.matrix.shape == (energies.size, len(points), 4)
+        for n, e in enumerate(energies.tolist()):
+            basis = well_basis(problem, e)[1]
+            want = _per_point_rows(basis, points)
+            single = assemble(basis, conditions, e, extra_conditions=extra)
+            assert np.array_equal(_bits(single.matrix), _bits(want))
+            assert np.array_equal(_bits(batched.matrix[n]), _bits(want))
+        if beta == 1e30:
+            assert (batched.matrix[:, :2, :2] == 0).any()
+
+    @pytest.mark.parametrize("beta", [1e30, 1e47])
+    def test_wall_values_are_the_per_point_values_bit_for_bit(self, beta):
+        # the values solve_well forms its determinant seeds from, shape (4, 2, N)
+        setup = reference_well_setup(beta=beta)
+        problem = nondimensionalize(setup)
+        lo, hi = problem.domain
+        energies = self.energies(setup)
+        values = well_basis(problem, energies)[1].derivatives(np.array([[lo], [hi]]), 0, range(4))[:, 0]
+        for n, e in enumerate(energies.tolist()):
+            basis = well_basis(problem, e)[1]
+            want = np.array([[f.value(x) for x in (lo, hi)] for f in basis])
+            assert np.array_equal(_bits(values[..., n]), _bits(want))
+            one = basis.derivatives(np.array([lo, hi]), 0, range(4))[:, 0]
+            assert np.array_equal(_bits(one), _bits(want))
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("members", [(0, 1, 2, 3), (2, 3), (1, 3), (0,)])
+    def test_state_derivatives_are_the_per_point_ones_bit_for_bit(self, well_setup, order, members):
+        problem = nondimensionalize(well_setup)
+        energies = self.energies(well_setup, 3)[:8]
+        xs = np.linspace(-1.0, 1.0, 9)
+        # parameters of shape (N, 1) against a grid, as evaluate_states takes a batch
+        grid = well_basis(problem, energies[:, None])[1].derivatives(xs, order, members)
+        assert grid.shape == (len(members), order + 1, energies.size, xs.size)
+        for n, e in enumerate(energies.tolist()):
+            basis = well_basis(problem, e)[1]
+            one = basis.derivatives(xs, order, members)
+            for i, j in enumerate(members):
+                want = np.stack([basis[j].derivatives(float(x), order=order) for x in xs], axis=-1)
+                assert np.array_equal(_bits(grid[i, :, n]), _bits(want))
+                assert np.array_equal(_bits(one[i]), _bits(want))
+
+    def test_states_sum_the_per_point_derivatives_bit_for_bit(self, well_problem):
+        sol = solve_well(well_problem, 5.5)
+        xs = np.linspace(-1.0, 1.0, 7)
+        for st in sol.states:
+            got = st.derivatives(xs, order=4)
+            for p, x in enumerate(xs.tolist()):
+                want = np.zeros(5, dtype=complex)
+                for c, f in zip(st.coefficients, st.basis):
+                    if c != 0:
+                        want += c * f.derivatives(x, order=4)
+                assert np.array_equal(_bits(got[:, p]), _bits(want))
+
+    @pytest.mark.parametrize(
+        "extra, first", [([(-30.0, 2), (30.0, 1)], -30.0), ([(0.0, 1), (40.0, 2), (-40.0, 1)], 40.0)]
+    )
+    def test_a_cap_overflow_names_the_first_point(self, extra, first):
+        # the per-point rows raised at the first point past the exponent cap,
+        # whichever member overflowed there (the upper layer past hi, the
+        # lower one past lo); the stacked pass names the same
+        problem = nondimensionalize(reference_well_setup(beta=1e41))
+        basis = well_basis(problem, 2.5)[1]
+        with pytest.raises(BasisOverflowError) as per_point:
+            _per_point_rows(basis, extra)
+        with pytest.raises(BasisOverflowError) as stacked:
+            assemble(basis, conditions_for(problem), 2.5, extra_conditions=extra)
+        assert str(stacked.value) == str(per_point.value)
+        assert f"at x={first:g} " in str(stacked.value)
+
+    @pytest.mark.parametrize("count", [1, 32])
+    def test_one_pass_per_derivative_order_at_most(self, monkeypatch, well_problem, count):
+        # no timing: the stacked kernels run once for the value rows and once
+        # for the derivative rows, whatever the number of energies and rows,
+        # and no member is asked on its own
+        import gupbic.basis as basis_module
+
+        passes = []
+        for name in ("_exp_log", "_trig_waves"):
+            kernel = getattr(basis_module, name)
+
+            def counted(*args, kernel=kernel, name=name):
+                passes.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(basis_module, name, counted)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a member of the exact set was evaluated on its own")
+
+        for cls in (basis_module.ExponentialBasisFunction, basis_module.TrigBasisFunction):
+            for method in ("derivatives", "value", "log_abs_array", "scaled_value_array"):
+                monkeypatch.setattr(cls, method, refused)
+
+        energies = np.linspace(0.5, 40.0, count)
+        basis = well_basis(well_problem, energies)[1]
+        conditions = conditions_for(well_problem)
+        assemble(basis, conditions, energies)
+        assert sorted(passes) == ["_exp_log", "_trig_waves"]
+        passes.clear()
+        extra = [0.3, -0.4, 0.8] + [(x, k) for x in (-0.5, 0.2, 0.6) for k in (1, 2, 3)]
+        system = assemble(basis, conditions, energies, extra_conditions=extra)
+        assert system.matrix.shape[-2] == 14
+        assert sorted(passes) == ["_exp_log", "_exp_log", "_trig_waves", "_trig_waves"]
+
+
 class TestSolvers:
     def test_well_special_pair(self, well_problem):
         sol = solve_well(well_problem, E1_DIMLESS)

@@ -363,13 +363,32 @@ class TestSpecialLevelLabels:
         with pytest.raises(InvalidSetupError, match=r"about 10\^5\.5 special well levels"):
             dof_scan(setup, [1e-19, 2e-17])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_infinite_scan_top_is_refused(self, well_setup):
-        # the top plus half the grid spacing overflows to inf: a named refusal, not a ValueError
-        with pytest.raises(InvalidSetupError, match="^more than 100000 special well levels"):
-            dof_scan(well_setup, [1e308, 1.7e308])
+    @staticmethod
+    def no_solve(*args):
+        raise AssertionError("the scan solved an energy before it refused")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_scan_top_is_refused(self, well_setup, monkeypatch):
+        # the top plus half the grid spacing overflows to inf: a named refusal,
+        # not a ValueError, counted before any solve and without a numpy warning
+        monkeypatch.setattr(matcher, "degrees_of_freedom", self.no_solve)
+        with pytest.raises(InvalidSetupError, match="^more than 100000 special well levels") as info:
+            dof_scan(well_setup, [1e308, 1.7e308])
+        assert "passes the float range" in str(info.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["linear", "harmonic"])
+    def test_overflowing_scaled_energies_are_refused(self, monkeypatch, kind):
+        # E / E_c passes the float range while E does not: refused by name
+        # before any solve, where the scan ran the solver on inf
+        setup = (linear_setup_for if kind == "linear" else harmonic_setup_for)(0.02)
+        limit = np.finfo(float).max * nondimensionalize(setup).energy_scale
+        monkeypatch.setattr(matcher, "degrees_of_freedom", self.no_solve)
+        with pytest.raises(InvalidSetupError, match="past the float range in scaled units") as info:
+            dof_scan(setup, [1e300, 1.7e308])
+        assert f"must stay below {limit:.6g} J" in str(info.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_level_product_is_refused(self, monkeypatch):
         # 4 eps y overflows (2 sqrt(eps) sqrt(y) = 2.8e315) while sqrt(y) does
         # not: about 1e81 levels lie below the top, refused from the estimate
