@@ -32,10 +32,10 @@ beyond the cap value access raises BasisOverflowError and callers switch to
 log-space access.
 
 A fundamental set (``FundamentalSet``) evaluates its four functions for the
-point rows of a constraint system and for the states built on it.  A WKB
-set asks each branch in turn at each point; the exact constant-potential
-set (``ExactConstantSet``) evaluates all four at once, over an axis of
-points and a batch's energies.
+point rows of a constraint system and for the states built on it, over an
+axis of points and a batch's energies: a WKB set asks each branch's
+exponent once for every value point, and the exact constant-potential set
+(``ExactConstantSet``) evaluates all four functions in one stacked pass.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ class BasisFunction:
     """Common interface: evaluate with derivatives, scale safely."""
 
     index: int
-    validity: tuple[float, float]
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
@@ -160,18 +159,6 @@ class BasisFunction:
 
     def value(self, x):
         """f(x) at a float or an array x, the value ``derivatives(x, order=0)[0]`` holds."""
-        raise NotImplementedError
-
-    # Log-space access at a float or an array of abscissas: a value row of
-    # ``FundamentalSet.point_rows`` scales by one log shift and never forms a
-    # value past the exponent cap.
-
-    def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
-        """log|f(x)|; overflow-safe."""
-        raise NotImplementedError
-
-    def scaled_value_array(self, xs: np.ndarray, log_shift) -> np.ndarray:
-        """f(x) * exp(-log_shift), computed without forming f(x)."""
         raise NotImplementedError
 
 
@@ -258,15 +245,16 @@ class ExponentialBasisFunction(BasisFunction):
         self.rate = _per_energy(rate)
         self.anchor = float(anchor)
         self.index = index
-        self.validity = (-math.inf, math.inf)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         return _exp_derivatives(self.rate, self.anchor, x, order)
 
     def log_abs_array(self, xs):
+        """log|f(x)| at a float or an array x."""
         return _exp_log(self.rate, self.anchor, xs)
 
     def scaled_value_array(self, xs, log_shift):
+        """f(x) exp(-log_shift), formed without f(x)."""
         return _exp_scaled(self.log_abs_array(xs), xs, log_shift)
 
     def value(self, x):
@@ -288,7 +276,6 @@ class TrigBasisFunction(BasisFunction):
         self.kappa = _per_energy(kappa)
         self.phase = phase
         self.index = index
-        self.validity = (-math.inf, math.inf)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
         return _trig_derivatives(self.kappa, x, order, (self.phase,))[0]
@@ -313,15 +300,14 @@ class TrigBasisFunction(BasisFunction):
 
 
 class FundamentalSet(tuple):
-    """The four functions w_1..w_4 of a fundamental set, evaluated one by one.
+    """The four functions w_1..w_4 of a fundamental set, evaluated over an axis of points.
 
     ``point_rows`` gives the entries of ``assemble``'s point rows and
-    ``derivatives`` the derivatives of chosen members.  Here each function
-    is asked in turn, at one point at a time: a WKB branch keeps the
-    exponent of its last float x (``WkbBasisFunction``), so the linear wall
-    row stays one float point.  ``ExactConstantSet`` evaluates its members
-    as one stacked set instead.  ``fundamental_set`` takes a plain sequence
-    of basis functions as one.
+    ``derivatives`` the derivatives of chosen members.  A set supplies the
+    two row hooks, ``_value_rows`` and ``_derivative_rows``.  Those here
+    serve the WKB sets, whose members (``WkbBasisFunction`` or its even
+    continuation) evaluate every point and every energy of a batch in one
+    call; ``ExactConstantSet`` has stacked kernels of its own.
     """
 
     def point_rows(self, points: Sequence[tuple[float, int]]) -> np.ndarray:
@@ -330,36 +316,63 @@ class FundamentalSet(tuple):
         Order 0 gives the values [w_1(x), ..., w_4(x)] times exp(-shift),
         with one log shift per row (per energy of a batch), the largest
         log|w_j(x)|, so no entry is formed past the exponent cap.  Order
-        k >= 1 gives the k-th derivatives, unscaled.
+        k >= 1 gives the k-th derivatives, unscaled.  Every value point is
+        formed in one pass and every derivative point in one more.
         """
-        rows = []
-        for x, order in points:
-            if order == 0:
-                logs = [f.log_abs_array(x) for f in self]
-                # np.max per energy of a batch: where a log is NaN, which the builtin
-                # max can pass over, the row turns non-finite and the batch raises
-                shift = max(logs) if np.ndim(logs[0]) == 0 else np.max(logs, axis=0)
-                entries = [f.scaled_value_array(x, shift) for f in self]
-            else:
-                entries = [f.derivatives(x, order=order)[order] for f in self]
-            rows.append(np.array(entries, dtype=complex).T)  # (4,), or (N, 4) for a batch
-        return np.array(rows)
+        batch = self._batch
+        # points lead and the members follow, so a kernel that raises names
+        # its first point, in the order of the rows, that fails
+        xs = np.array([x for x, _ in points], dtype=float).reshape((-1, 1) + (1,) * len(batch))
+        orders = np.array([k for _, k in points])
+        if not orders.any():
+            rows = self._value_rows(xs)
+        else:
+            rows = np.empty((len(points), 4) + batch, dtype=complex)
+            value = orders == 0
+            if value.any():
+                rows[value] = self._value_rows(xs[value])
+            rows[~value] = self._derivative_rows(xs[~value], orders[~value])
+        return rows.transpose((0, *range(2, rows.ndim), 1))
 
-    def derivatives(self, x, order: int, members: Sequence[int]) -> Sequence[np.ndarray]:
-        """Derivatives 0..order at x of the members (0-based, ascending), each (order + 1,) + shape."""
-        return [self[j].derivatives(x, order=order) for j in members]
+    @property
+    def _batch(self) -> tuple:
+        """The shape of a batch's energies, () for one energy: that of the WKB reference point."""
+        f = self[0]
+        return np.shape((f.inner if isinstance(f, SymmetrizedBasisFunction) else f).params.x0)
 
+    def _value_rows(self, x) -> np.ndarray:
+        """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch.
 
-def fundamental_set(basis: Sequence[BasisFunction]) -> FundamentalSet:
-    """``basis`` itself if it is a FundamentalSet, else its functions as one."""
-    return basis if isinstance(basis, FundamentalSet) else FundamentalSet(basis)
+        Each member's exponent is taken once, at every point.
+        """
+        e = np.concatenate([f.exponent(x) for f in self], axis=1)
+        # np.max, not a reduction that skips NaN: a NaN exponent poisons its whole row
+        shift = np.max(e.real, axis=1, keepdims=True)
+        return _capped_exp(e - shift, x, "scaled WKB")
+
+    def _derivative_rows(self, x, orders: np.ndarray) -> np.ndarray:
+        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch.
+
+        Each member's derivatives are taken once, to the highest order, and
+        each point reads its own: a lower order's entries do not depend on
+        the highest.
+        """
+        top, at = int(orders.max()), np.arange(orders.size)
+        return np.concatenate([f.derivatives(x, order=top)[orders, at] for f in self], axis=1)
+
+    def derivatives(self, x, order: int, members: Sequence[int]) -> np.ndarray:
+        """Derivatives of the members (0-based, ascending), shape (members, order + 1) + shape.
+
+        ``shape`` is that of x and a batch's energies broadcast together.
+        """
+        return np.array([self[j].derivatives(x, order=order) for j in members])
 
 
 class ExactConstantSet(FundamentalSet):
     """The set of ``exact_constant_basis``, evaluated as one stacked set.
 
     The exponentials' rates and anchors are held stacked on a member axis,
-    and the trig pair shares kappa x, so ``point_rows`` and ``derivatives``
+    and the trig pair shares kappa x, so the row hooks and ``derivatives``
     evaluate all four members at every point (and every energy of a batch)
     in one pass, one call of each kernel.  The elementwise operations are
     those of the single functions, so every entry has the bits each member
@@ -374,21 +387,9 @@ class ExactConstantSet(FundamentalSet):
         self._anchors = np.array([grow.anchor, decay.anchor])
         self._kappa = cos.kappa
 
-    def point_rows(self, points: Sequence[tuple[float, int]]) -> np.ndarray:
-        batch = np.shape(self._kappa)
-        # points lead and the members follow, so an exponent past the cap
-        # raises at the first point, in the order of the rows, that passes it
-        xs = np.array([x for x, _ in points], dtype=float).reshape((-1, 1) + (1,) * len(batch))
-        orders = np.array([k for _, k in points])
-        if not orders.any():
-            rows = self._value_rows(xs)
-        else:
-            rows = np.empty((len(points), 4) + batch, dtype=complex)
-            value = orders == 0
-            if value.any():
-                rows[value] = self._value_rows(xs[value])
-            rows[~value] = self._derivative_rows(xs[~value], orders[~value])
-        return rows.transpose((0, *range(2, rows.ndim), 1))
+    @property
+    def _batch(self) -> tuple:
+        return np.shape(self._kappa)
 
     def _point_major(self, x) -> tuple:
         """The exponentials' rates and anchors with a member axis after the points of x."""
@@ -653,10 +654,16 @@ class ExponentTable:
     sigma = -1 one from the turning point (lam = 0), so each stays of the
     size of int lam itself; I1 is odd in y about the vertex.
 
+    The reference point x0 lies strictly inside the piece and outside every
+    turning window, or the table raises ValidityError: the test of branches
+    3 and 4, which implies that of 1 and 2.
+
     ``_last`` holds the last query, a copy of its abscissas, with the sums
-    and chain values of both pairs: a point row or a Gram round that asks
-    the four branches in turn computes once.  It is replaced whole, never
-    changed in place, so concurrent readers see a consistent state.
+    and chain values of both pairs: a value-row pass or a Gram round that
+    asks the four branches in turn computes once.  It is replaced whole,
+    never changed in place, so threads that share a table read a
+    consistent state; ``spectrum.dof_scan``'s threaded reruns share none,
+    each building its own assembly.
     """
 
     def __init__(
@@ -667,7 +674,11 @@ class ExponentTable:
         self.b_zeros = tuple(_per_energy(z) for z in b_zeros)  # ascending, from a region map
         w = TURNING_WINDOW_HALF_WIDTH
         self.windows = tuple((z - w, z + w) for z in self.b_zeros)  # of branches 3 and 4
-        self._x0_checked: set[bool] = set()  # window kinds whose reference point passed
+        (lo, hi), x0 = interval, np.asarray(params.x0)
+        clear = (lo < x0) & (x0 < hi)
+        for a, b in self.windows:
+            clear = clear & ~((a < x0) & (x0 < b))
+        raise_where(~clear, lambda x: ValidityError(f"reference point x0={x} outside validity region"), x0)
         self._classes: dict[Side, tuple] = {}
         self._last = (np.full(1, np.nan), None)  # NaN matches no query
 
@@ -801,9 +812,9 @@ class WkbBasisFunction(BasisFunction):
     The piece must not contain a zero of a^2 - b; for j in {3, 4} zeros of b
     inside it are masked by windows of half-width TURNING_WINDOW_HALF_WIDTH
     (evaluation inside a window raises ValidityError), while the exponent
-    integrals cross them.  ``_point`` keeps the exponent at the last float x
-    (a tuple replaced whole): a point row of ``assemble`` takes
-    ``log_abs_array`` and then ``scaled_value_array`` at one x.
+    integrals cross them.  ``exponent`` is the branch's one evaluator: the
+    values, their logs and the value rows of ``FundamentalSet.point_rows``
+    all read it, at a float or at an array of abscissas.
 
     On a batched table (``WkbParameters`` of a batch of energies) the
     interval ends and windows hold one entry per energy, abscissas broadcast
@@ -815,27 +826,12 @@ class WkbBasisFunction(BasisFunction):
         if index not in _BRANCH_SIGNS:
             raise ValueError(f"branch index must be 1..4, got {index}")
         self.table = table
-        self.params = params = table.params
+        self.params = table.params
         self.index = index
         self.interval = table.interval
         self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
         self._b_zeros = table.b_zeros
         self.windows = table.windows if index in (3, 4) else ()
-        windowed = bool(self.windows)
-        if windowed not in table._x0_checked:  # branches with the same windows share the check
-            lo, hi = self.interval
-            x0 = params.x0
-            raise_where(
-                ~(self.valid(x0) & (lo < x0) & (x0 < hi)),
-                lambda x: ValidityError(f"reference point x0={x} outside validity region"),
-                x0,
-            )
-            table._x0_checked.add(windowed)
-        self._point = (math.nan, 0j)
-
-    @property
-    def validity(self) -> tuple[float, float]:  # type: ignore[override]
-        return self.interval
 
     # -- branch chains
 
@@ -880,9 +876,6 @@ class WkbBasisFunction(BasisFunction):
 
         On a batched piece x broadcasts against the energies, and so does the result.
         """
-        point = self._point
-        if isinstance(x, float) and x == point[0]:
-            return point[1]
         xs = np.asarray(x, dtype=float)
         batch = np.shape(self.params.x0)
         # x broadcasts against a batch's energies, the last axis (a float x: one per energy)
@@ -896,19 +889,13 @@ class WkbBasisFunction(BasisFunction):
             i1, i2 = -i1, -i2
         lam = self._sign_tau * lam
         e = (self.params.eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam) + np.log(s))).reshape(shape)
-        if xs.ndim == 0:
-            self._point = point = (float(xs), e if batch else complex(e))
-            return point[1]
-        return e
+        return e if shape else complex(e)
 
     def log_abs_array(self, x):
         return np.real(self.exponent(x))
 
     def value(self, x):
         return _capped_exp(self.exponent(x), x, "WKB")
-
-    def scaled_value_array(self, x, log_shift: float):
-        return _capped_exp(self.exponent(x) - log_shift, x, "scaled WKB")
 
     def _theta_chain(self, x) -> tuple:
         """Derivatives 1..4 of log w_j at a float or an array x (analytic chain rule)."""
@@ -954,17 +941,13 @@ class SymmetrizedBasisFunction(BasisFunction):
     is then the same toward both sides.
     """
 
-    def __init__(self, inner: BasisFunction):
+    def __init__(self, inner: WkbBasisFunction):
         self.inner = inner
         self.index = inner.index
 
     @property
-    def validity(self) -> tuple[float, float]:  # type: ignore[override]
-        return -self.inner.validity[1], self.inner.validity[1]
-
-    @property
     def mirror_pieces(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        lo, hi = self.inner.validity
+        lo, hi = self.inner.interval
         return (-hi, -lo), (lo, hi)
 
     def derivatives(self, x, order: int = 3) -> np.ndarray:
@@ -975,11 +958,11 @@ class SymmetrizedBasisFunction(BasisFunction):
     def value(self, x):
         return self.inner.value(np.abs(x))
 
+    def exponent(self, x):
+        return self.inner.exponent(np.abs(x))
+
     def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
         return self.inner.log_abs_array(np.abs(xs))
-
-    def scaled_value_array(self, xs: np.ndarray, log_shift: float) -> np.ndarray:
-        return self.inner.scaled_value_array(np.abs(xs), log_shift)
 
     def __repr__(self):
         return f"SymmetrizedBasisFunction({self.inner!r})"

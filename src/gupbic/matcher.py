@@ -19,15 +19,15 @@ formed.
 Conditioning: the infinite-well exponentials are anchored at the walls
 (``exact_constant_basis``), so every wall value lies in [0, 1] at any
 epsilon.  WKB values can pass the exponent cap (the linear wall at x = 0), so
-each point row is formed with one log shift, the largest log|w_j(x)| in the
-row, and is then scaled to unit max magnitude.  No column carries a scale:
-null vectors are the true coefficient vectors.
+each value row is formed with one log shift, the largest log|w_j(x)| in the
+row, and every point row is then scaled to unit max magnitude.  No column
+carries a scale: null vectors are the true coefficient vectors.
 
-The basis set forms the point rows' entries (``FundamentalSet.point_rows``),
-so the path is the set's: the well's exact set forms every point row of
-every energy in one stacked pass, and a WKB set one point and one branch at
-a time.  ``evaluate_states`` likewise asks the set for its members'
-derivatives.
+The basis set forms the point rows' entries (``FundamentalSet.point_rows``)
+for every point and every energy of a batch, every value row in one pass
+and every derivative row in one more: the well's exact set by its stacked
+kernels, a WKB set by one exponent call per branch.  ``evaluate_states``
+likewise asks the set for its members' derivatives, as one stacked array.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .basis import (
     characteristic_roots,
     classify_asymptotics,
     exact_constant_basis,
-    fundamental_set,
     map_regions,
     wkb_branches,
 )
@@ -195,11 +194,11 @@ class ConstraintSystem:
 
 
 def assemble(
-    basis: Sequence[BasisFunction],
+    basis: FundamentalSet,
     conditions: Sequence[BoundaryCondition],
     energy: float,
     extra_conditions: Sequence[float | tuple[float, int]] = (),
-    far_basis: Sequence[BasisFunction] | None = None,
+    far_basis: FundamentalSet | None = None,
 ) -> ConstraintSystem:
     """Build the linear system; decay rows select Growing-class coefficients.
 
@@ -211,7 +210,6 @@ def assemble(
     of ``basis`` itself, which raise ClassificationError unless it is a
     far-field set).
     """
-    basis = fundamental_set(basis)
     if len(basis) != 4:
         raise PreconditionError(f"need the 4-function fundamental set, got {len(basis)}")
 
@@ -374,13 +372,13 @@ def _determinant_vectors(values: np.ndarray, walls, triples, shifted_cos_kappa=N
 # --- bound states ----------------------------------------------------------------
 
 
-def evaluate_states(coefficients, basis: Sequence[BasisFunction], x, order: int = 3) -> np.ndarray:
+def evaluate_states(coefficients, basis: FundamentalSet, x, order: int = 3) -> np.ndarray:
     """Derivatives 0..order of the states given as coefficient rows over one basis.
 
     Shape (rows, order + 1) + shape(x).  The set evaluates each basis
-    function with a nonzero coefficient in some row once (the exact set all
-    of them in one stacked pass, ``FundamentalSet.derivatives``), and each
-    row sums c_j w_j over its nonzero coefficients in basis order.
+    function with a nonzero coefficient in some row once, into one stacked
+    array (``FundamentalSet.derivatives``; the exact set in one pass), and
+    each row sums c_j w_j over its nonzero coefficients in basis order.
 
     A basis batched over N energies with parameters of shape (N, 1)
     evaluates every energy on a 1-D x at once, shape (rows, order + 1, N,
@@ -393,8 +391,8 @@ def evaluate_states(coefficients, basis: Sequence[BasisFunction], x, order: int 
     used = [j for j, flags in enumerate(nonzero) if any(flags)]
     if not used:
         return np.zeros((len(rows), order + 1) + np.shape(x), dtype=complex)
-    values = fundamental_set(basis).derivatives(x, order, used)
-    out = np.zeros((len(rows),) + values[0].shape, dtype=complex)
+    values = basis.derivatives(x, order, used)
+    out = np.zeros((len(rows),) + values.shape[1:], dtype=complex)
     for j, d in zip(used, values):
         for r, flag in enumerate(nonzero[j]):
             if flag:
@@ -405,9 +403,9 @@ def evaluate_states(coefficients, basis: Sequence[BasisFunction], x, order: int 
 class StateFunction:
     """Linear combination of basis functions with fixed coefficients."""
 
-    def __init__(self, coefficients: Sequence[complex], basis: Sequence[BasisFunction]):
+    def __init__(self, coefficients: Sequence[complex], basis: FundamentalSet):
         self.coefficients = np.asarray(coefficients, dtype=complex)
-        self.basis = fundamental_set(basis)
+        self.basis = basis
         if self.coefficients.shape != (len(self.basis),):
             raise PreconditionError("coefficient/basis size mismatch")
 
@@ -646,7 +644,7 @@ def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) ->
 
 def normalize(
     vectors: Sequence[np.ndarray],
-    basis: Sequence[BasisFunction],
+    basis: FundamentalSet,
     regions: Sequence[tuple[float, float]],
     problem: DimensionlessProblem,
     energy: float,

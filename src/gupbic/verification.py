@@ -163,27 +163,23 @@ def _wronskian_constancy_plan(n_cases: int = 20, seed: int = 20240811) -> _Plan:
     return cases, judge
 
 
-def check_exact_well_oracle_agreement(
-    setup: PhysicalSetup | None = None, rtol: float = DEFAULT_RTOL
-) -> CheckResult:
+def check_exact_well_oracle_agreement(rtol: float = DEFAULT_RTOL) -> CheckResult:
     """Closed-form well solutions vs integration from identical initial data (one batch).
 
     One exact basis batched over the three energies gives every state's
     launch derivatives in one evaluation and its grid values in another.
 
-    The check holds only near the reference setup (beta 1e47, a = 1e-10 m),
-    where it reads about 6e-12.  Its energies and coefficients are fixed, and
-    the forward march amplifies roundoff by about exp(2 mu1 L), so other
-    setups fail its 1e-8 threshold with no fault in either solver: 1.1e-6 at
-    a = 3e-10 m, 5.1e15 at beta 1e45.  Setups stiffer still (beta 1e30)
-    exceed the oracle's ``MAX_SUB_STEPS`` and raise a PreconditionError.
+    The check runs the reference setup (beta 1e47, a = 1e-10 m) only, where
+    it reads about 6e-12.  Its energies and coefficients are fixed, and the
+    forward march amplifies roundoff by about exp(2 mu1 L), so other setups
+    would fail its 1e-8 threshold with no fault in either solver: 1.1e-6 at
+    a = 3e-10 m, 5.1e15 at beta 1e45.
     """
-    return _integrated([_exact_well_plan(setup)], rtol)[0]
+    return _integrated([_exact_well_plan()], rtol)[0]
 
 
-def _exact_well_plan(setup: PhysicalSetup | None) -> _Plan:
-    if setup is None:
-        setup = reference_well_setup()
+def _exact_well_plan() -> _Plan:
+    setup = reference_well_setup()
     problem = nondimensionalize(setup)
     xs = np.linspace(-1.0, 1.0, 201)
     energies = np.array([2.918779290241783, 1.638, 16.38])
@@ -396,7 +392,7 @@ def run_verification(setup: PhysicalSetup, rtol: float = DEFAULT_RTOL) -> list[C
     Each check reads the same as when it runs alone.
     """
     wronskian_check, exact_check, momentum_check = _integrated(
-        [_wronskian_constancy_plan(n_cases=9), _exact_well_plan(None), _momentum_representation_plan(None, None)], rtol
+        [_wronskian_constancy_plan(n_cases=9), _exact_well_plan(), _momentum_representation_plan(None, None)], rtol
     )
     checks = [wronskian_check, exact_check, check_residual_exact(), check_residual_negative_control(), momentum_check]
     standard_mode = setup.beta == 0.0

@@ -874,7 +874,7 @@ def test_far_classes_closed_form_match_classification(kind):
         problem = nondimensionalize(setup_for(eps))
         for e in (1.5, 3.0, 5.0, 7.5, 10.0):
             for f in wkb_assembly(problem, e).far_basis:
-                lo = getattr(f, "inner", f).validity[0]
+                lo = getattr(f, "inner", f).interval[0]
                 probes = np.linspace(lo + 0.25, lo + 4.25, 5)
                 for side in sides:
                     outward = probes if side is Side.PLUS_INFINITY else -probes
@@ -946,7 +946,7 @@ def test_array_derivatives_match_point_by_point():
     exact = exact_constant_basis(characteristic_roots(well.epsilon, 2.5), well.domain)
     linear = wkb_assembly(nondimensionalize(linear_setup_for(0.02)), 2.0).basis
     harmonic = wkb_assembly(nondimensionalize(harmonic_setup_for(0.02)), 1.7).basis
-    lo, hi = harmonic[0].inner.validity
+    lo, hi = harmonic[0].inner.interval
     cases = [(f, np.linspace(-1.0, 1.0, 12)) for f in exact]
     cases += [(f, np.linspace(0.1, 1.5, 12)) for f in linear]
     # both mirror pieces of the even continuation

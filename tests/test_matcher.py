@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import warnings
@@ -12,7 +13,7 @@ from gupbic import (
     nondimensionalize,
     residual,
 )
-from gupbic.basis import ExponentialBasisFunction, Side
+from gupbic.basis import ExponentialBasisFunction, FundamentalSet, Side
 from gupbic.errors import (
     BasisOverflowError,
     ClassificationError,
@@ -22,6 +23,7 @@ from gupbic.errors import (
     NormalizationError,
     NumericalError,
     PreconditionError,
+    ValidityError,
 )
 from gupbic.matcher import (
     _GRAM_TOL,
@@ -652,7 +654,7 @@ class TestEvaluateStates:
                 calls.append(self.f)
                 return self.f.derivatives(x, order=order)
 
-        basis = [Counting(f) for f in sol.states[0].basis]
+        basis = FundamentalSet(Counting(f) for f in sol.states[0].basis)
         rows = [st.coefficients for st in sol.states]
         evaluate_states(rows, basis, np.linspace(*sol.regions[1], 11), order=0)
         used = [j for j in range(4) if any(r[j] != 0 for r in rows)]
@@ -890,6 +892,109 @@ class TestStackedExactSet:
         system = assemble(basis, conditions, energies, extra_conditions=extra)
         assert system.matrix.shape[-2] == 14
         assert sorted(passes) == ["_exp_log", "_exp_log", "_trig_waves", "_trig_waves"]
+
+
+def _wkb_value_rows(basis, xs):
+    """The value rows of ``assemble`` formed one point and one branch at a time from ``exponent``.
+
+    Each row takes one log shift, the largest Re log w_j(x), then is scaled
+    to unit max magnitude.  ``basis`` is a WKB set of one energy; an even
+    continuation reads its branch at |x|.
+    """
+    rows = []
+    for x in xs:
+        logs = [complex(getattr(f, "inner", f).exponent(abs(x))) for f in basis]
+        shift = max(v.real for v in logs)
+        row = np.array([cmath.exp(v - shift) if (v - shift).real > -745.0 else 0j for v in logs])
+        rows.append(row / np.abs(row).max())
+    return np.array(rows)
+
+
+def _per_point_error(basis, x, order):
+    """The error the members of ``basis`` raise, asked in turn at x for the entries of a row of ``order``."""
+    with pytest.raises((ValidityError, BasisOverflowError)) as info:
+        for f in basis:
+            f.exponent(x) if order == 0 else f.derivatives(x, order=order)
+    return info.value
+
+
+class TestWkbPointRows:
+    """A WKB set forms its value rows from one exponent call per branch over every point,
+    bit for bit the rows formed one point and one branch at a time."""
+
+    @staticmethod
+    def assembled(problem, energies, extra):
+        """The constraint matrix at a float energy or a batch, as (energies, rows, 4)."""
+        energy = energies if energies.size > 1 else float(energies[0])
+        asm = wkb_assembly(problem, energy)
+        system = assemble(asm.basis, conditions_for(problem), energy, extra_conditions=extra, far_basis=asm.far_basis)
+        return system.matrix.reshape((energies.size,) + system.matrix.shape[-2:])
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    @pytest.mark.parametrize("count", [1, 32])
+    def test_linear_rows_are_the_per_point_rows_bit_for_bit(self, eps, count):
+        # the wall, then a point before every turning window and one past them all
+        problem = nondimensionalize(linear_setup_for(eps))
+        energies = np.linspace(2.0, 4.0, count)
+        points = [0.0, 1.0, 10.0]
+        matrix = self.assembled(problem, energies, points[1:])
+        for n, e in enumerate(energies.tolist()):
+            want = _wkb_value_rows(wkb_assembly(problem, e).basis, points)
+            assert np.array_equal(_bits(matrix[n, -3:]), _bits(want))
+
+    @pytest.mark.parametrize("count", [1, 32])
+    def test_harmonic_rows_are_the_per_point_rows_bit_for_bit(self, count):
+        # the even continuation on both of its mirror pieces
+        problem = nondimensionalize(harmonic_setup_for(0.02))
+        energies = np.linspace(1.5, 2.0, count)
+        points = [1.6, 2.5, 3.5, -1.6, -2.5, -3.5]
+        matrix = self.assembled(problem, energies, points)
+        for n, e in enumerate(energies.tolist()):
+            want = _wkb_value_rows(wkb_assembly(problem, e).basis, points)
+            assert np.array_equal(_bits(matrix[n, -6:]), _bits(want))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize(
+        "point",
+        [3.0, 300.0, (100.0, 1)],
+        ids=["in-turning-window", "past-the-piece", "derivative-past-the-cap"],
+    )
+    def test_a_one_point_row_raises_the_per_point_error(self, count, point):
+        # at eps 1e-3 the interior piece ends near x = 252, and the fast
+        # branch's exponent passes the cap well before x = 100
+        problem = nondimensionalize(linear_setup_for(1e-3))
+        energies = np.array([3.0, 3.1, 3.2][:count])
+        energy = energies if count > 1 else float(energies[0])
+        asm = wkb_assembly(problem, energy)
+        x, order = point if isinstance(point, tuple) else (point, 0)
+        want = _per_point_error(asm.basis, x, order)
+        with pytest.raises(type(want)) as got:
+            assemble(asm.basis, conditions_for(problem), energy, extra_conditions=[point], far_basis=asm.far_basis)
+        assert str(got.value) == str(want)
+        assert np.array_equal(got.value.failed, want.failed)
+        if count > 1 and point == 3.0:
+            assert got.value.failed.tolist() == [True, False, False]  # only e = 3 has its window there
+
+    @pytest.mark.parametrize("kind", ["linear", "harmonic"])
+    def test_one_exponent_call_per_branch(self, monkeypatch, kind):
+        # no timing: a value-row pass asks each branch's exponent once,
+        # whatever the number of points and energies
+        import gupbic.basis as basis_module
+
+        problem = nondimensionalize((linear_setup_for if kind == "linear" else harmonic_setup_for)(0.02))
+        points = [0.0, 1.0, 10.0] if kind == "linear" else [1.6, 2.5, -1.6, -2.5]
+        asm = wkb_assembly(problem, np.linspace(1.5, 2.0, 8))
+        calls = []
+        exponent = basis_module.WkbBasisFunction.exponent
+
+        def counted(self, x):
+            calls.append(self.index)
+            return exponent(self, x)
+
+        monkeypatch.setattr(basis_module.WkbBasisFunction, "exponent", counted)
+        rows = asm.basis.point_rows([(x, 0) for x in points])
+        assert rows.shape == (len(points), 8, 4)
+        assert sorted(calls) == [1, 2, 3, 4]
 
 
 class TestSolvers:
