@@ -543,7 +543,7 @@ def _sqrt_chain(w: tuple, sign: float = 1.0) -> tuple:
 
 
 def _capped_exp(e, x, what: str):
-    """exp(e) for a log-space value e (float or array): raises past the cap, 0 below -745."""
+    """exp(e) for a log-space value e (float or array): raises past the cap, 0 below -745, NaN stays NaN."""
     re = np.real(e)
     if np.count_nonzero(re > EXPONENT_CAP):  # faster than np.any on the few entries of a row
         i = int(np.argmax(np.ravel(re) > EXPONENT_CAP))
@@ -555,9 +555,9 @@ def _capped_exp(e, x, what: str):
             exponent=e_bad,
         )
     if np.ndim(e) == 0:
-        return cmath.exp(e) if re > -745.0 else 0.0 + 0.0j
-    with np.errstate(under="ignore"):
-        return np.where(re > -745.0, np.exp(e), 0.0 + 0.0j)
+        return 0.0 + 0.0j if re <= -745.0 else cmath.exp(e)
+    with np.errstate(under="ignore", invalid="ignore"):  # a NaN exponent gives NaN, as a float one does
+        return np.where(re <= -745.0, 0.0 + 0.0j, np.exp(e))
 
 
 def _carlson_fd(x, y, z) -> tuple:
@@ -662,8 +662,7 @@ class ExponentTable:
     and chain values of both pairs: a value-row pass or a Gram round that
     asks the four branches in turn computes once.  It is replaced whole,
     never changed in place, so threads that share a table read a
-    consistent state; ``spectrum.dof_scan``'s threaded reruns share none,
-    each building its own assembly.
+    consistent state.
     """
 
     def __init__(
@@ -960,9 +959,6 @@ class SymmetrizedBasisFunction(BasisFunction):
 
     def exponent(self, x):
         return self.inner.exponent(np.abs(x))
-
-    def log_abs_array(self, xs: np.ndarray) -> np.ndarray:
-        return self.inner.log_abs_array(np.abs(xs))
 
     def __repr__(self):
         return f"SymmetrizedBasisFunction({self.inner!r})"

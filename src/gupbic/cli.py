@@ -126,11 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-min", type=float, default=None, metavar="J")
     p.add_argument("--e-max", type=float, default=None, metavar="J")
     p.add_argument("--n", type=int, default=200, metavar="N")
-    p.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="threads that rerun the energies a batched scan flags: same output, and no faster "
-        "(the work holds the interpreter lock)",
-    )
 
     p = sub.add_parser("spectrum", help="special energies of the infinite well")
     _add_common(p)
@@ -281,8 +276,6 @@ def cmd_dof_scan(args) -> int:
     setup, config_path = _setup_from_args(args)
     if args.n < 2:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     e_max = args.e_max if args.e_max is not None else 2e-17
     e_min = args.e_min if args.e_min is not None else e_max / args.n
     for flag, value in (("--e-min", e_min), ("--e-max", e_max)):
@@ -293,7 +286,7 @@ def cmd_dof_scan(args) -> int:
     energies = np.linspace(e_min, e_max, args.n)
 
     manifest = _manifest(args, setup, config_path)
-    scan = dof_scan(setup, energies, threads=args.threads)
+    scan = dof_scan(setup, energies)
 
     out = Path(args.out)
     header = ["E_SI", "E_dimensionless", "dof", "label"]

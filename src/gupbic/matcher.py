@@ -339,33 +339,30 @@ def _libm(fn, x):
     return fn(x) if np.ndim(x) == 0 else np.array([fn(v) for v in x.tolist()])
 
 
-def _determinant_vectors(values: np.ndarray, walls, triples, shifted_cos_kappa=None) -> np.ndarray:
+def _determinant_vectors(values: np.ndarray, walls, triples, shifted_cos_kappa) -> np.ndarray:
     """Determinant-form coefficient 4-vectors of three-function well ansatzes, one per triple.
 
     Each triple selects basis indices (1-based); the vector is zero where
     the triple's determinant vanishes.  ``values`` are the basis values at
     the walls, shape (4, 2) + batch, used as they are: the wall-anchored
-    exponentials of ``exact_constant_basis`` keep them in [0, 1].  With
-    ``shifted_cos_kappa`` the third member of the last triple is replaced by
-    cos(kappa*(x - lo)) (the wall-anchored cosine used at the special
-    energies), expressed on the plain cos/sin pair.  The result has shape
-    (len(triples),) + batch + (4,).
+    exponentials of ``exact_constant_basis`` keep them in [0, 1].  In the
+    last triple the third member is replaced by cos(shifted_cos_kappa (x - lo))
+    (the wall-anchored cosine used at the special energies), expressed on the
+    plain cos/sin pair.  The result has shape (len(triples),) + batch + (4,).
     """
     lo = walls[0]
     idx = np.array(triples) - 1
     rows = values.swapaxes(0, 1)[:, idx.T]  # (wall, member, triple) + batch
-    if shifted_cos_kappa is not None:
-        rows[:, 2, -1] = [_libm(math.cos, shifted_cos_kappa * (x - lo)) for x in walls]
+    k = shifted_cos_kappa
+    rows[:, 2, -1] = [_libm(math.cos, k * (x - lo)) for x in walls]
     d = _cross_triple(rows[0], rows[1])
     out = np.zeros((len(idx), 4) + d.shape[2:], dtype=complex)
     for t, slots in enumerate(idx):
-        used = 2 if shifted_cos_kappa is not None and t == len(idx) - 1 else 3
+        used = 2 if t == len(idx) - 1 else 3
         out[t, slots[:used]] = d[:used, t]
-    if shifted_cos_kappa is not None:
-        k = shifted_cos_kappa
-        # cos(k(x - lo)) = cos(k lo) cos(kx) + sin(k lo) sin(kx)
-        out[-1, 2] += d[2, -1] * _libm(math.cos, k * lo)
-        out[-1, 3] += d[2, -1] * _libm(math.sin, k * lo)
+    # cos(k(x - lo)) = cos(k lo) cos(kx) + sin(k lo) sin(kx)
+    out[-1, 2] += d[2, -1] * _libm(math.cos, k * lo)
+    out[-1, 3] += d[2, -1] * _libm(math.sin, k * lo)
     return out.transpose(0, *range(2, out.ndim), 1)
 
 

@@ -625,7 +625,7 @@ class MomentumSolution:
         i * gamma * (1 + bt * pt^2) * C'(pt) + (pt^2 - e) * C(pt) = 0,
 
     with bt = beta * p_c^2 and gamma = hbar * L / (E_c * p_c) (gamma = 1 in the
-    canonical bouncer scaling).  Separation gives C = C0 * exp(i g(pt) / gamma),
+    canonical bouncer scaling).  Separation gives C = C0 exp(i g(pt) / gamma), here with C0 = 1:
 
         g(pt) = pt/bt - (1/bt + e) * arctan(sqrt(bt) pt)/sqrt(bt)     (bt > 0)
         g(pt) = pt^3/3 - e*pt                                         (bt = 0).
@@ -634,7 +634,6 @@ class MomentumSolution:
     position-space fundamental system.
     """
 
-    c0: complex
     beta_tilde: float
     gamma: float
     e_tilde: float
@@ -655,7 +654,7 @@ class MomentumSolution:
         return (pt**2 - self.e_tilde) / (self.gamma * (1.0 + self.beta_tilde * pt**2))
 
     def __call__(self, pt):
-        return self.c0 * np.exp(1j * self.phase(pt))
+        return np.exp(1j * self.phase(pt))
 
     def derivative(self, pt):
         return self(pt) * 1j * self.phase_derivative(pt)
@@ -681,7 +680,7 @@ class MomentumSolution:
         return float(np.max(diff / np.maximum(1.0, np.abs(g)), initial=0.0))
 
 
-def momentum_rep_linear(setup: PhysicalSetup, energy_si: float, c0: complex = 1.0) -> MomentumSolution:
+def momentum_rep_linear(setup: PhysicalSetup, energy_si: float) -> MomentumSolution:
     """Momentum-representation solution for V = L x (canonical bouncer scaling)."""
     if not isinstance(setup.potential, Linear):
         raise WrongPotentialError("momentum representation implemented for the linear potential")
@@ -690,7 +689,6 @@ def momentum_rep_linear(setup: PhysicalSetup, energy_si: float, c0: complex = 1.
     beta_tilde = setup.beta * p_c**2
     gamma = setup.hbar * setup.potential.slope / (problem.energy_scale * p_c)
     return MomentumSolution(
-        c0=complex(c0),
         beta_tilde=beta_tilde,
         gamma=gamma,
         e_tilde=problem.energy_from_si(energy_si),

@@ -194,6 +194,7 @@ class SpectrumScan:
         return self.energies_si, self.energies_dimensionless, dof, np.array(self.labels)
 
 
+# unused here: threads, which perfbench/workloads.py passes as threads=1 until ROADMAP item 1 step 2
 def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 1) -> SpectrumScan:
     """Degrees of freedom (degeneracy) at each scan energy.
 
@@ -202,7 +203,6 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     raises, the energies its error names (``GupBicError.failed``; every
     energy where it names none) run one at a time, so each failure is
     recorded with its own message, and the rest run as a batch again.
-    ``threads`` > 1 runs those one-at-a-time energies in a thread pool.
     Grid rows nearest a special well energy (within half the grid spacing)
     are labelled StandardLevel, everything else ExtraContinuum.
 
@@ -244,14 +244,6 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
         except GupBicError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    def each(rows: np.ndarray) -> list:
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(one, e_dims[rows]))
-        return [one(e) for e in e_dims[rows]]
-
     results: list = [None] * energies.size  # (dof, error message) of each energy
     batch = np.arange(energies.size)
     while batch.size:
@@ -259,8 +251,8 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
             nullities = degrees_of_freedom(problem, e_dims[batch])[0].tolist()
         except GupBicError as exc:
             flagged = np.ones(batch.size, dtype=bool) if exc.failed is None else exc.failed
-            for i, result in zip(batch[flagged].tolist(), each(batch[flagged])):
-                results[i] = result
+            for i in batch[flagged].tolist():
+                results[i] = one(e_dims[i])
             batch = batch[~flagged]
         else:
             for i, d in zip(batch.tolist(), nullities):

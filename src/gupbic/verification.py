@@ -41,26 +41,29 @@ from .oracle import (
 )
 
 
-def beta_for_epsilon(epsilon: float, length_scale: float, hbar: float = HBAR) -> float:
+ENERGY_SCALE = 1e-18  # J, the E_c of linear_setup_for and harmonic_setup_for
+
+
+def beta_for_epsilon(epsilon: float, length_scale: float) -> float:
     """Invert eps = 2 (beta/3) hbar^2 / L^2."""
-    return 1.5 * epsilon * length_scale**2 / hbar**2
+    return 1.5 * epsilon * length_scale**2 / HBAR**2
 
 
-def linear_setup_for(epsilon: float, mass: float = ELECTRON_MASS, energy_scale: float = 1e-18) -> PhysicalSetup:
-    """Linear potential with the canonical scale tuned to the given E_c, eps."""
-    length = HBAR / math.sqrt(2.0 * mass * energy_scale)
-    slope = energy_scale / length
+def linear_setup_for(epsilon: float) -> PhysicalSetup:
+    """Linear potential for an electron, with E_c = ENERGY_SCALE and the given eps."""
+    length = HBAR / math.sqrt(2.0 * ELECTRON_MASS * ENERGY_SCALE)
+    slope = ENERGY_SCALE / length
     return PhysicalSetup(
-        mass=mass, beta=beta_for_epsilon(epsilon, length), potential=Linear(slope=slope)
+        mass=ELECTRON_MASS, beta=beta_for_epsilon(epsilon, length), potential=Linear(slope=slope)
     )
 
 
-def harmonic_setup_for(epsilon: float, mass: float = ELECTRON_MASS, energy_scale: float = 1e-18) -> PhysicalSetup:
-    """Harmonic oscillator with E_c = hbar*omega/2 tuned to the given E_c, eps."""
-    omega = 2.0 * energy_scale / HBAR
-    length = math.sqrt(HBAR / (mass * omega))
+def harmonic_setup_for(epsilon: float) -> PhysicalSetup:
+    """Harmonic oscillator for an electron, with E_c = hbar*omega/2 = ENERGY_SCALE and the given eps."""
+    omega = 2.0 * ENERGY_SCALE / HBAR
+    length = math.sqrt(HBAR / (ELECTRON_MASS * omega))
     return PhysicalSetup(
-        mass=mass, beta=beta_for_epsilon(epsilon, length), potential=Harmonic(omega=omega)
+        mass=ELECTRON_MASS, beta=beta_for_epsilon(epsilon, length), potential=Harmonic(omega=omega)
     )
 
 
@@ -196,9 +199,9 @@ def _exact_well_plan() -> _Plan:
     return [(problem, e, d, -1.0, xs) for e, d in zip(energies.tolist(), launch)], judge
 
 
-def check_residual_exact(setup: PhysicalSetup | None = None) -> CheckResult:
-    if setup is None:
-        setup = reference_well_setup()
+def check_residual_exact() -> CheckResult:
+    """The exact basis solves the equation: residual of one state on the reference well."""
+    setup = reference_well_setup()
     problem = nondimensionalize(setup)
     e = 2.918779290241783
     roots = characteristic_roots(problem.epsilon, e)
@@ -210,10 +213,9 @@ def check_residual_exact(setup: PhysicalSetup | None = None) -> CheckResult:
     )
 
 
-def check_residual_negative_control(setup: PhysicalSetup | None = None) -> CheckResult:
-    """Corrupting a solution must blow the residual up (test of the test)."""
-    if setup is None:
-        setup = reference_well_setup()
+def check_residual_negative_control() -> CheckResult:
+    """Corrupting a solution must blow the residual up (test of the test), on the reference well."""
+    setup = reference_well_setup()
     problem = nondimensionalize(setup)
     e = 2.918779290241783
     roots = characteristic_roots(problem.epsilon, e)
@@ -236,9 +238,7 @@ def check_residual_negative_control(setup: PhysicalSetup | None = None) -> Check
     )
 
 
-def momentum_dimension_evidence(
-    setup: PhysicalSetup, energy_si: float, rtol: float = DEFAULT_RTOL
-) -> tuple[MomentumSolution, float, complex, int]:
+def momentum_dimension_evidence(setup: PhysicalSetup, energy_si: float) -> tuple[MomentumSolution, float, complex, int]:
     """The 1 vs 4 solution-space evidence for the linear potential at one energy.
 
     Returns the momentum-space solution, its largest ODE residual over 100
@@ -248,7 +248,7 @@ def momentum_dimension_evidence(
     identity frame launched at x = 0.8 and read one decay length 1/mu1 away,
     far enough to integrate and near enough to stay conditioned at any beta.
     """
-    return _integrated([_momentum_evidence_plan(setup, energy_si)], rtol)[0]
+    return _integrated([_momentum_evidence_plan(setup, energy_si)], DEFAULT_RTOL)[0]
 
 
 def _momentum_evidence_plan(setup: PhysicalSetup, energy_si: float) -> _Plan:
@@ -265,19 +265,15 @@ def _momentum_evidence_plan(setup: PhysicalSetup, energy_si: float) -> _Plan:
     return [(problem, e, np.eye(4), 0.8, [0.8 + 1.0 / mu1])], judge
 
 
-def check_momentum_representation(
-    setup: PhysicalSetup | None = None, energy_si: float | None = None, rtol: float = DEFAULT_RTOL
-) -> CheckResult:
-    """First-order momentum-space solution: residual, antiderivative, dimensions."""
-    return _integrated([_momentum_representation_plan(setup, energy_si)], rtol)[0]
+def check_momentum_representation() -> CheckResult:
+    """First-order momentum-space solution: residual, antiderivative, dimensions (linear, eps 0.01, e 2)."""
+    return _integrated([_momentum_representation_plan()], DEFAULT_RTOL)[0]
 
 
-def _momentum_representation_plan(setup: PhysicalSetup | None, energy_si: float | None) -> _Plan:
-    if setup is None:
-        setup = linear_setup_for(0.01)
+def _momentum_representation_plan() -> _Plan:
+    setup = linear_setup_for(0.01)
     problem = nondimensionalize(setup)
-    if energy_si is None:
-        energy_si = problem.energy_to_si(2.0)
+    energy_si = problem.energy_to_si(2.0)
     requests, evidence = _momentum_evidence_plan(setup, energy_si)
 
     def judge(marched):
@@ -308,6 +304,13 @@ DECAY_EPS = 0.02
 DECAY_SETUP = f"linear (e 2) and harmonic (e 1.7), eps {DECAY_EPS:g}"
 
 
+def _decay_label(standard: bool) -> tuple[str, str]:
+    """The decay check's name and ``detail.setup`` text, fourth-order or standard (beta = 0)."""
+    if standard:
+        return "decaying_subspace_dimension_standard", DECAY_SETUP + ", standard (beta = 0) equation"
+    return "decaying_subspace_dimension", DECAY_SETUP
+
+
 def check_decaying_dimensions(standard: bool = False, rtol: float = DEFAULT_RTOL) -> CheckResult:
     """Bounded-subspace dimension: 2 per side (fourth order), 1 per side (standard).
 
@@ -325,20 +328,16 @@ def check_decaying_dimensions(standard: bool = False, rtol: float = DEFAULT_RTOL
     growth = dict(zip(marches, growth_exponents_many(list(marches.values()), standard, rtol)))
     results = {k: bounded_dimension(g) for k, g in growth.items()}
     worst = max(abs(v - expected) for v in results.values())
+    name, setup = _decay_label(standard)
     return _result(
-        "decaying_subspace_dimension" + ("_standard" if standard else ""),
-        float(worst),
-        0.0,
-        expected=expected,
-        dimensions=results,
-        setup=DECAY_SETUP + (", standard (beta = 0) equation" if standard else ""),
+        name, float(worst), 0.0, expected=expected, dimensions=results, setup=setup,
         growth_exponents={k: g.tolist() for k, g in growth.items()},
         min_abs_growth={k: float(np.min(np.abs(g))) for k, g in growth.items()},
         growth_floor=GROWTH_FLOOR,
     )
 
 
-def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
+def check_well_sine_recovery(setup: PhysicalSetup) -> CheckResult:
     """At the special energies one normalized state is the wall-to-wall sine.
 
     The three levels are solved in one batch, and all their states are
@@ -346,8 +345,6 @@ def check_well_sine_recovery(setup: PhysicalSetup | None = None) -> CheckResult:
     """
     from .spectrum import well_kappa, well_special_energies
 
-    if setup is None:
-        setup = reference_well_setup()
     problem = nondimensionalize(setup)
     specials = well_special_energies(setup, 3)
     energies = np.array([se.energy_dimensionless for se in specials])
@@ -392,20 +389,18 @@ def run_verification(setup: PhysicalSetup, rtol: float = DEFAULT_RTOL) -> list[C
     Each check reads the same as when it runs alone.
     """
     wronskian_check, exact_check, momentum_check = _integrated(
-        [_wronskian_constancy_plan(n_cases=9), _exact_well_plan(), _momentum_representation_plan(None, None)], rtol
+        [_wronskian_constancy_plan(n_cases=9), _exact_well_plan(), _momentum_representation_plan()], rtol
     )
     checks = [wronskian_check, exact_check, check_residual_exact(), check_residual_negative_control(), momentum_check]
     standard_mode = setup.beta == 0.0
     try:
         checks.append(check_decaying_dimensions(standard=standard_mode, rtol=rtol))
     except GupBicError as exc:
+        name, decay_setup = _decay_label(standard_mode)
         checks.append(
             CheckResult(
-                name="decaying_subspace_dimension",
-                passed=False,
-                measured=math.nan,
-                threshold=0.0,
-                detail={"error": str(exc), "setup": DECAY_SETUP},
+                name=name, passed=False, measured=math.nan, threshold=0.0,
+                detail={"error": str(exc), "setup": decay_setup},
             )
         )
     if isinstance(setup.potential, InfiniteWell) and setup.beta > 0.0:

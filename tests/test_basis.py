@@ -844,7 +844,7 @@ def _classify_point_by_point(f, probes, samples_per_interval=7):
 
     def safe_log_abs(x):
         try:
-            value = float(np.real(f.log_abs_array(x)))
+            value = float(np.real(f.exponent(x)))
         except ValidityError:
             return None
         return value if math.isfinite(value) else None
@@ -937,6 +937,27 @@ def test_dof_scan_makes_no_scalar_quad_calls(monkeypatch):
         assert scan.errors == {}
         assert all(d in (1, 2) for d in scan.dof)
     assert calls == []
+
+
+def test_capped_exp_keeps_a_nan_exponent_nan():
+    # a NaN exponent is no underflow: its entry stays NaN, for a float and an array
+    assert cmath.isnan(gupbic.basis._capped_exp(complex(math.nan, 0.0), 0.5, "WKB"))
+    got = gupbic.basis._capped_exp(np.array([math.nan, -800.0, 0.0]) + 0j, np.zeros(3), "WKB")
+    assert np.isnan(got[0]) and got[1] == 0.0 and got[2] == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_exponent_row_is_refused(monkeypatch, linear_problem):
+    # a NaN exponent at the wall poisons its value row, which the nullity
+    # then refuses as non-finite: it never counts as a row of no constraint
+    from gupbic.matcher import assemble, conditions_for, nullity_of
+
+    asm = wkb_assembly(linear_problem, 2.0)
+    exponent = asm.basis[1].exponent
+    monkeypatch.setattr(asm.basis[1], "exponent", lambda x: np.where(np.asarray(x) == 0.0, math.nan, exponent(x)))
+    system = assemble(asm.basis, conditions_for(linear_problem), 2.0, far_basis=asm.far_basis)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        nullity_of(system)
 
 
 def test_array_derivatives_match_point_by_point():

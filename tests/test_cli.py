@@ -182,7 +182,7 @@ class TestDofScan:
         outs = []
         for name in ("s1", "s2"):
             out = tmp_path / name
-            assert run(["dof-scan", "--n", "20", "--out", out, "--threads", "3"]) == 0
+            assert run(["dof-scan", "--n", "20", "--out", out]) == 0
             outs.append((out / "scan.csv").read_bytes())
         assert outs[0] == outs[1]
 
@@ -250,14 +250,6 @@ class TestDofScan:
         assert error["type"] == "InvalidSetupError"
         assert "about 10^54.1 special well levels" in error["message"]
         assert "MAX_SPECIAL_LEVELS = 100000" in error["message"]
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
-        assert run(["dof-scan", "--n", "5", "--threads", threads, "--out", tmp_path]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ConfigError"
-        assert f"--threads must be >= 1, got {threads}" in err["error"]["message"]
-        assert not (tmp_path / "scan.csv").exists()
 
 
 class TestInProcessReuse:
@@ -549,10 +541,15 @@ class TestExitCodes:
             run(["dof-scan", "--tol", "1e-9", "--out", tmp_path])
         assert exc.value.code == 2
 
-    def test_threads_is_a_dof_scan_flag_only(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["dof-scan", "verify"])
+    def test_threads_is_no_flag(self, tmp_path, capsys, command):
+        # the scan reruns its flagged energies in one loop, so no command takes --threads
         with pytest.raises(SystemExit) as exc:
-            run(["verify", "--threads", "2", "--out", tmp_path])
+            run([command, "--threads", "2", "--out", tmp_path])
         assert exc.value.code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "ArgumentError"
+        assert "--threads" in error["message"]
 
     def test_usage_error_is_a_json_error(self, tmp_path, capsys):
         # argparse reads -inf as an option, so --E has no value: a usage

@@ -736,6 +736,28 @@ class TestVerifyBattery:
         ] + ([check_well_sine_recovery(setup)] if beta is None else [])
         assert [c.as_dict() for c in run_verification(setup)] == [c.as_dict() for c in alone]
 
+    @pytest.mark.parametrize("beta", [None, 0.0], ids=["default", "beta-0"])
+    def test_failed_decay_check_keeps_its_name_and_setup(self, beta, monkeypatch):
+        # a decay march that raises leaves an entry named as the check that
+        # succeeds, with its setup text, and every other check still runs
+        from gupbic import verification
+        from gupbic.verification import check_decaying_dimensions, run_verification
+
+        setup = reference_well_setup() if beta is None else dataclasses.replace(reference_well_setup(), beta=beta)
+        succeeded = check_decaying_dimensions(standard=beta == 0.0)
+        passing = run_verification(setup)
+
+        def raising(*args, **kwargs):
+            raise NumericalError("march failed")
+
+        monkeypatch.setattr(verification, "growth_exponents_many", raising)
+        checks = run_verification(setup)
+        assert [c.name for c in checks] == [c.name for c in passing]
+        (failed,) = [c for c in checks if c.name == succeeded.name]
+        assert failed.passed is False
+        assert failed.detail == {"error": "march failed", "setup": succeeded.detail["setup"]}
+        assert [c for c in checks if c is not failed] == [c for c in passing if c.name != succeeded.name]
+
 
 class TestBatchIndependence:
     """Every request of a seeded mixed batch has exactly the bits it has alone."""

@@ -138,13 +138,6 @@ class TestDofScan:
         scan = dof_scan(harmonic_setup, energies)
         assert set(scan.dof) == {2}
 
-    def test_threads_match_serial(self, well_setup):
-        energies = np.linspace(1e-19, 2e-17, 24)
-        serial = dof_scan(well_setup, energies, threads=1)
-        threaded = dof_scan(well_setup, energies, threads=4)
-        assert serial.dof == threaded.dof
-        assert serial.labels == threaded.labels
-
     def test_per_energy_failures_do_not_abort(self):
         # huge epsilon squeezes the harmonic forbidden band below the window
         setup = harmonic_setup_for(6.0)
