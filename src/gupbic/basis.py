@@ -33,19 +33,20 @@ log-space access.
 
 A fundamental set (``FundamentalSet``) evaluates its four functions for the
 point rows of a constraint system and for the states built on it, over an
-axis of points and a batch's energies: a WKB set asks each branch's
-exponent once for every value point, and the exact constant-potential set
-(``ExactConstantSet``) evaluates all four functions in one stacked pass.
+axis of points and a batch's energies: a WKB set (``WkbSet``) forms the
+value rows of its four branches in one stacked pass over its exponent
+table, and the exact constant-potential set (``ExactConstantSet``) evaluates
+all four functions in one stacked pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -167,6 +168,13 @@ def _per_energy(values):
     return float(values) if np.ndim(values) == 0 else np.asarray(values, dtype=float)
 
 
+def _shown(values, spec: str) -> str:
+    """A float, or each entry of a batch's array, in the format ``spec``."""
+    if np.ndim(values) == 0:
+        return format(values, spec)
+    return "[" + ", ".join(format(v, spec) for v in np.ravel(values).tolist()) + "]"
+
+
 def _powers(base, order: int) -> list:
     """base**k, k = 0..order, by the float pow, which numpy's array power can differ
     from in the last bit: a batched basis's derivatives are each energy's own."""
@@ -262,7 +270,7 @@ class ExponentialBasisFunction(BasisFunction):
 
     def __repr__(self):
         return (
-            f"ExponentialBasisFunction(rate={self.rate:.6g}, anchor={self.anchor:.6g}, "
+            f"ExponentialBasisFunction(rate={_shown(self.rate, '.6g')}, anchor={self.anchor:.6g}, "
             f"index={self.index})"
         )
 
@@ -293,22 +301,37 @@ class TrigBasisFunction(BasisFunction):
         return self._wave(x).astype(complex)
 
     def __repr__(self):
-        return f"TrigBasisFunction(kappa={self.kappa:.6g}, {self.phase}, index={self.index})"
+        return f"TrigBasisFunction(kappa={_shown(self.kappa, '.6g')}, {self.phase}, index={self.index})"
 
 
 # --- fundamental sets -----------------------------------------------------------
 
 
-class FundamentalSet(tuple):
+class FundamentalSet(Sequence):
     """The four functions w_1..w_4 of a fundamental set, evaluated over an axis of points.
 
     ``point_rows`` gives the entries of ``assemble``'s point rows and
     ``derivatives`` the derivatives of chosen members.  A set supplies the
-    two row hooks, ``_value_rows`` and ``_derivative_rows``.  Those here
-    serve the WKB sets, whose members (``WkbBasisFunction`` or its even
-    continuation) evaluate every point and every energy of a batch in one
-    call; ``ExactConstantSet`` has stacked kernels of its own.
+    batch shape and the two row hooks, ``_value_rows`` and
+    ``_derivative_rows``: ``ExactConstantSet`` and ``WkbSet`` have stacked
+    kernels of their own.  A set of other members serves ``derivatives``
+    alone.
     """
+
+    def __init__(self, members):
+        self._members = tuple(members)
+
+    def __getitem__(self, j):
+        return self._members[j]
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._members!r}"
 
     def point_rows(self, points: Sequence[tuple[float, int]]) -> np.ndarray:
         """Entries of the point rows, shape (points,) + batch + (4,), for points (x, order).
@@ -336,29 +359,16 @@ class FundamentalSet(tuple):
 
     @property
     def _batch(self) -> tuple:
-        """The shape of a batch's energies, () for one energy: that of the WKB reference point."""
-        f = self[0]
-        return np.shape((f.inner if isinstance(f, SymmetrizedBasisFunction) else f).params.x0)
+        """The shape of a batch's energies, () for one energy."""
+        raise NotImplementedError
 
     def _value_rows(self, x) -> np.ndarray:
-        """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch.
-
-        Each member's exponent is taken once, at every point.
-        """
-        e = np.concatenate([f.exponent(x) for f in self], axis=1)
-        # np.max, not a reduction that skips NaN: a NaN exponent poisons its whole row
-        shift = np.max(e.real, axis=1, keepdims=True)
-        return _capped_exp(e - shift, x, "scaled WKB")
+        """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch."""
+        raise NotImplementedError
 
     def _derivative_rows(self, x, orders: np.ndarray) -> np.ndarray:
-        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch.
-
-        Each member's derivatives are taken once, to the highest order, and
-        each point reads its own: a lower order's entries do not depend on
-        the highest.
-        """
-        top, at = int(orders.max()), np.arange(orders.size)
-        return np.concatenate([f.derivatives(x, order=top)[orders, at] for f in self], axis=1)
+        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch."""
+        raise NotImplementedError
 
     def derivatives(self, x, order: int, members: Sequence[int]) -> np.ndarray:
         """Derivatives of the members (0-based, ascending), shape (members, order + 1) + shape.
@@ -382,6 +392,7 @@ class ExactConstantSet(FundamentalSet):
 
     def __init__(self, members: Sequence[BasisFunction]):
         """``members``: the four functions, in the order of ``exact_constant_basis``."""
+        super().__init__(members)
         grow, decay, cos, _ = self
         self._rates = np.array([grow.rate, decay.rate])  # (2,) + batch
         self._anchors = np.array([grow.anchor, decay.anchor])
@@ -656,13 +667,13 @@ class ExponentTable:
 
     The reference point x0 lies strictly inside the piece and outside every
     turning window, or the table raises ValidityError: the test of branches
-    3 and 4, which implies that of 1 and 2.
+    3 and 4, which implies that of 1 and 2.  ``check`` makes the same tests
+    of the abscissas a branch is asked at.
 
     ``_last`` holds the last query, a copy of its abscissas, with the sums
-    and chain values of both pairs: a value-row pass or a Gram round that
-    asks the four branches in turn computes once.  It is replaced whole,
-    never changed in place, so threads that share a table read a
-    consistent state.
+    and chain values of both pairs (``sums``): a Gram round that asks the
+    four branches in turn computes once, and so does a value-row pass of
+    ``WkbSet``, which reads both pairs at once.
     """
 
     def __init__(
@@ -695,11 +706,41 @@ class ExponentTable:
 
         I1 and I2 run from x0; s and lam are the chain values at x.
         """
+        return self.sums(xs)[0 if sigma > 0 else 1]
+
+    def sums(self, xs: np.ndarray) -> tuple:
+        """``integrals`` of both pairs (sigma = +1, then -1) at a flat xs, computed once per query."""
         query, pairs = self._last
         if not (query.shape == xs.shape and (query == xs).all()):
             query, pairs = xs.copy(), self._closed_sums(xs)
             self._last = (query, pairs)
-        return pairs[0 if sigma > 0 else 1]
+        return pairs
+
+    def valid(self, x, windows: Sequence[tuple]) -> np.ndarray:
+        """Whether each x lies in the interval and outside ``windows`` (the table's, or none)."""
+        lo, hi = self.interval
+        x = np.asarray(x, dtype=float)
+        ok = (lo <= x) & (x <= hi)
+        # strict test on the stored window edges: a region end built as
+        # z -+ window is then outside exactly, whatever the roundoff of x - z
+        for a, b in windows:
+            ok = ok & ~((a < x) & (x < b))
+        return ok
+
+    def check(self, x: np.ndarray, windows: Sequence[tuple]) -> None:
+        """Raise ValidityError at the first abscissa of a flat x (of each energy, for a batch) that ``valid`` refuses."""
+        ok = self.valid(x, windows)
+        if ok.all():
+            return
+        first = np.take_along_axis(x, np.argmin(ok, axis=0)[None], 0)[0]
+        raise_where(~ok.all(axis=0), self._invalid, first, *self.interval, *self.b_zeros)
+
+    @staticmethod
+    def _invalid(x, lo, hi, *b_zeros) -> ValidityError:
+        if not (lo <= x <= hi):
+            return ValidityError(f"x={x} outside validity interval [{lo}, {hi}]")
+        z = min(b_zeros, key=lambda t: abs(x - t))
+        return ValidityError(f"x={x} inside turning-point window around x={z}")
 
     def _closed_sums(self, xs: np.ndarray) -> tuple:
         """``integrals`` of both pairs at xs: the closed forms, in one pass."""
@@ -805,15 +846,25 @@ class ExponentTable:
         return j[:, :-2] - j[:, -2:-1]
 
 
+def _wkb_log(eta: float, i1, i2, s, lam):
+    """log w_j = eta I1 - I2/2 - (log lam + log s)/2, elementwise, from branch j's own I1, I2 and lam.
+
+    The one kernel of ``WkbBasisFunction.exponent`` and ``WkbSet``'s value
+    rows, so an entry has the same bits from either.
+    """
+    return eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam) + np.log(s))
+
+
 class WkbBasisFunction(BasisFunction):
     """One WKB branch on a validity piece, reading the piece's ``ExponentTable``.
 
     The piece must not contain a zero of a^2 - b; for j in {3, 4} zeros of b
     inside it are masked by windows of half-width TURNING_WINDOW_HALF_WIDTH
     (evaluation inside a window raises ValidityError), while the exponent
-    integrals cross them.  ``exponent`` is the branch's one evaluator: the
-    values, their logs and the value rows of ``FundamentalSet.point_rows``
-    all read it, at a float or at an array of abscissas.
+    integrals cross them.  ``exponent`` is the branch's one evaluator: its
+    values and their logs read it, at a float or at an array of abscissas.
+    The value rows of its set read the same table through the same kernel
+    (``WkbSet``).
 
     On a batched table (``WkbParameters`` of a batch of energies) the
     interval ends and windows hold one entry per energy, abscissas broadcast
@@ -829,7 +880,6 @@ class WkbBasisFunction(BasisFunction):
         self.index = index
         self.interval = table.interval
         self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
-        self._b_zeros = table.b_zeros
         self.windows = table.windows if index in (3, 4) else ()
 
     # -- branch chains
@@ -844,29 +894,7 @@ class WkbBasisFunction(BasisFunction):
     # -- validity guards
 
     def valid(self, x) -> np.ndarray:
-        lo, hi = self.interval
-        x = np.asarray(x, dtype=float)
-        ok = (lo <= x) & (x <= hi)
-        # strict test on the stored window edges: a region end built as
-        # z -+ window is then outside exactly, whatever the roundoff of x - z
-        for a, b in self.windows:
-            ok = ok & ~((a < x) & (x < b))
-        return ok
-
-    def _check(self, x: np.ndarray) -> None:
-        """Raise ValidityError at the first abscissa of a flat x (of each energy, for a batch) outside the piece."""
-        ok = self.valid(x)
-        if ok.all():
-            return
-        first = np.take_along_axis(x, np.argmin(ok, axis=0)[None], 0)[0]
-        raise_where(~ok.all(axis=0), self._invalid, first, *self.interval, *self._b_zeros)
-
-    @staticmethod
-    def _invalid(x, lo, hi, *b_zeros) -> ValidityError:
-        if not (lo <= x <= hi):
-            return ValidityError(f"x={x} outside validity interval [{lo}, {hi}]")
-        z = min(b_zeros, key=lambda t: abs(x - t))
-        return ValidityError(f"x={x} inside turning-point window around x={z}")
+        return self.table.valid(x, self.windows)
 
     # -- evaluation
 
@@ -882,12 +910,11 @@ class WkbBasisFunction(BasisFunction):
         flat = (xs if xs.shape == shape else np.full(shape, xs)).reshape((-1,) + batch)
         if flat.size == 0:
             return np.empty(shape, dtype=complex)
-        self._check(flat)
+        self.table.check(flat, self.windows)
         i1, i2, s, lam = self.table.integrals(flat, self._inner_sigma)
         if self._sign_tau < 0:
             i1, i2 = -i1, -i2
-        lam = self._sign_tau * lam
-        e = (self.params.eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam) + np.log(s))).reshape(shape)
+        e = _wkb_log(self.params.eta, i1, i2, s, self._sign_tau * lam).reshape(shape)
         return e if shape else complex(e)
 
     def log_abs_array(self, x):
@@ -928,7 +955,7 @@ class WkbBasisFunction(BasisFunction):
     def __repr__(self):
         return (
             f"WkbBasisFunction(j={self.index}, interval={self.interval}, "
-            f"x0={self.params.x0:.4g}, eta={self.params.eta:.4g})"
+            f"x0={_shown(self.params.x0, '.4g')}, eta={self.params.eta:.4g})"
         )
 
 
@@ -962,6 +989,76 @@ class SymmetrizedBasisFunction(BasisFunction):
 
     def __repr__(self):
         return f"SymmetrizedBasisFunction({self.inner!r})"
+
+
+# tau of branches 1..4, the factor of their pair's lam as in ``WkbBasisFunction.exponent``
+_BRANCH_TAUS = np.array([tau for _, tau in _BRANCH_SIGNS.values()])
+
+
+class WkbSet(FundamentalSet):
+    """Branches 1..4 of one WKB piece, all reading its ``ExponentTable``, or their even continuations.
+
+    ``even`` gives the even continuations f(|x|) (``SymmetrizedBasisFunction``)
+    of an even potential.  The members are formed on first read: a count,
+    which reads the table's value rows and classes alone, forms none.
+
+    The value rows are one stacked pass over the table: one validity check
+    of every point (the interval, as branches 1 and 2 test it, then the
+    turning windows, as 3 and 4 do, so an error has the text and ``failed``
+    mask of asking the branches in turn), one query of both pairs' closed
+    sums, and the kernel ``_wkb_log`` that each branch's ``exponent`` takes,
+    so every entry has the bits of that branch's exponent.
+    """
+
+    def __init__(self, table: ExponentTable, even: bool = False):
+        self.table = table
+        self.even = even
+
+    @cached_property
+    def _members(self) -> tuple:
+        branches = tuple(WkbBasisFunction(self.table, j) for j in (1, 2, 3, 4))
+        return tuple(SymmetrizedBasisFunction(f) for f in branches) if self.even else branches
+
+    def __len__(self) -> int:
+        return 4
+
+    @property
+    def _batch(self) -> tuple:
+        return np.shape(self.table.params.x0)
+
+    def _value_rows(self, x) -> np.ndarray:
+        """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch."""
+        table, batch = self.table, self._batch
+        at = np.abs(x) if self.even else x
+        # each point once per energy, as a branch's ``exponent`` flattens it
+        shape = at.shape[:2] + batch
+        flat = (at if at.shape == shape else np.full(shape, at)).reshape((-1,) + batch)
+        table.check(flat, ())
+        if table.windows:
+            table.check(flat, table.windows)
+        (i1, i2, s, lam), (j1, j2, _, mu) = table.sums(flat)
+        # the branches on a leading axis, then after the points
+        e = _wkb_log(
+            table.params.eta,
+            np.array([i1, -i1, j1, -j1]),
+            np.array([i2, -i2, j2, -j2]),
+            s,
+            _BRANCH_TAUS.reshape((4,) + (1,) * s.ndim) * np.array([lam, lam, mu, mu]),
+        )
+        e = np.moveaxis(e, 0, 1)
+        # np.max, not a reduction that skips NaN: a NaN exponent poisons its whole row
+        shift = np.max(e.real, axis=1, keepdims=True)
+        return _capped_exp(e - shift, x, "scaled WKB")
+
+    def _derivative_rows(self, x, orders: np.ndarray) -> np.ndarray:
+        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch.
+
+        Each member's derivatives are taken once, to the highest order, and
+        each point reads its own: a lower order's entries do not depend on
+        the highest.
+        """
+        top, at = int(orders.max()), np.arange(orders.size)
+        return np.concatenate([f.derivatives(x, order=top)[orders, at] for f in self], axis=1)
 
 
 @dataclass(frozen=True)
@@ -1059,25 +1156,24 @@ def wkb_branches(
     params: WkbParameters,
     interval: tuple[float, float],
     region_map: WkbRegionMap | None = None,
-) -> FundamentalSet:
-    """Branches 1..4 on ``interval``, all reading one exponent table."""
-    table = _piece_table(params, interval, region_map)
-    return FundamentalSet(WkbBasisFunction(table, j) for j in (1, 2, 3, 4))
+    even: bool = False,
+) -> WkbSet:
+    """Branches 1..4 on ``interval``, all reading one exponent table, or with ``even`` their even continuations."""
+    return WkbSet(_piece_table(params, interval, region_map), even)
 
 
 # --- asymptotic classification -------------------------------------------------
 
 
-def classify_asymptotics(f: BasisFunction, side: Side) -> AsymptoticClass:
-    """The class of ``f`` toward ``side``, read from its far-field closed form.
+def classify_asymptotics(basis, side: Side) -> tuple[AsymptoticClass, ...]:
+    """The classes of the four functions of ``basis`` toward ``side``, from the far-field closed form.
 
-    A WKB branch takes its table's ``closed_classes``; the even continuation
-    of one takes its inner branch's class toward +inf, since the mirror piece
-    toward -inf is its image.  Any other function, and a branch on a piece
-    the closed form does not cover, raises ClassificationError.
+    A WKB set takes its table's ``closed_classes``; the even continuations
+    take their branches' classes toward +inf for both sides, since the
+    mirror piece toward -inf is the image of the piece.  Anything else, and
+    a set on a piece the closed form does not cover, raises
+    ClassificationError.
     """
-    if isinstance(f, SymmetrizedBasisFunction):
-        f, side = f.inner, Side.PLUS_INFINITY
-    if not isinstance(f, WkbBasisFunction):
-        raise ClassificationError(f"{type(f).__name__} has no closed-form class toward {side.value}")
-    return f.table.closed_classes(side)[f.index - 1]
+    if not isinstance(basis, WkbSet):
+        raise ClassificationError(f"{type(basis).__name__} has no closed-form class toward {side.value}")
+    return basis.table.closed_classes(Side.PLUS_INFINITY if basis.even else side)

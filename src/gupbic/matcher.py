@@ -6,9 +6,10 @@ set.  Boundary conditions become linear rows on (C_1..C_4):
   * a point condition phi(xp) = 0 is the row [w_1(xp), ..., w_4(xp)];
   * a decay condition toward one side zeroes the coefficients of the basis
     functions whose asymptotic class toward that side is Growing (one unit
-    row each).  The class comes from ``basis.classify_asymptotics``, a
-    closed form that only far-field WKB pieces have, so decay rows read the
-    ``far_basis`` of a WKB assembly.
+    row each).  The classes come from one ``basis.classify_asymptotics``
+    call per side, a closed form that only far-field WKB pieces have, so
+    decay rows read the classes of a WKB assembly's far piece
+    (``far_basis``), whose branches are never formed for them.
 
 The count of degrees of freedom (nullity of the assembled system) is the
 degeneracy of the energy; key boundary conditions (KBCs) are those that make
@@ -26,8 +27,9 @@ carries a scale: null vectors are the true coefficient vectors.
 The basis set forms the point rows' entries (``FundamentalSet.point_rows``)
 for every point and every energy of a batch, every value row in one pass
 and every derivative row in one more: the well's exact set by its stacked
-kernels, a WKB set by one exponent call per branch.  ``evaluate_states``
-likewise asks the set for its members' derivatives, as one stacked array.
+kernels, a WKB set by one four-branch pass over its exponent table
+(``WkbSet``).  ``evaluate_states`` likewise asks the set for its members'
+derivatives, as one stacked array.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .basis import (
     BasisFunction,
     CharacteristicRoots,
     ExponentialBasisFunction,
+    ExponentTable,
     FundamentalSet,
     Side,
     SymmetrizedBasisFunction,
@@ -53,6 +56,7 @@ from .basis import (
     TrigBasisFunction,
     WkbBasisFunction,
     WkbParameters,
+    WkbSet,
     characteristic_roots,
     classify_asymptotics,
     exact_constant_basis,
@@ -174,7 +178,7 @@ class ConstraintSystem:
     energy: float
     matrix: np.ndarray
     row_kinds: tuple[str, ...]
-    basis: tuple[BasisFunction, ...]
+    basis: Sequence[BasisFunction]
 
     def row_residual(self, coefficients: np.ndarray) -> float | np.ndarray:
         """max |row . c| / |c| over rows: the residual of the unit vector along c; inf for c = 0.
@@ -205,10 +209,11 @@ def assemble(
     ``extra_conditions`` injects additional point conditions for sensitivity
     studies: a bare x means phi(x) = 0, a pair (x, k) means phi^(k)(x) = 0
     (hard walls themselves impose only phi = 0).  ``far_basis`` continues the
-    basis past the last validity boundary; its asymptotic classes
-    (``classify_asymptotics``) decide the decay rows (default: the classes
-    of ``basis`` itself, which raise ClassificationError unless it is a
-    far-field set).
+    basis past the last validity boundary; its asymptotic classes, one
+    ``classify_asymptotics`` call per decay side, decide the decay rows
+    (default: the classes of ``basis`` itself, which raise
+    ClassificationError unless it is a far-field set).  Neither set is
+    asked for a member here, so a WKB set forms no branch.
     """
     if len(basis) != 4:
         raise PreconditionError(f"need the 4-function fundamental set, got {len(basis)}")
@@ -234,8 +239,9 @@ def assemble(
     rows: list[np.ndarray] = []
     kinds: list[str] = []
     for side in decay_sides:
-        for j, f in enumerate(basis if far_basis is None else far_basis):
-            if classify_asymptotics(f, side) is AsymptoticClass.GROWING:
+        classes = classify_asymptotics(basis if far_basis is None else far_basis, side)
+        for j, c in enumerate(classes):
+            if c is AsymptoticClass.GROWING:
                 row = np.zeros(batch + (4,), dtype=complex)
                 row[..., j] = 1.0
                 rows.append(row)
@@ -824,11 +830,17 @@ def solve_well(
 
 @dataclass(frozen=True)
 class WkbAssembly:
-    """WKB fundamental set for an unbounded potential at one energy, or batched over an array of energies."""
+    """WKB fundamental sets for an unbounded potential at one energy, or batched over an array of energies.
+
+    ``basis`` is the interior set, whose value rows and states a solver
+    reads; ``far_basis`` the set on the far piece, whose closed-form classes
+    (``classify_asymptotics``) decide the decay rows.  Both are ``WkbSet``s,
+    which form their branches on first read, so a count forms none.
+    """
 
     params: WkbParameters
-    basis: FundamentalSet
-    far_basis: FundamentalSet
+    basis: WkbSet
+    far_basis: WkbSet
     b_zeros: tuple[float, ...]
     s_zeros: tuple[float, ...]
 
@@ -844,7 +856,8 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
     from the wall (linear) or the turning point x_t (harmonic) to the zero
     of a^2 - b, the far piece from that zero to infinity, each a turning
     window clear of the zeros.  The harmonic sets are the branches' even
-    continuations.
+    continuations.  Each piece's exponent table, with its reference-point
+    check, is built here, and no branch is (``WkbSet``).
 
     For an array of energies this is one batched pass: the parameters, zeros,
     pieces and reference points hold one entry per energy, and the sets
@@ -875,15 +888,14 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
             s_zero,
         )
         x0 = 0.5 * (piece[0] + piece[1])
+    even = problem.kind == "harmonic"
     params = WkbParameters.from_problem(problem, energy, x0=x0)
-    basis = wkb_branches(params, piece, rmap)
+    basis = wkb_branches(params, piece, rmap, even)
 
     far_lo = s_zero + TURNING_WINDOW_HALF_WIDTH
     far_params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
-    far_basis = wkb_branches(far_params, (far_lo, math.inf), rmap)
-    if problem.kind == "harmonic":
-        basis = FundamentalSet(SymmetrizedBasisFunction(f) for f in basis)
-        far_basis = FundamentalSet(SymmetrizedBasisFunction(f) for f in far_basis)
+    # the map's zeros, x_t < s_zero, all lie short of the far piece
+    far_basis = WkbSet(ExponentTable(far_params, (far_lo, math.inf), ()), even)
     return WkbAssembly(
         params=params, basis=basis, far_basis=far_basis, b_zeros=rmap.b_zeros, s_zeros=rmap.s_zeros
     )
@@ -952,7 +964,7 @@ def degrees_of_freedom(
         system = assemble(basis, conditions, energy)
     else:
         asm = wkb_assembly(problem, energy)
-        # decay rows come from far-field classes; point rows from the interior set
+        # decay rows come from far-field classes; point rows (the linear wall) from the interior set
         system = assemble(asm.basis, conditions, energy, far_basis=asm.far_basis)
     return nullity_of(system), system
 

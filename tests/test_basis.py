@@ -272,7 +272,7 @@ class TestWkbBasis:
         from gupbic.matcher import wkb_assembly
 
         asm = wkb_assembly(linear_problem, 2.0)
-        classes = {j: classify_asymptotics(f, Side.PLUS_INFINITY) for j, f in enumerate(asm.far_basis, 1)}
+        classes = dict(enumerate(classify_asymptotics(asm.far_basis, Side.PLUS_INFINITY), 1))
         assert classes[1] is AsymptoticClass.GROWING
         assert classes[2] is AsymptoticClass.DECAYING
         assert classes[3] is AsymptoticClass.GROWING
@@ -312,26 +312,26 @@ class TestWkbBasis:
 def test_interior_branch_has_no_class(linear_problem, side):
     # the linear interior piece ends at the wall and short of the zero of
     # a^2 - b: neither end is covered by the closed form
-    f = wkb_assembly(linear_problem, 2.0).basis[0]
+    basis = wkb_assembly(linear_problem, 2.0).basis
     with pytest.raises(ClassificationError, match=f"toward \\{side.value}") as info:
-        classify_asymptotics(f, side)
+        classify_asymptotics(basis, side)
     assert info.value.failed is None
 
 
 def test_linear_far_piece_has_no_class_toward_minus_inf(linear_problem):
     # the far piece starts past the zero of a^2 - b, so it is bounded below
-    f = wkb_assembly(linear_problem, 2.0).far_basis[0]
-    assert classify_asymptotics(f, Side.PLUS_INFINITY) is AsymptoticClass.GROWING
+    far = wkb_assembly(linear_problem, 2.0).far_basis
+    assert classify_asymptotics(far, Side.PLUS_INFINITY)[0] is AsymptoticClass.GROWING
     with pytest.raises(ClassificationError, match="toward -inf"):
-        classify_asymptotics(f, Side.MINUS_INFINITY)
+        classify_asymptotics(far, Side.MINUS_INFINITY)
 
 
 @pytest.mark.parametrize("kind", ["linear", "harmonic"])
 def test_batched_interior_branch_has_no_class(linear_problem, harmonic_problem, kind):
     problem = linear_problem if kind == "linear" else harmonic_problem
-    f = wkb_assembly(problem, np.array([1.5, 2.0, 3.0])).basis[2]
+    basis = wkb_assembly(problem, np.array([1.5, 2.0, 3.0])).basis
     with pytest.raises(ClassificationError, match=r"toward \+inf") as info:
-        classify_asymptotics(f, Side.PLUS_INFINITY)
+        classify_asymptotics(basis, Side.PLUS_INFINITY)
     assert info.value.failed.tolist() == [True, True, True]
 
 
@@ -342,9 +342,33 @@ def test_batched_far_classes_are_the_per_energy_ones(linear_problem, harmonic_pr
     energies = np.array([1.5, 2.0, 3.0])
     batched = wkb_assembly(problem, energies).far_basis
     for e in energies.tolist():
-        for f, g in zip(batched, wkb_assembly(problem, e).far_basis):
-            for side in sides:
-                assert classify_asymptotics(f, side) is classify_asymptotics(g, side), (e, f, side)
+        alone = wkb_assembly(problem, e).far_basis
+        for side in sides:
+            got, want = classify_asymptotics(batched, side), classify_asymptotics(alone, side)
+            assert len(got) == len(want) == 4
+            assert all(f is g for f, g in zip(got, want)), (e, side)
+
+
+@pytest.mark.parametrize("energy", [2.0, np.array([2.0, 3.0])], ids=["single", "batch"])
+def test_repr_shows_the_parameters_of_each_energy(linear_problem, harmonic_problem, energy):
+    # a batched branch names one x0 per energy (formatting the array raised
+    # TypeError), and one energy keeps its float form
+    def shown(values, spec):
+        return format(values, spec) if np.ndim(values) == 0 else "[" + ", ".join(format(v, spec) for v in values) + "]"
+
+    linear = wkb_assembly(linear_problem, energy).basis[0]
+    even = wkb_assembly(harmonic_problem, energy).basis[2]
+    for f, g in ((linear, linear), (even, even.inner)):
+        p = g.params
+        want = f"WkbBasisFunction(j={g.index}, interval={g.interval}, x0={shown(p.x0, '.4g')}, eta={p.eta:.4g})"
+        assert repr(g) == want
+        assert repr(f) == (want if f is g else f"SymmetrizedBasisFunction({want})")
+    if np.ndim(energy):
+        assert f"x0=[{linear.params.x0[0]:.4g}, {linear.params.x0[1]:.4g}]" in repr(linear)
+    well = nondimensionalize(reference_well_setup())
+    exact = exact_constant_basis(characteristic_roots(well.epsilon, energy), well.domain)
+    assert repr(exact[0]) == f"ExponentialBasisFunction(rate={shown(exact[0].rate, '.6g')}, anchor=1, index=1)"
+    assert repr(exact[3]) == f"TrigBasisFunction(kappa={shown(exact[3].kappa, '.6g')}, sin, index=4)"
 
 
 def test_concurrent_evaluation_matches_serial(linear_problem):
@@ -409,9 +433,9 @@ def _reference_exponent(w, x):
 
     p = w.params
     sigma, tau = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}[w.index]
-    c = w._b_zeros[0] if w._b_zeros else p.x0
+    c = w.table.b_zeros[0] if w.table.b_zeros else p.x0
     bc = p.b_chain(c)
-    b0 = 0.0 if w._b_zeros else bc[0]
+    b0 = 0.0 if w.table.b_zeros else bc[0]
 
     def lam_and_s(d):
         b = b0 + d * (bc[1] + d * (bc[2] / 2.0 + d * (bc[3] / 6.0 + d * bc[4] / 24.0)))
@@ -873,13 +897,14 @@ def test_far_classes_closed_form_match_classification(kind):
     for eps in (1e-4, 1e-2, 0.2):
         problem = nondimensionalize(setup_for(eps))
         for e in (1.5, 3.0, 5.0, 7.5, 10.0):
-            for f in wkb_assembly(problem, e).far_basis:
-                lo = getattr(f, "inner", f).interval[0]
-                probes = np.linspace(lo + 0.25, lo + 4.25, 5)
-                for side in sides:
+            far = wkb_assembly(problem, e).far_basis
+            for side in sides:
+                for f, got in zip(far, classify_asymptotics(far, side), strict=True):
+                    lo = getattr(f, "inner", f).interval[0]
+                    probes = np.linspace(lo + 0.25, lo + 4.25, 5)
                     outward = probes if side is Side.PLUS_INFINITY else -probes
                     expected = _classify_point_by_point(f, outward)
-                    assert classify_asymptotics(f, side) is expected, (eps, e, f, side)
+                    assert got is expected, (eps, e, f, side)
                     compared += 1
     assert compared == 3 * 5 * 4 * len(sides)
 
@@ -949,12 +974,22 @@ def test_capped_exp_keeps_a_nan_exponent_nan():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_exponent_row_is_refused(monkeypatch, linear_problem):
     # a NaN exponent at the wall poisons its value row, which the nullity
-    # then refuses as non-finite: it never counts as a row of no constraint
+    # then refuses as non-finite: it never counts as a row of no constraint.
+    # The NaN enters I1 of the pair sigma = +1 (branches 1 and 2) where the
+    # value-row pass reads it, the table's closed sums
     from gupbic.matcher import assemble, conditions_for, nullity_of
 
     asm = wkb_assembly(linear_problem, 2.0)
-    exponent = asm.basis[1].exponent
-    monkeypatch.setattr(asm.basis[1], "exponent", lambda x: np.where(np.asarray(x) == 0.0, math.nan, exponent(x)))
+    table = asm.basis.table
+    closed_sums = table._closed_sums
+
+    def poisoned(xs):
+        (i1, *rest), minus = closed_sums(xs)
+        return (np.where(xs == 0.0, math.nan, i1), *rest), minus
+
+    monkeypatch.setattr(table, "_closed_sums", poisoned)
+    row = asm.basis.point_rows([(0.0, 0)])[0]
+    assert np.isnan(row).all()  # branches 1 and 2 are NaN, and the shift carries it to 3 and 4
     system = assemble(asm.basis, conditions_for(linear_problem), 2.0, far_basis=asm.far_basis)
     with pytest.raises(PreconditionError, match="non-finite"):
         nullity_of(system)

@@ -919,7 +919,7 @@ def _per_point_error(basis, x, order):
 
 
 class TestWkbPointRows:
-    """A WKB set forms its value rows from one exponent call per branch over every point,
+    """A WKB set forms its value rows in one four-branch pass over its exponent table,
     bit for bit the rows formed one point and one branch at a time."""
 
     @staticmethod
@@ -975,26 +975,150 @@ class TestWkbPointRows:
         if count > 1 and point == 3.0:
             assert got.value.failed.tolist() == [True, False, False]  # only e = 3 has its window there
 
+    @pytest.mark.parametrize("count", [1, 8])
     @pytest.mark.parametrize("kind", ["linear", "harmonic"])
-    def test_one_exponent_call_per_branch(self, monkeypatch, kind):
-        # no timing: a value-row pass asks each branch's exponent once,
-        # whatever the number of points and energies
+    def test_one_closed_sum_call_and_no_exponent_call(self, monkeypatch, kind, count):
+        # no timing: a value-row pass queries the table's closed sums once
+        # and asks no branch for its exponent, whatever the number of points
+        # and energies
         import gupbic.basis as basis_module
 
         problem = nondimensionalize((linear_setup_for if kind == "linear" else harmonic_setup_for)(0.02))
         points = [0.0, 1.0, 10.0] if kind == "linear" else [1.6, 2.5, -1.6, -2.5]
-        asm = wkb_assembly(problem, np.linspace(1.5, 2.0, 8))
+        energies = np.linspace(1.5, 2.0, count)
+        asm = wkb_assembly(problem, energies if count > 1 else float(energies[0]))
         calls = []
-        exponent = basis_module.WkbBasisFunction.exponent
+        closed_sums = basis_module.ExponentTable._closed_sums
 
-        def counted(self, x):
-            calls.append(self.index)
-            return exponent(self, x)
+        def counted_sums(self, xs):
+            calls.append("_closed_sums")
+            return closed_sums(self, xs)
 
-        monkeypatch.setattr(basis_module.WkbBasisFunction, "exponent", counted)
+        def refused(self, x):
+            raise AssertionError("a value-row pass asked a branch for its exponent")
+
+        monkeypatch.setattr(basis_module.ExponentTable, "_closed_sums", counted_sums)
+        monkeypatch.setattr(basis_module.WkbBasisFunction, "exponent", refused)
         rows = asm.basis.point_rows([(x, 0) for x in points])
-        assert rows.shape == (len(points), 8, 4)
-        assert sorted(calls) == [1, 2, 3, 4]
+        assert rows.shape == (len(points),) + ((count,) if count > 1 else ()) + (4,)
+        assert calls == ["_closed_sums"]
+
+
+class TestWkbCount:
+    """A WKB count reads its tables alone: it forms no branch, asks the classes
+    once per decay side and raises the errors pinned below."""
+
+    @pytest.mark.parametrize("energy", [2.0, np.array([1.5, 2.0, 3.0])], ids=["single", "batch"])
+    @pytest.mark.parametrize("kind", ["linear", "harmonic"])
+    def test_a_count_forms_no_branch(self, monkeypatch, linear_problem, harmonic_problem, kind, energy):
+        # neither a far-piece branch (interval unbounded above) nor any
+        # other: the linear wall row comes from the interior table, and a
+        # harmonic count has decay rows alone
+        import gupbic.basis as basis_module
+
+        problem = linear_problem if kind == "linear" else harmonic_problem
+        formed = []
+        init = basis_module.WkbBasisFunction.__init__
+
+        def recording(self, table, index):
+            formed.append(table.interval)
+            init(self, table, index)
+
+        monkeypatch.setattr(basis_module.WkbBasisFunction, "__init__", recording)
+        nullity, system = degrees_of_freedom(problem, energy)
+        assert np.all(nullity == (1 if kind == "linear" else 2))
+        assert not [hi for _, hi in formed if np.all(np.isinf(hi))], "a count formed a far-piece branch"
+        assert formed == []
+        # the set forms its branches when a solver reads them
+        assert [f.index for f in system.basis] == [1, 2, 3, 4] and len(formed) == 4
+
+    @pytest.mark.parametrize("kind, sides", [("linear", ["+inf"]), ("harmonic", ["-inf", "+inf"])], ids=["linear", "harmonic"])
+    def test_one_classification_call_per_decay_side(self, monkeypatch, linear_problem, harmonic_problem, kind, sides):
+        import gupbic.matcher as matcher_module
+
+        problem = linear_problem if kind == "linear" else harmonic_problem
+        calls = []
+        classify_asymptotics = matcher_module.classify_asymptotics
+
+        def counted(basis, side):
+            calls.append(side.value)
+            return classify_asymptotics(basis, side)
+
+        monkeypatch.setattr(matcher_module, "classify_asymptotics", counted)
+        for energy in (2.0, np.array([1.5, 2.0, 3.0])):
+            calls.clear()
+            degrees_of_freedom(problem, energy)
+            assert calls == sides
+
+    # (kind, eps, energy or energies, message, failed): every error a count
+    # raises is a PreconditionError of wkb_assembly, with these texts and masks
+    PINNED_ERRORS = [
+        ("linear", 0.05, [0.01, 0.03, 0.5, 2.0],
+         "turning point x_t=0.01 is too close to the wall at x=0: its turning window (half-width 0.05) "
+         "must leave out the reference point x0=0.001, so x_t >= 0.051; the lowest energy that works is "
+         "about 5.1e-20 J (dimensionless 0.051)", [True, True, False, False]),
+        ("linear", 0.05, 0.03,
+         "turning point x_t=0.03 is too close to the wall at x=0: its turning window (half-width 0.05) "
+         "must leave out the reference point x0=0.001, so x_t >= 0.051; the lowest energy that works is "
+         "about 5.1e-20 J (dimensionless 0.051)", None),
+        ("linear", 0.05, [-1.0, 0.5, 0.0], "energy must be > 0", [True, False, True]),
+        ("harmonic", 0.25, [1.0, 5.0, 40.0, 60.0],
+         "forbidden band (6.3246, 6.4031) thinner than the turning windows (half-width 0.05); the band "
+         "narrows as the energy rises: the highest energy that works is about 2.45e-17 J (dimensionless "
+         "24.5); lower the energy or decrease epsilon (beta)", [False, False, True, True]),
+        ("harmonic", 0.25, 60.0,
+         "forbidden band (7.746, 7.8102) thinner than the turning windows (half-width 0.05); the band "
+         "narrows as the energy rises: the highest energy that works is about 2.45e-17 J (dimensionless "
+         "24.5); lower the energy or decrease epsilon (beta)", None),
+        ("harmonic", 2.0, [1.0, 2.0],
+         "forbidden band (1, 1.0607) thinner than the turning windows (half-width 0.05); the band "
+         "narrows as the energy rises: the highest energy that works is about 3.306e-19 J (dimensionless "
+         "0.3306); lower the energy or decrease epsilon (beta)", [True, True]),
+        ("harmonic", 0.02, [0.0, 1.0], "energy must be > 0", [True, False]),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, eps, energy, message, failed",
+        PINNED_ERRORS,
+        ids=["linear-wall-batch", "linear-wall-single", "linear-nonpositive", "harmonic-band-batch",
+             "harmonic-band-single", "harmonic-no-energy-works", "harmonic-nonpositive"],
+    )
+    def test_count_errors_are_pinned(self, kind, eps, energy, message, failed):
+        problem = nondimensionalize((linear_setup_for if kind == "linear" else harmonic_setup_for)(eps))
+        with pytest.raises(PreconditionError) as info:
+            degrees_of_freedom(problem, np.array(energy) if isinstance(energy, list) else energy)
+        assert type(info.value) is PreconditionError
+        assert str(info.value) == message
+        got = info.value.failed
+        assert (got is None and failed is None) or got.tolist() == failed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_batch_raises_as_its_first_failing_energy(self, seed):
+        # seeded linear and harmonic problems: a batched count raises the
+        # error its first failing energy raises alone, with the energies
+        # whose own count raises the same check as ``failed``
+        # ranges where the linear wall is too close at low energies and the
+        # harmonic band too thin at high ones
+        rng = np.random.default_rng(seed)
+        for setup_for, eps_lo in ((linear_setup_for, 1e-3), (harmonic_setup_for, 0.1)):
+            problem = nondimensionalize(setup_for(float(10.0 ** rng.uniform(math.log10(eps_lo), math.log10(0.5)))))
+            energies = np.sort(10.0 ** rng.uniform(-2.5, 2.0, 6))
+            alone = []
+            for e in energies.tolist():
+                try:
+                    degrees_of_freedom(problem, e)
+                    alone.append(None)
+                except PreconditionError as exc:
+                    alone.append(str(exc))
+            first = next((m for m in alone if m is not None), None)
+            if first is None:
+                assert degrees_of_freedom(problem, energies)[0].shape == energies.shape
+                continue
+            with pytest.raises(PreconditionError) as info:
+                degrees_of_freedom(problem, energies)
+            assert str(info.value) == first
+            check = first.split(" ", 2)[:2]  # "turning point" or "forbidden band"
+            assert info.value.failed.tolist() == [m is not None and m.split(" ", 2)[:2] == check for m in alone]
 
 
 class TestSolvers:
