@@ -270,7 +270,7 @@ def _finite_matrix(system: ConstraintSystem) -> np.ndarray:
 
 
 def _nullity(svals: np.ndarray) -> np.ndarray:
-    """4 - numerical rank: the count of singular values at or below RANK_TOL * the largest."""
+    """4 - numerical rank: 4 minus the count of singular values above RANK_TOL * the largest."""
     # an all-zero matrix has rank 0: no singular value exceeds RANK_TOL * 0
     return 4 - (svals > RANK_TOL * svals[..., :1]).sum(axis=-1)
 
@@ -279,11 +279,21 @@ def nullity_of(system: ConstraintSystem) -> int | np.ndarray:
     """4 - numerical rank of the constraint matrix (singular values above RANK_TOL * the largest).
 
     An int, or an int array with one nullity per energy for a stacked
-    (N, rows, 4) matrix, whose SVDs run in one call.
+    (N, rows, 4) matrix, whose SVDs run in one call.  Only the singular
+    values are read, and a matrix and its transpose have the same ones, so
+    a matrix with no imaginary part (the well's real parts of complex exps,
+    the harmonic potential's unit decay rows) is ranked by a float64 SVD,
+    transposed to (N, 4, rows) when it has fewer rows than columns, which
+    LAPACK takes faster.  A complex matrix keeps its shape: the linear
+    (N, 3, 4) stack measured slower transposed.
     """
     m = _finite_matrix(system)
     if m.shape[-2] == 0:
         return 4 if m.ndim == 2 else np.full(m.shape[0], 4)
+    if not m.imag.any():
+        m = m.real
+        if m.shape[-2] < m.shape[-1]:
+            m = m.swapaxes(-2, -1)
     nullity = _nullity(np.linalg.svd(m, compute_uv=False))
     return int(nullity) if m.ndim == 2 else nullity
 
@@ -293,7 +303,10 @@ def nullspace(system: ConstraintSystem) -> tuple[int | np.ndarray, list]:
 
     The rank and the vectors come from one SVD.  For a stacked (N, rows, 4)
     matrix the SVDs run in one call and give an int array of N nullities
-    and one list of vectors per energy.
+    and one list of vectors per energy.  Unlike ``nullity_of``, the SVD
+    stays complex for a real matrix too: its right singular vectors are the
+    states' coefficients, so the complex routine fixes their phases and
+    thereby the bytes of ``wavefunctions.csv``.
     """
     m = _finite_matrix(system)
     if m.shape[-2] == 0:  # no rows: all four directions are free

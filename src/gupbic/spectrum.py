@@ -213,19 +213,21 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     """
     from .matcher import degrees_of_freedom
 
-    energies = np.asarray(list(energies_si), dtype=float)
+    # an ndarray is copied with no list round trip, so the scan never shares the caller's array
+    energies = np.array(energies_si if isinstance(energies_si, np.ndarray) else list(energies_si), dtype=float)
     finite = np.isfinite(energies)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ConfigError(f"scan energies must be finite, got {energies[i]} J at index {i}")
+    steps = np.diff(energies)
     # strictly increasing from a first energy > 0
-    if energies.size < 1 or energies[0] <= 0.0 or np.any(np.diff(energies) <= 0.0):
+    if energies.size < 1 or energies[0] <= 0.0 or (steps <= 0.0).any():
         raise PreconditionError("energies must be strictly increasing and > 0")
     problem = nondimensionalize(setup)
     k_max = 0
     if isinstance(setup.potential, InfiniteWell):
         # counted before any solve, so a top above too many levels is refused at once
-        tol = 0.5 * float(np.max(np.diff(energies))) if energies.size > 1 else 0.5 * energies[0]
+        tol = 0.5 * float(steps.max()) if energies.size > 1 else 0.5 * energies[0]
         with np.errstate(over="ignore"):
             k_max = _special_level_count(problem, energies[-1] + tol)
     with np.errstate(over="ignore"):

@@ -19,6 +19,7 @@ from gupbic.errors import (
     ClassificationError,
     ComplexQuartetError,
     DegenerateBasisError,
+    GupBicError,
     InvalidConditionsError,
     NormalizationError,
     NumericalError,
@@ -27,6 +28,7 @@ from gupbic.errors import (
 )
 from gupbic.matcher import (
     _GRAM_TOL,
+    RANK_TOL,
     BoundStateSolution,
     Case,
     ConstraintSystem,
@@ -254,6 +256,81 @@ class TestNullspace:
         for n, single in enumerate(singles):
             assert got[n, 0] == pytest.approx(single.row_residual(coeffs[n, 0]), rel=1e-14, abs=0.0)
         assert got[1, 1] == math.inf and singles[1].row_residual(coeffs[1, 1]) == math.inf
+
+
+def complex_nullity(matrix: np.ndarray) -> np.ndarray:
+    """The nullity the complex SVD gives a (rows, 4) or (N, rows, 4) matrix."""
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return 4 - (s > RANK_TOL * s[..., :1]).sum(-1)
+
+
+def seeded_systems(kind: str, seed: int, problems: int = 10, energies: int = 6) -> list[ConstraintSystem]:
+    """Constraint systems of seeded problems: one per energy that counts alone, then one batch of those.
+
+    Wells take beta in 1e30...1e47, scan energies and their first two special
+    levels; linear and harmonic problems take eps in 1e-4...0.2 and e in 0.3...15.
+    """
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(problems):
+        if kind == "well":
+            setup = reference_well_setup(beta=float(10.0 ** rng.uniform(30.0, 47.0)))
+            problem = nondimensionalize(setup)
+            special = [se.energy_dimensionless for se in well_special_energies(setup, 2)]
+            grid = rng.uniform(1e-19, 2e-17, energies) / problem.energy_scale
+            grid = np.concatenate([grid, special])
+        else:
+            setup_for = linear_setup_for if kind == "linear" else harmonic_setup_for
+            problem = nondimensionalize(setup_for(float(10.0 ** rng.uniform(-4.0, math.log10(0.2)))))
+            grid = rng.uniform(0.3, 15.0, energies)
+        counted = []
+        for e in grid.tolist():
+            try:
+                systems.append(degrees_of_freedom(problem, e)[1])
+            except GupBicError:
+                continue
+            counted.append(e)
+        if counted:
+            systems.append(degrees_of_freedom(problem, np.array(counted))[1])
+    return systems
+
+
+class TestRealRank:
+    """``nullity_of`` ranks a matrix with no imaginary part by a float64 SVD: its counts are the complex SVD's."""
+
+    @pytest.mark.parametrize("kind, seed", [("well", 40), ("linear", 41), ("harmonic", 42)])
+    def test_counts_equal_the_complex_svd(self, kind, seed):
+        systems = seeded_systems(kind, seed)
+        assert {s.matrix.ndim for s in systems} == {2, 3}
+        for system in systems:
+            got, want = nullity_of(system), complex_nullity(system.matrix)
+            if system.matrix.ndim == 2:
+                assert type(got) is int and got == int(want)
+            else:
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("ratio, kept", [(3e-11, False), (3e-10, True)])
+    def test_a_gap_at_the_rank_tolerance(self, real, rows, ratio, kept):
+        # U diag(s) V^H with s = (1, [0.7,] ratio), scaled by 10^-3...10^3 per matrix
+        rng = np.random.default_rng(rows + 10 * real)
+
+        def orthonormal(n):
+            a = rng.normal(size=(8, n, n))
+            return np.linalg.qr(a if real else a + 1j * rng.normal(size=(8, n, n)))[0]
+
+        svals = np.array([1.0, 0.7, ratio] if rows == 3 else [1.0, ratio])
+        u, vh = orthonormal(rows), orthonormal(4)[:, :rows, :]
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (8, 1, 1))
+        matrix = (scale * (u * svals) @ vh).astype(complex)
+        assert matrix.imag.any() != real
+        nullity = 4 - rows + (0 if kept else 1)
+        stacked = ConstraintSystem(energy=np.arange(8.0), matrix=matrix, row_kinds=("p",) * rows, basis=())
+        assert complex_nullity(matrix).tolist() == [nullity] * 8
+        assert nullity_of(stacked).tolist() == [nullity] * 8
+        for m in matrix:
+            assert nullity_of(ConstraintSystem(energy=1.0, matrix=m, row_kinds=("p",) * rows, basis=())) == nullity
 
 
 class TestWellCoefficients:

@@ -127,6 +127,16 @@ class TestDofScan:
             nearest = int(np.argmin(np.abs(energies - se.energy_si)))
             assert nearest in marked
 
+    def test_an_array_scans_as_its_list(self, well_setup):
+        # an ndarray skips the list round trip, but the scan still holds its own copy
+        energies = np.linspace(1e-19, 2e-17, 60)
+        scan = dof_scan(well_setup, energies)
+        listed = dof_scan(well_setup, energies.tolist())
+        energies[:] = 1.0
+        assert np.array_equal(scan.energies_si, listed.energies_si)
+        assert scan.dof == listed.dof and scan.labels == listed.labels
+        assert scan.special_marks == listed.special_marks
+
     def test_linear_all_one(self, linear_setup):
         energies = np.linspace(5e-19, 1.5e-17, 12)
         scan = dof_scan(linear_setup, energies)
@@ -289,21 +299,36 @@ class TestBatchedWkbScan:
         # a batch of all energies, one per failing energy, a batch of the rest
         assert calls == [energies.size] + [None] * n_failed + [energies.size - n_failed]
 
-    @pytest.mark.parametrize("kind", ["linear", "harmonic"])
+    # kind: (setup, count, rows, the one stack np.linalg.svd receives); a real stack is
+    # ranked in float64, transposed when it has fewer rows than columns
+    CLEAN_SCANS = {
+        "well": (reference_well_setup, 2, 2, (np.float64, (200, 4, 2))),
+        "linear": (lambda: linear_setup_for(0.05), 1, 3, (np.complex128, (200, 3, 4))),
+        "harmonic": (lambda: harmonic_setup_for(0.05), 2, 4, (np.float64, (200, 4, 4))),
+    }
+
+    @pytest.mark.parametrize("kind", list(CLEAN_SCANS))
     def test_a_clean_scan_is_one_svd(self, monkeypatch, kind):
-        setup = (linear_setup_for if kind == "linear" else harmonic_setup_for)(0.05)
-        calls = []
-        real = matcher.nullity_of
+        setup_for, dof, rows, svd_stack = self.CLEAN_SCANS[kind]
+        setup = setup_for()
+        calls, stacks = [], []
+        real, svd = matcher.nullity_of, np.linalg.svd
 
         def counting(system):
             calls.append(system.matrix.shape)
             return real(system)
 
+        def recording(a, *args, **kwargs):
+            stacks.append((a.dtype, a.shape))
+            return svd(a, *args, **kwargs)
+
         monkeypatch.setattr(matcher, "nullity_of", counting)
+        monkeypatch.setattr(np.linalg, "svd", recording)
         scan = dof_scan(setup, np.linspace(2e-19, 5e-18, 200))
         assert scan.errors == {}
-        assert set(scan.dof) == {1 if kind == "linear" else 2}
-        assert calls == [(200, 3 if kind == "linear" else 4, 4)]
+        assert set(scan.dof) == {dof}
+        assert calls == [(200, rows, 4)]
+        assert stacks == [svd_stack]
 
 
 def labelled_one_level_at_a_time(setup, energies):
