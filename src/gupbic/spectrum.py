@@ -213,8 +213,7 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     """
     from .matcher import degrees_of_freedom
 
-    # an ndarray is copied with no list round trip, so the scan never shares the caller's array
-    energies = np.array(energies_si if isinstance(energies_si, np.ndarray) else list(energies_si), dtype=float)
+    energies = np.array(energies_si, dtype=float)
     finite = np.isfinite(energies)
     if not finite.all():
         i = int(np.argmin(finite))
