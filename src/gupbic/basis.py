@@ -33,10 +33,10 @@ log-space access.
 
 A fundamental set (``FundamentalSet``) evaluates its four functions for the
 point rows of a constraint system and for the states built on it, over an
-axis of points and a batch's energies: a WKB set (``WkbSet``) forms the
-value rows of its four branches in one stacked pass over its exponent
-table, and the exact constant-potential set (``ExactConstantSet``) evaluates
-all four functions in one stacked pass.
+axis of points and a batch's energies, in one stacked pass: a WKB set
+(``WkbSet``) through its piece's exponent table, the one evaluator of the
+branches' values and derivatives, and the exact constant-potential set
+(``ExactConstantSet``) through its stacked kernels.
 """
 
 from __future__ import annotations
@@ -311,11 +311,11 @@ class FundamentalSet(Sequence):
     """The four functions w_1..w_4 of a fundamental set, evaluated over an axis of points.
 
     ``point_rows`` gives the entries of ``assemble``'s point rows and
-    ``derivatives`` the derivatives of chosen members.  A set supplies the
-    batch shape and the two row hooks, ``_value_rows`` and
-    ``_derivative_rows``: ``ExactConstantSet`` and ``WkbSet`` have stacked
-    kernels of their own.  A set of other members serves ``derivatives``
-    alone.
+    ``derivatives`` the derivatives of chosen members, which the derivative
+    rows read.  A set supplies the batch shape and the value-row hook
+    ``_value_rows``: ``ExactConstantSet`` and ``WkbSet`` evaluate both in
+    stacked passes of their own.  A set of other members serves
+    ``derivatives`` alone.
     """
 
     def __init__(self, members):
@@ -367,8 +367,13 @@ class FundamentalSet(Sequence):
         raise NotImplementedError
 
     def _derivative_rows(self, x, orders: np.ndarray) -> np.ndarray:
-        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch."""
-        raise NotImplementedError
+        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch.
+
+        One pass to the highest order, each point reading its own: a lower
+        order's entries do not depend on the highest.
+        """
+        top, at = int(orders.max()), np.arange(orders.size)
+        return self.derivatives(x[:, 0], top, range(4))[:, orders, at].swapaxes(0, 1)
 
     def derivatives(self, x, order: int, members: Sequence[int]) -> np.ndarray:
         """Derivatives of the members (0-based, ascending), shape (members, order + 1) + shape.
@@ -382,12 +387,12 @@ class ExactConstantSet(FundamentalSet):
     """The set of ``exact_constant_basis``, evaluated as one stacked set.
 
     The exponentials' rates and anchors are held stacked on a member axis,
-    and the trig pair shares kappa x, so the row hooks and ``derivatives``
+    and the trig pair shares kappa x, so ``_value_rows`` and ``derivatives``
     evaluate all four members at every point (and every energy of a batch)
     in one pass, one call of each kernel.  The elementwise operations are
     those of the single functions, so every entry has the bits each member
     gives alone at one point and one energy, and an exponent past the cap
-    raises at the first point whose row passes it.
+    raises at the first point that passes it.
     """
 
     def __init__(self, members: Sequence[BasisFunction]):
@@ -402,41 +407,24 @@ class ExactConstantSet(FundamentalSet):
     def _batch(self) -> tuple:
         return np.shape(self._kappa)
 
-    def _point_major(self, x) -> tuple:
-        """The exponentials' rates and anchors with a member axis after the points of x."""
-        return self._rates[None], self._anchors.reshape((1, 2) + (1,) * (x.ndim - 2))
-
     def _value_rows(self, x) -> np.ndarray:
         """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch."""
-        rates, anchors = self._point_major(x)
-        logs = _exp_log(rates, anchors, x)
+        # the member axis after the points
+        logs = _exp_log(self._rates[None], self._anchors.reshape((1, 2) + (1,) * (x.ndim - 2)), x)
         waves = np.concatenate(_trig_waves(self._kappa, x), axis=1)
         every = np.concatenate([logs, _trig_logs(waves)], axis=1)
         shift = np.maximum.reduce(every, axis=1, keepdims=True)
         return np.concatenate([_exp_scaled(logs, x, shift), _trig_scaled(waves, shift)], axis=1)
 
-    def _derivative_rows(self, x, orders: np.ndarray) -> np.ndarray:
-        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch.
-
-        One pass to the highest order, each point reading its own: a lower
-        order's entries do not depend on the highest.
-        """
-        rates, anchors = self._point_major(x)
-        top, at = int(orders.max()), np.arange(orders.size)
-        exps = _exp_derivatives(rates, anchors, x, top)[orders, at]
-        trig = _trig_derivatives(self._kappa, x[:, 0], top, ("cos", "sin"))[:, orders, at]
-        return np.concatenate([exps, trig.swapaxes(0, 1)], axis=1)
-
     def derivatives(self, x, order: int, members: Sequence[int]) -> np.ndarray:
         """Derivatives of the members, shape (members, order + 1) + shape, shape that of x and the batch."""
-        batch = np.shape(self._kappa)
-        shape = np.broadcast_shapes(batch, np.shape(x))
-        parts = []
+        x, parts = np.asarray(x, dtype=float), []
         exps = [j for j in members if j < 2]
         if exps:
-            rates = self._rates[exps].reshape((len(exps),) + (1,) * (len(shape) - len(batch)) + batch)
-            anchors = self._anchors[exps].reshape((len(exps),) + (1,) * len(shape))
-            parts.append(np.swapaxes(_exp_derivatives(rates, anchors, x, order), 0, 1))
+            # the members last, after the points and the batch, so an
+            # exponent past the cap raises at the first point that passes it
+            d = _exp_derivatives(np.moveaxis(self._rates[exps], 0, -1), self._anchors[exps], x[..., None], order)
+            parts.append(np.moveaxis(d, -1, 0))
         phases = [self[j].phase for j in members if j >= 2]
         if phases:
             parts.append(_trig_derivatives(self._kappa, x, order, phases))
@@ -608,11 +596,11 @@ def _carlson_fd(x, y, z) -> tuple:
 _BRANCH_SIGNS = {1: (+1.0, +1.0), 2: (+1.0, -1.0), 3: (-1.0, +1.0), 4: (-1.0, -1.0)}
 
 
-def _branch_chains(p: WkbParameters, x, sigma, tau: float, order: int = 4):
+def _branch_chains(p: WkbParameters, x, sigma, tau, order: int = 4):
     """(s chain, lam chain) of lam = tau sqrt(a + sigma s), derivatives 0..order at x.
 
-    ``sigma`` is +-1.0, or an array of +-1.0 that broadcasts against x (one
-    per branch pair).
+    ``sigma`` and ``tau`` are +-1.0, or arrays of +-1.0 that broadcast
+    against x (one per branch on a leading axis).
     """
     b = p.b_chain(x)
     w = (p.a_coef**2 - b[0],) + tuple(-c for c in b[1 : order + 1])
@@ -625,6 +613,11 @@ def _branch_chains(p: WkbParameters, x, sigma, tau: float, order: int = 4):
         u0 = np.where(sigma > 0, a_s, b[0] / a_s)
     u = (u0,) + tuple(sigma * sk for sk in s[1:])
     return s, _sqrt_chain(u, sign=tau)
+
+
+def _wkb_log(eta: float, i1, i2, s, lam):
+    """log w_j = eta I1 - I2/2 - (log lam + log s)/2, elementwise, from branch j's own I1, I2 and lam."""
+    return eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam) + np.log(s))
 
 
 class ExponentTable:
@@ -670,10 +663,10 @@ class ExponentTable:
     3 and 4, which implies that of 1 and 2.  ``check`` makes the same tests
     of the abscissas a branch is asked at.
 
-    ``_last`` holds the last query, a copy of its abscissas, with the sums
-    and chain values of both pairs (``sums``): a Gram round that asks the
-    four branches in turn computes once, and so does a value-row pass of
-    ``WkbSet``, which reads both pairs at once.
+    The table is the one evaluator of its branches: ``logs`` and
+    ``derivatives`` take any of them (1-based) on a leading axis, with one
+    validity check, one pass of the closed sums of both pairs and one
+    kernel for all, so every entry has the bits its branch gives alone.
     """
 
     def __init__(
@@ -690,7 +683,6 @@ class ExponentTable:
             clear = clear & ~((a < x0) & (x0 < b))
         raise_where(~clear, lambda x: ValidityError(f"reference point x0={x} outside validity region"), x0)
         self._classes: dict[Side, tuple] = {}
-        self._last = (np.full(1, np.nan), None)  # NaN matches no query
 
     @cached_property
     def branch_points(self) -> tuple[float, ...]:
@@ -706,15 +698,65 @@ class ExponentTable:
 
         I1 and I2 run from x0; s and lam are the chain values at x.
         """
-        return self.sums(xs)[0 if sigma > 0 else 1]
+        return self._closed_sums(xs)[0 if sigma > 0 else 1]
 
-    def sums(self, xs: np.ndarray) -> tuple:
-        """``integrals`` of both pairs (sigma = +1, then -1) at a flat xs, computed once per query."""
-        query, pairs = self._last
-        if not (query.shape == xs.shape and (query == xs).all()):
-            query, pairs = xs.copy(), self._closed_sums(xs)
-            self._last = (query, pairs)
-        return pairs
+    def logs(self, x, branches: Sequence[int]) -> np.ndarray:
+        """log w_j(x) of each branch j in ``branches`` (principal-branch logs), shape (branches,) + shape.
+
+        ``shape`` is that of x broadcast against a batch's energies, the
+        last axes (a float x: one entry per energy).  The abscissas take the
+        validity tests in the order the branches are given, so an error has
+        the text and ``failed`` mask of asking the branches one by one.
+        """
+        xs, batch = np.asarray(x, dtype=float), np.shape(self.params.x0)
+        shape = np.broadcast(xs, self.params.x0).shape
+        flat = (xs if xs.shape == shape else np.full(shape, xs)).reshape((-1,) + batch)
+        if flat.size == 0:
+            return np.empty((len(branches),) + shape, dtype=complex)
+        # as the branches test in turn: 1 and 2 the interval, 3 and 4 the
+        # interval and the windows at once (not twice the interval alone)
+        if branches[0] < 3:
+            self.check(flat, ())
+        if max(branches) > 2 and (branches[0] > 2 or self.windows):
+            self.check(flat, self.windows)
+        pairs = self._closed_sums(flat)
+        # branch j reads its pair's sums; the tau = -1 partner reads the
+        # integrals negated, and tau multiplies lam (a negation would flip
+        # the sign of a zero imaginary part, and with it the branch of the log)
+        picked = [(pairs[0 if j < 3 else 1], _BRANCH_SIGNS[j][1]) for j in branches]
+        i1, i2 = (np.array([p[k] if tau > 0 else -p[k] for p, tau in picked]) for k in (0, 1))
+        lam = np.array([tau * p[3] for p, tau in picked])
+        return _wkb_log(self.params.eta, i1, i2, pairs[0][2], lam).reshape((len(branches),) + shape)
+
+    def derivatives(self, x, order: int, branches: Sequence[int]) -> np.ndarray:
+        """Derivatives 0..order (at most 4) of each branch in ``branches``, shape (branches, order + 1) + shape.
+
+        The value is the exponential of ``logs``; order k >= 1 multiplies it
+        by a polynomial in the derivatives of log w_j, formed by the
+        analytic chain rule from the chains of s and lam at x.
+        """
+        if order > 4:
+            raise PreconditionError(f"WKB derivatives available up to order 4, got order {order}")
+        f = _capped_exp(self.logs(x, branches), x, "WKB")
+        if order == 0:
+            return f[:, None]
+        # sigma and tau of each branch, on the branch axis
+        sigma, tau = np.array([_BRANCH_SIGNS[j] for j in branches]).T.reshape((2, -1) + (1,) * (f.ndim - 1))
+        s, lam = _branch_chains(self.params, x, sigma, tau)
+        corr = _ratio_chain(lam[1:5], s[0:4])
+        dlog_lam = _ratio_chain(lam[1:5], lam[0:4])
+        dlog_s = _ratio_chain(s[1:5], s[0:4])
+        t = [self.params.eta * lam[k] - 0.5 * corr[k] - 0.5 * (dlog_lam[k] + dlog_s[k]) for k in range(4)]
+        out = [f, f * t[0]]
+        if order >= 2:
+            out.append(f * (t[1] + t[0] ** 2))
+        if order >= 3:
+            out.append(f * (t[2] + 3.0 * t[0] * t[1] + t[0] ** 3))
+        if order >= 4:
+            out.append(
+                f * (t[3] + 4.0 * t[0] * t[2] + 3.0 * t[1] ** 2 + 6.0 * t[0] ** 2 * t[1] + t[0] ** 4)
+            )
+        return np.stack(out, axis=1)
 
     def valid(self, x, windows: Sequence[tuple]) -> np.ndarray:
         """Whether each x lies in the interval and outside ``windows`` (the table's, or none)."""
@@ -846,25 +888,15 @@ class ExponentTable:
         return j[:, :-2] - j[:, -2:-1]
 
 
-def _wkb_log(eta: float, i1, i2, s, lam):
-    """log w_j = eta I1 - I2/2 - (log lam + log s)/2, elementwise, from branch j's own I1, I2 and lam.
-
-    The one kernel of ``WkbBasisFunction.exponent`` and ``WkbSet``'s value
-    rows, so an entry has the same bits from either.
-    """
-    return eta * i1 - 0.5 * i2 - 0.5 * (np.log(lam) + np.log(s))
-
-
 class WkbBasisFunction(BasisFunction):
     """One WKB branch on a validity piece, reading the piece's ``ExponentTable``.
 
     The piece must not contain a zero of a^2 - b; for j in {3, 4} zeros of b
     inside it are masked by windows of half-width TURNING_WINDOW_HALF_WIDTH
     (evaluation inside a window raises ValidityError), while the exponent
-    integrals cross them.  ``exponent`` is the branch's one evaluator: its
-    values and their logs read it, at a float or at an array of abscissas.
-    The value rows of its set read the same table through the same kernel
-    (``WkbSet``).
+    integrals cross them.  The branch asks the table for itself alone
+    (``ExponentTable.logs`` and ``derivatives``), at a float or at an array
+    of abscissas; its set asks for all of its branches at once (``WkbSet``).
 
     On a batched table (``WkbParameters`` of a batch of energies) the
     interval ends and windows hold one entry per energy, abscissas broadcast
@@ -882,40 +914,19 @@ class WkbBasisFunction(BasisFunction):
         self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
         self.windows = table.windows if index in (3, 4) else ()
 
-    # -- branch chains
-
-    def _chains(self, x, order: int = 4) -> tuple[tuple, tuple]:
-        """(s chain, lam chain), derivatives 0..order at a float or an array x."""
-        return _branch_chains(self.params, x, self._inner_sigma, self._sign_tau, order)
-
     def lam(self, x: float) -> complex:
-        return self._chains(x, order=0)[1][0]
-
-    # -- validity guards
+        return _branch_chains(self.params, x, self._inner_sigma, self._sign_tau, order=0)[1][0]
 
     def valid(self, x) -> np.ndarray:
         return self.table.valid(x, self.windows)
-
-    # -- evaluation
 
     def exponent(self, x):
         """log w_j(x) including the prefactor (principal-branch logs); x a float or an array.
 
         On a batched piece x broadcasts against the energies, and so does the result.
         """
-        xs = np.asarray(x, dtype=float)
-        batch = np.shape(self.params.x0)
-        # x broadcasts against a batch's energies, the last axis (a float x: one per energy)
-        shape = (np.broadcast_shapes(xs.shape, batch) if xs.ndim else batch) if batch else xs.shape
-        flat = (xs if xs.shape == shape else np.full(shape, xs)).reshape((-1,) + batch)
-        if flat.size == 0:
-            return np.empty(shape, dtype=complex)
-        self.table.check(flat, self.windows)
-        i1, i2, s, lam = self.table.integrals(flat, self._inner_sigma)
-        if self._sign_tau < 0:
-            i1, i2 = -i1, -i2
-        e = _wkb_log(self.params.eta, i1, i2, s, self._sign_tau * lam).reshape(shape)
-        return e if shape else complex(e)
+        e = self.table.logs(x, (self.index,))[0]
+        return e if e.shape else complex(e)
 
     def log_abs_array(self, x):
         return np.real(self.exponent(x))
@@ -923,34 +934,8 @@ class WkbBasisFunction(BasisFunction):
     def value(self, x):
         return _capped_exp(self.exponent(x), x, "WKB")
 
-    def _theta_chain(self, x) -> tuple:
-        """Derivatives 1..4 of log w_j at a float or an array x (analytic chain rule)."""
-        s, lam = self._chains(x)
-        eta = self.params.eta
-        corr = _ratio_chain(lam[1:5], s[0:4])
-        dlog_lam = _ratio_chain(lam[1:5], lam[0:4])
-        dlog_s = _ratio_chain(s[1:5], s[0:4])
-        return tuple(
-            eta * lam[k] - 0.5 * corr[k] - 0.5 * (dlog_lam[k] + dlog_s[k]) for k in range(4)
-        )
-
     def derivatives(self, x, order: int = 3) -> np.ndarray:
-        if order > 4:
-            raise PreconditionError(f"WKB derivatives available up to order 4, got order {order}")
-        f = self.value(x)
-        if order == 0:
-            return np.array([f], dtype=complex)
-        t = self._theta_chain(x)
-        out = [f, f * t[0]]
-        if order >= 2:
-            out.append(f * (t[1] + t[0] ** 2))
-        if order >= 3:
-            out.append(f * (t[2] + 3.0 * t[0] * t[1] + t[0] ** 3))
-        if order >= 4:
-            out.append(
-                f * (t[3] + 4.0 * t[0] * t[2] + 3.0 * t[1] ** 2 + 6.0 * t[0] ** 2 * t[1] + t[0] ** 4)
-            )
-        return np.array(out, dtype=complex)
+        return self.table.derivatives(x, order, (self.index,))[0]
 
     def __repr__(self):
         return (
@@ -991,10 +976,6 @@ class SymmetrizedBasisFunction(BasisFunction):
         return f"SymmetrizedBasisFunction({self.inner!r})"
 
 
-# tau of branches 1..4, the factor of their pair's lam as in ``WkbBasisFunction.exponent``
-_BRANCH_TAUS = np.array([tau for _, tau in _BRANCH_SIGNS.values()])
-
-
 class WkbSet(FundamentalSet):
     """Branches 1..4 of one WKB piece, all reading its ``ExponentTable``, or their even continuations.
 
@@ -1002,12 +983,9 @@ class WkbSet(FundamentalSet):
     of an even potential.  The members are formed on first read: a count,
     which reads the table's value rows and classes alone, forms none.
 
-    The value rows are one stacked pass over the table: one validity check
-    of every point (the interval, as branches 1 and 2 test it, then the
-    turning windows, as 3 and 4 do, so an error has the text and ``failed``
-    mask of asking the branches in turn), one query of both pairs' closed
-    sums, and the kernel ``_wkb_log`` that each branch's ``exponent`` takes,
-    so every entry has the bits of that branch's exponent.
+    The value rows and ``derivatives`` are each one query of the table for
+    all the branches they read (``ExponentTable.logs`` and
+    ``derivatives``), so every entry has the bits of its member alone.
     """
 
     def __init__(self, table: ExponentTable, even: bool = False):
@@ -1028,37 +1006,22 @@ class WkbSet(FundamentalSet):
 
     def _value_rows(self, x) -> np.ndarray:
         """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch."""
-        table, batch = self.table, self._batch
         at = np.abs(x) if self.even else x
-        # each point once per energy, as a branch's ``exponent`` flattens it
-        shape = at.shape[:2] + batch
-        flat = (at if at.shape == shape else np.full(shape, at)).reshape((-1,) + batch)
-        table.check(flat, ())
-        if table.windows:
-            table.check(flat, table.windows)
-        (i1, i2, s, lam), (j1, j2, _, mu) = table.sums(flat)
-        # the branches on a leading axis, then after the points
-        e = _wkb_log(
-            table.params.eta,
-            np.array([i1, -i1, j1, -j1]),
-            np.array([i2, -i2, j2, -j2]),
-            s,
-            _BRANCH_TAUS.reshape((4,) + (1,) * s.ndim) * np.array([lam, lam, mu, mu]),
-        )
-        e = np.moveaxis(e, 0, 1)
+        e = self.table.logs(at[:, 0], (1, 2, 3, 4)).swapaxes(0, 1)
         # np.max, not a reduction that skips NaN: a NaN exponent poisons its whole row
         shift = np.max(e.real, axis=1, keepdims=True)
         return _capped_exp(e - shift, x, "scaled WKB")
 
-    def _derivative_rows(self, x, orders: np.ndarray) -> np.ndarray:
-        """w_j^(k)(x) of points x of shape (points, 1, ...), each with its order k, shape (points, 4) + batch.
+    def derivatives(self, x, order: int, members: Sequence[int]) -> np.ndarray:
+        """Derivatives of the members, shape (members, order + 1) + shape, shape that of x and the batch.
 
-        Each member's derivatives are taken once, to the highest order, and
-        each point reads its own: a lower order's entries do not depend on
-        the highest.
+        An even continuation reads its branches at |x|, and its odd orders
+        change sign where x < 0, as ``SymmetrizedBasisFunction`` does.
         """
-        top, at = int(orders.max()), np.arange(orders.size)
-        return np.concatenate([f.derivatives(x, order=top)[orders, at] for f in self], axis=1)
+        d = self.table.derivatives(np.abs(x) if self.even else x, order, [j + 1 for j in members])
+        if self.even:
+            d[:, 1::2] *= np.where(np.asarray(x) < 0, -1.0, 1.0)
+        return d
 
 
 @dataclass(frozen=True)

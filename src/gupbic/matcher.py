@@ -27,9 +27,9 @@ carries a scale: null vectors are the true coefficient vectors.
 The basis set forms the point rows' entries (``FundamentalSet.point_rows``)
 for every point and every energy of a batch, every value row in one pass
 and every derivative row in one more: the well's exact set by its stacked
-kernels, a WKB set by one four-branch pass over its exponent table
-(``WkbSet``).  ``evaluate_states`` likewise asks the set for its members'
-derivatives, as one stacked array.
+kernels, a WKB set by one query of its exponent table (``WkbSet``).
+``evaluate_states`` and each round of ``overlap_gram`` likewise ask the set
+for its members' derivatives, as one stacked array.
 """
 
 from __future__ import annotations
@@ -393,8 +393,9 @@ def evaluate_states(coefficients, basis: FundamentalSet, x, order: int = 3) -> n
 
     Shape (rows, order + 1) + shape(x).  The set evaluates each basis
     function with a nonzero coefficient in some row once, into one stacked
-    array (``FundamentalSet.derivatives``; the exact set in one pass), and
-    each row sums c_j w_j over its nonzero coefficients in basis order.
+    array (``FundamentalSet.derivatives``; the exact and WKB sets in one
+    pass), and each row sums c_j w_j over its nonzero coefficients in basis
+    order.
 
     A basis batched over N energies with parameters of shape (N, 1)
     evaluates every energy on a 1-D x at once, shape (rows, order + 1, N,
@@ -453,24 +454,27 @@ class BoundStateSolution:
         return evaluate_states(rows, self.states[0].basis, x, order=0)[:, 0]
 
 
-def overlap_gram(basis: Sequence[BasisFunction], regions: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Hermitian overlap matrix F_ij = int w_i w_j* over the given regions, by quadrature.
+def overlap_gram(
+    basis: FundamentalSet, active: Sequence[int], regions: Sequence[tuple[float, float]]
+) -> np.ndarray:
+    """Hermitian overlap matrix F_ij = int w_i w_j* of the ``active`` members (0-based) over the regions.
 
     Gauss-Legendre panels (``panel_integrals`` at _GRAM_TOL), seeded from
     the turning structure (``_seed_panels``) so that they pass the first
-    round; a panel that fails is bisected, and each round evaluates every
-    basis function once on the nodes of all open panels.  It serves the
-    WKB states; the well's basis has a closed form (``well_gram``).  Where a
-    product w_i w_j* would pass the float range it raises
-    ``BasisOverflowError`` (``_check_gram_range``) instead.
+    round; a panel that fails is bisected, and each round asks the set for
+    its active members' values on the nodes of all open panels, once.  It
+    serves the WKB states; the well's basis has a closed form
+    (``well_gram``).  Where a product w_i w_j* would pass the float range it
+    raises ``BasisOverflowError`` (``_check_gram_range``) instead.
     """
+    members = [basis[j] for j in active]
 
     def integrand(x, width, _):
-        v = np.stack([fn.value(x) for fn in basis])
-        _check_gram_range(basis, v, x, width)
+        v = basis.derivatives(x, 0, active)[:, 0]
+        _check_gram_range(members, v, x, width)
         return v[:, None] * (v.conj() * width)
 
-    a, b, owner = _seed_panels(basis, regions)
+    a, b, owner = _seed_panels(members, regions)
     return panel_integrals(integrand, a, b, _GRAM_TOL, owner).sum(axis=-1)
 
 
@@ -695,7 +699,7 @@ def normalize(
 
     active = np.flatnonzero((np.abs(vecs) > 0.0).any(axis=0))
     if gram is None:
-        f_sub = overlap_gram([basis[j] for j in active], regions)
+        f_sub = overlap_gram(basis, active.tolist(), regions)
     else:
         f_sub = np.asarray(gram)[np.ix_(active, active)]
     herm_defect = np.max(np.abs(f_sub - f_sub.conj().T))
@@ -994,13 +998,14 @@ def solve_linear(
 
     # integrable tail: cut where the state has dropped ~30 decades from its peak
     (x_t,), (s_zero,) = asm.b_zeros, asm.s_zeros
-    state_log = lambda xs: np.maximum(w2.log_abs_array(xs), w4.log_abs_array(xs) + math.log(abs(ratio) + 1e-300))
     # near the lowest energy x_t - 2 W falls below the grid start, which is then the only point
     peak_hi = max(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH)
-    peak = state_log(np.linspace(lo + 1e-3, peak_hi, 9)).max()
     cut = s_zero - TURNING_WINDOW_HALF_WIDTH
     xs = np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60)
-    below = np.flatnonzero(state_log(xs) < peak - 70.0)
+    # the 9 points of the peak, then the tail, in one query of both branches
+    w2_log, w4_log = asm.basis.table.logs(np.concatenate([np.linspace(lo + 1e-3, peak_hi, 9), xs]), (2, 4)).real
+    state_log = np.maximum(w2_log, w4_log + math.log(abs(ratio) + 1e-300))
+    below = np.flatnonzero(state_log[9:] < state_log[:9].max() - 70.0)
     if below.size:
         cut = float(xs[below[0]])
     regions = [

@@ -214,6 +214,8 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     from .matcher import degrees_of_freedom
 
     energies = np.array(energies_si, dtype=float)
+    if energies.ndim != 1:
+        raise ConfigError(f"scan energies must be a 1-D sequence, got an array of shape {energies.shape}")
     finite = np.isfinite(energies)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -822,18 +822,18 @@ def test_no_potential_walks_panels(monkeypatch, linear_problem, harmonic_problem
     # panels.panel_integrals, which the Gram and the moments still use
     import sys
 
-    from gupbic.basis import WkbBasisFunction
+    from gupbic.basis import ExponentTable
     from gupbic.matcher import bound_states, degrees_of_freedom
     from gupbic.oracle import growth_exponents_many
 
     depth, calls, walks = [0], [], []
-    exponent = WkbBasisFunction.exponent
+    logs = ExponentTable.logs
 
-    def tracked_exponent(self, x):
-        calls.append(self.table)
+    def tracked_logs(self, x, branches):
+        calls.append(self)
         depth[0] += 1
         try:
-            return exponent(self, x)
+            return logs(self, x, branches)
         finally:
             depth[0] -= 1
 
@@ -844,7 +844,7 @@ def test_no_potential_walks_panels(monkeypatch, linear_problem, harmonic_problem
 
         return panel_integrals
 
-    monkeypatch.setattr(WkbBasisFunction, "exponent", tracked_exponent)
+    monkeypatch.setattr(ExponentTable, "logs", tracked_logs)
     for name, module in list(sys.modules.items()):
         if name.startswith("gupbic") and hasattr(module, "panel_integrals"):
             monkeypatch.setattr(module, "panel_integrals", recording(module.panel_integrals))

@@ -32,6 +32,7 @@ from gupbic.matcher import (
     BoundStateSolution,
     Case,
     ConstraintSystem,
+    StateFunction,
     _cross_triple,
     _determinant_vectors,
     assemble,
@@ -514,7 +515,7 @@ def _gram_cases():
         sol = solve(nondimensionalize(setup_for(eps)), e)
         basis = (sol.states[0].basis[1], sol.states[0].basis[3])
         name = f"{setup_for.__name__.split('_')[0]}-{eps:g}-{e:g}"
-        yield name, overlap_gram(basis, sol.regions), basis, list(sol.regions), ()
+        yield name, overlap_gram(sol.states[0].basis, [1, 3], sol.regions), basis, list(sol.regions), ()
 
 
 def _region_edged_gram(basis, regions):
@@ -571,7 +572,7 @@ class TestOverlapGram:
         for e in np.linspace(0.7, 16.4, 7):
             roots = characteristic_roots(problem.epsilon, e)
             basis = exact_constant_basis(roots, problem.domain)
-            panels = overlap_gram(basis, _layer_regions(lo, hi, roots.mu1))
+            panels = overlap_gram(basis, range(4), _layer_regions(lo, hi, roots.mu1))
             f = well_gram(roots, problem.domain)
             assert np.max(np.abs(f - panels)) <= 1e-14 * np.max(np.abs(panels)), e
 
@@ -678,12 +679,12 @@ class TestOverlapGram:
         import gupbic.panels
 
         class Step(ExponentialBasisFunction):
-            def value(self, x):
-                return np.where(np.asarray(x) < 1.0 / 3.0, 0.0, 1.0).astype(complex)
+            def derivatives(self, x, order=3):
+                return np.where(np.asarray(x) < 1.0 / 3.0, 0.0, 1.0).astype(complex)[None]
 
         monkeypatch.setattr(gupbic.panels, "_MAX_BISECTIONS", 12)
         with pytest.raises(NumericalError, match="did not converge"):
-            overlap_gram([Step(0.0, index=1)], [(0.0, 1.0)])
+            overlap_gram(FundamentalSet([Step(0.0, index=1)]), [0], [(0.0, 1.0)])
 
 
 class TestEvaluateStates:
@@ -1055,16 +1056,19 @@ class TestWkbPointRows:
     @pytest.mark.parametrize("count", [1, 8])
     @pytest.mark.parametrize("kind", ["linear", "harmonic"])
     def test_one_closed_sum_call_and_no_exponent_call(self, monkeypatch, kind, count):
-        # no timing: a value-row pass queries the table's closed sums once
-        # and asks no branch for its exponent, whatever the number of points
-        # and energies
+        # no timing: a value-row pass, the values of states on a grid and a
+        # Gram round each query the table's closed sums once and ask no
+        # branch for its exponent, whatever the number of points and energies
         import gupbic.basis as basis_module
+        import gupbic.matcher as matcher_module
 
         problem = nondimensionalize((linear_setup_for if kind == "linear" else harmonic_setup_for)(0.02))
         points = [0.0, 1.0, 10.0] if kind == "linear" else [1.6, 2.5, -1.6, -2.5]
         energies = np.linspace(1.5, 2.0, count)
         asm = wkb_assembly(problem, energies if count > 1 else float(energies[0]))
-        calls = []
+        # a Gram is of one energy: the first of the batch
+        one = bound_states(problem, float(energies[0]))
+        calls, rounds = [], []
         closed_sums = basis_module.ExponentTable._closed_sums
 
         def counted_sums(self, xs):
@@ -1072,13 +1076,58 @@ class TestWkbPointRows:
             return closed_sums(self, xs)
 
         def refused(self, x):
-            raise AssertionError("a value-row pass asked a branch for its exponent")
+            raise AssertionError("a reader of several branches asked a branch for its exponent")
+
+        def counted_rounds(integrand, *args):
+            def counted(*call):
+                rounds.append("round")
+                return integrand(*call)
+
+            return panel_integrals(counted, *args)
 
         monkeypatch.setattr(basis_module.ExponentTable, "_closed_sums", counted_sums)
         monkeypatch.setattr(basis_module.WkbBasisFunction, "exponent", refused)
+        monkeypatch.setattr(matcher_module, "panel_integrals", counted_rounds)
         rows = asm.basis.point_rows([(x, 0) for x in points])
         assert rows.shape == (len(points),) + ((count,) if count > 1 else ()) + (4,)
         assert calls == ["_closed_sums"]
+
+        calls.clear()
+        grid = np.array(points)[:, None] if count > 1 else np.array(points)
+        states = tuple(StateFunction(c, asm.basis) for c in ([0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0]))
+        solution = BoundStateSolution(0.0, 0.0, 2, states, np.eye(2))
+        assert solution.values(grid).shape == (2, len(points)) + ((count,) if count > 1 else ())
+        assert calls == ["_closed_sums"]
+
+        calls.clear()
+        gram = overlap_gram(one.states[0].basis, [1, 3], one.regions)
+        assert np.array_equal(_bits(gram), _bits(one.gram))
+        assert rounds == ["round"] and calls == ["_closed_sums"]
+
+    @pytest.mark.parametrize("branches", [(2, 4), (4, 2)])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_query_of_several_branches_raises_as_they_do_in_turn(self, count, branches):
+        # x = 3 lies in the turning window of e = 3 (branches 3 and 4 only),
+        # x = 300 past the interior piece (every branch): asked in turn,
+        # branch 2 first names x = 300 at every energy, branch 4 first names
+        # the window where it holds one
+        problem = nondimensionalize(linear_setup_for(1e-3))
+        energies = np.array([3.0, 3.1, 3.2][:count])
+        energy = energies if count > 1 else float(energies[0])
+        basis = wkb_assembly(problem, energy).basis
+        x = np.array([3.0, 300.0])[:, None] if count > 1 else np.array([3.0, 300.0])
+        with pytest.raises(ValidityError) as alone:
+            for j in branches:
+                basis[j - 1].exponent(x)
+        for query in (
+            lambda: basis.table.logs(x, branches),
+            lambda: basis.derivatives(x, 2, [j - 1 for j in branches]),
+        ):
+            with pytest.raises(ValidityError) as together:
+                query()
+            assert str(together.value) == str(alone.value)
+            assert np.array_equal(together.value.failed, alone.value.failed)
+        assert ("300" in str(alone.value)) == (branches[0] == 2)
 
 
 class TestWkbCount:
@@ -1294,9 +1343,9 @@ class TestSolvers:
 
     @pytest.mark.parametrize("eps, e", [(0.01, 2.0), (0.12, 2.0), (1e-3, 5.0), (0.2, 0.5)])
     def test_linear_tail_cut_matches_point_by_point_search(self, eps, e):
-        # solve_linear evaluates each search grid in one log_abs_array call per
-        # branch; its regions must be those of a scan that stops at the first
-        # point 70 below the peak
+        # solve_linear evaluates both search grids in one query of both
+        # branches; its regions must be those of a scan that stops at the
+        # first point 70 below the peak
         from gupbic.basis import TURNING_WINDOW_HALF_WIDTH as W
 
         problem = nondimensionalize(linear_setup_for(eps))

@@ -184,6 +184,11 @@ class TestDofScan:
         with pytest.raises(ConfigError, match="must be finite"):
             dof_scan(well_setup, energies)
 
+    @pytest.mark.parametrize("energies", [2e-18, np.array(2e-18)], ids=["float", "0-d-array"])
+    def test_a_scalar_energy_is_refused(self, well_setup, energies):
+        with pytest.raises(ConfigError, match=r"must be a 1-D sequence, got an array of shape \(\)"):
+            dof_scan(well_setup, energies)
+
 
 def one_energy_at_a_time(problem, e_dims):
     """(dof, errors, matrices) of a scan run energy by energy."""
