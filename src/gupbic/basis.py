@@ -46,7 +46,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -165,6 +165,8 @@ class BasisFunction:
 
 def _per_energy(values):
     """A float, or a float array (one entry per energy of a batch)."""
+    if isinstance(values, float):  # the common case first: np.float64 is a float too
+        return float(values)
     return float(values) if np.ndim(values) == 0 else np.asarray(values, dtype=float)
 
 
@@ -504,7 +506,9 @@ class WkbParameters:
         return 0.5 * (v - self.energy), 0.5 * v1, 0.5 * v2, 0.0, 0.0
 
     def b(self, x):
-        return self.b_chain(x)[0]
+        """b at x, the value ``b_chain`` gives, without its derivatives."""
+        c0, c1, c2 = self.v_coefficients
+        return 0.5 * (0.5 * c2 * x * x + c1 * x + c0 - self.energy)
 
 
 def _ratio_chain(u: tuple, v: tuple) -> tuple:
@@ -520,15 +524,10 @@ def _sqrt_chain(w: tuple, sign: float = 1.0) -> tuple:
     """Derivatives 0..len(w)-1 (at most 4) of sign*sqrt(w) from derivative tuple w.
 
     Recursion from 2*y*y' = w' with y = sign*sqrt(w) (principal branch).  The
-    entries may be numpy arrays; a real array is taken as complex with a +0
-    imaginary part, the branch cmath.sqrt takes for a float.
+    entries are numpy arrays (or floats for the derivatives); a real w[0] is
+    taken as complex with a +0 imaginary part.
     """
-    w0 = w[0]
-    if isinstance(w0, np.ndarray):
-        root = np.sqrt(w0.astype(complex, copy=False))
-    else:
-        root = cmath.sqrt(w0)
-    y = [sign * root]
+    y = [sign * np.sqrt(w[0].astype(complex, copy=False))]
     if len(w) > 1:
         twice = 2.0 * y[0]
         y.append(w[1] / twice)
@@ -593,26 +592,64 @@ def _carlson_fd(x, y, z) -> tuple:
     return rf, scale * series / (mean * np.sqrt(mean)) + 3.0 * tail
 
 
-_BRANCH_SIGNS = {1: (+1.0, +1.0), 2: (+1.0, -1.0), 3: (-1.0, +1.0), 4: (-1.0, -1.0)}
+# lam_j = tau_j sqrt(a + sigma_j s): the pairs' signs sigma = +1, -1 (the
+# leading axis of ``_roots`` and the closed sums), the pair branches 1..4
+# each read, and their signs tau
+_PAIR_SIGMA = np.array([1.0, -1.0])
+_PAIR = np.array([0, 0, 1, 1])
+_TAU = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+@lru_cache
+def _branch_index(branches: tuple, ndim: int) -> tuple:
+    """(rows, pairs, sigma, tau) of the branches (1-based) of a query at abscissas of ``ndim`` axes.
+
+    ``rows`` index the pairs' integrals followed by their negations, the
+    tau = -1 branches reading the negated ones; ``pairs`` index the pairs'
+    lam, and ``tau`` multiplies it.  ``sigma`` and ``tau`` are columns that
+    broadcast against the abscissas.
+    """
+    at = np.array(branches) - 1
+    pairs, column = _PAIR[at], (-1,) + (1,) * ndim
+    return pairs + 2 * (_TAU[at] < 0), pairs, _PAIR_SIGMA[pairs].reshape(column), _TAU[at].reshape(column)
+
+
+def _roots(p: WkbParameters, x) -> tuple:
+    """(s, lam) at an array x: s = sqrt(a^2 - b), and lam = sqrt(a + sigma s) of both pairs on a leading axis.
+
+    The order-0 entries of ``_branch_chains`` with tau = +1, formed from b
+    alone.
+    """
+    b = p.b(x)
+    # 1.0 * as the chains' sign times the root: the product sets each bit
+    # (the sign of a zero imaginary part) as they do
+    s = 1.0 * np.sqrt((p.a_coef**2 - b).astype(complex))
+    a_s = p.a_coef + s
+    # a - s written as b / (a + s): no cancellation near a turning point
+    return s, 1.0 * np.sqrt(np.array([a_s, b / a_s]))
 
 
 def _branch_chains(p: WkbParameters, x, sigma, tau, order: int = 4):
-    """(s chain, lam chain) of lam = tau sqrt(a + sigma s), derivatives 0..order at x.
+    """(s chain, lam chain) of lam = tau sqrt(a + sigma s), derivatives 0..order at an array x.
 
-    ``sigma`` and ``tau`` are +-1.0, or arrays of +-1.0 that broadcast
-    against x (one per branch on a leading axis).
+    ``sigma`` and ``tau`` are arrays of +-1.0 that broadcast against x (one
+    per branch on a leading axis).
     """
     b = p.b_chain(x)
     w = (p.a_coef**2 - b[0],) + tuple(-c for c in b[1 : order + 1])
     s = _sqrt_chain(w)
     # a - s written as b / (a + s): no cancellation near a turning point
     a_s = p.a_coef + s[0]
-    if np.ndim(sigma) == 0:
-        u0 = a_s if sigma > 0 else b[0] / a_s
-    else:
-        u0 = np.where(sigma > 0, a_s, b[0] / a_s)
-    u = (u0,) + tuple(sigma * sk for sk in s[1:])
+    u = (np.where(sigma > 0, a_s, b[0] / a_s),) + tuple(sigma * sk for sk in s[1:])
     return s, _sqrt_chain(u, sign=tau)
+
+
+# the classes of branches 1..4 on a far piece toward each side: GROWING where
+# tau_j has the outward sign (``ExponentTable.closed_classes``)
+_FAR_CLASSES = {
+    side: tuple(AsymptoticClass.GROWING if outward * tau > 0 else AsymptoticClass.DECAYING for tau in _TAU.tolist())
+    for side, outward in ((Side.PLUS_INFINITY, 1.0), (Side.MINUS_INFINITY, -1.0))
+}
 
 
 def _wkb_log(eta: float, i1, i2, s, lam):
@@ -664,9 +701,13 @@ class ExponentTable:
     of the abscissas a branch is asked at.
 
     The table is the one evaluator of its branches: ``logs`` and
-    ``derivatives`` take any of them (1-based) on a leading axis, with one
-    validity check, one pass of the closed sums of both pairs and one
-    kernel for all, so every entry has the bits its branch gives alone.
+    ``derivatives`` take any of them (1-based) on a leading axis, so every
+    entry has the bits its branch gives alone.  A query is one pass: one
+    validity mask over the interval and, for branches 3 and 4, the windows;
+    s and lam of both pairs formed from b (``_roots``); both pairs' I1 and
+    I2 in one stacked pass (``_closed_sums``); and the logs of all the
+    branches asked in one kernel.  Only derivatives of order >= 1 form the
+    chains of s and lam, at the same abscissas.
     """
 
     def __init__(
@@ -674,7 +715,7 @@ class ExponentTable:
     ):
         self.params = params
         self.interval = interval
-        self.b_zeros = tuple(_per_energy(z) for z in b_zeros)  # ascending, from a region map
+        self.b_zeros = tuple(b_zeros)  # ascending floats or arrays, from a region map
         w = TURNING_WINDOW_HALF_WIDTH
         self.windows = tuple((z - w, z + w) for z in self.b_zeros)  # of branches 3 and 4
         (lo, hi), x0 = interval, np.asarray(params.x0)
@@ -682,7 +723,7 @@ class ExponentTable:
         for a, b in self.windows:
             clear = clear & ~((a < x0) & (x0 < b))
         raise_where(~clear, lambda x: ValidityError(f"reference point x0={x} outside validity region"), x0)
-        self._classes: dict[Side, tuple] = {}
+        self._far_sides: set[Side] = set()  # the sides ``closed_classes`` has cleared
 
     @cached_property
     def branch_points(self) -> tuple[float, ...]:
@@ -698,51 +739,56 @@ class ExponentTable:
 
         I1 and I2 run from x0; s and lam are the chain values at x.
         """
-        return self._closed_sums(xs)[0 if sigma > 0 else 1]
+        i1, i2, s, lam = self._closed_sums(xs)
+        k = 0 if sigma > 0 else 1
+        return i1[k], i2[k], s, lam[k]
 
     def logs(self, x, branches: Sequence[int]) -> np.ndarray:
         """log w_j(x) of each branch j in ``branches`` (principal-branch logs), shape (branches,) + shape.
 
         ``shape`` is that of x broadcast against a batch's energies, the
-        last axes (a float x: one entry per energy).  The abscissas take the
-        validity tests in the order the branches are given, so an error has
-        the text and ``failed`` mask of asking the branches one by one.
+        last axes (a float x: one entry per energy).  One validity mask
+        covers every branch asked; where it fails, the abscissas take the
+        tests in the order the branches are given, so an error has the text
+        and ``failed`` mask of asking the branches one by one.
         """
-        xs, batch = np.asarray(x, dtype=float), np.shape(self.params.x0)
-        shape = np.broadcast(xs, self.params.x0).shape
-        flat = (xs if xs.shape == shape else np.full(shape, xs)).reshape((-1,) + batch)
+        flat, shape = self._flat(x)
         if flat.size == 0:
             return np.empty((len(branches),) + shape, dtype=complex)
-        # as the branches test in turn: 1 and 2 the interval, 3 and 4 the
-        # interval and the windows at once (not twice the interval alone)
-        if branches[0] < 3:
-            self.check(flat, ())
-        if max(branches) > 2 and (branches[0] > 2 or self.windows):
-            self.check(flat, self.windows)
-        pairs = self._closed_sums(flat)
+        windows = self.windows if max(branches) > 2 else ()
+        if not self.valid(flat, windows).all():
+            # as the branches test in turn: 1 and 2 the interval, 3 and 4 the
+            # interval and the windows at once; one of the two raises
+            if branches[0] < 3:
+                self.check(flat, ())
+            self.check(flat, windows)
+        i1, i2, s, lam = self._closed_sums(flat)
         # branch j reads its pair's sums; the tau = -1 partner reads the
         # integrals negated, and tau multiplies lam (a negation would flip
         # the sign of a zero imaginary part, and with it the branch of the log)
-        picked = [(pairs[0 if j < 3 else 1], _BRANCH_SIGNS[j][1]) for j in branches]
-        i1, i2 = (np.array([p[k] if tau > 0 else -p[k] for p, tau in picked]) for k in (0, 1))
-        lam = np.array([tau * p[3] for p, tau in picked])
-        return _wkb_log(self.params.eta, i1, i2, pairs[0][2], lam).reshape((len(branches),) + shape)
+        rows, pairs, _, tau = _branch_index(tuple(branches), flat.ndim)
+        i12 = np.array([i1, i2])
+        i1, i2 = np.concatenate((i12, -i12), axis=1)[:, rows]
+        return _wkb_log(self.params.eta, i1, i2, s, tau * lam[pairs]).reshape((len(branches),) + shape)
 
     def derivatives(self, x, order: int, branches: Sequence[int]) -> np.ndarray:
         """Derivatives 0..order (at most 4) of each branch in ``branches``, shape (branches, order + 1) + shape.
 
         The value is the exponential of ``logs``; order k >= 1 multiplies it
         by a polynomial in the derivatives of log w_j, formed by the
-        analytic chain rule from the chains of s and lam at x.
+        analytic chain rule from the chains of s and lam at the abscissas
+        ``logs`` reads, so a float x and the one-point array [x] agree.
         """
         if order > 4:
             raise PreconditionError(f"WKB derivatives available up to order 4, got order {order}")
         f = _capped_exp(self.logs(x, branches), x, "WKB")
         if order == 0:
             return f[:, None]
+        flat, shape = self._flat(x)
+        f = f.reshape((len(branches),) + flat.shape)
         # sigma and tau of each branch, on the branch axis
-        sigma, tau = np.array([_BRANCH_SIGNS[j] for j in branches]).T.reshape((2, -1) + (1,) * (f.ndim - 1))
-        s, lam = _branch_chains(self.params, x, sigma, tau)
+        *_, sigma, tau = _branch_index(tuple(branches), flat.ndim)
+        s, lam = _branch_chains(self.params, flat, sigma, tau)
         corr = _ratio_chain(lam[1:5], s[0:4])
         dlog_lam = _ratio_chain(lam[1:5], lam[0:4])
         dlog_s = _ratio_chain(s[1:5], s[0:4])
@@ -756,7 +802,13 @@ class ExponentTable:
             out.append(
                 f * (t[3] + 4.0 * t[0] * t[2] + 3.0 * t[1] ** 2 + 6.0 * t[0] ** 2 * t[1] + t[0] ** 4)
             )
-        return np.stack(out, axis=1)
+        return np.stack(out, axis=1).reshape((len(branches), order + 1) + shape)
+
+    def _flat(self, x) -> tuple:
+        """(x broadcast against a batch's energies as (points,) + batch, the broadcast shape)."""
+        xs, x0 = np.asarray(x, dtype=float), self.params.x0
+        shape = np.broadcast(xs, x0).shape
+        return (xs if xs.shape == shape else np.full(shape, xs)).reshape((-1,) + np.shape(x0)), shape
 
     def valid(self, x, windows: Sequence[tuple]) -> np.ndarray:
         """Whether each x lies in the interval and outside ``windows`` (the table's, or none)."""
@@ -785,19 +837,20 @@ class ExponentTable:
         return ValidityError(f"x={x} inside turning-point window around x={z}")
 
     def _closed_sums(self, xs: np.ndarray) -> tuple:
-        """``integrals`` of both pairs at xs: the closed forms, in one pass."""
+        """(I1, I2, s, lam) at a flat xs, I1, I2 and lam of both pairs on a leading axis: the closed forms in one pass."""
         p, root_a = self.params, math.sqrt(self.params.a_coef)
         _, slope, curvature, _, _ = p.b_chain(0.0)  # b is linear where b'' = 0, else quadratic
         n = xs.shape[0]
-        sigma = np.array([1.0, -1.0]).reshape((2,) + (1,) * xs.ndim)  # the pairs, leading
         # x0 is one more row (of one entry per energy of a batch), and the
         # vertex of a quadratic b one after it
-        rows = [xs, np.reshape(p.x0, (1,) + np.shape(p.x0))]
+        x0 = np.reshape(p.x0, (1,) + np.shape(p.x0))
         if curvature:
             vertex = -slope / curvature
-            rows.append(np.full(rows[1].shape, vertex))
-        at = np.concatenate(rows)
-        s, lam = (c[0] for c in _branch_chains(p, at, sigma, 1.0, order=0))
+            at = np.concatenate((xs, x0, np.full(x0.shape, vertex)))
+        else:
+            at = np.concatenate((xs, x0))
+        s, lam = _roots(p, at)
+        sigma = _PAIR_SIGMA.reshape((2,) + (1,) * xs.ndim)
         if curvature:
             i1 = self._elliptic_i1(at, s, lam, vertex, curvature)
         else:
@@ -805,7 +858,7 @@ class ExponentTable:
         # sigma = +1 takes sqrt(a)/lam, sigma = -1 lam/sqrt(a): each off its atanh cut
         q = np.arctanh(np.array([root_a / lam[0, : n + 1], lam[1, : n + 1] / root_a]))
         i2 = -(sigma / root_a) * (q[:, :n] - q[:, n:])
-        return tuple((i1[k], i2[k], s[:n], lam[k, :n]) for k in range(2))
+        return i1, i2, s[:n], lam[:, :n]
 
     def closed_classes(self, side: Side) -> tuple:
         """Classes of branches 1..4 toward ``side`` in closed form, found once per side.
@@ -820,20 +873,15 @@ class ExponentTable:
         ClassificationError, for a batch with the failing energies as
         ``failed``.
         """
-        classes = self._classes.get(side)
-        if classes is None:
-            p, outward = self.params, 1.0 if side is Side.PLUS_INFINITY else -1.0
-            end = self.interval[1] if outward > 0 else self.interval[0]
+        if side not in self._far_sides:
+            p = self.params
+            end = self.interval[1] if side is Side.PLUS_INFINITY else self.interval[0]
             raise_where(
                 ~(np.isinf(end) & (p.a_coef**2 < p.b(p.x0))),
                 lambda: ClassificationError(f"no closed-form class toward {side.value}"),
             )
-            classes = tuple(
-                AsymptoticClass.GROWING if outward * tau > 0 else AsymptoticClass.DECAYING
-                for _, tau in _BRANCH_SIGNS.values()
-            )
-            self._classes[side] = classes
-        return classes
+            self._far_sides.add(side)
+        return _FAR_CLASSES[side]
 
     def _chord_i1(self, xs, s, s0, lam, lam0, sigma, slope: float) -> np.ndarray:
         """I1 of both pairs where b is linear with b' = slope, from the chain values at xs and at x0."""
@@ -842,8 +890,9 @@ class ExponentTable:
         step = -sigma * slope * scale  # lam - lam0
         # the nodes on a leading axis, summed in their order
         t, w = (c.reshape((3,) + (1,) * step.ndim) for c in (_CHORD_NODES, _CHORD_WEIGHTS))
-        node = lam0 + t * step
-        mean = (w * node * node * (sigma * s0 + t * step * (lam0 + node))).sum(axis=0)
+        along = t * step  # node - lam0
+        node = lam0 + along
+        mean = (w * node * node * (sigma * s0 + along * (lam0 + node))).sum(axis=0)
         return 4.0 * sigma * scale * mean
 
     def _elliptic_i1(self, at, s, lam, vertex: float, c: float) -> np.ndarray:
@@ -905,17 +954,18 @@ class WkbBasisFunction(BasisFunction):
     """
 
     def __init__(self, table: ExponentTable, index: int):
-        if index not in _BRANCH_SIGNS:
+        if index not in (1, 2, 3, 4):
             raise ValueError(f"branch index must be 1..4, got {index}")
         self.table = table
         self.params = table.params
         self.index = index
         self.interval = table.interval
-        self._inner_sigma, self._sign_tau = _BRANCH_SIGNS[index]
         self.windows = table.windows if index in (3, 4) else ()
 
-    def lam(self, x: float) -> complex:
-        return _branch_chains(self.params, x, self._inner_sigma, self._sign_tau, order=0)[1][0]
+    def lam(self, x):
+        """lam_j at a float or an array x."""
+        lam = _TAU[self.index - 1] * _roots(self.params, np.asarray(x, dtype=float))[1][_PAIR[self.index - 1]]
+        return lam if lam.shape else complex(lam)
 
     def valid(self, x) -> np.ndarray:
         return self.table.valid(x, self.windows)
@@ -1009,7 +1059,7 @@ class WkbSet(FundamentalSet):
         at = np.abs(x) if self.even else x
         e = self.table.logs(at[:, 0], (1, 2, 3, 4)).swapaxes(0, 1)
         # np.max, not a reduction that skips NaN: a NaN exponent poisons its whole row
-        shift = np.max(e.real, axis=1, keepdims=True)
+        shift = e.real.max(axis=1, keepdims=True)
         return _capped_exp(e - shift, x, "scaled WKB")
 
     def derivatives(self, x, order: int, members: Sequence[int]) -> np.ndarray:
@@ -1092,14 +1142,14 @@ def _piece_table(
         region_map = map_regions(params, lo, hi)
 
     def inside(zeros) -> list:
-        """(zero, mask of the energies where it lies inside) of the zeros inside at some energy."""
+        """(zero, mask of the energies where it lies inside, their count) of the zeros inside at some energy."""
         masks = ((z, (lo < z) & (z < hi)) for z in zeros)
-        return [(z, m) for z, m in masks if np.count_nonzero(m)]
+        return [(z, m, n) for z, m in masks if (n := np.count_nonzero(m))]
 
     s_inside = inside(region_map.s_zeros)
     if s_inside:
         first = math.nan  # the first zero of a^2 - b inside (of each energy)
-        for z, m in reversed(s_inside):
+        for z, m, _ in reversed(s_inside):
             first = np.where(m, z, first)
         raise_where(
             ~np.isnan(first),
@@ -1111,7 +1161,7 @@ def _piece_table(
             lo,
             hi,
         )
-    b_zeros = [z if np.all(m) else np.where(m, z, np.nan) for z, m in inside(region_map.b_zeros)]
+    b_zeros = [z if n == np.size(m) else np.where(m, z, np.nan) for z, m, n in inside(region_map.b_zeros)]
     return ExponentTable(params, (_per_energy(lo), _per_energy(hi)), b_zeros)
 
 

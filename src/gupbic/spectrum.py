@@ -216,30 +216,31 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     energies = np.array(energies_si, dtype=float)
     if energies.ndim != 1:
         raise ConfigError(f"scan energies must be a 1-D sequence, got an array of shape {energies.shape}")
-    finite = np.isfinite(energies)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    # the checks read a list: a scan holds few energies, and numpy's calls cost more than its loop
+    values = energies.tolist()
+    finite = list(map(math.isfinite, values))
+    if not all(finite):
+        i = finite.index(False)
         raise ConfigError(f"scan energies must be finite, got {energies[i]} J at index {i}")
-    steps = np.diff(energies)
     # strictly increasing from a first energy > 0
-    if energies.size < 1 or energies[0] <= 0.0 or (steps <= 0.0).any():
+    if not values or values[0] <= 0.0 or any(b <= a for a, b in zip(values, values[1:])):
         raise PreconditionError("energies must be strictly increasing and > 0")
     problem = nondimensionalize(setup)
     k_max = 0
     if isinstance(setup.potential, InfiniteWell):
         # counted before any solve, so a top above too many levels is refused at once
-        tol = 0.5 * float(steps.max()) if energies.size > 1 else 0.5 * energies[0]
+        tol = 0.5 * float(np.diff(energies).max()) if energies.size > 1 else 0.5 * energies[0]
         with np.errstate(over="ignore"):
             k_max = _special_level_count(problem, energies[-1] + tol)
-    with np.errstate(over="ignore"):
-        e_dims = energies / problem.energy_scale
-    if not np.isfinite(e_dims[-1]):
+    # the energies increase, so the last scaled one is the largest
+    if not math.isfinite(values[-1] / problem.energy_scale):
         e_max = float(np.finfo(float).max) * problem.energy_scale
         raise InvalidSetupError(
             f"scan energy {energies[-1]:.6g} J is past the float range in scaled units "
             f"(E_c = {problem.energy_scale:.6g} J): the scan energies must stay below "
             f"{e_max:.6g} J, the largest float times E_c"
         )
+    e_dims = energies / problem.energy_scale
 
     def one(e_dim: float):
         try:

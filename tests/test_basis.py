@@ -984,8 +984,8 @@ def test_nan_exponent_row_is_refused(monkeypatch, linear_problem):
     closed_sums = table._closed_sums
 
     def poisoned(xs):
-        (i1, *rest), minus = closed_sums(xs)
-        return (np.where(xs == 0.0, math.nan, i1), *rest), minus
+        i1, *rest = closed_sums(xs)
+        return (np.array([np.where(xs == 0.0, math.nan, i1[0]), i1[1]]), *rest)
 
     monkeypatch.setattr(table, "_closed_sums", poisoned)
     row = asm.basis.point_rows([(0.0, 0)])[0]
@@ -1013,6 +1013,26 @@ def test_array_derivatives_match_point_by_point():
         pts = np.stack([f.derivatives(float(x), order=4) for x in xs], axis=-1).reshape(5, 3, 4)
         assert arr.shape == (5, 3, 4)
         assert np.all(np.abs(arr - pts) <= 1e-14 * np.abs(pts).max(axis=(1, 2), keepdims=True))
+
+
+@pytest.mark.parametrize("kind", ["linear", "harmonic"])
+def test_float_derivatives_are_the_one_point_array_ones_bit_for_bit(kind):
+    # a float x and the array [x] take the same abscissas through the
+    # table, the value and the chains of s and lam, so every order has the
+    # same bits, the signs of zeros included
+    problem = nondimensionalize((linear_setup_for if kind == "linear" else harmonic_setup_for)(0.02))
+    basis = wkb_assembly(problem, 2.0).basis
+    if kind == "linear":
+        xs = [0.0, 0.05, 0.3, 0.8, 1.2, 2.5, 3.5]  # both sides of the turning window at x_t = 2
+    else:
+        lo, hi = basis[0].inner.interval
+        xs = [lo, 0.5 * (lo + hi), hi, -lo, -0.5 * (lo + hi), -hi, 0.25 * lo + 0.75 * hi]
+    for f in basis:
+        for x in xs:
+            at_float = f.derivatives(x, order=4)
+            at_array = f.derivatives(np.array([x]), order=4)[:, 0]
+            assert at_float.shape == (5,)
+            assert np.array_equal(at_float.view(np.int64), np.ascontiguousarray(at_array).view(np.int64)), (f, x)
 
 
 def _scalar_quadratic_roots(c2, c1, c0):

@@ -1058,7 +1058,9 @@ class TestWkbPointRows:
     def test_one_closed_sum_call_and_no_exponent_call(self, monkeypatch, kind, count):
         # no timing: a value-row pass, the values of states on a grid and a
         # Gram round each query the table's closed sums once and ask no
-        # branch for its exponent, whatever the number of points and energies
+        # branch for its exponent, whatever the number of points and energies;
+        # each is an order-0 query, one pass that evaluates the validity mask
+        # once and forms no chain of s and lam
         import gupbic.basis as basis_module
         import gupbic.matcher as matcher_module
 
@@ -1078,6 +1080,15 @@ class TestWkbPointRows:
         def refused(self, x):
             raise AssertionError("a reader of several branches asked a branch for its exponent")
 
+        valid = basis_module.ExponentTable.valid
+
+        def counted_valid(self, x, windows):
+            calls.append("valid")
+            return valid(self, x, windows)
+
+        def no_chains(*args, **kwargs):
+            raise AssertionError("an order-0 query formed the chains of s and lam")
+
         def counted_rounds(integrand, *args):
             def counted(*call):
                 rounds.append("round")
@@ -1087,22 +1098,24 @@ class TestWkbPointRows:
 
         monkeypatch.setattr(basis_module.ExponentTable, "_closed_sums", counted_sums)
         monkeypatch.setattr(basis_module.WkbBasisFunction, "exponent", refused)
+        monkeypatch.setattr(basis_module.ExponentTable, "valid", counted_valid)
+        monkeypatch.setattr(basis_module, "_branch_chains", no_chains)
         monkeypatch.setattr(matcher_module, "panel_integrals", counted_rounds)
         rows = asm.basis.point_rows([(x, 0) for x in points])
         assert rows.shape == (len(points),) + ((count,) if count > 1 else ()) + (4,)
-        assert calls == ["_closed_sums"]
+        assert calls == ["valid", "_closed_sums"]
 
         calls.clear()
         grid = np.array(points)[:, None] if count > 1 else np.array(points)
         states = tuple(StateFunction(c, asm.basis) for c in ([0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0]))
         solution = BoundStateSolution(0.0, 0.0, 2, states, np.eye(2))
         assert solution.values(grid).shape == (2, len(points)) + ((count,) if count > 1 else ())
-        assert calls == ["_closed_sums"]
+        assert calls == ["valid", "_closed_sums"]
 
         calls.clear()
         gram = overlap_gram(one.states[0].basis, [1, 3], one.regions)
         assert np.array_equal(_bits(gram), _bits(one.gram))
-        assert rounds == ["round"] and calls == ["_closed_sums"]
+        assert rounds == ["round"] and calls == ["valid", "_closed_sums"]
 
     @pytest.mark.parametrize("branches", [(2, 4), (4, 2)])
     @pytest.mark.parametrize("count", [1, 3])
@@ -1128,6 +1141,46 @@ class TestWkbPointRows:
             assert str(together.value) == str(alone.value)
             assert np.array_equal(together.value.failed, alone.value.failed)
         assert ("300" in str(alone.value)) == (branches[0] == 2)
+
+    # the interior piece at eps 1e-3 ends at x = 252.95, 253.05 and 253.15
+    # for e = 3.0, 3.1 and 3.2, and the window of e runs from e - 0.05 to
+    # e + 0.05: x = 253 lies past the piece of e = 3.0 alone, x = 3.1 in the
+    # window of e = 3.1 and x = 3.2 in that of e = 3.2
+    OUTSIDE = ("x=253.0 outside validity interval [0.0, 252.94999999999973]", [True, False, False])
+    WINDOW = ("x=3.1 inside turning-point window around x=3.099999999999989", [False, True, False])
+
+    @pytest.mark.parametrize(
+        "branches, grid_error",
+        [
+            ((1, 2, 3, 4), OUTSIDE),
+            ((2, 4), OUTSIDE),
+            # branch 3 tests the windows with the interval: each energy fails, e = 3.0 past the piece
+            ((3, 1), (OUTSIDE[0], [True, True, True])),
+        ],
+    )
+    def test_one_validity_mask_raises_the_errors_of_the_tests_in_turn(self, branches, grid_error):
+        # the errors a query raised when its abscissas took the interval
+        # test and then the window test, pinned from that code: the same
+        # type, text and failed mask for a grid, a float and the wall row
+        problem = nondimensionalize(linear_setup_for(1e-3))
+        basis = wkb_assembly(problem, np.array([3.0, 3.1, 3.2])).basis
+        grid = np.array([0.0, 3.2, 3.1, 253.0])[:, None]
+        queries = [
+            (lambda: basis.table.logs(grid, branches), grid_error),
+            (lambda: basis.table.derivatives(grid, 2, branches), grid_error),
+            (lambda: basis.table.logs(3.1, branches), self.WINDOW),
+        ]
+        if branches == (1, 2, 3, 4):
+            queries += [
+                (lambda: basis.point_rows([(0.0, 0), (3.1, 0)]), self.WINDOW),
+                (lambda: basis.point_rows([(0.0, 0), (253.0, 0)]), self.OUTSIDE),
+            ]
+        for query, (message, failed) in queries:
+            with pytest.raises(ValidityError) as info:
+                query()
+            assert type(info.value) is ValidityError
+            assert str(info.value) == message
+            assert info.value.failed.tolist() == failed
 
 
 class TestWkbCount:
