@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._scipy import lazy
-from .core import potential_derivs
+from .core import potential_derivs, potential_value
 from .errors import (
     BasisOverflowError,
     ClassificationError,
@@ -507,8 +507,7 @@ class WkbParameters:
 
     def b(self, x):
         """b at x, the value ``b_chain`` gives, without its derivatives."""
-        c0, c1, c2 = self.v_coefficients
-        return 0.5 * (0.5 * c2 * x * x + c1 * x + c0 - self.energy)
+        return 0.5 * (potential_value(self.v_coefficients, x) - self.energy)
 
 
 def _ratio_chain(u: tuple, v: tuple) -> tuple:
@@ -523,9 +522,9 @@ def _ratio_chain(u: tuple, v: tuple) -> tuple:
 def _sqrt_chain(w: tuple, sign: float = 1.0) -> tuple:
     """Derivatives 0..len(w)-1 (at most 4) of sign*sqrt(w) from derivative tuple w.
 
-    Recursion from 2*y*y' = w' with y = sign*sqrt(w) (principal branch).  The
-    entries are numpy arrays (or floats for the derivatives); a real w[0] is
-    taken as complex with a +0 imaginary part.
+    Recursion from 2*y*y' = w' with y = sign*sqrt(w) (principal branch).
+    w[0] is a numpy array, a real one taken as complex with a +0 imaginary
+    part; the derivatives may be floats.
     """
     y = [sign * np.sqrt(w[0].astype(complex, copy=False))]
     if len(w) > 1:
@@ -607,11 +606,15 @@ def _branch_index(branches: tuple, ndim: int) -> tuple:
     ``rows`` index the pairs' integrals followed by their negations, the
     tau = -1 branches reading the negated ones; ``pairs`` index the pairs'
     lam, and ``tau`` multiplies it.  ``sigma`` and ``tau`` are columns that
-    broadcast against the abscissas.
+    broadcast against the abscissas.  Every query of the same branches
+    shares the arrays, so they are read-only.
     """
     at = np.array(branches) - 1
     pairs, column = _PAIR[at], (-1,) + (1,) * ndim
-    return pairs + 2 * (_TAU[at] < 0), pairs, _PAIR_SIGMA[pairs].reshape(column), _TAU[at].reshape(column)
+    index = (pairs + 2 * (_TAU[at] < 0), pairs, _PAIR_SIGMA[pairs].reshape(column), _TAU[at].reshape(column))
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
 def _roots(p: WkbParameters, x) -> tuple:
@@ -837,7 +840,7 @@ class ExponentTable:
         return ValidityError(f"x={x} inside turning-point window around x={z}")
 
     def _closed_sums(self, xs: np.ndarray) -> tuple:
-        """(I1, I2, s, lam) at a flat xs, I1, I2 and lam of both pairs on a leading axis: the closed forms in one pass."""
+        """(I1, I2, s, lam) at a flat xs, with I1, I2 and lam of both pairs on a leading axis, in one pass."""
         p, root_a = self.params, math.sqrt(self.params.a_coef)
         _, slope, curvature, _, _ = p.b_chain(0.0)  # b is linear where b'' = 0, else quadratic
         n = xs.shape[0]
@@ -964,7 +967,8 @@ class WkbBasisFunction(BasisFunction):
 
     def lam(self, x):
         """lam_j at a float or an array x."""
-        lam = _TAU[self.index - 1] * _roots(self.params, np.asarray(x, dtype=float))[1][_PAIR[self.index - 1]]
+        j = self.index - 1
+        lam = _TAU[j] * _roots(self.params, np.asarray(x, dtype=float))[1][_PAIR[j]]
         return lam if lam.shape else complex(lam)
 
     def valid(self, x) -> np.ndarray:
@@ -1058,7 +1062,7 @@ class WkbSet(FundamentalSet):
         """w_j(x) exp(-shift) of points x of shape (points, 1, ...), shape (points, 4) + batch."""
         at = np.abs(x) if self.even else x
         e = self.table.logs(at[:, 0], (1, 2, 3, 4)).swapaxes(0, 1)
-        # np.max, not a reduction that skips NaN: a NaN exponent poisons its whole row
+        # max, not a reduction that skips NaN: a NaN exponent poisons its whole row
         shift = e.real.max(axis=1, keepdims=True)
         return _capped_exp(e - shift, x, "scaled WKB")
 

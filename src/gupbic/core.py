@@ -177,8 +177,14 @@ def potential_derivs(coefficients, x) -> tuple:
     The sum 0.5 c2 x x + c1 x + c0 gives the linear s x and the harmonic
     c x^2 to the bit.
     """
+    _, c1, c2 = coefficients
+    return potential_value(coefficients, x), c2 * x + c1, c2
+
+
+def potential_value(coefficients, x):
+    """v at x, the first entry of ``potential_derivs``, without the derivatives."""
     c0, c1, c2 = coefficients
-    return 0.5 * c2 * x * x + c1 * x + c0, c2 * x + c1, c2
+    return 0.5 * c2 * x * x + c1 * x + c0
 
 
 @dataclass(frozen=True)

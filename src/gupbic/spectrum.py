@@ -216,14 +216,12 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
     energies = np.array(energies_si, dtype=float)
     if energies.ndim != 1:
         raise ConfigError(f"scan energies must be a 1-D sequence, got an array of shape {energies.shape}")
-    # the checks read a list: a scan holds few energies, and numpy's calls cost more than its loop
-    values = energies.tolist()
-    finite = list(map(math.isfinite, values))
-    if not all(finite):
-        i = finite.index(False)
+    finite = np.isfinite(energies)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise ConfigError(f"scan energies must be finite, got {energies[i]} J at index {i}")
     # strictly increasing from a first energy > 0
-    if not values or values[0] <= 0.0 or any(b <= a for a, b in zip(values, values[1:])):
+    if energies.size < 1 or energies[0] <= 0.0 or (energies[1:] <= energies[:-1]).any():
         raise PreconditionError("energies must be strictly increasing and > 0")
     problem = nondimensionalize(setup)
     k_max = 0
@@ -232,8 +230,9 @@ def dof_scan(setup: PhysicalSetup, energies_si: Sequence[float], threads: int = 
         tol = 0.5 * float(np.diff(energies).max()) if energies.size > 1 else 0.5 * energies[0]
         with np.errstate(over="ignore"):
             k_max = _special_level_count(problem, energies[-1] + tol)
-    # the energies increase, so the last scaled one is the largest
-    if not math.isfinite(values[-1] / problem.energy_scale):
+    # the energies increase, so the last scaled one is the largest (a float
+    # quotient: it overflows to inf with no numpy warning)
+    if not math.isfinite(float(energies[-1]) / problem.energy_scale):
         e_max = float(np.finfo(float).max) * problem.energy_scale
         raise InvalidSetupError(
             f"scan energy {energies[-1]:.6g} J is past the float range in scaled units "
