@@ -31,12 +31,12 @@ Exponents are computed before exponentiation and capped at |Re| <= 700;
 beyond the cap value access raises BasisOverflowError and callers switch to
 log-space access.
 
-A fundamental set (``FundamentalSet``) evaluates its four functions for the
-point rows of a constraint system and for the states built on it, over an
-axis of points and a batch's energies, in one stacked pass: a WKB set
-(``WkbSet``) through its piece's exponent table, the one evaluator of the
-branches' values and derivatives, and the exact constant-potential set
-(``ExactConstantSet``) through its stacked kernels.
+A fundamental set (``FundamentalSet``) is the one evaluator of its four
+functions: it forms the point rows of a constraint system and the
+derivatives of the states built on it, over an axis of points and a batch's
+energies, in one stacked pass.  A WKB set (``WkbSet``) reads its piece's
+exponent table, and the exact constant-potential set (``ExactConstantSet``)
+its stacked kernels.  ``WkbBasisFunction`` is the view of one branch alone.
 """
 
 from __future__ import annotations
@@ -146,21 +146,7 @@ def characteristic_roots(epsilon: float, e_minus_v) -> CharacteristicRoots:
     return CharacteristicRoots(mu1=mu1, kappa=kappa, epsilon=epsilon, e_minus_v=q, nu=nu)
 
 
-# --- basis functions ----------------------------------------------------------
-
-
-class BasisFunction:
-    """Common interface: evaluate with derivatives, scale safely."""
-
-    index: int
-
-    def derivatives(self, x, order: int = 3) -> np.ndarray:
-        """(value, d1, ..., d_order) at a float or an array x, shape (order + 1,) + shape(x)."""
-        raise NotImplementedError
-
-    def value(self, x):
-        """f(x) at a float or an array x, the value ``derivatives(x, order=0)[0]`` holds."""
-        raise NotImplementedError
+# --- exact functions -----------------------------------------------------------
 
 
 def _per_energy(values):
@@ -188,9 +174,9 @@ def _powers(base, order: int) -> list:
 
 # Kernels of the exact functions.  A rate, anchor or wavenumber broadcasts
 # against the abscissas: one per energy of a batch, and for an
-# ``ExactConstantSet`` one per member as well.  A single function passes its
-# own parameters, the set all of its members' at once, so both take the same
-# elementwise operations and every entry has the same bits.
+# ``ExactConstantSet`` one per member as well.  The operations are
+# elementwise, so every entry has the bits of its function alone at one
+# point and one energy.
 
 
 def _exp_log(rate, anchor, x):
@@ -244,96 +230,21 @@ def _trig_derivatives(kappa, x, order: int, phases: Sequence[str]) -> np.ndarray
     )
 
 
-class ExponentialBasisFunction(BasisFunction):
-    """f(x) = exp(rate * (x - anchor)), rate real; f(anchor) = 1.
-
-    ``rate`` is a float or an array of rates; the evaluators broadcast it
-    against the abscissas.
-    """
-
-    def __init__(self, rate, index: int, anchor: float = 0.0):
-        self.rate = _per_energy(rate)
-        self.anchor = float(anchor)
-        self.index = index
-
-    def derivatives(self, x, order: int = 3) -> np.ndarray:
-        return _exp_derivatives(self.rate, self.anchor, x, order)
-
-    def log_abs_array(self, xs):
-        """log|f(x)| at a float or an array x."""
-        return _exp_log(self.rate, self.anchor, xs)
-
-    def scaled_value_array(self, xs, log_shift):
-        """f(x) exp(-log_shift), formed without f(x)."""
-        return _exp_scaled(self.log_abs_array(xs), xs, log_shift)
-
-    def value(self, x):
-        return self.scaled_value_array(x, 0.0)
-
-    def __repr__(self):
-        return (
-            f"ExponentialBasisFunction(rate={_shown(self.rate, '.6g')}, anchor={self.anchor:.6g}, "
-            f"index={self.index})"
-        )
-
-
-class TrigBasisFunction(BasisFunction):
-    """f(x) = cos(kappa x) or sin(kappa x); ``kappa`` a float or an array, as the exponential's rate."""
-
-    def __init__(self, kappa, phase: str, index: int):
-        if phase not in _TRIG_STARTS:
-            raise ValueError(f"phase must be cos or sin, got {phase!r}")
-        self.kappa = _per_energy(kappa)
-        self.phase = phase
-        self.index = index
-
-    def derivatives(self, x, order: int = 3) -> np.ndarray:
-        return _trig_derivatives(self.kappa, x, order, (self.phase,))[0]
-
-    def _wave(self, xs):
-        return _trig_waves(self.kappa, xs)[self.phase == "sin"]
-
-    def log_abs_array(self, xs):
-        return _trig_logs(self._wave(xs))
-
-    def scaled_value_array(self, xs, log_shift):
-        return _trig_scaled(self._wave(xs), log_shift)
-
-    def value(self, x):
-        return self._wave(x).astype(complex)
-
-    def __repr__(self):
-        return f"TrigBasisFunction(kappa={_shown(self.kappa, '.6g')}, {self.phase}, index={self.index})"
-
-
 # --- fundamental sets -----------------------------------------------------------
 
 
-class FundamentalSet(Sequence):
+class FundamentalSet:
     """The four functions w_1..w_4 of a fundamental set, evaluated over an axis of points.
 
     ``point_rows`` gives the entries of ``assemble``'s point rows and
     ``derivatives`` the derivatives of chosen members, which the derivative
-    rows read.  A set supplies the batch shape and the value-row hook
-    ``_value_rows``: ``ExactConstantSet`` and ``WkbSet`` evaluate both in
-    stacked passes of their own.  A set of other members serves
-    ``derivatives`` alone.
+    rows read.  A set supplies the batch shape, the value-row hook
+    ``_value_rows`` and ``derivatives``: ``ExactConstantSet`` and ``WkbSet``
+    evaluate both in stacked passes of their own.
     """
 
-    def __init__(self, members):
-        self._members = tuple(members)
-
-    def __getitem__(self, j):
-        return self._members[j]
-
     def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self):
-        return iter(self._members)
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self._members!r}"
+        return 4
 
     def point_rows(self, points: Sequence[tuple[float, int]]) -> np.ndarray:
         """Entries of the point rows, shape (points,) + batch + (4,), for points (x, order).
@@ -382,28 +293,28 @@ class FundamentalSet(Sequence):
 
         ``shape`` is that of x and a batch's energies broadcast together.
         """
-        return np.array([self[j].derivatives(x, order=order) for j in members])
+        raise NotImplementedError
 
 
 class ExactConstantSet(FundamentalSet):
-    """The set of ``exact_constant_basis``, evaluated as one stacked set.
+    """{exp(mu1 (x - hi)), exp(-mu1 (x - lo)), cos(kappa x), sin(kappa x)}, evaluated as one stacked set.
 
     The exponentials' rates and anchors are held stacked on a member axis,
     and the trig pair shares kappa x, so ``_value_rows`` and ``derivatives``
     evaluate all four members at every point (and every energy of a batch)
-    in one pass, one call of each kernel.  The elementwise operations are
-    those of the single functions, so every entry has the bits each member
-    gives alone at one point and one energy, and an exponent past the cap
-    raises at the first point that passes it.
+    in one pass, one call of each kernel.  The kernels are elementwise, so
+    every entry has the bits of its member alone at one point and one
+    energy, and an exponent past the cap raises at the first point that
+    passes it.
     """
 
-    def __init__(self, members: Sequence[BasisFunction]):
-        """``members``: the four functions, in the order of ``exact_constant_basis``."""
-        super().__init__(members)
-        grow, decay, cos, _ = self
-        self._rates = np.array([grow.rate, decay.rate])  # (2,) + batch
-        self._anchors = np.array([grow.anchor, decay.anchor])
-        self._kappa = cos.kappa
+    def __init__(self, mu1, kappa, walls: tuple[float, float]):
+        """``mu1`` and ``kappa``: floats, or arrays of one entry per energy of a batch."""
+        lo, hi = walls
+        mu1 = _per_energy(mu1)
+        self._rates = np.array([mu1, -mu1])  # (2,) + batch
+        self._anchors = np.array([float(hi), float(lo)])
+        self._kappa = _per_energy(kappa)
 
     @property
     def _batch(self) -> tuple:
@@ -427,20 +338,19 @@ class ExactConstantSet(FundamentalSet):
             # exponent past the cap raises at the first point that passes it
             d = _exp_derivatives(np.moveaxis(self._rates[exps], 0, -1), self._anchors[exps], x[..., None], order)
             parts.append(np.moveaxis(d, -1, 0))
-        phases = [self[j].phase for j in members if j >= 2]
+        phases = [("cos", "sin")[j - 2] for j in members if j >= 2]
         if phases:
             parts.append(_trig_derivatives(self._kappa, x, order, phases))
         return np.concatenate(parts)
 
 
 def exact_constant_basis(roots: CharacteristicRoots, walls: tuple[float, float]) -> ExactConstantSet:
-    """{exp(mu1 (x - hi)), exp(-mu1 (x - lo)), cos(kappa x), sin(kappa x)} for q = e - v > 0.
+    """The exact set ``ExactConstantSet`` of the roots of q = e - v > 0 between the walls (lo, hi).
 
-    The exponentials are the boundary layers at the walls (lo, hi): each is 1
-    at its own wall and exp(-mu1 (hi - lo)) at the other, so every wall value
-    lies in [0, 1] however thin the layers are.  Roots of an array of q give
-    one batched set whose functions evaluate every energy at once, and the
-    set evaluates its four members at once (``ExactConstantSet``).
+    The exponentials are the boundary layers at the walls: each is 1 at its
+    own wall and exp(-mu1 (hi - lo)) at the other, so every wall value lies
+    in [0, 1] however thin the layers are.  Roots of an array of q give one
+    batched set that evaluates every energy at once.
     """
     raise_where(
         np.less_equal(roots.kappa, 0.0),
@@ -449,15 +359,7 @@ def exact_constant_basis(roots: CharacteristicRoots, walls: tuple[float, float])
         ),
         roots.kappa,
     )
-    lo, hi = walls
-    return ExactConstantSet(
-        (
-            ExponentialBasisFunction(roots.mu1, index=1, anchor=hi),
-            ExponentialBasisFunction(-roots.mu1, index=2, anchor=lo),
-            TrigBasisFunction(roots.kappa, "cos", index=3),
-            TrigBasisFunction(roots.kappa, "sin", index=4),
-        )
-    )
+    return ExactConstantSet(roots.mu1, roots.kappa, walls)
 
 
 # --- WKB machinery -------------------------------------------------------------
@@ -940,15 +842,17 @@ class ExponentTable:
         return j[:, :-2] - j[:, -2:-1]
 
 
-class WkbBasisFunction(BasisFunction):
-    """One WKB branch on a validity piece, reading the piece's ``ExponentTable``.
+class WkbBasisFunction:
+    """One WKB branch on a validity piece alone, reading the piece's ``ExponentTable``.
 
     The piece must not contain a zero of a^2 - b; for j in {3, 4} zeros of b
     inside it are masked by windows of half-width TURNING_WINDOW_HALF_WIDTH
     (evaluation inside a window raises ValidityError), while the exponent
     integrals cross them.  The branch asks the table for itself alone
     (``ExponentTable.logs`` and ``derivatives``), at a float or at an array
-    of abscissas; its set asks for all of its branches at once (``WkbSet``).
+    of abscissas, so its values have the bits of its entries in the queries
+    of its set (``WkbSet``), which asks for all of the branches at once.  Its
+    repr names the branch in an error message.
 
     On a batched table (``WkbParameters`` of a batch of energies) the
     interval ends and windows hold one entry per energy, abscissas broadcast
@@ -982,9 +886,6 @@ class WkbBasisFunction(BasisFunction):
         e = self.table.logs(x, (self.index,))[0]
         return e if e.shape else complex(e)
 
-    def log_abs_array(self, x):
-        return np.real(self.exponent(x))
-
     def value(self, x):
         return _capped_exp(self.exponent(x), x, "WKB")
 
@@ -998,61 +899,24 @@ class WkbBasisFunction(BasisFunction):
         )
 
 
-class SymmetrizedBasisFunction(BasisFunction):
-    """Even continuation f(|x|) of a branch built on the positive tail.
-
-    For an even potential the equation is parity invariant, so the even
-    continuation solves it on the mirrored piece; the outward asymptotic class
-    is then the same toward both sides.
-    """
-
-    def __init__(self, inner: WkbBasisFunction):
-        self.inner = inner
-        self.index = inner.index
-
-    @property
-    def mirror_pieces(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        lo, hi = self.inner.interval
-        return (-hi, -lo), (lo, hi)
-
-    def derivatives(self, x, order: int = 3) -> np.ndarray:
-        d = self.inner.derivatives(np.abs(x), order=order)
-        d[1::2] *= np.where(np.asarray(x) < 0, -1.0, 1.0)
-        return d
-
-    def value(self, x):
-        return self.inner.value(np.abs(x))
-
-    def exponent(self, x):
-        return self.inner.exponent(np.abs(x))
-
-    def __repr__(self):
-        return f"SymmetrizedBasisFunction({self.inner!r})"
-
-
 class WkbSet(FundamentalSet):
     """Branches 1..4 of one WKB piece, all reading its ``ExponentTable``, or their even continuations.
 
-    ``even`` gives the even continuations f(|x|) (``SymmetrizedBasisFunction``)
-    of an even potential.  The members are formed on first read: a count,
-    which reads the table's value rows and classes alone, forms none.
+    With ``even`` the members are the even continuations f(|x|) of the
+    branches, built on the positive tail of an even potential: the equation
+    is parity invariant, so each solves it on the mirror piece too, and its
+    outward asymptotic class is the same toward both sides.
 
     The value rows and ``derivatives`` are each one query of the table for
     all the branches they read (``ExponentTable.logs`` and
-    ``derivatives``), so every entry has the bits of its member alone.
+    ``derivatives``), so every entry has the bits of its branch alone
+    (``WkbBasisFunction``).  The set forms no branch object: every reader,
+    a count included, queries the table.
     """
 
     def __init__(self, table: ExponentTable, even: bool = False):
         self.table = table
         self.even = even
-
-    @cached_property
-    def _members(self) -> tuple:
-        branches = tuple(WkbBasisFunction(self.table, j) for j in (1, 2, 3, 4))
-        return tuple(SymmetrizedBasisFunction(f) for f in branches) if self.even else branches
-
-    def __len__(self) -> int:
-        return 4
 
     @property
     def _batch(self) -> tuple:
@@ -1070,7 +934,7 @@ class WkbSet(FundamentalSet):
         """Derivatives of the members, shape (members, order + 1) + shape, shape that of x and the batch.
 
         An even continuation reads its branches at |x|, and its odd orders
-        change sign where x < 0, as ``SymmetrizedBasisFunction`` does.
+        change sign where x < 0.
         """
         d = self.table.derivatives(np.abs(x) if self.even else x, order, [j + 1 for j in members])
         if self.even:

@@ -24,12 +24,13 @@ each value row is formed with one log shift, the largest log|w_j(x)| in the
 row, and every point row is then scaled to unit max magnitude.  No column
 carries a scale: null vectors are the true coefficient vectors.
 
-The basis set forms the point rows' entries (``FundamentalSet.point_rows``)
-for every point and every energy of a batch, every value row in one pass
-and every derivative row in one more: the well's exact set by its stacked
-kernels, a WKB set by one query of its exponent table (``WkbSet``).
-``evaluate_states`` and each round of ``overlap_gram`` likewise ask the set
-for its members' derivatives, as one stacked array.
+The basis set is the one evaluator of its functions.  It forms the point
+rows' entries (``FundamentalSet.point_rows``) for every point and every
+energy of a batch, every value row in one pass and every derivative row in
+one more: the well's exact set by its stacked kernels, a WKB set by one
+query of its exponent table (``WkbSet``).  ``evaluate_states`` and each
+round of ``overlap_gram`` likewise ask the set for its members'
+derivatives, as one stacked array.
 """
 
 from __future__ import annotations
@@ -45,18 +46,15 @@ import numpy as np
 from ._scipy import lazy
 from .basis import (
     AsymptoticClass,
-    BasisFunction,
-    CharacteristicRoots,
-    ExponentialBasisFunction,
+    ExactConstantSet,
     ExponentTable,
     FundamentalSet,
     Side,
-    SymmetrizedBasisFunction,
     TURNING_WINDOW_HALF_WIDTH,
-    TrigBasisFunction,
     WkbBasisFunction,
     WkbParameters,
     WkbSet,
+    _capped_exp,
     characteristic_roots,
     classify_asymptotics,
     exact_constant_basis,
@@ -178,7 +176,7 @@ class ConstraintSystem:
     energy: float
     matrix: np.ndarray
     row_kinds: tuple[str, ...]
-    basis: Sequence[BasisFunction]
+    basis: FundamentalSet
 
     def row_residual(self, coefficients: np.ndarray) -> float | np.ndarray:
         """max |row . c| / |c| over rows: the residual of the unit vector along c; inf for c = 0.
@@ -454,75 +452,66 @@ class BoundStateSolution:
         return evaluate_states(rows, self.states[0].basis, x, order=0)[:, 0]
 
 
-def overlap_gram(
-    basis: FundamentalSet, active: Sequence[int], regions: Sequence[tuple[float, float]]
-) -> np.ndarray:
+def overlap_gram(basis: WkbSet, active: Sequence[int], regions: Sequence[tuple[float, float]]) -> np.ndarray:
     """Hermitian overlap matrix F_ij = int w_i w_j* of the ``active`` members (0-based) over the regions.
 
     Gauss-Legendre panels (``panel_integrals`` at _GRAM_TOL), seeded from
     the turning structure (``_seed_panels``) so that they pass the first
     round; a panel that fails is bisected, and each round asks the set for
     its active members' values on the nodes of all open panels, once.  It
-    serves the WKB states; the well's basis has a closed form
-    (``well_gram``).  Where a product w_i w_j* would pass the float range it
-    raises ``BasisOverflowError`` (``_check_gram_range``) instead.
+    serves the WKB states, a ``WkbSet`` of one energy; the well's set has a
+    closed form (``well_gram``).  Where a product w_i w_j* would pass the
+    float range it raises ``BasisOverflowError`` (``_check_gram_range``)
+    instead.
     """
-    members = [basis[j] for j in active]
 
     def integrand(x, width, _):
         v = basis.derivatives(x, 0, active)[:, 0]
-        _check_gram_range(members, v, x, width)
+        _check_gram_range(basis, active, v, x, width)
         return v[:, None] * (v.conj() * width)
 
-    a, b, owner = _seed_panels(members, regions)
+    a, b, owner = _seed_panels(basis, active, regions)
     return panel_integrals(integrand, a, b, _GRAM_TOL, owner).sum(axis=-1)
 
 
-def _panel_scales(fn: BasisFunction, lo: float, hi: float) -> tuple:
-    """(rate, gap_lo, gap_hi, zone) that size the Gram panels of ``fn`` on [lo, hi].
+def _panel_scales(basis: WkbSet, active: Sequence[int], lo: float, hi: float) -> list[tuple]:
+    """(rate, gap_lo, gap_hi, zone) of each active member (0-based), which size the Gram panels on [lo, hi].
 
-    ``rate`` bounds |d log fn / dx| on [lo, hi] within ``zone``, an interval
-    of x; outside it the function is negligible and sets no width (0: no
-    bound is needed).  ``gap_lo`` and ``gap_hi`` are the distances from each
-    end to the nearest point beyond it where fn is singular (inf: none).
+    ``rate`` bounds |d log w_j / dx| on [lo, hi] within ``zone``, an
+    interval of x; outside it the member is negligible and sets no width.
+    ``gap_lo`` and ``gap_hi`` are the distances from each end to the nearest
+    point beyond it where w_j is singular (inf: none).
 
-      * A WKB branch changes its exponent at |eta lam_j|, lam_j^2 = a +- s,
-        s = sqrt(a^2 - b): its largest value is at an end of a region that
-        does not straddle the vertex of b.  Its amplitude is singular at
-        the zeros of b and of a^2 - b.  The exponent is 0 at x0, and a fast
-        branch (j = 1, 2) falls at least at eta sqrt(a) on one side of x0
-        (Re(a + s) >= a), so _GRAM_NEGLIGIBLE e-folds past x0 it leaves its
-        zone.
-      * The even continuation of a branch reads its branch at |x|.
-      * cos(kappa x) and sin(kappa x) turn at the rate kappa.
-      * exp(mu (x - anchor)) is a boundary layer at the end where it peaks,
-        graded as from a singular point _GRAM_EFOLDS / (2 |mu|) beyond it.
+    A WKB branch changes its exponent at |eta lam_j|, lam_j^2 = a +- s,
+    s = sqrt(a^2 - b): its largest value is at an end of a region that does
+    not straddle the vertex of b.  Its amplitude is singular at the zeros of
+    b and of a^2 - b.  The exponent is 0 at x0, and a fast branch (j = 1, 2)
+    falls at least at eta sqrt(a) on one side of x0 (Re(a + s) >= a), so
+    _GRAM_NEGLIGIBLE e-folds past x0 it leaves its zone.  The even
+    continuation of a branch reads it at |x|: on the mirror piece (hi <= 0)
+    the scales are those of [-hi, -lo] with the ends swapped.
     """
     inf = math.inf
-    if isinstance(fn, SymmetrizedBasisFunction):
-        if hi <= 0.0:  # the mirror piece: its ends swap
-            rate, gap_hi, gap_lo, (z_lo, z_hi) = _panel_scales(fn.inner, -hi, -lo)
-            return rate, gap_lo, gap_hi, (-z_hi, -z_lo)
-        return _panel_scales(fn.inner, lo, hi)
-    if isinstance(fn, WkbBasisFunction):
-        p, fast = fn.params, fn.index in (1, 2)
-        a, sign = p.a_coef, 1.0 if fast else -1.0
+    mirror = basis.even and hi <= 0.0
+    if mirror:
+        lo, hi = -hi, -lo
+    p, zeros = basis.table.params, basis.table.branch_points
+    gaps = (min((lo - z for z in zeros if z <= lo), default=inf), min((z - hi for z in zeros if z >= hi), default=inf))
+    a, reach = p.a_coef, _GRAM_NEGLIGIBLE / (p.eta * math.sqrt(p.a_coef))
+    scales = []
+    for j in active:
+        sign = 1.0 if j < 2 else -1.0
         rate = p.eta * max(math.sqrt(abs(a + sign * cmath.sqrt(a * a - p.b(x)))) for x in (lo, hi))
-        zeros = fn.table.branch_points
-        gap_lo = min((lo - z for z in zeros if z <= lo), default=inf)
-        gap_hi = min((z - hi for z in zeros if z >= hi), default=inf)
         zone = (-inf, inf)
-        if fast:
-            reach = _GRAM_NEGLIGIBLE / (p.eta * math.sqrt(p.a_coef))
-            # lam_2 = -sqrt(a + s) falls to the right of x0, lam_1 to the left
-            zone = (-inf, p.x0 + reach) if fn.index == 2 else (p.x0 - reach, inf)
-        return rate, gap_lo, gap_hi, zone
-    if isinstance(fn, TrigBasisFunction):
-        return abs(fn.kappa), inf, inf, (-inf, inf)
-    if isinstance(fn, ExponentialBasisFunction) and fn.rate != 0.0:
-        gap = _GRAM_EFOLDS / (2.0 * abs(fn.rate))
-        return 0.0, (gap if fn.rate < 0.0 else inf), (gap if fn.rate > 0.0 else inf), (-inf, inf)
-    return 0.0, inf, inf, (-inf, inf)
+        if j == 0:  # lam_1 = sqrt(a + s) falls to the left of x0
+            zone = (p.x0 - reach, inf)
+        elif j == 1:  # lam_2 = -sqrt(a + s) to the right
+            zone = (-inf, p.x0 + reach)
+        if mirror:
+            scales.append((rate, gaps[1], gaps[0], (-zone[1], -zone[0])))
+        else:
+            scales.append((rate, *gaps, zone))
+    return scales
 
 
 def _graded(first: float, width: float, limit: float) -> list[float]:
@@ -540,13 +529,13 @@ def _graded(first: float, width: float, limit: float) -> list[float]:
 
 
 def _seed_panels(
-    basis: Sequence[BasisFunction], regions: Sequence[tuple[float, float]]
+    basis: WkbSet, active: Sequence[int], regions: Sequence[tuple[float, float]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo, hi, region) of each seeded Gram panel, from ``_panel_scales`` alone.
 
     A region splits into pieces at the zone ends inside it.  A piece's
     middle panels are at most _GRAM_EFOLDS / (2 rate) wide, rate the largest
-    of the functions whose zone meets the piece, so no product w_i w_j*
+    of the active members whose zone meets the piece, so no product w_i w_j*
     changes its exponent by more than _GRAM_EFOLDS across one; a piece
     takes at most _GRAM_MAX_SEEDS of them.  Toward an end whose gap to a
     singular point is below that width, the panels grade geometrically
@@ -555,7 +544,7 @@ def _seed_panels(
     """
     edges, owner = [], []
     for k, (lo, hi) in enumerate(regions):
-        scales = [_panel_scales(fn, lo, hi) for fn in basis]
+        scales = _panel_scales(basis, active, lo, hi)
         splits = sorted({z for *_, zone in scales for z in zone if lo < z < hi})
         ends = [lo, *splits, hi]
         for a, b in zip(ends[:-1], ends[1:]):
@@ -596,8 +585,8 @@ def _sinc_defect(t: float) -> float:
     return t2 * acc
 
 
-def well_gram(roots: CharacteristicRoots, walls: tuple[float, float]) -> np.ndarray:
-    """Closed-form overlap matrix F_ij = int w_i w_j* of ``exact_constant_basis`` over the walls.
+def well_gram(mu1: float, kappa: float, walls: tuple[float, float]) -> np.ndarray:
+    """Closed-form overlap matrix F_ij = int w_i w_j* of the exact set of roots mu1, kappa over the walls.
 
     With L = hi - lo, S = hi + lo, t = kappa L and mu = mu1:
 
@@ -614,7 +603,7 @@ def well_gram(roots: CharacteristicRoots, walls: tuple[float, float]) -> np.ndar
     Every basis function is real, so F is real and symmetric.
     """
     lo, hi = walls
-    mu, kappa = float(roots.mu1), float(roots.kappa)
+    mu, kappa = float(mu1), float(kappa)
     length, centre = hi - lo, hi + lo
     decay = math.exp(-mu * length)
     t = kappa * length
@@ -636,14 +625,17 @@ def well_gram(roots: CharacteristicRoots, walls: tuple[float, float]) -> np.ndar
     return f.astype(complex)
 
 
-def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) -> None:
-    """Raise BasisOverflowError where a Gram product w_i w_j* * width would overflow.
+def _check_gram_range(
+    basis: WkbSet, active: Sequence[int], v: np.ndarray, x: np.ndarray, width: np.ndarray
+) -> None:
+    """Raise BasisOverflowError where a Gram product w_i w_j* * width of the active members would overflow.
 
     The largest product on a node is the largest |w|^2 times the panel width,
     so |w| sqrt(width) > sqrt(max float) is the overflow condition, and
     testing it cannot itself overflow.  Per function the limit is the
     log-magnitude log sqrt(max float) - log(width) / 2: 354.9 on a panel of
-    width 1, and the message gives it at the width of the failing node's panel.
+    width 1, and the message gives it at the width of the failing node's
+    panel.  It names the failing member by its branch (``WkbBasisFunction``).
     """
     scaled = np.abs(v) * np.sqrt(width)
     hit = np.any(scaled > _SQRT_FLOAT_MAX, axis=0)
@@ -654,9 +646,12 @@ def _check_gram_range(basis, v: np.ndarray, x: np.ndarray, width: np.ndarray) ->
     log_abs = math.log(abs(complex(v[(i,) + node])))
     panel = float(width[node[0], 0])
     limit = math.log(_SQRT_FLOAT_MAX) - 0.5 * math.log(panel)
+    member = repr(WkbBasisFunction(basis.table, active[i] + 1))
+    if basis.even:
+        member = f"the even continuation of {member}"
     raise BasisOverflowError(
         f"Gram products w_i w_j* pass the float range: log|w| = {log_abs:.6g} at "
-        f"x={float(x[node]):.6g} for {basis[i]!r}, beyond the limit {limit:.6g} "
+        f"x={float(x[node]):.6g} for {member}, beyond the limit {limit:.6g} "
         f"at its panel width {panel:.6g}",
         exponent=log_abs,
     )
@@ -835,8 +830,7 @@ def solve_well(
                     w = w - (np.conj(u_n) @ w) * u_n
                 if np.linalg.norm(w) > 1e-6:
                     good.append(w)
-        at = CharacteristicRoots(mu1=mu1, kappa=kap, epsilon=roots.epsilon, e_minus_v=e)
-        one_basis, gram = exact_constant_basis(at, (lo, hi)), well_gram(at, (lo, hi))
+        one_basis, gram = ExactConstantSet(mu1, kap, (lo, hi)), well_gram(mu1, kap, (lo, hi))
         try:
             solutions.append(normalize(good[:count], one_basis, [(lo, hi)], problem, e, orthogonalize, gram=gram))
         except NormalizationError as exc:
@@ -852,7 +846,7 @@ class WkbAssembly:
     ``basis`` is the interior set, whose value rows and states a solver
     reads; ``far_basis`` the set on the far piece, whose closed-form classes
     (``classify_asymptotics``) decide the decay rows.  Both are ``WkbSet``s,
-    which form their branches on first read, so a count forms none.
+    which read their exponent tables and form no branch.
     """
 
     params: WkbParameters
@@ -991,19 +985,20 @@ def solve_linear(
 ) -> BoundStateSolution:
     """Single bound state phi = C2 w2 - C2 w2(0)/w4(0) w4 for V proportional to x."""
     asm = wkb_assembly(problem, energy)
-    w2, w4 = asm.basis[1], asm.basis[3]
     lo, _ = problem.domain
-    ratio = w2.value(lo) / w4.value(lo)
-    coeffs = np.array([0.0, 1.0, 0.0, -ratio], dtype=complex)
-
     # integrable tail: cut where the state has dropped ~30 decades from its peak
     (x_t,), (s_zero,) = asm.b_zeros, asm.s_zeros
     # near the lowest energy x_t - 2 W falls below the grid start, which is then the only point
     peak_hi = max(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH)
     cut = s_zero - TURNING_WINDOW_HALF_WIDTH
     xs = np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60)
-    # the 9 points of the peak, then the tail, in one query of both branches
-    w2_log, w4_log = asm.basis.table.logs(np.concatenate([np.linspace(lo + 1e-3, peak_hi, 9), xs]), (2, 4)).real
+    # the wall, the 9 points of the peak, then the tail, in one query of both branches
+    logs = asm.basis.table.logs(np.concatenate([[lo], np.linspace(lo + 1e-3, peak_hi, 9), xs]), (2, 4))
+    # each wall value by the scalar exp, as a branch alone gives it
+    ratio = _capped_exp(complex(logs[0, 0]), lo, "WKB") / _capped_exp(complex(logs[1, 0]), lo, "WKB")
+    coeffs = np.array([0.0, 1.0, 0.0, -ratio], dtype=complex)
+
+    w2_log, w4_log = logs[:, 1:].real
     state_log = np.maximum(w2_log, w4_log + math.log(abs(ratio) + 1e-300))
     below = np.flatnonzero(state_log[9:] < state_log[:9].max() - 70.0)
     if below.size:
@@ -1035,7 +1030,8 @@ def solve_harmonic(
     formulas outside this method's scope.
     """
     asm = wkb_assembly(problem, energy)
-    regions = list(asm.basis[0].mirror_pieces)  # type: ignore[attr-defined]
+    lo, hi = asm.basis.table.interval
+    regions = [(-hi, -lo), (lo, hi)]  # the mirror piece, then the piece
     vec2 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     vec4 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     return normalize(

@@ -22,7 +22,7 @@ from gupbic import (
     nondimensionalize,
     residual,
 )
-from gupbic.basis import WkbParameters, map_regions, wkb_branches
+from gupbic.basis import WkbBasisFunction, WkbParameters, map_regions, wkb_branches
 from gupbic.matcher import solve_linear, solve_well
 from gupbic.spectrum import (
     dof_scan,
@@ -152,7 +152,7 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     # fast branch: single backward launch, reference point at the launch
     p2 = WkbParameters.from_problem(problem, energy, x0=x_hi)
     rmap = map_regions(p2, x_lo - 0.3, x_hi + 0.3)
-    w2 = wkb_branches(p2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap)[1]
+    w2 = WkbBasisFunction(wkb_branches(p2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table, 2)
     xs = np.linspace(x_lo, x_hi, 61)
     phi = integrate(problem, energy, w2.derivatives(x_hi, order=3), x_hi, xs, rtol=1e-12, atol=1e-14)[0]
     vals = w2.value(xs)
@@ -161,7 +161,7 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     # slow branch: piecewise backward relaunches, piece ~ 3.2/mu1 so the
     # fast-mode contamination amplification stays bounded
     p4 = WkbParameters.from_problem(problem, energy, x0=0.5 * (x_lo + x_hi))
-    w4 = wkb_branches(p4, (x_lo - 0.3, x_hi + 0.3), region_map=rmap)[3]
+    w4 = WkbBasisFunction(wkb_branches(p4, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table, 4)
     n_pieces = max(2, math.ceil((w_hi - w_lo) * mu1 / 3.2))
     edges = np.linspace(x_lo, x_hi, n_pieces + 1)
     num = den = 0.0
@@ -181,9 +181,9 @@ def _tail_fit_r_squared(eps: float, energy: float = 1.0) -> float:
     x_start = max(3.0 * x_q, 40.0)
     params = WkbParameters.from_problem(problem, energy, x0=x_start)
     rmap = map_regions(params, x_start - 1.0, 4.0 * x_start + 1.0)
-    w1 = wkb_branches(params, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap)[0]
+    w1 = WkbBasisFunction(wkb_branches(params, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap).table, 1)
     xs = np.linspace(x_start, 4.0 * x_start, 60)
-    logs = np.array([w1.log_abs_array(x) for x in xs])
+    logs = np.array([w1.exponent(x).real for x in xs])
     design = np.vstack([xs**1.25, np.ones_like(xs)]).T
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     pred = design @ coef

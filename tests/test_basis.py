@@ -12,9 +12,11 @@ import gupbic.panels
 from gupbic import characteristic_roots, exact_constant_basis, nondimensionalize
 from gupbic.basis import (
     AsymptoticClass,
-    ExponentialBasisFunction,
+    ExactConstantSet,
     Side,
+    WkbBasisFunction,
     WkbParameters,
+    _exp_log,
     classify_asymptotics,
     map_regions,
     wkb_branches,
@@ -34,6 +36,11 @@ from gupbic.verification import harmonic_setup_for, linear_setup_for, reference_
 
 EPS_REFERENCE = 7.414144781404543e-2
 WALLS = (-1.0, 1.0)
+
+
+def _branch(basis, j):
+    """Branch j (1-based) of a WKB set alone, on the set's exponent table."""
+    return WkbBasisFunction(basis.table, j)
 
 
 class TestCharacteristicRoots:
@@ -106,16 +113,15 @@ class TestExactBasis:
 
     def test_ode_residual_at_points(self, basis_and_roots):
         r, basis = basis_and_roots
-        for f in basis:
-            for x in (-1.0, 0.0, 1.0):
-                d = f.derivatives(x, order=4)
+        for x in (-1.0, 0.0, 1.0):
+            for d in basis.derivatives(x, 4, range(4)):
                 res = EPS_REFERENCE * d[4] - d[2] - r.e_minus_v * d[0]
                 scale = abs(EPS_REFERENCE * d[4]) + abs(d[2]) + abs(r.e_minus_v * d[0]) + 1e-300
                 assert abs(res) / scale < 1e-12
 
     def test_wronskian_nonzero_at_origin(self, basis_and_roots):
         r, basis = basis_and_roots
-        m = np.array([f.derivatives(0.0, order=3) for f in basis]).T
+        m = basis.derivatives(0.0, 3, range(4)).T
         w = np.linalg.det(m)
         # direct determinant, cross-checked against the root-product form; the
         # wall anchors scale the exponential pair by exp(-mu1 (hi - lo)) in all
@@ -130,10 +136,9 @@ class TestExactBasis:
         # growth of an exact exponential depends on the side alone; the count
         # never asks, and the classifier knows only the far-field WKB form
         _, basis = basis_and_roots
-        for f in basis:
-            for side in Side:
-                with pytest.raises(ClassificationError, match=type(f).__name__):
-                    classify_asymptotics(f, side)
+        for side in Side:
+            with pytest.raises(ClassificationError, match="ExactConstantSet"):
+                classify_asymptotics(basis, side)
 
     def test_small_beta_limit_matches_standard_well(self):
         # kappa -> sqrt(e): the oscillatory pair converges pointwise
@@ -142,7 +147,7 @@ class TestExactBasis:
             r = characteristic_roots(eps, e)
             basis = exact_constant_basis(r, WALLS)
             for x in np.linspace(-1, 1, 7):
-                assert basis[2].value(x) == pytest.approx(
+                assert basis.derivatives(x, 0, [2])[0, 0] == pytest.approx(
                     math.cos(math.sqrt(e) * x), abs=5e-4 * (eps / 1e-5) ** 0.5 + 1e-9
                 )
 
@@ -152,10 +157,11 @@ class TestExactBasis:
             exact_constant_basis(r, WALLS)
 
     def test_overflow_flagged(self):
-        f = ExponentialBasisFunction(rate=10.0, index=1)
+        # exp(10 x), the layer at the wall x = 0, passes the cap at x = 100
+        basis = ExactConstantSet(10.0, 1.0, (-1.0, 0.0))
         with pytest.raises(BasisOverflowError):
-            f.derivatives(100.0)
-        assert f.log_abs_array(100.0) == pytest.approx(1000.0)
+            basis.derivatives(100.0, 3, [0])
+        assert _exp_log(10.0, 0.0, 100.0) == pytest.approx(1000.0)
 
     @pytest.mark.parametrize("beta", [1e47, 1e30])
     def test_array_value_matches_point_by_point(self, beta):
@@ -175,40 +181,44 @@ class TestExactBasis:
                 ]
             )
 
-        grow, decay, cos, sin = exact_constant_basis(roots, problem.domain)
+        basis = exact_constant_basis(roots, problem.domain)
+
+        def value(j, x):
+            return basis.derivatives(x, 0, [j])[0, 0]
+
         # each exponential runs past the -745 underflow cut on its decaying
         # side and stays below the exponent cap on its growing side
-        for f, xs in (
-            (grow, through_walls(900.0, 600.0)),
-            (decay, through_walls(600.0, 900.0)),
-            (cos, through_walls(600.0, 600.0)),
-            (sin, through_walls(600.0, 600.0)),
+        for j, xs in (
+            (0, through_walls(900.0, 600.0)),
+            (1, through_walls(600.0, 900.0)),
+            (2, through_walls(600.0, 600.0)),
+            (3, through_walls(600.0, 600.0)),
         ):
-            arr = f.value(xs)
-            pts = np.array([f.value(float(x)) for x in xs])
+            arr = value(j, xs)
+            pts = np.array([value(j, float(x)) for x in xs])
             assert arr.shape == pts.shape and arr.dtype == complex
             assert np.all(np.abs(arr - pts) <= 2e-16 * np.abs(pts))
             assert np.array_equal(arr == 0, pts == 0)
-        for f in (grow, decay):
+        for j, rate, anchor in ((0, roots.mu1, hi), (1, -roots.mu1, lo)):
             # exact zeros past the underflow cut, and only there
             xs = through_walls(900.0, 900.0)
-            xs = xs[f.rate * (xs - f.anchor) < 700.0]
-            zero = f.value(xs) == 0
-            assert np.array_equal(zero, f.rate * (xs - f.anchor) <= -745.0)
+            xs = xs[rate * (xs - anchor) < 700.0]
+            zero = value(j, xs) == 0
+            assert np.array_equal(zero, rate * (xs - anchor) <= -745.0)
             assert zero.any()
 
     def test_array_value_overflow_flagged_where_scalar_is(self):
         problem = nondimensionalize(reference_well_setup(beta=1e30))
         roots = characteristic_roots(problem.epsilon, 2.5)
-        grow, decay, _, _ = exact_constant_basis(roots, problem.domain)
+        basis = exact_constant_basis(roots, problem.domain)
         lo, hi = problem.domain
-        for f, x in ((grow, hi + 800.0 / roots.mu1), (decay, lo - 800.0 / roots.mu1)):
+        for j, x in ((0, hi + 800.0 / roots.mu1), (1, lo - 800.0 / roots.mu1)):
             with pytest.raises(BasisOverflowError):
-                f.value(x)
+                basis.derivatives(x, 0, [j])
             with pytest.raises(BasisOverflowError):
-                f.value(np.array([0.0, x]))
+                basis.derivatives(np.array([0.0, x]), 0, [j])
             edge = np.array([0.0, x - math.copysign(200.0 / roots.mu1, x)])
-            assert np.all(np.isfinite(f.value(edge)))
+            assert np.all(np.isfinite(basis.derivatives(edge, 0, [j])))
 
 
 class TestWkbBasis:
@@ -224,8 +234,8 @@ class TestWkbBasis:
         e = 5.5
         params = WkbParameters.from_problem(well_problem, e, x0=0.0)
         roots = characteristic_roots(well_problem.epsilon, e)
-        w1 = wkb_branches(params, (-1.0, 1.0))[0]
-        w3 = wkb_branches(params, (-1.0, 1.0))[2]
+        w1 = _branch(wkb_branches(params, (-1.0, 1.0)), 1)
+        w3 = _branch(wkb_branches(params, (-1.0, 1.0)), 3)
         assert params.eta * w1.lam(0.2) == pytest.approx(roots.mu1, rel=1e-13)
         assert params.eta * w3.lam(0.2) == pytest.approx(1j * roots.kappa, rel=1e-13)
 
@@ -235,7 +245,7 @@ class TestWkbBasis:
         roots = characteristic_roots(well_problem.epsilon, e)
         targets = {1: roots.mu1, 2: -roots.mu1, 3: 1j * roots.kappa, 4: -1j * roots.kappa}
         for j, rate in targets.items():
-            w = wkb_branches(params, (-1.0, 1.0))[j - 1]
+            w = _branch(wkb_branches(params, (-1.0, 1.0)), j)
             ratios = [w.value(x) * cmath.exp(-rate * x) for x in (-0.9, -0.4, 0.1, 0.8)]
             for r in ratios[1:]:
                 assert abs(r / ratios[0] - 1.0) < 1e-10
@@ -244,7 +254,7 @@ class TestWkbBasis:
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 10.0)
-        w1 = wkb_branches(params, (0.0, rmap.s_zeros[0] - 0.05), region_map=rmap)[0]
+        w1 = _branch(wkb_branches(params, (0.0, rmap.s_zeros[0] - 0.05), region_map=rmap), 1)
         eps = linear_problem.epsilon
         for x in (0.3, 1.2, 3.0, 4.5):
             mu = params.eta * w1.lam(x)
@@ -259,7 +269,7 @@ class TestWkbBasis:
         rng = np.random.default_rng(3)
         h1, h2 = 1e-5, 1e-4  # h2 larger: second differences hit roundoff ~eps/h^2
         for j in (1, 2, 3, 4):
-            w = wkb_branches(params, (2.6, 4.0), region_map=rmap)[j - 1]
+            w = _branch(wkb_branches(params, (2.6, 4.0), region_map=rmap), j)
             for x in rng.uniform(2.8, 3.8, size=13):
                 d = w.derivatives(x, order=2)
                 fd1 = (w.value(x + h1) - w.value(x - h1)) / (2 * h1)
@@ -284,13 +294,13 @@ class TestWkbBasis:
         rmap = map_regions(params, 0.0, 10.0)
         s_zero = rmap.s_zeros[0]
         with pytest.raises(ValidityError, match="turning point"):
-            wkb_branches(params, (s_zero - 1.0, s_zero + 1.0), region_map=rmap)[0]
+            wkb_branches(params, (s_zero - 1.0, s_zero + 1.0), region_map=rmap)
 
     def test_window_evaluation_rejected(self, linear_problem):
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 3.5)
-        w4 = wkb_branches(params, (0.0, 3.5), region_map=rmap)[3]
+        w4 = _branch(wkb_branches(params, (0.0, 3.5), region_map=rmap), 4)
         x_t = rmap.b_zeros[0]
         with pytest.raises(ValidityError, match="window"):
             w4.value(x_t + 0.01)
@@ -302,7 +312,7 @@ class TestWkbBasis:
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 3.5)
-        w2 = wkb_branches(params, (0.0, 3.5), region_map=rmap)[1]
+        w2 = _branch(wkb_branches(params, (0.0, 3.5), region_map=rmap), 2)
         assert w2.windows == ()
         x_t = rmap.b_zeros[0]
         assert np.isfinite(w2.value(x_t).real)
@@ -356,19 +366,14 @@ def test_repr_shows_the_parameters_of_each_energy(linear_problem, harmonic_probl
     def shown(values, spec):
         return format(values, spec) if np.ndim(values) == 0 else "[" + ", ".join(format(v, spec) for v in values) + "]"
 
-    linear = wkb_assembly(linear_problem, energy).basis[0]
-    even = wkb_assembly(harmonic_problem, energy).basis[2]
-    for f, g in ((linear, linear), (even, even.inner)):
+    linear = _branch(wkb_assembly(linear_problem, energy).basis, 1)
+    even = _branch(wkb_assembly(harmonic_problem, energy).basis, 3)
+    for g in (linear, even):
         p = g.params
         want = f"WkbBasisFunction(j={g.index}, interval={g.interval}, x0={shown(p.x0, '.4g')}, eta={p.eta:.4g})"
         assert repr(g) == want
-        assert repr(f) == (want if f is g else f"SymmetrizedBasisFunction({want})")
     if np.ndim(energy):
         assert f"x0=[{linear.params.x0[0]:.4g}, {linear.params.x0[1]:.4g}]" in repr(linear)
-    well = nondimensionalize(reference_well_setup())
-    exact = exact_constant_basis(characteristic_roots(well.epsilon, energy), well.domain)
-    assert repr(exact[0]) == f"ExponentialBasisFunction(rate={shown(exact[0].rate, '.6g')}, anchor=1, index=1)"
-    assert repr(exact[3]) == f"TrigBasisFunction(kappa={shown(exact[3].kappa, '.6g')}, sin, index=4)"
 
 
 def test_concurrent_evaluation_matches_serial(linear_problem):
@@ -381,10 +386,10 @@ def test_concurrent_evaluation_matches_serial(linear_problem):
     xs = list(np.linspace(2.6, 3.8, 40))
     params = WkbParameters.from_problem(linear_problem, e, x0=3.2)
     rmap = map_regions(params, 2.5, 3.9)
-    serial = wkb_branches(params, (2.5, 3.9), region_map=rmap)[1]
+    serial = _branch(wkb_branches(params, (2.5, 3.9), region_map=rmap), 2)
     serial_vals = [serial.value(x) for x in xs]
 
-    threaded = wkb_branches(params, (2.5, 3.9), region_map=rmap)[1]
+    threaded = _branch(wkb_branches(params, (2.5, 3.9), region_map=rmap), 2)
     shuffled = list(np.random.default_rng(0).permutation(xs))
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(threaded.value, shuffled))
@@ -402,14 +407,15 @@ def test_concurrent_shared_table_matches_serial():
     params, piece, rmap, _ = _shared_table_cases()[0]
     grid = np.linspace(piece[0], piece[1], 41)
     queries = [float(x) for x in grid] + [grid[k : k + 5] for k in range(0, 41, 5)]
-    serial_branches = wkb_branches(params, piece, rmap)
+    serial_set = wkb_branches(params, piece, rmap)
     tasks, expected = [], []
-    for j, f in enumerate(serial_branches):
+    for j, f in enumerate([_branch(serial_set, k) for k in (1, 2, 3, 4)]):
         for q in queries:
             if np.all(f.valid(q)):
                 tasks.append((j, q))
                 expected.append(f.value(q))
-    shared = wkb_branches(params, piece, rmap)
+    shared_set = wkb_branches(params, piece, rmap)
+    shared = [_branch(shared_set, j) for j in (1, 2, 3, 4)]
     order = np.random.default_rng(0).permutation(len(tasks))
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(lambda k: shared[tasks[k][0]].value(tasks[k][1]), order))
@@ -492,7 +498,7 @@ def test_exponent_matches_quad_reference(case):
     problem, e, x0, piece, rmap, points = _pieces_for_accuracy()[case]
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 2, 3, 4):
-        w = wkb_branches(params, piece, region_map=rmap)[j - 1]
+        w = _branch(wkb_branches(params, piece, region_map=rmap), j)
         xs = [x for x in points if w.valid(x)]
         assert len(xs) >= 5
         batch = w.exponent(np.array(xs))
@@ -500,7 +506,7 @@ def test_exponent_matches_quad_reference(case):
             ref = _reference_exponent(w, x)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (j, x, got, ref)
             # one point at a time, on a fresh function, gives the same value
-            single = wkb_branches(params, piece, region_map=rmap)[j - 1].exponent(x)
+            single = _branch(wkb_branches(params, piece, region_map=rmap), j).exponent(x)
             assert abs(single - got) <= 1e-13 * max(1.0, abs(got))
 
 
@@ -511,12 +517,12 @@ def test_large_array_matches_small_batches():
     problem, e, x0, piece, rmap, _ = _pieces_for_accuracy()[2]
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 3):
-        w = wkb_branches(params, piece, region_map=rmap)[j - 1]
+        w = _branch(wkb_branches(params, piece, region_map=rmap), j)
         xs = np.linspace(*piece, 3001)
         xs = xs[w.valid(xs)]
         assert xs.size > 2048
         whole = w.exponent(xs)
-        fresh = wkb_branches(params, piece, region_map=rmap)[j - 1]
+        fresh = _branch(wkb_branches(params, piece, region_map=rmap), j)
         batches = np.concatenate([fresh.exponent(xs[k : k + 7]) for k in range(0, xs.size, 7)])
         np.testing.assert_array_equal(whole, batches)
 
@@ -547,21 +553,22 @@ def test_shared_branches_match_standalone(case, order):
     # in one walk, the last query kept) equal branches alone on their own
     # tables, bit for bit, however the branches take turns
     params, piece, rmap, points = _shared_table_cases()[case]
-    shared = wkb_branches(params, piece, rmap)
-    fresh = {j: wkb_branches(params, piece, region_map=rmap)[j - 1] for j in (1, 2, 3, 4)}
+    shared_set = wkb_branches(params, piece, rmap)
+    shared = [_branch(shared_set, j) for j in (1, 2, 3, 4)]
+    fresh = {j: _branch(wkb_branches(params, piece, region_map=rmap), j) for j in (1, 2, 3, 4)}
     common = np.array([x for x in points if all(f.valid(x) for f in shared)])
     for x in points:
         for j in order:
             if shared[j - 1].valid(x):
                 got = shared[j - 1].exponent(float(x))
-                alone = wkb_branches(params, piece, region_map=rmap)[j - 1]
+                alone = _branch(wkb_branches(params, piece, region_map=rmap), j)
                 assert np.array_equal(got, fresh[j].exponent(float(x))), (j, x)
                 assert np.array_equal(got, alone.exponent(float(x))), (j, x)
     for xs in (common, np.array(points)):
         for j in order:
             f = shared[j - 1]
             own = xs[f.valid(xs)]
-            alone = wkb_branches(params, piece, region_map=rmap)[j - 1]
+            alone = _branch(wkb_branches(params, piece, region_map=rmap), j)
             assert np.array_equal(f.exponent(own), alone.exponent(own)), j
             assert np.array_equal(f.value(own), alone.value(own)), j
 
@@ -662,8 +669,9 @@ def test_linear_closed_form_matches_panels_and_mpmath(eps):
                 0.5 * (x_t + hi), hi - 1e-3, hi]
         far = [far_lo, far_lo + 1e-3, far_lo + 0.4, far_lo + 2.3, far_lo + 4.4, far_lo + 20.0]
         for branches, points in ((asm.basis, main), (asm.far_basis, far)):
-            table, eta = branches[0].table, branches[0].params.eta
-            assert branches[0].params.b_chain(0.0)[2] == 0.0
+            table = branches.table
+            eta = table.params.eta
+            assert table.params.b_chain(0.0)[2] == 0.0
             xs = np.array(points)
             for sigma in (1.0, -1.0):
                 got = np.stack(table.integrals(xs, sigma)[:2])
@@ -741,7 +749,7 @@ def test_harmonic_closed_form_matches_panels_and_mpmath(eps):
         problem, rmap, pieces = _harmonic_pieces(eps, e)
         for x0, piece, points in pieces:
             params = WkbParameters.from_problem(problem, e, x0=x0)
-            table = wkb_branches(params, piece, rmap)[0].table
+            table = wkb_branches(params, piece, rmap).table
             assert params.b_chain(0.0)[2] > 0.0
             xs = np.array(points + [x0 - 0.1, x0 + 0.01])
             for sigma in (1.0, -1.0):
@@ -769,13 +777,13 @@ def test_batched_harmonic_table_matches_each_energy():
     tail = (x_s + w, x_s + 4.0, np.full(3, np.inf), x_s + 0.5)  # points up to x_s + 4
     for lo, hi, end, x0 in (band, tail):
         params = WkbParameters.from_problem(problem, energies, x0=x0)
-        table = wkb_branches(params, (lo, end), rmap)[0].table
+        table = wkb_branches(params, (lo, end), rmap).table
         xs = lo + t * (hi - lo)  # (points, energies)
         for sigma in (1.0, -1.0):
             got = table.integrals(xs, sigma)
             for k, e in enumerate(energies):
                 one = WkbParameters.from_problem(problem, e, x0=float(x0[k]))
-                alone = wkb_branches(one, (float(lo[k]), float(end[k])))[0].table
+                alone = wkb_branches(one, (float(lo[k]), float(end[k]))).table
                 for g, ref in zip(got, alone.integrals(xs[:, k].copy(), sigma)):
                     assert np.array_equal(g[:, k], ref), (e, sigma)
 
@@ -784,12 +792,12 @@ def test_harmonic_exponents_below_the_minimum_raise():
     # the elliptic reduction needs e > 0 over the minimum of the potential
     problem = nondimensionalize(harmonic_setup_for(0.02))
     params = WkbParameters.from_problem(problem, -1.0, x0=1.0)
-    w = wkb_branches(params, (0.5, 2.0))[0]
+    w = _branch(wkb_branches(params, (0.5, 2.0)), 1)
     with pytest.raises(PreconditionError, match="above its minimum"):
         w.exponent(1.5)
     batch = WkbParameters.from_problem(problem, np.array([2.0, -1.0]), x0=np.array([1.0, 1.0]))
     with pytest.raises(PreconditionError) as info:
-        wkb_branches(batch, (np.array([0.5, 0.5]), np.array([1.2, 2.0])))[0].exponent(0.9)
+        _branch(wkb_branches(batch, (np.array([0.5, 0.5]), np.array([1.2, 2.0]))), 1).exponent(0.9)
     assert info.value.failed.tolist() == [False, True]
 
 
@@ -859,8 +867,8 @@ def test_no_potential_walks_panels(monkeypatch, linear_problem, harmonic_problem
     assert not any(walks), "an exponent call reached panel_integrals"
 
 
-def _classify_point_by_point(f, probes, samples_per_interval=7):
-    """A sampled class: the rise or fall of max log|f| over probe-to-probe intervals.
+def _classify_point_by_point(exponent, probes, samples_per_interval=7):
+    """A sampled class: the rise or fall of max log|f| over probe-to-probe intervals, log f = ``exponent``.
 
     Samples in a turning window or with a non-finite log are skipped; None
     when the envelope moves by less than a factor 10 either way.
@@ -868,7 +876,7 @@ def _classify_point_by_point(f, probes, samples_per_interval=7):
 
     def safe_log_abs(x):
         try:
-            value = float(np.real(f.exponent(x)))
+            value = float(np.real(exponent(x)))
         except ValidityError:
             return None
         return value if math.isfinite(value) else None
@@ -898,12 +906,17 @@ def test_far_classes_closed_form_match_classification(kind):
         problem = nondimensionalize(setup_for(eps))
         for e in (1.5, 3.0, 5.0, 7.5, 10.0):
             far = wkb_assembly(problem, e).far_basis
+            lo = far.table.interval[0]
+            probes = np.linspace(lo + 0.25, lo + 4.25, 5)
             for side in sides:
-                for f, got in zip(far, classify_asymptotics(far, side), strict=True):
-                    lo = getattr(f, "inner", f).interval[0]
-                    probes = np.linspace(lo + 0.25, lo + 4.25, 5)
+                classes = classify_asymptotics(far, side)
+                assert len(classes) == 4
+                for j, got in enumerate(classes, 1):
+                    f = _branch(far, j)
+                    # the even continuation reads its branch at |x|
+                    exponent = (lambda x, f=f: f.exponent(abs(x))) if far.even else f.exponent
                     outward = probes if side is Side.PLUS_INFINITY else -probes
-                    expected = _classify_point_by_point(f, outward)
+                    expected = _classify_point_by_point(exponent, outward)
                     assert got is expected, (eps, e, f, side)
                     compared += 1
     assert compared == 3 * 5 * 4 * len(sides)
@@ -996,23 +1009,23 @@ def test_nan_exponent_row_is_refused(monkeypatch, linear_problem):
 
 
 def test_array_derivatives_match_point_by_point():
-    # derivatives(x, order) takes an array of any shape and returns
-    # (order + 1,) + shape(x), each column equal to the scalar call
+    # a set's derivatives(x, order, [j]) takes an array of any shape and
+    # returns (1, order + 1) + shape(x), each column equal to the scalar call
     well = nondimensionalize(reference_well_setup())
     exact = exact_constant_basis(characteristic_roots(well.epsilon, 2.5), well.domain)
     linear = wkb_assembly(nondimensionalize(linear_setup_for(0.02)), 2.0).basis
     harmonic = wkb_assembly(nondimensionalize(harmonic_setup_for(0.02)), 1.7).basis
-    lo, hi = harmonic[0].inner.interval
-    cases = [(f, np.linspace(-1.0, 1.0, 12)) for f in exact]
-    cases += [(f, np.linspace(0.1, 1.5, 12)) for f in linear]
+    lo, hi = harmonic.table.interval
+    cases = [(exact, np.linspace(-1.0, 1.0, 12)), (linear, np.linspace(0.1, 1.5, 12))]
     # both mirror pieces of the even continuation
-    cases += [(f, np.concatenate([np.linspace(-hi, -lo, 6), np.linspace(lo, hi, 6)])) for f in harmonic]
-    for f, xs in cases:
-        grid = xs.reshape(3, 4)
-        arr = f.derivatives(grid, order=4)
-        pts = np.stack([f.derivatives(float(x), order=4) for x in xs], axis=-1).reshape(5, 3, 4)
-        assert arr.shape == (5, 3, 4)
-        assert np.all(np.abs(arr - pts) <= 1e-14 * np.abs(pts).max(axis=(1, 2), keepdims=True))
+    cases += [(harmonic, np.concatenate([np.linspace(-hi, -lo, 6), np.linspace(lo, hi, 6)]))]
+    for basis, xs in cases:
+        for j in range(4):
+            grid = xs.reshape(3, 4)
+            arr = basis.derivatives(grid, 4, [j])[0]
+            pts = np.stack([basis.derivatives(float(x), 4, [j])[0] for x in xs], axis=-1).reshape(5, 3, 4)
+            assert arr.shape == (5, 3, 4)
+            assert np.all(np.abs(arr - pts) <= 1e-14 * np.abs(pts).max(axis=(1, 2), keepdims=True))
 
 
 @pytest.mark.parametrize("kind", ["linear", "harmonic"])
@@ -1025,14 +1038,14 @@ def test_float_derivatives_are_the_one_point_array_ones_bit_for_bit(kind):
     if kind == "linear":
         xs = [0.0, 0.05, 0.3, 0.8, 1.2, 2.5, 3.5]  # both sides of the turning window at x_t = 2
     else:
-        lo, hi = basis[0].inner.interval
+        lo, hi = basis.table.interval
         xs = [lo, 0.5 * (lo + hi), hi, -lo, -0.5 * (lo + hi), -hi, 0.25 * lo + 0.75 * hi]
-    for f in basis:
+    for j in range(4):
         for x in xs:
-            at_float = f.derivatives(x, order=4)
-            at_array = f.derivatives(np.array([x]), order=4)[:, 0]
+            at_float = basis.derivatives(x, 4, [j])[0]
+            at_array = basis.derivatives(np.array([x]), 4, [j])[0, :, 0]
             assert at_float.shape == (5,)
-            assert np.array_equal(at_float.view(np.int64), np.ascontiguousarray(at_array).view(np.int64)), (f, x)
+            assert np.array_equal(at_float.view(np.int64), np.ascontiguousarray(at_array).view(np.int64)), (j, x)
 
 
 def _scalar_quadratic_roots(c2, c1, c0):

@@ -444,6 +444,25 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["exit_code"] == 3
 
+    def test_harmonic_gram_overflow_names_the_even_continuation(self, tmp_path, capsys):
+        # beta 3e44: the products w_i w_j* of the harmonic Gram pass the float
+        # range on the mirror piece; the error names the member as the even
+        # continuation of its branch, with the limit at the failing panel's width
+        code = run(
+            [
+                "wavefunction", "--potential", "harmonic", "--omega", "1.897e16",
+                "--E", "2e-18", "--beta", "3e44", "--out", tmp_path / "wf",
+            ]
+        )
+        assert code == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "BasisOverflowError" and error["exit_code"] == 3
+        assert error["message"] == (
+            "Gram products w_i w_j* pass the float range: log|w| = 356.141 at x=-6.82996 for the even "
+            "continuation of WkbBasisFunction(j=2, interval=(1.4640287832085337, 26.178088267537312), "
+            "x0=13.82, eta=8.607), beyond the limit 355.979 at its panel width 0.113612"
+        )
+
     def test_linear_wavefunction_runs(self, tmp_path):
         cfg = tmp_path / "lin.cfg"
         cfg.write_text(LINEAR_CFG)

@@ -15,7 +15,7 @@ from gupbic import (
     residual,
     wronskian,
 )
-from gupbic.basis import WkbParameters, map_regions, wkb_branches
+from gupbic.basis import WkbBasisFunction, WkbParameters, map_regions, wkb_branches
 from gupbic.core import DEFAULT_RTOL
 from gupbic.errors import NumericalError, PreconditionError, WrongPotentialError
 from gupbic.matcher import StateFunction, bound_states
@@ -351,7 +351,7 @@ class TestResidual:
             problem = nondimensionalize(linear_setup_for(eps))
             params = WkbParameters.from_problem(problem, 2.0, x0=3.0)
             rmap = map_regions(params, 2.4, 4.5)
-            w2 = wkb_branches(params, (2.4, 4.5), region_map=rmap)[1]
+            w2 = WkbBasisFunction(wkb_branches(params, (2.4, 4.5), region_map=rmap).table, 2)
             values.append(residual(w2, problem, 2.0, np.linspace(2.5, 4.4, 40)))
         assert values[0] < 1e-2
         assert values[1] < values[0]
