@@ -3,8 +3,16 @@
 Subcommands: wavefunction, dof-scan, spectrum, observability, momentum-check,
 verify.  All user-facing energies and lengths are SI (dimensionless columns
 are included for transparency).  Exit codes: 0 ok, 1 verification failure,
-2 usage/config error, 3 numerical failure.  Errors, argparse's usage errors
-included, are reported as a JSON object on stderr.
+2 usage/config error (an unreadable or undecodable config included),
+3 numerical failure (an unwritable output or a failed allocation included).
+Errors, argparse's usage errors included, are reported as a JSON object on
+stderr.
+
+``main`` is the one frame every command runs through.  It reads the setup
+once and calls ``cmd_*(args, setup, out, outputs)``, which validates its
+flags, writes its files, appends each path to ``outputs`` and returns
+(exit code, stdout text).  Then ``main`` writes ``manifest.json`` whenever a
+file was written, a scan whose energies failed included, and prints the text.
 
 Importing this module loads only ``core``, ``errors`` and ``output``; each
 command imports the numerical layers it runs when it runs.
@@ -18,6 +26,8 @@ import importlib
 import json
 import math
 import sys
+import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +37,7 @@ from .core import (
     DEFAULT_RTOL,
     MAX_RTOL,
     MIN_RTOL,
-    Harmonic,
+    POTENTIAL_KEYS,
     InfiniteWell,
     Linear,
     PhysicalSetup,
@@ -42,7 +52,7 @@ from .errors import (
     PreconditionError,
     WrongPotentialError,
 )
-from .output import RunManifest, config_digest, write_csv, write_json
+from .output import config_digest, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -161,62 +171,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_from_args(args) -> tuple[PhysicalSetup, str | None]:
-    if args.config is not None:
-        setup = load_config(args.config)
-        config_path = args.config
-    else:
-        setup = reference_well_setup()
-        config_path = None
-
+    setup = reference_well_setup() if args.config is None else load_config(args.config)
     overrides = {
         k: getattr(args, k)
         for k in ("potential", "mass", "beta", "a", "L", "omega")
         if getattr(args, k, None) is not None
     }
-    if not overrides:
-        return setup, config_path
-
-    kind = overrides.get("potential")
-    if kind is None:
-        kind = setup.potential.kind
-    if kind == "well":
-        a = overrides.get("a", setup.potential.a if isinstance(setup.potential, InfiniteWell) else None)
-        if a is None:
-            raise ConfigError("well potential needs --a")
-        potential = InfiniteWell(a=a)
-    elif kind == "linear":
-        slope = overrides.get("L", setup.potential.slope if isinstance(setup.potential, Linear) else None)
-        if slope is None:
-            raise ConfigError("linear potential needs --L")
-        potential = Linear(slope=slope)
-    else:
-        omega = overrides.get("omega", setup.potential.omega if isinstance(setup.potential, Harmonic) else None)
-        if omega is None:
-            raise ConfigError("harmonic potential needs --omega")
-        potential = Harmonic(omega=omega)
-
+    kind = overrides.get("potential", setup.potential.kind)
+    key, spec = POTENTIAL_KEYS[kind]
+    value = overrides.get(key, astuple(setup.potential)[0] if isinstance(setup.potential, spec) else None)
+    if value is None:
+        raise ConfigError(f"{kind} potential needs --{key}")
     setup = PhysicalSetup(
         mass=overrides.get("mass", setup.mass),
         beta=overrides.get("beta", setup.beta),
-        potential=potential,
+        potential=spec(value),
         hbar=setup.hbar,
     )
-    return setup, config_path
+    return setup, args.config
 
 
-def _manifest(args, setup: PhysicalSetup, config_path: str | None) -> RunManifest:
-    fallback = repr(setup)
-    return RunManifest(
-        command=args.command,
-        config_digest=config_digest(config_path, fallback=fallback),
-        argv=list(getattr(args, "_argv", sys.argv[1:])),
-    )
-
-
-def cmd_wavefunction(args) -> int:
+def cmd_wavefunction(args, setup: PhysicalSetup, out: Path, outputs: list[Path]) -> tuple[int, str]:
     from .matcher import bound_states
 
-    setup, config_path = _setup_from_args(args)
     if args.grid_n < 2:
         raise ConfigError(f"--grid-n must be >= 2, got {args.grid_n}")
     if (args.k is None) == (args.E is None):
@@ -237,8 +214,6 @@ def cmd_wavefunction(args) -> int:
         _check_energy(args.E)
         energy_si = args.E
     e_dim = problem.energy_from_si(energy_si)
-
-    manifest = _manifest(args, setup, config_path)
     solution = bound_states(problem, e_dim, orthogonalize=not args.no_orthogonalize)
 
     si_norm = 1.0 / math.sqrt(problem.length_scale)  # phi_SI = phi_scaled / sqrt(L_c)
@@ -250,19 +225,16 @@ def cmd_wavefunction(args) -> int:
     x = np.tile(points, solution.degeneracy)
     state_index = np.repeat(np.arange(1, solution.degeneracy + 1), len(points))
     phi = solution.values(points).ravel() * si_norm
-    out = Path(args.out)
     csv_path = write_csv(
         out / "wavefunctions.csv",
         ["x_SI", "x_tilde", "state_index", "re_phi", "im_phi"],
         [problem.length_to_si(x), x, state_index, phi.real, phi.imag],
     )
-    manifest.add_output(csv_path)
-    manifest.write(out)
-    print(
+    outputs.append(csv_path)
+    return EXIT_OK, (
         f"wavefunction: E = {energy_si:.6e} J (e = {e_dim:.6f}), "
         f"degeneracy {solution.degeneracy}, wrote {csv_path}"
     )
-    return EXIT_OK
 
 
 def _check_energy(energy_si: float) -> None:
@@ -270,10 +242,9 @@ def _check_energy(energy_si: float) -> None:
         raise ConfigError(f"--E must be a finite energy > 0 J, got {energy_si}")
 
 
-def cmd_dof_scan(args) -> int:
+def cmd_dof_scan(args, setup: PhysicalSetup, out: Path, outputs: list[Path]) -> tuple[int, str]:
     from .spectrum import dof_scan
 
-    setup, config_path = _setup_from_args(args)
     if args.n < 2:
         raise ConfigError(f"--n must be >= 2, got {args.n}")
     e_max = args.e_max if args.e_max is not None else 2e-17
@@ -284,14 +255,12 @@ def cmd_dof_scan(args) -> int:
     if not (0.0 < e_min < e_max):
         raise ConfigError(f"need 0 < --e-min < --e-max, got {e_min}, {e_max}")
     energies = np.linspace(e_min, e_max, args.n)
-
-    manifest = _manifest(args, setup, config_path)
     scan = dof_scan(setup, energies)
 
-    out = Path(args.out)
     header = ["E_SI", "E_dimensionless", "dof", "label"]
     columns = scan.columns()
     csv_path = write_csv(out / "scan.csv", header, columns)
+    outputs.append(csv_path)
     payload = {
         "kind": scan.kind,
         "rows": [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))],
@@ -301,29 +270,21 @@ def cmd_dof_scan(args) -> int:
         ],
         "errors": {str(k): v for k, v in scan.errors.items()},
     }
-    json_path = write_json(out / "scan.json", payload)
-    manifest.add_output(csv_path)
-    manifest.add_output(json_path)
-    manifest.write(out)
-
+    outputs.append(write_json(out / "scan.json", payload))
     if scan.errors:
         raise PreconditionError(
             f"{len(scan.errors)} of {args.n} scan energies failed; see scan.json"
         )
     dofs = sorted(set(scan.dof))
-    print(f"dof-scan: {args.n} energies, dof values {dofs}, wrote {csv_path}")
-    return EXIT_OK
+    return EXIT_OK, f"dof-scan: {args.n} energies, dof values {dofs}, wrote {csv_path}"
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, setup: PhysicalSetup, out: Path, outputs: list[Path]) -> tuple[int, str]:
     from .spectrum import well_special_energies
 
-    setup, config_path = _setup_from_args(args)
     if args.k_max < 1:
         raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
-    manifest = _manifest(args, setup, config_path)
     specials = well_special_energies(setup, args.k_max)
-    out = Path(args.out)
     csv_path = write_csv(
         out / "special_energies.csv",
         ["k", "E_SI", "E_dimensionless"],
@@ -333,17 +294,13 @@ def cmd_spectrum(args) -> int:
             np.array([se.energy_dimensionless for se in specials]),
         ],
     )
-    manifest.add_output(csv_path)
-    manifest.write(out)
-    print(f"spectrum: k = 1..{args.k_max}, wrote {csv_path}")
-    return EXIT_OK
+    outputs.append(csv_path)
+    return EXIT_OK, f"spectrum: k = 1..{args.k_max}, wrote {csv_path}"
 
 
-def cmd_observability(args) -> int:
+def cmd_observability(args, setup: PhysicalSetup, out: Path, outputs: list[Path]) -> tuple[int, str]:
     from .spectrum import OBVIOUS_RATIO_THRESHOLD, observability
 
-    setup, config_path = _setup_from_args(args)
-    manifest = _manifest(args, setup, config_path)
     result = observability(setup)
     payload = {
         "potential": setup.potential.kind,
@@ -362,27 +319,21 @@ def cmd_observability(args) -> int:
     }
     if result.discrepancy_note:
         payload["discrepancy_note"] = result.discrepancy_note
-    out = Path(args.out)
-    json_path = write_json(out / "observability.json", payload)
-    manifest.add_output(json_path)
-    manifest.write(out)
-    print(
+    outputs.append(write_json(out / "observability.json", payload))
+    return EXIT_OK, (
         f"observability: r = {result.ratio:.4g} -> {result.verdict.value}; "
         f"critical beta exponent {result.exponent:.2f}"
     )
-    return EXIT_OK
 
 
-def cmd_momentum_check(args) -> int:
+def cmd_momentum_check(args, setup: PhysicalSetup, out: Path, outputs: list[Path]) -> tuple[int, str]:
     from .verification import momentum_dimension_evidence
 
-    setup, config_path = _setup_from_args(args)
     if not isinstance(setup.potential, Linear):
         raise ConfigError("momentum-check needs the linear potential (--potential linear --L ...)")
     problem = nondimensionalize(setup)
     energy_si = args.E if args.E is not None else problem.energy_to_si(2.0)
     _check_energy(energy_si)
-    manifest = _manifest(args, setup, config_path)
     sol, res, w, position_dimension = momentum_dimension_evidence(setup, energy_si)
     payload = {
         "E_SI": energy_si,
@@ -394,42 +345,36 @@ def cmd_momentum_check(args) -> int:
         "beta_tilde": sol.beta_tilde,
         "momentum_scale_SI": sol.momentum_scale,
     }
-    out = Path(args.out)
-    json_path = write_json(out / "momentum_check.json", payload)
-    manifest.add_output(json_path)
-    manifest.write(out)
-    print(
+    outputs.append(write_json(out / "momentum_check.json", payload))
+    return EXIT_OK, (
         f"momentum-check: solution spaces {sol.dimension} (momentum) vs {position_dimension} "
         f"(position, |W| = {abs(w):.3g}), "
         f"ODE residual {res:.2e}"
     )
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, setup: PhysicalSetup, out: Path, outputs: list[Path]) -> tuple[int, str]:
     from .verification import run_verification
 
-    setup, config_path = _setup_from_args(args)
     if not (MIN_RTOL <= args.tol <= MAX_RTOL):
         raise ConfigError(
             f"--tol must lie in [{MIN_RTOL:g}, {MAX_RTOL:g}], got {args.tol:g}; below "
             f"{MIN_RTOL:g} the roundoff of the oracle's chained steps already exceeds its series tail"
         )
-    manifest = _manifest(args, setup, config_path)
     checks = run_verification(setup, rtol=args.tol)
     all_passed = all(c.passed for c in checks)
     payload = {
         "all_passed": all_passed,
         "checks": [c.as_dict() for c in checks],
     }
-    out = Path(args.out)
     json_path = write_json(out / "verify.json", payload)
-    manifest.add_output(json_path)
-    manifest.write(out)
-    for c in checks:
-        print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.measured:.3e} {c.comparison} {c.threshold:.3e}")
-    print(f"verify: {'all checks passed' if all_passed else 'FAILURES PRESENT'}, wrote {json_path}")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    outputs.append(json_path)
+    lines = [
+        f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.measured:.3e} {c.comparison} {c.threshold:.3e}"
+        for c in checks
+    ]
+    lines.append(f"verify: {'all checks passed' if all_passed else 'FAILURES PRESENT'}, wrote {json_path}")
+    return (EXIT_OK if all_passed else EXIT_VERIFY_FAILED), "\n".join(lines)
 
 
 _COMMANDS = {
@@ -451,16 +396,23 @@ def _emit_error(kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = [str(a) for a in argv]
+    args = build_parser().parse_args(argv)
+    out, outputs = Path(args.out), []
     try:
-        return _COMMANDS[args.command](args)
+        setup, config_path = _setup_from_args(args)
+        digest = config_digest(config_path, fallback=repr(setup))
+        started = time.monotonic()
+        try:
+            code, text = _COMMANDS[args.command](args, setup, out, outputs)
+        finally:
+            # the files come first, then the manifest (also when the command raised), then stdout
+            if outputs:
+                write_manifest(out, args.command, digest, outputs, [str(a) for a in argv], started)
+        print(text)
+        return code
     except (ConfigError, InvalidSetupError, WrongPotentialError) as exc:
         return _emit_error(type(exc).__name__, str(exc), EXIT_USAGE)
-    except GupBicError as exc:
-        return _emit_error(type(exc).__name__, str(exc), EXIT_NUMERICAL)
-    except OSError as exc:
+    except (GupBicError, OSError, MemoryError) as exc:
         return _emit_error(type(exc).__name__, str(exc), EXIT_NUMERICAL)
 
 

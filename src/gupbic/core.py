@@ -283,6 +283,8 @@ _POTENTIAL_ALIASES = {
     "linear": "linear",
     "harmonic": "harmonic",
 }
+# each potential kind's one field: its config key, which is also its CLI flag, and its spec
+POTENTIAL_KEYS = {"well": ("a", InfiniteWell), "linear": ("L", Linear), "harmonic": ("omega", Harmonic)}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -320,16 +322,10 @@ def setup_from_entries(entries: dict[str, str]) -> PhysicalSetup:
     kind_raw = need("potential").lower()
     if kind_raw not in _POTENTIAL_ALIASES:
         raise ConfigError(f"unknown potential {kind_raw!r}; expected well, linear or harmonic")
-    kind = _POTENTIAL_ALIASES[kind_raw]
+    key, spec = POTENTIAL_KEYS[_POTENTIAL_ALIASES[kind_raw]]
 
     try:
-        if kind == "well":
-            potential: PotentialSpec = InfiniteWell(a=as_float("a", need("a")))
-        elif kind == "linear":
-            potential = Linear(slope=as_float("L", need("L")))
-        else:
-            potential = Harmonic(omega=as_float("omega", need("omega")))
-
+        potential = spec(as_float(key, need(key)))
         return PhysicalSetup(
             mass=as_float("mass", need("mass")),
             beta=as_float("beta", need("beta")),
@@ -346,6 +342,6 @@ def load_config(path: str | Path) -> PhysicalSetup:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return setup_from_entries(parse_config_text(text))

@@ -37,7 +37,6 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -326,27 +325,18 @@ def config_digest(config_path: str | Path | None, fallback: str = "") -> str:
     return sha256_hex(fallback.encode())
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_digest: str
-    tool_version: str = __version__
-    outputs: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    argv: list[str] = field(default_factory=list)
-    _t0: float = field(default_factory=time.monotonic, repr=False)
-
-    def add_output(self, path: Path) -> None:
-        self.outputs.append(str(path))
-
-    def write(self, out_dir: str | Path) -> Path:
-        self.wall_time_s = time.monotonic() - self._t0
-        payload = {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "outputs": sorted(self.outputs),
-            "wall_time_s": self.wall_time_s,
-            "argv": self.argv,
-        }
-        return write_json(Path(out_dir) / "manifest.json", payload)
+def write_manifest(
+    out_dir: str | Path, command: str, config_digest: str, outputs: Sequence[Path], argv: list[str], started: float
+) -> Path:
+    """Write ``manifest.json``: the command, the config digest, the tool
+    version, the sorted output paths, the wall seconds since ``started`` (a
+    ``time.monotonic`` reading) and the argv strings."""
+    payload = {
+        "command": command,
+        "config_digest": config_digest,
+        "tool_version": __version__,
+        "outputs": sorted(str(p) for p in outputs),
+        "wall_time_s": time.monotonic() - started,
+        "argv": argv,
+    }
+    return write_json(Path(out_dir) / "manifest.json", payload)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -277,9 +278,9 @@ class TestInProcessReuse:
         seen_k = []
         wavefunction = cli._COMMANDS["wavefunction"]
 
-        def recording(args):
+        def recording(args, setup, out, outputs):
             seen_k.append(args.k)
-            return wavefunction(args)
+            return wavefunction(args, setup, out, outputs)
 
         monkeypatch.setitem(cli._COMMANDS, "wavefunction", recording)
         shared = self.run_sequence(tmp_path / "shared", capsys)
@@ -427,6 +428,60 @@ class TestManifest:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--potential", "custom", "--out", tmp_path])
         assert exc.value.code == 2
+
+    def test_failed_scan_lists_its_files_and_prints_nothing(self, tmp_path, capsys):
+        # one energy of this linear scan fails: scan.csv and scan.json record
+        # it, the manifest lists both, and the command exits 3 without a summary
+        out = tmp_path / "scan"
+        args = [
+            "dof-scan", "--potential", "linear", "--L", "1.281e-8", "--beta", "1e41",
+            "--e-min", "1e-20", "--e-max", "2e-17", "--n", "50", "--out", out,
+        ]
+        assert run(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().splitlines()[-1])["error"]["type"] == "PreconditionError"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "scan.csv"), str(out / "scan.json")]
+        assert json.loads((out / "scan.json").read_text())["errors"]
+
+    def test_failed_verify_lists_its_file(self, tmp_path, monkeypatch, capsys):
+        from gupbic import verification
+        from gupbic.verification import CheckResult
+
+        monkeypatch.setattr(
+            verification,
+            "run_verification",
+            lambda setup, rtol=1e-11: [CheckResult(name="stub", passed=False, measured=1.0, threshold=0.0)],
+        )
+        out = tmp_path / "verify"
+        assert run(["verify", "--out", out]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "[FAIL] stub: 1.000e+00 <= 0.000e+00",
+            f"verify: FAILURES PRESENT, wrote {out / 'verify.json'}",
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "verify.json")]
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["wavefunction", "--grid-n", "1", "--k", "1"], 2),
+            (["wavefunction", "--potential", "harmonic", "--omega", "1.897e16", "--E", "2e-18", "--beta", "3e44"], 3),
+        ],
+        ids=["usage", "gram-overflow"],
+    )
+    def test_failure_before_any_file_leaves_no_directory(self, args, code, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(args + ["--out", out]) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_argv_is_the_strings_passed(self, tmp_path):
+        argv = ["spectrum", "--k-max", "2", "--a", "2e-10", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["argv"] == argv
 
 
 class TestExitCodes:
@@ -590,6 +645,68 @@ class TestExitCodes:
         assert error["exit_code"] == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert taken.read_text() == "a file, not a directory\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--config", "LINEAR", "--potential", "well"], "well potential needs --a"),
+            (["--potential", "linear"], "linear potential needs --L"),
+            (["--potential", "harmonic"], "harmonic potential needs --omega"),
+        ],
+        ids=["well", "linear", "harmonic"],
+    )
+    def test_switched_potential_needs_its_flag(self, flags, message, tmp_path, capsys):
+        # a switch of potential keeps no other kind's value, from the config
+        # file or the reference well: the new kind's own flag is required
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text(LINEAR_CFG)
+        flags = [cfg if f == "LINEAR" else f for f in flags]
+        assert run(["spectrum", *flags, "--out", tmp_path / "run"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error == {"type": "ConfigError", "message": message, "exit_code": 2}
+        assert not (tmp_path / "run").exists()
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert run(["spectrum", "--config", cfg, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"cannot read config {cfg}: ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space through RLIMIT_AS")
+    @pytest.mark.parametrize(
+        "args",
+        [["dof-scan", "--n", "100000000000"], ["wavefunction", "--k", "1", "--grid-n", "100000000000"]],
+        ids=["dof-scan", "wavefunction"],
+    )
+    def test_failed_allocation_exits_3(self, args, tmp_path):
+        # a grid of 1e11 points needs 745 GiB: under a 3 GB address-space cap
+        # numpy's MemoryError is reported as a numerical failure, not a traceback
+        import resource
+
+        import gupbic
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+
+        src = str(Path(gupbic.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from gupbic.cli import main; sys.exit(main(sys.argv[1:]))",
+             *args, "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, timeout=300, preexec_fn=cap,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr.strip().splitlines()[-1])["error"]
+        assert error["exit_code"] == 3
+        assert "Unable to allocate" in error["message"] and "(100000000000,)" in error["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_help_still_prints_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -195,6 +195,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="potential"):
             setup_from_entries(parse_config_text("mass = 1e-30\nbeta = 0"))
 
+    @pytest.mark.parametrize("kind, key", [("well", "a"), ("linear", "L"), ("harmonic", "omega")])
+    def test_missing_potential_key(self, kind, key):
+        # each kind needs its own field's key, read before mass and beta
+        with pytest.raises(ConfigError) as exc:
+            setup_from_entries(parse_config_text(f"potential = {kind}"))
+        assert str(exc.value) == f"missing required key {key!r}"
+
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="not a number"):
             setup_from_entries(
