@@ -549,8 +549,8 @@ def _branch_chains(p: WkbParameters, x, sigma, tau, order: int = 4):
     return s, _sqrt_chain(u, sign=tau)
 
 
-# the classes of branches 1..4 on a far piece toward each side: GROWING where
-# tau_j has the outward sign (``ExponentTable.closed_classes``)
+# the classes of branches 1..4 toward each side past the last zero of a^2 - b:
+# GROWING where tau_j has the outward sign (``classify_asymptotics``)
 _FAR_CLASSES = {
     side: tuple(AsymptoticClass.GROWING if outward * tau > 0 else AsymptoticClass.DECAYING for tau in _TAU.tolist())
     for side, outward in ((Side.PLUS_INFINITY, 1.0), (Side.MINUS_INFINITY, -1.0))
@@ -628,7 +628,6 @@ class ExponentTable:
         for a, b in self.windows:
             clear = clear & ~((a < x0) & (x0 < b))
         raise_where(~clear, lambda x: ValidityError(f"reference point x0={x} outside validity region"), x0)
-        self._far_sides: set[Side] = set()  # the sides ``closed_classes`` has cleared
 
     @cached_property
     def branch_points(self) -> tuple[float, ...]:
@@ -764,29 +763,6 @@ class ExponentTable:
         q = np.arctanh(np.array([root_a / lam[0, : n + 1], lam[1, : n + 1] / root_a]))
         i2 = -(sigma / root_a) * (q[:, :n] - q[:, n:])
         return i1, i2, s[:n], lam[:, :n]
-
-    def closed_classes(self, side: Side) -> tuple:
-        """Classes of branches 1..4 toward ``side`` in closed form, found once per side.
-
-        On a piece unbounded toward ``side`` and past the last zero of
-        a^2 - b (a^2 < b(x0)), s = sqrt(a^2 - b) is purely imaginary, so
-        a +- s has the real part a > 0 and Re(lam_j) keeps the sign tau_j to
-        infinity; no branches cross there.  The class toward ``side`` is
-        the outward sign of Re(eta lam_j): tau_j times that of the side, the
-        same at every energy.  Where the form does not apply (a bounded
-        piece, or one short of the last zero of a^2 - b) this raises
-        ClassificationError, for a batch with the failing energies as
-        ``failed``.
-        """
-        if side not in self._far_sides:
-            p = self.params
-            end = self.interval[1] if side is Side.PLUS_INFINITY else self.interval[0]
-            raise_where(
-                ~(np.isinf(end) & (p.a_coef**2 < p.b(p.x0))),
-                lambda: ClassificationError(f"no closed-form class toward {side.value}"),
-            )
-            self._far_sides.add(side)
-        return _FAR_CLASSES[side]
 
     def _chord_i1(self, xs, s, s0, lam, lam0, sigma, slope: float) -> np.ndarray:
         """I1 of both pairs where b is linear with b' = slope, from the chain values at xs and at x0."""
@@ -1047,14 +1023,17 @@ def wkb_branches(
 
 
 def classify_asymptotics(basis, side: Side) -> tuple[AsymptoticClass, ...]:
-    """The classes of the four functions of ``basis`` toward ``side``, from the far-field closed form.
+    """The classes of the four functions of ``basis`` toward ``side``: for a WKB set, its branch labels.
 
-    A WKB set takes its table's ``closed_classes``; the even continuations
-    take their branches' classes toward +inf for both sides, since the
-    mirror piece toward -inf is the image of the piece.  Anything else, and
-    a set on a piece the closed form does not cover, raises
-    ClassificationError.
+    Past the last zero of a^2 - b, s = sqrt(a^2 - b) is imaginary, so
+    a +- s has the real part a > 0 and Re(lam_j) keeps the sign tau_j to
+    infinity: branch j grows toward the side where tau_j has the outward
+    sign, at every energy (``_FAR_CLASSES``).  A decay row reads the class
+    of branch j continued under its label, and no root or exponent is
+    formed.  The even continuations take the classes toward +inf for both
+    sides, the mirror piece being the image of the piece.  Anything that is
+    not a WKB set, such as the well's exact set, raises ClassificationError.
     """
     if not isinstance(basis, WkbSet):
         raise ClassificationError(f"{type(basis).__name__} has no closed-form class toward {side.value}")
-    return basis.table.closed_classes(Side.PLUS_INFINITY if basis.even else side)
+    return _FAR_CLASSES[Side.PLUS_INFINITY if basis.even else side]

@@ -63,7 +63,7 @@ class BasisOverflowError(GupBicError):
 
 
 class ClassificationError(GupBicError):
-    """No closed-form asymptotic class: the function is not on a far-field WKB piece."""
+    """No asymptotic class: the set is not a WKB set, whose classes are its branch labels."""
 
 
 class InvalidConditionsError(GupBicError):

@@ -7,9 +7,9 @@ set.  Boundary conditions become linear rows on (C_1..C_4):
   * a decay condition toward one side zeroes the coefficients of the basis
     functions whose asymptotic class toward that side is Growing (one unit
     row each).  The classes come from one ``basis.classify_asymptotics``
-    call per side, a closed form that only far-field WKB pieces have, so
-    decay rows read the classes of a WKB assembly's far piece
-    (``far_basis``), whose branches are never formed for them.
+    call per side on the set the rows constrain: a WKB set's classes are
+    its branch labels, the sign tau_j of Re(lam_j) past the last zero of
+    a^2 - b, so no branch or exponent is formed for them.
 
 The count of degrees of freedom (nullity of the assembled system) is the
 degeneracy of the energy; key boundary conditions (KBCs) are those that make
@@ -47,7 +47,6 @@ from ._scipy import lazy
 from .basis import (
     AsymptoticClass,
     ExactConstantSet,
-    ExponentTable,
     FundamentalSet,
     Side,
     TURNING_WINDOW_HALF_WIDTH,
@@ -200,18 +199,15 @@ def assemble(
     conditions: Sequence[BoundaryCondition],
     energy: float,
     extra_conditions: Sequence[float | tuple[float, int]] = (),
-    far_basis: FundamentalSet | None = None,
 ) -> ConstraintSystem:
     """Build the linear system; decay rows select Growing-class coefficients.
 
     ``extra_conditions`` injects additional point conditions for sensitivity
     studies: a bare x means phi(x) = 0, a pair (x, k) means phi^(k)(x) = 0
-    (hard walls themselves impose only phi = 0).  ``far_basis`` continues the
-    basis past the last validity boundary; its asymptotic classes, one
-    ``classify_asymptotics`` call per decay side, decide the decay rows
-    (default: the classes of ``basis`` itself, which raise
-    ClassificationError unless it is a far-field set).  Neither set is
-    asked for a member here, so a WKB set forms no branch.
+    (hard walls themselves impose only phi = 0).  The classes of ``basis``,
+    one ``classify_asymptotics`` call per decay side, decide the decay rows
+    (a set that is not a WKB set raises ClassificationError there).  The
+    set is asked for no member, so a WKB set forms no branch.
     """
     if len(basis) != 4:
         raise PreconditionError(f"need the 4-function fundamental set, got {len(basis)}")
@@ -237,7 +233,7 @@ def assemble(
     rows: list[np.ndarray] = []
     kinds: list[str] = []
     for side in decay_sides:
-        classes = classify_asymptotics(basis if far_basis is None else far_basis, side)
+        classes = classify_asymptotics(basis, side)
         for j, c in enumerate(classes):
             if c is AsymptoticClass.GROWING:
                 row = np.zeros(batch + (4,), dtype=complex)
@@ -841,17 +837,13 @@ def solve_well(
 
 @dataclass(frozen=True)
 class WkbAssembly:
-    """WKB fundamental sets for an unbounded potential at one energy, or batched over an array of energies.
+    """The interior WKB set of an unbounded potential at one energy, or batched over an array of energies.
 
-    ``basis`` is the interior set, whose value rows and states a solver
-    reads; ``far_basis`` the set on the far piece, whose closed-form classes
-    (``classify_asymptotics``) decide the decay rows.  Both are ``WkbSet``s,
-    which read their exponent tables and form no branch.
+    ``basis`` is a ``WkbSet``, which reads its exponent table and forms no
+    branch; ``b_zeros`` and ``s_zeros`` are the region map's zeros.
     """
 
-    params: WkbParameters
     basis: WkbSet
-    far_basis: WkbSet
     b_zeros: tuple[float, ...]
     s_zeros: tuple[float, ...]
 
@@ -860,19 +852,18 @@ _LINEAR_X0_MIN = 1e-3  # the linear reference point keeps this far from the wall
 
 
 def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
-    """Interior and far-field WKB sets of the linear or harmonic potential at one energy.
+    """The interior WKB set of the linear or harmonic potential at one energy.
 
-    Both live on the positive half-line: the linear domain, or the harmonic
-    tail whose mirror image is the negative one.  The interior piece runs
-    from the wall (linear) or the turning point x_t (harmonic) to the zero
-    of a^2 - b, the far piece from that zero to infinity, each a turning
-    window clear of the zeros.  The harmonic sets are the branches' even
-    continuations.  Each piece's exponent table, with its reference-point
-    check, is built here, and no branch is (``WkbSet``).
+    It lives on the positive half-line: the linear domain, or the harmonic
+    tail whose mirror image is the negative one.  The piece runs from the
+    wall (linear) or the turning point x_t (harmonic) to the zero of
+    a^2 - b, a turning window clear of the zeros.  The harmonic set is the
+    branches' even continuations.  The piece's exponent table, with its
+    reference-point check, is built here, and no branch is (``WkbSet``).
 
     For an array of energies this is one batched pass: the parameters, zeros,
-    pieces and reference points hold one entry per energy, and the sets
-    evaluate every energy at once.  A failed precondition raises for the
+    pieces and reference points hold one entry per energy, and the set
+    evaluates every energy at once.  A failed precondition raises for the
     batch with the failing energies as the error's ``failed``.
     """
     if problem.kind not in ("linear", "harmonic"):
@@ -899,17 +890,9 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
             s_zero,
         )
         x0 = 0.5 * (piece[0] + piece[1])
-    even = problem.kind == "harmonic"
     params = WkbParameters.from_problem(problem, energy, x0=x0)
-    basis = wkb_branches(params, piece, rmap, even)
-
-    far_lo = s_zero + TURNING_WINDOW_HALF_WIDTH
-    far_params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
-    # the map's zeros, x_t < s_zero, all lie short of the far piece
-    far_basis = WkbSet(ExponentTable(far_params, (far_lo, math.inf), ()), even)
-    return WkbAssembly(
-        params=params, basis=basis, far_basis=far_basis, b_zeros=rmap.b_zeros, s_zeros=rmap.s_zeros
-    )
+    basis = wkb_branches(params, piece, rmap, even=problem.kind == "harmonic")
+    return WkbAssembly(basis=basis, b_zeros=rmap.b_zeros, s_zeros=rmap.s_zeros)
 
 
 def _linear_wall_message(problem: DimensionlessProblem, energy: float, x_t: float) -> str:
@@ -974,9 +957,7 @@ def degrees_of_freedom(
         _, basis = well_basis(problem, energy)
         system = assemble(basis, conditions, energy)
     else:
-        asm = wkb_assembly(problem, energy)
-        # decay rows come from far-field classes; point rows (the linear wall) from the interior set
-        system = assemble(asm.basis, conditions, energy, far_basis=asm.far_basis)
+        system = assemble(wkb_assembly(problem, energy).basis, conditions, energy)
     return nullity_of(system), system
 
 
@@ -991,6 +972,14 @@ def solve_linear(
     # near the lowest energy x_t - 2 W falls below the grid start, which is then the only point
     peak_hi = max(lo + 1e-3, x_t - 2 * TURNING_WINDOW_HALF_WIDTH)
     cut = s_zero - TURNING_WINDOW_HALF_WIDTH
+    if not cut < s_zero:  # past 2**49 the float spacing, 0.125, rounds cut up to s_zero: the pole
+        scale = s_zero / 2.0**49  # s_zero ~ a^2 / b' falls as 1/eps, and eps rises with beta
+        raise PreconditionError(
+            f"the zero of a^2 - b at x={s_zero:.4g} lies past {2.0**49:.4g} (2**49), where x - "
+            f"{TURNING_WINDOW_HALF_WIDTH} (its turning window) rounds to x itself, so the state's tail would "
+            f"end on the pole there; the smallest beta that passes this limit is about "
+            f"{problem.setup.beta * scale:.4g} (epsilon {problem.epsilon * scale:.4g})"
+        )
     xs = np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60)
     # the wall, the 9 points of the peak, then the tail, in one query of both branches
     logs = asm.basis.table.logs(np.concatenate([[lo], np.linspace(lo + 1e-3, peak_hi, 9), xs]), (2, 4))

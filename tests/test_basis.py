@@ -43,6 +43,14 @@ def _branch(basis, j):
     return WkbBasisFunction(basis.table, j)
 
 
+def _far_branches(problem, energy, even=False):
+    """Branches 1..4 on the far piece: from a turning window past the zero of a^2 - b to infinity, x0 0.5 further."""
+    (s_zero,) = wkb_assembly(problem, energy).s_zeros
+    far_lo = s_zero + gupbic.basis.TURNING_WINDOW_HALF_WIDTH
+    params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
+    return wkb_branches(params, (far_lo, math.inf), even=even)
+
+
 class TestCharacteristicRoots:
     def test_zero_gap_roots(self):
         r = characteristic_roots(0.04, 0.0)
@@ -279,10 +287,8 @@ class TestWkbBasis:
 
     def test_linear_decaying_branches(self, linear_problem):
         # toward +inf, branches 2 and 4 decay; 1 and 3 grow
-        from gupbic.matcher import wkb_assembly
-
         asm = wkb_assembly(linear_problem, 2.0)
-        classes = dict(enumerate(classify_asymptotics(asm.far_basis, Side.PLUS_INFINITY), 1))
+        classes = dict(enumerate(classify_asymptotics(asm.basis, Side.PLUS_INFINITY), 1))
         assert classes[1] is AsymptoticClass.GROWING
         assert classes[2] is AsymptoticClass.DECAYING
         assert classes[3] is AsymptoticClass.GROWING
@@ -318,41 +324,14 @@ class TestWkbBasis:
         assert np.isfinite(w2.value(x_t).real)
 
 
-@pytest.mark.parametrize("side", list(Side))
-def test_interior_branch_has_no_class(linear_problem, side):
-    # the linear interior piece ends at the wall and short of the zero of
-    # a^2 - b: neither end is covered by the closed form
-    basis = wkb_assembly(linear_problem, 2.0).basis
-    with pytest.raises(ClassificationError, match=f"toward \\{side.value}") as info:
-        classify_asymptotics(basis, side)
-    assert info.value.failed is None
-
-
-def test_linear_far_piece_has_no_class_toward_minus_inf(linear_problem):
-    # the far piece starts past the zero of a^2 - b, so it is bounded below
-    far = wkb_assembly(linear_problem, 2.0).far_basis
-    assert classify_asymptotics(far, Side.PLUS_INFINITY)[0] is AsymptoticClass.GROWING
-    with pytest.raises(ClassificationError, match="toward -inf"):
-        classify_asymptotics(far, Side.MINUS_INFINITY)
-
-
-@pytest.mark.parametrize("kind", ["linear", "harmonic"])
-def test_batched_interior_branch_has_no_class(linear_problem, harmonic_problem, kind):
-    problem = linear_problem if kind == "linear" else harmonic_problem
-    basis = wkb_assembly(problem, np.array([1.5, 2.0, 3.0])).basis
-    with pytest.raises(ClassificationError, match=r"toward \+inf") as info:
-        classify_asymptotics(basis, Side.PLUS_INFINITY)
-    assert info.value.failed.tolist() == [True, True, True]
-
-
 @pytest.mark.parametrize("kind", ["linear", "harmonic"])
 def test_batched_far_classes_are_the_per_energy_ones(linear_problem, harmonic_problem, kind):
     problem = linear_problem if kind == "linear" else harmonic_problem
     sides = [Side.PLUS_INFINITY] + ([Side.MINUS_INFINITY] if kind == "harmonic" else [])
     energies = np.array([1.5, 2.0, 3.0])
-    batched = wkb_assembly(problem, energies).far_basis
+    batched = wkb_assembly(problem, energies).basis
     for e in energies.tolist():
-        alone = wkb_assembly(problem, e).far_basis
+        alone = wkb_assembly(problem, e).basis
         for side in sides:
             got, want = classify_asymptotics(batched, side), classify_asymptotics(alone, side)
             assert len(got) == len(want) == 4
@@ -665,10 +644,10 @@ def test_linear_closed_form_matches_panels_and_mpmath(eps):
         asm = wkb_assembly(problem, e)
         (x_t,), (s_zero,) = asm.b_zeros, asm.s_zeros
         hi, far_lo = s_zero - window, s_zero + window
-        main = [0.0, 1e-9, asm.params.x0 + 1e-6, 0.5 * x_t, x_t - window, x_t + window,
+        main = [0.0, 1e-9, asm.basis.table.params.x0 + 1e-6, 0.5 * x_t, x_t - window, x_t + window,
                 0.5 * (x_t + hi), hi - 1e-3, hi]
         far = [far_lo, far_lo + 1e-3, far_lo + 0.4, far_lo + 2.3, far_lo + 4.4, far_lo + 20.0]
-        for branches, points in ((asm.basis, main), (asm.far_basis, far)):
+        for branches, points in ((asm.basis, main), (_far_branches(problem, e), far)):
             table = branches.table
             eta = table.params.eta
             assert table.params.b_chain(0.0)[2] == 0.0
@@ -897,19 +876,21 @@ def _classify_point_by_point(exponent, probes, samples_per_interval=7):
 
 @pytest.mark.parametrize("kind", ["linear", "harmonic"])
 def test_far_classes_closed_form_match_classification(kind):
-    # past the last zero of a^2 - b the class is the sign of Re(eta lam_j)
-    # at x0: it must equal the sampled envelope along the far piece
+    # past the last zero of a^2 - b the class of branch j is the sign tau_j
+    # of Re(eta lam_j): the classes of the count's own set must equal the
+    # sampled envelope of each branch along the far piece
     setup_for = linear_setup_for if kind == "linear" else harmonic_setup_for
     sides = [Side.PLUS_INFINITY] + ([Side.MINUS_INFINITY] if kind == "harmonic" else [])
     compared = 0
     for eps in (1e-4, 1e-2, 0.2):
         problem = nondimensionalize(setup_for(eps))
         for e in (1.5, 3.0, 5.0, 7.5, 10.0):
-            far = wkb_assembly(problem, e).far_basis
+            basis = wkb_assembly(problem, e).basis
+            far = _far_branches(problem, e, even=basis.even)
             lo = far.table.interval[0]
             probes = np.linspace(lo + 0.25, lo + 4.25, 5)
             for side in sides:
-                classes = classify_asymptotics(far, side)
+                classes = classify_asymptotics(basis, side)
                 assert len(classes) == 4
                 for j, got in enumerate(classes, 1):
                     f = _branch(far, j)
@@ -1003,7 +984,7 @@ def test_nan_exponent_row_is_refused(monkeypatch, linear_problem):
     monkeypatch.setattr(table, "_closed_sums", poisoned)
     row = asm.basis.point_rows([(0.0, 0)])[0]
     assert np.isnan(row).all()  # branches 1 and 2 are NaN, and the shift carries it to 3 and 4
-    system = assemble(asm.basis, conditions_for(linear_problem), 2.0, far_basis=asm.far_basis)
+    system = assemble(asm.basis, conditions_for(linear_problem), 2.0)
     with pytest.raises(PreconditionError, match="non-finite"):
         nullity_of(system)
 

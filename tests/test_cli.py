@@ -234,6 +234,17 @@ class TestDofScan:
         assert limit in error["message"]
         assert not (tmp_path / "scan.json").exists()
 
+    def test_linear_scan_at_small_beta_counts_one(self, tmp_path, capsys):
+        # eps ~ 1.2e-18: x0 = s_zero + 0.55 of the far piece the count once built
+        # rounded to its lower end, and every energy failed with a ValidityError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["dof-scan", "--potential", "linear", "--L", "1.281e-8", "--beta", "1e30",
+                        "--n", "4", "--out", tmp_path])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "scan.csv")
+        assert [r[2] for r in rows] == ["1"] * 4
+
     def test_dense_well_scan_ends_with_a_named_error(self, tmp_path, capsys):
         # about 1e54 special levels lie below the scan top: refused with exit
         # 2, where labelling them level by level never ended
@@ -517,6 +528,22 @@ class TestExitCodes:
             "continuation of WkbBasisFunction(j=2, interval=(1.4640287832085337, 26.178088267537312), "
             "x0=13.82, eta=8.607), beyond the limit 355.979 at its panel width 0.113612"
         )
+
+    @pytest.mark.parametrize("beta", ["3e31", "1e32", "3e32"])
+    def test_linear_state_past_the_tail_limit_is_refused(self, beta, tmp_path, capsys):
+        # s_zero > 2**49: the tail grid's end s_zero - 0.05 rounded to s_zero, and
+        # the state wrote numpy's divide-by-zero warnings before its error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["wavefunction", "--potential", "linear", "--L", "1.281e-8", "--E", "2e-18",
+                        "--beta", beta, "--out", tmp_path / "wf"])
+        assert code == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "PreconditionError"
+        assert "lies past 5.629e+14 (2**49)" in error["message"]
+        assert "the smallest beta that passes this limit is about 3.654e+32" in error["message"]
 
     def test_linear_wavefunction_runs(self, tmp_path):
         cfg = tmp_path / "lin.cfg"

@@ -27,7 +27,6 @@ from gupbic.basis import (
 )
 from gupbic.errors import (
     BasisOverflowError,
-    ClassificationError,
     ComplexQuartetError,
     DegenerateBasisError,
     GupBicError,
@@ -185,16 +184,14 @@ class TestAssemble:
         assert np.max(span[:, 0]) < 1e-12 and np.max(span[:, 2]) < 1e-12
 
     @pytest.mark.parametrize("kind", ["linear", "harmonic"])
-    def test_decay_rows_need_the_far_basis(self, kind, linear_problem, harmonic_problem):
-        # the interior set has no class toward infinity: only its far-field
-        # continuation decides the decay rows
+    def test_decay_rows_read_the_set_they_constrain(self, kind, linear_problem, harmonic_problem):
+        # the interior set's classes are its branch labels: assembling it
+        # alone gives the count's own system
         problem = linear_problem if kind == "linear" else harmonic_problem
-        asm = wkb_assembly(problem, 2.0)
-        conditions = conditions_for(problem)
-        with pytest.raises(ClassificationError, match="no closed-form class"):
-            assemble(asm.basis, conditions, 2.0)
-        system = assemble(asm.basis, conditions, 2.0, far_basis=asm.far_basis)
-        assert system.row_kinds == degrees_of_freedom(problem, 2.0)[1].row_kinds
+        system = assemble(wkb_assembly(problem, 2.0).basis, conditions_for(problem), 2.0)
+        want = degrees_of_freedom(problem, 2.0)[1]
+        assert system.row_kinds == want.row_kinds
+        assert system.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestNullspace:
@@ -1048,7 +1045,7 @@ class TestWkbPointRows:
         """The constraint matrix at a float energy or a batch, as (energies, rows, 4)."""
         energy = energies if energies.size > 1 else float(energies[0])
         asm = wkb_assembly(problem, energy)
-        system = assemble(asm.basis, conditions_for(problem), energy, extra_conditions=extra, far_basis=asm.far_basis)
+        system = assemble(asm.basis, conditions_for(problem), energy, extra_conditions=extra)
         return system.matrix.reshape((energies.size,) + system.matrix.shape[-2:])
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -1090,7 +1087,7 @@ class TestWkbPointRows:
         x, order = point if isinstance(point, tuple) else (point, 0)
         want = _per_point_error(asm.basis, x, order)
         with pytest.raises(type(want)) as got:
-            assemble(asm.basis, conditions_for(problem), energy, extra_conditions=[point], far_basis=asm.far_basis)
+            assemble(asm.basis, conditions_for(problem), energy, extra_conditions=[point])
         assert str(got.value) == str(want)
         assert np.array_equal(got.value.failed, want.failed)
         if count > 1 and point == 3.0:
@@ -1230,6 +1227,16 @@ class TestWkbCount:
     """A WKB count reads its tables alone: it forms no branch, asks the classes
     once per decay side and raises the errors pinned below."""
 
+    @pytest.mark.parametrize("eps", [1e-16, 1e-18, 1e-22])
+    def test_linear_counts_one_at_small_eps(self, eps):
+        # the count reads the wall row and the branch labels; the far piece it
+        # once built put its x0 = s_zero + 0.55 on its lower end at these eps
+        problem = nondimensionalize(linear_setup_for(eps))
+        energies = np.array([0.5, 2.0, 8.0])
+        assert degrees_of_freedom(problem, energies)[0].tolist() == [1, 1, 1]
+        for e in energies.tolist():
+            assert degrees_of_freedom(problem, e)[0] == 1
+
     @pytest.mark.parametrize("energy", [2.0, np.array([1.5, 2.0, 3.0])], ids=["single", "batch"])
     @pytest.mark.parametrize("kind", ["linear", "harmonic"])
     def test_a_count_forms_no_branch(self, monkeypatch, linear_problem, harmonic_problem, kind, energy):
@@ -1255,6 +1262,25 @@ class TestWkbCount:
         assert len(system.basis) == 4
         assert bound_states(problem, float(np.ravel(energy)[-1])).degeneracy == (1 if kind == "linear" else 2)
         assert formed == [], "a bound state formed a branch"
+
+    @pytest.mark.parametrize("energy", [2.0, np.array([1.5, 2.0, 3.0])], ids=["single", "batch"])
+    @pytest.mark.parametrize("kind", ["linear", "harmonic"])
+    def test_a_count_builds_one_exponent_table(self, monkeypatch, linear_problem, harmonic_problem, kind, energy):
+        # the interior piece's: the decay rows read the branch labels, not a far piece
+        import gupbic.basis as basis_module
+
+        problem = linear_problem if kind == "linear" else harmonic_problem
+        intervals = []
+        init = basis_module.ExponentTable.__init__
+
+        def recording(self, params, interval, b_zeros):
+            intervals.append(interval)
+            init(self, params, interval, b_zeros)
+
+        monkeypatch.setattr(basis_module.ExponentTable, "__init__", recording)
+        _, system = degrees_of_freedom(problem, energy)
+        assert len(intervals) == 1 and intervals[0] is system.basis.table.interval
+        assert np.all(np.isfinite(intervals[0][1]))
 
     @pytest.mark.parametrize("kind, sides", [("linear", ["+inf"]), ("harmonic", ["-inf", "+inf"])], ids=["linear", "harmonic"])
     def test_one_classification_call_per_decay_side(self, monkeypatch, linear_problem, harmonic_problem, kind, sides):
