@@ -36,7 +36,7 @@ functions: it forms the point rows of a constraint system and the
 derivatives of the states built on it, over an axis of points and a batch's
 energies, in one stacked pass.  A WKB set (``WkbSet``) reads its piece's
 exponent table, and the exact constant-potential set (``ExactConstantSet``)
-its stacked kernels.  ``WkbBasisFunction`` is the view of one branch alone.
+its stacked kernels.  ``WkbBasisFunction`` names one branch in an error message.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from ._scipy import lazy
 from .core import potential_derivs, potential_value
 from .errors import (
     BasisOverflowError,
-    ClassificationError,
     ComplexQuartetError,
     DegenerateBasisError,
     PreconditionError,
@@ -602,8 +601,8 @@ class ExponentTable:
 
     The reference point x0 lies strictly inside the piece and outside every
     turning window, or the table raises ValidityError: the test of branches
-    3 and 4, which implies that of 1 and 2.  ``check`` makes the same tests
-    of the abscissas a branch is asked at.
+    3 and 4, which implies that of 1 and 2.  ``check`` tests the abscissas
+    of a query against the interval and, for branches 3 and 4, the windows.
 
     The table is the one evaluator of its branches: ``logs`` and
     ``derivatives`` take any of them (1-based) on a leading axis, so every
@@ -638,34 +637,20 @@ class ExponentTable:
         region_map = map_regions(self.params, -math.inf, math.inf)
         return region_map.b_zeros + region_map.s_zeros
 
-    def integrals(self, xs: np.ndarray, sigma: float) -> tuple:
-        """(I1, I2, s, lam) of the tau = +1 branch of pair ``sigma`` at each x of a flat xs.
-
-        I1 and I2 run from x0; s and lam are the chain values at x.
-        """
-        i1, i2, s, lam = self._closed_sums(xs)
-        k = 0 if sigma > 0 else 1
-        return i1[k], i2[k], s, lam[k]
-
     def logs(self, x, branches: Sequence[int]) -> np.ndarray:
         """log w_j(x) of each branch j in ``branches`` (principal-branch logs), shape (branches,) + shape.
 
         ``shape`` is that of x broadcast against a batch's energies, the
         last axes (a float x: one entry per energy).  One validity mask
-        covers every branch asked; where it fails, the abscissas take the
-        tests in the order the branches are given, so an error has the text
-        and ``failed`` mask of asking the branches one by one.
+        covers every branch asked: the interval, and the windows if branch 3
+        or 4 is asked.  A query that fails it raises ValidityError at the
+        first abscissa that fails, with every energy that has one in
+        ``failed``, whatever the order of the branches.
         """
         flat, shape = self._flat(x)
         if flat.size == 0:
             return np.empty((len(branches),) + shape, dtype=complex)
-        windows = self.windows if max(branches) > 2 else ()
-        if not self.valid(flat, windows).all():
-            # as the branches test in turn: 1 and 2 the interval, 3 and 4 the
-            # interval and the windows at once; one of the two raises
-            if branches[0] < 3:
-                self.check(flat, ())
-            self.check(flat, windows)
+        self.check(flat, self.windows if max(branches) > 2 else ())
         i1, i2, s, lam = self._closed_sums(flat)
         # branch j reads its pair's sums; the tau = -1 partner reads the
         # integrals negated, and tau multiplies lam (a negation would flip
@@ -819,40 +804,18 @@ class ExponentTable:
 
 
 class WkbBasisFunction:
-    """One WKB branch on a validity piece alone, reading the piece's ``ExponentTable``.
+    """Branch j of one WKB piece, named by its repr in an error message (``_check_gram_range``).
 
-    The piece must not contain a zero of a^2 - b; for j in {3, 4} zeros of b
-    inside it are masked by windows of half-width TURNING_WINDOW_HALF_WIDTH
-    (evaluation inside a window raises ValidityError), while the exponent
-    integrals cross them.  The branch asks the table for itself alone
-    (``ExponentTable.logs`` and ``derivatives``), at a float or at an array
-    of abscissas, so its values have the bits of its entries in the queries
-    of its set (``WkbSet``), which asks for all of the branches at once.  Its
-    repr names the branch in an error message.
-
-    On a batched table (``WkbParameters`` of a batch of energies) the
-    interval ends and windows hold one entry per energy, abscissas broadcast
-    against the energies, and a check that fails raises for the batch with
-    the failing energies as the error's ``failed``.
+    Its exponent is the table's query for the branch alone
+    (``ExponentTable.logs``); every reader of a value or a derivative asks
+    the table itself.
     """
 
     def __init__(self, table: ExponentTable, index: int):
         if index not in (1, 2, 3, 4):
             raise ValueError(f"branch index must be 1..4, got {index}")
         self.table = table
-        self.params = table.params
         self.index = index
-        self.interval = table.interval
-        self.windows = table.windows if index in (3, 4) else ()
-
-    def lam(self, x):
-        """lam_j at a float or an array x."""
-        j = self.index - 1
-        lam = _TAU[j] * _roots(self.params, np.asarray(x, dtype=float))[1][_PAIR[j]]
-        return lam if lam.shape else complex(lam)
-
-    def valid(self, x) -> np.ndarray:
-        return self.table.valid(x, self.windows)
 
     def exponent(self, x):
         """log w_j(x) including the prefactor (principal-branch logs); x a float or an array.
@@ -862,16 +825,11 @@ class WkbBasisFunction:
         e = self.table.logs(x, (self.index,))[0]
         return e if e.shape else complex(e)
 
-    def value(self, x):
-        return _capped_exp(self.exponent(x), x, "WKB")
-
-    def derivatives(self, x, order: int = 3) -> np.ndarray:
-        return self.table.derivatives(x, order, (self.index,))[0]
-
     def __repr__(self):
+        p = self.table.params
         return (
-            f"WkbBasisFunction(j={self.index}, interval={self.interval}, "
-            f"x0={_shown(self.params.x0, '.4g')}, eta={self.params.eta:.4g})"
+            f"WkbBasisFunction(j={self.index}, interval={self.table.interval}, "
+            f"x0={_shown(p.x0, '.4g')}, eta={p.eta:.4g})"
         )
 
 
@@ -885,9 +843,9 @@ class WkbSet(FundamentalSet):
 
     The value rows and ``derivatives`` are each one query of the table for
     all the branches they read (``ExponentTable.logs`` and
-    ``derivatives``), so every entry has the bits of its branch alone
-    (``WkbBasisFunction``).  The set forms no branch object: every reader,
-    a count included, queries the table.
+    ``derivatives``), so every entry has the bits of a query of its branch
+    alone.  The set forms no branch object: every reader, a count included,
+    queries the table.
     """
 
     def __init__(self, table: ExponentTable, even: bool = False):
@@ -1022,8 +980,8 @@ def wkb_branches(
 # --- asymptotic classification -------------------------------------------------
 
 
-def classify_asymptotics(basis, side: Side) -> tuple[AsymptoticClass, ...]:
-    """The classes of the four functions of ``basis`` toward ``side``: for a WKB set, its branch labels.
+def classify_asymptotics(basis: WkbSet, side: Side) -> tuple[AsymptoticClass, ...]:
+    """The classes of the four branches of a WKB set toward ``side``: its branch labels.
 
     Past the last zero of a^2 - b, s = sqrt(a^2 - b) is imaginary, so
     a +- s has the real part a > 0 and Re(lam_j) keeps the sign tau_j to
@@ -1031,9 +989,6 @@ def classify_asymptotics(basis, side: Side) -> tuple[AsymptoticClass, ...]:
     sign, at every energy (``_FAR_CLASSES``).  A decay row reads the class
     of branch j continued under its label, and no root or exponent is
     formed.  The even continuations take the classes toward +inf for both
-    sides, the mirror piece being the image of the piece.  Anything that is
-    not a WKB set, such as the well's exact set, raises ClassificationError.
+    sides, the mirror piece being the image of the piece.
     """
-    if not isinstance(basis, WkbSet):
-        raise ClassificationError(f"{type(basis).__name__} has no closed-form class toward {side.value}")
     return _FAR_CLASSES[Side.PLUS_INFINITY if basis.even else side]

@@ -62,10 +62,6 @@ class BasisOverflowError(GupBicError):
         self.exponent = exponent
 
 
-class ClassificationError(GupBicError):
-    """No asymptotic class: the set is not a WKB set, whose classes are its branch labels."""
-
-
 class InvalidConditionsError(GupBicError):
     """Boundary-condition set is contradictory or empty."""
 

@@ -205,9 +205,9 @@ def assemble(
     ``extra_conditions`` injects additional point conditions for sensitivity
     studies: a bare x means phi(x) = 0, a pair (x, k) means phi^(k)(x) = 0
     (hard walls themselves impose only phi = 0).  The classes of ``basis``,
-    one ``classify_asymptotics`` call per decay side, decide the decay rows
-    (a set that is not a WKB set raises ClassificationError there).  The
-    set is asked for no member, so a WKB set forms no branch.
+    one ``classify_asymptotics`` call per decay side, decide the decay rows;
+    only a WKB set has decay conditions.  The set is asked for no member, so
+    a WKB set forms no branch.
     """
     if len(basis) != 4:
         raise PreconditionError(f"need the 4-function fundamental set, got {len(basis)}")
@@ -983,7 +983,9 @@ def solve_linear(
     xs = np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60)
     # the wall, the 9 points of the peak, then the tail, in one query of both branches
     logs = asm.basis.table.logs(np.concatenate([[lo], np.linspace(lo + 1e-3, peak_hi, 9), xs]), (2, 4))
-    # each wall value by the scalar exp, as a branch alone gives it
+    # the quotient of the two wall values, each by the scalar cmath exp: one
+    # exp of their log difference rounds otherwise and moves the bytes of the
+    # linear wavefunctions.csv (the README's --beta 1e45 example)
     ratio = _capped_exp(complex(logs[0, 0]), lo, "WKB") / _capped_exp(complex(logs[1, 0]), lo, "WKB")
     coeffs = np.array([0.0, 1.0, 0.0, -ratio], dtype=complex)
 

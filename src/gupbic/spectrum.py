@@ -364,6 +364,8 @@ class AiryBouncerState(AnalyticState):
 
     z1 = AIRY_Z1 is minus the first Airy zero; derivatives follow from
     Ai'' = u Ai via A^(n+2) = u A^(n) + n A^(n-1).  The state is cut 14 past z1.
+    ``derivatives`` imports ``scipy.special.airy`` when called; no command
+    calls it, and scipy comes with the ``test`` extra only.
 
     The power moments follow from phi'' = u phi (u = x - z1) and phi(0) = 0,
     which removes every wall term: m2 = -<u>, m4 = <u^2>, and

@@ -22,7 +22,7 @@ from gupbic import (
     nondimensionalize,
     residual,
 )
-from gupbic.basis import WkbBasisFunction, WkbParameters, map_regions, wkb_branches
+from gupbic.basis import WkbParameters, map_regions, wkb_branches
 from gupbic.matcher import solve_linear, solve_well
 from gupbic.spectrum import (
     dof_scan,
@@ -152,23 +152,23 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     # fast branch: single backward launch, reference point at the launch
     p2 = WkbParameters.from_problem(problem, energy, x0=x_hi)
     rmap = map_regions(p2, x_lo - 0.3, x_hi + 0.3)
-    w2 = WkbBasisFunction(wkb_branches(p2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table, 2)
+    t2 = wkb_branches(p2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table
     xs = np.linspace(x_lo, x_hi, 61)
-    phi = integrate(problem, energy, w2.derivatives(x_hi, order=3), x_hi, xs, rtol=1e-12, atol=1e-14)[0]
-    vals = w2.value(xs)
+    phi = integrate(problem, energy, t2.derivatives(x_hi, 3, (2,))[0], x_hi, xs, rtol=1e-12, atol=1e-14)[0]
+    vals = t2.derivatives(xs, 0, (2,))[0, 0]
     out[2] = math.sqrt(float(np.sum(np.abs(phi - vals) ** 2) / np.sum(np.abs(vals) ** 2)))
 
     # slow branch: piecewise backward relaunches, piece ~ 3.2/mu1 so the
     # fast-mode contamination amplification stays bounded
     p4 = WkbParameters.from_problem(problem, energy, x0=0.5 * (x_lo + x_hi))
-    w4 = WkbBasisFunction(wkb_branches(p4, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table, 4)
+    t4 = wkb_branches(p4, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table
     n_pieces = max(2, math.ceil((w_hi - w_lo) * mu1 / 3.2))
     edges = np.linspace(x_lo, x_hi, n_pieces + 1)
     num = den = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         pts = np.linspace(a, b, 13)
-        phi = integrate(problem, energy, w4.derivatives(b, order=3), b, pts, rtol=1e-12, atol=1e-14)[0]
-        vals = w4.value(pts)
+        phi = integrate(problem, energy, t4.derivatives(b, 3, (4,))[0], b, pts, rtol=1e-12, atol=1e-14)[0]
+        vals = t4.derivatives(pts, 0, (4,))[0, 0]
         num += float(np.sum(np.abs(phi - vals) ** 2))
         den += float(np.sum(np.abs(vals) ** 2))
     out[4] = math.sqrt(num / den)
@@ -181,9 +181,9 @@ def _tail_fit_r_squared(eps: float, energy: float = 1.0) -> float:
     x_start = max(3.0 * x_q, 40.0)
     params = WkbParameters.from_problem(problem, energy, x0=x_start)
     rmap = map_regions(params, x_start - 1.0, 4.0 * x_start + 1.0)
-    w1 = WkbBasisFunction(wkb_branches(params, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap).table, 1)
+    table = wkb_branches(params, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap).table
     xs = np.linspace(x_start, 4.0 * x_start, 60)
-    logs = np.array([w1.exponent(x).real for x in xs])
+    logs = np.array([table.logs(x, (1,))[0].real for x in xs])
     design = np.vstack([xs**1.25, np.ones_like(xs)]).T
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     pred = design @ coef
@@ -234,9 +234,7 @@ def test_criterion_6_linear_wavefunction_construction():
 
 
 def test_criterion_7_observability_exponents():
-    from scipy.integrate import quad
-
-    # well: computed-by-quadrature exponent vs the inverse-variance oracle
+    # well: the exponent from the ground state's closed-form moments vs the inverse-variance oracle
     well = reference_well_setup()
     res_well = observability(well)
     oracle_well = -math.log10((math.pi * HBAR / (2.0 * A_WELL)) ** 2)

@@ -23,7 +23,6 @@ from gupbic.basis import (
 )
 from gupbic.errors import (
     BasisOverflowError,
-    ClassificationError,
     ComplexQuartetError,
     DegenerateBasisError,
     PreconditionError,
@@ -41,6 +40,11 @@ WALLS = (-1.0, 1.0)
 def _branch(basis, j):
     """Branch j (1-based) of a WKB set alone, on the set's exponent table."""
     return WkbBasisFunction(basis.table, j)
+
+
+def _windows(table, j):
+    """The turning windows that a query of branch j (1-based) is tested against: branches 3 and 4 only."""
+    return table.windows if j > 2 else ()
 
 
 def _far_branches(problem, energy, even=False):
@@ -140,14 +144,6 @@ class TestExactBasis:
         assert abs(w) == pytest.approx(expected, rel=1e-12)
         assert abs(w) > 1.0
 
-    def test_exact_functions_have_no_class(self, basis_and_roots):
-        # growth of an exact exponential depends on the side alone; the count
-        # never asks, and the classifier knows only the far-field WKB form
-        _, basis = basis_and_roots
-        for side in Side:
-            with pytest.raises(ClassificationError, match="ExactConstantSet"):
-                classify_asymptotics(basis, side)
-
     def test_small_beta_limit_matches_standard_well(self):
         # kappa -> sqrt(e): the oscillatory pair converges pointwise
         e = 2.467401100272340  # (pi/2)^2
@@ -242,19 +238,19 @@ class TestWkbBasis:
         e = 5.5
         params = WkbParameters.from_problem(well_problem, e, x0=0.0)
         roots = characteristic_roots(well_problem.epsilon, e)
-        w1 = _branch(wkb_branches(params, (-1.0, 1.0)), 1)
-        w3 = _branch(wkb_branches(params, (-1.0, 1.0)), 3)
-        assert params.eta * w1.lam(0.2) == pytest.approx(roots.mu1, rel=1e-13)
-        assert params.eta * w3.lam(0.2) == pytest.approx(1j * roots.kappa, rel=1e-13)
+        # lam of the tau = +1 branches of both pairs: lam_1 and lam_3
+        lam1, lam3 = wkb_branches(params, (-1.0, 1.0)).table._closed_sums(np.array([0.2]))[3][:, 0]
+        assert params.eta * lam1 == pytest.approx(roots.mu1, rel=1e-13)
+        assert params.eta * lam3 == pytest.approx(1j * roots.kappa, rel=1e-13)
 
     def test_constant_potential_reduces_to_exact(self, well_problem):
         e = 2.918779290241783
         params = WkbParameters.from_problem(well_problem, e, x0=0.0)
         roots = characteristic_roots(well_problem.epsilon, e)
         targets = {1: roots.mu1, 2: -roots.mu1, 3: 1j * roots.kappa, 4: -1j * roots.kappa}
+        table = wkb_branches(params, (-1.0, 1.0)).table
         for j, rate in targets.items():
-            w = _branch(wkb_branches(params, (-1.0, 1.0)), j)
-            ratios = [w.value(x) * cmath.exp(-rate * x) for x in (-0.9, -0.4, 0.1, 0.8)]
+            ratios = [table.derivatives(x, 0, (j,))[0, 0] * cmath.exp(-rate * x) for x in (-0.9, -0.4, 0.1, 0.8)]
             for r in ratios[1:]:
                 assert abs(r / ratios[0] - 1.0) < 1e-10
 
@@ -262,10 +258,10 @@ class TestWkbBasis:
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 10.0)
-        w1 = _branch(wkb_branches(params, (0.0, rmap.s_zeros[0] - 0.05), region_map=rmap), 1)
+        table = wkb_branches(params, (0.0, rmap.s_zeros[0] - 0.05), region_map=rmap).table
         eps = linear_problem.epsilon
         for x in (0.3, 1.2, 3.0, 4.5):
-            mu = params.eta * w1.lam(x)
+            mu = params.eta * table._closed_sums(np.array([x]))[3][0, 0]  # lam_1
             q = e - linear_problem.v_derivs(x)[0]
             res = eps * mu**4 - mu**2 - q
             assert abs(res) / (abs(eps * mu**4) + abs(mu**2) + abs(q)) < 1e-11
@@ -276,12 +272,13 @@ class TestWkbBasis:
         rmap = map_regions(params, 2.6, 4.0)
         rng = np.random.default_rng(3)
         h1, h2 = 1e-5, 1e-4  # h2 larger: second differences hit roundoff ~eps/h^2
+        table = wkb_branches(params, (2.6, 4.0), region_map=rmap).table
         for j in (1, 2, 3, 4):
-            w = _branch(wkb_branches(params, (2.6, 4.0), region_map=rmap), j)
+            value = lambda x: table.derivatives(x, 0, (j,))[0, 0]
             for x in rng.uniform(2.8, 3.8, size=13):
-                d = w.derivatives(x, order=2)
-                fd1 = (w.value(x + h1) - w.value(x - h1)) / (2 * h1)
-                fd2 = (w.value(x + h2) - 2 * w.value(x) + w.value(x - h2)) / h2**2
+                d = table.derivatives(x, 2, (j,))[0]
+                fd1 = (value(x + h1) - value(x - h1)) / (2 * h1)
+                fd2 = (value(x + h2) - 2 * value(x) + value(x - h2)) / h2**2
                 assert abs(d[1] - fd1) / abs(fd1) < 1e-6
                 assert abs(d[2] - fd2) / abs(fd2) < 1e-6
 
@@ -306,22 +303,24 @@ class TestWkbBasis:
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 3.5)
-        w4 = _branch(wkb_branches(params, (0.0, 3.5), region_map=rmap), 4)
+        table = wkb_branches(params, (0.0, 3.5), region_map=rmap).table
         x_t = rmap.b_zeros[0]
         with pytest.raises(ValidityError, match="window"):
-            w4.value(x_t + 0.01)
+            table.derivatives(x_t + 0.01, 0, (4,))
         # but the same branch is evaluable on both sides with one normalization
-        assert np.isfinite(w4.value(x_t - 0.5).real)
-        assert np.isfinite(w4.value(x_t + 0.5).real)
+        assert np.isfinite(table.derivatives(x_t - 0.5, 0, (4,))[0, 0].real)
+        assert np.isfinite(table.derivatives(x_t + 0.5, 0, (4,))[0, 0].real)
 
     def test_fast_branch_crosses_classical_turning_point(self, linear_problem):
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
         rmap = map_regions(params, 0.0, 3.5)
-        w2 = _branch(wkb_branches(params, (0.0, 3.5), region_map=rmap), 2)
-        assert w2.windows == ()
+        table = wkb_branches(params, (0.0, 3.5), region_map=rmap).table
         x_t = rmap.b_zeros[0]
-        assert np.isfinite(w2.value(x_t).real)
+        # the window masks branches 3 and 4 alone
+        with pytest.raises(ValidityError, match="window"):
+            table.logs(x_t, (4,))
+        assert np.isfinite(table.derivatives(x_t, 0, (2,))[0, 0].real)
 
 
 @pytest.mark.parametrize("kind", ["linear", "harmonic"])
@@ -348,11 +347,12 @@ def test_repr_shows_the_parameters_of_each_energy(linear_problem, harmonic_probl
     linear = _branch(wkb_assembly(linear_problem, energy).basis, 1)
     even = _branch(wkb_assembly(harmonic_problem, energy).basis, 3)
     for g in (linear, even):
-        p = g.params
-        want = f"WkbBasisFunction(j={g.index}, interval={g.interval}, x0={shown(p.x0, '.4g')}, eta={p.eta:.4g})"
+        p = g.table.params
+        want = f"WkbBasisFunction(j={g.index}, interval={g.table.interval}, x0={shown(p.x0, '.4g')}, eta={p.eta:.4g})"
         assert repr(g) == want
     if np.ndim(energy):
-        assert f"x0=[{linear.params.x0[0]:.4g}, {linear.params.x0[1]:.4g}]" in repr(linear)
+        x0 = linear.table.params.x0
+        assert f"x0=[{x0[0]:.4g}, {x0[1]:.4g}]" in repr(linear)
 
 
 def test_concurrent_evaluation_matches_serial(linear_problem):
@@ -365,14 +365,14 @@ def test_concurrent_evaluation_matches_serial(linear_problem):
     xs = list(np.linspace(2.6, 3.8, 40))
     params = WkbParameters.from_problem(linear_problem, e, x0=3.2)
     rmap = map_regions(params, 2.5, 3.9)
-    serial = _branch(wkb_branches(params, (2.5, 3.9), region_map=rmap), 2)
-    serial_vals = [serial.value(x) for x in xs]
+    serial = wkb_branches(params, (2.5, 3.9), region_map=rmap).table
+    serial_vals = [serial.derivatives(x, 0, (2,))[0, 0] for x in xs]
 
-    threaded = _branch(wkb_branches(params, (2.5, 3.9), region_map=rmap), 2)
+    threaded = wkb_branches(params, (2.5, 3.9), region_map=rmap).table
     shuffled = list(np.random.default_rng(0).permutation(xs))
     with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(threaded.value, shuffled))
-    threaded_vals = [threaded.value(x) for x in xs]
+        list(pool.map(lambda x: threaded.derivatives(x, 0, (2,)), shuffled))
+    threaded_vals = [threaded.derivatives(x, 0, (2,))[0, 0] for x in xs]
     assert np.allclose(serial_vals, threaded_vals, rtol=1e-12, atol=1e-300)
 
 
@@ -386,26 +386,25 @@ def test_concurrent_shared_table_matches_serial():
     params, piece, rmap, _ = _shared_table_cases()[0]
     grid = np.linspace(piece[0], piece[1], 41)
     queries = [float(x) for x in grid] + [grid[k : k + 5] for k in range(0, 41, 5)]
-    serial_set = wkb_branches(params, piece, rmap)
+    serial = wkb_branches(params, piece, rmap).table
     tasks, expected = [], []
-    for j, f in enumerate([_branch(serial_set, k) for k in (1, 2, 3, 4)]):
+    for j in (1, 2, 3, 4):
         for q in queries:
-            if np.all(f.valid(q)):
+            if np.all(serial.valid(q, _windows(serial, j))):
                 tasks.append((j, q))
-                expected.append(f.value(q))
-    shared_set = wkb_branches(params, piece, rmap)
-    shared = [_branch(shared_set, j) for j in (1, 2, 3, 4)]
+                expected.append(serial.derivatives(q, 0, (j,))[0, 0])
+    shared = wkb_branches(params, piece, rmap).table
     order = np.random.default_rng(0).permutation(len(tasks))
     with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(lambda k: shared[tasks[k][0]].value(tasks[k][1]), order))
+        got = list(pool.map(lambda k: shared.derivatives(tasks[k][1], 0, (tasks[k][0],))[0, 0], order))
     for k, value in zip(order, got):
         assert np.array_equal(value, expected[k]), tasks[k]
 
 # --- the array-valued exponent layer against independent references ------------
 
 
-def _reference_exponent(w, x):
-    """log w_j(x) from scipy quad over the textbook WKB integrands.
+def _reference_exponent(table, j, x):
+    """log w_j(x) of branch j of ``table`` from scipy quad over the textbook WKB integrands.
 
     lam_j = tau sqrt(a + sigma s), s = sqrt(a^2 - b); lam' = sigma s' / (2 lam)
     with s' = -b' / (2 s).  The integrands are taken at offsets d from a zero c
@@ -416,11 +415,11 @@ def _reference_exponent(w, x):
     """
     from scipy.integrate import IntegrationWarning, quad
 
-    p = w.params
-    sigma, tau = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}[w.index]
-    c = w.table.b_zeros[0] if w.table.b_zeros else p.x0
+    p = table.params
+    sigma, tau = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}[j]
+    c = table.b_zeros[0] if table.b_zeros else p.x0
     bc = p.b_chain(c)
-    b0 = 0.0 if w.table.b_zeros else bc[0]
+    b0 = 0.0 if table.b_zeros else bc[0]
 
     def lam_and_s(d):
         b = b0 + d * (bc[1] + d * (bc[2] / 2.0 + d * (bc[3] / 6.0 + d * bc[4] / 24.0)))
@@ -478,11 +477,11 @@ def test_exponent_matches_quad_reference(case):
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 2, 3, 4):
         w = _branch(wkb_branches(params, piece, region_map=rmap), j)
-        xs = [x for x in points if w.valid(x)]
+        xs = [x for x in points if w.table.valid(x, _windows(w.table, j))]
         assert len(xs) >= 5
         batch = w.exponent(np.array(xs))
         for x, got in zip(xs, batch):
-            ref = _reference_exponent(w, x)
+            ref = _reference_exponent(w.table, j, x)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (j, x, got, ref)
             # one point at a time, on a fresh function, gives the same value
             single = _branch(wkb_branches(params, piece, region_map=rmap), j).exponent(x)
@@ -498,7 +497,7 @@ def test_large_array_matches_small_batches():
     for j in (1, 3):
         w = _branch(wkb_branches(params, piece, region_map=rmap), j)
         xs = np.linspace(*piece, 3001)
-        xs = xs[w.valid(xs)]
+        xs = xs[w.table.valid(xs, _windows(w.table, j))]
         assert xs.size > 2048
         whole = w.exponent(xs)
         fresh = _branch(wkb_branches(params, piece, region_map=rmap), j)
@@ -535,10 +534,11 @@ def test_shared_branches_match_standalone(case, order):
     shared_set = wkb_branches(params, piece, rmap)
     shared = [_branch(shared_set, j) for j in (1, 2, 3, 4)]
     fresh = {j: _branch(wkb_branches(params, piece, region_map=rmap), j) for j in (1, 2, 3, 4)}
-    common = np.array([x for x in points if all(f.valid(x) for f in shared)])
+    table = shared_set.table
+    common = np.array([x for x in points if table.valid(x, table.windows)])
     for x in points:
         for j in order:
-            if shared[j - 1].valid(x):
+            if table.valid(x, _windows(table, j)):
                 got = shared[j - 1].exponent(float(x))
                 alone = _branch(wkb_branches(params, piece, region_map=rmap), j)
                 assert np.array_equal(got, fresh[j].exponent(float(x))), (j, x)
@@ -546,10 +546,10 @@ def test_shared_branches_match_standalone(case, order):
     for xs in (common, np.array(points)):
         for j in order:
             f = shared[j - 1]
-            own = xs[f.valid(xs)]
+            own = xs[table.valid(xs, _windows(table, j))]
             alone = _branch(wkb_branches(params, piece, region_map=rmap), j)
             assert np.array_equal(f.exponent(own), alone.exponent(own)), j
-            assert np.array_equal(f.value(own), alone.value(own)), j
+            assert np.array_equal(table.derivatives(own, 0, (j,)), alone.table.derivatives(own, 0, (j,))), j
 
 
 _REFERENCE_TOL = 1e-13
@@ -652,8 +652,9 @@ def test_linear_closed_form_matches_panels_and_mpmath(eps):
             eta = table.params.eta
             assert table.params.b_chain(0.0)[2] == 0.0
             xs = np.array(points)
-            for sigma in (1.0, -1.0):
-                got = np.stack(table.integrals(xs, sigma)[:2])
+            i1, i2, _, _ = table._closed_sums(xs)  # of the tau = +1 branch of pair sigma = +1, -1
+            for k, sigma in enumerate((1.0, -1.0)):
+                got = np.stack([i1[k], i2[k]])
                 scale = np.maximum(1.0, np.abs(eta * got[0]))
                 for ref, bound in ((_panel_reference(table, xs, sigma), 1e-13),
                                    (_mp_closed_form(mp, table, xs, sigma), 1e-14)):
@@ -731,10 +732,11 @@ def test_harmonic_closed_form_matches_panels_and_mpmath(eps):
             table = wkb_branches(params, piece, rmap).table
             assert params.b_chain(0.0)[2] > 0.0
             xs = np.array(points + [x0 - 0.1, x0 + 0.01])
-            for sigma in (1.0, -1.0):
-                got = np.stack(table.integrals(xs, sigma)[:2])
+            i1, i2, _, _ = table._closed_sums(xs)  # of the tau = +1 branch of pair sigma = +1, -1
+            for k, sigma in enumerate((1.0, -1.0)):
+                got = np.stack([i1[k], i2[k]])
                 scale = np.maximum(1.0, np.abs(params.eta * got[0]))
-                lam0 = table.integrals(np.array([x0]), sigma)[3][0]
+                lam0 = table._closed_sums(np.array([x0]))[3][k, 0]
                 scale[-2:] = np.maximum(scale[-2:], 1e-2 * params.eta * abs(x0 * lam0))
                 refs = (_panel_reference(table, xs, sigma), _mp_harmonic_integrals(mp, table, xs, sigma))
                 for ref in refs:
@@ -758,13 +760,13 @@ def test_batched_harmonic_table_matches_each_energy():
         params = WkbParameters.from_problem(problem, energies, x0=x0)
         table = wkb_branches(params, (lo, end), rmap).table
         xs = lo + t * (hi - lo)  # (points, energies)
-        for sigma in (1.0, -1.0):
-            got = table.integrals(xs, sigma)
-            for k, e in enumerate(energies):
-                one = WkbParameters.from_problem(problem, e, x0=float(x0[k]))
-                alone = wkb_branches(one, (float(lo[k]), float(end[k]))).table
-                for g, ref in zip(got, alone.integrals(xs[:, k].copy(), sigma)):
-                    assert np.array_equal(g[:, k], ref), (e, sigma)
+        # I1, I2, s and lam, with I1, I2 and lam of both pairs (sigma = +1, -1) on a leading axis
+        got = table._closed_sums(xs)
+        for k, e in enumerate(energies):
+            one = WkbParameters.from_problem(problem, e, x0=float(x0[k]))
+            alone = wkb_branches(one, (float(lo[k]), float(end[k]))).table
+            for g, ref in zip(got, alone._closed_sums(xs[:, k].copy())):
+                assert np.array_equal(g[..., k], ref), e
 
 
 def test_harmonic_exponents_below_the_minimum_raise():

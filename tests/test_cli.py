@@ -835,6 +835,77 @@ print(json.dumps({{"codes": codes, "scipy": loaded}}))
         }
 
 
+class TestScipyBlocked:
+    # numpy is the one runtime dependency: with every import of scipy refused,
+    # each README command, verify with and without --beta 0, momentum-check
+    # and the harmonic error scan exit as documented and write their files,
+    # in one process that loads no concurrent.futures and starts no thread;
+    # a subprocess, since this interpreter has imported scipy already
+    CHILD = """
+import json, os, sys, threading
+sys.path.insert(0, {src!r})
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is blocked")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import gupbic.cli
+
+out = {out!r}
+with open(out + "/linear.cfg", "w") as cfg:
+    cfg.write("mass = 9.10956e-31\\nbeta = 1e47\\npotential = linear\\nL = 1.281e-8\\n")
+report = {{}}
+for name, argv in {runs!r}:
+    code = gupbic.cli.main([a.replace("CFG", out + "/linear.cfg") for a in argv] + ["--out", out + "/" + name])
+    report[name] = [code, sorted(os.listdir(out + "/" + name))]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+pooled = "concurrent.futures" in sys.modules
+print(json.dumps({{"runs": report, "scipy": loaded, "pooled": pooled, "threads": threading.active_count()}}))
+"""
+    LINEAR = ["--potential", "linear", "--L", "1.281e-8"]
+    HARMONIC = ["--potential", "harmonic", "--omega", "1.897e16"]
+    # (name, argv, exit code, files beside manifest.json)
+    RUNS = [
+        ("run1", ["wavefunction", "--k", "1"], 0, ["wavefunctions.csv"]),
+        ("run2", ["wavefunction", "--E", "1e-18"], 0, ["wavefunctions.csv"]),
+        ("scan", ["dof-scan", "--e-min", "1e-19", "--e-max", "2e-17", "--n", "200"], 0, ["scan.csv", "scan.json"]),
+        ("spec", ["spectrum", "--k-max", "5"], 0, ["special_energies.csv"]),
+        ("obs", ["observability"], 0, ["observability.json"]),
+        ("obs-linear", ["observability", *LINEAR], 0, ["observability.json"]),
+        ("obs-harmonic", ["observability", *HARMONIC], 0, ["observability.json"]),
+        ("mom", ["momentum-check", "--config", "CFG"], 0, ["momentum_check.json"]),
+        ("verify", ["verify"], 0, ["verify.json"]),
+        ("verify-std", ["verify", "--beta", "0"], 0, ["verify.json"]),
+        ("scan-linear", ["dof-scan", *LINEAR], 0, ["scan.csv", "scan.json"]),
+        ("scan-harmonic", ["dof-scan", *HARMONIC], 0, ["scan.csv", "scan.json"]),
+        ("run-linear", ["wavefunction", *LINEAR, "--E", "2e-18"], 0, ["wavefunctions.csv"]),
+        ("run-harmonic", ["wavefunction", *HARMONIC, "--E", "2e-18"], 0, ["wavefunctions.csv"]),
+        ("mom-linear", ["momentum-check", *LINEAR, "--E", "2e-18"], 0, ["momentum_check.json"]),
+        ("mom-stiff", ["momentum-check", *LINEAR, "--E", "2e-18", "--beta", "1e40"], 0, ["momentum_check.json"]),
+        # the 40-energy scan whose 28 flagged energies rerun alone: exit 3
+        ("scan-errors", ["dof-scan", *HARMONIC, "--beta", "4.1e47", "--n", "40"], 3, ["scan.csv", "scan.json"]),
+    ]
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        import gupbic
+
+        src = str(Path(gupbic.__file__).resolve().parent.parent)
+        runs = [(name, argv) for name, argv, _, _ in self.RUNS]
+        child = self.CHILD.format(src=src, out=str(tmp_path), runs=runs)
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["runs"] == {
+            name: [code, sorted(files + ["manifest.json"])] for name, _, code, files in self.RUNS
+        }
+        assert report["scipy"] == [] and report["pooled"] is False and report["threads"] == 1
+
+
 class TestScipyFreeObservability:
     # the Airy constants are module constants and no moment is integrated,
     # so observability loads no scipy module for any potential

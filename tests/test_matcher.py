@@ -75,17 +75,16 @@ def _member_derivatives(basis, j, x, order):
     """Derivatives 0..order of member j (0-based) of a set of one energy at x, formed on its own.
 
     An exact member takes its own kernel at its own parameters; a WKB member
-    is its branch alone (``WkbBasisFunction``), which an even continuation
-    reads at |x| with its odd orders negated where x < 0.
+    is a query of its branch alone, which an even continuation reads at |x|
+    with its odd orders negated where x < 0.
     """
     if isinstance(basis, ExactConstantSet):
         if j < 2:
             return _exp_derivatives(float(basis._rates[j]), float(basis._anchors[j]), x, order)
         return _trig_derivatives(basis._kappa, x, order, [("cos", "sin")[j - 2]])[0]
-    f = WkbBasisFunction(basis.table, j + 1)
     if not basis.even:
-        return f.derivatives(x, order=order)
-    d = f.derivatives(np.abs(x), order=order)
+        return basis.table.derivatives(x, order, (j + 1,))[0]
+    d = basis.table.derivatives(np.abs(x), order, (j + 1,))[0]
     d[1::2] *= np.where(np.asarray(x) < 0, -1.0, 1.0)
     return d
 
@@ -93,14 +92,12 @@ def _member_derivatives(basis, j, x, order):
 def _member_values(basis, members):
     """Value functions of the ``members`` (0-based) of a set of one energy, each formed on its own.
 
-    A WKB member is its branch alone, read at |x| for an even continuation.
+    A WKB member is a query of its branch alone, read at |x| for an even continuation.
     """
     if isinstance(basis, ExactConstantSet):
         return [lambda x, j=j: _member_derivatives(basis, j, x, 0)[0] for j in members]
-    branches = [WkbBasisFunction(basis.table, j + 1) for j in members]
-    if basis.even:
-        return [lambda x, f=f: f.value(np.abs(x)) for f in branches]
-    return [f.value for f in branches]
+    at = np.abs if basis.even else np.asarray
+    return [lambda x, j=j: basis.table.derivatives(at(x), 0, (j + 1,))[0, 0] for j in members]
 
 
 class TestClassify:
@@ -1031,8 +1028,8 @@ def _wkb_value_rows(basis, xs):
 def _per_point_error(basis, x, order):
     """The error the branches of a WKB set raise, asked in turn at x for the entries of a row of ``order``."""
     with pytest.raises((ValidityError, BasisOverflowError)) as info:
-        for f in (WkbBasisFunction(basis.table, j) for j in (1, 2, 3, 4)):
-            f.exponent(x) if order == 0 else f.derivatives(x, order=order)
+        for j in (1, 2, 3, 4):
+            basis.table.logs(x, (j,)) if order == 0 else basis.table.derivatives(x, order, (j,))
     return info.value
 
 
@@ -1157,30 +1154,30 @@ class TestWkbPointRows:
         assert np.array_equal(_bits(gram), _bits(one.gram))
         assert rounds == ["round"] and calls == ["valid", "_closed_sums"]
 
-    @pytest.mark.parametrize("branches", [(2, 4), (4, 2)])
     @pytest.mark.parametrize("count", [1, 3])
-    def test_a_query_of_several_branches_raises_as_they_do_in_turn(self, count, branches):
+    def test_a_query_of_several_branches_raises_whatever_their_order(self, count):
         # x = 3 lies in the turning window of e = 3 (branches 3 and 4 only),
-        # x = 300 past the interior piece (every branch): asked in turn,
-        # branch 2 first names x = 300 at every energy, branch 4 first names
-        # the window where it holds one
+        # x = 300 past the interior piece (every branch): one mask tests both,
+        # so (2, 4) and (4, 2) name the first abscissa that fails, x = 3 at
+        # e = 3, and fail every energy, through the table and through the set
         problem = nondimensionalize(linear_setup_for(1e-3))
         energies = np.array([3.0, 3.1, 3.2][:count])
         energy = energies if count > 1 else float(energies[0])
         basis = wkb_assembly(problem, energy).basis
         x = np.array([3.0, 300.0])[:, None] if count > 1 else np.array([3.0, 300.0])
-        with pytest.raises(ValidityError) as alone:
-            for j in branches:
-                WkbBasisFunction(basis.table, j).exponent(x)
-        for query in (
-            lambda: basis.table.logs(x, branches),
-            lambda: basis.derivatives(x, 2, [j - 1 for j in branches]),
-        ):
-            with pytest.raises(ValidityError) as together:
-                query()
-            assert str(together.value) == str(alone.value)
-            assert np.array_equal(together.value.failed, alone.value.failed)
-        assert ("300" in str(alone.value)) == (branches[0] == 2)
+        raised = []
+        for branches in ((2, 4), (4, 2)):
+            for query in (
+                lambda: basis.table.logs(x, branches),
+                lambda: basis.derivatives(x, 2, [j - 1 for j in branches]),
+            ):
+                with pytest.raises(ValidityError) as info:
+                    query()
+                failed = info.value.failed
+                raised.append((str(info.value), None if failed is None else failed.tolist()))
+        assert raised == [raised[0]] * 4
+        assert raised[0][0].startswith("x=3.0 inside turning-point window")
+        assert raised[0][1] == ([True, True, True] if count > 1 else None)
 
     # the interior piece at eps 1e-3 ends at x = 252.95, 253.05 and 253.15
     # for e = 3.0, 3.1 and 3.2, and the window of e runs from e - 0.05 to
@@ -1189,27 +1186,33 @@ class TestWkbPointRows:
     OUTSIDE = ("x=253.0 outside validity interval [0.0, 252.94999999999973]", [True, False, False])
     WINDOW = ("x=3.1 inside turning-point window around x=3.099999999999989", [False, True, False])
 
+    # one mask tests a query's abscissas: the interval, and the windows if
+    # branch 3 or 4 is asked; every energy with an abscissa that fails it is
+    # in failed, and the error names the first abscissa that fails
+    EVERY = (OUTSIDE[0], [True, True, True])
+
     @pytest.mark.parametrize(
         "branches, grid_error",
         [
-            ((1, 2, 3, 4), OUTSIDE),
-            ((2, 4), OUTSIDE),
-            # branch 3 tests the windows with the interval: each energy fails, e = 3.0 past the piece
-            ((3, 1), (OUTSIDE[0], [True, True, True])),
+            ((1, 2, 3, 4), EVERY),
+            ((2, 4), EVERY),
+            ((3, 1), EVERY),
+            # no window masks branches 1 and 2: only e = 3.0 fails, past its piece
+            ((1, 2), OUTSIDE),
         ],
     )
     def test_one_validity_mask_raises_the_errors_of_the_tests_in_turn(self, branches, grid_error):
-        # the errors a query raised when its abscissas took the interval
-        # test and then the window test, pinned from that code: the same
-        # type, text and failed mask for a grid, a float and the wall row
+        # the errors of the interval and window tests, taken at once, pinned:
+        # the same type, text and failed mask for a grid, a float and the wall row
         problem = nondimensionalize(linear_setup_for(1e-3))
         basis = wkb_assembly(problem, np.array([3.0, 3.1, 3.2])).basis
         grid = np.array([0.0, 3.2, 3.1, 253.0])[:, None]
         queries = [
             (lambda: basis.table.logs(grid, branches), grid_error),
             (lambda: basis.table.derivatives(grid, 2, branches), grid_error),
-            (lambda: basis.table.logs(3.1, branches), self.WINDOW),
         ]
+        if max(branches) > 2:
+            queries.append((lambda: basis.table.logs(3.1, branches), self.WINDOW))
         if branches == (1, 2, 3, 4):
             queries += [
                 (lambda: basis.point_rows([(0.0, 0), (3.1, 0)]), self.WINDOW),
@@ -1475,7 +1478,7 @@ class TestSolvers:
         problem = nondimensionalize(linear_setup_for(eps))
         asm = wkb_assembly(problem, e)
         w2, w4 = (WkbBasisFunction(asm.basis.table, j) for j in (2, 4))
-        shift = math.log(abs(w2.value(0.0) / w4.value(0.0)) + 1e-300)
+        shift = math.log(abs(cmath.exp(w2.exponent(0.0)) / cmath.exp(w4.exponent(0.0))) + 1e-300)
         state_log = lambda x: max(w2.exponent(x).real, w4.exponent(x).real + shift)
         x_t = min(asm.b_zeros)
         cut = min(asm.s_zeros) - W
@@ -1667,8 +1670,8 @@ class TestSolvers:
 # --- wavefunction shapes against a high-precision evaluation ---------------------
 
 
-def _mp_wkb_value(mp, w, x):
-    """w_j(x) of one WKB branch at 30 digits from the textbook formula.
+def _mp_wkb_value(mp, table, j, x):
+    """w_j(x) of branch j of ``table`` at 30 digits from the textbook formula.
 
     w = lam^(-1/2) s^(-1/2) exp(eta I1 - I2/2), I1 = int lam, I2 = int lam'/s
     from x0, lam = tau sqrt(a + sigma s), s = sqrt(a^2 - b), b = (v - e)/2,
@@ -1677,8 +1680,8 @@ def _mp_wkb_value(mp, w, x):
     exactly; the path to x is split at the exact turning point b = 0, where
     branches 3 and 4 have an integrable singularity.
     """
-    p = w.params
-    sigma, tau = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}[w.index]
+    p = table.params
+    sigma, tau = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}[j]
     a, eta, e, x0, x = (mp.mpf(float(t)) for t in (p.a_coef, p.eta, p.energy, p.x0, x))
     _, b1, b2, _, _ = (mp.mpf(float(t)) for t in p.b_chain(0.0))
     # v = 2 b1 x + b2 x^2 for the linear (b2 = 0) and harmonic (b1 = 0) potentials
@@ -1723,7 +1726,7 @@ def test_wavefunction_shape_matches_high_precision_reference(kind):
                         # the even continuation reads its branch at |x|
                         key = (j, abs(float(x)))
                         if key not in cache:
-                            cache[key] = _mp_wkb_value(mp, WkbBasisFunction(st.basis.table, j + 1), abs(float(x)))
+                            cache[key] = _mp_wkb_value(mp, st.basis.table, j + 1, abs(float(x)))
                         total += mp.mpc(complex(c)) * cache[key]
                 ref.append(total)
             peak_ref = max(abs(r) for r in ref)

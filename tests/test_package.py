@@ -85,3 +85,11 @@ def test_readme_entry_point_imports_resolve():
     names = [alias.name for alias in node.names]
     assert len(names) > 10
     assert [name for name in names if not hasattr(gupbic, name)] == []
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    # scipy serves the tests and the benchmark's patched names only: it is in the test extra
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
