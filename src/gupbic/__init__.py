@@ -34,7 +34,6 @@ _MODULE_EXPORTS = {
         "characteristic_roots",
         "classify_asymptotics",
         "exact_constant_basis",
-        "wkb_branches",
     ),
     "matcher": (
         "BoundStateSolution",

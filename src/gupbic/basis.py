@@ -27,9 +27,10 @@ window of half-width 0.05 for j in {3, 4} (the 1/sqrt(lam) prefactor is
 singular), but the exponent integrals, closed forms in lam for b of degree
 <= 2 (``ExponentTable``), are continued across them.
 
-Exponents are computed before exponentiation and capped at |Re| <= 700;
-beyond the cap value access raises BasisOverflowError and callers switch to
-log-space access.
+Exponents are computed before exponentiation and capped at |Re| <= 700.
+A count scales each value row by its largest log, so it never meets the
+cap; past it a value or a Gram product raises BasisOverflowError (exit 3
+from the CLI), and no caller retries in log space.
 
 A fundamental set (``FundamentalSet``) is the one evaluator of its four
 functions: it forms the point rows of a constraint system and the
@@ -599,10 +600,12 @@ class ExponentTable:
     sigma = -1 one from the turning point (lam = 0), so each stays of the
     size of int lam itself; I1 is odd in y about the vertex.
 
-    The reference point x0 lies strictly inside the piece and outside every
-    turning window, or the table raises ValidityError: the test of branches
-    3 and 4, which implies that of 1 and 2.  ``check`` tests the abscissas
-    of a query against the interval and, for branches 3 and 4, the windows.
+    Branches 3 and 4 avoid a turning window around each of ``b_zeros``,
+    the zeros of b on the piece (floats, or arrays of one per energy).  The
+    reference point x0 lies strictly inside the piece and outside every
+    window, or the table raises ValidityError.  ``check`` tests the
+    abscissas of a query against the interval and, for branches 3 and 4,
+    the windows.
 
     The table is the one evaluator of its branches: ``logs`` and
     ``derivatives`` take any of them (1-based) on a leading axis, so every
@@ -619,7 +622,7 @@ class ExponentTable:
     ):
         self.params = params
         self.interval = interval
-        self.b_zeros = tuple(b_zeros)  # ascending floats or arrays, from a region map
+        self.b_zeros = tuple(b_zeros)
         w = TURNING_WINDOW_HALF_WIDTH
         self.windows = tuple((z - w, z + w) for z in self.b_zeros)  # of branches 3 and 4
         (lo, hi), x0 = interval, np.asarray(params.x0)
@@ -634,8 +637,8 @@ class ExponentTable:
 
         The amplitudes of the branches are singular there.
         """
-        region_map = map_regions(self.params, -math.inf, math.inf)
-        return region_map.b_zeros + region_map.s_zeros
+        b_zeros, s_zeros = map_regions(self.params)
+        return b_zeros + s_zeros
 
     def logs(self, x, branches: Sequence[int]) -> np.ndarray:
         """log w_j(x) of each branch j in ``branches`` (principal-branch logs), shape (branches,) + shape.
@@ -876,38 +879,25 @@ class WkbSet(FundamentalSet):
         return d
 
 
-@dataclass(frozen=True)
-class WkbRegionMap:
-    """Turning structure of b on the interval ``map_regions`` searched.
-
-    b_zeros: classical turning points (b = 0); s_zeros: zeros of a^2 - b, the
-    hard piece boundaries where the branch pair degenerates.  For a batch
-    of energies each zero is an array (``map_regions``).
-    """
-
-    b_zeros: tuple[float, ...]
-    s_zeros: tuple[float, ...]
-
-
-def map_regions(params: WkbParameters, lo: float, hi: float) -> WkbRegionMap:
-    """Zeros of b and of a^2 - b in [lo, hi], in closed form.
+def map_regions(params: WkbParameters) -> tuple[tuple, tuple]:
+    """(b_zeros, s_zeros): the zeros of b and of a^2 - b on the whole line, each ascending, in closed form.
 
     b is a polynomial of degree <= 2, as every potential is (constant,
     linear, harmonic): b(x) - k = c2 x^2 + c1 x + c0 with
     c0 = b(0) - k, c1 = b'(0) and c2 = b''(0)/2, for k = 0 and k = a^2.
-    For a batch of energies each zero is an array, NaN at the energies
-    where it does not lie in [lo, hi].
+    So a linear b has one zero of each kind, a quadratic one two (where
+    they exist) and a constant one none.  For a batch of energies each zero
+    is an array, NaN at the energies where it does not exist; a zero that
+    exists at no energy is left out.
     """
     b0, b1, b2, _, _ = params.b_chain(0.0)
-    # the roots of b - k for k = 0 and k = a^2 (second axis), NaN outside [lo, hi]
+    # the roots of b - k for k = 0 and k = a^2 (second axis)
     roots = _quadratic_roots(0.5 * b2, b1, np.array([b0, b0 - params.a_coef**2]))
-    inside = (lo <= roots) & (roots <= hi)
-    roots = np.where(inside, roots, np.nan)
-    found = inside.reshape(4, -1).any(axis=1).tolist()
+    found = (~np.isnan(roots)).reshape(4, -1).any(axis=1).tolist()
     b_zeros, s_zeros = (
         tuple(_per_energy(roots[i, k]) for i in range(2) if found[2 * i + k]) for k in range(2)
     )
-    return WkbRegionMap(b_zeros=b_zeros, s_zeros=s_zeros)
+    return b_zeros, s_zeros
 
 
 def _quadratic_roots(c2: float, c1: float, c0) -> np.ndarray:
@@ -930,51 +920,6 @@ def _quadratic_roots(c2: float, c1: float, c0) -> np.ndarray:
     two = disc > 0.0
     # q / c2 is the double root -c1 / (2 c2) where disc = 0, and NaN where disc < 0
     return np.array([np.where(two, np.minimum(*pair), pair[0]), np.where(two, np.maximum(*pair), np.nan)])
-
-
-def _piece_table(
-    params: WkbParameters, interval: tuple[float, float], region_map: WkbRegionMap | None
-) -> ExponentTable:
-    """The exponent table of ``interval``; errors if a zero of a^2 - b lies inside.
-
-    For a batch the interval ends may be arrays, one entry per energy.
-    """
-    lo, hi = interval
-    if region_map is None:
-        region_map = map_regions(params, lo, hi)
-
-    def inside(zeros) -> list:
-        """(zero, mask of the energies where it lies inside, their count) of the zeros inside at some energy."""
-        masks = ((z, (lo < z) & (z < hi)) for z in zeros)
-        return [(z, m, n) for z, m in masks if (n := np.count_nonzero(m))]
-
-    s_inside = inside(region_map.s_zeros)
-    if s_inside:
-        first = math.nan  # the first zero of a^2 - b inside (of each energy)
-        for z, m, _ in reversed(s_inside):
-            first = np.where(m, z, first)
-        raise_where(
-            ~np.isnan(first),
-            lambda z, a, b: ValidityError(
-                f"turning point of the branch pair (a^2 - b = 0) at x={float(z):.6g} "
-                f"inside requested interval ({a}, {b})"
-            ),
-            first,
-            lo,
-            hi,
-        )
-    b_zeros = [z if n == np.size(m) else np.where(m, z, np.nan) for z, m, n in inside(region_map.b_zeros)]
-    return ExponentTable(params, (_per_energy(lo), _per_energy(hi)), b_zeros)
-
-
-def wkb_branches(
-    params: WkbParameters,
-    interval: tuple[float, float],
-    region_map: WkbRegionMap | None = None,
-    even: bool = False,
-) -> WkbSet:
-    """Branches 1..4 on ``interval``, all reading one exponent table, or with ``even`` their even continuations."""
-    return WkbSet(_piece_table(params, interval, region_map), even)
 
 
 # --- asymptotic classification -------------------------------------------------

@@ -55,7 +55,7 @@ class ValidityError(GupBicError):
 
 
 class BasisOverflowError(GupBicError):
-    """Basis value exceeds the exponent cap; use log-space access instead."""
+    """A basis value or Gram product passes the exponent cap or the float range; no caller retries in log space."""
 
     def __init__(self, message, exponent=None):
         super().__init__(message)

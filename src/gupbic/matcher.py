@@ -47,6 +47,7 @@ from ._scipy import lazy
 from .basis import (
     AsymptoticClass,
     ExactConstantSet,
+    ExponentTable,
     FundamentalSet,
     Side,
     TURNING_WINDOW_HALF_WIDTH,
@@ -58,7 +59,6 @@ from .basis import (
     classify_asymptotics,
     exact_constant_basis,
     map_regions,
-    wkb_branches,
 )
 from .core import DimensionlessProblem
 from .errors import (
@@ -840,7 +840,8 @@ class WkbAssembly:
     """The interior WKB set of an unbounded potential at one energy, or batched over an array of energies.
 
     ``basis`` is a ``WkbSet``, which reads its exponent table and forms no
-    branch; ``b_zeros`` and ``s_zeros`` are the region map's zeros.
+    branch; ``b_zeros`` and ``s_zeros`` hold the turning point x_t and the
+    zero s_zero of a^2 - b on the positive half-line, the piece's ends.
     """
 
     basis: WkbSet
@@ -855,11 +856,12 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
     """The interior WKB set of the linear or harmonic potential at one energy.
 
     It lives on the positive half-line: the linear domain, or the harmonic
-    tail whose mirror image is the negative one.  The piece runs from the
-    wall (linear) or the turning point x_t (harmonic) to the zero of
-    a^2 - b, a turning window clear of the zeros.  The harmonic set is the
-    branches' even continuations.  The piece's exponent table, with its
-    reference-point check, is built here, and no branch is (``WkbSet``).
+    tail whose mirror image is the negative one.  x_t and s_zero are the
+    last zeros of b and of a^2 - b on the whole line (``map_regions``).
+    The piece runs from the wall (linear, with a turning window around x_t)
+    or x_t + W (harmonic, no window) to s_zero - W, W the window's
+    half-width.  The harmonic set is the branches' even continuations.  The
+    exponent table is built here, and no branch is (``WkbSet``).
 
     For an array of energies this is one batched pass: the parameters, zeros,
     pieces and reference points hold one entry per energy, and the set
@@ -870,8 +872,8 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
         raise WrongPotentialError(f"WKB assembly not implemented for kind {problem.kind!r}")
     raise_where(np.less_equal(energy, 0), lambda: PreconditionError("energy must be > 0"))
     params0 = WkbParameters.from_problem(problem, energy, x0=0.0)
-    rmap = map_regions(params0, 0.0, math.inf)
-    (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
+    b_zeros, s_zeros = map_regions(params0)
+    x_t, s_zero = b_zeros[-1], s_zeros[-1]
     if problem.kind == "linear":
         raise_where(
             x_t - TURNING_WINDOW_HALF_WIDTH < _LINEAR_X0_MIN,
@@ -879,10 +881,10 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
             energy,
             x_t,
         )
-        piece = (0.0, s_zero - TURNING_WINDOW_HALF_WIDTH)
+        piece, turning = (0.0, s_zero - TURNING_WINDOW_HALF_WIDTH), (x_t,)
         x0 = np.maximum(np.minimum(0.45 * x_t, x_t - 3 * TURNING_WINDOW_HALF_WIDTH), _LINEAR_X0_MIN)
     else:
-        piece = (x_t + TURNING_WINDOW_HALF_WIDTH, s_zero - TURNING_WINDOW_HALF_WIDTH)
+        piece, turning = (x_t + TURNING_WINDOW_HALF_WIDTH, s_zero - TURNING_WINDOW_HALF_WIDTH), ()
         raise_where(
             piece[1] <= piece[0],
             lambda xt, sz: PreconditionError(_harmonic_band_message(problem, params0, xt, sz)),
@@ -891,8 +893,8 @@ def wkb_assembly(problem: DimensionlessProblem, energy) -> WkbAssembly:
         )
         x0 = 0.5 * (piece[0] + piece[1])
     params = WkbParameters.from_problem(problem, energy, x0=x0)
-    basis = wkb_branches(params, piece, rmap, even=problem.kind == "harmonic")
-    return WkbAssembly(basis=basis, b_zeros=rmap.b_zeros, s_zeros=rmap.s_zeros)
+    basis = WkbSet(ExponentTable(params, piece, turning), even=problem.kind == "harmonic")
+    return WkbAssembly(basis=basis, b_zeros=(x_t,), s_zeros=(s_zero,))
 
 
 def _linear_wall_message(problem: DimensionlessProblem, energy: float, x_t: float) -> str:
@@ -980,7 +982,16 @@ def solve_linear(
             f"end on the pole there; the smallest beta that passes this limit is about "
             f"{problem.setup.beta * scale:.4g} (epsilon {problem.epsilon * scale:.4g})"
         )
-    xs = np.linspace(x_t + 2 * TURNING_WINDOW_HALF_WIDTH, cut, 60)
+    start = x_t + 2 * TURNING_WINDOW_HALF_WIDTH
+    if not start <= cut:  # the band s_zero - x_t = 2 a^2 / v' falls as 1/eps, at every energy
+        scale = (s_zero - x_t) / (3 * TURNING_WINDOW_HALF_WIDTH)
+        raise PreconditionError(
+            f"forbidden band ({x_t:.5g}, {s_zero:.5g}) narrower than three turning-window half-widths "
+            f"({3 * TURNING_WINDOW_HALF_WIDTH:g}) at every energy, so the state's tail, from x_t + "
+            f"{2 * TURNING_WINDOW_HALF_WIDTH:g} to s_zero - {TURNING_WINDOW_HALF_WIDTH}, is empty; epsilon must be "
+            f"at most about {problem.epsilon * scale:.4g} (beta {problem.setup.beta * scale:.4g})"
+        )
+    xs = np.linspace(start, cut, 60)
     # the wall, the 9 points of the peak, then the tail, in one query of both branches
     logs = asm.basis.table.logs(np.concatenate([[lo], np.linspace(lo + 1e-3, peak_hi, 9), xs]), (2, 4))
     # the quotient of the two wall values, each by the scalar cmath exp: one

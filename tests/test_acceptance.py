@@ -22,7 +22,7 @@ from gupbic import (
     nondimensionalize,
     residual,
 )
-from gupbic.basis import WkbParameters, map_regions, wkb_branches
+from gupbic.basis import ExponentTable, WkbParameters
 from gupbic.matcher import solve_linear, solve_well
 from gupbic.spectrum import (
     dof_scan,
@@ -149,10 +149,10 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     mu1 = characteristic_roots(eps, -1.0).mu1  # fast rate scale ~ 1/sqrt(eps)
 
     out = {}
-    # fast branch: single backward launch, reference point at the launch
+    # fast branch: single backward launch, reference point at the launch;
+    # the piece lies past the turning point x_t = energy, so it has no window
     p2 = WkbParameters.from_problem(problem, energy, x0=x_hi)
-    rmap = map_regions(p2, x_lo - 0.3, x_hi + 0.3)
-    t2 = wkb_branches(p2, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table
+    t2 = ExponentTable(p2, (x_lo - 0.3, x_hi + 0.3), ())
     xs = np.linspace(x_lo, x_hi, 61)
     phi = integrate(problem, energy, t2.derivatives(x_hi, 3, (2,))[0], x_hi, xs, rtol=1e-12, atol=1e-14)[0]
     vals = t2.derivatives(xs, 0, (2,))[0, 0]
@@ -161,7 +161,7 @@ def _wkb_vs_oracle(eps: float, energy: float = 1.0, w_lo: float = 1.0, w_hi: flo
     # slow branch: piecewise backward relaunches, piece ~ 3.2/mu1 so the
     # fast-mode contamination amplification stays bounded
     p4 = WkbParameters.from_problem(problem, energy, x0=0.5 * (x_lo + x_hi))
-    t4 = wkb_branches(p4, (x_lo - 0.3, x_hi + 0.3), region_map=rmap).table
+    t4 = ExponentTable(p4, (x_lo - 0.3, x_hi + 0.3), ())
     n_pieces = max(2, math.ceil((w_hi - w_lo) * mu1 / 3.2))
     edges = np.linspace(x_lo, x_hi, n_pieces + 1)
     num = den = 0.0
@@ -180,8 +180,7 @@ def _tail_fit_r_squared(eps: float, energy: float = 1.0) -> float:
     x_q = energy + 1.0 / (4.0 * eps)
     x_start = max(3.0 * x_q, 40.0)
     params = WkbParameters.from_problem(problem, energy, x0=x_start)
-    rmap = map_regions(params, x_start - 1.0, 4.0 * x_start + 1.0)
-    table = wkb_branches(params, (x_start - 1.0, 4.0 * x_start + 1.0), region_map=rmap).table
+    table = ExponentTable(params, (x_start - 1.0, 4.0 * x_start + 1.0), ())  # past both zeros
     xs = np.linspace(x_start, 4.0 * x_start, 60)
     logs = np.array([table.logs(x, (1,))[0].real for x in xs])
     design = np.vstack([xs**1.25, np.ones_like(xs)]).T

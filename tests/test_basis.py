@@ -13,13 +13,14 @@ from gupbic import characteristic_roots, exact_constant_basis, nondimensionalize
 from gupbic.basis import (
     AsymptoticClass,
     ExactConstantSet,
+    ExponentTable,
     Side,
     WkbBasisFunction,
     WkbParameters,
+    WkbSet,
     _exp_log,
     classify_asymptotics,
     map_regions,
-    wkb_branches,
 )
 from gupbic.errors import (
     BasisOverflowError,
@@ -48,11 +49,14 @@ def _windows(table, j):
 
 
 def _far_branches(problem, energy, even=False):
-    """Branches 1..4 on the far piece: from a turning window past the zero of a^2 - b to infinity, x0 0.5 further."""
+    """Branches 1..4 on the far piece: from a turning window past the zero of a^2 - b to infinity, x0 0.5 further.
+
+    No zero of b lies on the far piece, so its table has no window.
+    """
     (s_zero,) = wkb_assembly(problem, energy).s_zeros
     far_lo = s_zero + gupbic.basis.TURNING_WINDOW_HALF_WIDTH
     params = WkbParameters.from_problem(problem, energy, x0=far_lo + 0.5)
-    return wkb_branches(params, (far_lo, math.inf), even=even)
+    return WkbSet(ExponentTable(params, (far_lo, math.inf), ()), even)
 
 
 class TestCharacteristicRoots:
@@ -239,7 +243,7 @@ class TestWkbBasis:
         params = WkbParameters.from_problem(well_problem, e, x0=0.0)
         roots = characteristic_roots(well_problem.epsilon, e)
         # lam of the tau = +1 branches of both pairs: lam_1 and lam_3
-        lam1, lam3 = wkb_branches(params, (-1.0, 1.0)).table._closed_sums(np.array([0.2]))[3][:, 0]
+        lam1, lam3 = ExponentTable(params, (-1.0, 1.0), ())._closed_sums(np.array([0.2]))[3][:, 0]
         assert params.eta * lam1 == pytest.approx(roots.mu1, rel=1e-13)
         assert params.eta * lam3 == pytest.approx(1j * roots.kappa, rel=1e-13)
 
@@ -248,7 +252,7 @@ class TestWkbBasis:
         params = WkbParameters.from_problem(well_problem, e, x0=0.0)
         roots = characteristic_roots(well_problem.epsilon, e)
         targets = {1: roots.mu1, 2: -roots.mu1, 3: 1j * roots.kappa, 4: -1j * roots.kappa}
-        table = wkb_branches(params, (-1.0, 1.0)).table
+        table = ExponentTable(params, (-1.0, 1.0), ())
         for j, rate in targets.items():
             ratios = [table.derivatives(x, 0, (j,))[0, 0] * cmath.exp(-rate * x) for x in (-0.9, -0.4, 0.1, 0.8)]
             for r in ratios[1:]:
@@ -257,8 +261,8 @@ class TestWkbBasis:
     def test_quartic_residual_of_local_rates(self, linear_problem):
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
-        rmap = map_regions(params, 0.0, 10.0)
-        table = wkb_branches(params, (0.0, rmap.s_zeros[0] - 0.05), region_map=rmap).table
+        (x_t,), (s_zero,) = map_regions(params)
+        table = ExponentTable(params, (0.0, s_zero - 0.05), (x_t,))
         eps = linear_problem.epsilon
         for x in (0.3, 1.2, 3.0, 4.5):
             mu = params.eta * table._closed_sums(np.array([x]))[3][0, 0]  # lam_1
@@ -269,10 +273,9 @@ class TestWkbBasis:
     def test_derivatives_match_finite_differences(self, linear_problem):
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=3.2)
-        rmap = map_regions(params, 2.6, 4.0)
         rng = np.random.default_rng(3)
         h1, h2 = 1e-5, 1e-4  # h2 larger: second differences hit roundoff ~eps/h^2
-        table = wkb_branches(params, (2.6, 4.0), region_map=rmap).table
+        table = ExponentTable(params, (2.6, 4.0), ())  # past the turning point x_t = 2
         for j in (1, 2, 3, 4):
             value = lambda x: table.derivatives(x, 0, (j,))[0, 0]
             for x in rng.uniform(2.8, 3.8, size=13):
@@ -291,20 +294,11 @@ class TestWkbBasis:
         assert classes[3] is AsymptoticClass.GROWING
         assert classes[4] is AsymptoticClass.DECAYING
 
-    def test_turning_point_inside_interval_rejected(self, linear_problem):
-        e = 2.0
-        params = WkbParameters.from_problem(linear_problem, e, x0=1.0)
-        rmap = map_regions(params, 0.0, 10.0)
-        s_zero = rmap.s_zeros[0]
-        with pytest.raises(ValidityError, match="turning point"):
-            wkb_branches(params, (s_zero - 1.0, s_zero + 1.0), region_map=rmap)
-
     def test_window_evaluation_rejected(self, linear_problem):
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
-        rmap = map_regions(params, 0.0, 3.5)
-        table = wkb_branches(params, (0.0, 3.5), region_map=rmap).table
-        x_t = rmap.b_zeros[0]
+        (x_t,), _ = map_regions(params)
+        table = ExponentTable(params, (0.0, 3.5), (x_t,))
         with pytest.raises(ValidityError, match="window"):
             table.derivatives(x_t + 0.01, 0, (4,))
         # but the same branch is evaluable on both sides with one normalization
@@ -314,9 +308,8 @@ class TestWkbBasis:
     def test_fast_branch_crosses_classical_turning_point(self, linear_problem):
         e = 2.0
         params = WkbParameters.from_problem(linear_problem, e, x0=0.5)
-        rmap = map_regions(params, 0.0, 3.5)
-        table = wkb_branches(params, (0.0, 3.5), region_map=rmap).table
-        x_t = rmap.b_zeros[0]
+        (x_t,), _ = map_regions(params)
+        table = ExponentTable(params, (0.0, 3.5), (x_t,))
         # the window masks branches 3 and 4 alone
         with pytest.raises(ValidityError, match="window"):
             table.logs(x_t, (4,))
@@ -364,11 +357,10 @@ def test_concurrent_evaluation_matches_serial(linear_problem):
     e = 2.0
     xs = list(np.linspace(2.6, 3.8, 40))
     params = WkbParameters.from_problem(linear_problem, e, x0=3.2)
-    rmap = map_regions(params, 2.5, 3.9)
-    serial = wkb_branches(params, (2.5, 3.9), region_map=rmap).table
+    serial = ExponentTable(params, (2.5, 3.9), ())  # past the turning point x_t = 2
     serial_vals = [serial.derivatives(x, 0, (2,))[0, 0] for x in xs]
 
-    threaded = wkb_branches(params, (2.5, 3.9), region_map=rmap).table
+    threaded = ExponentTable(params, (2.5, 3.9), ())
     shuffled = list(np.random.default_rng(0).permutation(xs))
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda x: threaded.derivatives(x, 0, (2,)), shuffled))
@@ -383,17 +375,17 @@ def test_concurrent_shared_table_matches_serial():
     # place, so every value equals the serial one exactly
     from concurrent.futures import ThreadPoolExecutor
 
-    params, piece, rmap, _ = _shared_table_cases()[0]
+    params, piece, b_zeros, _ = _shared_table_cases()[0]
     grid = np.linspace(piece[0], piece[1], 41)
     queries = [float(x) for x in grid] + [grid[k : k + 5] for k in range(0, 41, 5)]
-    serial = wkb_branches(params, piece, rmap).table
+    serial = ExponentTable(params, piece, b_zeros)
     tasks, expected = [], []
     for j in (1, 2, 3, 4):
         for q in queries:
             if np.all(serial.valid(q, _windows(serial, j))):
                 tasks.append((j, q))
                 expected.append(serial.derivatives(q, 0, (j,))[0, 0])
-    shared = wkb_branches(params, piece, rmap).table
+    shared = ExponentTable(params, piece, b_zeros)
     order = np.random.default_rng(0).permutation(len(tasks))
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(lambda k: shared.derivatives(tasks[k][1], 0, (tasks[k][0],))[0, 0], order))
@@ -450,33 +442,36 @@ def _reference_exponent(table, j, x):
 
 
 def _pieces_for_accuracy():
-    """(problem, energy, x0, piece, test points) on linear and harmonic pieces."""
+    """(problem, energy, x0, piece, zeros of b on it, test points) on linear and harmonic pieces.
+
+    The (0, hi) piece holds the turning point x_t, the far piece no zero of b.
+    """
     linear = nondimensionalize(linear_setup_for(0.12))
     harmonic = nondimensionalize(harmonic_setup_for(0.12))
     out = []
     for problem, e in ((linear, 2.0), (harmonic, 5.0)):
         params = WkbParameters.from_problem(problem, e, x0=0.9)
-        rmap = map_regions(params, 0.0, 12.0)
-        x_t, s_zero = rmap.b_zeros[-1], rmap.s_zeros[0]
+        b_zeros, s_zeros = map_regions(params)
+        x_t, s_zero = b_zeros[-1], s_zeros[-1]
         hi = s_zero - 0.05
         points = [
             1e-9, 1e-3, 0.4, 0.9, 1.37,  # near the lower end and before the turning point
             x_t - 0.06, x_t - 0.05, x_t + 0.05, x_t + 0.06,  # just outside the window
             x_t + 0.5, 0.5 * (x_t + hi), hi - 1e-3, hi,  # beyond it, up to the upper end
         ]
-        out.append((problem, e, 0.9, (0.0, hi), rmap, points))
+        out.append((problem, e, 0.9, (0.0, hi), (x_t,), points))
         far_lo = s_zero + 0.05
-        out.append((problem, e, far_lo + 0.5, (far_lo, math.inf), rmap,
+        out.append((problem, e, far_lo + 0.5, (far_lo, math.inf), (),
                     [far_lo, far_lo + 1e-3, far_lo + 0.5, far_lo + 2.3, far_lo + 4.4]))
     return out
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_exponent_matches_quad_reference(case):
-    problem, e, x0, piece, rmap, points = _pieces_for_accuracy()[case]
+    problem, e, x0, piece, b_zeros, points = _pieces_for_accuracy()[case]
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 2, 3, 4):
-        w = _branch(wkb_branches(params, piece, region_map=rmap), j)
+        w = WkbBasisFunction(ExponentTable(params, piece, b_zeros), j)
         xs = [x for x in points if w.table.valid(x, _windows(w.table, j))]
         assert len(xs) >= 5
         batch = w.exponent(np.array(xs))
@@ -484,7 +479,7 @@ def test_exponent_matches_quad_reference(case):
             ref = _reference_exponent(w.table, j, x)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (j, x, got, ref)
             # one point at a time, on a fresh function, gives the same value
-            single = _branch(wkb_branches(params, piece, region_map=rmap), j).exponent(x)
+            single = WkbBasisFunction(ExponentTable(params, piece, b_zeros), j).exponent(x)
             assert abs(single - got) <= 1e-13 * max(1.0, abs(got))
 
 
@@ -492,35 +487,34 @@ def test_large_array_matches_small_batches():
     # thousands of points across a turning window: each point's closed form
     # (a fixed number of Carlson duplication steps) is computed on its own,
     # so the values cannot depend on which other points share the array
-    problem, e, x0, piece, rmap, _ = _pieces_for_accuracy()[2]
+    problem, e, x0, piece, b_zeros, _ = _pieces_for_accuracy()[2]
     params = WkbParameters.from_problem(problem, e, x0=x0)
     for j in (1, 3):
-        w = _branch(wkb_branches(params, piece, region_map=rmap), j)
+        w = WkbBasisFunction(ExponentTable(params, piece, b_zeros), j)
         xs = np.linspace(*piece, 3001)
         xs = xs[w.table.valid(xs, _windows(w.table, j))]
         assert xs.size > 2048
         whole = w.exponent(xs)
-        fresh = _branch(wkb_branches(params, piece, region_map=rmap), j)
+        fresh = WkbBasisFunction(ExponentTable(params, piece, b_zeros), j)
         batches = np.concatenate([fresh.exponent(xs[k : k + 7]) for k in range(0, xs.size, 7)])
         np.testing.assert_array_equal(whole, batches)
 
 
 def _shared_table_cases():
-    """(params, piece, region map, test points): linear main and far, harmonic tail and far.
+    """(params, piece, zeros of b on it, test points): linear main and far, harmonic tail and far.
 
     The linear main piece holds the turning point, so its points lie on both
     sides of the window; the harmonic (0, hi) piece does too.
     """
     out = []
-    for problem, e, x0, piece, rmap, points in _pieces_for_accuracy():
-        out.append((WkbParameters.from_problem(problem, e, x0=x0), piece, rmap, points))
+    for problem, e, x0, piece, b_zeros, points in _pieces_for_accuracy():
+        out.append((WkbParameters.from_problem(problem, e, x0=x0), piece, b_zeros, points))
     harmonic = nondimensionalize(harmonic_setup_for(0.12))
     params0 = WkbParameters.from_problem(harmonic, 5.0, x0=0.0)
-    rmap = map_regions(params0, 0.0, math.inf)
-    (x_t,), (s_zero,) = rmap.b_zeros, rmap.s_zeros
-    tail = (x_t + 0.05, s_zero - 0.05)
+    (_, x_t), (_, s_zero) = map_regions(params0)
+    tail = (x_t + 0.05, s_zero - 0.05)  # the tail starts past the window around x_t
     params = WkbParameters.from_problem(harmonic, 5.0, x0=0.5 * sum(tail))
-    out.append((params, tail, rmap, list(np.linspace(*tail, 7))))
+    out.append((params, tail, (), list(np.linspace(*tail, 7))))
     return out
 
 
@@ -530,24 +524,24 @@ def test_shared_branches_match_standalone(case, order):
     # the four branches of one table (tau = -1 partners negated, both pairs
     # in one walk, the last query kept) equal branches alone on their own
     # tables, bit for bit, however the branches take turns
-    params, piece, rmap, points = _shared_table_cases()[case]
-    shared_set = wkb_branches(params, piece, rmap)
+    params, piece, b_zeros, points = _shared_table_cases()[case]
+    shared_set = WkbSet(ExponentTable(params, piece, b_zeros))
     shared = [_branch(shared_set, j) for j in (1, 2, 3, 4)]
-    fresh = {j: _branch(wkb_branches(params, piece, region_map=rmap), j) for j in (1, 2, 3, 4)}
+    fresh = {j: WkbBasisFunction(ExponentTable(params, piece, b_zeros), j) for j in (1, 2, 3, 4)}
     table = shared_set.table
     common = np.array([x for x in points if table.valid(x, table.windows)])
     for x in points:
         for j in order:
             if table.valid(x, _windows(table, j)):
                 got = shared[j - 1].exponent(float(x))
-                alone = _branch(wkb_branches(params, piece, region_map=rmap), j)
+                alone = WkbBasisFunction(ExponentTable(params, piece, b_zeros), j)
                 assert np.array_equal(got, fresh[j].exponent(float(x))), (j, x)
                 assert np.array_equal(got, alone.exponent(float(x))), (j, x)
     for xs in (common, np.array(points)):
         for j in order:
             f = shared[j - 1]
             own = xs[table.valid(xs, _windows(table, j))]
-            alone = _branch(wkb_branches(params, piece, region_map=rmap), j)
+            alone = WkbBasisFunction(ExponentTable(params, piece, b_zeros), j)
             assert np.array_equal(f.exponent(own), alone.exponent(own)), j
             assert np.array_equal(table.derivatives(own, 0, (j,)), alone.table.derivatives(own, 0, (j,))), j
 
@@ -696,24 +690,24 @@ def _mp_harmonic_integrals(mp, table, xs, sigma):
 
 
 def _harmonic_pieces(eps: float, e: float):
-    """(x0, piece, points) on the three kinds of harmonic piece.
+    """(x0, piece, zeros of b on it, points) on the three kinds of harmonic piece.
 
     The interior piece runs across both turning points, the forbidden band
     from x_t + W to x_s - W (where it is wider than the windows), the far
     tail from x_s + W; the points lie at 0, 1e-9 and beside each window.
     """
     problem = nondimensionalize(harmonic_setup_for(eps))
-    rmap = map_regions(WkbParameters.from_problem(problem, e, x0=0.0), -math.inf, math.inf)
-    x_t, x_s = rmap.b_zeros[1], rmap.s_zeros[1]
+    b_zeros, s_zeros = map_regions(WkbParameters.from_problem(problem, e, x0=0.0))
+    x_t, x_s = b_zeros[1], s_zeros[1]
     w = gupbic.basis.TURNING_WINDOW_HALF_WIDTH
-    out = [(0.5 * x_t, (w - x_s, x_s - w),
+    out = [(0.5 * x_t, (w - x_s, x_s - w), b_zeros,
             [w - x_s, -x_t - w, -1e-9, 0.0, 1e-9, x_t - w, x_t + w, x_s - w])]
     if x_s - x_t > 4 * w:
-        out.append((0.5 * (x_t + x_s), (x_t + w, x_s - w),
+        out.append((0.5 * (x_t + x_s), (x_t + w, x_s - w), (),
                     [x_t + w, x_t + w + 1e-3, 0.5 * (x_t + x_s) + 0.01, x_s - w]))
     far = x_s + w
-    out.append((far + 0.5, (far, math.inf), [far, far + 1e-3, far + 2.3, far + 20.0]))
-    return problem, rmap, out
+    out.append((far + 0.5, (far, math.inf), (), [far, far + 1e-3, far + 2.3, far + 20.0]))
+    return problem, out
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.2])
@@ -726,10 +720,10 @@ def test_harmonic_closed_form_matches_panels_and_mpmath(eps):
     # whose difference I1 is, about 1e-16 of eta |x0 lam(x0)|
     mp = pytest.importorskip("mpmath")
     for e in (0.3, 5.0, 12.0):
-        problem, rmap, pieces = _harmonic_pieces(eps, e)
-        for x0, piece, points in pieces:
+        problem, pieces = _harmonic_pieces(eps, e)
+        for x0, piece, b_zeros, points in pieces:
             params = WkbParameters.from_problem(problem, e, x0=x0)
-            table = wkb_branches(params, piece, rmap).table
+            table = ExponentTable(params, piece, b_zeros)
             assert params.b_chain(0.0)[2] > 0.0
             xs = np.array(points + [x0 - 0.1, x0 + 0.01])
             i1, i2, _, _ = table._closed_sums(xs)  # of the tau = +1 branch of pair sigma = +1, -1
@@ -750,21 +744,20 @@ def test_batched_harmonic_table_matches_each_energy():
     # them in one pass, bit for bit as each energy's own table
     problem = nondimensionalize(harmonic_setup_for(0.02))
     energies = np.array([0.3, 2.0, 5.0])
-    rmap = map_regions(WkbParameters.from_problem(problem, energies, x0=0.0), 0.0, math.inf)
-    (x_t,), (x_s,) = rmap.b_zeros, rmap.s_zeros
+    (_, x_t), (_, x_s) = map_regions(WkbParameters.from_problem(problem, energies, x0=0.0))
     w = gupbic.basis.TURNING_WINDOW_HALF_WIDTH
     t = np.linspace(0.0, 1.0, 7)[:, None]
     band = (x_t + w, x_s - w, x_s - w, 0.5 * (x_t + x_s))
     tail = (x_s + w, x_s + 4.0, np.full(3, np.inf), x_s + 0.5)  # points up to x_s + 4
-    for lo, hi, end, x0 in (band, tail):
+    for lo, hi, end, x0 in (band, tail):  # neither piece holds a zero of b
         params = WkbParameters.from_problem(problem, energies, x0=x0)
-        table = wkb_branches(params, (lo, end), rmap).table
+        table = ExponentTable(params, (lo, end), ())
         xs = lo + t * (hi - lo)  # (points, energies)
         # I1, I2, s and lam, with I1, I2 and lam of both pairs (sigma = +1, -1) on a leading axis
         got = table._closed_sums(xs)
         for k, e in enumerate(energies):
             one = WkbParameters.from_problem(problem, e, x0=float(x0[k]))
-            alone = wkb_branches(one, (float(lo[k]), float(end[k]))).table
+            alone = ExponentTable(one, (float(lo[k]), float(end[k])), ())
             for g, ref in zip(got, alone._closed_sums(xs[:, k].copy())):
                 assert np.array_equal(g[..., k], ref), e
 
@@ -773,12 +766,12 @@ def test_harmonic_exponents_below_the_minimum_raise():
     # the elliptic reduction needs e > 0 over the minimum of the potential
     problem = nondimensionalize(harmonic_setup_for(0.02))
     params = WkbParameters.from_problem(problem, -1.0, x0=1.0)
-    w = _branch(wkb_branches(params, (0.5, 2.0)), 1)
+    w = WkbBasisFunction(ExponentTable(params, (0.5, 2.0), ()), 1)  # b > 0: no turning point
     with pytest.raises(PreconditionError, match="above its minimum"):
         w.exponent(1.5)
     batch = WkbParameters.from_problem(problem, np.array([2.0, -1.0]), x0=np.array([1.0, 1.0]))
     with pytest.raises(PreconditionError) as info:
-        _branch(wkb_branches(batch, (np.array([0.5, 0.5]), np.array([1.2, 2.0]))), 1).exponent(0.9)
+        WkbBasisFunction(ExponentTable(batch, (np.array([0.5, 0.5]), np.array([1.2, 2.0])), ()), 1).exponent(0.9)
     assert info.value.failed.tolist() == [False, True]
 
 
@@ -915,30 +908,22 @@ def _zeros_by_brentq(f, lo, hi, n=2001):
 
 
 def test_closed_form_zeros_match_brentq():
-    windows = 0
+    cases = 0
     for setup_for, hi in ((linear_setup_for, 3000.0), (harmonic_setup_for, 60.0)):
         for eps in (1e-4, 1e-2, 0.2):
             problem = nondimensionalize(setup_for(eps))
             lo = 0.0 if problem.kind == "linear" else -hi
             for e in (0.3, 1.5, 7.5, 12.0):
                 params = WkbParameters.from_problem(problem, e, x0=0.0)
-                _, slope, curvature = problem.v_coefficients
-                x_t = e / slope if problem.kind == "linear" else math.sqrt(e / (0.5 * curvature))
-                # the whole line, then windows left of x_t (none) and between
-                # x_t and the zero of a^2 - b (b only)
-                for a, b, n_b, n_s in ((lo, hi, None, None), (0.5 * x_t, 0.9 * x_t, 0, 0),
-                                       (0.5 * x_t, 2.0 * x_t, 1, None)):
-                    rmap = map_regions(params, a, b)
-                    for got, f, n in (
-                        (rmap.b_zeros, params.b, n_b),
-                        (rmap.s_zeros, lambda x, p=params: p.a_coef**2 - p.b(x), n_s),
-                    ):
-                        want = _zeros_by_brentq(f, a, b)
-                        assert len(got) == len(want) and (n is None or len(got) == n)
-                        for z, w in zip(got, want):
-                            assert abs(z - w) <= 1e-13 * max(1.0, abs(w))
-                    windows += 1
-    assert windows == 2 * 3 * 4 * 3
+                # the whole line: every zero lies in [lo, hi]
+                b_zeros, s_zeros = map_regions(params)
+                for got, f in ((b_zeros, params.b), (s_zeros, lambda x, p=params: p.a_coef**2 - p.b(x))):
+                    want = _zeros_by_brentq(f, lo, hi)
+                    assert len(got) == len(want)
+                    for z, w in zip(got, want):
+                        assert abs(z - w) <= 1e-13 * max(1.0, abs(w))
+                cases += 1
+    assert cases == 2 * 3 * 4
 
 
 def test_dof_scan_makes_no_scalar_quad_calls(monkeypatch):

@@ -545,6 +545,26 @@ class TestExitCodes:
         assert "lies past 5.629e+14 (2**49)" in error["message"]
         assert "the smallest beta that passes this limit is about 3.654e+32" in error["message"]
 
+    @pytest.mark.parametrize("beta, code", [("3e48", 3), ("1.3e48", 0)])
+    def test_linear_state_past_the_band_limit_is_refused(self, beta, code, tmp_path, capsys):
+        # eps > 5/3: the band s_zero - x_t is narrower than the state's tail
+        # grid needs at every energy; the count there still runs (dof 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["dof-scan", "--potential", "linear", "--L", "1.281e-8", "--beta", beta,
+                        "--n", "4", "--out", tmp_path / "scan"]) == 0
+            got = run(["wavefunction", "--potential", "linear", "--L", "1.281e-8", "--E", "2e-18",
+                       "--beta", beta, "--out", tmp_path / "wf"])
+        assert got == code
+        lines = capsys.readouterr().err.strip().splitlines()
+        if code == 0:
+            assert lines == []
+            return
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "PreconditionError" and error["exit_code"] == 3
+        assert "epsilon must be at most about 1.667 (beta 1.371e+48)" in error["message"]
+
     def test_linear_wavefunction_runs(self, tmp_path):
         cfg = tmp_path / "lin.cfg"
         cfg.write_text(LINEAR_CFG)

@@ -1537,6 +1537,36 @@ class TestSolvers:
         with pytest.raises(PreconditionError, match="highest energy that works"):
             degrees_of_freedom(below, 10.0)
 
+    def test_linear_band_limit_is_named(self):
+        # the linear band s_zero - x_t = 1/(4 eps) does not depend on the
+        # energy; the state's tail grid starts at x_t + 2 W and ends at
+        # s_zero - W, so past eps = 5/3 it would be empty at every energy
+        # and its first abscissa fell past the piece (a ValidityError)
+        for e in (0.5, 2.0, 8.0):
+            assert bound_states(nondimensionalize(linear_setup_for(1.66)), e).degeneracy == 1
+            problem = nondimensionalize(linear_setup_for(1.67))
+            assert degrees_of_freedom(problem, e)[0] == 1
+            with pytest.raises(PreconditionError, match="narrower than three turning-window") as info:
+                bound_states(problem, e)
+            eps_max = float(re.search(r"epsilon must be at most about (\S+) ", str(info.value)).group(1))
+            assert eps_max == pytest.approx(5.0 / 3.0, rel=1e-3)
+
+    def test_linear_batch_past_the_band_limit_counts_as_each_energy(self):
+        # at eps 5 the turning point x_t rounds past the piece's end at e = 0.5
+        # alone; the count reads the wall only, so the batch is each energy's
+        # count bit for bit, and each energy's state is refused the same way
+        problem = nondimensionalize(linear_setup_for(5.0))
+        energies = np.array([0.5, 2.0, 8.0])
+        dof, system = degrees_of_freedom(problem, energies)
+        assert dof.tolist() == [1, 1, 1]
+        for n, e in enumerate(energies.tolist()):
+            one_dof, one = degrees_of_freedom(problem, e)
+            assert one_dof == 1
+            assert np.array_equal(_bits(system.matrix[n]), _bits(one.matrix))
+            with pytest.raises(PreconditionError, match=r"at most about 1\.667 ") as info:
+                bound_states(problem, e)
+            assert "forbidden band" in str(info.value)
+
     def test_overflow_message_names_the_cap(self):
         # harmonic eps 1e-4: the Gram nodes pass exp(700); the message names
         # the first offending abscissa and the cap, not the node array

@@ -15,7 +15,7 @@ from gupbic import (
     residual,
     wronskian,
 )
-from gupbic.basis import WkbParameters, map_regions, wkb_branches
+from gupbic.basis import ExponentTable, WkbParameters, WkbSet
 from gupbic.core import DEFAULT_RTOL
 from gupbic.errors import NumericalError, PreconditionError, WrongPotentialError
 from gupbic.matcher import StateFunction, bound_states
@@ -350,8 +350,8 @@ class TestResidual:
         for eps in (1e-3, 1e-4):
             problem = nondimensionalize(linear_setup_for(eps))
             params = WkbParameters.from_problem(problem, 2.0, x0=3.0)
-            rmap = map_regions(params, 2.4, 4.5)
-            w2 = StateFunction([0.0, 1.0, 0.0, 0.0], wkb_branches(params, (2.4, 4.5), region_map=rmap))
+            # past the turning point x_t = 2: no window
+            w2 = StateFunction([0.0, 1.0, 0.0, 0.0], WkbSet(ExponentTable(params, (2.4, 4.5), ())))
             values.append(residual(w2, problem, 2.0, np.linspace(2.5, 4.4, 40)))
         assert values[0] < 1e-2
         assert values[1] < values[0]

@@ -14,7 +14,7 @@ import gupbic.cli
 EXPORTS = {
     "core": "HBAR DimensionlessProblem Harmonic InfiniteWell Linear PhysicalSetup load_config nondimensionalize",
     "basis": "AsymptoticClass CharacteristicRoots Side WkbParameters characteristic_roots "
-    "classify_asymptotics exact_constant_basis wkb_branches",
+    "classify_asymptotics exact_constant_basis",
     "matcher": "BoundStateSolution Case CaseClassification ConstraintSystem StateFunction assemble "
     "bound_states classify conditions_for degrees_of_freedom normalize nullspace point_zero "
     "solve_harmonic solve_linear solve_well",
